@@ -8,7 +8,7 @@ by a rule formula participates in the computation graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .autodiff import Tape, VarRef
 

@@ -212,14 +212,6 @@ class Tape:
     def zero_grads(self) -> None:
         self._grads = [0.0] * len(self._values)
 
-    def value(self, a: VarRef) -> float:
-        self._one(a)
-        return self._values[a.index]
-
-    def grad(self, a: VarRef) -> float:
-        self._one(a)
-        return self._grads[a.index]
-
     # -- re-tracing support -----------------------------------------------
 
     def mark(self) -> int:

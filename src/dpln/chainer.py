@@ -1,8 +1,10 @@
 """Forward and backward rule chaining over the knowledge base.
 
-Each rule application calls the rule's differentiable formula, so a chain of
-applications builds one connected computation graph from KB leaf strengths to
-the final conclusion strength.
+Each rule application calls the rule's differentiable formula on the
+strengths of its premise traces, so a chain of applications builds one
+connected computation graph from KB leaf strengths to the final conclusion
+strength.  Backward chaining only reads the KB; a forward firing
+(``apply_rule``) writes its conclusion.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ class Rule:
     """Premise patterns, a conclusion template and a strength formula.
 
     ``formula`` maps a list of input VarRefs to the conclusion strength.
-    ``strength_inputs`` assembles that list; the default takes the premise
-    strengths in order, but a rule may add further inputs (e.g. term
-    strengths looked up from the binding).
+    ``strength_inputs`` assembles that list from the premise traces'
+    strengths; the default takes them in order, but a rule may add further
+    inputs looked up from the binding (deduction's term strengths, modus
+    ponens' P(B|not A)).  No rule concludes those atoms, so no search
+    changes them.
     """
 
     name: str
@@ -36,13 +40,13 @@ class Rule:
     premises: list[int]
     conclusion: int
     formula: Callable[[list[VarRef]], VarRef]
-    strength_inputs: Callable[[AtomSpace, list[int], Binding], list[VarRef]] | None = None
+    strength_inputs: Callable[[AtomSpace, list[VarRef], Binding], list[VarRef]] | None = None
 
-    def inputs_for(self, kb: AtomSpace, ground_premises: list[int],
+    def inputs_for(self, kb: AtomSpace, premise_strengths: list[VarRef],
                    binding: Binding) -> list[VarRef]:
         if self.strength_inputs is not None:
-            return self.strength_inputs(kb, ground_premises, binding)
-        return [kb.get_tv(p).strength for p in ground_premises]
+            return self.strength_inputs(kb, premise_strengths, binding)
+        return premise_strengths
 
 
 @dataclass
@@ -75,35 +79,42 @@ class Derivation:
             yield from child.leaves()
 
     def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
-        """Re-evaluates the formula bottom-up against current KB strengths.
+        """Re-evaluates the formula bottom-up from the children's replayed
+        strengths; leaves read current KB strengths, nothing is written.
 
         ``memo`` collapses repeated applications with identical inputs within
         one re-trace (keyed by rule name and input record indices).
         """
-        for child in self.premises:
-            child.replay(kb, memo)
-        ground = [_trace_atom(t) for t in self.premises]
-        inputs = self.rule.inputs_for(kb, ground, self.binding)
+        strengths = [child.replay(kb, memo) for child in self.premises]
+        inputs = self.rule.inputs_for(kb, strengths, self.binding)
         key = (self.rule.name, tuple(v.index for v in inputs))
         out = memo.get(key)
         if out is None:
             out = self.rule.formula(inputs)
             memo[key] = out
         self.strength = out
-        kb.set_tv(self.conclusion, TruthValue(out, _combined_confidence(kb, ground)))
         return out
 
 
 InferenceTrace = Leaf | Derivation
 
 
-def _trace_atom(trace) -> int:
-    return trace.atom if isinstance(trace, Leaf) else trace.conclusion
+def _derive(kb: AtomSpace, rule: Rule, binding: Binding,
+            premises: list) -> Derivation:
+    """Applies the rule's formula to the premise traces' strengths; interns
+    the conclusion but does not value it."""
+    inputs = rule.inputs_for(kb, [t.strength for t in premises], binding)
+    out = rule.formula(inputs)
+    conclusion = instantiate(kb, rule.conclusion, binding)
+    return Derivation(rule, dict(binding), conclusion, out, premises)
 
 
-def _combined_confidence(kb: AtomSpace, premises: list[int]) -> float:
-    # monotone non-increasing placeholder: min over premise confidences
-    return min((kb.get_tv(p).confidence for p in premises), default=0.0)
+def commit(kb: AtomSpace, trace: Derivation) -> None:
+    """Writes a derivation's strength into its conclusion's truth value
+    (latest wins); confidence is the minimum over the leaves' confidences."""
+    confidence = min((kb.get_tv(leaf.atom).confidence for leaf in trace.leaves()),
+                     default=0.0)
+    kb.set_tv(trace.conclusion, TruthValue(trace.strength, confidence))
 
 
 @dataclass
@@ -111,7 +122,6 @@ class ChainConfig:
     max_steps: int = 100
     max_depth: int = 5
     seed: int = 0
-    dedup: bool = True
 
     def __post_init__(self):
         if self.max_steps < 1:
@@ -120,29 +130,26 @@ class ChainConfig:
             raise ChainError("max_depth must be >= 1")
 
 
-def apply_rule(kb: AtomSpace, rule: Rule, binding: Binding,
-               premise_traces: list | None = None) -> tuple[int, VarRef, Derivation]:
-    """Applies one grounded rule instance; interns and re-values the conclusion.
+def apply_rule(kb: AtomSpace, rule: Rule,
+               binding: Binding) -> tuple[int, VarRef, Derivation]:
+    """Fires one grounded rule instance on the stored premise strengths and
+    commits the conclusion.
 
     The conclusion's strength is the live formula output VarRef, so gradients
     flow through it; confidence is the minimum over premise confidences.
     """
-    ground = []
+    leaves = []
     for premise in rule.premises:
         missing = variables_in(kb, premise) - set(binding)
         if missing:
             names = sorted(kb.atom(v).name for v in missing)
             raise ChainError("binding does not ground premise variable(s): %s"
                              % ", ".join(names))
-        ground.append(substitute(kb, premise, binding))
-    inputs = rule.inputs_for(kb, ground, binding)
-    out = rule.formula(inputs)
-    conclusion = instantiate(kb, rule.conclusion, binding)
-    kb.set_tv(conclusion, TruthValue(out, _combined_confidence(kb, ground)))
-    if premise_traces is None:
-        premise_traces = [Leaf(g, kb.get_tv(g).strength) for g in ground]
-    trace = Derivation(rule, dict(binding), conclusion, out, premise_traces)
-    return conclusion, out, trace
+        ground = substitute(kb, premise, binding)
+        leaves.append(Leaf(ground, kb.get_tv(ground).strength))
+    trace = _derive(kb, rule, binding, leaves)
+    commit(kb, trace)
+    return trace.conclusion, trace.strength, trace
 
 
 def _binding_key(binding: Binding) -> tuple:
@@ -154,8 +161,8 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     """Applies rules premises-to-conclusions for up to max_steps steps.
 
     Each step gathers all applicable (rule, binding) pairs, shuffles them with
-    the seeded RNG and applies the first one; with dedup a pair fires at most
-    once.  Returns the atoms that did not exist before chaining, with traces.
+    the seeded RNG and applies the first one; a pair fires at most once.
+    Returns the atoms that did not exist before chaining, with traces.
     """
     if not rules:
         raise ChainError("forward_chain needs a nonempty rule list")
@@ -171,7 +178,7 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
             query = Query(variables=list(rule.variables), clauses=list(rule.premises))
             for binding in match(kb, query):
                 key = (rule.name, _binding_key(binding))
-                if config.dedup and key in applied:
+                if key in applied:
                     continue
                 candidates.append((ri, binding, key))
         if not candidates:
@@ -237,12 +244,13 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
     rule whose conclusion unifies with the target and whose premises are
     recursively derivable.  Results are deterministic: KB facts first, then
     rules in the given order.
+
+    The search is read-only: it may intern subgoal and conclusion atoms, but
+    it values no conclusion, so every leaf is an asserted fact and each
+    derivation's strength is a function of its own leaves.
     """
     constraints: dict[int, str] = {}
     memo: dict[tuple[int, int], list] = {}
-    # snapshot: conclusions derived during this search must not feed back in
-    # as depth-0 facts, so leaves always predate the call
-    initial_facts = frozenset(a for a in range(len(kb)) if kb.has_asserted_tv(a))
 
     def solve(pattern: int, depth: int) -> list[tuple[Binding, InferenceTrace]]:
         patom = kb.atom(pattern)
@@ -252,7 +260,7 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
         results: list[tuple[Binding, InferenceTrace]] = []
         # depth 0: asserted KB facts matching the pattern
         if patom.is_ground:
-            if pattern in initial_facts:
+            if kb.has_asserted_tv(pattern):
                 results.append(({}, Leaf(pattern, kb.get_tv(pattern).strength)))
         else:
             for cand in _fact_candidates(pattern):
@@ -270,9 +278,6 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
                     if any(kb.type_of(full_rb[v]) != t
                            for v, t in rule_constraints.items() if v in full_rb):
                         continue
-                    ground = [substitute(kb, p, full_rb) for p in rule.premises]
-                    premise_traces = list(child_traces)
-                    _, out, trace = apply_rule(kb, rule, full_rb, premise_traces)
                     tbind: Binding = {}
                     ok = True
                     for tvar, subtree in aliases.items():
@@ -285,7 +290,8 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
                             break
                         tbind[tvar] = resolved
                     if ok:
-                        results.append((tbind, trace))
+                        results.append((tbind, _derive(kb, rule, full_rb,
+                                                       child_traces)))
         if key is not None:
             memo[key] = results
         return results
@@ -297,7 +303,7 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
         else:
             pool = kb.atoms_of_type(patom.type.name)
         return [a for a in pool
-                if a in initial_facts and kb.atom(a).is_ground]
+                if kb.has_asserted_tv(a) and kb.atom(a).is_ground]
 
     def _solve_premises(rule: Rule, rb: Binding, depth: int):
         """Grounds all premises recursively; yields (binding, traces)."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import random
 import sys
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from .rules import (DEFAULT_NEG_CONDITIONAL, FormulaWeights,
                     trainable_mp_strength)
 from .sexpr import SexprError, format_atom, load_kb, parse_atom
 from .training import (LabeledExample, LearnableStrength, TrainConfig,
-                       empirical_frequency, sgd_step, train)
+                       cross_entropy, empirical_frequency, sgd_step, train)
 
 
 class ConfigError(Exception):
@@ -85,7 +84,6 @@ def _parse_value(value: str, lineno: int):
 @dataclass
 class ExperimentConfig:
     experiment: str = ""
-    kb_path: str | None = None
     fruits: list[str] = field(default_factory=lambda: ["apple", "banana"])
     colors: list[str] = field(default_factory=lambda: ["yellow", "red", "green"])
     true_probabilities: dict = field(default_factory=dict)
@@ -110,7 +108,7 @@ class ExperimentConfig:
         mapping = {
             "fruits": "fruits", "colors": "colors", "n_samples": "n_samples",
             "lr": "lr", "steps": "steps", "seed": "seed", "out": "out_dir",
-            "kb": "kb_path", "probabilities": "true_probabilities",
+            "probabilities": "true_probabilities",
             "neg_conditional": "neg_conditional", "grid_size": "grid_size",
             "heldout_size": "heldout_size",
         }
@@ -121,6 +119,8 @@ class ExperimentConfig:
         for key, value in overrides.items():
             if value is not None:
                 setattr(cfg, key, value)
+        if not 0.0 <= cfg.neg_conditional <= 1.0:
+            raise ConfigError("neg_conditional must lie in [0, 1]")
         return cfg
 
     def validate_fruit(self) -> None:
@@ -209,7 +209,7 @@ def run_fruit_colors(cfg: ExperimentConfig) -> dict:
             for concept, sampled in instances[fruit]:
                 target = kb.link("EvaluationLink", color_pred, concept)
                 dataset.append(LabeledExample(target, 1 if sampled == color else 0))
-            tc = TrainConfig(learning_rate=cfg.lr, steps=cfg.steps, seed=cfg.seed)
+            tc = TrainConfig(learning_rate=cfg.lr, steps=cfg.steps)
             report = train(kb, [mp_rule], dataset, [learnable.theta], tc,
                            learnables=[learnable])
             for i, loss in enumerate(report.loss_curve):
@@ -231,17 +231,6 @@ def run_fruit_colors(cfg: ExperimentConfig) -> dict:
     }
     write_report(cfg.out_dir, result, list(enumerate(loss_totals)))
     return result
-
-
-def _soft_ce_loss(tape: Tape, preds, targets):
-    """Mean soft cross-entropy against real-valued targets in [0, 1]."""
-    total = None
-    for p, t in zip(preds, targets):
-        term = tape.add(tape.mul(tape.constant(t), tape.log(p)),
-                        tape.mul(tape.constant(1.0 - t),
-                                 tape.log(tape.one_minus(p))))
-        total = term if total is None else tape.add(total, term)
-    return tape.mul(tape.constant(-1.0 / len(preds)), total)
 
 
 def _eq1(p_a: float, p_bga: float, p_bgna: float) -> float:
@@ -266,7 +255,8 @@ def run_learn_formula(cfg: ExperimentConfig) -> dict:
         tape.reset_to(mark)
         preds = [trainable_mp_strength(tape.constant(x), tape.constant(y), weights)
                  for x, y in points]
-        loss = _soft_ce_loss(tape, preds, targets)
+        loss = tape.mul(tape.constant(1.0 / len(preds)),
+                        cross_entropy(preds, targets))
         tape.backward(loss)
         sgd_step(weights.refs(), cfg.lr)
         losses.append(loss.value)
@@ -337,7 +327,8 @@ def run_joint(cfg: ExperimentConfig) -> dict:
                 preds.append(trainable_mp_strength(tape.constant(p_a), s_hat,
                                                    weights))
                 targets.append(_eq1(p_a, s_true, cfg.neg_conditional))
-        loss = _soft_ce_loss(tape, preds, targets)
+        loss = tape.mul(tape.constant(1.0 / len(preds)),
+                        cross_entropy(preds, targets))
         tape.backward(loss)
         sgd_step(params, cfg.lr)
         losses.append(loss.value)

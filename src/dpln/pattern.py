@@ -8,7 +8,7 @@ filter, so result order still follows insertion order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .atomspace import AtomSpace
 

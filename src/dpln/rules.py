@@ -140,11 +140,9 @@ def make_modus_ponens_rule(kb: AtomSpace,
     eval_pa = kb.link("EvaluationLink", var_p, var_x)
     eval_qa = kb.link("EvaluationLink", var_q, var_x)
 
-    def strength_inputs(kb: AtomSpace, premises: list[int],
+    def strength_inputs(kb: AtomSpace, strengths: list[VarRef],
                         binding: Binding) -> list[VarRef]:
-        impl_id, eval_id = premises
-        p_bga = kb.get_tv(impl_id).strength
-        p_a = kb.get_tv(eval_id).strength
+        p_bga, p_a = strengths
         if weights is not None:
             return [p_a, p_bga]
         p_bgna = _neg_conditional(kb, binding[var_p], binding[var_q],
@@ -180,10 +178,9 @@ def make_deduction_rule(kb: AtomSpace) -> Rule:
     inh_yz = kb.link("InheritanceLink", var_y, var_z)
     inh_xz = kb.link("InheritanceLink", var_x, var_z)
 
-    def strength_inputs(kb: AtomSpace, premises: list[int],
+    def strength_inputs(kb: AtomSpace, strengths: list[VarRef],
                         binding: Binding) -> list[VarRef]:
-        s_ab = kb.get_tv(premises[0]).strength
-        s_bc = kb.get_tv(premises[1]).strength
+        s_ab, s_bc = strengths
         s_b = kb.get_tv(binding[var_y]).strength
         s_c = kb.get_tv(binding[var_z]).strength
         return [s_ab, s_bc, s_b, s_c]

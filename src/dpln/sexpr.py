@@ -154,7 +154,11 @@ def _parse_stv(form) -> tuple[float, float]:
             raise SexprError("bad number %r in stv" % arg[1], line) from None
     if len(vals) != 2:
         raise SexprError("stv takes two numbers", line)
-    return (vals[0], vals[1])
+    s, c = vals
+    if not (0.0 <= s <= 1.0 and 0.0 <= c <= 1.0):  # also rejects nan
+        raise SexprError("stv values must lie in [0, 1], got %s %s"
+                         % (args[0][1], args[1][1]), line)
+    return (s, c)
 
 
 def _make_tv(kb: AtomSpace, stv: tuple[float, float]) -> TruthValue:

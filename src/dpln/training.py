@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import Tape, VarRef
-from .chainer import ChainConfig, Derivation, Rule, backward_chain
+from .chainer import ChainConfig, Derivation, Rule, backward_chain, commit
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +45,6 @@ class LabeledExample:
 class TrainConfig:
     learning_rate: float = 0.1
     steps: int = 2000
-    seed: int = 0
     log_every: int = 0
     chain_depth: int = 3
 
@@ -92,9 +92,10 @@ class LearnableStrength:
             math.exp(t) / (1.0 + math.exp(t))
 
 
-def cross_entropy(preds: list[VarRef], labels: list[int]) -> VarRef:
+def cross_entropy(preds: list[VarRef], labels: list[float]) -> VarRef:
     """-sum_i [y_i log p_i + (1 - y_i) log(1 - p_i)] as a VarRef.
 
+    Labels lie in [0, 1]; a label of 0 or 1 contributes its single log term.
     Identical (prediction, label) pairs are grouped and scaled by their count,
     which is exact and keeps the tape small when many examples share one
     prediction.
@@ -104,20 +105,23 @@ def cross_entropy(preds: list[VarRef], labels: list[int]) -> VarRef:
     if not preds:
         raise TrainError("cross_entropy needs at least one example")
     tape = preds[0].tape
-    groups: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int, VarRef]] = []
-    for p, y in zip(preds, labels):
-        if y not in (0, 1):
-            raise TrainError("labels must be 0 or 1")
-        key = (p.index, y)
-        if key not in groups:
-            groups[key] = 0
-            order.append((p.index, y, p))
-        groups[key] += 1
+    indices = [p.index for p in preds]
+    counts = Counter(zip(indices, labels))
+    for _, y in counts:
+        if not 0.0 <= y <= 1.0:
+            raise TrainError("labels must lie in [0, 1], got %r" % (y,))
+    refs = dict(zip(indices, preds))
     total = None
-    for idx, y, p in order:
-        term = tape.log(p) if y == 1 else tape.log(tape.one_minus(p))
-        count = groups[(idx, y)]
+    for (idx, y), count in counts.items():
+        p = refs[idx]
+        if 0.0 < y < 1.0:
+            term = tape.add(tape.mul(tape.constant(y), tape.log(p)),
+                            tape.mul(tape.constant(1.0 - y),
+                                     tape.log(tape.one_minus(p))))
+        elif y:  # 1
+            term = tape.log(p)
+        else:  # 0
+            term = tape.log(tape.one_minus(p))
         if count != 1:
             term = tape.mul(tape.constant(float(count)), term)
         total = term if total is None else tape.add(total, term)
@@ -155,7 +159,7 @@ def _find_traces(kb: AtomSpace, rules: list[Rule],
                  dataset: list[LabeledExample], depth: int):
     """One backward-chaining pass per example; prefers rule derivations over
     plain KB lookups so the prediction depends on the premises."""
-    cfg = ChainConfig(max_steps=1, max_depth=depth)
+    cfg = ChainConfig(max_depth=depth)
     traces = []
     for i, ex in enumerate(dataset):
         results = backward_chain(kb, rules, ex.target, cfg)
@@ -231,13 +235,15 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
         if config.log_every and (step + 1) % config.log_every == 0:
             log.info("step %d: loss %.6f", step + 1, loss.value)
 
-    # leave the KB holding strengths for the final parameter values
+    # leave the KB holding conclusion strengths for the final parameter values
     tape.reset_to(mark)
     for ls in learnables:
         ls.refresh()
     memo = {}
     for trace in traces:
         trace.replay(kb, memo)
+        if isinstance(trace, Derivation):
+            commit(kb, trace)
 
     for i, p in enumerate(params):
         name = tape.param_names.get(p.index, "param_%d" % i)

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Criterion 2 carries both an attainable mean gate and a max gate that sits
-below the representational floor of the sigmoid-linear family on this task;
-the measured floor is about 0.077 at the P(A)=1 edge, so its test reports an
+Criterion 2 carries both an attainable mean gate and a max gate of 0.05.
+Cross-entropy training lands at a max error of about 0.077, at the P(A)=1
+edge; the sigmoid-linear family's own floor on the held-out grid is about
+0.056 (a minimax fit), still above the gate.  Its test therefore reports an
 honest failure rather than a loosened tolerance.
 """
 
@@ -193,9 +194,6 @@ def test_criterion_5_chaining_soundness_equivalence():
             if got != expected:
                 proof_sets_ok = False
             for _, strength, trace in results:
-                # replay first: with several proofs of one sub-conclusion the
-                # stored TV holds whichever application came last, while the
-                # closed form follows this trace's own structure
                 replayed = trace.replay(kb, {})
                 gap = abs(replayed.value - closed_form(trace, kb, term))
                 max_value_gap = max(max_value_gap, gap)

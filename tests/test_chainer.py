@@ -328,8 +328,6 @@ def test_backward_chain_matches_proof_enumeration():
         pairs = set()
         while len(pairs) < rng.randrange(3, 6):
             pairs.add((rng.choice(names), rng.choice(names)))
-        # fresh KB per target: chaining asserts its conclusions, which would
-        # otherwise count as depth-0 facts for the next target
         for na, nc in itertools.product(names, repeat=2):
             _, kb = fresh_kb()
             concepts = {n: kb.node("ConceptNode", n) for n in names}
@@ -348,6 +346,61 @@ def test_backward_chain_matches_proof_enumeration():
                                              concepts[nc], 3,
                                              list(concepts.values())))
             assert got == expected
+
+
+CLOBBER_KB = """
+(ImplicationLink (stv 0.8 1.0) (PredicateNode "A") (PredicateNode "B"))
+(ImplicationLink (stv 0.9 1.0) (PredicateNode "B") (PredicateNode "C"))
+(EvaluationLink (stv 0.5 1.0) (PredicateNode "A") (ConceptNode "x"))
+(EvaluationLink (stv 0.95 1.0) (PredicateNode "B") (ConceptNode "x"))
+"""
+
+
+def _asserted_tvs(kb):
+    return {a: kb.get_tv(a) for a in range(len(kb)) if kb.has_asserted_tv(a)}
+
+
+def test_backward_chain_reads_premises_from_child_traces():
+    """Each proof's value follows its own premises, and the KB is untouched:
+    the proof through the asserted B(x) = 0.95 gives 0.9*0.95 + 0.2*0.05,
+    the one that derives B(x) from A(x) gives 0.9*0.5 + 0.2*0.5."""
+    _, kb = fresh_kb()
+    load_kb(kb, CLOBBER_KB)
+    before = _asserted_tvs(kb)
+    b_x = parse_atom(kb, '(EvaluationLink (PredicateNode "B") (ConceptNode "x"))')
+    target = parse_atom(kb, '(EvaluationLink (PredicateNode "C") '
+                            '(ConceptNode "x"))')
+    results = backward_chain(kb, [make_modus_ponens_rule(kb)], target,
+                             ChainConfig(max_depth=3))
+    assert sorted(round(s.value, 12) for _, s, _ in results) == [0.55, 0.865]
+    assert kb.get_tv(b_x).strength.value == 0.95
+    assert not kb.has_asserted_tv(target)
+    assert _asserted_tvs(kb) == before
+
+
+def test_backward_chain_is_repeatable():
+    """A second identical query finds the same proofs with the same strengths
+    and leaves every asserted truth value as it was."""
+    _, kb = fresh_kb()
+    names = ["a", "b", "c", "d", "e"]
+    lines = ['(ConceptNode (stv %.2f 1.0) "%s")' % (0.6 - 0.05 * i, n)
+             for i, n in enumerate(names)]
+    lines += ['(InheritanceLink (stv 0.8 0.9) (ConceptNode "%s") '
+              '(ConceptNode "%s"))' % (x, y) for x, y in zip(names, names[1:])]
+    load_kb(kb, "\n".join(lines))
+    before = _asserted_tvs(kb)
+    values = {a: tv.strength.value for a, tv in before.items()}
+    rule = make_deduction_rule(kb)
+    target = parse_atom(kb, '(InheritanceLink (ConceptNode "a") '
+                            '(ConceptNode "e"))')
+    runs = []
+    for _ in range(2):
+        results = backward_chain(kb, [rule], target, ChainConfig(max_depth=3))
+        runs.append(sorted((_serialize(t), s.value) for _, s, t in results))
+        assert _asserted_tvs(kb) == before
+        assert {a: tv.strength.value for a, tv in before.items()} == values
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 5
 
 
 def test_chain_config_validation():

@@ -200,6 +200,23 @@ def test_chain_malformed_kb(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stv", ["(stv 1.5 0.9)", "(stv nan 0.9)",
+                                 "(stv 0.5 2)"])
+def test_chain_out_of_range_stv(tmp_path, capsys, stv):
+    kb_path = tmp_path / "kb.scm"
+    kb_path.write_text('(ConceptNode "ok")\n(ConceptNode %s "x")\n' % stv)
+    rc = main(["chain", "--kb", str(kb_path), "--forward"])
+    assert rc == 1
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_experiment_config_neg_conditional_range(tmp_path):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("neg_conditional = 1.5\n")
+    assert main(["learn-formula", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+
+
 def test_chain_missing_file(tmp_path, capsys):
     rc = main(["chain", "--kb", str(tmp_path / "absent.scm"), "--forward"])
     assert rc == 1

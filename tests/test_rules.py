@@ -138,14 +138,16 @@ def test_trainable_mp_weights_registered():
     assert all(r.requires_grad for r in w.refs())
 
 
-def test_trainable_mp_fit_tracks_exact_formula():
+def test_trainable_mp_fit_tracks_exact_formula(tmp_path):
     """Gradient-trained sigmoid-linear weights approximate the exact convex
-    combination; the achievable error floor on the 11x11 grid is about 0.077
-    at the P(A)=1 edge (the family cannot represent the identity there)."""
+    combination.  Cross-entropy training lands at a max error of about 0.077
+    on the 11x11 grid, at the P(A)=1 edge; that is where this training stops,
+    not the family's floor (a minimax fit on the 21x21 held-out grid reaches
+    about 0.056)."""
     from dpln.cli import ExperimentConfig, run_learn_formula, _eq1
 
     cfg = ExperimentConfig(experiment="learn-formula", lr=2.0, steps=5000,
-                           out_dir="/tmp/dpln-test-fit")
+                           out_dir=str(tmp_path / "out"))
     res = run_learn_formula(cfg)
     t = Tape()
     w = FormulaWeights.create(t)

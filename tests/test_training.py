@@ -47,6 +47,17 @@ def test_cross_entropy_grouping_matches_ungrouped():
     assert loss.value == pytest.approx(naive, abs=1e-9)
 
 
+def test_cross_entropy_fractional_labels():
+    """A label y in (0, 1) gives -(y log p + (1 - y) log(1 - p)); 0 and 1 give
+    the same value as their single log term."""
+    t = Tape()
+    p = t.constant(0.6)
+    loss = cross_entropy([p, p], [0.25, 1.0])
+    expected = -(0.25 * math.log(0.6) + 0.75 * math.log(0.4)) - math.log(0.6)
+    assert loss.value == pytest.approx(expected, abs=1e-12)
+    assert cross_entropy([p], [1.0]).value == cross_entropy([p], [1]).value
+
+
 def test_cross_entropy_errors():
     t = Tape()
     with pytest.raises(TrainError):
@@ -55,6 +66,8 @@ def test_cross_entropy_errors():
         cross_entropy([], [])
     with pytest.raises(TrainError):
         cross_entropy([t.constant(0.5)], [2])
+    with pytest.raises(TrainError):
+        cross_entropy([t.constant(0.5)], [float("nan")])
 
 
 def test_sgd_step_update():

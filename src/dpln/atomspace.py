@@ -223,8 +223,8 @@ class AtomSpace:
         self._check_id(atom_id)
         tv = self._tvs.get(atom_id)
         if tv is None:
+            # not stored: a cached default would go stale on a tape reset
             tv = TruthValue(self.tape.constant(DEFAULT_STRENGTH), DEFAULT_CONFIDENCE)
-            self._tvs[atom_id] = tv
         return tv
 
     def has_asserted_tv(self, atom_id: int) -> bool:

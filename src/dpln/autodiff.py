@@ -80,8 +80,6 @@ class Tape:
         self.parameters: list[VarRef] = []
         self.param_names: dict[int, str] = {}
         self._const_cache: dict[float, int] = {}
-        # bumped on every reset_to; lets callers notice a re-trace boundary
-        self.epoch = 0
 
     def __len__(self) -> int:
         return len(self._values)
@@ -233,4 +231,3 @@ class Tape:
         self.parameters = [p for p in self.parameters if p.index < mark]
         self.param_names = {i: n for i, n in self.param_names.items() if i < mark}
         self._const_cache = {v: i for v, i in self._const_cache.items() if i < mark}
-        self.epoch += 1

@@ -30,7 +30,7 @@ from .rules import (DEFAULT_NEG_CONDITIONAL, FormulaWeights,
                     trainable_mp_strength)
 from .sexpr import SexprError, format_atom, load_kb, parse_atom
 from .training import (LabeledExample, LearnableStrength, TrainConfig,
-                       cross_entropy, empirical_frequency, sgd_step, train)
+                       cross_entropy, empirical_frequency, fit, train)
 
 
 class ConfigError(Exception):
@@ -115,17 +115,24 @@ class ExperimentConfig:
         for key, value in data.items():
             if key not in mapping:
                 raise ConfigError("unknown config key %r" % key)
+            _check_type(key, value, getattr(cfg, mapping[key]))
             setattr(cfg, mapping[key], value)
         for key, value in overrides.items():
             if value is not None:
                 setattr(cfg, key, value)
         if not 0.0 <= cfg.neg_conditional <= 1.0:
             raise ConfigError("neg_conditional must lie in [0, 1]")
+        if not cfg.lr > 0.0:
+            raise ConfigError("lr must be positive")
+        if cfg.steps < 0:
+            raise ConfigError("steps must be >= 0")
         return cfg
 
     def validate_fruit(self) -> None:
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
+        if self.steps < 1:
+            raise ConfigError("steps must be >= 1")
         if not self.fruits:
             raise ConfigError("fruits must be nonempty")
         if not self.colors:
@@ -138,10 +145,26 @@ class ExperimentConfig:
             if missing:
                 raise ConfigError("probabilities.%s missing color(s): %s"
                                   % (fruit, ", ".join(missing)))
+            for c in self.colors:
+                if type(probs[c]) not in (int, float):
+                    raise ConfigError("probabilities.%s.%s must be a number, "
+                                      "got %r" % (fruit, c, probs[c]))
             total = sum(float(probs[c]) for c in self.colors)
             if abs(total - 1.0) > 1e-9:
                 raise ConfigError("probabilities.%s sum to %.12g, expected 1"
                                   % (fruit, total))
+
+
+def _check_type(key: str, value, default) -> None:
+    """Rejects a config value whose type differs from the field default's;
+    an int may stand for a float, and list items must match too."""
+    expected = type(default)
+    ok = type(value) is expected or (expected is float and type(value) is int)
+    if ok and expected is list and default:
+        ok = all(type(v) is type(default[0]) for v in value)
+    if not ok:
+        raise ConfigError("config key %r: expected %s, got %r"
+                          % (key, expected.__name__, value))
 
 
 # -- report helpers --------------------------------------------------------
@@ -249,21 +272,14 @@ def run_learn_formula(cfg: ExperimentConfig) -> dict:
     points = [(x, y) for x in grid for y in grid]
     targets = [_eq1(x, y, cfg.neg_conditional) for x, y in points]
 
-    mark = tape.mark()
-    losses = []
-    for step in range(cfg.steps):
-        tape.reset_to(mark)
+    def loss():
         preds = [trainable_mp_strength(tape.constant(x), tape.constant(y), weights)
                  for x, y in points]
-        loss = tape.mul(tape.constant(1.0 / len(preds)),
-                        cross_entropy(preds, targets))
-        tape.backward(loss)
-        sgd_step(weights.refs(), cfg.lr)
-        losses.append(loss.value)
-        tape.zero_grads()
+        return cross_entropy(preds, targets)
+
+    losses = fit(weights.refs(), loss, cfg.lr, cfg.steps)
 
     held = [i / (cfg.heldout_size - 1) for i in range(cfg.heldout_size)]
-    tape.reset_to(mark)
     errors = []
     for x in held:
         for y in held:
@@ -312,29 +328,22 @@ def run_joint(cfg: ExperimentConfig) -> dict:
                   for k in range(len(contexts))]
     params = weights.refs() + [ls.theta for ls in learnables]
 
-    mark = tape.mark()
-    losses = []
-    for step in range(cfg.steps):
-        tape.reset_to(mark)
-        preds, targets = [], []
-        for p_a, p_bga, target in known:
-            preds.append(trainable_mp_strength(tape.constant(p_a),
-                                               tape.constant(p_bga), weights))
-            targets.append(target)
-        for (s_true, train_pas, _), ls in zip(contexts, learnables):
-            s_hat = ls.refresh()
-            for p_a in train_pas:
-                preds.append(trainable_mp_strength(tape.constant(p_a), s_hat,
-                                                   weights))
-                targets.append(_eq1(p_a, s_true, cfg.neg_conditional))
-        loss = tape.mul(tape.constant(1.0 / len(preds)),
-                        cross_entropy(preds, targets))
-        tape.backward(loss)
-        sgd_step(params, cfg.lr)
-        losses.append(loss.value)
-        tape.zero_grads()
+    targets = [target for _, _, target in known]
+    for s_true, train_pas, _ in contexts:
+        targets += [_eq1(p_a, s_true, cfg.neg_conditional) for p_a in train_pas]
 
-    tape.reset_to(mark)
+    def loss():
+        preds = [trainable_mp_strength(tape.constant(p_a), tape.constant(p_bga),
+                                       weights)
+                 for p_a, p_bga, _ in known]
+        for (_, train_pas, _), ls in zip(contexts, learnables):
+            s_hat = ls.refresh()
+            preds += [trainable_mp_strength(tape.constant(p_a), s_hat, weights)
+                      for p_a in train_pas]
+        return cross_entropy(preds, targets)
+
+    losses = fit(params, loss, cfg.lr, cfg.steps)
+
     held_errors = []
     strength_dev = []
     for (s_true, _, held_pas), ls in zip(contexts, learnables):

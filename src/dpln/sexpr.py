@@ -11,6 +11,10 @@ from __future__ import annotations
 
 from .atomspace import AtomSpace, TruthValue
 
+# Deepest form nesting accepted.  Parsing, interning and the chainer all
+# recurse over an atom's structure, so deeper input is refused up front.
+MAX_DEPTH = 256
+
 
 class SexprError(Exception):
     def __init__(self, message: str, line: int):
@@ -65,9 +69,12 @@ def _parse_forms(text: str):
     forms = []
     pos = 0
 
-    def parse_one(pos):
+    def parse_one(pos, depth):
         tok, line = tokens[pos]
         if tok == "(":
+            if depth > MAX_DEPTH:
+                raise SexprError("forms nest deeper than %d levels" % MAX_DEPTH,
+                                 line)
             pos += 1
             if pos >= len(tokens):
                 raise SexprError("unexpected end of input", line)
@@ -82,7 +89,7 @@ def _parse_forms(text: str):
                 tok2, line2 = tokens[pos]
                 if tok2 == ")":
                     return (head[1], args, line), pos + 1
-                arg, pos = parse_one(pos)
+                arg, pos = parse_one(pos, depth + 1)
                 args.append(arg)
         if tok == ")":
             raise SexprError("unexpected ')'", line)
@@ -92,7 +99,7 @@ def _parse_forms(text: str):
         tok, line = tokens[pos]
         if tok != "(":
             raise SexprError("expected '(' at top level", line)
-        form, pos = parse_one(pos)
+        form, pos = parse_one(pos, 1)
         forms.append(form)
     return forms
 

@@ -2,23 +2,23 @@
 
 Learnable truth-value strengths are parametrized as the sigmoid of an
 unconstrained logit, so they stay strictly inside (0, 1) no matter how large
-the optimizer steps are.  The computation graph is re-traced from the KB on
-every step; only the proof search (which is purely structural) is cached
-across steps.
+the optimizer steps are.  ``fit`` is the one training loop: every step it
+rolls the tape back and re-traces the loss from scratch.  ``train`` runs the
+proof search (which is purely structural) once and replays its traces in
+each step's loss.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import Tape, VarRef
 from .chainer import ChainConfig, Derivation, Rule, backward_chain, commit
-
-log = logging.getLogger(__name__)
+from .sexpr import format_atom
 
 
 class TrainError(Exception):
@@ -45,7 +45,6 @@ class LabeledExample:
 class TrainConfig:
     learning_rate: float = 0.1
     steps: int = 2000
-    log_every: int = 0
     chain_depth: int = 3
 
     def __post_init__(self):
@@ -66,7 +65,6 @@ class LearnableStrength:
         self.kb: AtomSpace | None = None
         self.atom: int | None = None
         self.confidence = 1.0
-        self._cached: tuple[int, VarRef] | None = None
 
     def attach(self, kb: AtomSpace, atom: int, confidence: float = 1.0) -> None:
         self.kb = kb
@@ -74,13 +72,9 @@ class LearnableStrength:
         self.confidence = confidence
 
     def refresh(self) -> VarRef:
-        """Re-traces sigmoid(theta) on the current tape epoch and pushes it
-        into the attached atom's truth value."""
-        cached = self._cached
-        if cached is not None and cached[0] == self.tape.epoch:
-            return cached[1]
+        """Traces sigmoid(theta) on the tape and pushes it into the attached
+        atom's truth value."""
         s = self.tape.sigmoid(self.theta)
-        self._cached = (self.tape.epoch, s)
         if self.kb is not None and self.atom is not None:
             self.kb.set_tv(self.atom, TruthValue(s, self.confidence))
         return s
@@ -92,28 +86,27 @@ class LearnableStrength:
             math.exp(t) / (1.0 + math.exp(t))
 
 
-def cross_entropy(preds: list[VarRef], labels: list[float]) -> VarRef:
-    """-sum_i [y_i log p_i + (1 - y_i) log(1 - p_i)] as a VarRef.
+def cross_entropy(preds: list[VarRef], labels: list[float],
+                  counts: list[int] | None = None) -> VarRef:
+    """Mean cross-entropy -(1/n) sum_i [y_i log p_i + (1 - y_i) log(1 - p_i)]
+    as a VarRef.
 
     Labels lie in [0, 1]; a label of 0 or 1 contributes its single log term.
-    Identical (prediction, label) pairs are grouped and scaled by their count,
-    which is exact and keeps the tape small when many examples share one
-    prediction.
+    ``counts[i]``, when given, is the number of examples that share
+    ``preds[i]`` and ``labels[i]``; its term is scaled by it and
+    n = sum(counts), so callers can hand in each distinct pair once.
     """
-    if len(preds) != len(labels):
-        raise TrainError("preds and labels differ in length")
+    if counts is None:
+        counts = [1] * len(preds)
+    if not len(preds) == len(labels) == len(counts):
+        raise TrainError("preds, labels and counts differ in length")
     if not preds:
         raise TrainError("cross_entropy needs at least one example")
     tape = preds[0].tape
-    indices = [p.index for p in preds]
-    counts = Counter(zip(indices, labels))
-    for _, y in counts:
+    total = None
+    for p, y, count in zip(preds, labels, counts):
         if not 0.0 <= y <= 1.0:
             raise TrainError("labels must lie in [0, 1], got %r" % (y,))
-    refs = dict(zip(indices, preds))
-    total = None
-    for (idx, y), count in counts.items():
-        p = refs[idx]
         if 0.0 < y < 1.0:
             term = tape.add(tape.mul(tape.constant(y), tape.log(p)),
                             tape.mul(tape.constant(1.0 - y),
@@ -125,13 +118,37 @@ def cross_entropy(preds: list[VarRef], labels: list[float]) -> VarRef:
         if count != 1:
             term = tape.mul(tape.constant(float(count)), term)
         total = term if total is None else tape.add(total, term)
-    return tape.neg(total)
+    return tape.mul(tape.constant(1.0 / sum(counts)), tape.neg(total))
 
 
 def sgd_step(params: list[VarRef], learning_rate: float) -> None:
     """Plain SGD: value -= lr * grad for every parameter."""
     for p in params:
         p.value = p.value - learning_rate * p.grad
+
+
+def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
+        learning_rate: float, steps: int) -> list[float]:
+    """The training loop: gradient descent on ``loss_fn()`` over ``params``.
+
+    Each step rolls the tape back to its length on entry, re-traces the loss,
+    backpropagates, applies SGD and zeroes the grads; the tape is rolled
+    back once more before returning.  Returns the loss of every step.
+    """
+    if not params:
+        raise TrainError("params must be nonempty")
+    tape = params[0].tape
+    mark = tape.mark()
+    losses = []
+    for _ in range(steps):
+        tape.reset_to(mark)
+        loss = loss_fn()
+        tape.backward(loss)
+        sgd_step(params, learning_rate)
+        losses.append(loss.value)
+        tape.zero_grads()
+    tape.reset_to(mark)
+    return losses
 
 
 def empirical_frequency(dataset: list[LabeledExample]) -> float:
@@ -179,15 +196,13 @@ def _find_traces(kb: AtomSpace, rules: list[Rule],
 def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
           params: list[VarRef], config: TrainConfig,
           learnables: list[LearnableStrength] = ()) -> TrainReport:
-    """Gradient-descent loop over re-traced inference graphs.
-
-    Per step: roll the tape back to the leaf checkpoint, refresh learnable
-    strengths, replay every example's inference trace, build the (mean)
-    cross-entropy loss, backpropagate, apply SGD and zero the grads.
+    """Fits ``params`` to the dataset's labels through its inference traces.
 
     The proof search runs once up front; its traces are replayed against the
-    current truth values each step, which rebuilds the formula graph exactly
-    as a fresh search would on a structurally unchanged KB.
+    current truth values in each step's loss, which rebuilds the formula
+    graph exactly as a fresh search would on a structurally unchanged KB.
+    Each step refreshes the learnable strengths and takes the mean
+    cross-entropy over the examples.
     """
     if not params:
         raise TrainError("params must be nonempty")
@@ -196,47 +211,36 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
     tape = kb.tape
     mark = tape.mark()
     traces = _find_traces(kb, rules, dataset, config.chain_depth)
-    labels = [ex.label for ex in dataset]
-    inv_n = 1.0 / len(dataset)
 
-    report = TrainReport()
     # Examples whose traces land on the same tape record compute the same
-    # prediction on every re-trace (replay is deterministic), so after the
-    # first step only one representative trace per group is replayed.
-    group_of: list[int] = []
-    group_reps: list = []
+    # prediction on every re-trace (replay is deterministic), so one replay
+    # groups them and each step replays one representative trace per group.
+    for ls in learnables:
+        ls.refresh()
+    memo: dict = {}
+    group_of: dict[int, int] = {}  # prediction record -> group
+    reps = []
+    counts: Counter = Counter()  # (group, label) -> examples, in first-seen order
+    for trace, ex in zip(traces, dataset):
+        g = group_of.setdefault(trace.replay(kb, memo).index, len(reps))
+        if g == len(reps):
+            reps.append(trace)
+        counts[g, ex.label] += 1
+    # backward sweeps every record below the loss: drop the search's records
+    tape.reset_to(mark)
 
-    for step in range(config.steps):
-        tape.reset_to(mark)
+    def loss() -> VarRef:
         for ls in learnables:
             ls.refresh()
         memo: dict = {}
-        if step == 0:
-            index_to_group: dict[int, int] = {}
-            for trace in traces:
-                pred = trace.replay(kb, memo)
-                gi = index_to_group.get(pred.index)
-                if gi is None:
-                    gi = len(group_reps)
-                    index_to_group[pred.index] = gi
-                    group_reps.append(trace)
-                group_of.append(gi)
-            group_preds = [group_reps[gi].strength for gi in range(len(group_reps))]
-        else:
-            group_preds = [trace.replay(kb, memo) for trace in group_reps]
-        preds = [group_preds[gi] for gi in group_of]
-        loss = cross_entropy(preds, labels)
-        # mean-normalized so the step size is independent of dataset size
-        loss = tape.mul(tape.constant(inv_n), loss)
-        tape.backward(loss)
-        sgd_step(params, config.learning_rate)
-        report.loss_curve.append(loss.value)
-        tape.zero_grads()
-        if config.log_every and (step + 1) % config.log_every == 0:
-            log.info("step %d: loss %.6f", step + 1, loss.value)
+        group_preds = [trace.replay(kb, memo) for trace in reps]
+        return cross_entropy([group_preds[g] for g, _ in counts],
+                             [y for _, y in counts], list(counts.values()))
+
+    report = TrainReport()
+    report.loss_curve = fit(params, loss, config.learning_rate, config.steps)
 
     # leave the KB holding conclusion strengths for the final parameter values
-    tape.reset_to(mark)
     for ls in learnables:
         ls.refresh()
     memo = {}
@@ -250,6 +254,5 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
         report.params[name] = p.value
     for ls in learnables:
         if ls.kb is not None and ls.atom is not None:
-            from .sexpr import format_atom
             report.learned_strengths[format_atom(ls.kb, ls.atom)] = ls.value()
     return report

@@ -99,6 +99,19 @@ def test_default_tv():
     assert not kb.has_asserted_tv(a)
 
 
+def test_default_tv_survives_tape_reset():
+    """A default read after a mark is not cached, so a reset cannot leave a
+    stale strength that later reads an unrelated record."""
+    tape, kb = fresh_kb()
+    a = kb.intern_node("ConceptNode", "a")
+    mark = tape.mark()
+    assert kb.get_tv(a).strength.value == 1.0
+    tape.reset_to(mark)
+    tape.parameter(0.25)
+    assert kb.get_tv(a).strength.value == 1.0
+    assert not kb.has_asserted_tv(a)
+
+
 def test_tv_strength_stored_by_reference():
     tape, kb = fresh_kb()
     a = kb.intern_node("ConceptNode", "a")

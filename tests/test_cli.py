@@ -4,6 +4,7 @@ import pytest
 
 from dpln.cli import (ConfigError, ExperimentConfig, main, parse_config_text,
                       run_fruit_colors, run_learn_formula)
+from dpln.sexpr import MAX_DEPTH
 
 SPARROW_KB = """
 (InheritanceLink (stv 1.0 1.0) (ConceptNode "sparrow") (ConceptNode "bird"))
@@ -220,3 +221,50 @@ def test_experiment_config_neg_conditional_range(tmp_path):
 def test_chain_missing_file(tmp_path, capsys):
     rc = main(["chain", "--kb", str(tmp_path / "absent.scm"), "--forward"])
     assert rc == 1
+
+
+def _nested_list_kb(levels: int) -> str:
+    """A ConceptNode fact, then one form nested ``levels`` deep on line 2."""
+    return ('(ConceptNode "ok")\n' + "(ListLink " * (levels - 1)
+            + '(ConceptNode "x")' + ")" * (levels - 1) + "\n")
+
+
+def test_chain_too_deep_nesting_exits_1(tmp_path, capsys):
+    kb_path = tmp_path / "kb.scm"
+    kb_path.write_text(_nested_list_kb(3000))
+    rc = main(["chain", "--kb", str(kb_path), "--forward"])
+    assert rc == 1
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_chain_nesting_at_limit_runs(tmp_path):
+    kb_path = tmp_path / "kb.scm"
+    kb_path.write_text(_nested_list_kb(MAX_DEPTH))
+    assert main(["chain", "--kb", str(kb_path), "--forward"]) == 0
+
+
+@pytest.mark.parametrize("line", ['steps = "abc"', "lr = true",
+                                  'fruits = ["apple", 3]', "out = 5"])
+def test_experiment_config_bad_value_type(tmp_path, capsys, line):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(line + "\n")
+    assert main(["learn-formula", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert repr(line.split()[0]) in capsys.readouterr().err
+
+
+def test_experiment_config_int_for_float(tmp_path):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("lr = 1\nneg_conditional = 0\n")
+    cfg = ExperimentConfig.load(str(cfg_path), {})
+    assert cfg.lr == 1 and cfg.neg_conditional == 0
+
+
+@pytest.mark.parametrize("args", [["learn-formula", "--lr", "0"],
+                                  ["learn-formula", "--steps", "-1"],
+                                  ["fruit-colors", "--steps", "0"]])
+def test_experiment_bad_lr_or_steps_exits_1(tmp_path, args):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(FRUIT_CONFIG)
+    assert main(args + ["--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")]) == 1

@@ -1,12 +1,13 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from dpln import (LabeledExample, LearnableStrength, Tape, TrainConfig,
                   TrainError, TruthValue, UnderivableTargetError,
-                  cross_entropy, empirical_frequency, make_modus_ponens_rule,
-                  sgd_step, train)
+                  cross_entropy, empirical_frequency, fit, make_deduction_rule,
+                  make_modus_ponens_rule, sgd_step, train)
 
 from conftest import fresh_kb
 
@@ -27,13 +28,14 @@ def test_cross_entropy_hand_sum():
     t = Tape()
     p = t.constant(0.75)
     loss = cross_entropy([p, p, p, p], [1, 1, 1, 0])
-    expected = 3 * -math.log(0.75) - math.log(0.25)
+    expected = (3 * -math.log(0.75) - math.log(0.25)) / 4
     assert loss.value == pytest.approx(expected, abs=1e-9)
-    assert loss.value == pytest.approx(2.2493, abs=5e-5)
+    assert loss.value == pytest.approx(2.2493 / 4, abs=5e-5)
 
 
 def test_cross_entropy_grouping_matches_ungrouped():
-    """Count-scaled grouped terms equal a naive per-example sum."""
+    """Count-scaled grouped terms, one term per example and a naive
+    per-example mean agree."""
     rng = random.Random(8)
     t = Tape()
     shared = [t.constant(0.2), t.constant(0.7)]
@@ -41,10 +43,15 @@ def test_cross_entropy_grouping_matches_ungrouped():
     for _ in range(40):
         preds.append(rng.choice(shared))
         labels.append(rng.randrange(2))
-    loss = cross_entropy(preds, labels)
+    refs = {p.index: p for p in preds}
+    counts = Counter((p.index, y) for p, y in zip(preds, labels))
+    counted = cross_entropy([refs[i] for i, _ in counts],
+                            [y for _, y in counts], list(counts.values()))
+    expanded = cross_entropy(preds, labels)
     naive = sum(-math.log(p.value) if y == 1 else -math.log(1 - p.value)
-                for p, y in zip(preds, labels))
-    assert loss.value == pytest.approx(naive, abs=1e-9)
+                for p, y in zip(preds, labels)) / len(preds)
+    assert counted.value == pytest.approx(expanded.value, abs=1e-12)
+    assert expanded.value == pytest.approx(naive, abs=1e-12)
 
 
 def test_cross_entropy_fractional_labels():
@@ -53,7 +60,8 @@ def test_cross_entropy_fractional_labels():
     t = Tape()
     p = t.constant(0.6)
     loss = cross_entropy([p, p], [0.25, 1.0])
-    expected = -(0.25 * math.log(0.6) + 0.75 * math.log(0.4)) - math.log(0.6)
+    expected = (-(0.25 * math.log(0.6) + 0.75 * math.log(0.4))
+                - math.log(0.6)) / 2
     assert loss.value == pytest.approx(expected, abs=1e-12)
     assert cross_entropy([p], [1.0]).value == cross_entropy([p], [1]).value
 
@@ -68,6 +76,8 @@ def test_cross_entropy_errors():
         cross_entropy([t.constant(0.5)], [2])
     with pytest.raises(TrainError):
         cross_entropy([t.constant(0.5)], [float("nan")])
+    with pytest.raises(TrainError):
+        cross_entropy([t.constant(0.5)], [1], [1, 1])
 
 
 def test_sgd_step_update():
@@ -135,14 +145,30 @@ def test_learnable_strength_refresh_updates_tv():
     s = ls.refresh()
     assert kb.get_tv(atom).strength is s
     assert kb.get_tv(atom).confidence == 0.9
-    s_again = ls.refresh()  # same epoch: the cached record is reused
-    assert s_again is s
     mark = t.mark()
     ls.theta.value = 2.0
-    t.reset_to(mark)  # bumps the epoch, so refresh re-traces
+    t.reset_to(mark)
     s2 = ls.refresh()
     assert s2.value == pytest.approx(1 / (1 + math.exp(-2.0)))
     assert kb.get_tv(atom).strength is s2
+
+
+def test_fit_minimizes_and_rolls_back():
+    """fit re-traces the loss each step from the tape length on entry and
+    leaves the tape at that length."""
+    t = Tape()
+    p = t.parameter(3.0)
+    mark = t.mark()
+    losses = fit([p], lambda: t.mul(t.sub(p, t.constant(1.0)),
+                                    t.sub(p, t.constant(1.0))), 0.25, 20)
+    assert len(losses) == 20
+    assert losses[0] == pytest.approx(4.0)
+    assert all(b < a for a, b in zip(losses, losses[1:]))
+    assert p.value == pytest.approx(1.0, abs=1e-5)
+    assert len(t) == mark
+    assert fit([p], lambda: p, 0.25, 0) == []
+    with pytest.raises(TrainError):
+        fit([], lambda: p, 0.1, 1)
 
 
 def test_learnable_strength_stays_in_unit_interval():
@@ -229,6 +255,53 @@ def test_train_final_kb_state_matches_report():
     pred = dataset[0].target
     assert kb.get_tv(pred).strength.value == pytest.approx(
         learnable.value() * 1.0 + 0.2 * 0.0)
+
+
+def test_train_two_groups_mixed_labels_loss_is_example_mean():
+    """Instances with P(A) = 0.4 and P(A) = 1.0 give two prediction groups,
+    each with both labels; the first loss is the mean over examples."""
+    tape, kb = fresh_kb()
+    fruit = kb.node("PredicateNode", "apple")
+    color = kb.node("PredicateNode", "green")
+    impl = kb.link("ImplicationLink", fruit, color)
+    learnable = LearnableStrength(tape, init=0.5, name="apple->green")
+    learnable.attach(kb, impl)
+    learnable.refresh()
+    dataset, expected = [], 0.0
+    for i, (p_a, label) in enumerate([(0.4, 1), (1.0, 0), (0.4, 0), (1.0, 1),
+                                      (0.4, 0), (1.0, 1), (1.0, 1)]):
+        inst = kb.node("ConceptNode", "apple-%03d" % (i + 1))
+        kb.set_tv(kb.link("EvaluationLink", fruit, inst),
+                  TruthValue(tape.constant(p_a), 1.0))
+        dataset.append(LabeledExample(kb.link("EvaluationLink", color, inst),
+                                      label))
+        p = 0.5 * p_a + 0.2 * (1.0 - p_a)
+        expected -= math.log(p) if label else math.log(1.0 - p)
+    expected /= len(dataset)
+    report = train(kb, [make_modus_ponens_rule(kb)], dataset,
+                   [learnable.theta], TrainConfig(learning_rate=0.1, steps=3),
+                   learnables=[learnable])
+    assert abs(report.loss_curve[0] - expected) <= 1e-12
+    assert report.loss_curve[1] < report.loss_curve[0]
+
+
+def test_train_deduction_reads_default_term_strengths():
+    """Deduction's term strengths of ConceptNodes without a truth value are
+    read during the proof search; they must still read the default 1.0 after
+    the tape is rolled back, so deduction falls back to s_c = 1."""
+    tape, kb = fresh_kb()
+    a, b, c = (kb.node("ConceptNode", n) for n in "abc")
+    ab = kb.link("InheritanceLink", a, b)
+    kb.set_tv(kb.link("InheritanceLink", b, c),
+              TruthValue(tape.constant(0.8), 0.9))
+    learnable = LearnableStrength(tape, init=0.9, name="a->b")
+    learnable.attach(kb, ab)
+    learnable.refresh()
+    target = kb.link("InheritanceLink", a, c)
+    train(kb, [make_deduction_rule(kb)], [LabeledExample(target, 1)],
+          [learnable.theta], TrainConfig(learning_rate=0.1, steps=50),
+          learnables=[learnable])
+    assert kb.get_tv(target).strength.value == 1.0
 
 
 def test_train_underivable_target_reports_index():

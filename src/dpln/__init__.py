@@ -7,7 +7,7 @@ weights from labeled conclusions.
 """
 
 from .atomspace import (Atom, AtomSpace, AtomSpaceError, AtomType, TruthValue,
-                        TypeRegistry, UnknownAtomError, UnknownTypeError)
+                        UnknownAtomError, UnknownTypeError)
 from .autodiff import AutodiffError, Tape, VarRef
 from .chainer import (ChainConfig, ChainError, Derivation, InferenceTrace,
                       Leaf, Rule, apply_rule, backward_chain, forward_chain)

@@ -15,25 +15,6 @@ from .autodiff import Tape, VarRef
 NODE = "node"
 LINK = "link"
 
-BUILTIN_TYPES = {
-    "ConceptNode": NODE,
-    "PredicateNode": NODE,
-    "NumberNode": NODE,
-    "VariableNode": NODE,
-    "TypeNode": NODE,
-    "InheritanceLink": LINK,
-    "ImplicationLink": LINK,
-    "EvaluationLink": LINK,
-    "AndLink": LINK,
-    "OrLink": LINK,
-    "NotLink": LINK,
-    "ListLink": LINK,
-    "LambdaLink": LINK,
-    "VariableList": LINK,
-    "TypedVariableLink": LINK,
-    "BindLink": LINK,
-}
-
 
 class AtomSpaceError(Exception):
     pass
@@ -57,37 +38,31 @@ class AtomType:
         return self.kind == NODE
 
 
-class TypeRegistry:
-    """Atom type registry; extensible until frozen (first intern freezes it)."""
+TYPES: dict[str, AtomType] = {name: AtomType(name, kind) for name, kind in [
+    ("ConceptNode", NODE),
+    ("PredicateNode", NODE),
+    ("NumberNode", NODE),
+    ("VariableNode", NODE),
+    ("TypeNode", NODE),
+    ("InheritanceLink", LINK),
+    ("ImplicationLink", LINK),
+    ("EvaluationLink", LINK),
+    ("AndLink", LINK),
+    ("OrLink", LINK),
+    ("NotLink", LINK),
+    ("ListLink", LINK),
+    ("LambdaLink", LINK),
+    ("VariableList", LINK),
+    ("TypedVariableLink", LINK),
+    ("BindLink", LINK),
+]}
 
-    def __init__(self):
-        self._types: dict[str, AtomType] = {
-            name: AtomType(name, kind) for name, kind in BUILTIN_TYPES.items()
-        }
-        self._frozen = False
 
-    def add(self, name: str, kind: str) -> AtomType:
-        if self._frozen:
-            raise AtomSpaceError("type registry is frozen")
-        if name in self._types:
-            raise AtomSpaceError("type %r already registered" % name)
-        if kind not in (NODE, LINK):
-            raise AtomSpaceError("kind must be %r or %r" % (NODE, LINK))
-        t = AtomType(name, kind)
-        self._types[name] = t
-        return t
-
-    def get(self, name: str) -> AtomType:
-        try:
-            return self._types[name]
-        except KeyError:
-            raise UnknownTypeError("unknown atom type %r" % name) from None
-
-    def freeze(self) -> None:
-        self._frozen = True
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._types
+def _atom_type(name: str) -> AtomType:
+    try:
+        return TYPES[name]
+    except KeyError:
+        raise UnknownTypeError("unknown atom type %r" % name) from None
 
 
 @dataclass
@@ -127,9 +102,8 @@ class AtomSpace:
     query patterns or templates.
     """
 
-    def __init__(self, tape: Tape, registry: TypeRegistry | None = None):
+    def __init__(self, tape: Tape):
         self.tape = tape
-        self.registry = registry or TypeRegistry()
         self._atoms: list[Atom] = []
         self._node_index: dict[tuple[str, str], int] = {}
         self._link_index: dict[tuple[str, tuple[int, ...]], int] = {}
@@ -144,10 +118,9 @@ class AtomSpace:
     # -- interning --------------------------------------------------------
 
     def intern_node(self, type_name: str, name: str) -> int:
-        t = self.registry.get(type_name)
+        t = _atom_type(type_name)
         if not t.is_node:
             raise AtomSpaceError("%s is a link kind, not a node kind" % type_name)
-        self.registry.freeze()
         key = (type_name, name)
         existing = self._node_index.get(key)
         if existing is not None:
@@ -161,13 +134,12 @@ class AtomSpace:
         return atom.id
 
     def intern_link(self, type_name: str, outgoing: list[int]) -> int:
-        t = self.registry.get(type_name)
+        t = _atom_type(type_name)
         if t.is_node:
             raise AtomSpaceError("%s is a node kind, not a link kind" % type_name)
-        self.registry.freeze()
         out = tuple(outgoing)
         for oid in out:
-            self._check_id(oid)
+            self.atom(oid)
         # Acyclicity holds by construction: outgoing ids must already exist,
         # and ids are assigned in insertion order, so a link's id is strictly
         # greater than everything it (transitively) contains.
@@ -193,34 +165,33 @@ class AtomSpace:
 
     # -- access -----------------------------------------------------------
 
-    def _check_id(self, atom_id: int) -> None:
-        if not isinstance(atom_id, int) or not 0 <= atom_id < len(self._atoms):
-            raise UnknownAtomError("unknown atom id %r" % (atom_id,))
-
     def atom(self, atom_id: int) -> Atom:
-        self._check_id(atom_id)
-        return self._atoms[atom_id]
+        """The atom with this id, or UnknownAtomError; every method that
+        takes an atom id checks it here."""
+        if isinstance(atom_id, int) and 0 <= atom_id < len(self._atoms):
+            return self._atoms[atom_id]
+        raise UnknownAtomError("unknown atom id %r" % (atom_id,))
 
     def type_of(self, atom_id: int) -> str:
         return self.atom(atom_id).type.name
 
     def incoming(self, atom_id: int) -> list[int]:
-        self._check_id(atom_id)
+        self.atom(atom_id)
         return list(self._incoming[atom_id])
 
     def atoms_of_type(self, type_name: str) -> list[int]:
-        self.registry.get(type_name)
+        _atom_type(type_name)
         return list(self._by_type.get(type_name, []))
 
     # -- truth values -----------------------------------------------------
 
     def set_tv(self, atom_id: int, tv: TruthValue) -> None:
-        self._check_id(atom_id)
+        self.atom(atom_id)
         self._tvs[atom_id] = tv
         self._asserted.add(atom_id)
 
     def get_tv(self, atom_id: int) -> TruthValue:
-        self._check_id(atom_id)
+        self.atom(atom_id)
         tv = self._tvs.get(atom_id)
         if tv is None:
             # not stored: a cached default would go stale on a tape reset
@@ -228,7 +199,7 @@ class AtomSpace:
         return tv
 
     def has_asserted_tv(self, atom_id: int) -> bool:
-        self._check_id(atom_id)
+        self.atom(atom_id)
         return atom_id in self._asserted
 
     # -- convenience constructors -----------------------------------------

@@ -15,8 +15,8 @@ from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import VarRef
-from .pattern import (Binding, Query, instantiate, match, substitute, unify,
-                      variables_in)
+from .pattern import (Binding, Query, candidates, instantiate, match,
+                      substitute, unify, variables_in)
 
 
 class ChainError(Exception):
@@ -170,25 +170,24 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     applied: set[tuple] = set()
     new_atoms: list[int] = []
     traces: list[Derivation] = []
-    size_before = len(kb)
 
     for _ in range(config.max_steps):
-        candidates = []
+        pending = []
         for ri, rule in enumerate(rules):
             query = Query(variables=list(rule.variables), clauses=list(rule.premises))
             for binding in match(kb, query):
                 key = (rule.name, _binding_key(binding))
                 if key in applied:
                     continue
-                candidates.append((ri, binding, key))
-        if not candidates:
+                pending.append((ri, binding, key))
+        if not pending:
             break
-        rng.shuffle(candidates)
-        ri, binding, key = candidates[0]
+        rng.shuffle(pending)
+        ri, binding, key = pending[0]
         applied.add(key)
         mark = len(kb)
         conclusion, _, trace = apply_rule(kb, rules[ri], binding)
-        if conclusion >= mark and conclusion >= size_before:
+        if conclusion >= mark:
             new_atoms.append(conclusion)
             traces.append(trace)
     return new_atoms, traces
@@ -249,7 +248,6 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
     it values no conclusion, so every leaf is an asserted fact and each
     derivation's strength is a function of its own leaves.
     """
-    constraints: dict[int, str] = {}
     memo: dict[tuple[int, int], list] = {}
 
     def solve(pattern: int, depth: int) -> list[tuple[Binding, InferenceTrace]]:
@@ -259,12 +257,9 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
             return memo[key]
         results: list[tuple[Binding, InferenceTrace]] = []
         # depth 0: asserted KB facts matching the pattern
-        if patom.is_ground:
-            if kb.has_asserted_tv(pattern):
-                results.append(({}, Leaf(pattern, kb.get_tv(pattern).strength)))
-        else:
-            for cand in _fact_candidates(pattern):
-                b = unify(kb, pattern, cand, None, constraints)
+        for cand in candidates(kb, pattern, {}):
+            if kb.has_asserted_tv(cand):
+                b = unify(kb, pattern, cand)
                 if b is not None:
                     results.append((b, Leaf(cand, kb.get_tv(cand).strength)))
         if depth >= 1:
@@ -295,15 +290,6 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
         if key is not None:
             memo[key] = results
         return results
-
-    def _fact_candidates(pattern: int) -> list[int]:
-        patom = kb.atom(pattern)
-        if patom.type.name == "VariableNode":
-            pool = range(len(kb))
-        else:
-            pool = kb.atoms_of_type(patom.type.name)
-        return [a for a in pool
-                if kb.has_asserted_tv(a) and kb.atom(a).is_ground]
 
     def _solve_premises(rule: Rule, rb: Binding, depth: int):
         """Grounds all premises recursively; yields (binding, traces)."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import Tape
-from .chainer import ChainConfig, backward_chain, forward_chain
+from .chainer import ChainConfig, ChainError, backward_chain, forward_chain
 from .pattern import instantiate, variables_in
 from .rules import (DEFAULT_NEG_CONDITIONAL, FormulaWeights,
                     make_modus_ponens_rule, make_rule_set,
@@ -101,7 +102,7 @@ class ExperimentConfig:
              defaults: dict | None = None) -> "ExperimentConfig":
         data = {}
         if path is not None:
-            data = parse_config_text(Path(path).read_text())
+            data = parse_config_text(Path(path).read_text(encoding="utf-8"))
         cfg = cls()
         for key, value in (defaults or {}).items():
             setattr(cfg, key, value)
@@ -122,8 +123,8 @@ class ExperimentConfig:
                 setattr(cfg, key, value)
         if not 0.0 <= cfg.neg_conditional <= 1.0:
             raise ConfigError("neg_conditional must lie in [0, 1]")
-        if not cfg.lr > 0.0:
-            raise ConfigError("lr must be positive")
+        if not 0.0 < cfg.lr < math.inf:
+            raise ConfigError("lr must be positive and finite")
         if cfg.steps < 0:
             raise ConfigError("steps must be >= 0")
         return cfg
@@ -375,33 +376,25 @@ def run_joint(cfg: ExperimentConfig) -> dict:
 
 
 def run_chain(kb_path: str, target: str | None, forward: bool,
-              steps: int, depth: int, seed: int,
-              neg_conditional: float = DEFAULT_NEG_CONDITIONAL,
-              out=None) -> int:
+              steps: int, depth: int, seed: int) -> int:
     """Loads a KB file and runs the chainer, printing derived atoms."""
-    out = out if out is not None else sys.stdout
-    tape = Tape()
-    kb = AtomSpace(tape)
-    text = Path(kb_path).read_text()
-    load_kb(kb, text)
-    rules = make_rule_set(kb, neg_conditional)
+    config = ChainConfig(max_steps=steps, max_depth=depth, seed=seed)
+    kb = AtomSpace(Tape())
+    load_kb(kb, Path(kb_path).read_text(encoding="utf-8"))
+    rules = make_rule_set(kb)
     if forward:
-        config = ChainConfig(max_steps=steps, max_depth=depth, seed=seed)
         new_atoms, _ = forward_chain(kb, rules, config)
         for atom in new_atoms:
-            out.write(format_atom(kb, atom, with_tv=True) + "\n")
+            print(format_atom(kb, atom, with_tv=True))
         return 0
     if target is None:
         raise ConfigError("chain needs --target or --forward")
     target_id = parse_atom(kb, target)
-    config = ChainConfig(max_steps=steps, max_depth=depth, seed=seed)
-    results = backward_chain(kb, rules, target_id, config)
-    for binding, strength, trace in results:
+    for binding, strength, _ in backward_chain(kb, rules, target_id, config):
         conclusion = target_id
         if variables_in(kb, target_id):
             conclusion = instantiate(kb, target_id, binding)
-        out.write("%s ; strength %.9g\n"
-                  % (format_atom(kb, conclusion), strength.value))
+        print("%s ; strength %.9g" % (format_atom(kb, conclusion), strength.value))
     return 0
 
 
@@ -454,7 +447,8 @@ def main(argv: list[str] | None = None) -> int:
                   "joint": run_joint}[args.command]
         runner(cfg)
         return 0
-    except (ConfigError, SexprError, FileNotFoundError) as exc:
+    except (ConfigError, SexprError, ChainError, OSError,
+            UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

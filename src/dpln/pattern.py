@@ -1,16 +1,19 @@
 """Pattern matching: find all groundings of variable-bearing query graphs.
 
 Variables are VariableNodes identified by name; a Binding maps variable atom
-ids to ground atom ids.  Candidate links for a clause come from the by-type
-index, narrowed through the incoming set of any ground argument (a pure
-filter, so result order still follows insertion order).
+ids to ground atom ids.  ``candidates`` picks the atoms a clause may match,
+for ``match`` and for the backward chainer's depth-0 facts: a ground clause
+is its own candidate, a typed bare variable draws from its type's index, and
+a link takes the shorter of its type's index and the incoming set of its
+first ground (or bound) argument.  Both lists are in id order, so the choice
+never changes the order of results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .atomspace import AtomSpace
+from .atomspace import TYPES, AtomSpace
 
 Binding = dict  # variable atom id -> ground atom id
 
@@ -58,7 +61,8 @@ def unify(kb: AtomSpace, pattern: int, ground: int,
     if not kb.atom(ground).is_ground:
         return None
     result = dict(binding) if binding else {}
-    if _unify_into(kb, pattern, ground, result, constraints or {}):
+    if pattern == ground or _unify_into(kb, pattern, ground, result,
+                                        constraints or {}):
         return result
     return None
 
@@ -87,36 +91,35 @@ def _unify_into(kb, pattern, ground, binding, constraints) -> bool:
     return True
 
 
-def _candidates(kb: AtomSpace, clause: int, binding: Binding) -> list[int]:
-    """Ground candidate atoms for one clause under a partial binding."""
+def candidates(kb: AtomSpace, clause: int, binding: Binding,
+               constraints: dict[int, str] | None = None) -> list[int]:
+    """Ground atoms that may unify with one clause under a partial binding,
+    in id order: the one index both ``match`` and ``backward_chain`` use."""
     c = kb.atom(clause)
+    if c.is_ground:
+        return [clause]
     if c.type.name == "VariableNode":
         bound = binding.get(clause)
         if bound is not None:
             return [bound]
-        return [a for a in range(len(kb)) if kb.atom(a).is_ground]
-    if c.type.is_node:
-        found = kb.find_node(c.type.name, c.name)
-        return [found] if found is not None else []
-    if c.is_ground:
-        found = kb.find_link(c.type.name, list(c.outgoing))
-        return [found] if found is not None else []
-    # narrow through the incoming set of a ground (or bound) argument
-    anchor = None
+        want = (constraints or {}).get(clause)
+        if want is None:
+            pool = range(len(kb))
+        elif want in TYPES:
+            pool = kb.atoms_of_type(want)
+        else:
+            return []
+        return [a.id for a in map(kb.atom, pool) if a.is_ground]
+    pool = kb.atoms_of_type(c.type.name)
     for oid in c.outgoing:
-        sub = kb.atom(oid)
-        if sub.is_ground:
-            anchor = oid
+        anchor = binding.get(oid, oid)
+        if kb.atom(anchor).is_ground:
+            incoming = kb.incoming(anchor)
+            if len(incoming) < len(pool):
+                pool = incoming
             break
-        if sub.type.name == "VariableNode" and oid in binding:
-            anchor = binding[oid]
-            break
-    if anchor is not None and kb.atom(anchor).is_ground:
-        pool = kb.incoming(anchor)
-    else:
-        pool = kb.atoms_of_type(c.type.name)
-    return [a for a in pool
-            if kb.atom(a).is_ground and kb.type_of(a) == c.type.name]
+    return [a.id for a in map(kb.atom, pool)
+            if a.is_ground and a.type.name == c.type.name]
 
 
 def match(kb: AtomSpace, query: Query) -> list[Binding]:
@@ -146,7 +149,7 @@ def match(kb: AtomSpace, query: Query) -> list[Binding]:
                 results.append(dict(binding))
             return
         clause = query.clauses[ci]
-        for cand in _candidates(kb, clause, binding):
+        for cand in candidates(kb, clause, binding, constraints):
             nb = unify(kb, clause, cand, binding, constraints)
             if nb is not None:
                 extend(ci + 1, nb)

@@ -88,10 +88,9 @@ class FormulaWeights:
     w3: VarRef
 
     @classmethod
-    def create(cls, tape: Tape, init: float = 0.0,
-               prefix: str = "w") -> "FormulaWeights":
-        return cls(*(tape.parameter(init, name="%s%d" % (prefix, i))
-                     for i in range(4)))
+    def create(cls, tape: Tape) -> "FormulaWeights":
+        """Four zero-initialised parameters named w0..w3."""
+        return cls(*(tape.parameter(0.0, name="w%d" % i) for i in range(4)))
 
     def refs(self) -> list[VarRef]:
         return [self.w0, self.w1, self.w2, self.w3]
@@ -221,16 +220,13 @@ def make_connective_rules(kb: AtomSpace) -> list[Rule]:
 
 
 def make_rule_set(kb: AtomSpace,
-                  neg_conditional: float = DEFAULT_NEG_CONDITIONAL,
-                  trainable_weights: FormulaWeights | None = None) -> list[Rule]:
+                  neg_conditional: float = DEFAULT_NEG_CONDITIONAL) -> list[Rule]:
     """The standard rule set: modus ponens, deduction, connectives, and a
-    trainable modus ponens variant (weights created on the KB tape unless
-    given)."""
-    weights = trainable_weights or FormulaWeights.create(kb.tape)
+    trainable modus ponens variant (weights created on the KB tape)."""
     return [
         make_modus_ponens_rule(kb, neg_conditional),
         make_deduction_rule(kb),
         *make_connective_rules(kb),
         make_modus_ponens_rule(kb, neg_conditional, name="trainable-modus-ponens",
-                               weights=weights),
+                               weights=FormulaWeights.create(kb.tape)),
     ]

@@ -9,7 +9,7 @@ a form's arguments.  Strings are double-quoted, whitespace is free-form and
 
 from __future__ import annotations
 
-from .atomspace import AtomSpace, TruthValue
+from .atomspace import TYPES, AtomSpace, TruthValue
 
 # Deepest form nesting accepted.  Parsing, interning and the chainer all
 # recurse over an atom's structure, so deeper input is refused up front.
@@ -111,7 +111,7 @@ def _build_atom(kb: AtomSpace, form) -> tuple[int, tuple[float, float] | None]:
     head, args, line = form
     if head == "stv":
         raise SexprError("(stv ...) is not an atom", line)
-    if head not in kb.registry:
+    if head not in TYPES:
         raise SexprError("unknown atom type %r" % head, line)
     stv = None
     name = None
@@ -130,7 +130,7 @@ def _build_atom(kb: AtomSpace, form) -> tuple[int, tuple[float, float] | None]:
             if child_stv is not None:
                 kb.set_tv(child_id, _make_tv(kb, child_stv))
             children.append(child_id)
-    t = kb.registry.get(head)
+    t = TYPES[head]
     try:
         if t.is_node:
             if name is None:

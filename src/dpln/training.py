@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
-from .autodiff import Tape, VarRef
+from .autodiff import Tape, VarRef, _stable_sigmoid
 from .chainer import ChainConfig, Derivation, Rule, backward_chain, commit
 from .sexpr import format_atom
 
@@ -81,9 +81,7 @@ class LearnableStrength:
 
     def value(self) -> float:
         """Current strength as a plain float (no tape record)."""
-        t = self.theta.value
-        return 1.0 / (1.0 + math.exp(-t)) if t >= 0 else \
-            math.exp(t) / (1.0 + math.exp(t))
+        return _stable_sigmoid(self.theta.value)
 
 
 def cross_entropy(preds: list[VarRef], labels: list[float],
@@ -163,13 +161,6 @@ class TrainReport:
     loss_curve: list[float] = field(default_factory=list)
     params: dict[str, float] = field(default_factory=dict)
     learned_strengths: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "loss_curve": list(self.loss_curve),
-            "params": dict(self.params),
-            "learned_strengths": dict(self.learned_strengths),
-        }
 
 
 def _find_traces(kb: AtomSpace, rules: list[Rule],

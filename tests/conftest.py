@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from dpln import AtomSpace, Tape, TruthValue
+from dpln.cli import ExperimentConfig, run_learn_formula
 
 FD_STEP = 1e-6
 
@@ -55,3 +58,13 @@ def set_strength(kb, atom, s, c=1.0):
 
 def interior(rng: random.Random, lo=0.05, hi=0.95):
     return lo + (hi - lo) * rng.random()
+
+
+@pytest.fixture(scope="session")
+def learn_formula_fit(tmp_path_factory):
+    """The 5000-step learn-formula fit at the acceptance config, run once for
+    the tests that check it (criterion 2 and the trainable-formula test)."""
+    cfg = ExperimentConfig(experiment="learn-formula", lr=2.0, steps=5000,
+                           grid_size=11, heldout_size=21, neg_conditional=0.2,
+                           out_dir=str(tmp_path_factory.mktemp("learn-formula")))
+    return run_learn_formula(cfg)

@@ -19,8 +19,7 @@ from dpln import (ChainConfig, FormulaWeights, LabeledExample,
                   fuzzy_not, fuzzy_or, load_kb, make_deduction_rule,
                   make_modus_ponens_rule, modus_ponens_strength, parse_atom,
                   sgd_step, trainable_mp_strength)
-from dpln.cli import ExperimentConfig, run_fruit_colors, run_joint, \
-    run_learn_formula, _eq1
+from dpln.cli import ExperimentConfig, run_fruit_colors, run_joint
 
 from conftest import (analytic_grads, finite_diff_grads, fresh_kb, interior,
                       set_strength)
@@ -55,11 +54,8 @@ def test_criterion_1_frequency_oracle_convergence(tmp_path):
     assert elapsed < 60.0
 
 
-def test_criterion_2_formula_recovery(tmp_path):
-    cfg = ExperimentConfig(experiment="learn-formula", lr=2.0, steps=5000,
-                           grid_size=11, heldout_size=21,
-                           neg_conditional=0.2, out_dir=str(tmp_path / "out"))
-    result = run_learn_formula(cfg)
+def test_criterion_2_formula_recovery(learn_formula_fit):
+    result = learn_formula_fit
     max_err = result["max_abs_error"]
     mean_err = result["mean_abs_error"]
     ok = max_err <= 0.05 and mean_err <= 0.02

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from dpln import (AtomSpace, AtomSpaceError, Tape, TruthValue, TypeRegistry,
-                  UnknownAtomError, UnknownTypeError)
+from dpln import (AtomSpaceError, TruthValue, UnknownAtomError,
+                  UnknownTypeError)
 
 from conftest import fresh_kb
 
@@ -152,17 +152,6 @@ def test_atoms_of_type():
     assert kb.atoms_of_type("PredicateNode") == []
     with pytest.raises(UnknownTypeError):
         kb.atoms_of_type("Nope")
-
-
-def test_registry_extension_then_freeze():
-    tape = Tape()
-    reg = TypeRegistry()
-    reg.add("FooNode", "node")
-    kb = AtomSpace(tape, reg)
-    foo = kb.intern_node("FooNode", "x")
-    assert kb.type_of(foo) == "FooNode"
-    with pytest.raises(AtomSpaceError):
-        reg.add("BarNode", "node")  # frozen by first intern
 
 
 def test_interning_idempotence_property():

@@ -7,6 +7,8 @@ from dpln import (ChainConfig, ChainError, Derivation, Leaf, TruthValue,
                   apply_rule, backward_chain, format_atom, forward_chain,
                   load_kb, make_deduction_rule, make_modus_ponens_rule,
                   make_rule_set, parse_atom)
+from dpln import chainer
+from dpln.pattern import candidates
 
 from conftest import fresh_kb, set_strength
 
@@ -408,3 +410,76 @@ def test_chain_config_validation():
         ChainConfig(max_steps=0)
     with pytest.raises(ChainError):
         ChainConfig(max_depth=0)
+
+
+def _scan_every_atom(kb, pattern, binding):
+    """The reference candidate pool: every ground atom, in id order."""
+    return [a for a in range(len(kb)) if kb.atom(a).is_ground]
+
+
+def _proofs(kb, rules, target, depth):
+    return [(sorted(b.items()), s.value, _serialize(t))
+            for b, s, t in backward_chain(kb, rules, target,
+                                          ChainConfig(max_depth=depth))]
+
+
+def _assert_same_as_full_scan(monkeypatch, kb, rules, target, depth):
+    """Same proofs, bindings, strengths and order as a search whose depth-0
+    facts come from scanning every atom (kept if asserted and unifiable)."""
+    got = _proofs(kb, rules, target, depth)
+    with monkeypatch.context() as m:
+        m.setattr(chainer, "candidates", _scan_every_atom)
+        expected = _proofs(kb, rules, target, depth)
+    assert got and got == expected
+
+
+def test_backward_chain_short_type_index_long_incoming(monkeypatch):
+    """Impl($P, red) with three ImplicationLinks and many EvaluationLinks
+    over red: the type index is the shorter pool."""
+    _, kb = fresh_kb()
+    lines = ['(ImplicationLink (stv %s 1.0) (PredicateNode "%s") '
+             '(PredicateNode "%s"))' % (s, p, q) for s, p, q in
+             [(0.7, "apple", "red"), (0.4, "banana", "red"),
+              (0.6, "apple", "green")]]
+    lines += ['(EvaluationLink (stv 1.0 1.0) (PredicateNode "red") '
+              '(ConceptNode "c%d"))' % i for i in range(40)]
+    lines += ['(EvaluationLink (stv %s 1.0) (PredicateNode "%s") '
+              '(ConceptNode "x"))' % (s, p)
+              for s, p in [(0.9, "apple"), (0.3, "banana")]]
+    load_kb(kb, "\n".join(lines))
+    rules = make_rule_set(kb)
+    red = kb.find_node("PredicateNode", "red")
+    subgoal = kb.link("ImplicationLink", kb.node("VariableNode", "$P"), red)
+    impls = [a for a in kb.atoms_of_type("ImplicationLink")
+             if kb.atom(a).is_ground]
+    assert len(impls) < len(kb.incoming(red))
+    assert candidates(kb, subgoal, {}) == impls
+    for target in ['(EvaluationLink (PredicateNode "red") (ConceptNode "x"))',
+                   '(EvaluationLink (PredicateNode "red") '
+                   '(VariableNode "$Y"))']:
+        _assert_same_as_full_scan(monkeypatch, kb, rules,
+                                  parse_atom(kb, target), 2)
+
+
+def test_backward_chain_long_type_index_short_incoming(monkeypatch):
+    """Inh(a0, $Y) on a ladder among many Inheritance distractors: the
+    incoming set of a0 is the shorter pool."""
+    _, kb = fresh_kb()
+    lines = ['(InheritanceLink (stv %.2f 1.0) (ConceptNode "a%d") '
+             '(ConceptNode "a%d"))' % (0.9 - 0.05 * i, i, i + 1)
+             for i in range(5)]
+    lines += ['(InheritanceLink (stv 0.5 1.0) (ConceptNode "d%d") '
+              '(ConceptNode "e%d"))' % (i, i) for i in range(40)]
+    lines.append('(InheritanceLink (stv 0.8 1.0) (ConceptNode "a0") '
+                 '(ConceptNode "a3"))')
+    load_kb(kb, "\n".join(lines))
+    rules = [make_deduction_rule(kb)]
+    a0 = kb.find_node("ConceptNode", "a0")
+    subgoal = kb.link("InheritanceLink", a0, kb.node("VariableNode", "$Y"))
+    from_a0 = [a for a in kb.incoming(a0) if kb.atom(a).is_ground]
+    assert len(kb.incoming(a0)) < len(kb.atoms_of_type("InheritanceLink"))
+    assert candidates(kb, subgoal, {}) == from_a0
+    for target in ['(InheritanceLink (ConceptNode "a0") (ConceptNode "a5"))',
+                   '(InheritanceLink (ConceptNode "a0") (VariableNode "$Z"))']:
+        _assert_same_as_full_scan(monkeypatch, kb, rules,
+                                  parse_atom(kb, target), 3)

@@ -268,3 +268,49 @@ def test_experiment_bad_lr_or_steps_exits_1(tmp_path, args):
     cfg_path.write_text(FRUIT_CONFIG)
     assert main(args + ["--config", str(cfg_path),
                         "--out", str(tmp_path / "out")]) == 1
+
+
+SPARROW_TARGET = ('(InheritanceLink (ConceptNode "sparrow") '
+                  '(ConceptNode "animal"))')
+
+# case -> (argument list with {kb}/{cfg}/{raw}/{out} placeholders, message)
+BAD_INPUTS = {
+    "chain --depth 0": (["chain", "--kb", "{kb}", "--target", SPARROW_TARGET,
+                         "--depth", "0"], "max_depth must be >= 1"),
+    "chain --forward --steps 0": (["chain", "--kb", "{kb}", "--forward",
+                                   "--steps", "0"], "max_steps must be >= 1"),
+    "--kb is a directory": (["chain", "--kb", "{dir}", "--forward"],
+                            "Is a directory"),
+    "--config is a directory": (["learn-formula", "--config", "{dir}"],
+                                "Is a directory"),
+    "--kb not UTF-8": (["chain", "--kb", "{raw}", "--forward"], "decode"),
+    "--config not UTF-8": (["learn-formula", "--config", "{raw}"], "decode"),
+    "fruit-colors --lr inf": (["fruit-colors", "--config", "{cfg}",
+                               "--lr", "inf"], "lr must be positive and finite"),
+    "joint --lr inf": (["joint", "--lr", "inf"],
+                       "lr must be positive and finite"),
+    "learn-formula --lr inf": (["learn-formula", "--lr", "inf"],
+                               "lr must be positive and finite"),
+    "config lr = 1e999": (["learn-formula", "--config", "{big_lr}"],
+                          "lr must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_1_with_message(tmp_path, capsys, case):
+    paths = {"kb": tmp_path / "kb.scm", "cfg": tmp_path / "cfg.txt",
+             "raw": tmp_path / "latin1.txt", "big_lr": tmp_path / "lr.txt",
+             "dir": tmp_path / "a-directory"}
+    paths["kb"].write_text(SPARROW_KB)
+    paths["cfg"].write_text(FRUIT_CONFIG)
+    paths["raw"].write_bytes(b'(ConceptNode "caf\xe9")\n')
+    paths["big_lr"].write_text("lr = 1e999\n")
+    paths["dir"].mkdir()
+    template, message = BAD_INPUTS[case]
+    args = [a.format(**{k: str(v) for k, v in paths.items()})
+            for a in template]
+    if args[0] != "chain":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -5,6 +5,7 @@ import pytest
 
 from dpln import (MatchError, Query, instantiate, load_kb, match,
                   query_from_bindlink, substitute, unify, variables_in)
+from dpln.pattern import candidates
 
 from conftest import fresh_kb
 
@@ -268,3 +269,24 @@ def test_query_from_bindlink_implicit_variables():
     assert implicand is None
     assert len(query.variables) == 2
     assert len(match(kb, query)) == 2
+
+
+def test_candidates_typed_variable_takes_its_type_index():
+    """A typed bare variable draws exactly the ground atoms of its type, in
+    id order; an unknown type name has none (and raises nothing)."""
+    _, kb = fresh_kb()
+    load_kb(kb, """
+    (EvaluationLink (PredicateNode "p") (ConceptNode "a"))
+    (InheritanceLink (ConceptNode "a") (ConceptNode "b"))
+    (EvaluationLink (PredicateNode "q") (ConceptNode "b"))
+    """)
+    x = kb.node("VariableNode", "$X")
+    kb.link("EvaluationLink", kb.node("PredicateNode", "p"), x)
+    kb.link("EvaluationLink", kb.node("PredicateNode", "r"),
+            kb.node("ConceptNode", "c"))
+    evals = [a for a in range(len(kb))
+             if kb.type_of(a) == "EvaluationLink" and kb.atom(a).is_ground]
+    assert len(evals) == 3
+    assert candidates(kb, x, {}, {x: "EvaluationLink"}) == evals
+    assert candidates(kb, x, {}, {x: "NoSuchLink"}) == []
+    assert match(kb, Query(variables=[(x, "NoSuchLink")], clauses=[x])) == []

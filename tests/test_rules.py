@@ -138,17 +138,15 @@ def test_trainable_mp_weights_registered():
     assert all(r.requires_grad for r in w.refs())
 
 
-def test_trainable_mp_fit_tracks_exact_formula(tmp_path):
+def test_trainable_mp_fit_tracks_exact_formula(learn_formula_fit):
     """Gradient-trained sigmoid-linear weights approximate the exact convex
     combination.  Cross-entropy training lands at a max error of about 0.077
     on the 11x11 grid, at the P(A)=1 edge; that is where this training stops,
     not the family's floor (a minimax fit on the 21x21 held-out grid reaches
     about 0.056)."""
-    from dpln.cli import ExperimentConfig, run_learn_formula, _eq1
+    from dpln.cli import _eq1
 
-    cfg = ExperimentConfig(experiment="learn-formula", lr=2.0, steps=5000,
-                           out_dir=str(tmp_path / "out"))
-    res = run_learn_formula(cfg)
+    res = learn_formula_fit
     t = Tape()
     w = FormulaWeights.create(t)
     for i, r in enumerate(w.refs()):

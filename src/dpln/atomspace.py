@@ -52,9 +52,6 @@ TYPES: dict[str, AtomType] = {name: AtomType(name, kind) for name, kind in [
     ("NotLink", LINK),
     ("ListLink", LINK),
     ("LambdaLink", LINK),
-    ("VariableList", LINK),
-    ("TypedVariableLink", LINK),
-    ("BindLink", LINK),
 ]}
 
 
@@ -175,13 +172,16 @@ class AtomSpace:
     def type_of(self, atom_id: int) -> str:
         return self.atom(atom_id).type.name
 
+    # The two index readers return the index lists themselves, in id order,
+    # without copying: callers must treat them as read-only.
+
     def incoming(self, atom_id: int) -> list[int]:
         self.atom(atom_id)
-        return list(self._incoming[atom_id])
+        return self._incoming[atom_id]
 
     def atoms_of_type(self, type_name: str) -> list[int]:
         _atom_type(type_name)
-        return list(self._by_type.get(type_name, []))
+        return self._by_type.get(type_name, [])
 
     # -- truth values -----------------------------------------------------
 

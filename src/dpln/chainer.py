@@ -1,21 +1,21 @@
 """Forward and backward rule chaining over the knowledge base.
 
 Each rule application calls the rule's differentiable formula on the
-strengths of its premise traces, so a chain of applications builds one
-connected computation graph from KB leaf strengths to the final conclusion
-strength.  Backward chaining only reads the KB; a forward firing
+strengths of its premise and term traces, so a chain of applications builds
+one connected computation graph from KB leaf strengths to the final
+conclusion strength.  Backward chaining only reads the KB; a forward firing
 (``apply_rule``) writes its conclusion.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import VarRef
-from .pattern import (Binding, Query, candidates, instantiate, match,
+from .pattern import (Binding, Query, candidates, instantiate, lookup, match,
                       substitute, unify, variables_in)
 
 
@@ -25,14 +25,12 @@ class ChainError(Exception):
 
 @dataclass
 class Rule:
-    """Premise patterns, a conclusion template and a strength formula.
+    """Premise patterns, a conclusion template, terms and a strength formula.
 
-    ``formula`` maps a list of input VarRefs to the conclusion strength.
-    ``strength_inputs`` assembles that list from the premise traces'
-    strengths; the default takes them in order, but a rule may add further
-    inputs looked up from the binding (deduction's term strengths, modus
-    ponens' P(B|not A)).  No rule concludes those atoms, so no search
-    changes them.
+    Each term is a (pattern, default) pair: an atom over the rule's variables
+    whose strength is a further formula input, and the strength read when
+    that atom is absent or unasserted.  ``formula`` takes the premise
+    strengths, then the term strengths.  No rule concludes a term atom.
     """
 
     name: str
@@ -40,18 +38,13 @@ class Rule:
     premises: list[int]
     conclusion: int
     formula: Callable[[list[VarRef]], VarRef]
-    strength_inputs: Callable[[AtomSpace, list[VarRef], Binding], list[VarRef]] | None = None
-
-    def inputs_for(self, kb: AtomSpace, premise_strengths: list[VarRef],
-                   binding: Binding) -> list[VarRef]:
-        if self.strength_inputs is not None:
-            return self.strength_inputs(kb, premise_strengths, binding)
-        return premise_strengths
+    terms: list[tuple[int, float]] = field(default_factory=list)
 
 
 @dataclass
 class Leaf:
-    """Trace leaf: a KB atom contributing its stored strength."""
+    """Trace leaf: an asserted KB atom contributing its stored strength, as
+    a premise fact or as a rule term."""
 
     atom: int
     strength: VarRef
@@ -65,6 +58,19 @@ class Leaf:
 
 
 @dataclass
+class Constant:
+    """Trace leaf: the default a rule term reads when its atom is absent or
+    unasserted."""
+
+    value: float
+    strength: VarRef
+
+    def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
+        self.strength = kb.tape.constant(self.value)
+        return self.strength
+
+
+@dataclass
 class Derivation:
     """Trace node: one rule application over child traces."""
 
@@ -73,20 +79,21 @@ class Derivation:
     conclusion: int
     strength: VarRef
     premises: list  # child traces (Leaf or Derivation)
+    terms: list  # one Leaf or Constant per rule term
 
     def leaves(self):
         for child in self.premises:
             yield from child.leaves()
 
     def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
-        """Re-evaluates the formula bottom-up from the children's replayed
-        strengths; leaves read current KB strengths, nothing is written.
+        """Re-evaluates the formula bottom-up from the premises' and terms'
+        replayed strengths; leaves read current KB strengths, nothing is
+        written.
 
         ``memo`` collapses repeated applications with identical inputs within
         one re-trace (keyed by rule name and input record indices).
         """
-        strengths = [child.replay(kb, memo) for child in self.premises]
-        inputs = self.rule.inputs_for(kb, strengths, self.binding)
+        inputs = [child.replay(kb, memo) for child in self.premises + self.terms]
         key = (self.rule.name, tuple(v.index for v in inputs))
         out = memo.get(key)
         if out is None:
@@ -101,12 +108,20 @@ InferenceTrace = Leaf | Derivation
 
 def _derive(kb: AtomSpace, rule: Rule, binding: Binding,
             premises: list) -> Derivation:
-    """Applies the rule's formula to the premise traces' strengths; interns
+    """Applies the rule's formula to the premise traces and its terms, the
+    one place term atoms are read: each is looked up without interning and
+    becomes a Leaf if asserted, else a Constant holding its default.  Interns
     the conclusion but does not value it."""
-    inputs = rule.inputs_for(kb, [t.strength for t in premises], binding)
-    out = rule.formula(inputs)
+    terms = []
+    for pattern, default in rule.terms:
+        atom = lookup(kb, pattern, binding)
+        if atom is not None and kb.has_asserted_tv(atom):
+            terms.append(Leaf(atom, kb.get_tv(atom).strength))
+        else:
+            terms.append(Constant(default, kb.tape.constant(default)))
+    out = rule.formula([t.strength for t in premises + terms])
     conclusion = instantiate(kb, rule.conclusion, binding)
-    return Derivation(rule, dict(binding), conclusion, out, premises)
+    return Derivation(rule, dict(binding), conclusion, out, premises, terms)
 
 
 def commit(kb: AtomSpace, trace: Derivation) -> None:
@@ -122,12 +137,6 @@ class ChainConfig:
     max_steps: int = 100
     max_depth: int = 5
     seed: int = 0
-
-    def __post_init__(self):
-        if self.max_steps < 1:
-            raise ChainError("max_steps must be >= 1")
-        if self.max_depth < 1:
-            raise ChainError("max_depth must be >= 1")
 
 
 def apply_rule(kb: AtomSpace, rule: Rule,
@@ -152,10 +161,6 @@ def apply_rule(kb: AtomSpace, rule: Rule,
     return trace.conclusion, trace.strength, trace
 
 
-def _binding_key(binding: Binding) -> tuple:
-    return tuple(sorted(binding.items()))
-
-
 def forward_chain(kb: AtomSpace, rules: list[Rule],
                   config: ChainConfig) -> tuple[list[int], list[Derivation]]:
     """Applies rules premises-to-conclusions for up to max_steps steps.
@@ -166,6 +171,8 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     """
     if not rules:
         raise ChainError("forward_chain needs a nonempty rule list")
+    if config.max_steps < 1:
+        raise ChainError("max_steps must be >= 1")
     rng = random.Random(config.seed)
     applied: set[tuple] = set()
     new_atoms: list[int] = []
@@ -176,7 +183,7 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
         for ri, rule in enumerate(rules):
             query = Query(variables=list(rule.variables), clauses=list(rule.premises))
             for binding in match(kb, query):
-                key = (rule.name, _binding_key(binding))
+                key = (rule.name, tuple(sorted(binding.items())))
                 if key in applied:
                     continue
                 pending.append((ri, binding, key))
@@ -195,44 +202,104 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
 
 # -- backward chaining -----------------------------------------------------
 
-def _match_conclusion(kb: AtomSpace, conclusion: int, target: int):
-    """Unifies a rule conclusion pattern against a (possibly variable-bearing)
-    target pattern.
+def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
+                      aliases: dict[int, int]) -> bool:
+    """Unifies a rule conclusion pattern ``c`` against a (possibly
+    variable-bearing) target pattern ``t``.
 
-    Returns (rule_binding, aliases) or None, where aliases maps each target
-    variable to the conclusion subtree it must equal once the rule binding is
-    complete.
+    Fills the rule binding ``rb`` and ``aliases``, which maps each target
+    variable to the conclusion subtree it must equal once the rule binding
+    is complete.
     """
-    rb: Binding = {}
-    aliases: dict[int, int] = {}
+    ca = kb.atom(c)
+    ta = kb.atom(t)
+    if ta.type.name == "VariableNode":
+        if t in aliases and aliases[t] != c:
+            return False  # duplicate target variable over different subtrees
+        aliases[t] = c
+        return True
+    if ca.type.name == "VariableNode":
+        if not ta.is_ground:
+            return False  # rule variable against a partial pattern
+        bound = rb.get(c)
+        if bound is not None:
+            return bound == t
+        rb[c] = t
+        return True
+    if ca.type.name != ta.type.name:
+        return False
+    if ca.type.is_node:
+        return ca.name == ta.name
+    if len(ca.outgoing) != len(ta.outgoing):
+        return False
+    return all(_match_conclusion(kb, co, to, rb, aliases)
+               for co, to in zip(ca.outgoing, ta.outgoing))
 
-    def walk(c: int, t: int) -> bool:
-        ca = kb.atom(c)
-        ta = kb.atom(t)
-        if ta.type.name == "VariableNode":
-            if t in aliases and aliases[t] != c:
-                return False  # duplicate target variable over different subtrees
-            aliases[t] = c
-            return True
-        if ca.type.name == "VariableNode":
-            if not ta.is_ground:
-                return False  # rule variable against a partial pattern
-            bound = rb.get(c)
-            if bound is not None:
-                return bound == t
-            rb[c] = t
-            return True
-        if ca.type.name != ta.type.name:
-            return False
-        if ca.type.is_node:
-            return ca.name == ta.name
-        if len(ca.outgoing) != len(ta.outgoing):
-            return False
-        return all(walk(co, to) for co, to in zip(ca.outgoing, ta.outgoing))
 
-    if walk(conclusion, target):
-        return rb, aliases
-    return None
+class _Search:
+    """The state of one backward_chain query: the KB, the rules and the memo
+    of ground subgoals.  Methods, not nested closures: a recursive closure
+    is a reference cycle, which would keep the memo's traces, and through
+    them the KB, alive until a full garbage collection."""
+
+    def __init__(self, kb: AtomSpace, rules: list[Rule]):
+        self.kb = kb
+        self.rules = rules
+        self.memo: dict[tuple[int, int], list] = {}
+
+    def solve(self, pattern: int, depth: int) -> list[tuple[Binding, InferenceTrace]]:
+        kb, memo = self.kb, self.memo
+        patom = kb.atom(pattern)
+        key = (pattern, depth) if patom.is_ground else None
+        if key is not None and key in memo:
+            return memo[key]
+        results: list[tuple[Binding, InferenceTrace]] = []
+        # depth 0: asserted KB facts matching the pattern
+        for cand in candidates(kb, pattern, {}):
+            if kb.has_asserted_tv(cand):
+                b = unify(kb, pattern, cand)
+                if b is not None:
+                    results.append((b, Leaf(cand, kb.get_tv(cand).strength)))
+        if depth >= 1:
+            for rule in self.rules:
+                rb: Binding = {}
+                aliases: dict[int, int] = {}
+                if not _match_conclusion(kb, rule.conclusion, pattern, rb, aliases):
+                    continue
+                rule_constraints = {v: t for v, t in rule.variables if t is not None}
+                for full_rb, child_traces in self.solve_premises(rule, rb, depth - 1):
+                    if any(kb.type_of(full_rb[v]) != t
+                           for v, t in rule_constraints.items() if v in full_rb):
+                        continue
+                    tbind: Binding = {}
+                    for tvar, subtree in aliases.items():
+                        tbind[tvar] = substitute(kb, subtree, full_rb)
+                        if not kb.atom(tbind[tvar]).is_ground:
+                            break
+                    else:
+                        results.append((tbind, _derive(kb, rule, full_rb,
+                                                       child_traces)))
+        if key is not None:
+            memo[key] = results
+        return results
+
+    def solve_premises(self, rule: Rule, rb: Binding, depth: int):
+        """Grounds all premises recursively; returns (binding, traces) pairs.
+
+        A subgoal's solutions bind only its own variables, which the
+        substitution left unbound, so merging them never conflicts."""
+        solutions = [(dict(rb), [])]
+        for premise in rule.premises:
+            next_solutions = []
+            for binding, traces in solutions:
+                p = substitute(self.kb, premise, binding)
+                for sub_binding, trace in self.solve(p, depth):
+                    next_solutions.append(({**binding, **sub_binding},
+                                           traces + [trace]))
+            solutions = next_solutions
+            if not solutions:
+                break
+        return solutions
 
 
 def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
@@ -246,74 +313,9 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
 
     The search is read-only: it may intern subgoal and conclusion atoms, but
     it values no conclusion, so every leaf is an asserted fact and each
-    derivation's strength is a function of its own leaves.
+    derivation's strength is a function of its own leaves and terms.
     """
-    memo: dict[tuple[int, int], list] = {}
-
-    def solve(pattern: int, depth: int) -> list[tuple[Binding, InferenceTrace]]:
-        patom = kb.atom(pattern)
-        key = (pattern, depth) if patom.is_ground else None
-        if key is not None and key in memo:
-            return memo[key]
-        results: list[tuple[Binding, InferenceTrace]] = []
-        # depth 0: asserted KB facts matching the pattern
-        for cand in candidates(kb, pattern, {}):
-            if kb.has_asserted_tv(cand):
-                b = unify(kb, pattern, cand)
-                if b is not None:
-                    results.append((b, Leaf(cand, kb.get_tv(cand).strength)))
-        if depth >= 1:
-            for rule in rules:
-                hit = _match_conclusion(kb, rule.conclusion, pattern)
-                if hit is None:
-                    continue
-                rb, aliases = hit
-                rule_constraints = {v: t for v, t in rule.variables if t is not None}
-                for full_rb, child_traces in _solve_premises(rule, rb, depth - 1):
-                    if any(kb.type_of(full_rb[v]) != t
-                           for v, t in rule_constraints.items() if v in full_rb):
-                        continue
-                    tbind: Binding = {}
-                    ok = True
-                    for tvar, subtree in aliases.items():
-                        resolved = substitute(kb, subtree, full_rb)
-                        if not kb.atom(resolved).is_ground:
-                            ok = False
-                            break
-                        if tvar in tbind and tbind[tvar] != resolved:
-                            ok = False
-                            break
-                        tbind[tvar] = resolved
-                    if ok:
-                        results.append((tbind, _derive(kb, rule, full_rb,
-                                                       child_traces)))
-        if key is not None:
-            memo[key] = results
-        return results
-
-    def _solve_premises(rule: Rule, rb: Binding, depth: int):
-        """Grounds all premises recursively; yields (binding, traces)."""
-        solutions = [(dict(rb), [])]
-        for premise in rule.premises:
-            next_solutions = []
-            for binding, traces in solutions:
-                p = substitute(kb, premise, binding)
-                for sub_binding, trace in solve(p, depth):
-                    merged = dict(binding)
-                    conflict = False
-                    for var, atom in sub_binding.items():
-                        if merged.get(var, atom) != atom:
-                            conflict = True
-                            break
-                        merged[var] = atom
-                    if not conflict:
-                        next_solutions.append((merged, traces + [trace]))
-            solutions = next_solutions
-            if not solutions:
-                break
-        return solutions
-
-    out: list[tuple[Binding, VarRef, InferenceTrace]] = []
-    for binding, trace in solve(target, config.max_depth):
-        out.append((binding, trace.strength, trace))
-    return out
+    if config.max_depth < 1:
+        raise ChainError("max_depth must be >= 1")
+    return [(binding, trace.strength, trace)
+            for binding, trace in _Search(kb, rules).solve(target, config.max_depth)]

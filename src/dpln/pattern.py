@@ -125,8 +125,10 @@ def candidates(kb: AtomSpace, clause: int, binding: Binding,
 def match(kb: AtomSpace, query: Query) -> list[Binding]:
     """All bindings under which every clause is an atom present in the KB.
 
-    Clauses are processed in the given order; results are deduplicated and
-    come out in candidate insertion order (deterministic).
+    Clauses are processed in the given order; results come out in candidate
+    id order (deterministic).  They are pairwise distinct: a clause's
+    candidates are distinct atoms, and a full binding fixes the atom each
+    clause matched.
     """
     if not query.clauses:
         raise MatchError("query has no clauses")
@@ -139,23 +141,23 @@ def match(kb: AtomSpace, query: Query) -> list[Binding]:
     constraints = query.constraint_map()
 
     results: list[Binding] = []
-    seen: set[tuple] = set()
-
-    def extend(ci: int, binding: Binding) -> None:
-        if ci == len(query.clauses):
-            key = tuple(sorted(binding.items()))
-            if key not in seen:
-                seen.add(key)
-                results.append(dict(binding))
-            return
-        clause = query.clauses[ci]
-        for cand in candidates(kb, clause, binding, constraints):
-            nb = unify(kb, clause, cand, binding, constraints)
-            if nb is not None:
-                extend(ci + 1, nb)
-
-    extend(0, {})
+    _extend(kb, query.clauses, constraints, 0, {}, results)
     return results
+
+
+def _extend(kb: AtomSpace, clauses: list[int], constraints: dict[int, str],
+            ci: int, binding: Binding, results: list[Binding]) -> None:
+    """Appends each extension of ``binding`` that matches clauses ci onward.
+    A module function, not a closure: a recursive closure is a reference
+    cycle, which would keep the KB alive until a full garbage collection."""
+    if ci == len(clauses):
+        results.append(binding)
+        return
+    clause = clauses[ci]
+    for cand in candidates(kb, clause, binding, constraints):
+        nb = unify(kb, clause, cand, binding, constraints)
+        if nb is not None:
+            _extend(kb, clauses, constraints, ci + 1, nb, results)
 
 
 def substitute(kb: AtomSpace, template: int, binding: Binding) -> int:
@@ -171,6 +173,23 @@ def substitute(kb: AtomSpace, template: int, binding: Binding) -> int:
     return kb.intern_link(atom.type.name, new_out)
 
 
+def lookup(kb: AtomSpace, template: int, binding: Binding) -> int | None:
+    """The atom ``substitute`` would give, found without interning anything;
+    None if it is not in the KB."""
+    atom = kb.atom(template)
+    if atom.type.name == "VariableNode":
+        return binding.get(template, template)
+    if atom.type.is_node or atom.is_ground:
+        return template
+    out = []
+    for oid in atom.outgoing:
+        found = lookup(kb, oid, binding)
+        if found is None:
+            return None
+        out.append(found)
+    return kb.find_link(atom.type.name, out)
+
+
 def instantiate(kb: AtomSpace, template: int, binding: Binding) -> int:
     """Interns the template with every variable substituted; errors if any
     variable is left unbound."""
@@ -179,45 +198,3 @@ def instantiate(kb: AtomSpace, template: int, binding: Binding) -> int:
         names = sorted(kb.atom(v).name for v in unbound)
         raise MatchError("unbound variable(s): %s" % ", ".join(names))
     return substitute(kb, template, binding)
-
-
-def query_from_bindlink(kb: AtomSpace, bindlink: int) -> tuple[Query, int | None]:
-    """Converts a BindLink atom into (Query, optional implicand template).
-
-    Layout: (BindLink [VariableList] pattern [implicand]) where the pattern
-    is an AndLink of clauses or a single clause.
-    """
-    atom = kb.atom(bindlink)
-    if atom.type.name != "BindLink":
-        raise MatchError("expected a BindLink")
-    parts = list(atom.outgoing)
-    variables: list[tuple[int, str | None]] = []
-    if parts and kb.type_of(parts[0]) == "VariableList":
-        for decl in kb.atom(parts[0]).outgoing:
-            d = kb.atom(decl)
-            if d.type.name == "VariableNode":
-                variables.append((decl, None))
-            elif d.type.name == "TypedVariableLink" and len(d.outgoing) == 2:
-                var, tnode = d.outgoing
-                variables.append((var, kb.atom(tnode).name))
-            else:
-                raise MatchError("bad variable declaration in VariableList")
-        parts = parts[1:]
-    if not parts:
-        raise MatchError("BindLink has no pattern")
-    pattern = parts[0]
-    implicand = parts[1] if len(parts) > 1 else None
-    if kb.type_of(pattern) == "AndLink":
-        clauses = list(kb.atom(pattern).outgoing)
-    else:
-        clauses = [pattern]
-    if not variables:
-        seen: set[int] = set()
-        ordered: list[int] = []
-        for clause in clauses:
-            for v in sorted(variables_in(kb, clause)):
-                if v not in seen:
-                    seen.add(v)
-                    ordered.append(v)
-        variables = [(v, None) for v in ordered]
-    return Query(variables=variables, clauses=clauses), implicand

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .atomspace import AtomSpace
+from .atomspace import DEFAULT_STRENGTH, AtomSpace
 from .autodiff import Tape, VarRef
 from .chainer import Rule
-from .pattern import Binding
 
 DEDUCTION_EPS = 1e-6
 DEFAULT_NEG_CONDITIONAL = 0.2
@@ -112,25 +111,16 @@ def trainable_mp_strength(p_a: VarRef, p_b_given_a: VarRef,
 
 # -- concrete rule set -----------------------------------------------------
 
-def _neg_conditional(kb: AtomSpace, pred_a: int, pred_b: int,
-                     default: float) -> VarRef:
-    """Strength of Impl(Not(A), B) if asserted, else the configured default."""
-    not_a = kb.find_link("NotLink", [pred_a])
-    if not_a is not None:
-        impl = kb.find_link("ImplicationLink", [not_a, pred_b])
-        if impl is not None and kb.has_asserted_tv(impl):
-            return kb.get_tv(impl).strength
-    return kb.tape.constant(default)
-
-
 def make_modus_ponens_rule(kb: AtomSpace,
                            neg_conditional: float = DEFAULT_NEG_CONDITIONAL,
                            name: str = "modus-ponens",
                            weights: FormulaWeights | None = None) -> Rule:
     """Impl($P, $Q), Eval($P, $X)  |-  Eval($Q, $X).
 
-    With ``weights`` the conclusion strength comes from the trainable
-    sigmoid-linear formula instead of the exact convex combination.
+    The exact formula reads P(B|not A) from the term Impl(Not($P), $Q),
+    or ``neg_conditional`` when that atom is not asserted.  With ``weights``
+    the conclusion strength comes from the trainable sigmoid-linear formula
+    instead, which has no terms.
     """
     var_p = kb.node("VariableNode", "$P")
     var_q = kb.node("VariableNode", "$Q")
@@ -139,19 +129,13 @@ def make_modus_ponens_rule(kb: AtomSpace,
     eval_pa = kb.link("EvaluationLink", var_p, var_x)
     eval_qa = kb.link("EvaluationLink", var_q, var_x)
 
-    def strength_inputs(kb: AtomSpace, strengths: list[VarRef],
-                        binding: Binding) -> list[VarRef]:
-        p_bga, p_a = strengths
-        if weights is not None:
-            return [p_a, p_bga]
-        p_bgna = _neg_conditional(kb, binding[var_p], binding[var_q],
-                                  neg_conditional)
-        return [p_a, p_bga, p_bgna]
-
     if weights is not None:
-        formula = lambda inputs: trainable_mp_strength(inputs[0], inputs[1], weights)
+        terms = []
+        formula = lambda inputs: trainable_mp_strength(inputs[1], inputs[0], weights)
     else:
-        formula = lambda inputs: modus_ponens_strength(inputs[0], inputs[1], inputs[2])
+        terms = [(kb.link("ImplicationLink", kb.link("NotLink", var_p), var_q),
+                  neg_conditional)]
+        formula = lambda inputs: modus_ponens_strength(inputs[1], inputs[0], inputs[2])
 
     return Rule(
         name=name,
@@ -160,15 +144,15 @@ def make_modus_ponens_rule(kb: AtomSpace,
         premises=[impl, eval_pa],
         conclusion=eval_qa,
         formula=formula,
-        strength_inputs=strength_inputs,
+        terms=terms,
     )
 
 
 def make_deduction_rule(kb: AtomSpace) -> Rule:
     """Inh($X, $Y), Inh($Y, $Z)  |-  Inh($X, $Z).
 
-    Term strengths for the middle and final concepts are read from the bound
-    ConceptNode truth values (defaults apply when unset).
+    The terms are the middle and final ConceptNodes; an unvalued one reads
+    the default strength 1.0.
     """
     var_x = kb.node("VariableNode", "$DX")
     var_y = kb.node("VariableNode", "$DY")
@@ -177,20 +161,13 @@ def make_deduction_rule(kb: AtomSpace) -> Rule:
     inh_yz = kb.link("InheritanceLink", var_y, var_z)
     inh_xz = kb.link("InheritanceLink", var_x, var_z)
 
-    def strength_inputs(kb: AtomSpace, strengths: list[VarRef],
-                        binding: Binding) -> list[VarRef]:
-        s_ab, s_bc = strengths
-        s_b = kb.get_tv(binding[var_y]).strength
-        s_c = kb.get_tv(binding[var_z]).strength
-        return [s_ab, s_bc, s_b, s_c]
-
     return Rule(
         name="deduction",
         variables=[(var_x, None), (var_y, None), (var_z, None)],
         premises=[inh_xy, inh_yz],
         conclusion=inh_xz,
         formula=lambda inputs: deduction_strength(*inputs),
-        strength_inputs=strength_inputs,
+        terms=[(var_y, DEFAULT_STRENGTH), (var_z, DEFAULT_STRENGTH)],
     )
 
 

@@ -201,13 +201,15 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
         raise TrainError("dataset must be nonempty")
     tape = kb.tape
     mark = tape.mark()
+    # the search resolves rule terms once, so it must see the atoms that
+    # replay will read: the learnables are asserted before it runs
+    for ls in learnables:
+        ls.refresh()
     traces = _find_traces(kb, rules, dataset, config.chain_depth)
 
     # Examples whose traces land on the same tape record compute the same
     # prediction on every re-trace (replay is deterministic), so one replay
     # groups them and each step replays one representative trace per group.
-    for ls in learnables:
-        ls.refresh()
     memo: dict = {}
     group_of: dict[int, int] = {}  # prediction record -> group
     reps = []

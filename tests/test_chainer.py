@@ -7,10 +7,11 @@ from dpln import (ChainConfig, ChainError, Derivation, Leaf, TruthValue,
                   apply_rule, backward_chain, format_atom, forward_chain,
                   load_kb, make_deduction_rule, make_modus_ponens_rule,
                   make_rule_set, parse_atom)
-from dpln import chainer
+from dpln import chainer, deduction_strength
+from dpln.chainer import Constant
 from dpln.pattern import candidates
 
-from conftest import fresh_kb, set_strength
+from conftest import finite_diff_grads, fresh_kb, set_strength
 
 APPLE_KB = """
 (ImplicationLink (stv 0.6 0.9)
@@ -405,11 +406,90 @@ def test_backward_chain_is_repeatable():
     assert len(runs[0]) == 5
 
 
+def test_derivation_terms_are_trace_inputs():
+    """Every formula input is a trace node.  An asserted term atom is a Leaf
+    term that backward reaches; an unasserted one is a Constant holding the
+    rule's default.  All of them replay after a tape rollback, and leaves()
+    still lists only the premise facts."""
+    tape, kb = fresh_kb()
+    a, b, c, d = (kb.node("ConceptNode", n) for n in "abcd")
+    values = {"ab": 0.9, "bc": 0.8, "b": 0.4, "c": 0.6}
+    refs = {k: tape.parameter(v) for k, v in values.items()}
+    ab, bc = kb.link("InheritanceLink", a, b), kb.link("InheritanceLink", b, c)
+    bd = kb.link("InheritanceLink", b, d)
+    for atom, key in [(ab, "ab"), (bc, "bc"), (b, "b"), (c, "c")]:
+        kb.set_tv(atom, TruthValue(refs[key], 1.0))
+    set_strength(kb, bd, 0.7)
+    load_kb(kb, """
+    (ImplicationLink (stv 0.6 1.0) (PredicateNode "apple") (PredicateNode "green"))
+    (ImplicationLink (stv 0.45 1.0)
+        (NotLink (PredicateNode "apple")) (PredicateNode "green"))
+    (ImplicationLink (stv 0.6 1.0) (PredicateNode "apple") (PredicateNode "red"))
+    (EvaluationLink (stv 0.5 1.0) (PredicateNode "apple") (ConceptNode "x"))
+    """)
+    deduction = make_deduction_rule(kb)
+    mp = make_modus_ponens_rule(kb, neg_conditional=0.25)
+    mark = tape.mark()
+
+    def derive(rule, target_text):
+        target = parse_atom(kb, target_text)
+        results = backward_chain(kb, [rule], target, ChainConfig(max_depth=1))
+        return next(t for _, _, t in results if isinstance(t, Derivation))
+
+    valued = derive(deduction, '(InheritanceLink (ConceptNode "a") (ConceptNode "c"))')
+    assert [type(t) for t in valued.terms] == [Leaf, Leaf]
+    assert [t.atom for t in valued.terms] == [b, c]
+    assert [leaf.atom for leaf in valued.leaves()] == [ab, bc]
+    tape.backward(valued.strength)
+    inputs = valued.premises + valued.terms
+    expected = finite_diff_grads(lambda t, r: deduction_strength(*r),
+                                 list(values.values()))
+    assert [t.strength.grad for t in inputs] == pytest.approx(expected, abs=1e-6)
+    assert any(g != 0.0 for g in expected[2:])
+    tape.zero_grads()
+
+    unvalued = derive(deduction, '(InheritanceLink (ConceptNode "a") (ConceptNode "d"))')
+    assert isinstance(unvalued.terms[0], Leaf)
+    assert isinstance(unvalued.terms[1], Constant)
+    assert unvalued.terms[1].value == 1.0
+    assert [leaf.atom for leaf in unvalued.leaves()] == [ab, bd]
+
+    green = derive(mp, '(EvaluationLink (PredicateNode "green") (ConceptNode "x"))')
+    (neg,) = green.terms
+    assert isinstance(neg, Leaf) and neg.strength.value == 0.45
+    assert kb.type_of(kb.atom(neg.atom).outgoing[0]) == "NotLink"
+    assert green.strength.value == pytest.approx(0.6 * 0.5 + 0.45 * 0.5)
+    red = derive(mp, '(EvaluationLink (PredicateNode "red") (ConceptNode "x"))')
+    (default,) = red.terms
+    assert isinstance(default, Constant) and default.value == 0.25
+    assert red.strength.value == pytest.approx(0.6 * 0.5 + 0.25 * 0.5)
+    assert len(list(green.leaves())) == len(list(red.leaves())) == 2
+
+    traces = [valued, unvalued, green, red]
+    before = [t.strength.value for t in traces]
+    tape.reset_to(mark)
+    memo = {}
+    assert [t.replay(kb, memo).value for t in traces] == before
+    for trace in traces:
+        for term in trace.terms:
+            assert term.strength.index < len(tape)
+    tape.backward(valued.strength)
+    assert [t.strength.grad for t in inputs] == pytest.approx(expected, abs=1e-6)
+
+
 def test_chain_config_validation():
-    with pytest.raises(ChainError):
-        ChainConfig(max_steps=0)
-    with pytest.raises(ChainError):
-        ChainConfig(max_depth=0)
+    """Each mode checks only the bound it reads."""
+    _, kb = fresh_kb()
+    load_kb(kb, SPARROW_KB)
+    rule = make_deduction_rule(kb)
+    with pytest.raises(ChainError, match="max_steps must be >= 1"):
+        forward_chain(kb, [rule], ChainConfig(max_steps=0))
+    assert forward_chain(kb, [rule], ChainConfig(max_depth=0))[0]
+    target = parse_atom(kb, '(InheritanceLink (ConceptNode "sparrow") '
+                            '(ConceptNode "animal"))')
+    with pytest.raises(ChainError, match="max_depth must be >= 1"):
+        backward_chain(kb, [rule], target, ChainConfig(max_depth=0))
+    assert backward_chain(kb, [rule], target, ChainConfig(max_steps=0))
 
 
 def _scan_every_atom(kb, pattern, binding):

@@ -270,6 +270,19 @@ def test_experiment_bad_lr_or_steps_exits_1(tmp_path, args):
                         "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("mode", [["--target", '(InheritanceLink '
+                                  '(ConceptNode "sparrow") (ConceptNode "animal"))',
+                                  "--steps", "0"],
+                                  ["--forward", "--depth", "0"]])
+def test_chain_ignores_the_other_modes_bound(tmp_path, capsys, mode):
+    """--steps only bounds --forward and --depth only bounds --target, so
+    a zero for the unused one is not an error."""
+    kb_path = tmp_path / "kb.scm"
+    kb_path.write_text(SPARROW_KB)
+    assert main(["chain", "--kb", str(kb_path)] + mode) == 0
+    assert '(ConceptNode "sparrow") (ConceptNode "animal")' in capsys.readouterr().out
+
+
 SPARROW_TARGET = ('(InheritanceLink (ConceptNode "sparrow") '
                   '(ConceptNode "animal"))')
 
@@ -293,6 +306,8 @@ BAD_INPUTS = {
                                "lr must be positive and finite"),
     "config lr = 1e999": (["learn-formula", "--config", "{big_lr}"],
                           "lr must be positive and finite"),
+    "KB BindLink": (["chain", "--kb", "{bindlink}", "--forward"],
+                    "line 2: unknown atom type 'BindLink'"),
 }
 
 
@@ -300,11 +315,14 @@ BAD_INPUTS = {
 def test_bad_input_exits_1_with_message(tmp_path, capsys, case):
     paths = {"kb": tmp_path / "kb.scm", "cfg": tmp_path / "cfg.txt",
              "raw": tmp_path / "latin1.txt", "big_lr": tmp_path / "lr.txt",
-             "dir": tmp_path / "a-directory"}
+             "dir": tmp_path / "a-directory",
+             "bindlink": tmp_path / "bindlink.scm"}
     paths["kb"].write_text(SPARROW_KB)
     paths["cfg"].write_text(FRUIT_CONFIG)
     paths["raw"].write_bytes(b'(ConceptNode "caf\xe9")\n')
     paths["big_lr"].write_text("lr = 1e999\n")
+    paths["bindlink"].write_text('(ConceptNode "a")\n'
+                                 '(BindLink (ConceptNode "a"))\n')
     paths["dir"].mkdir()
     template, message = BAD_INPUTS[case]
     args = [a.format(**{k: str(v) for k, v in paths.items()})

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from dpln import (MatchError, Query, instantiate, load_kb, match,
-                  query_from_bindlink, substitute, unify, variables_in)
-from dpln.pattern import candidates
+from dpln import (MatchError, Query, instantiate, load_kb, match, substitute,
+                  unify, variables_in)
+from dpln.pattern import candidates, lookup
 
 from conftest import fresh_kb
 
@@ -234,41 +234,50 @@ def test_variables_in():
     assert variables_in(kb, kb.atoms_of_type("InheritanceLink")[0]) == set()
 
 
-def test_query_from_bindlink():
+def test_lookup_finds_without_interning():
     kb = _chain_kb()
-    bindlink = load_kb(kb, """
-    (BindLink
-        (VariableList
-            (TypedVariableLink (VariableNode "$X") (TypeNode "ConceptNode"))
-            (VariableNode "$Y")
-            (VariableNode "$Z"))
-        (AndLink
-            (InheritanceLink (VariableNode "$X") (VariableNode "$Y"))
-            (InheritanceLink (VariableNode "$Y") (VariableNode "$Z")))
-        (InheritanceLink (VariableNode "$X") (VariableNode "$Z")))
-    """)[0]
-    query, implicand = query_from_bindlink(kb, bindlink)
-    assert len(query.clauses) == 2
-    x = kb.find_node("VariableNode", "$X")
-    assert query.constraint_map() == {x: "ConceptNode"}
-    bindings = match(kb, query)
-    assert len(bindings) == 1
-    derived = instantiate(kb, implicand, bindings[0])
-    assert kb.type_of(derived) == "InheritanceLink"
-    names = [kb.atom(o).name for o in kb.atom(derived).outgoing]
-    assert names == ["sparrow", "animal"]
+    x = kb.node("VariableNode", "$X")
+    template = kb.link("InheritanceLink", x, kb.node("ConceptNode", "bird"))
+    negated = kb.link("NotLink", template)
+    size = len(kb)
+    sparrow = kb.find_node("ConceptNode", "sparrow")
+    bird = kb.find_node("ConceptNode", "bird")
+    assert lookup(kb, template, {x: sparrow}) == substitute(kb, template,
+                                                            {x: sparrow})
+    assert lookup(kb, x, {x: bird}) == bird
+    assert lookup(kb, template, {x: bird}) is None
+    assert lookup(kb, negated, {x: sparrow}) is None
+    assert len(kb) == size
 
 
-def test_query_from_bindlink_implicit_variables():
-    kb = _chain_kb()
-    bindlink = load_kb(kb, """
-    (BindLink
-        (InheritanceLink (VariableNode "$A") (VariableNode "$B")))
-    """)[0]
-    query, implicand = query_from_bindlink(kb, bindlink)
-    assert implicand is None
-    assert len(query.variables) == 2
-    assert len(match(kb, query)) == 2
+def test_match_bindings_distinct_in_candidate_order():
+    """Without a dedup pass, match still returns each binding once, in
+    candidate id order: for a repeated-variable clause, and for two clauses
+    anchored at the same atom."""
+    _, kb = fresh_kb()
+    load_kb(kb, """
+    (ListLink (ConceptNode "a") (ConceptNode "a"))
+    (ListLink (ConceptNode "a") (ConceptNode "b"))
+    (ListLink (ConceptNode "b") (ConceptNode "b"))
+    (InheritanceLink (ConceptNode "a") (ConceptNode "b"))
+    (InheritanceLink (ConceptNode "a") (ConceptNode "a"))
+    """)
+    a = kb.find_node("ConceptNode", "a")
+    b = kb.find_node("ConceptNode", "b")
+    x = kb.node("VariableNode", "$X")
+    y = kb.node("VariableNode", "$Y")
+    repeated = Query(variables=[(x, None), (y, None)],
+                     clauses=[kb.link("ListLink", x, x),
+                              kb.link("ListLink", x, y)])
+    shared = Query(variables=[(x, None), (y, None)],
+                   clauses=[kb.link("InheritanceLink", a, x),
+                            kb.link("InheritanceLink", a, y)])
+    for query, expected in [
+            (repeated, [(a, a), (a, b), (b, b)]),
+            (shared, [(b, b), (b, a), (a, b), (a, a)])]:
+        got = match(kb, query)
+        assert [(bd[x], bd[y]) for bd in got] == expected
+        assert len({tuple(sorted(bd.items())) for bd in got}) == len(got)
 
 
 def test_candidates_typed_variable_takes_its_type_index():

@@ -304,6 +304,24 @@ def test_train_deduction_reads_default_term_strengths():
     assert kb.get_tv(target).strength.value == 1.0
 
 
+def test_train_learns_term_strength():
+    """A learnable on a rule term (modus ponens' Impl(Not(A), B)) that is
+    attached but not yet refreshed still trains: train asserts the
+    learnables before its proof search resolves the terms."""
+    tape, kb = fresh_kb()
+    a, b = kb.node("PredicateNode", "a"), kb.node("PredicateNode", "b")
+    x = kb.node("ConceptNode", "x")
+    kb.set_tv(kb.link("ImplicationLink", a, b), TruthValue(tape.constant(0.6), 1.0))
+    kb.set_tv(kb.link("EvaluationLink", a, x), TruthValue(tape.constant(0.5), 1.0))
+    learnable = LearnableStrength(tape, init=0.5, name="not-a->b")
+    learnable.attach(kb, kb.link("ImplicationLink", kb.link("NotLink", a), b))
+    train(kb, [make_modus_ponens_rule(kb)],
+          [LabeledExample(kb.link("EvaluationLink", b, x), 1)],
+          [learnable.theta], TrainConfig(learning_rate=0.5, steps=50),
+          learnables=[learnable])
+    assert learnable.value() == pytest.approx(0.92863, abs=1e-5)
+
+
 def test_train_underivable_target_reports_index():
     tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 5, seed=2)
     orphan = kb.link("EvaluationLink",

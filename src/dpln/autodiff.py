@@ -77,12 +77,17 @@ class Tape:
         # per record: tuple of (input_index, local_partial) pairs; () for leaves
         self._deps: list[tuple] = []
         self._param_indices: set[int] = set()
-        self.parameters: list[VarRef] = []
         self.param_names: dict[int, str] = {}
         self._const_cache: dict[float, int] = {}
 
     def __len__(self) -> int:
         return len(self._values)
+
+    @property
+    def parameters(self) -> list[VarRef]:
+        """The trainable leaves, in index order.  Not stored: VarRefs point
+        back at the tape, so a stored list would make a reference cycle."""
+        return [VarRef(self, i) for i in sorted(self._param_indices)]
 
     # -- construction -----------------------------------------------------
 
@@ -112,7 +117,6 @@ class Tape:
             raise AutodiffError("parameter must be finite, got %r" % x)
         ref = self._record(x, ())
         self._param_indices.add(ref.index)
-        self.parameters.append(ref)
         if name is not None:
             self.param_names[ref.index] = name
         return ref
@@ -228,6 +232,5 @@ class Tape:
         del self._grads[mark:]
         del self._deps[mark:]
         self._param_indices = {i for i in self._param_indices if i < mark}
-        self.parameters = [p for p in self.parameters if p.index < mark]
         self.param_names = {i: n for i, n in self.param_names.items() if i < mark}
         self._const_cache = {v: i for v, i in self._const_cache.items() if i < mark}

@@ -10,6 +10,7 @@ conclusion strength.  Backward chaining only reads the KB; a forward firing
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -165,8 +166,14 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
                   config: ChainConfig) -> tuple[list[int], list[Derivation]]:
     """Applies rules premises-to-conclusions for up to max_steps steps.
 
-    Each step gathers all applicable (rule, binding) pairs, shuffles them with
-    the seeded RNG and applies the first one; a pair fires at most once.
+    Each step shuffles the pending (rule, binding) pairs with the seeded RNG
+    and fires the first one; a pair, keyed by rule name and binding, fires
+    at most once.  The pending list is kept across steps (semi-naive
+    evaluation): after a firing, only bindings in which some premise
+    matches an atom it interned are added.  That suffices because ``match``
+    tests atom presence, not truth values, and the KB only grows.  The list
+    is kept in full-match order (rule index, then premise atom ids), so the
+    seeded choice is the one a full re-match on every step would make.
     Returns the atoms that did not exist before chaining, with traces.
     """
     if not rules:
@@ -174,27 +181,38 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     if config.max_steps < 1:
         raise ChainError("max_steps must be >= 1")
     rng = random.Random(config.seed)
+    queries = [Query(variables=list(rule.variables), clauses=list(rule.premises))
+               for rule in rules]
+    names = [rule.name for rule in rules]
+    shared = {name for name in names if names.count(name) > 1}
     applied: set[tuple] = set()
+    # ((rule index, *premise atoms), binding), sorted: full-match order
+    pending: list[tuple[tuple, Binding]] = []
     new_atoms: list[int] = []
     traces: list[Derivation] = []
 
+    since = 0  # atoms from here on have not been matched yet
     for _ in range(config.max_steps):
-        pending = []
-        for ri, rule in enumerate(rules):
-            query = Query(variables=list(rule.variables), clauses=list(rule.premises))
-            for binding in match(kb, query):
-                key = (rule.name, tuple(sorted(binding.items())))
-                if key in applied:
-                    continue
-                pending.append((ri, binding, key))
+        if since < len(kb):
+            for ri, rule in enumerate(rules):
+                for binding in match(kb, queries[ri], since):
+                    if (rule.name, tuple(sorted(binding.items()))) not in applied:
+                        atoms = [lookup(kb, p, binding) for p in rule.premises]
+                        insort(pending, ((ri, *atoms), binding))
         if not pending:
             break
-        rng.shuffle(pending)
-        ri, binding, key = pending[0]
-        applied.add(key)
-        mark = len(kb)
-        conclusion, _, trace = apply_rule(kb, rules[ri], binding)
-        if conclusion >= mark:
+        shuffled = pending[:]
+        rng.shuffle(shuffled)
+        order, binding = shuffled[0]
+        rule = rules[order[0]]
+        applied.add((rule.name, tuple(sorted(binding.items()))))
+        del pending[bisect_left(pending, (order,))]
+        if rule.name in shared:
+            pending = [e for e in pending
+                       if names[e[0][0]] != rule.name or e[1] != binding]
+        since = len(kb)
+        conclusion, _, trace = apply_rule(kb, rule, binding)
+        if conclusion >= since:
             new_atoms.append(conclusion)
             traces.append(trace)
     return new_atoms, traces

@@ -11,6 +11,7 @@ never changes the order of results.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .atomspace import TYPES, AtomSpace
@@ -122,13 +123,16 @@ def candidates(kb: AtomSpace, clause: int, binding: Binding,
             if a.is_ground and a.type.name == c.type.name]
 
 
-def match(kb: AtomSpace, query: Query) -> list[Binding]:
-    """All bindings under which every clause is an atom present in the KB.
+def match(kb: AtomSpace, query: Query, since: int = 0) -> list[Binding]:
+    """All bindings under which every clause is an atom present in the KB
+    and some clause is an atom with id >= ``since``, each once.
 
-    Clauses are processed in the given order; results come out in candidate
-    id order (deterministic).  They are pairwise distinct: a clause's
-    candidates are distinct atoms, and a full binding fixes the atom each
-    clause matched.
+    With ``since`` = 0 that is every binding, in candidate id order.  A
+    later ``since`` gives the delta of a grown KB: for each clause d, the
+    clauses before d match atoms below ``since``, clause d a newer atom and
+    later clauses any atom.  Clause d is enumerated first, over the new
+    atoms, so the delta is a join against the old atoms, not a re-match.
+    Bindings are distinct: a full binding fixes the atom each clause matched.
     """
     if not query.clauses:
         raise MatchError("query has no clauses")
@@ -141,23 +145,33 @@ def match(kb: AtomSpace, query: Query) -> list[Binding]:
     constraints = query.constraint_map()
 
     results: list[Binding] = []
-    _extend(kb, query.clauses, constraints, 0, {}, results)
+    clauses, end = query.clauses, len(kb)
+    # with since = 0 no atom lies below it, so only d = 0 can match
+    for d in range(len(clauses) if since > 0 else 1):
+        # (clause, lowest id, id bound) in the order they are enumerated
+        plan = ([(clauses[d], since, end)]
+                + [(c, 0, since) for c in clauses[:d]]
+                + [(c, 0, end) for c in clauses[d + 1:]])
+        _extend(kb, plan, constraints, 0, {}, results)
     return results
 
 
-def _extend(kb: AtomSpace, clauses: list[int], constraints: dict[int, str],
-            ci: int, binding: Binding, results: list[Binding]) -> None:
-    """Appends each extension of ``binding`` that matches clauses ci onward.
-    A module function, not a closure: a recursive closure is a reference
-    cycle, which would keep the KB alive until a full garbage collection."""
-    if ci == len(clauses):
+def _extend(kb: AtomSpace, plan: list[tuple[int, int, int]],
+            constraints: dict[int, str], ci: int, binding: Binding,
+            results: list[Binding]) -> None:
+    """Appends each extension of ``binding`` that matches plan steps ci
+    onward, each clause to an atom id in [lo, hi).  A module function, not
+    a closure: a recursive closure is a reference cycle, which would keep
+    the KB alive until a full garbage collection."""
+    if ci == len(plan):
         results.append(binding)
         return
-    clause = clauses[ci]
-    for cand in candidates(kb, clause, binding, constraints):
+    clause, lo, hi = plan[ci]
+    pool = candidates(kb, clause, binding, constraints)
+    for cand in pool[bisect_left(pool, lo):bisect_left(pool, hi)]:
         nb = unify(kb, clause, cand, binding, constraints)
         if nb is not None:
-            _extend(kb, clauses, constraints, ci + 1, nb, results)
+            _extend(kb, plan, constraints, ci + 1, nb, results)
 
 
 def substitute(kb: AtomSpace, template: int, binding: Binding) -> int:

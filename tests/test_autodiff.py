@@ -1,9 +1,11 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
-from dpln import AutodiffError, Tape
+from dpln import AtomSpace, AutodiffError, Tape, make_rule_set
 
 from conftest import (analytic_grads, assert_grads_close, finite_diff_grads,
                       interior)
@@ -22,7 +24,7 @@ def test_constant_grad_computed_but_not_parameter():
     loss = t.mul(c, c)
     t.backward(loss)
     assert c.grad == pytest.approx(1.0)
-    assert c not in t.parameters
+    assert c.index not in [p.index for p in t.parameters]
 
 
 def test_constant_rejects_non_finite():
@@ -175,7 +177,22 @@ def test_reset_keeps_parameters_below_mark():
     mark = t.mark()
     t.parameter(2.0)
     t.reset_to(mark)
-    assert t.parameters == [a]
+    assert [p.index for p in t.parameters] == [a.index]
+
+
+def test_dropped_tape_with_parameters_is_freed_without_gc():
+    """A tape holding parameters is not in a reference cycle: dropping its
+    last reference frees it at once, with the cycle collector off."""
+    gc.disable()
+    try:
+        kb = AtomSpace(Tape())
+        rules = make_rule_set(kb)
+        tape = weakref.ref(kb.tape)
+        assert tape().parameters
+        del kb, rules
+        assert tape() is None
+    finally:
+        gc.enable()
 
 
 def _random_expression(rng):

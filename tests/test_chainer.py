@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from dpln import (ChainConfig, ChainError, Derivation, Leaf, TruthValue,
-                  apply_rule, backward_chain, format_atom, forward_chain,
-                  load_kb, make_deduction_rule, make_modus_ponens_rule,
-                  make_rule_set, parse_atom)
+from dpln import (ChainConfig, ChainError, Derivation, FormulaWeights, Leaf,
+                  Query, TruthValue, apply_rule, backward_chain, format_atom,
+                  forward_chain, load_kb, make_deduction_rule,
+                  make_modus_ponens_rule, make_rule_set, match, parse_atom)
 from dpln import chainer, deduction_strength
 from dpln.chainer import Constant
 from dpln.pattern import candidates
@@ -141,6 +141,99 @@ def test_forward_chain_determinism():
         return [format_atom(kb, a, with_tv=True) for a in new_atoms]
 
     assert run(11) == run(11)
+
+
+def _rematch_forward_chain(kb, rules, config):
+    """The oracle for ``forward_chain``: the loop it had before it kept its
+    pending list, re-matching every rule over the whole KB on every step."""
+    rng = random.Random(config.seed)
+    applied = set()
+    new_atoms, traces = [], []
+    for _ in range(config.max_steps):
+        pending = []
+        for ri, rule in enumerate(rules):
+            query = Query(variables=list(rule.variables), clauses=list(rule.premises))
+            for binding in match(kb, query):
+                key = (rule.name, tuple(sorted(binding.items())))
+                if key in applied:
+                    continue
+                pending.append((ri, binding, key))
+        if not pending:
+            break
+        rng.shuffle(pending)
+        ri, binding, key = pending[0]
+        applied.add(key)
+        mark = len(kb)
+        conclusion, _, trace = chainer.apply_rule(kb, rules[ri], binding)
+        if conclusion >= mark:
+            new_atoms.append(conclusion)
+            traces.append(trace)
+    return new_atoms, traces
+
+
+# Modus ponens derives Eval(q, x), Eval(r, x) and Eval(r, y), which the
+# connective rules then combine, and re-derives the asserted Eval(q, y);
+# deduction closes a -> b -> c -> d and re-derives the asserted Inh(a, c).
+CLOSURE_KB = """
+(InheritanceLink (stv 0.9 0.8) (ConceptNode "a") (ConceptNode "b"))
+(InheritanceLink (stv 0.8 0.9) (ConceptNode "b") (ConceptNode "c"))
+(InheritanceLink (stv 0.7 0.7) (ConceptNode "c") (ConceptNode "d"))
+(InheritanceLink (stv 0.6 0.9) (ConceptNode "a") (ConceptNode "c"))
+(ConceptNode (stv 0.5 0.9) "b")
+(ConceptNode (stv 0.4 0.9) "c")
+(ImplicationLink (stv 0.9 0.9) (PredicateNode "p") (PredicateNode "q"))
+(ImplicationLink (stv 0.7 0.8) (PredicateNode "q") (PredicateNode "r"))
+(EvaluationLink (stv 0.8 0.9) (PredicateNode "p") (ConceptNode "x"))
+(EvaluationLink (stv 0.6 0.9) (PredicateNode "p") (ConceptNode "y"))
+(EvaluationLink (stv 0.5 0.5) (PredicateNode "q") (ConceptNode "y"))
+"""
+
+
+@pytest.mark.parametrize("duplicated", [False, True])
+def test_forward_chain_equals_full_rematch(monkeypatch, duplicated):
+    """Keeping the pending list fires the same (rule, binding) sequence as
+    re-matching everything on every step, with the same new atoms and truth
+    values, until the list runs empty.  ``duplicated`` adds a second
+    deduction rule and a trainable modus ponens named "modus-ponens", whose
+    (name, binding) keys collide with the originals'."""
+    fired = []
+    apply = chainer.apply_rule
+
+    def recording(kb, rule, binding):
+        fired.append((rule, tuple(sorted(binding.items()))))
+        return apply(kb, rule, binding)
+    monkeypatch.setattr(chainer, "apply_rule", recording)
+
+    def run(chain, seed):
+        _, kb = fresh_kb()
+        load_kb(kb, CLOSURE_KB)
+        rules = make_rule_set(kb)
+        if duplicated:
+            rules += [make_deduction_rule(kb),
+                      make_modus_ponens_rule(kb, name="modus-ponens",
+                                             weights=FormulaWeights.create(kb.tape))]
+        fired.clear()
+        new_atoms, traces = chain(kb, rules, ChainConfig(max_steps=200, seed=seed))
+        sequence = [(next(i for i, r in enumerate(rules) if r is rule), key)
+                    for rule, key in fired]
+        tvs = [(a, kb.get_tv(a).strength.value, kb.get_tv(a).confidence)
+               for a in range(len(kb)) if kb.has_asserted_tv(a)]
+        return kb, sequence, new_atoms, [t.conclusion for t in traces], tvs
+
+    for seed in range(5):
+        kb, sequence, new_atoms, conclusions, tvs = run(_rematch_forward_chain, seed)
+        assert run(chainer.forward_chain, seed)[1:] == (
+            sequence, new_atoms, conclusions, tvs)
+        # the KB exercises what the kept list must get right
+        assert len(sequence) < 200  # the list ran empty
+        assert len(sequence) > len(new_atoms)  # some firings re-derived an atom
+        shapes = {format_atom(kb, a) for a in new_atoms}
+        assert '(InheritanceLink (ConceptNode "a") (ConceptNode "d"))' in shapes
+        derived_evals = {a for a in new_atoms if kb.type_of(a) == "EvaluationLink"}
+        assert len(derived_evals) == 3
+        assert any(kb.type_of(a) == "AndLink"
+                   and set(kb.atom(a).outgoing) <= derived_evals
+                   for a in new_atoms)
 
 
 def test_backward_chain_modus_ponens():

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpln.cli import (ConfigError, ExperimentConfig, main, parse_config_text,
                       run_fruit_colors, run_learn_formula)
@@ -332,3 +334,39 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, case):
     assert main(args) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# -- property: no input exits 2 --------------------------------------------
+
+def _token_text(tokens):
+    """Byte strings built from the format's own tokens, which reach deeper
+    into the parser than uniformly random bytes."""
+    return st.lists(st.sampled_from(tokens), max_size=30).map(
+        lambda parts: "".join(parts).encode())
+
+
+_KB_BYTES = st.binary(max_size=200) | _token_text([
+    "(", ")", " ", "\n", ";", '"', '"a"', '"$P"', "stv", "0.5", "1", "-1",
+    "nan", "1e999", "ConceptNode", "PredicateNode", "VariableNode",
+    "EvaluationLink", "ImplicationLink", "InheritanceLink", "LambdaLink",
+    "NotLink", "AndLink", "BindLink"])
+# no size keys (n_samples, grid_size, ...): a large one is valid and slow
+_CONFIG_BYTES = st.binary(max_size=200) | _token_text([
+    "=", " ", "\n", "#", ";", ".", ",", "[", "]", '"', "lr", "steps", "seed",
+    "out", "fruits", "colors", "probabilities", "apple", "neg_conditional",
+    "0.5", "1", "-1", "1e999", "nan", "true", '"x"'])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kb=_KB_BYTES, config=_CONFIG_BYTES,
+       command=st.sampled_from(["fruit-colors", "learn-formula", "joint"]))
+def test_random_input_never_exits_2(tmp_path, capsys, kb, config, command):
+    """Any bytes as a KB or a config exit 0 or 1, never 2 (internal error)."""
+    kb_path, config_path = tmp_path / "kb.scm", tmp_path / "cfg.txt"
+    kb_path.write_bytes(kb)
+    config_path.write_bytes(config)
+    assert main(["chain", "--kb", str(kb_path), "--forward", "--steps", "5"]) in (0, 1)
+    assert main([command, "--config", str(config_path), "--steps", "1",
+                 "--out", str(tmp_path / "out")]) in (0, 1)
+    assert "internal error" not in capsys.readouterr().err

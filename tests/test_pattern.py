@@ -167,20 +167,31 @@ def _random_kb(rng):
 
 
 def test_match_completeness_brute_force():
-    """match equals exhaustive assignment enumeration on small KBs."""
+    """match equals exhaustive assignment enumeration on small KBs; with
+    ``since`` = m it gives, each once, the bindings under which some clause
+    is an atom with id >= m."""
     rng = random.Random(13)
+    key = lambda b: tuple(sorted(b.items()))
     for _ in range(20):
         kb, present = _random_kb(rng)
         x = kb.node("VariableNode", "$X")
         y = kb.node("VariableNode", "$Y")
         z = kb.node("VariableNode", "$Z")
-        query = Query(variables=[(x, None), (y, None), (z, None)],
+        chain = Query(variables=[(x, None), (y, None), (z, None)],
                       clauses=[kb.link("InheritanceLink", x, y),
                                kb.link("InheritanceLink", y, z)])
-        got = match(kb, query)
-        expected = _brute_force_match(kb, query, present)
-        key = lambda b: tuple(sorted(b.items()))
-        assert sorted(map(key, got)) == sorted(map(key, expected))
+        pair = Query(variables=[(x, "InheritanceLink"), (y, "InheritanceLink")],
+                     clauses=[x, y])
+        # all matching before the brute force, which may intern links
+        runs = [(query, since, list(map(key, match(kb, query, since=since))))
+                for query in (chain, pair)
+                for since in [0] + rng.sample(range(len(kb) + 1), 4)]
+        for query, since, got in runs:
+            expected = [b for b in _brute_force_match(kb, query, present)
+                        if any(substitute(kb, c, b) >= since
+                               for c in query.clauses)]
+            assert len(got) == len(set(got))
+            assert set(got) == set(map(key, expected))
 
 
 def test_match_soundness_and_purity():

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpln import SexprError, format_atom, load_kb, parse_atom
+from dpln.atomspace import TYPES
 
 from conftest import fresh_kb
 
@@ -157,3 +160,49 @@ def test_abbreviated_implication_untouched():
     atom = kb.atom(top)
     assert [kb.type_of(o) for o in atom.outgoing] == \
         ["PredicateNode", "PredicateNode"]
+
+
+# -- property: load, format, load -------------------------------------------
+
+_NODE_TYPES = [name for name, t in TYPES.items() if t.is_node]
+_LINK_TYPES = [name for name, t in TYPES.items() if not t.is_node]
+# a quoted name holds anything but the quote and a line break
+_NAMES = st.text(st.characters(blacklist_characters='"\n'), max_size=6)
+_STV = st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+def _form(head, args, stv):
+    if stv is not None:
+        args = ["(stv %r %r)" % stv] + args
+    return "(%s)" % " ".join([head] + args)
+
+
+_ATOM = st.recursive(
+    st.builds(lambda t, name, stv: _form(t, ['"%s"' % name], stv),
+              st.sampled_from(_NODE_TYPES), _NAMES, _STV),
+    lambda children: st.builds(_form, st.sampled_from(_LINK_TYPES),
+                               st.lists(children, max_size=3), _STV),
+    max_leaves=8)
+
+
+def _shape(kb, atom_id):
+    atom = kb.atom(atom_id)
+    if atom.type.is_node:
+        return (atom.type.name, atom.name)
+    return (atom.type.name,) + tuple(_shape(kb, o) for o in atom.outgoing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ATOM, min_size=1, max_size=6))
+def test_load_format_load_round_trip(forms):
+    """Formatting the loaded top-level atoms and loading that text again
+    gives the same atoms, with the same truth values to format precision."""
+    _, kb = fresh_kb()
+    top = load_kb(kb, "\n".join(forms))
+    _, again = fresh_kb()
+    top2 = load_kb(again, "\n".join(format_atom(kb, a, with_tv=True) for a in top))
+    assert [_shape(again, a) for a in top2] == [_shape(kb, a) for a in top]
+    for a, b in zip(top, top2):
+        tv, tv2 = kb.get_tv(a), again.get_tv(b)
+        assert tv2.strength.value == pytest.approx(tv.strength.value, rel=1e-8)
+        assert tv2.confidence == pytest.approx(tv.confidence, rel=1e-8)

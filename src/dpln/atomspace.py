@@ -106,8 +106,7 @@ class AtomSpace:
         self._link_index: dict[tuple[str, tuple[int, ...]], int] = {}
         self._incoming: dict[int, list[int]] = {}
         self._by_type: dict[str, list[int]] = {}
-        self._tvs: dict[int, TruthValue] = {}
-        self._asserted: set[int] = set()
+        self._tvs: dict[int, TruthValue] = {}  # the asserted atoms
 
     def __len__(self) -> int:
         return len(self._atoms)
@@ -188,7 +187,6 @@ class AtomSpace:
     def set_tv(self, atom_id: int, tv: TruthValue) -> None:
         self.atom(atom_id)
         self._tvs[atom_id] = tv
-        self._asserted.add(atom_id)
 
     def get_tv(self, atom_id: int) -> TruthValue:
         self.atom(atom_id)
@@ -200,7 +198,7 @@ class AtomSpace:
 
     def has_asserted_tv(self, atom_id: int) -> bool:
         self.atom(atom_id)
-        return atom_id in self._asserted
+        return atom_id in self._tvs
 
     # -- convenience constructors -----------------------------------------
 

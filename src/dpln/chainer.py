@@ -10,7 +10,6 @@ conclusion strength.  Backward chaining only reads the KB; a forward firing
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,6 +17,12 @@ from .atomspace import AtomSpace, TruthValue
 from .autodiff import VarRef
 from .pattern import (Binding, Query, candidates, instantiate, lookup, match,
                       substitute, unify, variables_in)
+
+
+# Deepest max_depth backward_chain accepts: the search recurses twice per
+# level and unify once per level of atom nesting (up to sexpr.MAX_DEPTH),
+# and both together stay well under Python's recursion limit of 1000.
+MAX_SEARCH_DEPTH = 200
 
 
 class ChainError(Exception):
@@ -166,14 +171,13 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
                   config: ChainConfig) -> tuple[list[int], list[Derivation]]:
     """Applies rules premises-to-conclusions for up to max_steps steps.
 
-    Each step shuffles the pending (rule, binding) pairs with the seeded RNG
-    and fires the first one; a pair, keyed by rule name and binding, fires
-    at most once.  The pending list is kept across steps (semi-naive
-    evaluation): after a firing, only bindings in which some premise
-    matches an atom it interned are added.  That suffices because ``match``
-    tests atom presence, not truth values, and the KB only grows.  The list
-    is kept in full-match order (rule index, then premise atom ids), so the
-    seeded choice is the one a full re-match on every step would make.
+    Pending (rule, binding) pairs form an unordered pool kept across steps
+    (semi-naive evaluation): after a firing, only bindings in which some
+    premise matches an atom it interned are added.  That suffices because
+    ``match`` tests atom presence, not truth values, and the KB only grows.
+    Each step draws one entry with the seeded RNG and moves the last entry
+    into its place.  A pair, keyed by rule name and binding, fires at most
+    once: a drawn entry whose key has fired is dropped and another drawn.
     Returns the atoms that did not exist before chaining, with traces.
     """
     if not rules:
@@ -183,35 +187,28 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     rng = random.Random(config.seed)
     queries = [Query(variables=list(rule.variables), clauses=list(rule.premises))
                for rule in rules]
-    names = [rule.name for rule in rules]
-    shared = {name for name in names if names.count(name) > 1}
     applied: set[tuple] = set()
-    # ((rule index, *premise atoms), binding), sorted: full-match order
-    pending: list[tuple[tuple, Binding]] = []
+    pending: list[tuple[int, Binding]] = []  # (rule index, binding)
     new_atoms: list[int] = []
     traces: list[Derivation] = []
 
     since = 0  # atoms from here on have not been matched yet
     for _ in range(config.max_steps):
         if since < len(kb):
-            for ri, rule in enumerate(rules):
-                for binding in match(kb, queries[ri], since):
-                    if (rule.name, tuple(sorted(binding.items()))) not in applied:
-                        atoms = [lookup(kb, p, binding) for p in rule.premises]
-                        insort(pending, ((ri, *atoms), binding))
-        if not pending:
+            for ri, query in enumerate(queries):
+                pending.extend((ri, binding) for binding in match(kb, query, since))
+        while pending:
+            i = rng.randrange(len(pending))
+            pending[i], pending[-1] = pending[-1], pending[i]
+            ri, binding = pending.pop()
+            key = (rules[ri].name, tuple(sorted(binding.items())))
+            if key not in applied:
+                break
+        else:  # the pool ran empty without an unfired entry
             break
-        shuffled = pending[:]
-        rng.shuffle(shuffled)
-        order, binding = shuffled[0]
-        rule = rules[order[0]]
-        applied.add((rule.name, tuple(sorted(binding.items()))))
-        del pending[bisect_left(pending, (order,))]
-        if rule.name in shared:
-            pending = [e for e in pending
-                       if names[e[0][0]] != rule.name or e[1] != binding]
+        applied.add(key)
         since = len(kb)
-        conclusion, _, trace = apply_rule(kb, rule, binding)
+        conclusion, _, trace = apply_rule(kb, rules[ri], binding)
         if conclusion >= since:
             new_atoms.append(conclusion)
             traces.append(trace)
@@ -256,9 +253,9 @@ def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
 
 class _Search:
     """The state of one backward_chain query: the KB, the rules and the memo
-    of ground subgoals.  Methods, not nested closures: a recursive closure
-    is a reference cycle, which would keep the memo's traces, and through
-    them the KB, alive until a full garbage collection."""
+    of subgoals, keyed by (pattern, depth).  Methods, not nested closures: a
+    recursive closure is a reference cycle, which would keep the memo's
+    traces, and through them the KB, alive until a full garbage collection."""
 
     def __init__(self, kb: AtomSpace, rules: list[Rule]):
         self.kb = kb
@@ -267,10 +264,8 @@ class _Search:
 
     def solve(self, pattern: int, depth: int) -> list[tuple[Binding, InferenceTrace]]:
         kb, memo = self.kb, self.memo
-        patom = kb.atom(pattern)
-        key = (pattern, depth) if patom.is_ground else None
-        if key is not None and key in memo:
-            return memo[key]
+        if (pattern, depth) in memo:
+            return memo[pattern, depth]
         results: list[tuple[Binding, InferenceTrace]] = []
         # depth 0: asserted KB facts matching the pattern
         for cand in candidates(kb, pattern, {}):
@@ -297,8 +292,7 @@ class _Search:
                     else:
                         results.append((tbind, _derive(kb, rule, full_rb,
                                                        child_traces)))
-        if key is not None:
-            memo[key] = results
+        memo[pattern, depth] = results
         return results
 
     def solve_premises(self, rule: Rule, rb: Binding, depth: int):
@@ -335,5 +329,7 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
     """
     if config.max_depth < 1:
         raise ChainError("max_depth must be >= 1")
+    if config.max_depth > MAX_SEARCH_DEPTH:
+        raise ChainError("max_depth must be <= %d" % MAX_SEARCH_DEPTH)
     return [(binding, trace.strength, trace)
             for binding, trace in _Search(kb, rules).solve(target, config.max_depth)]

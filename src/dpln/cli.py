@@ -146,10 +146,10 @@ class ExperimentConfig:
             if missing:
                 raise ConfigError("probabilities.%s missing color(s): %s"
                                   % (fruit, ", ".join(missing)))
-            for c in self.colors:
-                if type(probs[c]) not in (int, float):
-                    raise ConfigError("probabilities.%s.%s must be a number, "
-                                      "got %r" % (fruit, c, probs[c]))
+            for c in self.colors:  # the range test also rejects nan
+                if type(probs[c]) not in (int, float) or not 0 <= probs[c] <= 1:
+                    raise ConfigError("probabilities.%s.%s must be a number in "
+                                      "[0, 1], got %r" % (fruit, c, probs[c]))
             total = sum(float(probs[c]) for c in self.colors)
             if abs(total - 1.0) > 1e-9:
                 raise ConfigError("probabilities.%s sum to %.12g, expected 1"

@@ -60,6 +60,33 @@ def _tokenize(text: str):
             i = j
 
 
+def _parse_form(tokens: list, pos: int, depth: int):
+    """The form or token at ``pos``, and the next position.  Not a closure:
+    a recursive closure is a reference cycle that keeps the tokens alive."""
+    tok, line = tokens[pos]
+    if tok == "(":
+        if depth > MAX_DEPTH:
+            raise SexprError("forms nest deeper than %d levels" % MAX_DEPTH, line)
+        pos += 1
+        if pos >= len(tokens):
+            raise SexprError("unexpected end of input", line)
+        head, hline = tokens[pos]
+        if not (isinstance(head, tuple) and head[0] == "sym"):
+            raise SexprError("expected a type symbol after '('", hline)
+        pos += 1
+        args = []
+        while True:
+            if pos >= len(tokens):
+                raise SexprError("missing ')'", line)
+            if tokens[pos][0] == ")":
+                return (head[1], args, line), pos + 1
+            arg, pos = _parse_form(tokens, pos, depth + 1)
+            args.append(arg)
+    if tok == ")":
+        raise SexprError("unexpected ')'", line)
+    return tok, pos + 1  # ('str', s) or ('sym', s)
+
+
 def _parse_forms(text: str):
     """Parses the whole text into a list of (form, line) trees.
 
@@ -68,46 +95,21 @@ def _parse_forms(text: str):
     tokens = list(_tokenize(text))
     forms = []
     pos = 0
-
-    def parse_one(pos, depth):
-        tok, line = tokens[pos]
-        if tok == "(":
-            if depth > MAX_DEPTH:
-                raise SexprError("forms nest deeper than %d levels" % MAX_DEPTH,
-                                 line)
-            pos += 1
-            if pos >= len(tokens):
-                raise SexprError("unexpected end of input", line)
-            head, hline = tokens[pos]
-            if not (isinstance(head, tuple) and head[0] == "sym"):
-                raise SexprError("expected a type symbol after '('", hline)
-            pos += 1
-            args = []
-            while True:
-                if pos >= len(tokens):
-                    raise SexprError("missing ')'", line)
-                tok2, line2 = tokens[pos]
-                if tok2 == ")":
-                    return (head[1], args, line), pos + 1
-                arg, pos = parse_one(pos, depth + 1)
-                args.append(arg)
-        if tok == ")":
-            raise SexprError("unexpected ')'", line)
-        return tok, pos + 1  # ('str', s) or ('sym', s)
-
     while pos < len(tokens):
         tok, line = tokens[pos]
         if tok != "(":
             raise SexprError("expected '(' at top level", line)
-        form, pos = parse_one(pos, 1)
+        form, pos = _parse_form(tokens, pos, 1)
         forms.append(form)
     return forms
 
 
 # -- building atoms --------------------------------------------------------
 
-def _build_atom(kb: AtomSpace, form) -> tuple[int, tuple[float, float] | None]:
-    """Interns the atom for a parsed form; returns (id, optional stv)."""
+def _build_atom(kb: AtomSpace, form,
+                stv_ok: bool = True) -> tuple[int, tuple[float, float] | None]:
+    """Interns the atom for a parsed form; returns (id, optional stv).
+    Asserts a child's stv, or rejects any stv if not ``stv_ok``."""
     head, args, line = form
     if head == "stv":
         raise SexprError("(stv ...) is not an atom", line)
@@ -124,9 +126,11 @@ def _build_atom(kb: AtomSpace, form) -> tuple[int, tuple[float, float] | None]:
         elif isinstance(arg, tuple) and arg[0] == "sym":
             raise SexprError("bare symbol %r (names must be quoted)" % arg[1], line)
         elif arg[0] == "stv":
+            if not stv_ok:
+                raise SexprError("a query cannot carry a truth value", arg[2])
             stv = _parse_stv(arg)
         else:
-            child_id, child_stv = _build_atom(kb, arg)
+            child_id, child_stv = _build_atom(kb, arg, stv_ok)
             if child_stv is not None:
                 kb.set_tv(child_id, _make_tv(kb, child_stv))
             children.append(child_id)
@@ -196,11 +200,12 @@ def _normalize_lambda_implication(kb: AtomSpace, atom_id: int) -> int:
 # -- public API ------------------------------------------------------------
 
 def parse_atom(kb: AtomSpace, text: str) -> int:
-    """Parses a single s-expression into an interned atom (no TV attached)."""
+    """Parses a single s-expression into an interned atom.  It writes no
+    truth value: an (stv ...) at any level is a SexprError."""
     forms = _parse_forms(text)
     if len(forms) != 1:
         raise SexprError("expected exactly one form", 1)
-    atom_id, _ = _build_atom(kb, forms[0])
+    atom_id, _ = _build_atom(kb, forms[0], stv_ok=False)
     return atom_id
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -143,6 +144,10 @@ def test_forward_chain_determinism():
     assert run(11) == run(11)
 
 
+def _premise_query(rule):
+    return Query(variables=list(rule.variables), clauses=list(rule.premises))
+
+
 def _rematch_forward_chain(kb, rules, config):
     """The oracle for ``forward_chain``: the loop it had before it kept its
     pending list, re-matching every rule over the whole KB on every step."""
@@ -152,8 +157,7 @@ def _rematch_forward_chain(kb, rules, config):
     for _ in range(config.max_steps):
         pending = []
         for ri, rule in enumerate(rules):
-            query = Query(variables=list(rule.variables), clauses=list(rule.premises))
-            for binding in match(kb, query):
+            for binding in match(kb, _premise_query(rule)):
                 key = (rule.name, tuple(sorted(binding.items())))
                 if key in applied:
                     continue
@@ -191,16 +195,21 @@ CLOSURE_KB = """
 
 @pytest.mark.parametrize("duplicated", [False, True])
 def test_forward_chain_equals_full_rematch(monkeypatch, duplicated):
-    """Keeping the pending list fires the same (rule, binding) sequence as
-    re-matching everything on every step, with the same new atoms and truth
-    values, until the list runs empty.  ``duplicated`` adds a second
-    deduction rule and a trainable modus ponens named "modus-ponens", whose
-    (name, binding) keys collide with the originals'."""
+    """The kept pool fires only pairs a full re-match of the KB offers at
+    that step, each (name, binding) key once; when it runs empty a full
+    re-match offers no unfired pair, and the fired keys and new atoms are
+    those of re-matching everything on every step.  ``duplicated`` adds a
+    second deduction rule and a trainable modus ponens named
+    "modus-ponens", whose (name, binding) keys collide with the
+    originals'."""
     fired = []
     apply = chainer.apply_rule
 
     def recording(kb, rule, binding):
-        fired.append((rule, tuple(sorted(binding.items()))))
+        assert binding in list(match(kb, _premise_query(rule)))
+        key = (rule.name, tuple(sorted(binding.items())))
+        assert key not in fired
+        fired.append(key)
         return apply(kb, rule, binding)
     monkeypatch.setattr(chainer, "apply_rule", recording)
 
@@ -214,20 +223,22 @@ def test_forward_chain_equals_full_rematch(monkeypatch, duplicated):
                                              weights=FormulaWeights.create(kb.tape))]
         fired.clear()
         new_atoms, traces = chain(kb, rules, ChainConfig(max_steps=200, seed=seed))
-        sequence = [(next(i for i, r in enumerate(rules) if r is rule), key)
-                    for rule, key in fired]
-        tvs = [(a, kb.get_tv(a).strength.value, kb.get_tv(a).confidence)
-               for a in range(len(kb)) if kb.has_asserted_tv(a)]
-        return kb, sequence, new_atoms, [t.conclusion for t in traces], tvs
+        assert len(fired) < 200  # the list ran empty
+        offered = {(rule.name, tuple(sorted(binding.items())))
+                   for rule in rules
+                   for binding in match(kb, _premise_query(rule))}
+        assert offered == set(fired)
+        assert [t.conclusion for t in traces] == new_atoms
+        text = functools.partial(format_atom, kb)
+        keys = {(name, frozenset((text(v), text(a)) for v, a in binding))
+                for name, binding in fired}
+        return keys, {text(a) for a in new_atoms}, kb, new_atoms, len(fired)
 
     for seed in range(5):
-        kb, sequence, new_atoms, conclusions, tvs = run(_rematch_forward_chain, seed)
-        assert run(chainer.forward_chain, seed)[1:] == (
-            sequence, new_atoms, conclusions, tvs)
-        # the KB exercises what the kept list must get right
-        assert len(sequence) < 200  # the list ran empty
-        assert len(sequence) > len(new_atoms)  # some firings re-derived an atom
-        shapes = {format_atom(kb, a) for a in new_atoms}
+        keys, shapes, kb, new_atoms, firings = run(_rematch_forward_chain, seed)
+        assert run(chainer.forward_chain, seed)[:2] == (keys, shapes)
+        # the KB exercises what the kept pool must get right
+        assert firings > len(new_atoms)  # some firings re-derived an atom
         assert '(InheritanceLink (ConceptNode "a") (ConceptNode "d"))' in shapes
         derived_evals = {a for a in new_atoms if kb.type_of(a) == "EvaluationLink"}
         assert len(derived_evals) == 3
@@ -583,6 +594,53 @@ def test_chain_config_validation():
     with pytest.raises(ChainError, match="max_depth must be >= 1"):
         backward_chain(kb, [rule], target, ChainConfig(max_depth=0))
     assert backward_chain(kb, [rule], target, ChainConfig(max_steps=0))
+
+
+class _StoreNothing(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_backward_chain_memoizes_every_subgoal(monkeypatch):
+    """On a deduction ladder, each (pattern, depth) subgoal, variable-bearing
+    ones included, is solved once, with the same proofs, bindings,
+    strengths and order as a search whose memo never stores."""
+    _, kb = fresh_kb()
+    n = 6
+    lines = ['(ConceptNode (stv 0.5 0.9) "c%d")' % i for i in range(n + 1)]
+    lines += ['(InheritanceLink (stv 0.9 0.9) (ConceptNode "c%d") '
+              '(ConceptNode "c%d"))' % (i, i + 1) for i in range(n)]
+    load_kb(kb, "\n".join(lines))
+    rules = [make_deduction_rule(kb)]
+    solved = []
+    solve, init = chainer._Search.solve, chainer._Search.__init__
+
+    def counting(self, pattern, depth):
+        if (pattern, depth) not in self.memo:
+            solved.append((pattern, depth))
+        return solve(self, pattern, depth)
+
+    def forgetful(self, kb, rules):
+        init(self, kb, rules)
+        self.memo = _StoreNothing()
+    monkeypatch.setattr(chainer._Search, "solve", counting)
+
+    # Inh(c0, ck) has Catalan(k - 1) proofs
+    for text, proofs in [('(InheritanceLink (ConceptNode "c0") '
+                          '(ConceptNode "c6"))', 42),
+                         ('(InheritanceLink (ConceptNode "c0") '
+                          '(VariableNode "$Z"))', 1 + 1 + 2 + 5 + 14 + 42)]:
+        target = parse_atom(kb, text)
+        solved.clear()
+        got = _proofs(kb, rules, target, n)
+        assert len(got) == proofs
+        assert len(solved) == len(set(solved))
+        assert any(not kb.atom(p).is_ground for p, _ in solved)
+        with monkeypatch.context() as m:
+            m.setattr(chainer._Search, "__init__", forgetful)
+            solved.clear()
+            assert _proofs(kb, rules, target, n) == got
+            assert len(solved) > len(set(solved))
 
 
 def _scan_every_atom(kb, pattern, binding):

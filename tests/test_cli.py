@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dpln.cli import (ConfigError, ExperimentConfig, main, parse_config_text,
                       run_fruit_colors, run_learn_formula)
+from dpln.chainer import MAX_SEARCH_DEPTH
 from dpln.sexpr import MAX_DEPTH
 
 SPARROW_KB = """
@@ -88,6 +89,19 @@ def test_validate_fruit_bad_probabilities():
 
     cfg.true_probabilities = {"apple": {"green": 1.0}}
     with pytest.raises(ConfigError):
+        cfg.validate_fruit()
+
+
+@pytest.mark.parametrize("green, red, bad", [(1.5, -0.5, "green"),
+                                             (-0.5, 1.5, "green"),
+                                             (1.0, float("nan"), "red")])
+def test_validate_fruit_probability_outside_unit_interval(green, red, bad):
+    """Each probability must lie in [0, 1], even when they sum to 1."""
+    cfg = ExperimentConfig(fruits=["apple"], colors=["green", "red"],
+                           true_probabilities={"apple": {"green": green,
+                                                         "red": red}})
+    with pytest.raises(ConfigError, match=r"probabilities\.apple\.%s must "
+                       r"be a number in \[0, 1\]" % bad):
         cfg.validate_fruit()
 
 
@@ -183,6 +197,22 @@ def test_chain_backward_command(tmp_path, capsys):
     # P(A)=1: conclusion strength equals the stored implication strength
     assert "strength 0.7" in out
     assert '(PredicateNode "green")' in out
+
+
+def test_chain_depth_bound(tmp_path, capsys):
+    """--depth up to MAX_SEARCH_DEPTH runs; above it exits 1, never with
+    a RecursionError's exit 2."""
+    kb_path = tmp_path / "kb.scm"
+    kb_path.write_text('(InheritanceLink (stv 0.9 0.9) (ConceptNode "a") '
+                       '(ConceptNode "b"))\n')
+    chain = ["chain", "--kb", str(kb_path), "--target",
+             '(InheritanceLink (ConceptNode "a") (ConceptNode "b"))', "--depth"]
+    assert main(chain + [str(MAX_SEARCH_DEPTH)]) == 0
+    assert "strength 0.9" in capsys.readouterr().out
+    for depth in (MAX_SEARCH_DEPTH + 1, 10 ** 6):
+        assert main(chain + [str(depth)]) == 1
+        assert ("max_depth must be <= %d" % MAX_SEARCH_DEPTH
+                in capsys.readouterr().err)
 
 
 def test_chain_backward_underivable_is_empty_success(tmp_path, capsys):
@@ -310,6 +340,13 @@ BAD_INPUTS = {
                           "lr must be positive and finite"),
     "KB BindLink": (["chain", "--kb", "{bindlink}", "--forward"],
                     "line 2: unknown atom type 'BindLink'"),
+    "--target with a nested stv": (["chain", "--kb", "{kb}", "--target",
+                                    '(InheritanceLink (ConceptNode "sparrow")'
+                                    '\n(ConceptNode (stv 0.3 0.9) "animal"))'],
+                                   "line 2: a query cannot carry a truth value"),
+    "fruit probability above 1": (["fruit-colors", "--config", "{bad_prob}"],
+                                  "probabilities.apple.green must be a "
+                                  "number in [0, 1]"),
 }
 
 
@@ -318,13 +355,16 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, case):
     paths = {"kb": tmp_path / "kb.scm", "cfg": tmp_path / "cfg.txt",
              "raw": tmp_path / "latin1.txt", "big_lr": tmp_path / "lr.txt",
              "dir": tmp_path / "a-directory",
-             "bindlink": tmp_path / "bindlink.scm"}
+             "bindlink": tmp_path / "bindlink.scm",
+             "bad_prob": tmp_path / "bad_prob.txt"}
     paths["kb"].write_text(SPARROW_KB)
     paths["cfg"].write_text(FRUIT_CONFIG)
     paths["raw"].write_bytes(b'(ConceptNode "caf\xe9")\n')
     paths["big_lr"].write_text("lr = 1e999\n")
     paths["bindlink"].write_text('(ConceptNode "a")\n'
                                  '(BindLink (ConceptNode "a"))\n')
+    paths["bad_prob"].write_text(FRUIT_CONFIG.replace("0.7", "1.5")
+                                 .replace("0.3", "-0.5"))
     paths["dir"].mkdir()
     template, message = BAD_INPUTS[case]
     args = [a.format(**{k: str(v) for k, v in paths.items()})

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +64,43 @@ def test_parse_atom_no_tv_attached():
                           '(ConceptNode "apple-001"))')
     assert kb.type_of(atom) == "EvaluationLink"
     assert not kb.has_asserted_tv(atom)
+
+
+@pytest.mark.parametrize("target, line", [
+    ('(InheritanceLink (ConceptNode (stv 0.3 0.9) "a") (ConceptNode "c"))', 1),
+    ('(InheritanceLink (stv 0.3 0.9)\n(ConceptNode "a") (ConceptNode "c"))', 1),
+    ('(InheritanceLink (ConceptNode "a")\n(ListLink (ListLink '
+     '(ConceptNode (stv 0.3 0.9) "c"))))', 2)])
+def test_parse_atom_rejects_stv_at_any_level(target, line):
+    """A query writes no truth value: parsing a target with an (stv ...)
+    anywhere fails at its line and leaves every asserted value as it was."""
+    _, kb = fresh_kb()
+    load_kb(kb, '(ConceptNode (stv 0.5 0.9) "a")\n(ConceptNode "c")')
+
+    def asserted():
+        return {a: (kb.get_tv(a).strength.value, kb.get_tv(a).confidence)
+                for a in range(len(kb)) if kb.has_asserted_tv(a)}
+    before = asserted()
+    with pytest.raises(SexprError, match="line %d: a query cannot carry a "
+                       "truth value" % line):
+        parse_atom(kb, target)
+    assert asserted() == before
+
+
+def test_parsing_leaves_no_cyclic_garbage():
+    """The parser holds no reference cycle, so the token list of a large KB
+    is freed as soon as parsing ends, without a garbage collection."""
+    _, kb = fresh_kb()
+    text = "\n".join('(InheritanceLink (stv 0.9 0.9) (ConceptNode "a%d") '
+                     '(ConceptNode "b%d"))' % (i, i) for i in range(1000))
+    gc.disable()
+    try:
+        gc.collect()
+        load_kb(kb, text)
+        parse_atom(kb, '(InheritanceLink (ConceptNode "a1") (ConceptNode "b1"))')
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_parse_atom_rejects_multiple_forms():

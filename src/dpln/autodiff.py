@@ -6,12 +6,15 @@ time; ``backward`` is a single reverse sweep over the record list.
 
 The tape supports checkpoint/rollback (``mark`` / ``reset_to``) so a training
 loop can keep leaf parameters alive while re-tracing the formula graph on
-every step.
+every step.  When a traced graph does not change from step to step,
+``trace_loss`` compiles it once into straight-line Python that recomputes it
+in place.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 LOG_EPS = 1e-7
 
@@ -32,11 +35,15 @@ class VarRef:
     @property
     def value(self) -> float:
         self._check_live()
+        if self.tape._reads is not None:
+            self.tape._reads.append(self.index)
         return self.tape._values[self.index]
 
     @value.setter
     def value(self, x: float) -> None:
         self._check_live()
+        if self.tape._reads is not None:
+            self.tape._reads.append(self.index)
         self.tape._values[self.index] = x
 
     @property
@@ -74,11 +81,14 @@ class Tape:
     def __init__(self):
         self._values: list[float] = []
         self._grads: list[float] = []
-        # per record: tuple of (input_index, local_partial) pairs; () for leaves
+        # per record: (opcode, input, partial) or (opcode, input, partial,
+        # input, partial), the opcode being the method name; () for leaves
         self._deps: list[tuple] = []
         self._param_indices: set[int] = set()
         self.param_names: dict[int, str] = {}
         self._const_cache: dict[float, int] = {}
+        # indices whose value was read or set while trace_loss traces
+        self._reads: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self._values)
@@ -91,11 +101,11 @@ class Tape:
 
     # -- construction -----------------------------------------------------
 
-    def _record(self, value: float, deps: tuple) -> VarRef:
+    def _record(self, value: float, rec: tuple) -> VarRef:
         i = len(self._values)
         self._values.append(value)
         self._grads.append(0.0)
-        self._deps.append(deps)
+        self._deps.append(rec)
         return VarRef(self, i)
 
     def constant(self, x: float) -> VarRef:
@@ -135,33 +145,34 @@ class Tape:
     def add(self, a: VarRef, b: VarRef) -> VarRef:
         self._pair(a, b)
         return self._record(self._values[a.index] + self._values[b.index],
-                            ((a.index, 1.0), (b.index, 1.0)))
+                            ("add", a.index, 1.0, b.index, 1.0))
 
     def sub(self, a: VarRef, b: VarRef) -> VarRef:
         self._pair(a, b)
         return self._record(self._values[a.index] - self._values[b.index],
-                            ((a.index, 1.0), (b.index, -1.0)))
+                            ("sub", a.index, 1.0, b.index, -1.0))
 
     def mul(self, a: VarRef, b: VarRef) -> VarRef:
         self._pair(a, b)
         va, vb = self._values[a.index], self._values[b.index]
-        return self._record(va * vb, ((a.index, vb), (b.index, va)))
+        return self._record(va * vb, ("mul", a.index, vb, b.index, va))
 
     def div(self, a: VarRef, b: VarRef) -> VarRef:
         self._pair(a, b)
         va, vb = self._values[a.index], self._values[b.index]
         if vb == 0.0:
             raise AutodiffError("division by zero")
-        return self._record(va / vb,
-                            ((a.index, 1.0 / vb), (b.index, -va / (vb * vb))))
+        return self._record(va / vb, ("div", a.index, 1.0 / vb,
+                                      b.index, -va / (vb * vb)))
 
     def neg(self, a: VarRef) -> VarRef:
         self._one(a)
-        return self._record(-self._values[a.index], ((a.index, -1.0),))
+        return self._record(-self._values[a.index], ("neg", a.index, -1.0))
 
     def one_minus(self, a: VarRef) -> VarRef:
         self._one(a)
-        return self._record(1.0 - self._values[a.index], ((a.index, -1.0),))
+        return self._record(1.0 - self._values[a.index],
+                            ("one_minus", a.index, -1.0))
 
     def log(self, a: VarRef) -> VarRef:
         """Natural log of the input clamped into [LOG_EPS, 1].
@@ -173,12 +184,12 @@ class Tape:
         x = self._values[a.index]
         v = min(max(x, LOG_EPS), 1.0)
         partial = 1.0 / v if LOG_EPS <= x <= 1.0 else 0.0
-        return self._record(math.log(v), ((a.index, partial),))
+        return self._record(math.log(v), ("log", a.index, partial))
 
     def sigmoid(self, a: VarRef) -> VarRef:
         self._one(a)
         s = _stable_sigmoid(self._values[a.index])
-        return self._record(s, ((a.index, s * (1.0 - s)),))
+        return self._record(s, ("sigmoid", a.index, s * (1.0 - s)))
 
     def clamp01(self, a: VarRef) -> VarRef:
         """Clamp into [0, 1]; identity gradient inside, zero outside."""
@@ -186,7 +197,7 @@ class Tape:
         x = self._values[a.index]
         v = min(max(x, 0.0), 1.0)
         partial = 1.0 if 0.0 <= x <= 1.0 else 0.0
-        return self._record(v, ((a.index, partial),))
+        return self._record(v, ("clamp01", a.index, partial))
 
     # -- gradients --------------------------------------------------------
 
@@ -204,8 +215,11 @@ class Tape:
             a = adjoint[i]
             if a == 0.0:
                 continue
-            for j, partial in deps[i]:
-                adjoint[j] += a * partial
+            rec = deps[i]
+            if rec:
+                adjoint[rec[1]] += a * rec[2]
+                if len(rec) > 3:
+                    adjoint[rec[3]] += a * rec[4]
         grads = self._grads
         for i in range(n):
             if adjoint[i] != 0.0:
@@ -234,3 +248,135 @@ class Tape:
         self._param_indices = {i for i in self._param_indices if i < mark}
         self.param_names = {i: n for i, n in self.param_names.items() if i < mark}
         self._const_cache = {v: i for v, i in self._const_cache.items() if i < mark}
+
+
+# -- compiled replay ----------------------------------------------------------
+
+# Per opcode, the statement that recomputes a record {0} from its inputs {1}
+# and {2} in the value list ``v``, and per input the term ``backward`` adds
+# to that input's adjoint, for the record's adjoint ``d``.  Both are written
+# exactly as the Tape methods compute them (a partial of 1 or -1 is left
+# out: it multiplies exactly), so a replay gives bit-identical values and
+# grads.  Generated code is built from these strings and integer
+# indices alone.
+_FORWARD = {
+    "add": "v[{0}] = v[{1}] + v[{2}]",
+    "sub": "v[{0}] = v[{1}] - v[{2}]",
+    "mul": "v[{0}] = v[{1}] * v[{2}]",
+    "div": "if v[{2}] == 0.0: raise AutodiffError('division by zero')\n"
+           "    v[{0}] = v[{1}] / v[{2}]",
+    "neg": "v[{0}] = -v[{1}]",
+    "one_minus": "v[{0}] = 1.0 - v[{1}]",
+    "log": "v[{0}] = log(min(max(v[{1}], LOG_EPS), 1.0))",
+    "sigmoid": "x = v[{1}]; v[{0}] = "
+               "1.0 / (1.0 + exp(-x)) if x >= 0 else exp(x) / (1.0 + exp(x))",
+    "clamp01": "v[{0}] = min(max(v[{1}], 0.0), 1.0)",
+}
+_ADJOINT = {
+    "add": ("d", "d"),
+    "sub": ("d", "-d"),
+    "mul": ("d * v[{2}]", "d * v[{1}]"),
+    "div": ("d * (1.0 / v[{2}])", "d * (-v[{1}] / (v[{2}] * v[{2}]))"),
+    "neg": ("-d",),
+    "one_minus": ("-d",),
+    "log": ("d * (1.0 / v[{1}] if LOG_EPS <= v[{1}] <= 1.0 else 0.0)",),
+    "sigmoid": ("d * (v[{0}] * (1.0 - v[{0}]))",),
+    "clamp01": ("d * (1.0 if 0.0 <= v[{1}] <= 1.0 else 0.0)",),
+}
+# records per generated function: small sources keep compile memory flat
+_CHUNK = 64
+
+
+def trace_loss(tape: Tape, loss_fn: Callable[[], VarRef]
+               ) -> tuple[VarRef, Callable[[], None] | None]:
+    """Calls ``loss_fn()`` once and compiles the graph it traced.
+
+    Returns ``(loss, replay)``.  ``replay()`` recomputes in place every
+    record traced here that depends on a parameter, from the parameters'
+    current values, then adds d(loss)/d(parameter) into the grads as
+    ``backward(loss)`` does, with the same operations in the same order:
+    values and grads are bit-identical to re-tracing ``loss_fn``.
+
+    ``replay`` is None, and the graph must be re-traced each time, when the
+    trace may differ from call to call or cannot be replayed: ``loss_fn``
+    read or set the ``value`` of a parameter or of a record that depends on
+    one (it may branch on it), created a parameter, used a record from
+    before the call that has inputs, returned a record from before the
+    call, or built a loss that depends on no parameter.
+    """
+    mark = len(tape)
+    outer = tape._reads  # a trace_loss further up the stack also sees these
+    reads = tape._reads = [] if outer is None else outer
+    try:
+        loss = loss_fn()
+    finally:
+        tape._reads = outer
+    tape._one(loss)
+    return loss, _compile(tape, mark, loss.index, set(reads))
+
+
+def _compile(tape: Tape, mark: int, loss: int,
+             reads: set[int]) -> Callable[[], None] | None:
+    deps, params = tape._deps, sorted(tape._param_indices)
+    if loss < mark or params and params[-1] >= mark:
+        return None
+    # adjoint slot of every parameter and every record that depends on one
+    slot = {i: n for n, i in enumerate(params)}
+    for i in range(mark, len(deps)):
+        inputs = deps[i][1::2]
+        if any(j < mark and deps[j] for j in inputs):
+            return None
+        if any(j in slot for j in inputs):
+            slot[i] = len(slot)
+    if loss not in slot or not reads.isdisjoint(slot):
+        return None
+
+    forward = ["    " + _FORWARD[deps[i][0]].format(i, *deps[i][1::2])
+               for i in list(slot)[len(params):]]
+    backward = []
+    needed = {loss}  # records with a path to the loss
+    for i in range(loss, mark - 1, -1):
+        if i not in needed:
+            continue
+        rec = deps[i]
+        inputs = rec[1::2]
+        lines = ["    d = g[%d]" % slot[i], "    if d:"]
+        for j, term in zip(inputs, _ADJOINT[rec[0]]):
+            if j in slot:
+                needed.add(j)
+                lines.append("        g[%d] += %s" % (slot[j],
+                                                     term.format(i, *inputs)))
+        backward.append("\n".join(lines))
+    run_forward = _functions(forward, "v")
+    run_backward = _functions(backward, "v, g")
+    grad_slots = [(p, slot[p]) for p in params if p in needed]
+    size, out = len(slot), slot[loss]
+
+    def replay() -> None:
+        values = tape._values
+        for f in run_forward:
+            f(values)
+        adjoint = [0.0] * size
+        adjoint[out] = 1.0
+        for f in run_backward:
+            f(values, adjoint)
+        grads = tape._grads
+        for i, s in grad_slots:
+            if adjoint[s] != 0.0:
+                grads[i] += adjoint[s]
+    return replay
+
+
+def _functions(blocks: list[str], args: str) -> list[Callable]:
+    """Compiles the code blocks into functions of ``_CHUNK`` blocks each.
+    The functions are taken out of their namespace, so none of them is in a
+    reference cycle."""
+    namespace = {"__builtins__": {}, "AutodiffError": AutodiffError,
+                 "LOG_EPS": LOG_EPS, "exp": math.exp, "log": math.log,
+                 "max": max, "min": min}
+    functions = []
+    for start in range(0, len(blocks), _CHUNK):
+        body = "\n".join(blocks[start:start + _CHUNK])
+        exec("def f(%s):\n%s" % (args, body), namespace)
+        functions.append(namespace.pop("f"))
+    return functions

@@ -62,13 +62,14 @@ def unify(kb: AtomSpace, pattern: int, ground: int,
     if not kb.atom(ground).is_ground:
         return None
     result = dict(binding) if binding else {}
-    if pattern == ground or _unify_into(kb, pattern, ground, result,
-                                        constraints or {}):
+    if _unify_into(kb, pattern, ground, result, constraints or {}):
         return result
     return None
 
 
 def _unify_into(kb, pattern, ground, binding, constraints) -> bool:
+    if pattern == ground:  # interned: equal ids are equal subtrees
+        return True
     p = kb.atom(pattern)
     if p.type.name == "VariableNode":
         bound = binding.get(pattern)

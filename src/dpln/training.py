@@ -2,10 +2,11 @@
 
 Learnable truth-value strengths are parametrized as the sigmoid of an
 unconstrained logit, so they stay strictly inside (0, 1) no matter how large
-the optimizer steps are.  ``fit`` is the one training loop: every step it
-rolls the tape back and re-traces the loss from scratch.  ``train`` runs the
-proof search (which is purely structural) once and replays its traces in
-each step's loss.
+the optimizer steps are.  ``fit`` is the one training loop: it traces the
+loss once and replays that trace as compiled code, or re-traces the loss
+every step when it reads values computed from the parameters.  ``train``
+runs the proof search (which is purely structural) once and replays its
+traces in each step's loss.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
-from .autodiff import Tape, VarRef, _stable_sigmoid
+from .autodiff import Tape, VarRef, _stable_sigmoid, trace_loss
 from .chainer import ChainConfig, Derivation, Rule, backward_chain, commit
 from .sexpr import format_atom
 
@@ -129,19 +130,33 @@ def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
         learning_rate: float, steps: int) -> list[float]:
     """The training loop: gradient descent on ``loss_fn()`` over ``params``.
 
-    Each step rolls the tape back to its length on entry, re-traces the loss,
-    backpropagates, applies SGD and zeroes the grads; the tape is rolled
-    back once more before returning.  Returns the loss of every step.
+    Step 0 rolls the tape back to its length on entry and traces the loss;
+    every step backpropagates, applies SGD and zeroes the grads, and the
+    tape is rolled back once more before returning.  Returns the loss of
+    every step.
+
+    ``loss_fn`` must build its loss from tape values alone, so that each
+    call traces the same graph: later steps then replay step 0's trace as
+    compiled code (``trace_loss``) instead of calling ``loss_fn`` again.
+    If step 0 reads the ``value`` of a parameter or of anything computed
+    from one, every step rolls the tape back and re-traces ``loss_fn``.
     """
     if not params:
         raise TrainError("params must be nonempty")
     tape = params[0].tape
     mark = tape.mark()
     losses = []
-    for _ in range(steps):
-        tape.reset_to(mark)
-        loss = loss_fn()
-        tape.backward(loss)
+    replay = None
+    for step in range(steps):
+        if replay is not None:
+            replay()
+        else:
+            tape.reset_to(mark)
+            if step == 0 and steps > 1:
+                loss, replay = trace_loss(tape, loss_fn)
+            else:
+                loss = loss_fn()
+            tape.backward(loss)
         sgd_step(params, learning_rate)
         losses.append(loss.value)
         tape.zero_grads()

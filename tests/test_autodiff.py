@@ -5,7 +5,8 @@ import weakref
 
 import pytest
 
-from dpln import AtomSpace, AutodiffError, Tape, make_rule_set
+from dpln import AtomSpace, AutodiffError, Tape, fit, make_rule_set
+from dpln.autodiff import trace_loss
 
 from conftest import (analytic_grads, assert_grads_close, finite_diff_grads,
                       interior)
@@ -181,15 +182,24 @@ def test_reset_keeps_parameters_below_mark():
 
 
 def test_dropped_tape_with_parameters_is_freed_without_gc():
-    """A tape holding parameters is not in a reference cycle: dropping its
-    last reference frees it at once, with the cycle collector off."""
+    """A tape holding parameters is not in a reference cycle, also after a
+    compiled fit: dropping its last reference frees it at once, with the
+    cycle collector off."""
     gc.disable()
     try:
         kb = AtomSpace(Tape())
         rules = make_rule_set(kb)
+        params = kb.tape.parameters
+        assert params
+        calls = []
+
+        def loss():
+            calls.append(1)
+            return kb.tape.mul(params[0], params[0])
+        fit(params, loss, 0.1, 3)
+        assert len(calls) == 1  # steps 1 and 2 ran the compiled replay
         tape = weakref.ref(kb.tape)
-        assert tape().parameters
-        del kb, rules
+        del kb, rules, params, loss
         assert tape() is None
     finally:
         gc.enable()
@@ -280,3 +290,63 @@ def test_primitive_gradient_checks_many_points():
         for _ in range(100):
             x, y = interior(rng), interior(rng, 0.2, 0.95)
             assert_grads_close(build, [x, y])
+
+
+def _branchy(t, p):
+    s = t.sigmoid(p)
+    return t.mul(s, s) if s.value > 0.5 else s
+
+
+def test_trace_loss_declines_what_it_cannot_replay():
+    t = Tape()
+    p = t.parameter(0.5)
+    c = t.constant(2.0)
+    derived = t.sigmoid(p)  # a record with inputs, traced before the loss
+    cases = {
+        "reads a parameter": lambda: t.mul(p, t.constant(p.value)),
+        "reads a value computed from one": lambda: _branchy(t, p),
+        "creates a parameter": lambda: t.mul(p, t.parameter(1.0)),
+        "depends on no parameter": lambda: t.mul(c, c),
+        "uses a derived record from before": lambda: t.mul(derived, p),
+        "returns a record from before": lambda: p,
+    }
+    for name, loss_fn in cases.items():
+        mark = t.mark()
+        _, replay = trace_loss(t, loss_fn)
+        assert replay is None, name
+        t.reset_to(mark)
+    # reading a value that depends on no parameter is fine
+    assert trace_loss(t, lambda: t.mul(p, t.constant(c.value)))[1] is not None
+
+
+def _clamped_expression(t, refs):
+    """div, sub, clamp01 and logs whose inputs leave [1e-7, 1] for some
+    parameter values."""
+    a, b, c, d = refs
+    q = t.div(t.sub(a, b), t.add(t.sigmoid(c), t.constant(0.5)))
+    return t.add(t.log(t.clamp01(t.mul(q, d))),
+                 t.mul(t.log(t.add(q, t.constant(0.5))), t.one_minus(d)))
+
+
+def test_replay_matches_retrace_bit_for_bit():
+    """After the parameters move, a replay of the traced graph gives the same
+    loss and grads, bit for bit, as tracing the graph afresh."""
+    rng = random.Random(31)
+    builds = [_random_expression(rng) for _ in range(20)]
+    builds.append(_clamped_expression)
+    for build in builds:
+        t = Tape()
+        refs = [t.parameter(interior(rng, -0.9, 0.9)) for _ in range(4)]
+        loss, replay = trace_loss(t, lambda: build(t, refs))
+        assert replay is not None
+        for _ in range(5):
+            for r in refs:
+                r.value = interior(rng, -2.0, 2.0)
+            fresh = Tape()
+            fresh_refs = [fresh.parameter(r.value) for r in refs]
+            fresh_loss = build(fresh, fresh_refs)
+            fresh.backward(fresh_loss)
+            t.zero_grads()
+            replay()
+            assert loss.value == fresh_loss.value
+            assert [r.grad for r in refs] == [r.grad for r in fresh_refs]

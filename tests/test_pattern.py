@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -50,6 +51,20 @@ def test_unify_repeated_variable_consistent():
     pattern = kb.link("ListLink", x, x)
     assert unify(kb, pattern, ground) == {x: a}
 
+
+def test_unify_stops_at_identical_subtrees():
+    """A subtree shared by pattern and ground atom is one interned id, so
+    unify does not walk it: a ListLink nested deeper than the recursion
+    limit unifies without a RecursionError."""
+    _, kb = fresh_kb()
+    deep = kb.node("ConceptNode", "t")
+    for _ in range(sys.getrecursionlimit() + 100):
+        deep = kb.link("ListLink", deep)
+    y = kb.node("VariableNode", "$Y")
+    c = kb.node("ConceptNode", "c")
+    pattern = kb.link("InheritanceLink", deep, y)
+    ground = kb.link("InheritanceLink", deep, c)
+    assert unify(kb, pattern, ground) == {y: c}
 
 def test_unify_type_constraint():
     _, kb = fresh_kb()

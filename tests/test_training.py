@@ -4,10 +4,11 @@ from collections import Counter
 
 import pytest
 
-from dpln import (LabeledExample, LearnableStrength, Tape, TrainConfig,
-                  TrainError, TruthValue, UnderivableTargetError,
-                  cross_entropy, empirical_frequency, fit, make_deduction_rule,
-                  make_modus_ponens_rule, sgd_step, train)
+from dpln import (AutodiffError, FormulaWeights, LabeledExample,
+                  LearnableStrength, Tape, TrainConfig, TrainError, TruthValue,
+                  UnderivableTargetError, cross_entropy, empirical_frequency,
+                  fit, make_deduction_rule, make_modus_ponens_rule, sgd_step,
+                  train, trainable_mp_strength)
 
 from conftest import fresh_kb
 
@@ -154,8 +155,8 @@ def test_learnable_strength_refresh_updates_tv():
 
 
 def test_fit_minimizes_and_rolls_back():
-    """fit re-traces the loss each step from the tape length on entry and
-    leaves the tape at that length."""
+    """fit traces the loss from the tape length on entry and leaves the tape
+    at that length."""
     t = Tape()
     p = t.parameter(3.0)
     mark = t.mark()
@@ -170,6 +171,112 @@ def test_fit_minimizes_and_rolls_back():
     with pytest.raises(TrainError):
         fit([], lambda: p, 0.1, 1)
 
+
+
+def _retrace_fit(params, loss_fn, learning_rate, steps):
+    """fit's loop with a fresh trace of the loss every step: the reference
+    that fit's compiled replay must match bit for bit."""
+    tape = params[0].tape
+    mark = tape.mark()
+    losses = []
+    for _ in range(steps):
+        tape.reset_to(mark)
+        loss = loss_fn()
+        tape.backward(loss)
+        sgd_step(params, learning_rate)
+        losses.append(loss.value)
+        tape.zero_grads()
+    tape.reset_to(mark)
+    return losses
+
+
+def _fit_both(build, values, learning_rate, steps):
+    """Runs fit and _retrace_fit on ``build(tape, params)`` from fresh tapes.
+    Returns each one's losses, final parameter values and loss_fn calls."""
+    runs = []
+    for train_loop in (fit, _retrace_fit):
+        t = Tape()
+        params = [t.parameter(v) for v in values]
+        calls = []
+
+        def loss():
+            calls.append(1)
+            return build(t, params)
+        losses = train_loop(params, loss, learning_rate, steps)
+        runs.append((losses, [p.value for p in params], len(calls)))
+    return runs
+
+
+def test_fit_replay_matches_retrace_on_learn_formula():
+    """A learn-formula fit traces its loss once and replays it; losses and
+    weights are bit-identical to re-tracing every step."""
+    grid = [i / 4 for i in range(5)]
+    points = [(x, y) for x in grid for y in grid]
+    targets = [y * x + 0.2 * (1.0 - x) for x, y in points]
+
+    def build(t, params):
+        weights = FormulaWeights(*params)
+        return cross_entropy([trainable_mp_strength(t.constant(x),
+                                                    t.constant(y), weights)
+                              for x, y in points], targets)
+
+    compiled, retraced = _fit_both(build, [0.1, -0.2, 0.3, 0.0], 2.0, 40)
+    assert compiled[2] == 1 and retraced[2] == 40
+    assert compiled[:2] == retraced[:2]
+
+
+def test_fit_replay_matches_retrace_across_clamps():
+    """div, sub, clamp01 and a log whose input crosses the log's clamp at 1
+    replay bit-identically."""
+    def build(t, params):
+        p, q = params
+        x = t.div(t.sub(p, t.constant(0.2)), q)
+        y = t.clamp01(t.sub(x, t.constant(0.5)))
+        return t.add(t.neg(t.log(x)), t.mul(t.constant(0.5), t.mul(y, y)))
+
+    compiled, retraced = _fit_both(build, [0.6, 0.8], 0.5, 60)
+    assert compiled[2] == 1
+    assert compiled[:2] == retraced[:2]
+    xs = []
+
+    def observed(t, params):  # reading values makes fit re-trace as well
+        p, q = params
+        xs.append((p.value - 0.2) / q.value)
+        return build(t, params)
+    _fit_both(observed, [0.6, 0.8], 0.5, 60)
+    assert min(xs) < 1.0 < max(xs)
+
+
+def test_fit_retraces_a_loss_that_branches_on_a_parameter():
+    """A loss that reads a parameter's value may trace a different graph on
+    each step, so fit re-traces it every step."""
+    signs = set()
+
+    def build(t, params):
+        p, = params
+        signs.add(p.value > 0)
+        d = t.sub(p, t.constant(-1.0 if p.value > 0 else 1.0))
+        return t.mul(d, d)
+
+    compiled, retraced = _fit_both(build, [0.3], 0.4, 12)
+    assert compiled == retraced
+    assert compiled[2] == 12
+    assert signs == {True, False}  # both branches ran
+
+
+def test_fit_replay_raises_division_by_zero_at_its_step():
+    """p falls by exactly 1 per step, so 1/(p - 1) divides by zero on step 2;
+    its zero weight keeps it out of the gradient."""
+    for train_loop in (fit, _retrace_fit):
+        t = Tape()
+        p = t.parameter(3.0)
+
+        def loss():
+            inv = t.div(t.constant(1.0), t.sub(p, t.constant(1.0)))
+            return t.add(p, t.mul(t.constant(0.0), inv))
+        with pytest.raises(AutodiffError):
+            train_loop([p], loss, 1.0, 5)
+        assert p.value == 1.0
 
 def test_learnable_strength_stays_in_unit_interval():
     """sigmoid parametrization keeps the strength in (0,1) under large,

@@ -79,9 +79,7 @@ class TruthValue:
     confidence: float = 0.0
 
     def __post_init__(self):
-        v = self.strength.value
-        if not -1e-9 <= v <= 1.0 + 1e-9:
-            raise AtomSpaceError("strength %g outside [0, 1]" % v)
+        self.strength.tape.check_unit(self.strength, AtomSpaceError, "strength")
         if not 0.0 <= self.confidence <= 1.0:
             raise AtomSpaceError("confidence %g outside [0, 1]" % self.confidence)
 

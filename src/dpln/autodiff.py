@@ -8,7 +8,7 @@ The tape supports checkpoint/rollback (``mark`` / ``reset_to``) so a training
 loop can keep leaf parameters alive while re-tracing the formula graph on
 every step.  When a traced graph does not change from step to step,
 ``trace_loss`` compiles it once into straight-line Python that recomputes it
-in place.
+in place; range checks made with ``check_unit`` become guards in that code.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import math
 from typing import Callable
 
 LOG_EPS = 1e-7
+# slack of ``Tape.check_unit``: values within it of [0, 1] pass
+UNIT_TOL = 1e-9
 
 
 class AutodiffError(Exception):
@@ -89,6 +91,9 @@ class Tape:
         self._const_cache: dict[float, int] = {}
         # indices whose value was read or set while trace_loss traces
         self._reads: list[int] | None = None
+        # check_unit calls made while trace_loss traces, in trace order:
+        # (record count at the check, checked index, error class, label)
+        self._guards: list[tuple] | None = None
 
     def __len__(self) -> int:
         return len(self._values)
@@ -199,6 +204,26 @@ class Tape:
         partial = 1.0 if 0.0 <= x <= 1.0 else 0.0
         return self._record(v, ("clamp01", a.index, partial))
 
+    # -- range checks -----------------------------------------------------
+
+    def check_unit(self, a: VarRef, error: type, label: str) -> None:
+        """Raises ``error("<label> <value> outside [0, 1]")`` unless a's
+        value lies within ``UNIT_TOL`` of [0, 1].
+
+        The check reads no ``value``, so a traced loss that makes it still
+        compiles: ``trace_loss`` keeps it as a guard that the replay re-tests
+        at the same point of every step.
+        """
+        i = a.index
+        values = self._values
+        if a.tape is not self or i >= len(values):
+            self._one(a)
+        v = values[i]
+        if not -UNIT_TOL <= v <= 1.0 + UNIT_TOL:
+            raise _unit_error(error, label, v)
+        if self._guards is not None:
+            self._guards.append((len(values), i, error, label))
+
     # -- gradients --------------------------------------------------------
 
     def backward(self, loss: VarRef) -> None:
@@ -250,6 +275,10 @@ class Tape:
         self._const_cache = {v: i for v, i in self._const_cache.items() if i < mark}
 
 
+def _unit_error(error: type, label: str, value: float) -> Exception:
+    return error("%s %g outside [0, 1]" % (label, value))
+
+
 # -- compiled replay ----------------------------------------------------------
 
 # Per opcode, the statement that recomputes a record {0} from its inputs {1}
@@ -283,6 +312,10 @@ _ADJOINT = {
     "sigmoid": ("d * (v[{0}] * (1.0 - v[{0}]))",),
     "clamp01": ("d * (1.0 if 0.0 <= v[{1}] <= 1.0 else 0.0)",),
 }
+# the replayed ``check_unit`` of value {0}, raising from guard {1}'s
+# (error class, label) in ``guards``
+_GUARD = ("if not -UNIT_TOL <= v[{0}] <= 1.0 + UNIT_TOL: "
+          "raise unit_error(*guards[{1}], v[{0}])")
 # records per generated function: small sources keep compile memory flat
 _CHUNK = 64
 
@@ -297,6 +330,11 @@ def trace_loss(tape: Tape, loss_fn: Callable[[], VarRef]
     ``backward(loss)`` does, with the same operations in the same order:
     values and grads are bit-identical to re-tracing ``loss_fn``.
 
+    Every ``check_unit`` made here on a value that depends on a parameter
+    is a guard: the replay re-tests it at its place in the trace and raises
+    the same error, with the same message, as a re-trace would, before it
+    recomputes the records traced after the check.
+
     ``replay`` is None, and the graph must be re-traced each time, when the
     trace may differ from call to call or cannot be replayed: ``loss_fn``
     read or set the ``value`` of a parameter or of a record that depends on
@@ -305,18 +343,21 @@ def trace_loss(tape: Tape, loss_fn: Callable[[], VarRef]
     call, or built a loss that depends on no parameter.
     """
     mark = len(tape)
-    outer = tape._reads  # a trace_loss further up the stack also sees these
-    reads = tape._reads = [] if outer is None else outer
+    # a trace_loss further up the stack also sees these reads and guards
+    outer = tape._reads, tape._guards
+    reads = tape._reads = [] if outer[0] is None else outer[0]
+    guards = tape._guards = [] if outer[1] is None else outer[1]
+    start = len(guards)
     try:
         loss = loss_fn()
     finally:
-        tape._reads = outer
+        tape._reads, tape._guards = outer
     tape._one(loss)
-    return loss, _compile(tape, mark, loss.index, set(reads))
+    return loss, _compile(tape, mark, loss.index, set(reads), guards[start:])
 
 
-def _compile(tape: Tape, mark: int, loss: int,
-             reads: set[int]) -> Callable[[], None] | None:
+def _compile(tape: Tape, mark: int, loss: int, reads: set[int],
+             guards: list[tuple]) -> Callable[[], None] | None:
     deps, params = tape._deps, sorted(tape._param_indices)
     if loss < mark or params and params[-1] >= mark:
         return None
@@ -331,8 +372,17 @@ def _compile(tape: Tape, mark: int, loss: int,
     if loss not in slot or not reads.isdisjoint(slot):
         return None
 
-    forward = ["    " + _FORWARD[deps[i][0]].format(i, *deps[i][1::2])
-               for i in list(slot)[len(params):]]
+    # a guard on a value that no parameter reaches cannot fail later; the
+    # others go before the first record traced after them
+    guards = [g for g in guards if g[1] in slot]
+    forward, n = [], 0
+    for i in list(slot)[len(params):]:
+        while n < len(guards) and guards[n][0] <= i:
+            forward.append("    " + _GUARD.format(guards[n][1], n))
+            n += 1
+        forward.append("    " + _FORWARD[deps[i][0]].format(i, *deps[i][1::2]))
+    forward += ["    " + _GUARD.format(g[1], k)
+                for k, g in enumerate(guards[n:], n)]
     backward = []
     needed = {loss}  # records with a path to the loss
     for i in range(loss, mark - 1, -1):
@@ -347,7 +397,7 @@ def _compile(tape: Tape, mark: int, loss: int,
                 lines.append("        g[%d] += %s" % (slot[j],
                                                      term.format(i, *inputs)))
         backward.append("\n".join(lines))
-    run_forward = _functions(forward, "v")
+    run_forward = _functions(forward, "v", [g[2:] for g in guards])
     run_backward = _functions(backward, "v, g")
     grad_slots = [(p, slot[p]) for p in params if p in needed]
     size, out = len(slot), slot[loss]
@@ -367,13 +417,16 @@ def _compile(tape: Tape, mark: int, loss: int,
     return replay
 
 
-def _functions(blocks: list[str], args: str) -> list[Callable]:
-    """Compiles the code blocks into functions of ``_CHUNK`` blocks each.
-    The functions are taken out of their namespace, so none of them is in a
+def _functions(blocks: list[str], args: str,
+               guards: list[tuple] = ()) -> list[Callable]:
+    """Compiles the code blocks into functions of ``_CHUNK`` blocks each,
+    with ``guards`` holding each guard's (error class, label).  The
+    functions are taken out of their namespace, so none of them is in a
     reference cycle."""
     namespace = {"__builtins__": {}, "AutodiffError": AutodiffError,
-                 "LOG_EPS": LOG_EPS, "exp": math.exp, "log": math.log,
-                 "max": max, "min": min}
+                 "LOG_EPS": LOG_EPS, "UNIT_TOL": UNIT_TOL, "exp": math.exp,
+                 "log": math.log, "max": max, "min": min,
+                 "unit_error": _unit_error, "guards": guards}
     functions = []
     for start in range(0, len(blocks), _CHUNK):
         body = "\n".join(blocks[start:start + _CHUNK])

@@ -16,24 +16,22 @@ from .chainer import Rule
 DEDUCTION_EPS = 1e-6
 DEFAULT_NEG_CONDITIONAL = 0.2
 
-_RANGE_TOL = 1e-9
-
 
 class FormulaError(Exception):
     pass
 
 
-def _check_unit(name: str, *refs: VarRef) -> None:
+def _check_unit(label: str, *refs: VarRef) -> None:
+    """FormulaError("<label> <value> outside [0, 1]") for the first input
+    out of range; a traced loss keeps each check as a replay guard."""
     for r in refs:
-        v = r.value
-        if not -_RANGE_TOL <= v <= 1.0 + _RANGE_TOL:
-            raise FormulaError("%s input %g outside [0, 1]" % (name, v))
+        r.tape.check_unit(r, FormulaError, label)
 
 
 def modus_ponens_strength(p_a: VarRef, p_b_given_a: VarRef,
                           p_b_given_not_a: VarRef) -> VarRef:
     """P(B) = P(B|A)*P(A) + P(B|not A)*(1 - P(A)); a convex combination."""
-    _check_unit("modus_ponens", p_a, p_b_given_a, p_b_given_not_a)
+    _check_unit("modus_ponens input", p_a, p_b_given_a, p_b_given_not_a)
     t = p_a.tape
     return t.add(t.mul(p_b_given_a, p_a),
                  t.mul(p_b_given_not_a, t.one_minus(p_a)))
@@ -48,7 +46,7 @@ def deduction_strength(s_ab: VarRef, s_bc: VarRef,
     with the conditional term clamped into [0,1] and a fallback to s_c when
     s_b saturates (1 - s_b below epsilon), keeping gradients finite.
     """
-    _check_unit("deduction", s_ab, s_bc, s_b, s_c)
+    _check_unit("deduction input", s_ab, s_bc, s_b, s_c)
     t = s_ab.tape
     if s_b.value >= 1.0 - DEDUCTION_EPS:
         return s_c
@@ -60,20 +58,20 @@ def deduction_strength(s_ab: VarRef, s_bc: VarRef,
 
 def fuzzy_and(a: VarRef, b: VarRef) -> VarRef:
     """Product conjunction."""
-    _check_unit("fuzzy_and", a, b)
+    _check_unit("fuzzy_and input", a, b)
     return a.tape.mul(a, b)
 
 
 def fuzzy_or(a: VarRef, b: VarRef) -> VarRef:
     """Probabilistic sum: a + b - a*b."""
-    _check_unit("fuzzy_or", a, b)
+    _check_unit("fuzzy_or input", a, b)
     t = a.tape
     return t.sub(t.add(a, b), t.mul(a, b))
 
 
 def fuzzy_not(a: VarRef) -> VarRef:
     """Complement: 1 - a."""
-    _check_unit("fuzzy_not", a)
+    _check_unit("fuzzy_not input", a)
     return a.tape.one_minus(a)
 
 
@@ -101,7 +99,7 @@ class FormulaWeights:
 def trainable_mp_strength(p_a: VarRef, p_b_given_a: VarRef,
                           weights: FormulaWeights) -> VarRef:
     """sigmoid(w0*P(A)*P(B|A) + w1*P(A) + w2*P(B|A) + w3); always in (0,1)."""
-    _check_unit("trainable_mp", p_a, p_b_given_a)
+    _check_unit("trainable_mp input", p_a, p_b_given_a)
     t = p_a.tape
     z = t.add(t.add(t.mul(weights.w0, t.mul(p_a, p_b_given_a)),
                     t.mul(weights.w1, p_a)),

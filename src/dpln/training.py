@@ -3,8 +3,9 @@
 Learnable truth-value strengths are parametrized as the sigmoid of an
 unconstrained logit, so they stay strictly inside (0, 1) no matter how large
 the optimizer steps are.  ``fit`` is the one training loop: it traces the
-loss once and replays that trace as compiled code, or re-traces the loss
-every step when it reads values computed from the parameters.  ``train``
+loss once and replays that trace as compiled code, range checks included,
+or re-traces the loss every step when it branches on a value computed from
+the parameters.  ``train``
 runs the proof search (which is purely structural) once and replays its
 traces in each step's loss.
 """
@@ -138,8 +139,11 @@ def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
     ``loss_fn`` must build its loss from tape values alone, so that each
     call traces the same graph: later steps then replay step 0's trace as
     compiled code (``trace_loss``) instead of calling ``loss_fn`` again.
-    If step 0 reads the ``value`` of a parameter or of anything computed
-    from one, every step rolls the tape back and re-traces ``loss_fn``.
+    Range checks (``Tape.check_unit``) are guards in that code: a check that
+    fails on step k raises on step k, as a re-trace would.  If step 0 reads
+    the ``value`` of a parameter or of anything computed from one (it may
+    branch on it, as deduction's saturation test does), every step rolls
+    the tape back and re-traces ``loss_fn``.
     """
     if not params:
         raise TrainError("params must be nonempty")

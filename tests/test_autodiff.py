@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from dpln import AtomSpace, AutodiffError, Tape, fit, make_rule_set
-from dpln.autodiff import trace_loss
+from dpln.autodiff import UNIT_TOL, trace_loss
 
 from conftest import (analytic_grads, assert_grads_close, finite_diff_grads,
                       interior)
@@ -317,6 +317,39 @@ def test_trace_loss_declines_what_it_cannot_replay():
         t.reset_to(mark)
     # reading a value that depends on no parameter is fine
     assert trace_loss(t, lambda: t.mul(p, t.constant(c.value)))[1] is not None
+
+
+def test_check_unit_raises_and_compiles_as_a_guard():
+    """check_unit passes values within UNIT_TOL of [0, 1] and raises the
+    given class otherwise; unlike a read, it does not stop trace_loss from
+    compiling, and a check on a constant leaves no guard in the replay."""
+    t = Tape()
+    for x in (-UNIT_TOL, 0.0, 0.5, 1.0 + UNIT_TOL):
+        t.check_unit(t.constant(x), ValueError, "x")
+    with pytest.raises(ValueError, match=r"^x 1.5 outside \[0, 1\]$"):
+        t.check_unit(t.constant(1.5), ValueError, "x")
+    with pytest.raises(KeyError):
+        t.check_unit(t.constant(-1e-6), KeyError, "x")
+    p = t.parameter(0.25)
+
+    def loss_fn():
+        t.check_unit(t.constant(0.5), ValueError, "constant")
+        s = t.add(p, p)
+        t.check_unit(s, ValueError, "sum")
+        double = t.add(s, s)
+        t.check_unit(double, ValueError, "double")  # after the last record
+        return double
+    loss, replay = trace_loss(t, loss_fn)
+    assert replay is not None
+    p.value = 0.125
+    replay()
+    assert loss.value == 0.5
+    p.value = 0.375
+    with pytest.raises(ValueError, match=r"^double 1.5 outside"):
+        replay()
+    p.value = 0.75
+    with pytest.raises(ValueError, match=r"^sum 1.5 outside"):
+        replay()
 
 
 def _clamped_expression(t, refs):

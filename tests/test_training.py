@@ -4,11 +4,14 @@ from collections import Counter
 
 import pytest
 
-from dpln import (AutodiffError, FormulaWeights, LabeledExample,
-                  LearnableStrength, Tape, TrainConfig, TrainError, TruthValue,
-                  UnderivableTargetError, cross_entropy, empirical_frequency,
-                  fit, make_deduction_rule, make_modus_ponens_rule, sgd_step,
+from dpln import (AtomSpaceError, AutodiffError, FormulaWeights,
+                  LabeledExample, LearnableStrength, Tape, TrainConfig,
+                  TrainError, TruthValue, UnderivableTargetError,
+                  cross_entropy, empirical_frequency, fit, fuzzy_not,
+                  make_deduction_rule, make_modus_ponens_rule, sgd_step,
                   train, trainable_mp_strength)
+from dpln import cli, training
+from dpln.rules import FormulaError
 
 from conftest import fresh_kb
 
@@ -277,6 +280,145 @@ def test_fit_replay_raises_division_by_zero_at_its_step():
         with pytest.raises(AutodiffError):
             train_loop([p], loss, 1.0, 5)
         assert p.value == 1.0
+
+
+def _fail_both(build, values, learning_rate, steps):
+    """Runs fit and _retrace_fit as _fit_both does, each expected to raise.
+    Returns each one's error class and message, final parameter values and
+    loss_fn calls."""
+    runs = []
+    for train_loop in (fit, _retrace_fit):
+        t = Tape()
+        params = [t.parameter(v) for v in values]
+        calls = []
+
+        def loss():
+            calls.append(1)
+            return build(t, params)
+        with pytest.raises(Exception) as err:
+            train_loop(params, loss, learning_rate, steps)
+        runs.append((err.type, str(err.value), [p.value for p in params],
+                     len(calls)))
+    return runs
+
+
+def test_fit_replay_raises_a_failing_range_check_at_its_step():
+    """x = p/2 rises by 1/8 per step and leaves [0, 1] on step 5.  The
+    compiled replay re-tests the range check of fuzzy_not (FormulaError) or
+    of a TruthValue (AtomSpaceError) and raises what a re-trace raises, on
+    the same step, with the same parameter values."""
+    def negated(t, params):
+        return fuzzy_not(t.mul(t.constant(0.5), params[0]))
+
+    def asserted(t, params):
+        x = t.mul(t.constant(0.5), params[0])
+        return t.one_minus(TruthValue(x, 1.0).strength)
+
+    for build, error, label in ((negated, FormulaError, "fuzzy_not input"),
+                                (asserted, AtomSpaceError, "strength")):
+        compiled, retraced = _fail_both(build, [1.0], 0.5, 20)
+        assert compiled[2] == retraced[2] == [2.25]
+        assert compiled[:2] == retraced[:2] == (
+            error, "%s 1.125 outside [0, 1]" % label)
+        assert compiled[3] == 1 and retraced[3] == 6
+
+
+def test_fit_replay_raises_the_first_failure_in_trace_order():
+    """p rises by 1/4 per step; on step 5 both the range check of p - 1/2
+    and the division by p - 7/4 fail, and fit raises whichever of the two
+    its loss traced first, as a re-trace does."""
+    def build(t, params, guard_first):
+        p, = params
+        guarded = lambda: fuzzy_not(t.sub(p, t.constant(0.5)))
+        divided = lambda: t.div(t.constant(1.0), t.sub(p, t.constant(1.75)))
+        loss = t.neg(p)
+        for term in (guarded, divided) if guard_first else (divided, guarded):
+            loss = t.add(loss, t.mul(t.constant(0.0), term()))
+        return loss
+
+    for guard_first, error in ((True, FormulaError), (False, AutodiffError)):
+        compiled, retraced = _fail_both(
+            lambda t, params: build(t, params, guard_first), [0.5], 0.25, 20)
+        assert compiled[0] is retraced[0] is error
+        assert compiled[1:3] == retraced[1:3]
+        assert compiled[2] == [1.75]
+        assert compiled[3] == 1 and retraced[3] == 6
+
+def _counting(train_loop, calls):
+    """``train_loop`` with every call of its loss closure counted."""
+    def loop(params, loss_fn, learning_rate, steps):
+        def counted():
+            calls.append(1)
+            return loss_fn()
+        return train_loop(params, counted, learning_rate, steps)
+    return loop
+
+
+def _train_both(monkeypatch, setup, steps):
+    """Runs ``train`` on ``setup()`` with fit and with _retrace_fit.  Returns
+    each one's report, learned strength, final strength of every target in
+    the KB, and loss closure calls."""
+    runs = []
+    for train_loop in (fit, _retrace_fit):
+        tape, kb, rule, learnable, dataset = setup()
+        calls = []
+        monkeypatch.setattr(training, "fit", _counting(train_loop, calls))
+        report = train(kb, [rule], dataset, [learnable.theta],
+                       TrainConfig(learning_rate=0.5, steps=steps),
+                       learnables=[learnable])
+        runs.append((report, learnable.value(),
+                     [kb.get_tv(ex.target).strength.value for ex in dataset],
+                     len(calls)))
+    return runs
+
+
+def test_train_compiles_a_fruit_colors_fit(monkeypatch):
+    """fruit-colors' shape: a sigmoid strength whose range checks are replay
+    guards, so train's loss is traced once and replayed, bit-identical to
+    re-tracing it every step."""
+    compiled, retraced = _train_both(
+        monkeypatch, lambda: _fruit_setup(0.7, 20, seed=4), 50)
+    assert compiled[3] == 1 and retraced[3] == 50
+    assert compiled[0] == retraced[0]
+    assert compiled[1:3] == retraced[1:3]
+
+
+def test_run_joint_compiles(monkeypatch, tmp_path):
+    """joint's range checks on sigmoid strengths are replay guards: its loss
+    is traced once, and the result equals re-tracing it every step."""
+    results, counts = [], []
+    for train_loop in (fit, _retrace_fit):
+        calls = []
+        monkeypatch.setattr(cli, "fit", _counting(train_loop, calls))
+        results.append(cli.run_joint(cli.ExperimentConfig(
+            experiment="joint", lr=2.0, steps=30, seed=7,
+            out_dir=str(tmp_path / str(len(results))))))
+        counts.append(len(calls))
+    assert counts == [1, 30]
+    assert results[0] == results[1]
+
+
+def test_train_retraces_deduction_on_a_learnable_middle_term(monkeypatch):
+    """Deduction branches on its middle term's strength (the saturation
+    test), a real read: with that strength learnable, fit re-traces every
+    step, and its results still equal _retrace_fit's."""
+    def setup():
+        tape, kb = fresh_kb()
+        a, b, c = (kb.node("ConceptNode", n) for n in "abc")
+        for atom, s in ((kb.link("InheritanceLink", a, b), 0.8),
+                        (kb.link("InheritanceLink", b, c), 0.7), (c, 0.6)):
+            kb.set_tv(atom, TruthValue(tape.constant(s), 0.9))
+        learnable = LearnableStrength(tape, init=0.5, name="b")
+        learnable.attach(kb, b)
+        dataset = [LabeledExample(kb.link("InheritanceLink", a, c), 1)]
+        return tape, kb, make_deduction_rule(kb), learnable, dataset
+
+    compiled, retraced = _train_both(monkeypatch, setup, 20)
+    assert compiled[3] == retraced[3] == 20
+    assert compiled[0] == retraced[0]
+    assert compiled[1:3] == retraced[1:3]
+    assert compiled[0].loss_curve[-1] < compiled[0].loss_curve[0]
+
 
 def test_learnable_strength_stays_in_unit_interval():
     """sigmoid parametrization keeps the strength in (0,1) under large,

@@ -1,10 +1,10 @@
 """Forward and backward rule chaining over the knowledge base.
 
-Each rule application calls the rule's differentiable formula on the
-strengths of its premise and term traces, so a chain of applications builds
-one connected computation graph from KB leaf strengths to the final
-conclusion strength.  Backward chaining only reads the KB; a forward firing
-(``apply_rule``) writes its conclusion.
+The search builds structure and replay evaluates: backward search only
+builds traces, and ``replay`` calls each rule's differentiable formula on
+the replayed strengths of its premise and term traces, so a chain of
+applications builds one computation graph from KB leaf strengths to the
+conclusion.  Backward chaining only reads the KB; ``apply_rule`` writes.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from .pattern import (Binding, Query, candidates, instantiate, lookup, match,
                       substitute, unify, variables_in)
 
 
-# Deepest max_depth backward_chain accepts: the search recurses twice per
-# level and unify once per level of atom nesting (up to sexpr.MAX_DEPTH),
-# and both together stay well under Python's recursion limit of 1000.
+# Deepest max_depth the backward search accepts: the search (and later a
+# replay) recurses twice per level and unify once per level of atom nesting
+# (up to sexpr.MAX_DEPTH), well under Python's recursion limit of 1000.
 MAX_SEARCH_DEPTH = 200
 
 
@@ -53,7 +53,7 @@ class Leaf:
     a premise fact or as a rule term."""
 
     atom: int
-    strength: VarRef
+    strength: VarRef | None = None  # set by replay
 
     def leaves(self):
         yield self
@@ -69,7 +69,7 @@ class Constant:
     unasserted."""
 
     value: float
-    strength: VarRef
+    strength: VarRef | None = None  # set by replay
 
     def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
         self.strength = kb.tape.constant(self.value)
@@ -83,22 +83,19 @@ class Derivation:
     rule: Rule
     binding: Binding
     conclusion: int
-    strength: VarRef
     premises: list  # child traces (Leaf or Derivation)
     terms: list  # one Leaf or Constant per rule term
+    strength: VarRef | None = None  # set by replay
 
     def leaves(self):
         for child in self.premises:
             yield from child.leaves()
 
     def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
-        """Re-evaluates the formula bottom-up from the premises' and terms'
-        replayed strengths; leaves read current KB strengths, nothing is
-        written.
-
+        """Evaluates the trace bottom-up from current KB strengths, the only
+        place a formula runs; sets every node's ``strength``, writes nothing.
         ``memo`` collapses repeated applications with identical inputs within
-        one re-trace (keyed by rule name and input record indices).
-        """
+        one pass (keyed by rule name and input record indices)."""
         inputs = [child.replay(kb, memo) for child in self.premises + self.terms]
         key = (self.rule.name, tuple(v.index for v in inputs))
         out = memo.get(key)
@@ -114,24 +111,21 @@ InferenceTrace = Leaf | Derivation
 
 def _derive(kb: AtomSpace, rule: Rule, binding: Binding,
             premises: list) -> Derivation:
-    """Applies the rule's formula to the premise traces and its terms, the
-    one place term atoms are read: each is looked up without interning and
-    becomes a Leaf if asserted, else a Constant holding its default.  Interns
-    the conclusion but does not value it."""
+    """The rule applied to the premise traces, unvalued: no formula call and
+    no tape record.  The one place term atoms are read: each is looked up
+    without interning and becomes a Leaf if asserted, else a Constant
+    holding its default.  Interns the conclusion."""
     terms = []
     for pattern, default in rule.terms:
         atom = lookup(kb, pattern, binding)
-        if atom is not None and kb.has_asserted_tv(atom):
-            terms.append(Leaf(atom, kb.get_tv(atom).strength))
-        else:
-            terms.append(Constant(default, kb.tape.constant(default)))
-    out = rule.formula([t.strength for t in premises + terms])
+        terms.append(Leaf(atom) if atom is not None and kb.has_asserted_tv(atom)
+                     else Constant(default))
     conclusion = instantiate(kb, rule.conclusion, binding)
-    return Derivation(rule, dict(binding), conclusion, out, premises, terms)
+    return Derivation(rule, dict(binding), conclusion, premises, terms)
 
 
 def commit(kb: AtomSpace, trace: Derivation) -> None:
-    """Writes a derivation's strength into its conclusion's truth value
+    """Writes a replayed derivation's strength into its conclusion's TV
     (latest wins); confidence is the minimum over the leaves' confidences."""
     confidence = min((kb.get_tv(leaf.atom).confidence for leaf in trace.leaves()),
                      default=0.0)
@@ -148,11 +142,8 @@ class ChainConfig:
 def apply_rule(kb: AtomSpace, rule: Rule,
                binding: Binding) -> tuple[int, VarRef, Derivation]:
     """Fires one grounded rule instance on the stored premise strengths and
-    commits the conclusion.
-
-    The conclusion's strength is the live formula output VarRef, so gradients
-    flow through it; confidence is the minimum over premise confidences.
-    """
+    commits the conclusion: its strength is the replayed formula output, so
+    gradients flow through it; its confidence the minimum over premises."""
     leaves = []
     for premise in rule.premises:
         missing = variables_in(kb, premise) - set(binding)
@@ -160,9 +151,9 @@ def apply_rule(kb: AtomSpace, rule: Rule,
             names = sorted(kb.atom(v).name for v in missing)
             raise ChainError("binding does not ground premise variable(s): %s"
                              % ", ".join(names))
-        ground = substitute(kb, premise, binding)
-        leaves.append(Leaf(ground, kb.get_tv(ground).strength))
+        leaves.append(Leaf(substitute(kb, premise, binding)))
     trace = _derive(kb, rule, binding, leaves)
+    trace.replay(kb, {})
     commit(kb, trace)
     return trace.conclusion, trace.strength, trace
 
@@ -252,8 +243,8 @@ def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
 
 
 class _Search:
-    """The state of one backward_chain query: the KB, the rules and the memo
-    of subgoals, keyed by (pattern, depth).  Methods, not nested closures: a
+    """The state of one backward search: the KB, the rules and the table of
+    solved subgoals, keyed by (pattern, depth).  Methods, not nested closures: a
     recursive closure is a reference cycle, which would keep the memo's
     traces, and through them the KB, alive until a full garbage collection."""
 
@@ -272,7 +263,7 @@ class _Search:
             if kb.has_asserted_tv(cand):
                 b = unify(kb, pattern, cand)
                 if b is not None:
-                    results.append((b, Leaf(cand, kb.get_tv(cand).strength)))
+                    results.append((b, Leaf(cand)))
         if depth >= 1:
             for rule in self.rules:
                 rb: Binding = {}
@@ -314,6 +305,20 @@ class _Search:
         return solutions
 
 
+def prove(kb: AtomSpace, rules: list[Rule], targets: list[int],
+          config: ChainConfig) -> list[list[tuple[Binding, InferenceTrace]]]:
+    """Unvalued proofs of each target (no formula runs), in
+    ``backward_chain``'s order, from one subgoal table for all targets.  A
+    table holds while the asserted set is unchanged: the search reads only
+    which atoms are asserted, and interns only unasserted ones."""
+    if config.max_depth < 1:
+        raise ChainError("max_depth must be >= 1")
+    if config.max_depth > MAX_SEARCH_DEPTH:
+        raise ChainError("max_depth must be <= %d" % MAX_SEARCH_DEPTH)
+    search = _Search(kb, rules)
+    return [search.solve(target, config.max_depth) for target in targets]
+
+
 def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
                    config: ChainConfig) -> list[tuple[Binding, VarRef, InferenceTrace]]:
     """All ways the target is derivable within max_depth.
@@ -323,13 +328,10 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
     recursively derivable.  Results are deterministic: KB facts first, then
     rules in the given order.
 
-    The search is read-only: it may intern subgoal and conclusion atoms, but
-    it values no conclusion, so every leaf is an asserted fact and each
-    derivation's strength is a function of its own leaves and terms.
+    ``prove`` builds the traces, then one memo replays them all, so a shared
+    application calls its formula once.  Read-only: it may intern atoms, but
+    values no conclusion, so every leaf is an asserted fact.
     """
-    if config.max_depth < 1:
-        raise ChainError("max_depth must be >= 1")
-    if config.max_depth > MAX_SEARCH_DEPTH:
-        raise ChainError("max_depth must be <= %d" % MAX_SEARCH_DEPTH)
-    return [(binding, trace.strength, trace)
-            for binding, trace in _Search(kb, rules).solve(target, config.max_depth)]
+    (proofs,) = prove(kb, rules, [target], config)
+    memo: dict = {}
+    return [(binding, trace.replay(kb, memo), trace) for binding, trace in proofs]

@@ -5,9 +5,9 @@ unconstrained logit, so they stay strictly inside (0, 1) no matter how large
 the optimizer steps are.  ``fit`` is the one training loop: it traces the
 loss once and replays that trace as compiled code, range checks included,
 or re-traces the loss every step when it branches on a value computed from
-the parameters.  ``train``
-runs the proof search (which is purely structural) once and replays its
-traces in each step's loss.
+the parameters.  ``train`` runs the proof search once, for all its targets
+through one subgoal table; the search only builds traces, and replaying
+them in each step's loss is what evaluates the formulas.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import Tape, VarRef, _stable_sigmoid, trace_loss
-from .chainer import ChainConfig, Derivation, Rule, backward_chain, commit
+from .chainer import (MAX_SEARCH_DEPTH, ChainConfig, Derivation, Rule, commit,
+                      prove)
 from .sexpr import format_atom
 
 
@@ -54,6 +55,8 @@ class TrainConfig:
             raise TrainError("learning_rate must be positive")
         if self.steps < 1:
             raise TrainError("steps must be >= 1")
+        if not 1 <= self.chain_depth <= MAX_SEARCH_DEPTH:
+            raise TrainError("chain_depth must lie in [1, %d]" % MAX_SEARCH_DEPTH)
 
 
 class LearnableStrength:
@@ -184,22 +187,17 @@ class TrainReport:
 
 def _find_traces(kb: AtomSpace, rules: list[Rule],
                  dataset: list[LabeledExample], depth: int):
-    """One backward-chaining pass per example; prefers rule derivations over
-    plain KB lookups so the prediction depends on the premises."""
-    cfg = ChainConfig(max_depth=depth)
+    """The trace ``train`` replays for each example: the target's first rule
+    derivation, so the prediction depends on the premises, else its first KB
+    lookup.  All targets are searched through one subgoal table (``prove``);
+    the traces stay unvalued here, as ``train`` replays every one."""
+    targets = [ex.target for ex in dataset]
     traces = []
-    for i, ex in enumerate(dataset):
-        results = backward_chain(kb, rules, ex.target, cfg)
-        chosen = None
-        for _, _, trace in results:
-            if isinstance(trace, Derivation):
-                chosen = trace
-                break
-        if chosen is None and results:
-            chosen = results[0][2]
-        if chosen is None:
+    for i, proofs in enumerate(prove(kb, rules, targets, ChainConfig(max_depth=depth))):
+        if not proofs:
             raise UnderivableTargetError(i)
-        traces.append(chosen)
+        traces.append(next((t for _, t in proofs if isinstance(t, Derivation)),
+                           proofs[0][1]))
     return traces
 
 
@@ -208,9 +206,9 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
           learnables: list[LearnableStrength] = ()) -> TrainReport:
     """Fits ``params`` to the dataset's labels through its inference traces.
 
-    The proof search runs once up front; its traces are replayed against the
-    current truth values in each step's loss, which rebuilds the formula
-    graph exactly as a fresh search would on a structurally unchanged KB.
+    The proof search runs once up front and only builds traces; replaying
+    them against the current truth values in each step's loss builds the
+    formula graph as a fresh search would on a structurally unchanged KB.
     Each step refreshes the learnable strengths and takes the mean
     cross-entropy over the examples.
     """

@@ -56,6 +56,18 @@ def set_strength(kb, atom, s, c=1.0):
     kb.set_tv(atom, TruthValue(kb.tape.constant(s), c))
 
 
+def tall_implication_kb(n: int) -> str:
+    """KB text of the chain Impl(p0, p1), ..., Impl(p<n-1>, p<n>) at strength
+    0.9, with Eval(p0, x) asserted at 1.0, and Eval(p<n-1>, y) too, so
+    Eval(p<n>, y) is one link from a fact though the search for it descends
+    the whole chain."""
+    lines = ['(ImplicationLink (stv 0.9 1.0) (PredicateNode "p%d") '
+             '(PredicateNode "p%d"))' % (i, i + 1) for i in range(n)]
+    lines += ['(EvaluationLink (stv 1.0 1.0) (PredicateNode "p%d") '
+              '(ConceptNode "%s"))' % (i, x) for i, x in ((0, "x"), (n - 1, "y"))]
+    return "\n".join(lines) + "\n"
+
+
 def interior(rng: random.Random, lo=0.05, hi=0.95):
     return lo + (hi - lo) * rng.random()
 

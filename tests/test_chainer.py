@@ -9,10 +9,11 @@ from dpln import (ChainConfig, ChainError, Derivation, FormulaWeights, Leaf,
                   forward_chain, load_kb, make_deduction_rule,
                   make_modus_ponens_rule, make_rule_set, match, parse_atom)
 from dpln import chainer, deduction_strength
-from dpln.chainer import Constant
+from dpln.chainer import MAX_SEARCH_DEPTH, Constant
 from dpln.pattern import candidates
 
-from conftest import finite_diff_grads, fresh_kb, set_strength
+from conftest import (finite_diff_grads, fresh_kb, set_strength,
+                      tall_implication_kb)
 
 APPLE_KB = """
 (ImplicationLink (stv 0.6 0.9)
@@ -714,3 +715,115 @@ def test_backward_chain_long_type_index_short_incoming(monkeypatch):
                    '(InheritanceLink (ConceptNode "a0") (VariableNode "$Z"))']:
         _assert_same_as_full_scan(monkeypatch, kb, rules,
                                   parse_atom(kb, target), 3)
+
+
+def _valued_ladder(n):
+    """A deduction ladder c0 -> ... -> cn whose ConceptNodes are valued, so
+    every deduction term is a Leaf."""
+    _, kb = fresh_kb()
+    lines = ['(ConceptNode (stv 0.5 0.9) "c%d")' % i for i in range(n + 1)]
+    lines += ['(InheritanceLink (stv 0.9 0.9) (ConceptNode "c%d") '
+              '(ConceptNode "c%d"))' % (i, i + 1) for i in range(n)]
+    load_kb(kb, "\n".join(lines))
+    return kb
+
+
+def _count_formula_calls(rules):
+    """Wraps each rule's formula; the returned list gets one (rule name,
+    input record indices) key per call."""
+    calls = []
+    for rule in rules:
+        def counted(inputs, formula=rule.formula, name=rule.name):
+            calls.append((name, tuple(v.index for v in inputs)))
+            return formula(inputs)
+        rule.formula = counted
+    return calls
+
+
+def _nodes(trace):
+    """Every node of a trace as a tree: a subproof shared by two parents
+    is visited under each."""
+    yield trace
+    for child in getattr(trace, "premises", []) + getattr(trace, "terms", []):
+        yield from _nodes(child)
+
+
+def test_structural_search_writes_no_tape_record():
+    """prove only builds traces: no formula call, no tape record, and every
+    node's strength stays None until replay sets it."""
+    kb = _valued_ladder(6)
+    load_kb(kb, APPLE_KB)
+    rules = make_rule_set(kb)
+    calls = _count_formula_calls(rules)
+    targets = [parse_atom(kb, text) for text in [
+        '(InheritanceLink (ConceptNode "c0") (ConceptNode "c6"))',
+        '(InheritanceLink (ConceptNode "c1") (VariableNode "$Z"))',
+        '(EvaluationLink (PredicateNode "green") (ConceptNode "apple-001"))',
+        '(AndLink (EvaluationLink (PredicateNode "apple") (ConceptNode '
+        '"apple-001")) (EvaluationLink (PredicateNode "green") (ConceptNode '
+        '"apple-001")))']]
+    records = len(kb.tape)
+    proofs = chainer.prove(kb, rules, targets, ChainConfig(max_depth=6))
+    assert len(kb.tape) == records and calls == []
+    assert [len(p) for p in proofs] == [42, 1 + 1 + 2 + 5 + 14, 2, 2]
+    nodes = [n for p in proofs for _, trace in p for n in _nodes(trace)]
+    assert {type(n) for n in nodes} == {Leaf, Constant, Derivation}
+    assert all(n.strength is None for n in nodes)
+    for p in proofs:
+        for _, trace in p:
+            trace.replay(kb, {})
+    assert all(n.strength is not None for n in nodes)
+    assert calls
+
+
+def test_backward_chain_replays_each_formula_key_once():
+    """On the valued n = 6 ladder, backward_chain makes one formula call per
+    distinct (rule, input records) key: the per-query replay memo collapses
+    the applications that many proofs share (and, as the ladder's equal
+    strengths are one cached constant record, those with equal inputs)."""
+    kb = _valued_ladder(6)
+    rule = make_deduction_rule(kb)
+    calls = _count_formula_calls([rule])
+    for text in ['(InheritanceLink (ConceptNode "c0") (ConceptNode "c6"))',
+                 '(InheritanceLink (ConceptNode "c0") (VariableNode "$Z"))']:
+        calls.clear()
+        results = backward_chain(kb, [rule], parse_atom(kb, text),
+                                 ChainConfig(max_depth=6))
+        derivations = [n for _, _, t in results for n in _nodes(t)
+                       if isinstance(n, Derivation)]
+        keys = {(n.rule.name,
+                 tuple(c.strength.index for c in n.premises + n.terms))
+                for n in derivations}
+        assert len(calls) == len(set(calls)) == len(keys)
+        assert set(calls) == keys
+        assert len(keys) < len(derivations)
+
+
+def test_tall_proof_at_max_search_depth():
+    """A 200-link implication chain under modus ponens alone: at
+    MAX_SEARCH_DEPTH, backward_chain returns the one proof of the chain's
+    end, 200 applications tall, replayed to the closed-form strength without
+    a RecursionError."""
+    n = MAX_SEARCH_DEPTH
+    _, kb = fresh_kb()
+    load_kb(kb, tall_implication_kb(n))
+    rule = make_modus_ponens_rule(kb)
+    target = parse_atom(kb, '(EvaluationLink (PredicateNode "p%d") '
+                            '(ConceptNode "x"))' % n)
+    ((binding, strength, trace),) = backward_chain(
+        kb, [rule], target, ChainConfig(max_depth=MAX_SEARCH_DEPTH))
+    assert binding == {}
+    height = 0
+    node = trace
+    while isinstance(node, Derivation):
+        height += 1
+        node = node.premises[1]
+    assert height == n and node.atom == kb.find_link(
+        "EvaluationLink", [kb.find_node("PredicateNode", "p0"),
+                           kb.find_node("ConceptNode", "x")])
+    assert len(list(trace.leaves())) == n + 1
+    expected = 1.0
+    for _ in range(n):
+        expected = 0.9 * expected + 0.2 * (1.0 - expected)
+    assert strength.value == pytest.approx(expected, abs=1e-12)
+    assert trace.strength is strength

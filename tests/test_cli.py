@@ -9,6 +9,8 @@ from dpln.cli import (ConfigError, ExperimentConfig, main, parse_config_text,
 from dpln.chainer import MAX_SEARCH_DEPTH
 from dpln.sexpr import MAX_DEPTH
 
+from conftest import tall_implication_kb
+
 SPARROW_KB = """
 (InheritanceLink (stv 1.0 1.0) (ConceptNode "sparrow") (ConceptNode "bird"))
 (InheritanceLink (stv 1.0 1.0) (ConceptNode "bird") (ConceptNode "animal"))
@@ -213,6 +215,22 @@ def test_chain_depth_bound(tmp_path, capsys):
         assert main(chain + [str(depth)]) == 1
         assert ("max_depth must be <= %d" % MAX_SEARCH_DEPTH
                 in capsys.readouterr().err)
+
+
+def test_chain_depth_200_on_a_tall_chain(tmp_path, capsys):
+    """On a 200-link implication chain, --depth 200 exits 0: the search for
+    Eval(p200, y) descends the whole chain to Eval(p0, y) and finds the
+    proofs from the Eval(p199, y) fact, one per modus ponens rule of the
+    standard set.  (The chain's end for x is not asked here: with two modus
+    ponens rules its proofs double at every link.)"""
+    kb_path = tmp_path / "tall.scm"
+    kb_path.write_text(tall_implication_kb(200))
+    assert main(["chain", "--kb", str(kb_path), "--target",
+                 '(EvaluationLink (PredicateNode "p200") (ConceptNode "y"))',
+                 "--depth", "200"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].endswith("; strength 0.9")
 
 
 def test_chain_backward_underivable_is_empty_success(tmp_path, capsys):

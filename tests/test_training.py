@@ -4,13 +4,15 @@ from collections import Counter
 
 import pytest
 
-from dpln import (AtomSpaceError, AutodiffError, FormulaWeights,
-                  LabeledExample, LearnableStrength, Tape, TrainConfig,
-                  TrainError, TruthValue, UnderivableTargetError,
-                  cross_entropy, empirical_frequency, fit, fuzzy_not,
-                  make_deduction_rule, make_modus_ponens_rule, sgd_step,
-                  train, trainable_mp_strength)
+from dpln import (AtomSpaceError, AutodiffError, ChainConfig, Derivation,
+                  FormulaWeights, LabeledExample, LearnableStrength, Leaf,
+                  Tape, TrainConfig, TrainError, TruthValue,
+                  UnderivableTargetError, backward_chain, cross_entropy,
+                  empirical_frequency, fit, fuzzy_not, make_deduction_rule,
+                  make_modus_ponens_rule, sgd_step, train,
+                  trainable_mp_strength)
 from dpln import cli, training
+from dpln.chainer import MAX_SEARCH_DEPTH
 from dpln.rules import FormulaError
 
 from conftest import fresh_kb
@@ -129,6 +131,16 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(TrainError):
         TrainConfig(steps=0)
+
+
+def test_train_config_rejects_chain_depth_out_of_range():
+    """A chain depth the search would reject fails when the config is made,
+    before train writes any learnable into the KB."""
+    for depth in (0, -1, MAX_SEARCH_DEPTH + 1):
+        with pytest.raises(TrainError, match="chain_depth must lie in"):
+            TrainConfig(chain_depth=depth)
+    for depth in (1, MAX_SEARCH_DEPTH):
+        assert TrainConfig(chain_depth=depth).chain_depth == depth
 
 
 def test_learnable_strength_init_and_value():
@@ -591,3 +603,80 @@ def test_train_requires_params_and_data():
         train(kb, [rule], dataset, [], cfg)
     with pytest.raises(TrainError):
         train(kb, [rule], [], [learnable.theta], cfg)
+
+
+def _trace_shape(trace):
+    """Rule, binding, conclusion and leaf atoms of a trace, recursively,
+    with each term as its atom or default."""
+    if isinstance(trace, Leaf):
+        return ("leaf", trace.atom)
+    return (trace.rule.name, sorted(trace.binding.items()), trace.conclusion,
+            [_trace_shape(c) for c in trace.premises],
+            [("leaf", t.atom) if isinstance(t, Leaf) else ("default", t.value)
+             for t in trace.terms])
+
+
+def test_shared_table_traces_match_per_target_search(monkeypatch):
+    """Every train call's one-table search picks, for every example, the
+    trace a fresh backward_chain per target would pick: same rule, binding,
+    conclusion, terms and leaf atoms, and the same replayed strength.  The
+    KB is fruit-colors-shaped, and the later calls reach conclusions that
+    earlier calls committed, as depth-0 facts."""
+    tape, kb = fresh_kb()
+    rng = random.Random(11)
+    pred = {n: kb.node("PredicateNode", n)
+            for n in ("apple", "banana", "red", "green", "ripe")}
+    instances = []
+    for fruit in ("apple", "banana"):
+        for i in range(12):
+            inst = kb.node("ConceptNode", "%s-%03d" % (fruit, i))
+            kb.set_tv(kb.link("EvaluationLink", pred[fruit], inst),
+                      TruthValue(tape.constant(rng.choice([1.0, 0.8])), 1.0))
+            instances.append((fruit, inst))
+    rules = [make_modus_ponens_rule(kb)]
+    committed = set()
+    picked = Counter()
+    find = training._find_traces
+
+    def checking(kb, rules, dataset, depth):
+        traces = find(kb, rules, dataset, depth)
+        for trace, ex in zip(traces, dataset):
+            results = backward_chain(kb, rules, ex.target,
+                                     ChainConfig(max_depth=depth))
+            _, strength, fresh = next(
+                (r for r in results if isinstance(r[2], Derivation)), results[0])
+            assert _trace_shape(trace) == _trace_shape(fresh)
+            assert trace.replay(kb, {}).value == strength.value
+            leaves = {leaf.atom for leaf in trace.leaves()}
+            picked[type(trace).__name__, bool(leaves & committed)] += 1
+        return traces
+    monkeypatch.setattr(training, "_find_traces", checking)
+
+    def fit_pair(antecedent, consequent, targets, depth=3):
+        learnable = LearnableStrength(tape, init=0.5,
+                                      name="%s->%s" % (antecedent, consequent))
+        learnable.attach(kb, kb.link("ImplicationLink", pred[antecedent],
+                                     pred[consequent]))
+        dataset = [LabeledExample(t, rng.randrange(2)) for t in targets]
+        derived = [t for t in targets if not kb.has_asserted_tv(t)]
+        train(kb, rules, dataset, [learnable.theta],
+              TrainConfig(steps=5, chain_depth=depth), learnables=[learnable])
+        committed.update(derived)
+        assert all(kb.has_asserted_tv(t) for t in derived)
+
+    # fruit-colors: one fit per fruit x color pair
+    for fruit in ("apple", "banana"):
+        for color in ("red", "green"):
+            fit_pair(fruit, color, [kb.link("EvaluationLink", pred[color], inst)
+                                    for f, inst in instances if f == fruit])
+    # the colors committed above are now facts, and also still derivable
+    targets = [kb.link("EvaluationLink", pred[c], inst)
+               for _, inst in instances for c in ("ripe", "red")]
+    targets += [kb.link("EvaluationLink", pred[f], inst)
+                for f, inst in instances[::5]]  # facts, not derivable
+    fit_pair("red", "ripe", targets)
+    fit_pair("green", "ripe", targets, depth=1)
+    # ripe is derived from the committed color facts in both fits
+    assert picked == Counter({("Derivation", False): 4 * 12 + 2 * 24,
+                              ("Derivation", True): 2 * 24,
+                              ("Leaf", False): 2 * 5})

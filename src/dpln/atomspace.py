@@ -105,6 +105,7 @@ class AtomSpace:
         self._incoming: dict[int, list[int]] = {}
         self._by_type: dict[str, list[int]] = {}
         self._tvs: dict[int, TruthValue] = {}  # the asserted atoms
+        self.subgoal_table = None  # chainer's, kept while asserted_count holds
 
     def __len__(self) -> int:
         return len(self._atoms)
@@ -197,6 +198,11 @@ class AtomSpace:
     def has_asserted_tv(self, atom_id: int) -> bool:
         self.atom(atom_id)
         return atom_id in self._tvs
+
+    @property
+    def asserted_count(self) -> int:
+        """No truth value is ever removed: this moves iff the asserted set does."""
+        return len(self._tvs)
 
     # -- convenience constructors -----------------------------------------
 

@@ -4,7 +4,10 @@ The search builds structure and replay evaluates: backward search only
 builds traces, and ``replay`` calls each rule's differentiable formula on
 the replayed strengths of its premise and term traces, so a chain of
 applications builds one computation graph from KB leaf strengths to the
-conclusion.  Backward chaining only reads the KB; ``apply_rule`` writes.
+conclusion.  Traces are immutable values: a search result depends only on
+the rules and on which atoms are asserted, so each KB keeps one subgoal
+table across calls until either changes.  Backward chaining only reads the
+KB; ``apply_rule`` writes.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ class ChainError(Exception):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class Rule:
     """Premise patterns, a conclusion template, terms and a strength formula.
+    Rules compare and hash by identity.
 
     Each term is a (pattern, default) pair: an atom over the rule's variables
     whose strength is a further formula input, and the strength read when
@@ -47,36 +51,32 @@ class Rule:
     terms: list[tuple[int, float]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Leaf:
     """Trace leaf: an asserted KB atom contributing its stored strength, as
     a premise fact or as a rule term."""
 
     atom: int
-    strength: VarRef | None = None  # set by replay
 
     def leaves(self):
         yield self
 
     def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
-        self.strength = kb.get_tv(self.atom).strength
-        return self.strength
+        return kb.get_tv(self.atom).strength
 
 
-@dataclass
+@dataclass(frozen=True)
 class Constant:
     """Trace leaf: the default a rule term reads when its atom is absent or
     unasserted."""
 
     value: float
-    strength: VarRef | None = None  # set by replay
 
     def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
-        self.strength = kb.tape.constant(self.value)
-        return self.strength
+        return kb.tape.constant(self.value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Derivation:
     """Trace node: one rule application over child traces."""
 
@@ -85,7 +85,6 @@ class Derivation:
     conclusion: int
     premises: list  # child traces (Leaf or Derivation)
     terms: list  # one Leaf or Constant per rule term
-    strength: VarRef | None = None  # set by replay
 
     def leaves(self):
         for child in self.premises:
@@ -93,16 +92,15 @@ class Derivation:
 
     def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
         """Evaluates the trace bottom-up from current KB strengths, the only
-        place a formula runs; sets every node's ``strength``, writes nothing.
-        ``memo`` collapses repeated applications with identical inputs within
-        one pass (keyed by rule name and input record indices)."""
+        place a formula runs, and returns the conclusion's strength; writes
+        nothing.  ``memo`` collapses repeated applications with identical
+        inputs within one pass (keyed by rule and input record indices)."""
         inputs = [child.replay(kb, memo) for child in self.premises + self.terms]
-        key = (self.rule.name, tuple(v.index for v in inputs))
+        key = (self.rule, tuple(v.index for v in inputs))
         out = memo.get(key)
         if out is None:
             out = self.rule.formula(inputs)
             memo[key] = out
-        self.strength = out
         return out
 
 
@@ -124,12 +122,13 @@ def _derive(kb: AtomSpace, rule: Rule, binding: Binding,
     return Derivation(rule, dict(binding), conclusion, premises, terms)
 
 
-def commit(kb: AtomSpace, trace: Derivation) -> None:
-    """Writes a replayed derivation's strength into its conclusion's TV
-    (latest wins); confidence is the minimum over the leaves' confidences."""
+def commit(kb: AtomSpace, trace: Derivation, strength: VarRef) -> None:
+    """Writes ``strength``, the derivation's replayed output, into its
+    conclusion's TV (latest wins); confidence is the minimum over the
+    leaves' confidences."""
     confidence = min((kb.get_tv(leaf.atom).confidence for leaf in trace.leaves()),
                      default=0.0)
-    kb.set_tv(trace.conclusion, TruthValue(trace.strength, confidence))
+    kb.set_tv(trace.conclusion, TruthValue(strength, confidence))
 
 
 @dataclass
@@ -153,9 +152,9 @@ def apply_rule(kb: AtomSpace, rule: Rule,
                              % ", ".join(names))
         leaves.append(Leaf(substitute(kb, premise, binding)))
     trace = _derive(kb, rule, binding, leaves)
-    trace.replay(kb, {})
-    commit(kb, trace)
-    return trace.conclusion, trace.strength, trace
+    strength = trace.replay(kb, {})
+    commit(kb, trace, strength)
+    return trace.conclusion, strength, trace
 
 
 def forward_chain(kb: AtomSpace, rules: list[Rule],
@@ -167,7 +166,7 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     premise matches an atom it interned are added.  That suffices because
     ``match`` tests atom presence, not truth values, and the KB only grows.
     Each step draws one entry with the seeded RNG and moves the last entry
-    into its place.  A pair, keyed by rule name and binding, fires at most
+    into its place.  A pair, keyed by rule index and binding, fires at most
     once: a drawn entry whose key has fired is dropped and another drawn.
     Returns the atoms that did not exist before chaining, with traces.
     """
@@ -192,7 +191,7 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
             i = rng.randrange(len(pending))
             pending[i], pending[-1] = pending[-1], pending[i]
             ri, binding = pending.pop()
-            key = (rules[ri].name, tuple(sorted(binding.items())))
+            key = (ri, tuple(sorted(binding.items())))
             if key not in applied:
                 break
         else:  # the pool ran empty without an unfired entry
@@ -243,18 +242,19 @@ def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
 
 
 class _Search:
-    """The state of one backward search: the KB, the rules and the table of
-    solved subgoals, keyed by (pattern, depth).  Methods, not nested closures: a
-    recursive closure is a reference cycle, which would keep the memo's
-    traces, and through them the KB, alive until a full garbage collection."""
+    """A KB's table of solved subgoals, keyed by (pattern, depth), valid for
+    one rule list and one asserted set (``prove`` checks ``valid_for``).  It
+    holds no reference to the KB, and its methods are not nested closures:
+    no reference cycle keeps a dropped KB alive until a garbage collection."""
 
     def __init__(self, kb: AtomSpace, rules: list[Rule]):
-        self.kb = kb
-        self.rules = rules
+        self.rules = tuple(rules)
+        self.valid_for = (kb.asserted_count, self.rules)
         self.memo: dict[tuple[int, int], list] = {}
 
-    def solve(self, pattern: int, depth: int) -> list[tuple[Binding, InferenceTrace]]:
-        kb, memo = self.kb, self.memo
+    def solve(self, kb: AtomSpace, pattern: int,
+              depth: int) -> list[tuple[Binding, InferenceTrace]]:
+        memo = self.memo
         if (pattern, depth) in memo:
             return memo[pattern, depth]
         results: list[tuple[Binding, InferenceTrace]] = []
@@ -271,7 +271,8 @@ class _Search:
                 if not _match_conclusion(kb, rule.conclusion, pattern, rb, aliases):
                     continue
                 rule_constraints = {v: t for v, t in rule.variables if t is not None}
-                for full_rb, child_traces in self.solve_premises(rule, rb, depth - 1):
+                for full_rb, child_traces in self.solve_premises(kb, rule, rb,
+                                                                 depth - 1):
                     if any(kb.type_of(full_rb[v]) != t
                            for v, t in rule_constraints.items() if v in full_rb):
                         continue
@@ -286,7 +287,7 @@ class _Search:
         memo[pattern, depth] = results
         return results
 
-    def solve_premises(self, rule: Rule, rb: Binding, depth: int):
+    def solve_premises(self, kb: AtomSpace, rule: Rule, rb: Binding, depth: int):
         """Grounds all premises recursively; returns (binding, traces) pairs.
 
         A subgoal's solutions bind only its own variables, which the
@@ -295,8 +296,8 @@ class _Search:
         for premise in rule.premises:
             next_solutions = []
             for binding, traces in solutions:
-                p = substitute(self.kb, premise, binding)
-                for sub_binding, trace in self.solve(p, depth):
+                p = substitute(kb, premise, binding)
+                for sub_binding, trace in self.solve(kb, p, depth):
                     next_solutions.append(({**binding, **sub_binding},
                                            traces + [trace]))
             solutions = next_solutions
@@ -308,15 +309,20 @@ class _Search:
 def prove(kb: AtomSpace, rules: list[Rule], targets: list[int],
           config: ChainConfig) -> list[list[tuple[Binding, InferenceTrace]]]:
     """Unvalued proofs of each target (no formula runs), in
-    ``backward_chain``'s order, from one subgoal table for all targets.  A
-    table holds while the asserted set is unchanged: the search reads only
-    which atoms are asserted, and interns only unasserted ones."""
+    ``backward_chain``'s order, from the KB's one subgoal table.  The search
+    reads which atoms are asserted, but no strength, and asserts nothing; so
+    the table is reused while no atom has become asserted since it was built
+    and ``rules`` holds the same Rule objects in the same order, and a fresh
+    one replaces it otherwise.  The returned lists and bindings belong to
+    the table: callers must treat them as read-only."""
     if config.max_depth < 1:
         raise ChainError("max_depth must be >= 1")
     if config.max_depth > MAX_SEARCH_DEPTH:
         raise ChainError("max_depth must be <= %d" % MAX_SEARCH_DEPTH)
-    search = _Search(kb, rules)
-    return [search.solve(target, config.max_depth) for target in targets]
+    search = kb.subgoal_table
+    if search is None or search.valid_for != (kb.asserted_count, tuple(rules)):
+        search = kb.subgoal_table = _Search(kb, rules)
+    return [search.solve(kb, target, config.max_depth) for target in targets]
 
 
 def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
@@ -328,10 +334,12 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
     recursively derivable.  Results are deterministic: KB facts first, then
     rules in the given order.
 
-    ``prove`` builds the traces, then one memo replays them all, so a shared
-    application calls its formula once.  Read-only: it may intern atoms, but
-    values no conclusion, so every leaf is an asserted fact.
+    ``prove`` finds the traces through the KB's subgoal table, then one memo
+    replays them all, so a shared application calls its formula once.
+    Read-only: it may intern atoms, but values no conclusion, so every leaf
+    is an asserted fact.
     """
     (proofs,) = prove(kb, rules, [target], config)
     memo: dict = {}
-    return [(binding, trace.replay(kb, memo), trace) for binding, trace in proofs]
+    return [(dict(binding), trace.replay(kb, memo), trace)
+            for binding, trace in proofs]

@@ -138,6 +138,11 @@ class ExperimentConfig:
             raise ConfigError("fruits must be nonempty")
         if not self.colors:
             raise ConfigError("colors must be nonempty")
+        names = self.fruits + self.colors
+        repeated = [n for i, n in enumerate(names) if n in names[:i]]
+        if repeated:
+            raise ConfigError("fruits and colors must all differ: %r repeats"
+                              % repeated[0])
         for fruit in self.fruits:
             probs = self.true_probabilities.get(fruit)
             if not isinstance(probs, dict):

@@ -6,8 +6,8 @@ the optimizer steps are.  ``fit`` is the one training loop: it traces the
 loss once and replays that trace as compiled code, range checks included,
 or re-traces the loss every step when it branches on a value computed from
 the parameters.  ``train`` runs the proof search once, for all its targets
-through one subgoal table; the search only builds traces, and replaying
-them in each step's loss is what evaluates the formulas.
+through the KB's subgoal table, and each step's loss replays the traces;
+it drops the table when its commits will assert a new conclusion.
 """
 
 from __future__ import annotations
@@ -189,8 +189,8 @@ def _find_traces(kb: AtomSpace, rules: list[Rule],
                  dataset: list[LabeledExample], depth: int):
     """The trace ``train`` replays for each example: the target's first rule
     derivation, so the prediction depends on the premises, else its first KB
-    lookup.  All targets are searched through one subgoal table (``prove``);
-    the traces stay unvalued here, as ``train`` replays every one."""
+    lookup.  All targets are searched through the KB's subgoal table
+    (``prove``); the traces stay unvalued here, as ``train`` replays them."""
     targets = [ex.target for ex in dataset]
     traces = []
     for i, proofs in enumerate(prove(kb, rules, targets, ChainConfig(max_depth=depth))):
@@ -210,12 +210,15 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
     them against the current truth values in each step's loss builds the
     formula graph as a fresh search would on a structurally unchanged KB.
     Each step refreshes the learnable strengths and takes the mean
-    cross-entropy over the examples.
+    cross-entropy over the examples.  Every target must be ground.
     """
     if not params:
         raise TrainError("params must be nonempty")
     if not dataset:
         raise TrainError("dataset must be nonempty")
+    for i, ex in enumerate(dataset):
+        if not kb.atom(ex.target).is_ground:
+            raise TrainError("example %d: target is not ground" % i)
     tape = kb.tape
     mark = tape.mark()
     # the search resolves rule terms once, so it must see the atoms that
@@ -223,6 +226,9 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
     for ls in learnables:
         ls.refresh()
     traces = _find_traces(kb, rules, dataset, config.chain_depth)
+    if any(not kb.has_asserted_tv(t.conclusion) for t in traces
+           if isinstance(t, Derivation)):
+        kb.subgoal_table = None  # the commits end it: free it for the fit
 
     # Examples whose traces land on the same tape record compute the same
     # prediction on every re-trace (replay is deterministic), so one replay
@@ -255,9 +261,9 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
         ls.refresh()
     memo = {}
     for trace in traces:
-        trace.replay(kb, memo)
+        strength = trace.replay(kb, memo)
         if isinstance(trace, Derivation):
-            commit(kb, trace)
+            commit(kb, trace, strength)
 
     for i, p in enumerate(params):
         name = tape.param_names.get(p.index, "param_%d" % i)

@@ -217,9 +217,9 @@ def test_criterion_6_gradient_connectivity():
     target = parse_atom(kb, '(InheritanceLink (ConceptNode "a") '
                             '(ConceptNode "e"))')
     results = backward_chain(kb, [rule], target, ChainConfig(max_depth=3))
-    trace = next(t for _, _, t in results
-                 if {leaf.atom for leaf in t.leaves()} == set(links))
-    tape.backward(trace.strength)
+    strength = next(s for _, s, t in results
+                    if {leaf.atom for leaf in t.leaves()} == set(links))
+    tape.backward(strength)
     grads = [kb.get_tv(l).strength.grad for l in links]
     ok = all(g != 0.0 for g in grads)
     _report(6, ok, "3-step deduction chain leaf grads = %s"

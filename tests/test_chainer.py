@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -159,7 +160,7 @@ def _rematch_forward_chain(kb, rules, config):
         pending = []
         for ri, rule in enumerate(rules):
             for binding in match(kb, _premise_query(rule)):
-                key = (rule.name, tuple(sorted(binding.items())))
+                key = (ri, tuple(sorted(binding.items())))
                 if key in applied:
                     continue
                 pending.append((ri, binding, key))
@@ -197,18 +198,17 @@ CLOSURE_KB = """
 @pytest.mark.parametrize("duplicated", [False, True])
 def test_forward_chain_equals_full_rematch(monkeypatch, duplicated):
     """The kept pool fires only pairs a full re-match of the KB offers at
-    that step, each (name, binding) key once; when it runs empty a full
+    that step, each (rule, binding) pair once; when it runs empty a full
     re-match offers no unfired pair, and the fired keys and new atoms are
     those of re-matching everything on every step.  ``duplicated`` adds a
     second deduction rule and a trainable modus ponens named
-    "modus-ponens", whose (name, binding) keys collide with the
-    originals'."""
+    "modus-ponens": rules that share a name still fire apart."""
     fired = []
     apply = chainer.apply_rule
 
     def recording(kb, rule, binding):
         assert binding in list(match(kb, _premise_query(rule)))
-        key = (rule.name, tuple(sorted(binding.items())))
+        key = (rule, tuple(sorted(binding.items())))
         assert key not in fired
         fired.append(key)
         return apply(kb, rule, binding)
@@ -225,14 +225,14 @@ def test_forward_chain_equals_full_rematch(monkeypatch, duplicated):
         fired.clear()
         new_atoms, traces = chain(kb, rules, ChainConfig(max_steps=200, seed=seed))
         assert len(fired) < 200  # the list ran empty
-        offered = {(rule.name, tuple(sorted(binding.items())))
+        offered = {(rule, tuple(sorted(binding.items())))
                    for rule in rules
                    for binding in match(kb, _premise_query(rule))}
         assert offered == set(fired)
         assert [t.conclusion for t in traces] == new_atoms
         text = functools.partial(format_atom, kb)
-        keys = {(name, frozenset((text(v), text(a)) for v, a in binding))
-                for name, binding in fired}
+        keys = {(rules.index(rule), frozenset((text(v), text(a)) for v, a in binding))
+                for rule, binding in fired}
         return keys, {text(a) for a in new_atoms}, kb, new_atoms, len(fired)
 
     for seed in range(5):
@@ -355,10 +355,10 @@ def test_trace_replay_reproduces_value():
     target = parse_atom(kb, '(InheritanceLink (ConceptNode "sparrow") '
                             '(ConceptNode "animal"))')
     results = backward_chain(kb, [rule], target, ChainConfig(max_depth=2))
-    derivation = next(t for _, _, t in results if isinstance(t, Derivation))
-    before = derivation.strength.value
+    _, before, derivation = next(r for r in results
+                                 if isinstance(r[2], Derivation))
     replayed = derivation.replay(kb, {})
-    assert abs(replayed.value - before) <= 1e-12
+    assert abs(replayed.value - before.value) <= 1e-12
 
 
 def test_gradient_connectivity_three_step_chain():
@@ -378,9 +378,9 @@ def test_gradient_connectivity_three_step_chain():
     target = parse_atom(kb, '(InheritanceLink (ConceptNode "a") '
                             '(ConceptNode "e"))')
     results = backward_chain(kb, [rule], target, ChainConfig(max_depth=3))
-    full = next(t for _, _, t in results
+    full = next(s for _, s, t in results
                 if {leaf.atom for leaf in t.leaves()} == set(links))
-    tape.backward(full.strength)
+    tape.backward(full)
     for l in links:
         assert kb.get_tv(l).strength.grad != 0.0
     tape.zero_grads()
@@ -539,47 +539,72 @@ def test_derivation_terms_are_trace_inputs():
     def derive(rule, target_text):
         target = parse_atom(kb, target_text)
         results = backward_chain(kb, [rule], target, ChainConfig(max_depth=1))
-        return next(t for _, _, t in results if isinstance(t, Derivation))
+        return next(r[1:] for r in results if isinstance(r[2], Derivation))
 
-    valued = derive(deduction, '(InheritanceLink (ConceptNode "a") (ConceptNode "c"))')
+    valued_s, valued = derive(deduction, '(InheritanceLink (ConceptNode "a") '
+                                         '(ConceptNode "c"))')
     assert [type(t) for t in valued.terms] == [Leaf, Leaf]
     assert [t.atom for t in valued.terms] == [b, c]
     assert [leaf.atom for leaf in valued.leaves()] == [ab, bc]
-    tape.backward(valued.strength)
+    tape.backward(valued_s)
     inputs = valued.premises + valued.terms
     expected = finite_diff_grads(lambda t, r: deduction_strength(*r),
                                  list(values.values()))
-    assert [t.strength.grad for t in inputs] == pytest.approx(expected, abs=1e-6)
+    assert [t.replay(kb, {}).grad for t in inputs] == pytest.approx(expected, abs=1e-6)
     assert any(g != 0.0 for g in expected[2:])
     tape.zero_grads()
 
-    unvalued = derive(deduction, '(InheritanceLink (ConceptNode "a") (ConceptNode "d"))')
+    unvalued_s, unvalued = derive(deduction, '(InheritanceLink (ConceptNode "a") '
+                                             '(ConceptNode "d"))')
     assert isinstance(unvalued.terms[0], Leaf)
     assert isinstance(unvalued.terms[1], Constant)
     assert unvalued.terms[1].value == 1.0
     assert [leaf.atom for leaf in unvalued.leaves()] == [ab, bd]
 
-    green = derive(mp, '(EvaluationLink (PredicateNode "green") (ConceptNode "x"))')
+    green_s, green = derive(mp, '(EvaluationLink (PredicateNode "green") '
+                                '(ConceptNode "x"))')
     (neg,) = green.terms
-    assert isinstance(neg, Leaf) and neg.strength.value == 0.45
+    assert isinstance(neg, Leaf) and neg.replay(kb, {}).value == 0.45
     assert kb.type_of(kb.atom(neg.atom).outgoing[0]) == "NotLink"
-    assert green.strength.value == pytest.approx(0.6 * 0.5 + 0.45 * 0.5)
-    red = derive(mp, '(EvaluationLink (PredicateNode "red") (ConceptNode "x"))')
+    assert green_s.value == pytest.approx(0.6 * 0.5 + 0.45 * 0.5)
+    red_s, red = derive(mp, '(EvaluationLink (PredicateNode "red") (ConceptNode "x"))')
     (default,) = red.terms
     assert isinstance(default, Constant) and default.value == 0.25
-    assert red.strength.value == pytest.approx(0.6 * 0.5 + 0.25 * 0.5)
+    assert red_s.value == pytest.approx(0.6 * 0.5 + 0.25 * 0.5)
     assert len(list(green.leaves())) == len(list(red.leaves())) == 2
 
     traces = [valued, unvalued, green, red]
-    before = [t.strength.value for t in traces]
+    before = [s.value for s in (valued_s, unvalued_s, green_s, red_s)]
     tape.reset_to(mark)
     memo = {}
-    assert [t.replay(kb, memo).value for t in traces] == before
+    replayed = [t.replay(kb, memo) for t in traces]
+    assert [r.value for r in replayed] == before
     for trace in traces:
         for term in trace.terms:
-            assert term.strength.index < len(tape)
-    tape.backward(valued.strength)
-    assert [t.strength.grad for t in inputs] == pytest.approx(expected, abs=1e-6)
+            assert term.replay(kb, memo).index < len(tape)
+    tape.backward(replayed[0])
+    assert [t.replay(kb, {}).grad for t in inputs] == pytest.approx(expected, abs=1e-6)
+
+
+def test_rules_sharing_a_name_replay_apart():
+    """Two trainable modus ponens rules, both named "modus-ponens", with
+    different weights: the replay memo keys an application by its rule
+    object, so the second rule's proof has that rule's own value."""
+    tape, kb = fresh_kb()
+    load_kb(kb, """
+    (ImplicationLink (stv 0.8 1.0) (PredicateNode "p") (PredicateNode "q"))
+    (EvaluationLink (stv 0.9 1.0) (PredicateNode "p") (ConceptNode "a"))
+    """)
+    w1, w2 = FormulaWeights.create(tape), FormulaWeights.create(tape)
+    w2.w3.value = 3.0
+    rules = [make_modus_ponens_rule(kb, weights=w) for w in (w1, w2)]
+    assert rules[0].name == rules[1].name
+    target = parse_atom(kb, '(EvaluationLink (PredicateNode "q") (ConceptNode "a"))')
+    config = ChainConfig(max_depth=1)
+    ((_, alone, _),) = backward_chain(kb, rules[1:], target, config)
+    assert alone.value == pytest.approx(1.0 / (1.0 + math.exp(-3.0)))
+    both = backward_chain(kb, rules, target, config)
+    assert [s.value for _, s, _ in both] == [0.5, alone.value]
 
 
 def test_chain_config_validation():
@@ -616,10 +641,10 @@ def test_backward_chain_memoizes_every_subgoal(monkeypatch):
     solved = []
     solve, init = chainer._Search.solve, chainer._Search.__init__
 
-    def counting(self, pattern, depth):
+    def counting(self, kb, pattern, depth):
         if (pattern, depth) not in self.memo:
             solved.append((pattern, depth))
-        return solve(self, pattern, depth)
+        return solve(self, kb, pattern, depth)
 
     def forgetful(self, kb, rules):
         init(self, kb, rules)
@@ -633,6 +658,7 @@ def test_backward_chain_memoizes_every_subgoal(monkeypatch):
                           '(VariableNode "$Z"))', 1 + 1 + 2 + 5 + 14 + 42)]:
         target = parse_atom(kb, text)
         solved.clear()
+        kb.subgoal_table = None  # each search starts from an empty table
         got = _proofs(kb, rules, target, n)
         assert len(got) == proofs
         assert len(solved) == len(set(solved))
@@ -640,6 +666,7 @@ def test_backward_chain_memoizes_every_subgoal(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(chainer._Search, "__init__", forgetful)
             solved.clear()
+            kb.subgoal_table = None
             assert _proofs(kb, rules, target, n) == got
             assert len(solved) > len(set(solved))
 
@@ -661,6 +688,7 @@ def _assert_same_as_full_scan(monkeypatch, kb, rules, target, depth):
     got = _proofs(kb, rules, target, depth)
     with monkeypatch.context() as m:
         m.setattr(chainer, "candidates", _scan_every_atom)
+        kb.subgoal_table = None  # search again, not reuse got's table
         expected = _proofs(kb, rules, target, depth)
     assert got and got == expected
 
@@ -749,8 +777,8 @@ def _nodes(trace):
 
 
 def test_structural_search_writes_no_tape_record():
-    """prove only builds traces: no formula call, no tape record, and every
-    node's strength stays None until replay sets it."""
+    """prove only builds traces: no formula call and no tape record until
+    replay, and trace nodes carry no strength field for replay to set."""
     kb = _valued_ladder(6)
     load_kb(kb, APPLE_KB)
     rules = make_rule_set(kb)
@@ -768,11 +796,10 @@ def test_structural_search_writes_no_tape_record():
     assert [len(p) for p in proofs] == [42, 1 + 1 + 2 + 5 + 14, 2, 2]
     nodes = [n for p in proofs for _, trace in p for n in _nodes(trace)]
     assert {type(n) for n in nodes} == {Leaf, Constant, Derivation}
-    assert all(n.strength is None for n in nodes)
+    assert not any(hasattr(n, "strength") for n in nodes)
     for p in proofs:
         for _, trace in p:
             trace.replay(kb, {})
-    assert all(n.strength is not None for n in nodes)
     assert calls
 
 
@@ -789,13 +816,18 @@ def test_backward_chain_replays_each_formula_key_once():
         calls.clear()
         results = backward_chain(kb, [rule], parse_atom(kb, text),
                                  ChainConfig(max_depth=6))
+        searched = list(calls)
         derivations = [n for _, _, t in results for n in _nodes(t)
                        if isinstance(n, Derivation)]
+        # one more pass as backward_chain replays, to read each node's inputs
+        memo = {}
+        for _, _, t in results:
+            t.replay(kb, memo)
         keys = {(n.rule.name,
-                 tuple(c.strength.index for c in n.premises + n.terms))
+                 tuple(c.replay(kb, memo).index for c in n.premises + n.terms))
                 for n in derivations}
-        assert len(calls) == len(set(calls)) == len(keys)
-        assert set(calls) == keys
+        assert len(searched) == len(set(searched)) == len(keys)
+        assert set(calls[len(searched):]) == keys
         assert len(keys) < len(derivations)
 
 
@@ -826,4 +858,3 @@ def test_tall_proof_at_max_search_depth():
     for _ in range(n):
         expected = 0.9 * expected + 0.2 * (1.0 - expected)
     assert strength.value == pytest.approx(expected, abs=1e-12)
-    assert trace.strength is strength

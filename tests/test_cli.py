@@ -169,6 +169,28 @@ def test_invalid_probabilities_exit_code(tmp_path):
                  "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("names, message", [
+    ('fruits = ["apple"]\ncolors = ["red", "red"]\n'
+     'probabilities.apple.red = 0.5\n', "'red' repeats"),
+    ('fruits = ["apple", "apple"]\ncolors = ["green", "red"]\n'
+     'probabilities.apple.green = 0.7\nprobabilities.apple.red = 0.3\n',
+     "'apple' repeats"),
+    ('fruits = ["apple", "green"]\ncolors = ["green", "red"]\n'
+     'probabilities.apple.green = 0.7\nprobabilities.apple.red = 0.3\n'
+     'probabilities.green.green = 0.5\nprobabilities.green.red = 0.5\n',
+     "'green' repeats"),
+], ids=["color-twice", "fruit-twice", "fruit-and-color"])
+def test_fruit_config_repeated_name_exits_1(tmp_path, capsys, names, message):
+    """A fruit or colour listed twice, or a name that is both, is a config
+    error: no run samples or reports a pair twice."""
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(names + "n_samples = 5\nsteps = 2\n")
+    assert main(["fruit-colors", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_learn_formula_zero_steps(tmp_path):
     cfg = ExperimentConfig(experiment="learn-formula", steps=0, lr=2.0,
                            out_dir=str(tmp_path / "out"))

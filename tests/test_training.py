@@ -605,6 +605,41 @@ def test_train_requires_params_and_data():
         train(kb, [rule], [], [learnable.theta], cfg)
 
 
+def test_train_rejects_non_ground_target(monkeypatch):
+    """A target with a variable is rejected, naming its example, before
+    the search runs and before anything is written to the KB."""
+    tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 4, seed=3)
+    green = kb.find_node("PredicateNode", "green")
+    dataset.insert(2, LabeledExample(
+        kb.link("EvaluationLink", green, kb.node("VariableNode", "$V")), 1))
+    monkeypatch.setattr(training, "prove", None)  # any search call fails
+    tvs = {a: kb.get_tv(a) for a in range(len(kb)) if kb.has_asserted_tv(a)}
+    with pytest.raises(TrainError, match="example 2: target is not ground"):
+        train(kb, [rule], dataset, [learnable.theta], TrainConfig(steps=3),
+              learnables=[learnable])
+    assert {a: kb.get_tv(a) for a in range(len(kb))
+            if kb.has_asserted_tv(a)} == tvs
+
+
+def test_train_drops_the_table_its_commits_would_end(monkeypatch):
+    """A train call whose commits assert new conclusions drops the KB's
+    subgoal table before fitting; once every conclusion is asserted, the
+    table outlives the call and the next train call reuses it."""
+    tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 6, seed=5)
+    tables = []
+    fit = training.fit
+
+    def recording(*args):
+        tables.append(kb.subgoal_table)
+        return fit(*args)
+    monkeypatch.setattr(training, "fit", recording)
+    for _ in range(3):
+        train(kb, [rule], dataset, [learnable.theta], TrainConfig(steps=3),
+              learnables=[learnable])
+    assert tables[0] is None
+    assert tables[1] is not None and tables[2] is tables[1]
+
+
 def _trace_shape(trace):
     """Rule, binding, conclusion and leaf atoms of a trace, recursively,
     with each term as its atom or default."""
@@ -618,7 +653,7 @@ def _trace_shape(trace):
 
 def test_shared_table_traces_match_per_target_search(monkeypatch):
     """Every train call's one-table search picks, for every example, the
-    trace a fresh backward_chain per target would pick: same rule, binding,
+    trace a backward_chain per target through a fresh table would pick: same rule, binding,
     conclusion, terms and leaf atoms, and the same replayed strength.  The
     KB is fruit-colors-shaped, and the later calls reach conclusions that
     earlier calls committed, as depth-0 facts."""
@@ -641,6 +676,7 @@ def test_shared_table_traces_match_per_target_search(monkeypatch):
     def checking(kb, rules, dataset, depth):
         traces = find(kb, rules, dataset, depth)
         for trace, ex in zip(traces, dataset):
+            kb.subgoal_table = None  # a fresh search per target
             results = backward_chain(kb, rules, ex.target,
                                      ChainConfig(max_depth=depth))
             _, strength, fresh = next(

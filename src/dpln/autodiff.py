@@ -5,10 +5,10 @@ scalar operations only.  Local partial derivatives are computed at forward
 time; ``backward`` is a single reverse sweep over the record list.
 
 The tape supports checkpoint/rollback (``mark`` / ``reset_to``) so a training
-loop can keep leaf parameters alive while re-tracing the formula graph on
-every step.  When a traced graph does not change from step to step,
-``trace_loss`` compiles it once into straight-line Python that recomputes it
-in place; range checks made with ``check_unit`` become guards in that code.
+loop can keep leaf parameters alive while it re-traces the formula graph.
+``trace_loss`` compiles a traced graph once into straight-line Python that
+recomputes it in place; ``check_unit`` range checks and ``at_least``
+branches become guards in that code.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class Tape:
         self._const_cache: dict[float, int] = {}
         # indices whose value was read or set while trace_loss traces
         self._reads: list[int] | None = None
-        # check_unit calls made while trace_loss traces, in trace order:
-        # (record count at the check, checked index, error class, label)
+        # check_unit and at_least calls made while trace_loss traces, in
+        # order: (record count, tested index, guard statement, its payload)
         self._guards: list[tuple] | None = None
 
     def __len__(self) -> int:
@@ -222,7 +222,18 @@ class Tape:
         if not -UNIT_TOL <= v <= 1.0 + UNIT_TOL:
             raise _unit_error(error, label, v)
         if self._guards is not None:
-            self._guards.append((len(values), i, error, label))
+            self._guards.append((len(values), i, _UNIT_GUARD, (error, label)))
+
+    def at_least(self, a: VarRef, bound: float) -> bool:
+        """Whether a's value is >= bound.  A loss may branch on this, but
+        not on a ``value``: ``trace_loss`` keeps the test as a branch guard,
+        and the replay reports a miss when its outcome flips."""
+        self._one(a)
+        outcome = self._values[a.index] >= bound
+        if self._guards is not None:
+            self._guards.append((len(self._values), a.index,
+                                 _BRANCH_GUARD[outcome], bound))
+        return outcome
 
     # -- gradients --------------------------------------------------------
 
@@ -312,79 +323,81 @@ _ADJOINT = {
     "sigmoid": ("d * (v[{0}] * (1.0 - v[{0}]))",),
     "clamp01": ("d * (1.0 if 0.0 <= v[{1}] <= 1.0 else 0.0)",),
 }
-# the replayed ``check_unit`` of value {0}, raising from guard {1}'s
-# (error class, label) in ``guards``
-_GUARD = ("if not -UNIT_TOL <= v[{0}] <= 1.0 + UNIT_TOL: "
-          "raise unit_error(*guards[{1}], v[{0}])")
+# the replayed guards on value {0}, given guard {1}'s payload in ``guards``:
+# the (error class, label) of a check_unit, or the bound of an at_least
+_UNIT_GUARD = ("if not -UNIT_TOL <= v[{0}] <= 1.0 + UNIT_TOL: "
+               "raise unit_error(*guards[{1}], v[{0}])")
+_BRANCH_GUARD = {True: "if not v[{0}] >= guards[{1}]: return False",
+                 False: "if v[{0}] >= guards[{1}]: return False"}
 # records per generated function: small sources keep compile memory flat
 _CHUNK = 64
 
 
-def trace_loss(tape: Tape, loss_fn: Callable[[], VarRef]
-               ) -> tuple[VarRef, Callable[[], None] | None]:
+def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
+               ) -> tuple[VarRef, Callable[[], bool]]:
     """Calls ``loss_fn()`` once and compiles the graph it traced.
 
     Returns ``(loss, replay)``.  ``replay()`` recomputes in place every
-    record traced here that depends on a parameter, from the parameters'
-    current values, then adds d(loss)/d(parameter) into the grads as
-    ``backward(loss)`` does, with the same operations in the same order:
-    values and grads are bit-identical to re-tracing ``loss_fn``.
+    record traced here that one of ``params`` reaches, then adds
+    d(loss)/d(parameter) into their grads: values and grads are
+    bit-identical to re-tracing ``loss_fn``.  Other records keep their
+    traced values.  Each ``check_unit`` and ``at_least`` on a value that a
+    parameter reaches is a guard, re-tested at its place in the trace: a
+    failing range check raises what a re-trace would, and an ``at_least``
+    whose outcome flips stops the replay there, before any later record or
+    grad, and makes it return False, a miss.  Otherwise it returns True.
 
-    Every ``check_unit`` made here on a value that depends on a parameter
-    is a guard: the replay re-tests it at its place in the trace and raises
-    the same error, with the same message, as a re-trace would, before it
-    recomputes the records traced after the check.
-
-    ``replay`` is None, and the graph must be re-traced each time, when the
-    trace may differ from call to call or cannot be replayed: ``loss_fn``
-    read or set the ``value`` of a parameter or of a record that depends on
-    one (it may branch on it), created a parameter, used a record from
-    before the call that has inputs, returned a record from before the
-    call, or built a loss that depends on no parameter.
+    Raises AutodiffError when ``loss_fn`` reads or sets the ``value`` of a
+    record that a parameter reaches, or uses one from before the call.
     """
+    tape = params[0].tape
     mark = len(tape)
-    # a trace_loss further up the stack also sees these reads and guards
-    outer = tape._reads, tape._guards
-    reads = tape._reads = [] if outer[0] is None else outer[0]
-    guards = tape._guards = [] if outer[1] is None else outer[1]
-    start = len(guards)
+    tape._reads, tape._guards = reads, guards = [], []
     try:
         loss = loss_fn()
     finally:
-        tape._reads, tape._guards = outer
+        tape._reads = tape._guards = None
     tape._one(loss)
-    return loss, _compile(tape, mark, loss.index, set(reads), guards[start:])
+    return loss, _compile(tape, params, mark, loss.index, set(reads), guards)
 
 
-def _compile(tape: Tape, mark: int, loss: int, reads: set[int],
-             guards: list[tuple]) -> Callable[[], None] | None:
-    deps, params = tape._deps, sorted(tape._param_indices)
-    if loss < mark or params and params[-1] >= mark:
-        return None
-    # adjoint slot of every parameter and every record that depends on one
-    slot = {i: n for n, i in enumerate(params)}
-    for i in range(mark, len(deps)):
-        inputs = deps[i][1::2]
-        if any(j < mark and deps[j] for j in inputs):
-            return None
-        if any(j in slot for j in inputs):
+def _compile(tape: Tape, params: list[VarRef], mark: int, loss: int,
+             reads: set[int], guards: list[tuple]) -> Callable[[], bool]:
+    deps = tape._deps
+    indices = sorted({p.index for p in params})
+    # adjoint slot of every parameter and every record that depends on one;
+    # the walk starts at the first parameter to find such records from
+    # before the call as well
+    slot = {i: n for n, i in enumerate(indices)}
+    for i in range(indices[0], len(deps)):
+        if any(j in slot for j in deps[i][1::2]):
             slot[i] = len(slot)
-    if loss not in slot or not reads.isdisjoint(slot):
-        return None
+    read = reads & slot.keys()
+    if read:
+        raise AutodiffError("the loss read or set the value of record %d, "
+                            "which a parameter reaches: branch with "
+                            "Tape.at_least" % min(read))
+    before = {i for i in slot if i < mark and deps[i]}
+    stale = before and before & {loss, *(g[1] for g in guards),
+                                 *(j for rec in deps[mark:] for j in rec[1::2])}
+    if stale:
+        raise AutodiffError("the loss uses record %d, computed from a "
+                            "parameter before the loss was traced; compute "
+                            "it inside the loss" % min(stale))
 
     # a guard on a value that no parameter reaches cannot fail later; the
     # others go before the first record traced after them
     guards = [g for g in guards if g[1] in slot]
     forward, n = [], 0
-    for i in list(slot)[len(params):]:
+    for i in [i for i in slot if i >= mark]:
         while n < len(guards) and guards[n][0] <= i:
-            forward.append("    " + _GUARD.format(guards[n][1], n))
+            forward.append("    " + guards[n][2].format(guards[n][1], n))
             n += 1
         forward.append("    " + _FORWARD[deps[i][0]].format(i, *deps[i][1::2]))
-    forward += ["    " + _GUARD.format(g[1], k)
+    forward += ["    " + g[2].format(g[1], k)
                 for k, g in enumerate(guards[n:], n)]
     backward = []
-    needed = {loss}  # records with a path to the loss
+    needed = {loss} & slot.keys()  # records with a path to the loss
     for i in range(loss, mark - 1, -1):
         if i not in needed:
             continue
@@ -397,15 +410,17 @@ def _compile(tape: Tape, mark: int, loss: int, reads: set[int],
                 lines.append("        g[%d] += %s" % (slot[j],
                                                      term.format(i, *inputs)))
         backward.append("\n".join(lines))
-    run_forward = _functions(forward, "v", [g[2:] for g in guards])
+    run_forward = _functions(forward, "v", [g[3] for g in guards])
     run_backward = _functions(backward, "v, g")
-    grad_slots = [(p, slot[p]) for p in params if p in needed]
-    size, out = len(slot), slot[loss]
+    grad_slots = [(p, slot[p]) for p in indices if p in needed]
+    # a loss that no parameter reaches gets a spare slot
+    size, out = len(slot) + 1, slot.get(loss, len(slot))
 
-    def replay() -> None:
+    def replay() -> bool:
         values = tape._values
         for f in run_forward:
-            f(values)
+            if f(values) is False:
+                return False
         adjoint = [0.0] * size
         adjoint[out] = 1.0
         for f in run_backward:
@@ -414,15 +429,15 @@ def _compile(tape: Tape, mark: int, loss: int, reads: set[int],
         for i, s in grad_slots:
             if adjoint[s] != 0.0:
                 grads[i] += adjoint[s]
+        return True
     return replay
 
 
 def _functions(blocks: list[str], args: str,
-               guards: list[tuple] = ()) -> list[Callable]:
+               guards: list = ()) -> list[Callable]:
     """Compiles the code blocks into functions of ``_CHUNK`` blocks each,
-    with ``guards`` holding each guard's (error class, label).  The
-    functions are taken out of their namespace, so none of them is in a
-    reference cycle."""
+    with ``guards`` holding each guard's payload.  The functions are taken
+    out of their namespace, so none of them is in a reference cycle."""
     namespace = {"__builtins__": {}, "AutodiffError": AutodiffError,
                  "LOG_EPS": LOG_EPS, "UNIT_TOL": UNIT_TOL, "exp": math.exp,
                  "log": math.log, "max": max, "min": min,

@@ -6,8 +6,8 @@ Commands:
     dpln joint         --config F [overrides]   learn formula + strengths
     dpln chain --kb F [--target S | --forward]  run the chainer on a KB file
 
-Configs are flat key = value text files (TOML-style: quoted strings, numbers,
-["lists"], dotted keys for nesting); command-line flags win over the file.
+Configs are TOML files of flat keys (dotted keys or tables for
+``probabilities``); command-line flags win over the file.
 Exit codes: 0 success, 1 validation/parse error, 2 internal error.
 """
 
@@ -41,45 +41,15 @@ class ConfigError(Exception):
 # -- config files ----------------------------------------------------------
 
 def parse_config_text(text: str) -> dict:
-    """Flat ``key = value`` lines; dotted keys nest; '#'/';' start comments."""
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
-            continue
-        if "=" not in line:
-            raise ConfigError("line %d: expected key = value" % lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError("line %d: empty key" % lineno)
-        target = out
-        parts = key.split(".")
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-            if not isinstance(target, dict):
-                raise ConfigError("line %d: key %r clashes" % (lineno, key))
-        target[parts[-1]] = _parse_value(value, lineno)
-    return out
-
-
-def _parse_value(value: str, lineno: int):
-    if value.startswith("[") and value.endswith("]"):
-        inner = value[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_value(v.strip(), lineno) for v in inner.split(",")]
-    if value.startswith('"') and value.endswith('"') and len(value) >= 2:
-        return value[1:-1]
-    if value in ("true", "false"):
-        return value == "true"
+    """The TOML config ``text`` as a dict.  Raises ConfigError for bad
+    TOML, with tomllib's "(at line L, column C)", or for nesting too deep."""
+    import tomllib  # here: at module level it slows `import dpln.cli`
     try:
-        if any(c in value for c in ".eE") and not value.lstrip("+-").isdigit():
-            return float(value)
-        return int(value)
-    except ValueError:
-        raise ConfigError("line %d: cannot parse value %r" % (lineno, value)) from None
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(str(exc)) from None
+    except RecursionError:
+        raise ConfigError("config nests too deeply") from None
 
 
 @dataclass

@@ -48,7 +48,7 @@ def deduction_strength(s_ab: VarRef, s_bc: VarRef,
     """
     _check_unit("deduction input", s_ab, s_bc, s_b, s_c)
     t = s_ab.tape
-    if s_b.value >= 1.0 - DEDUCTION_EPS:
+    if t.at_least(s_b, 1.0 - DEDUCTION_EPS):
         return s_c
     cond = t.div(t.sub(s_c, t.mul(s_b, s_bc)), t.one_minus(s_b))
     cond = t.clamp01(cond)

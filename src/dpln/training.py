@@ -3,9 +3,9 @@
 Learnable truth-value strengths are parametrized as the sigmoid of an
 unconstrained logit, so they stay strictly inside (0, 1) no matter how large
 the optimizer steps are.  ``fit`` is the one training loop: it traces the
-loss once and replays that trace as compiled code, range checks included,
-or re-traces the loss every step when it branches on a value computed from
-the parameters.  ``train`` runs the proof search once, for all its targets
+loss once and replays that trace as compiled code, with range checks and
+branches as guards, and traces it again only after a branch flips.
+``train`` runs the proof search once, for all its targets
 through the KB's subgoal table, and each step's loss replays the traces;
 it drops the table when its commits will assert a new conclusion.
 """
@@ -134,19 +134,15 @@ def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
         learning_rate: float, steps: int) -> list[float]:
     """The training loop: gradient descent on ``loss_fn()`` over ``params``.
 
-    Step 0 rolls the tape back to its length on entry and traces the loss;
-    every step backpropagates, applies SGD and zeroes the grads, and the
-    tape is rolled back once more before returning.  Returns the loss of
-    every step.
+    Step 0 traces and compiles the loss (``trace_loss``) from the tape
+    length on entry; later steps replay it.  Every step backpropagates,
+    applies SGD and zeroes the grads; the tape is rolled back to its length
+    on entry before returning.  Returns the loss of every step.
 
-    ``loss_fn`` must build its loss from tape values alone, so that each
-    call traces the same graph: later steps then replay step 0's trace as
-    compiled code (``trace_loss``) instead of calling ``loss_fn`` again.
-    Range checks (``Tape.check_unit``) are guards in that code: a check that
-    fails on step k raises on step k, as a re-trace would.  If step 0 reads
-    the ``value`` of a parameter or of anything computed from one (it may
-    branch on it, as deduction's saturation test does), every step rolls
-    the tape back and re-traces ``loss_fn``.
+    ``loss_fn`` may branch on a record with ``Tape.at_least``, never on a
+    ``value`` computed from ``params``: when a branch flips, the replay
+    misses and that step traces ``loss_fn`` again.  A range check
+    (``Tape.check_unit``) that fails on step k raises on step k.
     """
     if not params:
         raise TrainError("params must be nonempty")
@@ -154,15 +150,10 @@ def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
     mark = tape.mark()
     losses = []
     replay = None
-    for step in range(steps):
-        if replay is not None:
-            replay()
-        else:
+    for _ in range(steps):
+        if replay is None or not replay():
             tape.reset_to(mark)
-            if step == 0 and steps > 1:
-                loss, replay = trace_loss(tape, loss_fn)
-            else:
-                loss = loss_fn()
+            loss, replay = trace_loss(params, loss_fn)
             tape.backward(loss)
         sgd_step(params, learning_rate)
         losses.append(loss.value)

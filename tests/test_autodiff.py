@@ -298,25 +298,53 @@ def _branchy(t, p):
 
 
 def test_trace_loss_declines_what_it_cannot_replay():
+    """trace_loss raises, naming the fix, for a loss that reads a value that
+    a fit parameter reaches or uses such a record from before the call.
+    Everything else compiles: records that no fit parameter reaches keep
+    their traced value, and the replay matches a re-trace."""
     t = Tape()
-    p = t.parameter(0.5)
+    p, q = t.parameter(0.5), t.parameter(0.25)  # p is fit, q is not
     c = t.constant(2.0)
-    derived = t.sigmoid(p)  # a record with inputs, traced before the loss
-    cases = {
+    derived = t.sigmoid(p)  # records traced before the loss
+    other = t.sigmoid(q)
+    declined = {
         "reads a parameter": lambda: t.mul(p, t.constant(p.value)),
         "reads a value computed from one": lambda: _branchy(t, p),
-        "creates a parameter": lambda: t.mul(p, t.parameter(1.0)),
-        "depends on no parameter": lambda: t.mul(c, c),
         "uses a derived record from before": lambda: t.mul(derived, p),
-        "returns a record from before": lambda: p,
+        "returns a derived record from before": lambda: derived,
+        "guards a derived record from before":
+            lambda: t.mul(p, c) if t.at_least(derived, 0.5) else p,
     }
-    for name, loss_fn in cases.items():
+    for name, loss_fn in declined.items():
         mark = t.mark()
-        _, replay = trace_loss(t, loss_fn)
-        assert replay is None, name
+        fix = "at_least" if name.startswith("reads") else "inside the loss"
+        with pytest.raises(AutodiffError, match=fix):
+            trace_loss([p], loss_fn)
         t.reset_to(mark)
-    # reading a value that depends on no parameter is fine
-    assert trace_loss(t, lambda: t.mul(p, t.constant(c.value)))[1] is not None
+    compiled = {
+        "creates a parameter": lambda: t.mul(p, t.parameter(3.0)),
+        "depends on no parameter": lambda: t.mul(c, c),
+        "reads a value no fit parameter reaches":
+            lambda: t.mul(p, t.constant(other.value)),
+        "uses a record from before that no fit parameter reaches":
+            lambda: t.mul(other, p),
+        "returns another parameter": lambda: q,
+        "returns the parameter": lambda: p,
+    }
+    for name, loss_fn in compiled.items():
+        mark = t.mark()
+        loss, replay = trace_loss([p], loss_fn)
+        p.value = 0.75
+        t.zero_grads()
+        assert replay(), name
+        replayed = loss.value, p.grad
+        t.reset_to(mark)
+        t.zero_grads()
+        fresh = loss_fn()
+        t.backward(fresh)
+        assert replayed == (fresh.value, p.grad), name
+        t.reset_to(mark)
+        p.value = 0.5
 
 
 def test_check_unit_raises_and_compiles_as_a_guard():
@@ -339,10 +367,9 @@ def test_check_unit_raises_and_compiles_as_a_guard():
         double = t.add(s, s)
         t.check_unit(double, ValueError, "double")  # after the last record
         return double
-    loss, replay = trace_loss(t, loss_fn)
-    assert replay is not None
+    loss, replay = trace_loss([p], loss_fn)
     p.value = 0.125
-    replay()
+    assert replay()
     assert loss.value == 0.5
     p.value = 0.375
     with pytest.raises(ValueError, match=r"^double 1.5 outside"):
@@ -350,6 +377,28 @@ def test_check_unit_raises_and_compiles_as_a_guard():
     p.value = 0.75
     with pytest.raises(ValueError, match=r"^sum 1.5 outside"):
         replay()
+
+
+def test_at_least_compiles_as_a_branch_guard():
+    """at_least returns the threshold test; in a traced loss it is a branch
+    guard, and a replay whose outcome flips stops at it, before the records
+    traced after it and before any grad, and returns False."""
+    t = Tape()
+    p = t.parameter(0.25)
+    assert t.at_least(p, 0.25) and not t.at_least(p, 0.5)
+
+    def loss_fn():
+        s = t.add(p, p)
+        return t.mul(s, s) if t.at_least(s, 1.0) else t.neg(s)
+    loss, replay = trace_loss([p], loss_fn)
+    assert loss.value == -0.5
+    p.value = 0.375
+    assert replay()
+    assert (loss.value, p.grad) == (-0.75, -2.0)
+    p.value = 0.5
+    t.zero_grads()
+    assert replay() is False
+    assert (loss.value, p.grad) == (-0.75, 0.0)
 
 
 def _clamped_expression(t, refs):
@@ -370,8 +419,7 @@ def test_replay_matches_retrace_bit_for_bit():
     for build in builds:
         t = Tape()
         refs = [t.parameter(interior(rng, -0.9, 0.9)) for _ in range(4)]
-        loss, replay = trace_loss(t, lambda: build(t, refs))
-        assert replay is not None
+        loss, replay = trace_loss(refs, lambda: build(t, refs))
         for _ in range(5):
             for r in refs:
                 r.value = interior(rng, -2.0, 2.0)
@@ -380,6 +428,6 @@ def test_replay_matches_retrace_bit_for_bit():
             fresh_loss = build(fresh, fresh_refs)
             fresh.backward(fresh_loss)
             t.zero_grads()
-            replay()
+            assert replay()
             assert loss.value == fresh_loss.value
             assert [r.grad for r in refs] == [r.grad for r in fresh_refs]

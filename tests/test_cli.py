@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dpln
 from dpln.cli import (ConfigError, ExperimentConfig, main, parse_config_text,
                       run_fruit_colors, run_learn_formula)
 from dpln.chainer import MAX_SEARCH_DEPTH
@@ -38,7 +43,7 @@ seed = 7
 
 def test_parse_config_text_values():
     cfg = parse_config_text("""
-    ; a full-line comment
+    # a full-line comment
     name = "hello"
     count = 12
     rate = 0.5
@@ -56,6 +61,8 @@ def test_parse_config_text_values():
 
 
 def test_parse_config_text_errors():
+    with pytest.raises(ConfigError, match=r"\(at line 2, column 4\)$"):
+        parse_config_text("seed = 1\nlr 0.5")
     with pytest.raises(ConfigError):
         parse_config_text("just a line without equals")
     with pytest.raises(ConfigError):
@@ -325,6 +332,35 @@ def test_experiment_config_bad_value_type(tmp_path, capsys, line):
     assert repr(line.split()[0]) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, key, value", [
+    ("learn-formula", "seed = 7 # note\n", "seed", 7),
+    ("fruit-colors", 'fruits = ["a, b", "c"]\ncolors = ["green"]\n'
+     'probabilities."a, b".green = 1\nprobabilities.c.green = 1\n'
+     "n_samples = 3\n", "pairs", [["a, b", "green"], ["c", "green"]]),
+])
+def test_config_toml_comments_and_quoted_commas(tmp_path, command, config,
+                                                key, value):
+    """A comment after a value, and a comma inside a quoted list item, are
+    TOML that the experiment commands accept."""
+    cfg_path, out = tmp_path / "cfg.txt", tmp_path / "out"
+    cfg_path.write_text(config)
+    assert main([command, "--config", str(cfg_path), "--steps", "2",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    if key == "pairs":
+        report[key] = [[p["fruit"], p["color"]] for p in report[key]]
+    assert report[key] == value
+
+
+def test_import_leaves_tomllib_unloaded():
+    """tomllib is imported when a config is read, not with dpln.cli."""
+    code = "import sys, dpln.cli; print('tomllib' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(dpln.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
 def test_experiment_config_int_for_float(tmp_path):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text("lr = 1\nneg_conditional = 0\n")
@@ -387,6 +423,8 @@ BAD_INPUTS = {
     "fruit probability above 1": (["fruit-colors", "--config", "{bad_prob}"],
                                   "probabilities.apple.green must be a "
                                   "number in [0, 1]"),
+    "config list nested 2000 deep": (["learn-formula", "--config", "{deep}"],
+                                     "config nests too deeply"),
 }
 
 
@@ -396,7 +434,8 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, case):
              "raw": tmp_path / "latin1.txt", "big_lr": tmp_path / "lr.txt",
              "dir": tmp_path / "a-directory",
              "bindlink": tmp_path / "bindlink.scm",
-             "bad_prob": tmp_path / "bad_prob.txt"}
+             "bad_prob": tmp_path / "bad_prob.txt",
+             "deep": tmp_path / "deep.txt"}
     paths["kb"].write_text(SPARROW_KB)
     paths["cfg"].write_text(FRUIT_CONFIG)
     paths["raw"].write_bytes(b'(ConceptNode "caf\xe9")\n')
@@ -405,6 +444,7 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, case):
                                  '(BindLink (ConceptNode "a"))\n')
     paths["bad_prob"].write_text(FRUIT_CONFIG.replace("0.7", "1.5")
                                  .replace("0.3", "-0.5"))
+    paths["deep"].write_text("seed = %s1%s\n" % ("[" * 2000, "]" * 2000))
     paths["dir"].mkdir()
     template, message = BAD_INPUTS[case]
     args = [a.format(**{k: str(v) for k, v in paths.items()})

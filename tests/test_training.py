@@ -13,7 +13,7 @@ from dpln import (AtomSpaceError, AutodiffError, ChainConfig, Derivation,
                   trainable_mp_strength)
 from dpln import cli, training
 from dpln.chainer import MAX_SEARCH_DEPTH
-from dpln.rules import FormulaError
+from dpln.rules import DEDUCTION_EPS, FormulaError, deduction_strength
 
 from conftest import fresh_kb
 
@@ -198,7 +198,7 @@ def _retrace_fit(params, loss_fn, learning_rate, steps):
         tape.reset_to(mark)
         loss = loss_fn()
         tape.backward(loss)
-        sgd_step(params, learning_rate)
+        training.sgd_step(params, learning_rate)
         losses.append(loss.value)
         tape.zero_grads()
     tape.reset_to(mark)
@@ -252,31 +252,81 @@ def test_fit_replay_matches_retrace_across_clamps():
     compiled, retraced = _fit_both(build, [0.6, 0.8], 0.5, 60)
     assert compiled[2] == 1
     assert compiled[:2] == retraced[:2]
+    t = Tape()
+    params = [t.parameter(0.6), t.parameter(0.8)]
     xs = []
 
-    def observed(t, params):  # reading values makes fit re-trace as well
+    def observed():  # reads values, so only a re-trace may run it
         p, q = params
         xs.append((p.value - 0.2) / q.value)
         return build(t, params)
-    _fit_both(observed, [0.6, 0.8], 0.5, 60)
+    _retrace_fit(params, observed, 0.5, 60)
     assert min(xs) < 1.0 < max(xs)
 
 
 def test_fit_retraces_a_loss_that_branches_on_a_parameter():
-    """A loss that reads a parameter's value may trace a different graph on
-    each step, so fit re-traces it every step."""
-    signs = set()
+    """A loss that branches on a parameter with at_least is replayed until
+    the branch flips; fit then traces it again, once per flip, and matches
+    re-tracing every step."""
+    outcomes = []
 
     def build(t, params):
         p, = params
-        signs.add(p.value > 0)
-        d = t.sub(p, t.constant(-1.0 if p.value > 0 else 1.0))
+        positive = t.at_least(p, 0.0)
+        outcomes.append(positive)
+        d = t.sub(p, t.constant(-1.0 if positive else 1.0))
         return t.mul(d, d)
 
-    compiled, retraced = _fit_both(build, [0.3], 0.4, 12)
-    assert compiled == retraced
-    assert compiled[2] == 12
-    assert signs == {True, False}  # both branches ran
+    compiled, retraced = _fit_both(build, [0.9], 0.05, 12)
+    assert compiled[:2] == retraced[:2]
+    steps = outcomes[compiled[2]:]  # the re-trace's branch on every step
+    flips = sum(a != b for a, b in zip(steps, steps[1:]))
+    assert set(steps) == {True, False}  # both branches ran
+    assert compiled[2] == 1 + flips < retraced[2] == 12
+
+
+@pytest.mark.parametrize("start, slope", [(1.0 - 3e-6, -1.0),
+                                          (1.0 - 5e-7, 1.0)],
+                         ids=["rising", "falling"])
+def test_fit_follows_deduction_across_its_saturation_test(monkeypatch, start,
+                                                          slope):
+    """A raw parameter as deduction's middle term, driven across the
+    saturation test s_b >= 1 - DEDUCTION_EPS by a linear term: fit replays
+    until the test flips, traces the loss again, and matches _retrace_fit
+    bit for bit on every step.  Its closure runs once plus once per flip."""
+    def build(t, params):
+        c = t.constant
+        return t.add(deduction_strength(c(0.8), c(0.7), params[0], c(0.6)),
+                     t.mul(c(slope), params[0]))
+
+    trajectory = []
+    sgd = training.sgd_step
+
+    def recording(params, learning_rate):
+        sgd(params, learning_rate)
+        trajectory.append(params[0].value)
+    monkeypatch.setattr(training, "sgd_step", recording)
+    compiled, retraced = _fit_both(build, [start], 2.5e-7, 10)
+    assert trajectory[:10] == trajectory[10:]
+    assert compiled[:2] == retraced[:2]
+    saturated = [s_b >= 1.0 - DEDUCTION_EPS for s_b in [start] + trajectory[:9]]
+    flips = sum(a != b for a, b in zip(saturated, saturated[1:]))
+    assert saturated[0] is (slope > 0) and flips >= 1
+    assert compiled[2] == 1 + flips
+
+
+def test_fit_rejects_a_loss_that_reads_a_parameter_dependent_value():
+    """A loss closure that reads the value of a record computed from a
+    parameter could branch on it unseen: fit raises, naming at_least."""
+    t = Tape()
+    p = t.parameter(0.3)
+
+    def loss():
+        s = t.sigmoid(p)
+        return t.mul(s, t.constant(s.value))
+    with pytest.raises(AutodiffError, match="Tape.at_least"):
+        fit([p], loss, 0.1, 5)
+    assert p.value == 0.3
 
 
 def test_fit_replay_raises_division_by_zero_at_its_step():
@@ -412,8 +462,8 @@ def test_run_joint_compiles(monkeypatch, tmp_path):
 
 def test_train_retraces_deduction_on_a_learnable_middle_term(monkeypatch):
     """Deduction branches on its middle term's strength (the saturation
-    test), a real read: with that strength learnable, fit re-traces every
-    step, and its results still equal _retrace_fit's."""
+    test) with at_least, a replay guard: with that strength learnable, the
+    loss is traced once, and the results equal _retrace_fit's."""
     def setup():
         tape, kb = fresh_kb()
         a, b, c = (kb.node("ConceptNode", n) for n in "abc")
@@ -426,7 +476,7 @@ def test_train_retraces_deduction_on_a_learnable_middle_term(monkeypatch):
         return tape, kb, make_deduction_rule(kb), learnable, dataset
 
     compiled, retraced = _train_both(monkeypatch, setup, 20)
-    assert compiled[3] == retraced[3] == 20
+    assert compiled[3] == 1 and retraced[3] == 20
     assert compiled[0] == retraced[0]
     assert compiled[1:3] == retraced[1:3]
     assert compiled[0].loss_curve[-1] < compiled[0].loss_curve[0]

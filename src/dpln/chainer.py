@@ -24,7 +24,8 @@ from .pattern import (Binding, Query, candidates, instantiate, lookup, match,
 
 # Deepest max_depth the backward search accepts: the search (and later a
 # replay) recurses twice per level and unify once per level of atom nesting
-# (up to sexpr.MAX_DEPTH), well under Python's recursion limit of 1000.
+# (up to sexpr.MAX_DEPTH, which the loader enforces without recursing), well
+# under Python's recursion limit of 1000.
 MAX_SEARCH_DEPTH = 200
 
 

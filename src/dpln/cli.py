@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,16 +41,38 @@ class ConfigError(Exception):
 
 # -- config files ----------------------------------------------------------
 
+# A TOML string or comment, whose brackets do not nest, or one bracket.
+# Compiled on first use: only a config that nests too deeply needs it.
+_TOML_BRACKET = (r'"""(?:\\[\s\S]|[^\\])*?"""' r"|'''[\s\S]*?'''"
+                 r'|"(?:\\.|[^"\\\n])*"' r"|'[^'\n]*'|#.*|[][{}]")
+
+
+def _deepest_line(text: str) -> int:
+    """The line where bracket depth first peaks, outside strings and comments."""
+    depth = peak = peak_at = 0
+    for m in re.finditer(_TOML_BRACKET, text):
+        tok = m.group()
+        if tok in ("[", "{"):
+            depth += 1
+            if depth > peak:
+                peak, peak_at = depth, m.start()
+        elif tok in ("]", "}"):
+            depth -= 1
+    return text.count("\n", 0, peak_at) + 1
+
+
 def parse_config_text(text: str) -> dict:
     """The TOML config ``text`` as a dict.  Raises ConfigError for bad
-    TOML, with tomllib's "(at line L, column C)", or for nesting too deep."""
+    TOML, with tomllib's "(at line L, column C)", or for nesting too deep,
+    with the line where the nesting is deepest."""
     import tomllib  # here: at module level it slows `import dpln.cli`
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
         raise ConfigError(str(exc)) from None
     except RecursionError:
-        raise ConfigError("config nests too deeply") from None
+        raise ConfigError("config nests too deeply (at line %d)"
+                          % _deepest_line(text)) from None
 
 
 @dataclass

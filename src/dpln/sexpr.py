@@ -2,18 +2,30 @@
 
     (InheritanceLink (stv 0.9 0.9) (ConceptNode "sparrow") (ConceptNode "bird"))
 
-``(stv s c)`` optionally attaches a truth value and may appear anywhere among
-a form's arguments.  Strings are double-quoted, whitespace is free-form and
-``;`` starts a line comment.
+``(stv s c)`` optionally attaches a truth value and may appear once anywhere
+among a form's arguments.  Strings are double-quoted, whitespace is free-form
+and ``;`` starts a line comment.
+
+The text is read in one pass, without recursion: one regular expression
+tokenizes each line, and each form is interned when its ')' arrives.  The
+first error in text order raises a SexprError with its line.
 """
 
 from __future__ import annotations
 
+import re
+
 from .atomspace import TYPES, AtomSpace, TruthValue
 
-# Deepest form nesting accepted.  Parsing, interning and the chainer all
-# recurse over an atom's structure, so deeper input is refused up front.
+# Deepest form nesting accepted.  Parsing is iterative, but the chainer and
+# ``format_atom`` recurse over an atom's structure, so deeper input is
+# refused up front.
 MAX_DEPTH = 256
+
+# One token per match: a comment (the rest of the line), a paren, a string,
+# a symbol, or a lone '"' that opens a string no '"' closes on its line.
+_TOKEN = re.compile(r';.*|[()]|"[^"]*"|[^\s();"]+|"')
+_NODE_TYPES = frozenset(name for name, t in TYPES.items() if t.is_node)
 
 
 class SexprError(Exception):
@@ -22,153 +34,122 @@ class SexprError(Exception):
         self.line = line
 
 
-# -- tokenizer -------------------------------------------------------------
-
-def _tokenize(text: str):
-    """Yields (token, line) pairs; tokens are '(', ')', strings and symbols."""
-    line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-        elif c.isspace():
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield (c, line)
-            i += 1
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise SexprError("unterminated string", line)
-                j += 1
-            if j >= n:
+def _load(kb: AtomSpace, text: str, query: bool) -> list[int]:
+    """The one pass behind ``load_kb`` and ``parse_atom``: tokenizes each
+    line, interns each form when its ')' arrives and returns the top-level
+    ids.  ``query`` allows no (stv ...) and one form only.  The first error
+    in text order raises; forms before it stay loaded."""
+    top_ids = []
+    # open forms, innermost last: [line, head, name, children, stv]; an
+    # (stv ...) form keeps its (number, text) pairs as its children
+    stack = []
+    want_head = False  # the last token was '('
+    for line, chars in enumerate(text.split("\n"), 1):
+        for tok in _TOKEN.findall(chars):
+            c = tok[0]
+            if c == "(":
+                if want_head:
+                    raise SexprError("expected a type symbol after '('", line)
+                if stack:
+                    if stack[-1][1] == "stv":
+                        raise SexprError("stv takes two numbers", stack[-1][0])
+                    if len(stack) >= MAX_DEPTH:
+                        raise SexprError("forms nest deeper than %d levels"
+                                         % MAX_DEPTH, line)
+                elif query and top_ids:
+                    raise SexprError("expected exactly one form", line)
+                stack.append([line, None, None, [], None])
+                want_head = True
+            elif c == ")":
+                if want_head:
+                    raise SexprError("expected a type symbol after '('", line)
+                if not stack:
+                    raise SexprError("expected '(' at top level", line)
+                form_line, head, name, children, stv = stack.pop()
+                if head == "stv":
+                    stack[-1][4] = _stv(children, form_line)
+                    continue
+                if head in _NODE_TYPES:
+                    if name is None:
+                        raise SexprError("node %s needs a quoted name" % head,
+                                         form_line)
+                    if children:
+                        raise SexprError("node %s cannot have children" % head,
+                                         form_line)
+                    atom_id = kb.intern_node(head, name)
+                else:
+                    if name is not None:
+                        raise SexprError("link %s cannot have a name" % head,
+                                         form_line)
+                    atom_id = kb.intern_link(head, children)
+                if stack:
+                    if stv is not None:
+                        kb.set_tv(atom_id, _make_tv(kb, stv))
+                    stack[-1][3].append(atom_id)
+                    continue
+                if not query:
+                    atom_id = _normalize_lambda_implication(kb, atom_id)
+                    kb.set_tv(atom_id, kb.get_tv(atom_id) if stv is None
+                              else _make_tv(kb, stv))
+                top_ids.append(atom_id)
+            elif c == ";":
+                break
+            elif tok == '"':
                 raise SexprError("unterminated string", line)
-            yield (("str", text[i + 1:j]), line)
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '();"':
-                j += 1
-            yield (("sym", text[i:j]), line)
-            i = j
+            elif want_head:
+                want_head = False
+                frame = stack[-1]
+                if tok in TYPES:
+                    frame[1] = tok
+                elif c == '"':
+                    raise SexprError("expected a type symbol after '('", line)
+                elif tok != "stv":
+                    raise SexprError("unknown atom type %r" % tok, frame[0])
+                elif len(stack) == 1:
+                    raise SexprError("(stv ...) is not an atom", frame[0])
+                elif query:
+                    raise SexprError("a query cannot carry a truth value",
+                                     frame[0])
+                elif stack[-2][4] is not None:
+                    raise SexprError("multiple truth values in one form",
+                                     frame[0])
+                else:
+                    frame[1] = tok
+            elif not stack:
+                raise SexprError("expected '(' at top level", line)
+            else:
+                frame = stack[-1]
+                if frame[1] == "stv":
+                    if c == '"':
+                        raise SexprError("stv takes two numbers", frame[0])
+                    try:
+                        frame[3].append((float(tok), tok))
+                    except ValueError:
+                        raise SexprError("bad number %r in stv" % tok,
+                                         frame[0]) from None
+                elif c != '"':
+                    raise SexprError("bare symbol %r (names must be quoted)"
+                                     % tok, frame[0])
+                elif frame[2] is not None:
+                    raise SexprError("multiple names in one form", frame[0])
+                else:
+                    frame[2] = tok[1:-1]
+    if stack:
+        raise SexprError("unexpected end of input" if want_head
+                         else "missing ')'", stack[-1][0])
+    if query and not top_ids:
+        raise SexprError("expected exactly one form", 1)
+    return top_ids
 
 
-def _parse_form(tokens: list, pos: int, depth: int):
-    """The form or token at ``pos``, and the next position.  Not a closure:
-    a recursive closure is a reference cycle that keeps the tokens alive."""
-    tok, line = tokens[pos]
-    if tok == "(":
-        if depth > MAX_DEPTH:
-            raise SexprError("forms nest deeper than %d levels" % MAX_DEPTH, line)
-        pos += 1
-        if pos >= len(tokens):
-            raise SexprError("unexpected end of input", line)
-        head, hline = tokens[pos]
-        if not (isinstance(head, tuple) and head[0] == "sym"):
-            raise SexprError("expected a type symbol after '('", hline)
-        pos += 1
-        args = []
-        while True:
-            if pos >= len(tokens):
-                raise SexprError("missing ')'", line)
-            if tokens[pos][0] == ")":
-                return (head[1], args, line), pos + 1
-            arg, pos = _parse_form(tokens, pos, depth + 1)
-            args.append(arg)
-    if tok == ")":
-        raise SexprError("unexpected ')'", line)
-    return tok, pos + 1  # ('str', s) or ('sym', s)
-
-
-def _parse_forms(text: str):
-    """Parses the whole text into a list of (form, line) trees.
-
-    A form is (head_symbol, [args], line); args are forms or ('str', s).
-    """
-    tokens = list(_tokenize(text))
-    forms = []
-    pos = 0
-    while pos < len(tokens):
-        tok, line = tokens[pos]
-        if tok != "(":
-            raise SexprError("expected '(' at top level", line)
-        form, pos = _parse_form(tokens, pos, 1)
-        forms.append(form)
-    return forms
-
-
-# -- building atoms --------------------------------------------------------
-
-def _build_atom(kb: AtomSpace, form,
-                stv_ok: bool = True) -> tuple[int, tuple[float, float] | None]:
-    """Interns the atom for a parsed form; returns (id, optional stv).
-    Asserts a child's stv, or rejects any stv if not ``stv_ok``."""
-    head, args, line = form
-    if head == "stv":
-        raise SexprError("(stv ...) is not an atom", line)
-    if head not in TYPES:
-        raise SexprError("unknown atom type %r" % head, line)
-    stv = None
-    name = None
-    children = []
-    for arg in args:
-        if isinstance(arg, tuple) and arg[0] == "str":
-            if name is not None:
-                raise SexprError("multiple names in one form", line)
-            name = arg[1]
-        elif isinstance(arg, tuple) and arg[0] == "sym":
-            raise SexprError("bare symbol %r (names must be quoted)" % arg[1], line)
-        elif arg[0] == "stv":
-            if not stv_ok:
-                raise SexprError("a query cannot carry a truth value", arg[2])
-            stv = _parse_stv(arg)
-        else:
-            child_id, child_stv = _build_atom(kb, arg, stv_ok)
-            if child_stv is not None:
-                kb.set_tv(child_id, _make_tv(kb, child_stv))
-            children.append(child_id)
-    t = TYPES[head]
-    try:
-        if t.is_node:
-            if name is None:
-                raise SexprError("node %s needs a quoted name" % head, line)
-            if children:
-                raise SexprError("node %s cannot have children" % head, line)
-            atom_id = kb.intern_node(head, name)
-        else:
-            if name is not None:
-                raise SexprError("link %s cannot have a name" % head, line)
-            atom_id = kb.intern_link(head, children)
-    except SexprError:
-        raise
-    except Exception as exc:
-        raise SexprError(str(exc), line) from exc
-    return atom_id, stv
-
-
-def _parse_stv(form) -> tuple[float, float]:
-    head, args, line = form
-    vals = []
-    for arg in args:
-        if not (isinstance(arg, tuple) and arg[0] == "sym"):
-            raise SexprError("stv takes two numbers", line)
-        try:
-            vals.append(float(arg[1]))
-        except ValueError:
-            raise SexprError("bad number %r in stv" % arg[1], line) from None
-    if len(vals) != 2:
+def _stv(numbers: list, line: int) -> tuple[float, float]:
+    """The (strength, confidence) of an (stv ...) form's (number, text) pairs."""
+    if len(numbers) != 2:
         raise SexprError("stv takes two numbers", line)
-    s, c = vals
+    (s, s_text), (c, c_text) = numbers
     if not (0.0 <= s <= 1.0 and 0.0 <= c <= 1.0):  # also rejects nan
         raise SexprError("stv values must lie in [0, 1], got %s %s"
-                         % (args[0][1], args[1][1]), line)
+                         % (s_text, c_text), line)
     return (s, c)
 
 
@@ -202,11 +183,7 @@ def _normalize_lambda_implication(kb: AtomSpace, atom_id: int) -> int:
 def parse_atom(kb: AtomSpace, text: str) -> int:
     """Parses a single s-expression into an interned atom.  It writes no
     truth value: an (stv ...) at any level is a SexprError."""
-    forms = _parse_forms(text)
-    if len(forms) != 1:
-        raise SexprError("expected exactly one form", 1)
-    atom_id, _ = _build_atom(kb, forms[0], stv_ok=False)
-    return atom_id
+    return _load(kb, text, query=True)[0]
 
 
 def load_kb(kb: AtomSpace, text: str) -> list[int]:
@@ -216,16 +193,7 @@ def load_kb(kb: AtomSpace, text: str) -> list[int]:
     Lambda-wrapped implications are normalized to the abbreviated
     predicate-to-predicate form.
     """
-    top_ids = []
-    for form in _parse_forms(text):
-        atom_id, stv = _build_atom(kb, form)
-        atom_id = _normalize_lambda_implication(kb, atom_id)
-        if stv is not None:
-            kb.set_tv(atom_id, _make_tv(kb, stv))
-        else:
-            kb.set_tv(atom_id, kb.get_tv(atom_id))
-        top_ids.append(atom_id)
-    return top_ids
+    return _load(kb, text, query=False)
 
 
 def format_atom(kb: AtomSpace, atom_id: int, with_tv: bool = False) -> str:

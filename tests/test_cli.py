@@ -424,7 +424,13 @@ BAD_INPUTS = {
                                   "probabilities.apple.green must be a "
                                   "number in [0, 1]"),
     "config list nested 2000 deep": (["learn-formula", "--config", "{deep}"],
-                                     "config nests too deeply"),
+                                     "config nests too deeply (at line 1)"),
+    "config list nested 600 deep on line 3": (
+        ["learn-formula", "--config", "{deep3}"],
+        "config nests too deeply (at line 3)"),
+    "KB form with two truth values": (
+        ["chain", "--kb", "{double_stv}", "--forward"],
+        "line 3: multiple truth values in one form"),
 }
 
 
@@ -435,7 +441,8 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, case):
              "dir": tmp_path / "a-directory",
              "bindlink": tmp_path / "bindlink.scm",
              "bad_prob": tmp_path / "bad_prob.txt",
-             "deep": tmp_path / "deep.txt"}
+             "deep": tmp_path / "deep.txt", "deep3": tmp_path / "deep3.txt",
+             "double_stv": tmp_path / "double_stv.scm"}
     paths["kb"].write_text(SPARROW_KB)
     paths["cfg"].write_text(FRUIT_CONFIG)
     paths["raw"].write_bytes(b'(ConceptNode "caf\xe9")\n')
@@ -445,6 +452,12 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, case):
     paths["bad_prob"].write_text(FRUIT_CONFIG.replace("0.7", "1.5")
                                  .replace("0.3", "-0.5"))
     paths["deep"].write_text("seed = %s1%s\n" % ("[" * 2000, "]" * 2000))
+    # brackets in a string or a comment do not nest: line 3 is the deepest
+    nest = "[" * 700 + "]" * 700
+    paths["deep3"].write_text('out = "%s"  # %s\nlr = 0.1\nseed = %s1%s\n'
+                              % (nest, nest, "[" * 600, "]" * 600))
+    paths["double_stv"].write_text('(ConceptNode "a")\n(ConceptNode (stv 0.5 0.5)'
+                                   '\n(stv 0.7 0.7) "b")\n')
     paths["dir"].mkdir()
     template, message = BAD_INPUTS[case]
     args = [a.format(**{k: str(v) for k, v in paths.items()})

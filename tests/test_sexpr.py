@@ -1,4 +1,5 @@
 import gc
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,10 @@ from hypothesis import strategies as st
 
 from dpln import SexprError, format_atom, load_kb, parse_atom
 from dpln.atomspace import TYPES
+from dpln.autodiff import VarRef
+from dpln.sexpr import MAX_DEPTH
 
+import sexpr_reference as reference
 from conftest import fresh_kb
 
 SPARROW_KB = """
@@ -88,8 +92,8 @@ def test_parse_atom_rejects_stv_at_any_level(target, line):
 
 
 def test_parsing_leaves_no_cyclic_garbage():
-    """The parser holds no reference cycle, so the token list of a large KB
-    is freed as soon as parsing ends, without a garbage collection."""
+    """The loader holds no reference cycle, so what it builds while reading
+    a large KB is freed as soon as loading ends, without a garbage collection."""
     _, kb = fresh_kb()
     text = "\n".join('(InheritanceLink (stv 0.9 0.9) (ConceptNode "a%d") '
                      '(ConceptNode "b%d"))' % (i, i) for i in range(1000))
@@ -105,8 +109,30 @@ def test_parsing_leaves_no_cyclic_garbage():
 
 def test_parse_atom_rejects_multiple_forms():
     _, kb = fresh_kb()
-    with pytest.raises(SexprError):
+    with pytest.raises(SexprError, match="^line 1: expected exactly one form$"):
         parse_atom(kb, '(ConceptNode "a") (ConceptNode "b")')
+
+
+@pytest.mark.parametrize("text, line", [
+    ('(ConceptNode "a")\n; a comment\n  (ConceptNode "b")', 3),
+    ('(ListLink\n(ConceptNode "a"))\n(ConceptNode "b")', 3)])
+def test_parse_atom_names_the_line_of_the_second_form(text, line):
+    _, kb = fresh_kb()
+    with pytest.raises(SexprError, match="^line %d: expected exactly one "
+                       "form$" % line):
+        parse_atom(kb, text)
+
+
+def test_second_truth_value_in_a_form_is_rejected():
+    """Two (stv ...) in one form are an error, as two names are, raised at
+    the second one's line; the last one no longer wins."""
+    _, kb = fresh_kb()
+    with pytest.raises(SexprError, match="^line 2: multiple truth values "
+                       "in one form$"):
+        load_kb(kb, '(ConceptNode (stv 0.5 0.5)\n(stv 0.7 0.7) "a")')
+    # one per form is fine: the child's and the parent's are separate
+    top = load_kb(kb, '(ListLink (stv 0.5 0.5) (ConceptNode (stv 0.7 0.7) "b"))')
+    assert kb.get_tv(kb.atom(top[0]).outgoing[0]).strength.value == 0.7
 
 
 def test_comments_and_whitespace():
@@ -245,3 +271,172 @@ def test_load_format_load_round_trip(forms):
         tv, tv2 = kb.get_tv(a), again.get_tv(b)
         assert tv2.strength.value == pytest.approx(tv.strength.value, rel=1e-8)
         assert tv2.confidence == pytest.approx(tv.confidence, rel=1e-8)
+
+
+# -- oracle: the loader before the one-pass rewrite -------------------------
+#
+# tests/sexpr_reference.py is the tokenizer, recursive parser and recursive
+# builder that the one pass replaced.  On valid text both must build the same
+# KB; on text with one error both must raise the same message at the same line.
+
+def _snapshot(kb, ids):
+    """Everything a load can write: the returned ids, the atom table, the
+    asserted truth values and every tape value, all compared exactly."""
+    atoms = [(a.type.name, a.name, a.outgoing)
+             for a in map(kb.atom, range(len(kb)))]
+    tvs = {i: (kb.get_tv(i).strength.index, kb.get_tv(i).strength.value,
+               kb.get_tv(i).confidence)
+           for i in range(len(kb)) if kb.has_asserted_tv(i)}
+    return ids, atoms, tvs, [VarRef(kb.tape, i).value for i in range(len(kb.tape))]
+
+
+def _outcome(loader, text):
+    """The snapshot after ``loader``, or the SexprError it raised."""
+    _, kb = fresh_kb()
+    try:
+        ids = loader(kb, text)
+    except SexprError as exc:
+        return str(exc)
+    return _snapshot(kb, ids)
+
+
+_LAMBDA_IMPL = ('(ImplicationLink (stv 0.7 0.9) (LambdaLink (VariableNode "$X") '
+                '(EvaluationLink (PredicateNode "p") (VariableNode "$X"))) '
+                '(LambdaLink (VariableNode "$X") (EvaluationLink '
+                '(PredicateNode "q") (VariableNode "$X"))))')
+_VALID_FORM = _ATOM | st.sampled_from([
+    _LAMBDA_IMPL, '(ConceptNode "a;b")', '(PredicateNode ";")',
+    '(ConceptNode "x\r\u2028y")', '(ConceptNode (stv 1 0) "\t")'])
+# whitespace inside forms (it also lands in names, the same for both loaders)
+_SPACE = st.sampled_from([" ", "\t", "\r", "\u2028", " \x0b\x1c"])
+# what may separate top-level forms
+_GAP = st.sampled_from(["\n", " ", "\r\n", "\n\n", '  ; (note "x\n',
+                        "\t;;\n", "\u2028\n", ""])
+
+
+def _join(forms, gaps):
+    return gaps[0] + "".join(f + g for f, g in zip(forms, gaps[1:]))
+
+
+@st.composite
+def _kb_text(draw, forms=st.lists(_VALID_FORM, min_size=1, max_size=6)):
+    forms = draw(forms)
+    space = draw(_SPACE)
+    gaps = draw(st.lists(_GAP, min_size=len(forms) + 1,
+                         max_size=len(forms) + 1))
+    return _join([f.replace(" ", space) for f in forms], gaps)
+
+
+def _no_stv(text):
+    return re.sub(r"\(stv [^()\"]*\)", "", text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kb_text())
+def test_valid_kb_loads_as_the_reference_does(text):
+    assert _outcome(load_kb, text) == _outcome(reference.load_kb, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_VALID_FORM, _SPACE)
+def test_query_parses_as_the_reference_does(form, space):
+    """With or without (stv ...): with, both raise at the first one."""
+    for text in (form.replace(" ", space), _no_stv(form)):
+        assert _outcome(parse_atom, text) == _outcome(reference.parse_atom, text)
+
+
+# Forms with exactly one error.  "any" forms may also sit inside a link;
+# "top" ones are errors only at top level; "end" ones only at the end.
+_BAD_FORMS = [
+    ("any", '(BogusLink (ConceptNode "a"))'),
+    ("any", '(ConceptNode)'),
+    ("any", '(ConceptNode "a"\n(ConceptNode "b"))'),
+    ("any", '(ListLink "a" (ConceptNode "b"))'),
+    ("any", '(ConceptNode "a" "b")'),
+    ("any", '(ConceptNode a)'),
+    ("any", '(ConceptNode (stv 0.5) "a")'),
+    ("any", '(ConceptNode (stv 0.5 0.5 0.5) "a")'),
+    ("any", '(ConceptNode (stv x 0.5) "a")'),
+    ("any", '(ConceptNode\n(stv 1.5 0.5) "a")'),
+    ("any", '(ConceptNode (stv nan 0.5) "a")'),
+    ("any", '(ConceptNode (stv "a" 0.5) "a")'),
+    ("any", '(ConceptNode (stv (ConceptNode "b") 0.5) "a")'),
+    ("any", '("a")'),
+    ("any", '(\n)'),
+    ("any", '(ConceptNode "a)\n'),
+    ("any", "(ListLink " * MAX_DEPTH + '(ConceptNode "a")' + ")" * MAX_DEPTH),
+    ("top", "(stv 0.5 0.5)"),
+    ("top", ")"),
+    ("top", '"x"'),
+    ("top", "x"),
+    ("end", '(ListLink (ConceptNode "a")'),
+    ("end", "(ListLink\n  ("),
+    ("end", "("),
+]
+
+
+@st.composite
+def _one_error(draw, query=False):
+    """Text with one error: a bad form, maybe inside a link among valid
+    children, and (for a KB) valid forms before and after it."""
+    where, bad = draw(st.sampled_from(_BAD_FORMS))
+    valid = _VALID_FORM.map(_no_stv) if query else _VALID_FORM
+    if where == "any" and draw(st.booleans()):
+        gaps = draw(st.lists(_GAP, min_size=2, max_size=2))
+        before, after = draw(st.lists(valid, max_size=2)), draw(
+            st.lists(valid, max_size=2))
+        bad = "(ListLink %s%s%s%s)" % (" ".join(before), gaps[0], bad,
+                                       gaps[1] + " ".join(after))
+    if query:
+        return bad
+    forms = draw(st.lists(_VALID_FORM, max_size=3))
+    forms.append(bad)
+    if where != "end":
+        forms += draw(st.lists(_VALID_FORM, max_size=3))
+    gaps = draw(st.lists(_GAP, min_size=len(forms) + 1,
+                         max_size=len(forms) + 1))
+    if where == "end":
+        gaps[-1] = ""
+    return _join(forms, gaps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_error())
+def test_one_error_is_reported_as_the_reference_does(text):
+    message = _outcome(reference.load_kb, text)
+    assert isinstance(message, str)
+    assert _outcome(load_kb, text) == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_error(query=True))
+def test_one_query_error_is_reported_as_the_reference_does(text):
+    message = _outcome(reference.parse_atom, text)
+    assert isinstance(message, str)
+    assert _outcome(parse_atom, text) == message
+
+
+_SOUP = st.lists(st.sampled_from([
+    "(", ")", " ", "\n", "\t", "\r", "\u2028", ";", '"', '"a"', '"$P"',
+    "stv", "0.5", "1", "-1", "nan", "1e999", "(stv 0.5 0.5)", "ConceptNode",
+    "PredicateNode", "VariableNode", "EvaluationLink", "ImplicationLink",
+    "InheritanceLink", "LambdaLink", "NotLink", "AndLink", "ListLink",
+    "BindLink"]), max_size=40).map("".join) | st.text(max_size=60)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SOUP)
+def test_token_soup_raises_iff_the_reference_does(text):
+    """Any text: the loader raises iff the reference does, and only a
+    SexprError (checked by ``_outcome``); what loads is the same.  The one
+    exception is a second (stv ...) in a form, where the reference let the
+    last one win."""
+    for loader, ref in ((load_kb, reference.load_kb),
+                        (parse_atom, reference.parse_atom)):
+        got, want = _outcome(loader, text), _outcome(ref, text)
+        if isinstance(got, str) and got.endswith(
+                "multiple truth values in one form"):
+            continue
+        assert isinstance(got, str) == isinstance(want, str)
+        if not isinstance(got, str):
+            assert got == want

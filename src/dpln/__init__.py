@@ -19,8 +19,7 @@ from .rules import (FormulaWeights, deduction_strength, fuzzy_and, fuzzy_not,
                     trainable_mp_strength)
 from .sexpr import SexprError, format_atom, load_kb, parse_atom
 from .training import (LabeledExample, LearnableStrength, TrainConfig,
-                       TrainError, TrainReport, UnderivableTargetError,
-                       cross_entropy, empirical_frequency, fit, sgd_step,
-                       train)
+                       TrainError, UnderivableTargetError, cross_entropy,
+                       empirical_frequency, fit, sgd_step, train)
 
 __version__ = "0.1.0"

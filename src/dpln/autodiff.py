@@ -87,7 +87,6 @@ class Tape:
         # input, partial), the opcode being the method name; () for leaves
         self._deps: list[tuple] = []
         self._param_indices: set[int] = set()
-        self.param_names: dict[int, str] = {}
         self._const_cache: dict[float, int] = {}
         # indices whose value was read or set while trace_loss traces
         self._reads: list[int] | None = None
@@ -125,15 +124,13 @@ class Tape:
         self._const_cache[x] = ref.index
         return ref
 
-    def parameter(self, x: float, name: str | None = None) -> VarRef:
+    def parameter(self, x: float) -> VarRef:
         """Trainable leaf; each call creates a distinct record."""
         x = float(x)
         if not math.isfinite(x):
             raise AutodiffError("parameter must be finite, got %r" % x)
         ref = self._record(x, ())
         self._param_indices.add(ref.index)
-        if name is not None:
-            self.param_names[ref.index] = name
         return ref
 
     def _pair(self, a: VarRef, b: VarRef) -> None:
@@ -282,7 +279,6 @@ class Tape:
         del self._grads[mark:]
         del self._deps[mark:]
         self._param_indices = {i for i in self._param_indices if i < mark}
-        self.param_names = {i: n for i, n in self.param_names.items() if i < mark}
         self._const_cache = {v: i for v, i in self._const_cache.items() if i < mark}
 
 

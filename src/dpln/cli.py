@@ -222,19 +222,17 @@ def run_fruit_colors(cfg: ExperimentConfig) -> dict:
             impl = kb.link("ImplicationLink",
                            kb.node("PredicateNode", fruit),
                            kb.node("PredicateNode", color))
-            learnable = LearnableStrength(tape, init=0.5,
-                                          name="%s->%s" % (fruit, color))
+            learnable = LearnableStrength(tape, init=0.5)
             learnable.attach(kb, impl)
-            learnable.refresh()
             dataset = []
             color_pred = kb.node("PredicateNode", color)
             for concept, sampled in instances[fruit]:
                 target = kb.link("EvaluationLink", color_pred, concept)
                 dataset.append(LabeledExample(target, 1 if sampled == color else 0))
             tc = TrainConfig(learning_rate=cfg.lr, steps=cfg.steps)
-            report = train(kb, [mp_rule], dataset, [learnable.theta], tc,
+            losses = train(kb, [mp_rule], dataset, [learnable.theta], tc,
                            learnables=[learnable])
-            for i, loss in enumerate(report.loss_curve):
+            for i, loss in enumerate(losses):
                 loss_totals[i] += loss
             learned = learnable.value()
             empirical = empirical_frequency(dataset)
@@ -323,8 +321,7 @@ def run_joint(cfg: ExperimentConfig) -> dict:
     tape = Tape()
     weights = FormulaWeights.create(tape)
     known, contexts = _joint_dataset(cfg)
-    learnables = [LearnableStrength(tape, init=0.5, name="s%d" % k)
-                  for k in range(len(contexts))]
+    learnables = [LearnableStrength(tape, init=0.5) for _ in contexts]
     params = weights.refs() + [ls.theta for ls in learnables]
 
     targets = [target for _, _, target in known]

@@ -86,8 +86,8 @@ class FormulaWeights:
 
     @classmethod
     def create(cls, tape: Tape) -> "FormulaWeights":
-        """Four zero-initialised parameters named w0..w3."""
-        return cls(*(tape.parameter(0.0, name="w%d" % i) for i in range(4)))
+        """Four zero-initialised parameters."""
+        return cls(*(tape.parameter(0.0) for _ in range(4)))
 
     def refs(self) -> list[VarRef]:
         return [self.w0, self.w1, self.w2, self.w3]

@@ -13,15 +13,13 @@ it drops the table when its commits will assert a new conclusion.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import Tape, VarRef, _stable_sigmoid, trace_loss
 from .chainer import (MAX_SEARCH_DEPTH, ChainConfig, Derivation, Rule, commit,
                       prove)
-from .sexpr import format_atom
 
 
 class TrainError(Exception):
@@ -51,8 +49,8 @@ class TrainConfig:
     chain_depth: int = 3
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise TrainError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:  # also rejects nan
+            raise TrainError("learning_rate must be positive and finite")
         if self.steps < 1:
             raise TrainError("steps must be >= 1")
         if not 1 <= self.chain_depth <= MAX_SEARCH_DEPTH:
@@ -62,26 +60,24 @@ class TrainConfig:
 class LearnableStrength:
     """A truth-value strength exposed as sigmoid(theta) of a trainable logit."""
 
-    def __init__(self, tape: Tape, init: float = 0.5, name: str | None = None):
+    def __init__(self, tape: Tape, init: float = 0.5):
         if not 0.0 < init < 1.0:
             raise TrainError("initial strength must be strictly inside (0, 1)")
         self.tape = tape
-        self.theta = tape.parameter(math.log(init / (1.0 - init)), name=name)
+        self.theta = tape.parameter(math.log(init / (1.0 - init)))
         self.kb: AtomSpace | None = None
         self.atom: int | None = None
-        self.confidence = 1.0
 
-    def attach(self, kb: AtomSpace, atom: int, confidence: float = 1.0) -> None:
+    def attach(self, kb: AtomSpace, atom: int) -> None:
         self.kb = kb
         self.atom = atom
-        self.confidence = confidence
 
     def refresh(self) -> VarRef:
         """Traces sigmoid(theta) on the tape and pushes it into the attached
-        atom's truth value."""
+        atom's truth value, at confidence 1."""
         s = self.tape.sigmoid(self.theta)
         if self.kb is not None and self.atom is not None:
-            self.kb.set_tv(self.atom, TruthValue(s, self.confidence))
+            self.kb.set_tv(self.atom, TruthValue(s, 1.0))
         return s
 
     def value(self) -> float:
@@ -89,27 +85,28 @@ class LearnableStrength:
         return _stable_sigmoid(self.theta.value)
 
 
-def cross_entropy(preds: list[VarRef], labels: list[float],
-                  counts: list[int] | None = None) -> VarRef:
+def cross_entropy(preds: list[VarRef], labels: list[float]) -> VarRef:
     """Mean cross-entropy -(1/n) sum_i [y_i log p_i + (1 - y_i) log(1 - p_i)]
     as a VarRef.
 
     Labels lie in [0, 1]; a label of 0 or 1 contributes its single log term.
-    ``counts[i]``, when given, is the number of examples that share
-    ``preds[i]`` and ``labels[i]``; its term is scaled by it and
-    n = sum(counts), so callers can hand in each distinct pair once.
+    Examples that share a prediction record and a label make one term,
+    scaled by their count, in first-seen order.
     """
-    if counts is None:
-        counts = [1] * len(preds)
-    if not len(preds) == len(labels) == len(counts):
-        raise TrainError("preds, labels and counts differ in length")
+    if len(preds) != len(labels):
+        raise TrainError("preds and labels differ in length")
     if not preds:
         raise TrainError("cross_entropy needs at least one example")
-    tape = preds[0].tape
-    total = None
-    for p, y, count in zip(preds, labels, counts):
+    # (tape, record, label) -> [pred, count]; with the tape in the key, a
+    # pred from another tape keeps its own term and the tape rejects it
+    merged: dict = {}
+    for p, y in zip(preds, labels):
         if not 0.0 <= y <= 1.0:
             raise TrainError("labels must lie in [0, 1], got %r" % (y,))
+        merged.setdefault((p.tape, p.index, y), [p, 0])[1] += 1
+    tape = preds[0].tape
+    total = None
+    for (_, _, y), (p, count) in merged.items():
         if 0.0 < y < 1.0:
             term = tape.add(tape.mul(tape.constant(y), tape.log(p)),
                             tape.mul(tape.constant(1.0 - y),
@@ -121,7 +118,7 @@ def cross_entropy(preds: list[VarRef], labels: list[float],
         if count != 1:
             term = tape.mul(tape.constant(float(count)), term)
         total = term if total is None else tape.add(total, term)
-    return tape.mul(tape.constant(1.0 / sum(counts)), tape.neg(total))
+    return tape.mul(tape.constant(1.0 / len(preds)), tape.neg(total))
 
 
 def sgd_step(params: list[VarRef], learning_rate: float) -> None:
@@ -169,13 +166,6 @@ def empirical_frequency(dataset: list[LabeledExample]) -> float:
     return sum(ex.label for ex in dataset) / len(dataset)
 
 
-@dataclass
-class TrainReport:
-    loss_curve: list[float] = field(default_factory=list)
-    params: dict[str, float] = field(default_factory=dict)
-    learned_strengths: dict[str, float] = field(default_factory=dict)
-
-
 def _find_traces(kb: AtomSpace, rules: list[Rule],
                  dataset: list[LabeledExample], depth: int):
     """The trace ``train`` replays for each example: the target's first rule
@@ -194,8 +184,9 @@ def _find_traces(kb: AtomSpace, rules: list[Rule],
 
 def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
           params: list[VarRef], config: TrainConfig,
-          learnables: list[LearnableStrength] = ()) -> TrainReport:
-    """Fits ``params`` to the dataset's labels through its inference traces.
+          learnables: list[LearnableStrength] = ()) -> list[float]:
+    """Fits ``params`` to the dataset's labels through its inference traces
+    and returns the loss of every step, as ``fit`` does.
 
     The proof search runs once up front and only builds traces; replaying
     them against the current truth values in each step's loss builds the
@@ -210,8 +201,6 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
     for i, ex in enumerate(dataset):
         if not kb.atom(ex.target).is_ground:
             raise TrainError("example %d: target is not ground" % i)
-    tape = kb.tape
-    mark = tape.mark()
     # the search resolves rule terms once, so it must see the atoms that
     # replay will read: the learnables are asserted before it runs
     for ls in learnables:
@@ -220,32 +209,15 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
     if any(not kb.has_asserted_tv(t.conclusion) for t in traces
            if isinstance(t, Derivation)):
         kb.subgoal_table = None  # the commits end it: free it for the fit
-
-    # Examples whose traces land on the same tape record compute the same
-    # prediction on every re-trace (replay is deterministic), so one replay
-    # groups them and each step replays one representative trace per group.
-    memo: dict = {}
-    group_of: dict[int, int] = {}  # prediction record -> group
-    reps = []
-    counts: Counter = Counter()  # (group, label) -> examples, in first-seen order
-    for trace, ex in zip(traces, dataset):
-        g = group_of.setdefault(trace.replay(kb, memo).index, len(reps))
-        if g == len(reps):
-            reps.append(trace)
-        counts[g, ex.label] += 1
-    # backward sweeps every record below the loss: drop the search's records
-    tape.reset_to(mark)
+    labels = [ex.label for ex in dataset]
 
     def loss() -> VarRef:
         for ls in learnables:
             ls.refresh()
         memo: dict = {}
-        group_preds = [trace.replay(kb, memo) for trace in reps]
-        return cross_entropy([group_preds[g] for g, _ in counts],
-                             [y for _, y in counts], list(counts.values()))
+        return cross_entropy([trace.replay(kb, memo) for trace in traces], labels)
 
-    report = TrainReport()
-    report.loss_curve = fit(params, loss, config.learning_rate, config.steps)
+    losses = fit(params, loss, config.learning_rate, config.steps)
 
     # leave the KB holding conclusion strengths for the final parameter values
     for ls in learnables:
@@ -255,11 +227,4 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
         strength = trace.replay(kb, memo)
         if isinstance(trace, Derivation):
             commit(kb, trace, strength)
-
-    for i, p in enumerate(params):
-        name = tape.param_names.get(p.index, "param_%d" % i)
-        report.params[name] = p.value
-    for ls in learnables:
-        if ls.kb is not None and ls.atom is not None:
-            report.learned_strengths[format_atom(ls.kb, ls.atom)] = ls.value()
-    return report
+    return losses

@@ -1,0 +1,52 @@
+"""Short seed-7 runs of the three experiments must write exactly the
+``report.json`` and ``loss.csv`` stored under ``tests/golden/``.
+
+A change that is meant to alter no output keeps these bytes.  When a change
+alters an output on purpose, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say why in the commit.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from dpln.cli import (ExperimentConfig, run_fruit_colors, run_joint,
+                      run_learn_formula)
+
+GOLDEN = Path(__file__).parent / "golden"
+FILES = ("report.json", "loss.csv")
+
+RUNS = {
+    "fruit-colors": (run_fruit_colors, dict(
+        fruits=["apple", "banana"], colors=["yellow", "red", "green"],
+        true_probabilities={
+            "apple": {"yellow": 0.1, "red": 0.2, "green": 0.7},
+            "banana": {"yellow": 0.8, "red": 0.1, "green": 0.1},
+        },
+        n_samples=50, lr=0.1, steps=100)),
+    "learn-formula": (run_learn_formula, dict(lr=2.0, steps=100)),
+    "joint": (run_joint, dict(lr=2.0, steps=100)),
+}
+
+
+def run(name: str, out_dir: Path) -> None:
+    runner, fields = RUNS[name]
+    runner(ExperimentConfig(experiment=name, seed=7, out_dir=str(out_dir),
+                            **fields))
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outputs_match_golden(name, tmp_path):
+    run(name, tmp_path)
+    for filename in FILES:
+        assert (tmp_path / filename).read_bytes() == \
+            (GOLDEN / name / filename).read_bytes(), "%s/%s" % (name, filename)
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:] or sorted(RUNS):
+        run(name, GOLDEN / name)

@@ -40,24 +40,45 @@ def test_cross_entropy_hand_sum():
 
 
 def test_cross_entropy_grouping_matches_ungrouped():
-    """Count-scaled grouped terms, one term per example and a naive
-    per-example mean agree."""
+    """Predictions that share records (merged into count-scaled terms),
+    the same predictions as one record per example, and a naive
+    per-example mean agree, in value and in gradient."""
     rng = random.Random(8)
+    picks = [(rng.randrange(2), rng.randrange(2)) for _ in range(40)]
+    labels = [y for _, y in picks]
     t = Tape()
-    shared = [t.constant(0.2), t.constant(0.7)]
-    preds, labels = [], []
-    for _ in range(40):
-        preds.append(rng.choice(shared))
-        labels.append(rng.randrange(2))
-    refs = {p.index: p for p in preds}
-    counts = Counter((p.index, y) for p, y in zip(preds, labels))
-    counted = cross_entropy([refs[i] for i, _ in counts],
-                            [y for _, y in counts], list(counts.values()))
-    expanded = cross_entropy(preds, labels)
-    naive = sum(-math.log(p.value) if y == 1 else -math.log(1 - p.value)
-                for p, y in zip(preds, labels)) / len(preds)
-    assert counted.value == pytest.approx(expanded.value, abs=1e-12)
-    assert expanded.value == pytest.approx(naive, abs=1e-12)
+    shared = [t.parameter(0.2), t.parameter(0.7)]
+    merged = cross_entropy([shared[k] for k, _ in picks], labels)
+    u = Tape()
+    leaves = [u.parameter(0.2), u.parameter(0.7)]
+    # one_minus(one_minus(x)) is a fresh record per example with x's value
+    apart = cross_entropy([u.one_minus(u.one_minus(leaves[k])) for k, _ in picks],
+                          labels)
+    naive = sum(-math.log(shared[k].value) if y else -math.log(1 - shared[k].value)
+                for k, y in picks) / len(picks)
+    assert merged.value == pytest.approx(apart.value, abs=1e-12)
+    assert apart.value == pytest.approx(naive, abs=1e-12)
+    t.backward(merged)
+    u.backward(apart)
+    for a, b in zip(shared, leaves):
+        assert a.grad == pytest.approx(b.grad, abs=1e-12)
+
+
+def test_cross_entropy_merges_repeated_predictions():
+    """500 examples on one prediction record with both labels make one term
+    per (record, label) pair: the tape grows exactly as for 4 such
+    examples, and the loss is the per-example mean."""
+    grown = []
+    for n in (4, 500):
+        t = Tape()
+        p = t.parameter(0.3)
+        labels = [i % 2 for i in range(n)]
+        before = len(t)
+        loss = cross_entropy([p] * n, labels)
+        grown.append(len(t) - before)
+        naive = sum(-math.log(0.3) if y else -math.log(0.7) for y in labels) / n
+        assert loss.value == pytest.approx(naive, abs=1e-12)
+    assert grown[1] == grown[0]
 
 
 def test_cross_entropy_fractional_labels():
@@ -83,7 +104,11 @@ def test_cross_entropy_errors():
     with pytest.raises(TrainError):
         cross_entropy([t.constant(0.5)], [float("nan")])
     with pytest.raises(TrainError):
-        cross_entropy([t.constant(0.5)], [1], [1, 1])
+        cross_entropy([t.constant(0.5)] * 2, [1])
+    # a record of another tape with an index already seen is not merged
+    other = Tape()
+    with pytest.raises(AutodiffError, match="different tape"):
+        cross_entropy([t.constant(0.5), other.constant(0.5)], [1, 1])
 
 
 def test_sgd_step_update():
@@ -127,8 +152,9 @@ def test_labeled_example_validation():
 
 
 def test_train_config_validation():
-    with pytest.raises(TrainError):
-        TrainConfig(learning_rate=0.0)
+    for lr in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(TrainError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
     with pytest.raises(TrainError):
         TrainConfig(steps=0)
 
@@ -157,10 +183,10 @@ def test_learnable_strength_refresh_updates_tv():
     t, kb = fresh_kb()
     atom = kb.node("ConceptNode", "a")
     ls = LearnableStrength(t, init=0.5)
-    ls.attach(kb, atom, confidence=0.9)
+    ls.attach(kb, atom)
     s = ls.refresh()
     assert kb.get_tv(atom).strength is s
-    assert kb.get_tv(atom).confidence == 0.9
+    assert kb.get_tv(atom).confidence == 1.0
     mark = t.mark()
     ls.theta.value = 2.0
     t.reset_to(mark)
@@ -418,17 +444,17 @@ def _counting(train_loop, calls):
 
 def _train_both(monkeypatch, setup, steps):
     """Runs ``train`` on ``setup()`` with fit and with _retrace_fit.  Returns
-    each one's report, learned strength, final strength of every target in
-    the KB, and loss closure calls."""
+    each one's loss curve, learned strength, final strength of every target
+    in the KB, and loss closure calls."""
     runs = []
     for train_loop in (fit, _retrace_fit):
         tape, kb, rule, learnable, dataset = setup()
         calls = []
         monkeypatch.setattr(training, "fit", _counting(train_loop, calls))
-        report = train(kb, [rule], dataset, [learnable.theta],
+        losses = train(kb, [rule], dataset, [learnable.theta],
                        TrainConfig(learning_rate=0.5, steps=steps),
                        learnables=[learnable])
-        runs.append((report, learnable.value(),
+        runs.append((losses, learnable.value(),
                      [kb.get_tv(ex.target).strength.value for ex in dataset],
                      len(calls)))
     return runs
@@ -470,7 +496,7 @@ def test_train_retraces_deduction_on_a_learnable_middle_term(monkeypatch):
         for atom, s in ((kb.link("InheritanceLink", a, b), 0.8),
                         (kb.link("InheritanceLink", b, c), 0.7), (c, 0.6)):
             kb.set_tv(atom, TruthValue(tape.constant(s), 0.9))
-        learnable = LearnableStrength(tape, init=0.5, name="b")
+        learnable = LearnableStrength(tape, init=0.5)
         learnable.attach(kb, b)
         dataset = [LabeledExample(kb.link("InheritanceLink", a, c), 1)]
         return tape, kb, make_deduction_rule(kb), learnable, dataset
@@ -479,7 +505,7 @@ def test_train_retraces_deduction_on_a_learnable_middle_term(monkeypatch):
     assert compiled[3] == 1 and retraced[3] == 20
     assert compiled[0] == retraced[0]
     assert compiled[1:3] == retraced[1:3]
-    assert compiled[0].loss_curve[-1] < compiled[0].loss_curve[0]
+    assert compiled[0][-1] < compiled[0][0]
 
 
 def test_learnable_strength_stays_in_unit_interval():
@@ -507,7 +533,7 @@ def _fruit_setup(p_green, n, seed):
     fruit = kb.node("PredicateNode", "apple")
     color = kb.node("PredicateNode", "green")
     impl = kb.link("ImplicationLink", fruit, color)
-    learnable = LearnableStrength(tape, init=0.5, name="apple->green")
+    learnable = LearnableStrength(tape, init=0.5)
     learnable.attach(kb, impl)
     learnable.refresh()
     dataset = []
@@ -524,14 +550,11 @@ def _fruit_setup(p_green, n, seed):
 def test_train_converges_to_empirical_frequency():
     tape, kb, rule, learnable, dataset = _fruit_setup(0.7, 200, seed=7)
     cfg = TrainConfig(learning_rate=0.1, steps=1500)
-    report = train(kb, [rule], dataset, [learnable.theta], cfg,
+    losses = train(kb, [rule], dataset, [learnable.theta], cfg,
                    learnables=[learnable])
     target = empirical_frequency(dataset)
     assert abs(learnable.value() - target) <= 0.01
-    assert report.params["apple->green"] == learnable.theta.value
-    key = next(iter(report.learned_strengths))
-    assert "apple" in key and "green" in key
-    assert report.learned_strengths[key] == pytest.approx(learnable.value())
+    assert len(losses) == 1500 and losses[-1] < losses[0]
 
 
 def test_train_all_positive_saturates():
@@ -545,9 +568,8 @@ def test_train_all_positive_saturates():
 def test_train_loss_windowed_monotone():
     tape, kb, rule, learnable, dataset = _fruit_setup(0.6, 100, seed=3)
     cfg = TrainConfig(learning_rate=0.1, steps=400)
-    report = train(kb, [rule], dataset, [learnable.theta], cfg,
-                   learnables=[learnable])
-    curve = report.loss_curve
+    curve = train(kb, [rule], dataset, [learnable.theta], cfg,
+                  learnables=[learnable])
     assert len(curve) == 400
     window = [sum(curve[i:i + 10]) / 10 for i in range(0, len(curve) - 10)]
     for earlier, later in zip(window, window[1:]):
@@ -575,7 +597,7 @@ def test_train_two_groups_mixed_labels_loss_is_example_mean():
     fruit = kb.node("PredicateNode", "apple")
     color = kb.node("PredicateNode", "green")
     impl = kb.link("ImplicationLink", fruit, color)
-    learnable = LearnableStrength(tape, init=0.5, name="apple->green")
+    learnable = LearnableStrength(tape, init=0.5)
     learnable.attach(kb, impl)
     learnable.refresh()
     dataset, expected = [], 0.0
@@ -589,11 +611,11 @@ def test_train_two_groups_mixed_labels_loss_is_example_mean():
         p = 0.5 * p_a + 0.2 * (1.0 - p_a)
         expected -= math.log(p) if label else math.log(1.0 - p)
     expected /= len(dataset)
-    report = train(kb, [make_modus_ponens_rule(kb)], dataset,
+    losses = train(kb, [make_modus_ponens_rule(kb)], dataset,
                    [learnable.theta], TrainConfig(learning_rate=0.1, steps=3),
                    learnables=[learnable])
-    assert abs(report.loss_curve[0] - expected) <= 1e-12
-    assert report.loss_curve[1] < report.loss_curve[0]
+    assert abs(losses[0] - expected) <= 1e-12
+    assert losses[1] < losses[0]
 
 
 def test_train_deduction_reads_default_term_strengths():
@@ -605,7 +627,7 @@ def test_train_deduction_reads_default_term_strengths():
     ab = kb.link("InheritanceLink", a, b)
     kb.set_tv(kb.link("InheritanceLink", b, c),
               TruthValue(tape.constant(0.8), 0.9))
-    learnable = LearnableStrength(tape, init=0.9, name="a->b")
+    learnable = LearnableStrength(tape, init=0.9)
     learnable.attach(kb, ab)
     learnable.refresh()
     target = kb.link("InheritanceLink", a, c)
@@ -624,7 +646,7 @@ def test_train_learns_term_strength():
     x = kb.node("ConceptNode", "x")
     kb.set_tv(kb.link("ImplicationLink", a, b), TruthValue(tape.constant(0.6), 1.0))
     kb.set_tv(kb.link("EvaluationLink", a, x), TruthValue(tape.constant(0.5), 1.0))
-    learnable = LearnableStrength(tape, init=0.5, name="not-a->b")
+    learnable = LearnableStrength(tape, init=0.5)
     learnable.attach(kb, kb.link("ImplicationLink", kb.link("NotLink", a), b))
     train(kb, [make_modus_ponens_rule(kb)],
           [LabeledExample(kb.link("EvaluationLink", b, x), 1)],
@@ -739,8 +761,7 @@ def test_shared_table_traces_match_per_target_search(monkeypatch):
     monkeypatch.setattr(training, "_find_traces", checking)
 
     def fit_pair(antecedent, consequent, targets, depth=3):
-        learnable = LearnableStrength(tape, init=0.5,
-                                      name="%s->%s" % (antecedent, consequent))
+        learnable = LearnableStrength(tape, init=0.5)
         learnable.attach(kb, kb.link("ImplicationLink", pred[antecedent],
                                      pred[consequent]))
         dataset = [LabeledExample(t, rng.randrange(2)) for t in targets]

@@ -4,6 +4,10 @@ Every truth-value strength in the engine is a scalar, so the tape records
 scalar operations only.  Local partial derivatives are computed at forward
 time; ``backward`` is a single reverse sweep over the record list.
 
+``OPS`` is the one definition of every operation: its value and its partial
+derivatives as Python expressions.  The ``Tape`` methods (``add``, ``log``,
+...) and the compiled replay are both rendered from it at import.
+
 The tape supports checkpoint/rollback (``mark`` / ``reset_to``) so a training
 loop can keep leaf parameters alive while it re-traces the formula graph.
 ``trace_loss`` compiles a traced graph once into straight-line Python that
@@ -14,6 +18,7 @@ branches become guards in that code.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import Callable
 
 LOG_EPS = 1e-7
@@ -65,16 +70,40 @@ class VarRef:
             )
 
     def __repr__(self):
-        if self.index < len(self.tape._values):
-            return "VarRef(%d, value=%g)" % (self.index, self.value)
+        # reads the list, not ``value``: a repr inside a traced loss is no read
+        values = self.tape._values
+        if self.index < len(values):
+            return "VarRef(%d, value=%g)" % (self.index, values[self.index])
         return "VarRef(%d, stale)" % self.index
 
 
-def _stable_sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+# The one definition of every op: its value in the inputs {x} and {y}, per
+# input the partial derivative in the inputs and the value {z}, and the
+# docstring of its Tape method.  The Tape methods and the compiled replay are
+# rendered from these strings alone, so they compute bit-identical values
+# and grads.  ``fail`` raises AutodiffError.
+Op = namedtuple("Op", "value partials doc", defaults=(None,))
+OPS = {
+    "add": Op("{x} + {y}", ("1.0", "1.0")),
+    "sub": Op("{x} - {y}", ("1.0", "-1.0")),
+    "mul": Op("{x} * {y}", ("{y}", "{x}")),
+    "div": Op("{x} / {y} if {y} != 0.0 else fail('division by zero')",
+              ("1.0 / {y}", "-{x} / ({y} * {y})")),
+    "neg": Op("-{x}", ("-1.0",)),
+    "one_minus": Op("1.0 - {x}", ("-1.0",)),
+    "log": Op("log(min(max({x}, LOG_EPS), 1.0))",
+              ("1.0 / {x} if LOG_EPS <= {x} <= 1.0 else 0.0",),
+              """Natural log of the input clamped into [LOG_EPS, 1].
+
+        The clamp keeps the loss finite when a probability saturates; its
+        gradient is zero outside the clamp interval.
+        """),
+    "sigmoid": Op("1.0 / (1.0 + exp(-{x})) if {x} >= 0 "
+                  "else (e := exp({x})) / (1.0 + e)", ("{z} * (1.0 - {z})",)),
+    "clamp01": Op("min(max({x}, 0.0), 1.0)",
+                  ("1.0 if 0.0 <= {x} <= 1.0 else 0.0",),
+                  "Clamp into [0, 1]; identity gradient inside, zero outside."),
+}
 
 
 class Tape:
@@ -143,63 +172,6 @@ class Tape:
         if a.tape is not self:
             raise AutodiffError("VarRef belongs to a different tape")
         a._check_live()
-
-    def add(self, a: VarRef, b: VarRef) -> VarRef:
-        self._pair(a, b)
-        return self._record(self._values[a.index] + self._values[b.index],
-                            ("add", a.index, 1.0, b.index, 1.0))
-
-    def sub(self, a: VarRef, b: VarRef) -> VarRef:
-        self._pair(a, b)
-        return self._record(self._values[a.index] - self._values[b.index],
-                            ("sub", a.index, 1.0, b.index, -1.0))
-
-    def mul(self, a: VarRef, b: VarRef) -> VarRef:
-        self._pair(a, b)
-        va, vb = self._values[a.index], self._values[b.index]
-        return self._record(va * vb, ("mul", a.index, vb, b.index, va))
-
-    def div(self, a: VarRef, b: VarRef) -> VarRef:
-        self._pair(a, b)
-        va, vb = self._values[a.index], self._values[b.index]
-        if vb == 0.0:
-            raise AutodiffError("division by zero")
-        return self._record(va / vb, ("div", a.index, 1.0 / vb,
-                                      b.index, -va / (vb * vb)))
-
-    def neg(self, a: VarRef) -> VarRef:
-        self._one(a)
-        return self._record(-self._values[a.index], ("neg", a.index, -1.0))
-
-    def one_minus(self, a: VarRef) -> VarRef:
-        self._one(a)
-        return self._record(1.0 - self._values[a.index],
-                            ("one_minus", a.index, -1.0))
-
-    def log(self, a: VarRef) -> VarRef:
-        """Natural log of the input clamped into [LOG_EPS, 1].
-
-        The clamp keeps the loss finite when a probability saturates; its
-        gradient is zero outside the clamp interval.
-        """
-        self._one(a)
-        x = self._values[a.index]
-        v = min(max(x, LOG_EPS), 1.0)
-        partial = 1.0 / v if LOG_EPS <= x <= 1.0 else 0.0
-        return self._record(math.log(v), ("log", a.index, partial))
-
-    def sigmoid(self, a: VarRef) -> VarRef:
-        self._one(a)
-        s = _stable_sigmoid(self._values[a.index])
-        return self._record(s, ("sigmoid", a.index, s * (1.0 - s)))
-
-    def clamp01(self, a: VarRef) -> VarRef:
-        """Clamp into [0, 1]; identity gradient inside, zero outside."""
-        self._one(a)
-        x = self._values[a.index]
-        v = min(max(x, 0.0), 1.0)
-        partial = 1.0 if 0.0 <= x <= 1.0 else 0.0
-        return self._record(v, ("clamp01", a.index, partial))
 
     # -- range checks -----------------------------------------------------
 
@@ -273,8 +245,9 @@ class Tape:
         Parameters and constants created before the mark survive; VarRefs
         pointing past the mark become stale.
         """
-        if mark > len(self._values):
-            raise AutodiffError("mark %d is past the end of the tape" % mark)
+        if not 0 <= mark <= len(self._values):
+            raise AutodiffError("mark %d is outside the tape's [0, %d]"
+                                % (mark, len(self._values)))
         del self._values[mark:]
         del self._grads[mark:]
         del self._deps[mark:]
@@ -286,47 +259,83 @@ def _unit_error(error: type, label: str, value: float) -> Exception:
     return error("%s %g outside [0, 1]" % (label, value))
 
 
+# -- rendering the op table ---------------------------------------------------
+
+def _fail(message: str):
+    raise AutodiffError(message)
+
+
+# all that generated code may name besides its arguments and ``guards``
+_NAMESPACE = {"__builtins__": {}, "__name__": __name__, "fail": _fail,
+              "LOG_EPS": LOG_EPS, "UNIT_TOL": UNIT_TOL, "exp": math.exp,
+              "log": math.log, "max": max, "min": min,
+              "unit_error": _unit_error}
+# records per generated function: small sources keep compile memory flat
+_CHUNK = 64
+
+
+def _functions(blocks: list[str], args: str,
+               guards: list = ()) -> list[Callable]:
+    """Compiles the code blocks into functions of ``_CHUNK`` blocks each,
+    with ``guards`` holding each guard's payload.  The functions are taken
+    out of their namespace, so none of them is in a reference cycle."""
+    namespace = dict(_NAMESPACE, guards=guards)
+    functions = []
+    for start in range(0, len(blocks), _CHUNK):
+        body = "\n".join(blocks[start:start + _CHUNK])
+        exec("def f(%s):\n%s" % (args, body), namespace)
+        functions.append(namespace.pop("f"))
+    return functions
+
+
+def _method(name: str, op: Op) -> Callable:
+    """The Tape method of ``op``: checks its VarRefs a and b, reads their
+    values x and y, and records the value z with each input's partial."""
+    refs = "ab"[:len(op.partials)]
+    args = ", ".join(refs)
+    deps = "".join(", %s.index, %s" % (r, p.format(x="x", y="y", z="z"))
+                   for r, p in zip(refs, op.partials))
+    body = ["self.%s(%s)" % ("_pair" if refs == "ab" else "_one", args),
+            "%s = %s" % (", ".join("xy"[:len(refs)]), ", ".join(
+                "self._values[%s.index]" % r for r in refs)),
+            "z = " + op.value.format(x="x", y="y"),
+            "return self._record(z, (%r%s))" % (name, deps)]
+    method, = _functions(["\n".join("    " + line for line in body)],
+                         "self, " + args)
+    method.__name__, method.__qualname__ = name, "Tape." + name
+    method.__doc__ = op.doc
+    return method
+
+
+for _name, _op in OPS.items():
+    setattr(Tape, _name, _method(_name, _op))
+
+# the logistic function on a float, as ``Tape.sigmoid`` computes it
+sigmoid, = _functions(["    return " + OPS["sigmoid"].value.format(x="x")], "x")
+
+
+def _adjoint(partial: str) -> str:
+    # a partial of 1 or -1 multiplies exactly, so it is folded in
+    return {"1.0": "d", "-1.0": "-d"}.get(partial) or "d * (%s)" % (
+        partial.format(x="v[{1}]", y="v[{2}]", z="v[{0}]"))
+
+
+# Per opcode, the replay's statement that recomputes a record {0} from its
+# inputs {1} and {2} in the value list ``v``, and per input the term added
+# to the input's adjoint, for the record's adjoint ``d``.
+_REPLAY = {name: ("v[{0}] = " + op.value.format(x="v[{1}]", y="v[{2}]"),
+                  tuple(map(_adjoint, op.partials)))
+           for name, op in OPS.items()}
+
+
 # -- compiled replay ----------------------------------------------------------
 
-# Per opcode, the statement that recomputes a record {0} from its inputs {1}
-# and {2} in the value list ``v``, and per input the term ``backward`` adds
-# to that input's adjoint, for the record's adjoint ``d``.  Both are written
-# exactly as the Tape methods compute them (a partial of 1 or -1 is left
-# out: it multiplies exactly), so a replay gives bit-identical values and
-# grads.  Generated code is built from these strings and integer
-# indices alone.
-_FORWARD = {
-    "add": "v[{0}] = v[{1}] + v[{2}]",
-    "sub": "v[{0}] = v[{1}] - v[{2}]",
-    "mul": "v[{0}] = v[{1}] * v[{2}]",
-    "div": "if v[{2}] == 0.0: raise AutodiffError('division by zero')\n"
-           "    v[{0}] = v[{1}] / v[{2}]",
-    "neg": "v[{0}] = -v[{1}]",
-    "one_minus": "v[{0}] = 1.0 - v[{1}]",
-    "log": "v[{0}] = log(min(max(v[{1}], LOG_EPS), 1.0))",
-    "sigmoid": "x = v[{1}]; v[{0}] = "
-               "1.0 / (1.0 + exp(-x)) if x >= 0 else exp(x) / (1.0 + exp(x))",
-    "clamp01": "v[{0}] = min(max(v[{1}], 0.0), 1.0)",
-}
-_ADJOINT = {
-    "add": ("d", "d"),
-    "sub": ("d", "-d"),
-    "mul": ("d * v[{2}]", "d * v[{1}]"),
-    "div": ("d * (1.0 / v[{2}])", "d * (-v[{1}] / (v[{2}] * v[{2}]))"),
-    "neg": ("-d",),
-    "one_minus": ("-d",),
-    "log": ("d * (1.0 / v[{1}] if LOG_EPS <= v[{1}] <= 1.0 else 0.0)",),
-    "sigmoid": ("d * (v[{0}] * (1.0 - v[{0}]))",),
-    "clamp01": ("d * (1.0 if 0.0 <= v[{1}] <= 1.0 else 0.0)",),
-}
 # the replayed guards on value {0}, given guard {1}'s payload in ``guards``:
 # the (error class, label) of a check_unit, or the bound of an at_least
 _UNIT_GUARD = ("if not -UNIT_TOL <= v[{0}] <= 1.0 + UNIT_TOL: "
                "raise unit_error(*guards[{1}], v[{0}])")
 _BRANCH_GUARD = {True: "if not v[{0}] >= guards[{1}]: return False",
                  False: "if v[{0}] >= guards[{1}]: return False"}
-# records per generated function: small sources keep compile memory flat
-_CHUNK = 64
 
 
 def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
@@ -389,7 +398,7 @@ def _compile(tape: Tape, params: list[VarRef], mark: int, loss: int,
         while n < len(guards) and guards[n][0] <= i:
             forward.append("    " + guards[n][2].format(guards[n][1], n))
             n += 1
-        forward.append("    " + _FORWARD[deps[i][0]].format(i, *deps[i][1::2]))
+        forward.append("    " + _REPLAY[deps[i][0]][0].format(i, *deps[i][1::2]))
     forward += ["    " + g[2].format(g[1], k)
                 for k, g in enumerate(guards[n:], n)]
     backward = []
@@ -400,7 +409,7 @@ def _compile(tape: Tape, params: list[VarRef], mark: int, loss: int,
         rec = deps[i]
         inputs = rec[1::2]
         lines = ["    d = g[%d]" % slot[i], "    if d:"]
-        for j, term in zip(inputs, _ADJOINT[rec[0]]):
+        for j, term in zip(inputs, _REPLAY[rec[0]][1]):
             if j in slot:
                 needed.add(j)
                 lines.append("        g[%d] += %s" % (slot[j],
@@ -428,19 +437,3 @@ def _compile(tape: Tape, params: list[VarRef], mark: int, loss: int,
         return True
     return replay
 
-
-def _functions(blocks: list[str], args: str,
-               guards: list = ()) -> list[Callable]:
-    """Compiles the code blocks into functions of ``_CHUNK`` blocks each,
-    with ``guards`` holding each guard's payload.  The functions are taken
-    out of their namespace, so none of them is in a reference cycle."""
-    namespace = {"__builtins__": {}, "AutodiffError": AutodiffError,
-                 "LOG_EPS": LOG_EPS, "UNIT_TOL": UNIT_TOL, "exp": math.exp,
-                 "log": math.log, "max": max, "min": min,
-                 "unit_error": _unit_error, "guards": guards}
-    functions = []
-    for start in range(0, len(blocks), _CHUNK):
-        body = "\n".join(blocks[start:start + _CHUNK])
-        exec("def f(%s):\n%s" % (args, body), namespace)
-        functions.append(namespace.pop("f"))
-    return functions

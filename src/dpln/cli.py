@@ -274,7 +274,7 @@ def run_learn_formula(cfg: ExperimentConfig) -> dict:
                  for x, y in points]
         return cross_entropy(preds, targets)
 
-    losses = fit(weights.refs(), loss, cfg.lr, cfg.steps)
+    losses = fit(weights.refs(), loss, cfg.lr, cfg.steps) if cfg.steps else []
 
     held = [i / (cfg.heldout_size - 1) for i in range(cfg.heldout_size)]
     errors = []
@@ -338,7 +338,7 @@ def run_joint(cfg: ExperimentConfig) -> dict:
                       for p_a in train_pas]
         return cross_entropy(preds, targets)
 
-    losses = fit(params, loss, cfg.lr, cfg.steps)
+    losses = fit(params, loss, cfg.lr, cfg.steps) if cfg.steps else []
 
     held_errors = []
     strength_dev = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
-from .autodiff import Tape, VarRef, _stable_sigmoid, trace_loss
+from .autodiff import Tape, VarRef, sigmoid, trace_loss
 from .chainer import (MAX_SEARCH_DEPTH, ChainConfig, Derivation, Rule, commit,
                       prove)
 
@@ -42,6 +42,13 @@ class LabeledExample:
             raise TrainError("label must be 0 or 1, got %r" % (self.label,))
 
 
+def _check_schedule(learning_rate: float, steps: int) -> None:
+    if not 0.0 < learning_rate < math.inf:  # also rejects nan
+        raise TrainError("learning_rate must be positive and finite")
+    if steps < 1:
+        raise TrainError("steps must be >= 1")
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.1
@@ -49,10 +56,7 @@ class TrainConfig:
     chain_depth: int = 3
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate < math.inf:  # also rejects nan
-            raise TrainError("learning_rate must be positive and finite")
-        if self.steps < 1:
-            raise TrainError("steps must be >= 1")
+        _check_schedule(self.learning_rate, self.steps)
         if not 1 <= self.chain_depth <= MAX_SEARCH_DEPTH:
             raise TrainError("chain_depth must lie in [1, %d]" % MAX_SEARCH_DEPTH)
 
@@ -82,7 +86,7 @@ class LearnableStrength:
 
     def value(self) -> float:
         """Current strength as a plain float (no tape record)."""
-        return _stable_sigmoid(self.theta.value)
+        return sigmoid(self.theta.value)
 
 
 def cross_entropy(preds: list[VarRef], labels: list[float]) -> VarRef:
@@ -139,10 +143,12 @@ def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
     ``loss_fn`` may branch on a record with ``Tape.at_least``, never on a
     ``value`` computed from ``params``: when a branch flips, the replay
     misses and that step traces ``loss_fn`` again.  A range check
-    (``Tape.check_unit``) that fails on step k raises on step k.
+    (``Tape.check_unit``) that fails on step k raises on step k.  Raises
+    TrainError unless the rate is positive and finite and steps >= 1.
     """
     if not params:
         raise TrainError("params must be nonempty")
+    _check_schedule(learning_rate, steps)
     tape = params[0].tape
     mark = tape.mark()
     losses = []

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from dpln import AtomSpace, AutodiffError, Tape, fit, make_rule_set
-from dpln.autodiff import UNIT_TOL, trace_loss
+from dpln.autodiff import LOG_EPS, OPS, UNIT_TOL, sigmoid, trace_loss
 
 from conftest import (analytic_grads, assert_grads_close, finite_diff_grads,
                       interior)
@@ -170,6 +170,18 @@ def test_stale_ref_after_reset():
     assert a.value == 1.0
     with pytest.raises(AutodiffError):
         b.value
+
+
+def test_reset_to_rejects_a_negative_mark():
+    """A negative mark would slice records off the end and drop every
+    parameter from the parameter set; it raises and changes nothing."""
+    t = Tape()
+    a, b = t.parameter(1.0), t.parameter(2.0)
+    t.add(a, b)
+    with pytest.raises(AutodiffError, match="outside"):
+        t.reset_to(-1)
+    assert len(t) == 3
+    assert [p.index for p in t.parameters] == [0, 1]
 
 
 def test_reset_keeps_parameters_below_mark():
@@ -431,3 +443,89 @@ def test_replay_matches_retrace_bit_for_bit():
             assert replay()
             assert loss.value == fresh_loss.value
             assert [r.grad for r in refs] == [r.grad for r in fresh_refs]
+
+
+def test_every_op_of_the_table_is_a_rendered_tape_method():
+    rendered = {name for name, f in vars(Tape).items()
+                if getattr(f, "__code__", None) is not None
+                and f.__code__.co_filename == "<string>"}
+    assert rendered == set(OPS)
+    assert Tape.log.__doc__.startswith("Natural log of the input clamped")
+    assert Tape.clamp01.__doc__.startswith("Clamp into [0, 1]")
+
+
+# inputs per op at the edges of its expressions: both branches of the
+# stable sigmoid, log below LOG_EPS, inside [LOG_EPS, 1] and above 1,
+# clamp01 below, inside and above [0, 1], and div by a zero denominator
+EDGE_INPUTS = {
+    "add": [(0.25, -0.5), (-3.0, 3.0)],
+    "sub": [(0.25, -0.5), (-3.0, -3.0)],
+    "mul": [(0.25, -0.5), (-3.0, 0.0)],
+    "div": [(0.25, -0.5), (-3.0, 1e-3), (0.5, 0.0), (0.5, -0.0)],
+    "neg": [(0.25,), (-3.0,)],
+    "one_minus": [(0.25,), (1.5,)],
+    "log": [(-0.5,), (0.0,), (LOG_EPS / 2,), (LOG_EPS,), (0.3,), (1.0,),
+            (1.0 + 1e-12,), (1.5,)],
+    "sigmoid": [(-800.0,), (-2.0,), (-1e-300,), (0.0,), (2.0,), (800.0,)],
+    "clamp01": [(-0.5,), (-0.0,), (0.0,), (0.5,), (1.0,), (1.5,)],
+}
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_replay_matches_the_eager_op_bit_for_bit_at_edge_inputs(op):
+    """For each op, a replay traced at an interior point gives the values and
+    grads of the eager op at every edge input, bit for bit, and raises the
+    eager op's error where that raises."""
+    def build(tape, refs):
+        return tape.mul(getattr(tape, op)(*refs), tape.constant(3.0))
+    t = Tape()
+    refs = [t.parameter(0.5) for _ in OPS[op].partials]
+    loss, replay = trace_loss(refs, lambda: build(t, refs))
+    for inputs in EDGE_INPUTS[op]:
+        for r, x in zip(refs, inputs):
+            r.value = x
+        t.zero_grads()
+        fresh = Tape()
+        fresh_refs = [fresh.parameter(x) for x in inputs]
+        try:
+            fresh_loss = build(fresh, fresh_refs)
+        except AutodiffError as error:
+            with pytest.raises(AutodiffError) as replayed:
+                replay()
+            assert str(replayed.value) == str(error), inputs
+            continue
+        fresh.backward(fresh_loss)
+        assert replay(), inputs
+        assert _bits([loss.value]) == _bits([fresh_loss.value]), inputs
+        assert (_bits(r.grad for r in refs)
+                == _bits(r.grad for r in fresh_refs)), inputs
+
+
+def test_float_sigmoid_is_the_tape_op():
+    t = Tape()
+    for (x,) in EDGE_INPUTS["sigmoid"]:
+        assert _bits([sigmoid(x)]) == _bits([t.sigmoid(t.constant(x)).value])
+
+
+def test_repr_of_records_in_a_traced_loss_is_not_a_read():
+    """repr reads the record's value without logging a read, so a loss
+    that prints its records still compiles and replays."""
+    t = Tape()
+    p = t.parameter(0.5)
+    shown = []
+
+    def loss_fn():
+        s = t.sigmoid(p)
+        shown.append("%r %r" % (p, s))
+        return t.mul(s, s)
+    loss, replay = trace_loss([p], loss_fn)
+    assert shown == ["VarRef(0, value=0.5) VarRef(1, value=0.622459)"]
+    p.value = -1.0
+    assert replay()
+    fresh = Tape()
+    s = fresh.sigmoid(fresh.parameter(-1.0))
+    assert loss.value == fresh.mul(s, s).value

@@ -208,10 +208,26 @@ def test_fit_minimizes_and_rolls_back():
     assert all(b < a for a, b in zip(losses, losses[1:]))
     assert p.value == pytest.approx(1.0, abs=1e-5)
     assert len(t) == mark
-    assert fit([p], lambda: p, 0.25, 0) == []
+    with pytest.raises(TrainError, match="steps"):
+        fit([p], lambda: p, 0.25, 0)
     with pytest.raises(TrainError):
         fit([], lambda: p, 0.1, 1)
 
+
+
+@pytest.mark.parametrize("learning_rate, steps", [
+    (math.nan, 2), (math.inf, 2), (0.0, 2), (-0.1, 2), (0.1, -3)])
+def test_fit_rejects_a_bad_rate_or_step_count(learning_rate, steps):
+    """The rate and step count TrainConfig rejects, fit rejects too, before
+    it traces or steps: the parameter keeps its value."""
+    t = Tape()
+    p = t.parameter(0.3)
+    with pytest.raises(TrainError):
+        TrainConfig(learning_rate=learning_rate, steps=steps)
+    with pytest.raises(TrainError):
+        fit([p], lambda: t.mul(p, p), learning_rate, steps)
+    assert p.value == 0.3
+    assert len(t) == 1
 
 
 def _retrace_fit(params, loss_fn, learning_rate, steps):

@@ -152,9 +152,6 @@ class AtomSpace:
             self._incoming[oid].append(atom.id)
         return atom.id
 
-    def find_node(self, type_name: str, name: str) -> int | None:
-        return self._node_index.get((type_name, name))
-
     def find_link(self, type_name: str, outgoing: list[int]) -> int | None:
         return self._link_index.get((type_name, tuple(outgoing)))
 

@@ -87,7 +87,8 @@ OPS = {
     "add": Op("{x} + {y}", ("1.0", "1.0")),
     "sub": Op("{x} - {y}", ("1.0", "-1.0")),
     "mul": Op("{x} * {y}", ("{y}", "{x}")),
-    "div": Op("{x} / {y} if {y} != 0.0 else fail('division by zero')",
+    # y * y, not y: y's partial divides by it, and it is 0 for y = 1e-170
+    "div": Op("{x} / {y} if {y} * {y} != 0.0 else fail('division by zero')",
               ("1.0 / {y}", "-{x} / ({y} * {y})")),
     "neg": Op("-{x}", ("-1.0",)),
     "one_minus": Op("1.0 - {x}", ("-1.0",)),

@@ -296,73 +296,71 @@ def run_learn_formula(cfg: ExperimentConfig) -> dict:
     return result
 
 
-def _joint_dataset(cfg: ExperimentConfig):
-    """Mixed-provenance dataset: one block of examples with fully known
-    premise strengths (trains the formula) and one block whose implication
-    strengths are hidden (trains the truth values)."""
-    rng = random.Random(cfg.seed)
-    known = []
-    for p_a in (0.25, 0.5, 0.75, 1.0):
-        for p_bga in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
-            known.append((p_a, p_bga, _eq1(p_a, p_bga, cfg.neg_conditional)))
-    contexts = []
-    for k in range(6):
-        s_true = 0.15 + 0.7 * rng.random()
-        train_pas = (0.6, 0.8, 1.0)
-        held_pas = (0.7, 0.9)
-        contexts.append((s_true, train_pas, held_pas))
-    return known, contexts
-
-
 def run_joint(cfg: ExperimentConfig) -> dict:
-    """Learns the formula weights and hidden implication strengths together;
-    gates held-out prediction error, reports (but does not gate) how far the
-    learned strengths drift from their generating values."""
+    """Learns the formula weights and hidden implication strengths together,
+    in one ``train`` call through the KB and the trainable modus ponens
+    rule; gates held-out prediction error, read from one ``backward_chain``
+    proof per target, and reports (but does not gate) how far the learned
+    strengths drift from their generating values."""
     tape = Tape()
+    kb = AtomSpace(tape)
     weights = FormulaWeights.create(tape)
-    known, contexts = _joint_dataset(cfg)
-    learnables = [LearnableStrength(tape, init=0.5) for _ in contexts]
+    rule = make_modus_ponens_rule(kb, weights=weights)
+    rng = random.Random(cfg.seed)
+
+    def facts(name: str, p_bga: float, p_as,
+              learnable: LearnableStrength | None = None) -> list:
+        """Asserts Impl(A, B), at p_bga or else as ``learnable``, and Eval(A, x)
+        at each P(A); returns each target Eval(B, x), labeled with its exact
+        strength at P(B|A) = p_bga."""
+        a, b = (kb.node("PredicateNode", name + end) for end in ("-A", "-B"))
+        impl = kb.link("ImplicationLink", a, b)
+        if learnable is None:
+            kb.set_tv(impl, TruthValue(tape.constant(p_bga), 1.0))
+        else:
+            learnable.attach(kb, impl)
+            learnable.refresh()
+        examples = []
+        for p_a in p_as:
+            x = kb.node("ConceptNode", "x-%g" % p_a)
+            kb.set_tv(kb.link("EvaluationLink", a, x),
+                      TruthValue(tape.constant(p_a), 1.0))
+            examples.append(LabeledExample(kb.link("EvaluationLink", b, x),
+                                           _eq1(p_a, p_bga, cfg.neg_conditional)))
+        return examples
+
+    def known(p_as, p_bgas) -> list:
+        return [ex for p_a in p_as for p_bga in p_bgas
+                for ex in facts("%g-%g" % (p_a, p_bga), p_bga, [p_a])]
+
+    dataset = known((0.25, 0.5, 0.75, 1.0), (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8))
+    learnables = [LearnableStrength(tape, init=0.5) for _ in range(6)]
+    true_strengths = [0.15 + 0.7 * rng.random() for _ in learnables]
+    heldout = []
+    for k, (ls, s_true) in enumerate(zip(learnables, true_strengths)):
+        # P(A) 0.6, 0.8 and 1.0 train; 0.7 and 0.9 are held out
+        examples = facts("hidden-%d" % k, s_true, (0.6, 0.8, 1.0, 0.7, 0.9), ls)
+        dataset += examples[:3]
+        heldout += examples[3:]
+    heldout += known((0.3, 0.6, 0.9), (0.25, 0.45, 0.65))  # grid midpoints
+
     params = weights.refs() + [ls.theta for ls in learnables]
-
-    targets = [target for _, _, target in known]
-    for s_true, train_pas, _ in contexts:
-        targets += [_eq1(p_a, s_true, cfg.neg_conditional) for p_a in train_pas]
-
-    def loss():
-        preds = [trainable_mp_strength(tape.constant(p_a), tape.constant(p_bga),
-                                       weights)
-                 for p_a, p_bga, _ in known]
-        for (_, train_pas, _), ls in zip(contexts, learnables):
-            s_hat = ls.refresh()
-            preds += [trainable_mp_strength(tape.constant(p_a), s_hat, weights)
-                      for p_a in train_pas]
-        return cross_entropy(preds, targets)
-
-    losses = fit(params, loss, cfg.lr, cfg.steps) if cfg.steps else []
-
+    losses = (train(kb, [rule], dataset, params,
+                    TrainConfig(cfg.lr, cfg.steps, chain_depth=1), learnables)
+              if cfg.steps else [])
     held_errors = []
-    strength_dev = []
-    for (s_true, _, held_pas), ls in zip(contexts, learnables):
-        s_hat = ls.refresh()
-        strength_dev.append(abs(ls.value() - s_true))
-        for p_a in held_pas:
-            pred = trainable_mp_strength(tape.constant(p_a), s_hat, weights)
-            held_errors.append(abs(pred.value - _eq1(p_a, s_true,
-                                                     cfg.neg_conditional)))
-    # held-out block for the known-strength examples: grid midpoints
-    for p_a in (0.3, 0.6, 0.9):
-        for p_bga in (0.25, 0.45, 0.65):
-            pred = trainable_mp_strength(tape.constant(p_a),
-                                         tape.constant(p_bga), weights)
-            held_errors.append(abs(pred.value - _eq1(p_a, p_bga,
-                                                     cfg.neg_conditional)))
+    for ex in heldout:
+        [(_, strength, _)] = backward_chain(kb, [rule], ex.target,
+                                            ChainConfig(max_depth=1))
+        held_errors.append(abs(strength.value - ex.label))
     result = {
         "experiment": "joint",
         "seed": cfg.seed, "lr": cfg.lr, "steps": cfg.steps,
         "weights": weights.values(),
         "learned_strengths": [ls.value() for ls in learnables],
-        "true_strengths": [c[0] for c in contexts],
-        "strength_abs_deviation": strength_dev,
+        "true_strengths": true_strengths,
+        "strength_abs_deviation": [abs(ls.value() - s) for ls, s
+                                   in zip(learnables, true_strengths)],
         "max_heldout_abs_error": max(held_errors),
         "mean_heldout_abs_error": sum(held_errors) / len(held_errors),
     }

@@ -34,12 +34,12 @@ class UnderivableTargetError(TrainError):
 
 @dataclass
 class LabeledExample:
-    target: int  # ground conclusion atom to infer
-    label: int   # 0 or 1
+    target: int    # ground conclusion atom to infer
+    label: float   # its target strength in [0, 1]; 0 or 1 for a hard label
 
     def __post_init__(self):
-        if self.label not in (0, 1):
-            raise TrainError("label must be 0 or 1, got %r" % (self.label,))
+        if not 0.0 <= self.label <= 1.0:  # also rejects nan
+            raise TrainError("label must lie in [0, 1], got %r" % (self.label,))
 
 
 def _check_schedule(learning_rate: float, steps: int) -> None:
@@ -198,7 +198,8 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
     them against the current truth values in each step's loss builds the
     formula graph as a fresh search would on a structurally unchanged KB.
     Each step refreshes the learnable strengths and takes the mean
-    cross-entropy over the examples.  Every target must be ground.
+    cross-entropy over the examples against their labels, 0, 1 or soft.
+    Every target must be ground.
     """
     if not params:
         raise TrainError("params must be nonempty")

@@ -461,7 +461,8 @@ EDGE_INPUTS = {
     "add": [(0.25, -0.5), (-3.0, 3.0)],
     "sub": [(0.25, -0.5), (-3.0, -3.0)],
     "mul": [(0.25, -0.5), (-3.0, 0.0)],
-    "div": [(0.25, -0.5), (-3.0, 1e-3), (0.5, 0.0), (0.5, -0.0)],
+    "div": [(0.25, -0.5), (-3.0, 1e-3), (0.5, 0.0), (0.5, -0.0),
+            (1.0, 1e-170)],
     "neg": [(0.25,), (-3.0,)],
     "one_minus": [(0.25,), (1.5,)],
     "log": [(-0.5,), (0.0,), (LOG_EPS / 2,), (LOG_EPS,), (0.3,), (1.0,),

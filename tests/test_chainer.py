@@ -33,9 +33,9 @@ SPARROW_KB = """
 
 def _mp_binding(kb, rule):
     var_p, var_q, var_x = (v for v, _ in rule.variables)
-    return {var_p: kb.find_node("PredicateNode", "apple"),
-            var_q: kb.find_node("PredicateNode", "green"),
-            var_x: kb.find_node("ConceptNode", "apple-001")}
+    return {var_p: kb.node("PredicateNode", "apple"),
+            var_q: kb.node("PredicateNode", "green"),
+            var_x: kb.node("ConceptNode", "apple-001")}
 
 
 def test_apply_rule_modus_ponens():
@@ -56,9 +56,9 @@ def test_apply_rule_deduction_certainty():
     load_kb(kb, SPARROW_KB)
     rule = make_deduction_rule(kb)
     var_x, var_y, var_z = (v for v, _ in rule.variables)
-    binding = {var_x: kb.find_node("ConceptNode", "sparrow"),
-               var_y: kb.find_node("ConceptNode", "bird"),
-               var_z: kb.find_node("ConceptNode", "animal")}
+    binding = {var_x: kb.node("ConceptNode", "sparrow"),
+               var_y: kb.node("ConceptNode", "bird"),
+               var_z: kb.node("ConceptNode", "animal")}
     conclusion, out, _ = apply_rule(kb, rule, binding)
     assert out.value == pytest.approx(1.0)
     names = [kb.atom(o).name for o in kb.atom(conclusion).outgoing]
@@ -261,8 +261,8 @@ def test_backward_chain_modus_ponens():
     assert isinstance(trace, Derivation)
     leaf_atoms = {leaf.atom for leaf in trace.leaves()}
     impl = kb.find_link("ImplicationLink",
-                        [kb.find_node("PredicateNode", "apple"),
-                         kb.find_node("PredicateNode", "green")])
+                        [kb.node("PredicateNode", "apple"),
+                         kb.node("PredicateNode", "green")])
     assert impl in leaf_atoms
 
 
@@ -307,7 +307,7 @@ def test_backward_chain_variable_target():
     results = backward_chain(kb, [rule], target, ChainConfig(max_depth=2))
     assert len(results) == 1
     binding, strength, _ = results[0]
-    var_w = kb.find_node("VariableNode", "$W")
+    var_w = kb.node("VariableNode", "$W")
     assert kb.atom(binding[var_w]).name == "apple-001"
 
 
@@ -708,7 +708,7 @@ def test_backward_chain_short_type_index_long_incoming(monkeypatch):
               for s, p in [(0.9, "apple"), (0.3, "banana")]]
     load_kb(kb, "\n".join(lines))
     rules = make_rule_set(kb)
-    red = kb.find_node("PredicateNode", "red")
+    red = kb.node("PredicateNode", "red")
     subgoal = kb.link("ImplicationLink", kb.node("VariableNode", "$P"), red)
     impls = [a for a in kb.atoms_of_type("ImplicationLink")
              if kb.atom(a).is_ground]
@@ -734,7 +734,7 @@ def test_backward_chain_long_type_index_short_incoming(monkeypatch):
                  '(ConceptNode "a3"))')
     load_kb(kb, "\n".join(lines))
     rules = [make_deduction_rule(kb)]
-    a0 = kb.find_node("ConceptNode", "a0")
+    a0 = kb.node("ConceptNode", "a0")
     subgoal = kb.link("InheritanceLink", a0, kb.node("VariableNode", "$Y"))
     from_a0 = [a for a in kb.incoming(a0) if kb.atom(a).is_ground]
     assert len(kb.incoming(a0)) < len(kb.atoms_of_type("InheritanceLink"))
@@ -851,8 +851,8 @@ def test_tall_proof_at_max_search_depth():
         height += 1
         node = node.premises[1]
     assert height == n and node.atom == kb.find_link(
-        "EvaluationLink", [kb.find_node("PredicateNode", "p0"),
-                           kb.find_node("ConceptNode", "x")])
+        "EvaluationLink", [kb.node("PredicateNode", "p0"),
+                           kb.node("ConceptNode", "x")])
     assert len(list(trace.leaves())) == n + 1
     expected = 1.0
     for _ in range(n):

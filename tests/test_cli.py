@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import dpln
 from dpln.cli import (ConfigError, ExperimentConfig, main, parse_config_text,
-                      run_fruit_colors, run_learn_formula)
+                      run_fruit_colors, run_joint, run_learn_formula)
 from dpln.chainer import MAX_SEARCH_DEPTH
 from dpln.sexpr import MAX_DEPTH
 
@@ -205,6 +205,27 @@ def test_learn_formula_zero_steps(tmp_path):
     assert all(v == 0.0 for v in result["weights"].values())
     # untrained sigmoid outputs 0.5 everywhere; worst target is 0.2 or 1.0
     assert result["max_abs_error"] == pytest.approx(0.5)
+
+
+def test_joint_zero_steps(tmp_path):
+    """joint with no steps trains nothing: the strengths stay at 0.5, and
+    the zero-weight formula predicts sigmoid(0) = 0.5 for every held-out
+    target, each read from its backward_chain proof."""
+    cfg = ExperimentConfig(experiment="joint", steps=0, lr=2.0,
+                           out_dir=str(tmp_path / "out"))
+    result = run_joint(cfg)
+    assert all(v == 0.0 for v in result["weights"].values())
+    assert result["learned_strengths"] == [0.5] * 6
+    assert (tmp_path / "out" / "loss.csv").read_text().splitlines() == \
+        ["step,loss"]
+    # exact modus ponens at P(B|not A) = 0.2: hidden contexts at P(A) 0.7
+    # and 0.9, then the known-strength grid midpoints
+    targets = [s * p_a + 0.2 * (1.0 - p_a) for s in result["true_strengths"]
+               for p_a in (0.7, 0.9)]
+    targets += [p_bga * p_a + 0.2 * (1.0 - p_a) for p_a in (0.3, 0.6, 0.9)
+                for p_bga in (0.25, 0.45, 0.65)]
+    assert result["max_heldout_abs_error"] == max(abs(0.5 - t) for t in targets)
+    assert result["max_heldout_abs_error"] == pytest.approx(0.285)
 
 
 def test_chain_forward_command(tmp_path, capsys):

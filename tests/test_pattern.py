@@ -26,11 +26,11 @@ def test_unify_two_variables():
     y = kb.node("VariableNode", "$Y")
     pattern = kb.link("InheritanceLink", x, y)
     ground = kb.find_link("InheritanceLink",
-                          [kb.find_node("ConceptNode", "sparrow"),
-                           kb.find_node("ConceptNode", "bird")])
+                          [kb.node("ConceptNode", "sparrow"),
+                           kb.node("ConceptNode", "bird")])
     binding = unify(kb, pattern, ground)
-    assert binding == {x: kb.find_node("ConceptNode", "sparrow"),
-                       y: kb.find_node("ConceptNode", "bird")}
+    assert binding == {x: kb.node("ConceptNode", "sparrow"),
+                       y: kb.node("ConceptNode", "bird")}
 
 
 def test_unify_repeated_variable_conflict():
@@ -38,8 +38,8 @@ def test_unify_repeated_variable_conflict():
     x = kb.node("VariableNode", "$X")
     pattern = kb.link("InheritanceLink", x, x)
     ground = kb.find_link("InheritanceLink",
-                          [kb.find_node("ConceptNode", "sparrow"),
-                           kb.find_node("ConceptNode", "bird")])
+                          [kb.node("ConceptNode", "sparrow"),
+                           kb.node("ConceptNode", "bird")])
     assert unify(kb, pattern, ground) is None
 
 
@@ -103,9 +103,9 @@ def test_match_chain():
                   clauses=[kb.link("InheritanceLink", x, y),
                            kb.link("InheritanceLink", y, z)])
     bindings = match(kb, query)
-    assert bindings == [{x: kb.find_node("ConceptNode", "sparrow"),
-                         y: kb.find_node("ConceptNode", "bird"),
-                         z: kb.find_node("ConceptNode", "animal")}]
+    assert bindings == [{x: kb.node("ConceptNode", "sparrow"),
+                         y: kb.node("ConceptNode", "bird"),
+                         z: kb.node("ConceptNode", "animal")}]
 
 
 def test_match_empty_kb():
@@ -228,11 +228,11 @@ def test_instantiate():
     x = kb.node("VariableNode", "$X")
     z = kb.node("VariableNode", "$Z")
     template = kb.link("InheritanceLink", x, z)
-    binding = {x: kb.find_node("ConceptNode", "sparrow"),
-               z: kb.find_node("ConceptNode", "animal")}
+    binding = {x: kb.node("ConceptNode", "sparrow"),
+               z: kb.node("ConceptNode", "animal")}
     inst = kb.link("InheritanceLink",
-                   kb.find_node("ConceptNode", "sparrow"),
-                   kb.find_node("ConceptNode", "animal"))
+                   kb.node("ConceptNode", "sparrow"),
+                   kb.node("ConceptNode", "animal"))
     assert instantiate(kb, template, binding) == inst
 
 
@@ -248,7 +248,7 @@ def test_instantiate_missing_binding():
     z = kb.node("VariableNode", "$Z")
     template = kb.link("InheritanceLink", x, z)
     with pytest.raises(MatchError):
-        instantiate(kb, template, {x: kb.find_node("ConceptNode", "sparrow")})
+        instantiate(kb, template, {x: kb.node("ConceptNode", "sparrow")})
 
 
 def test_variables_in():
@@ -266,8 +266,8 @@ def test_lookup_finds_without_interning():
     template = kb.link("InheritanceLink", x, kb.node("ConceptNode", "bird"))
     negated = kb.link("NotLink", template)
     size = len(kb)
-    sparrow = kb.find_node("ConceptNode", "sparrow")
-    bird = kb.find_node("ConceptNode", "bird")
+    sparrow = kb.node("ConceptNode", "sparrow")
+    bird = kb.node("ConceptNode", "bird")
     assert lookup(kb, template, {x: sparrow}) == substitute(kb, template,
                                                             {x: sparrow})
     assert lookup(kb, x, {x: bird}) == bird
@@ -288,8 +288,8 @@ def test_match_bindings_distinct_in_candidate_order():
     (InheritanceLink (ConceptNode "a") (ConceptNode "b"))
     (InheritanceLink (ConceptNode "a") (ConceptNode "a"))
     """)
-    a = kb.find_node("ConceptNode", "a")
-    b = kb.find_node("ConceptNode", "b")
+    a = kb.node("ConceptNode", "a")
+    b = kb.node("ConceptNode", "b")
     x = kb.node("VariableNode", "$X")
     y = kb.node("VariableNode", "$Y")
     repeated = Query(variables=[(x, None), (y, None)],

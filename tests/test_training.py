@@ -147,8 +147,11 @@ def test_empirical_frequency():
 
 
 def test_labeled_example_validation():
-    with pytest.raises(TrainError):
-        LabeledExample(0, 2)
+    for label in (0.5, 0.0):
+        assert LabeledExample(0, label).label == label
+    for label in (2, -0.1, 1.5, float("nan")):
+        with pytest.raises(TrainError):
+            LabeledExample(0, label)
 
 
 def test_train_config_validation():
@@ -493,7 +496,7 @@ def test_run_joint_compiles(monkeypatch, tmp_path):
     results, counts = [], []
     for train_loop in (fit, _retrace_fit):
         calls = []
-        monkeypatch.setattr(cli, "fit", _counting(train_loop, calls))
+        monkeypatch.setattr(training, "fit", _counting(train_loop, calls))
         results.append(cli.run_joint(cli.ExperimentConfig(
             experiment="joint", lr=2.0, steps=30, seed=7,
             out_dir=str(tmp_path / str(len(results))))))
@@ -597,8 +600,8 @@ def test_train_final_kb_state_matches_report():
     cfg = TrainConfig(learning_rate=0.1, steps=300)
     train(kb, [rule], dataset, [learnable.theta], cfg, learnables=[learnable])
     impl = kb.find_link("ImplicationLink",
-                        [kb.find_node("PredicateNode", "apple"),
-                         kb.find_node("PredicateNode", "green")])
+                        [kb.node("PredicateNode", "apple"),
+                         kb.node("PredicateNode", "green")])
     assert kb.get_tv(impl).strength.value == pytest.approx(learnable.value())
     # predictions left in the KB reflect the final strength
     pred = dataset[0].target
@@ -697,7 +700,7 @@ def test_train_rejects_non_ground_target(monkeypatch):
     """A target with a variable is rejected, naming its example, before
     the search runs and before anything is written to the KB."""
     tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 4, seed=3)
-    green = kb.find_node("PredicateNode", "green")
+    green = kb.node("PredicateNode", "green")
     dataset.insert(2, LabeledExample(
         kb.link("EvaluationLink", green, kb.node("VariableNode", "$V")), 1))
     monkeypatch.setattr(training, "prove", None)  # any search call fails

@@ -94,21 +94,21 @@ class AtomSpace:
     Fresh atoms carry the default truth value (1.0, 0.0): asserted but
     unevidenced.  ``set_tv`` marks an atom as explicitly asserted, which the
     backward chainer uses to distinguish stated facts from atoms interned as
-    query patterns or templates.
+    query patterns or templates.  ``pattern`` and ``chainer`` read tables unchecked.
     """
 
     def __init__(self, tape: Tape):
         self.tape = tape
-        self._atoms: list[Atom] = []
+        self.atoms: list[Atom] = []  # by id; read-only outside this class
         self._node_index: dict[tuple[str, str], int] = {}
         self._link_index: dict[tuple[str, tuple[int, ...]], int] = {}
-        self._incoming: dict[int, list[int]] = {}
+        self.incoming_of: dict[int, list[int]] = {}  # read-only
         self._by_type: dict[str, list[int]] = {}
-        self._tvs: dict[int, TruthValue] = {}  # the asserted atoms
+        self.tvs: dict[int, TruthValue] = {}  # the asserted atoms; read-only
         self.subgoal_table = None  # chainer's, kept while asserted_count holds
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self.atoms)
 
     # -- interning --------------------------------------------------------
 
@@ -120,12 +120,12 @@ class AtomSpace:
         existing = self._node_index.get(key)
         if existing is not None:
             return existing
-        atom = Atom(len(self._atoms), t, name=name,
+        atom = Atom(len(self.atoms), t, name=name,
                     is_ground=(type_name != "VariableNode"))
-        self._atoms.append(atom)
+        self.atoms.append(atom)
         self._node_index[key] = atom.id
         self._by_type.setdefault(type_name, []).append(atom.id)
-        self._incoming[atom.id] = []
+        self.incoming_of[atom.id] = []
         return atom.id
 
     def intern_link(self, type_name: str, outgoing: list[int]) -> int:
@@ -134,7 +134,8 @@ class AtomSpace:
             raise AtomSpaceError("%s is a node kind, not a link kind" % type_name)
         out = tuple(outgoing)
         for oid in out:
-            self.atom(oid)
+            if not (isinstance(oid, int) and 0 <= oid < len(self.atoms)):
+                raise UnknownAtomError("unknown atom id %r" % (oid,))
         # Acyclicity holds by construction: outgoing ids must already exist,
         # and ids are assigned in insertion order, so a link's id is strictly
         # greater than everything it (transitively) contains.
@@ -142,14 +143,14 @@ class AtomSpace:
         existing = self._link_index.get(key)
         if existing is not None:
             return existing
-        ground = all(self._atoms[oid].is_ground for oid in out)
-        atom = Atom(len(self._atoms), t, outgoing=out, is_ground=ground)
-        self._atoms.append(atom)
+        ground = all(self.atoms[oid].is_ground for oid in out)
+        atom = Atom(len(self.atoms), t, outgoing=out, is_ground=ground)
+        self.atoms.append(atom)
         self._link_index[key] = atom.id
         self._by_type.setdefault(type_name, []).append(atom.id)
-        self._incoming[atom.id] = []
+        self.incoming_of[atom.id] = []
         for oid in set(out):
-            self._incoming[oid].append(atom.id)
+            self.incoming_of[oid].append(atom.id)
         return atom.id
 
     def find_link(self, type_name: str, outgoing: list[int]) -> int | None:
@@ -158,10 +159,10 @@ class AtomSpace:
     # -- access -----------------------------------------------------------
 
     def atom(self, atom_id: int) -> Atom:
-        """The atom with this id, or UnknownAtomError; every method that
-        takes an atom id checks it here."""
-        if isinstance(atom_id, int) and 0 <= atom_id < len(self._atoms):
-            return self._atoms[atom_id]
+        """The atom with this id, or UnknownAtomError; the public methods
+        and the search's entry points check ids here, not the search."""
+        if isinstance(atom_id, int) and 0 <= atom_id < len(self.atoms):
+            return self.atoms[atom_id]
         raise UnknownAtomError("unknown atom id %r" % (atom_id,))
 
     def type_of(self, atom_id: int) -> str:
@@ -172,7 +173,7 @@ class AtomSpace:
 
     def incoming(self, atom_id: int) -> list[int]:
         self.atom(atom_id)
-        return self._incoming[atom_id]
+        return self.incoming_of[atom_id]
 
     def atoms_of_type(self, type_name: str) -> list[int]:
         _atom_type(type_name)
@@ -182,11 +183,11 @@ class AtomSpace:
 
     def set_tv(self, atom_id: int, tv: TruthValue) -> None:
         self.atom(atom_id)
-        self._tvs[atom_id] = tv
+        self.tvs[atom_id] = tv
 
     def get_tv(self, atom_id: int) -> TruthValue:
         self.atom(atom_id)
-        tv = self._tvs.get(atom_id)
+        tv = self.tvs.get(atom_id)
         if tv is None:
             # not stored: a cached default would go stale on a tape reset
             tv = TruthValue(self.tape.constant(DEFAULT_STRENGTH), DEFAULT_CONFIDENCE)
@@ -194,12 +195,12 @@ class AtomSpace:
 
     def has_asserted_tv(self, atom_id: int) -> bool:
         self.atom(atom_id)
-        return atom_id in self._tvs
+        return atom_id in self.tvs
 
     @property
     def asserted_count(self) -> int:
         """No truth value is ever removed: this moves iff the asserted set does."""
-        return len(self._tvs)
+        return len(self.tvs)
 
     # -- convenience constructors -----------------------------------------
 

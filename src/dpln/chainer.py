@@ -7,19 +7,19 @@ applications builds one computation graph from KB leaf strengths to the
 conclusion.  Traces are immutable values: a search result depends only on
 the rules and on which atoms are asserted, so each KB keeps one subgoal
 table across calls until either changes.  Backward chaining only reads the
-KB; ``apply_rule`` writes.
+KB; ``apply_rule`` writes.  The search reads atom ids unchecked.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import VarRef
-from .pattern import (Binding, Query, candidates, instantiate, lookup, match,
-                      substitute, unify, variables_in)
+from .pattern import (Binding, Query, candidates, lookup, match, substitute,
+                      unify, variables_in)
 
 
 # Deepest max_depth the backward search accepts: the search (and later a
@@ -35,21 +35,33 @@ class ChainError(Exception):
 
 @dataclass(eq=False)
 class Rule:
-    """Premise patterns, a conclusion template, terms and a strength formula.
-    Rules compare and hash by identity.
+    """Premise patterns, a conclusion template, terms and a strength formula,
+    atoms of ``kb``.  Rules compare and hash by identity.
 
     Each term is a (pattern, default) pair: an atom over the rule's variables
     whose strength is a further formula input, and the strength read when
     that atom is absent or unasserted.  ``formula`` takes the premise
-    strengths, then the term strengths.  No rule concludes a term atom.
-    """
+    strengths, then the term strengths.  No rule concludes a term atom.  The
+    conclusion is not a variable, its variables occur in premises, and each
+    premise is a variable or a link of ground atoms and distinct variables:
+    ``training`` lifts its queries on that shape, which construction checks."""
 
+    kb: InitVar[AtomSpace]
     name: str
     variables: list[tuple[int, str | None]]
     premises: list[int]
     conclusion: int
     formula: Callable[[list[VarRef]], VarRef]
     terms: list[tuple[int, float]] = field(default_factory=list)
+
+    def __post_init__(self, kb: AtomSpace):
+        atoms, free = kb.atoms, variables_in(kb, self.conclusion)
+        args = [[o for o in atoms[p].outgoing or [p] if not atoms[o].is_ground]
+                for p in self.premises]
+        if self.conclusion in free or not free <= set().union(*args) or any(
+                sorted(a) != sorted(variables_in(kb, p))
+                for a, p in zip(args, self.premises)):
+            raise ChainError("rule %s: not of the shape Rule states" % self.name)
 
 
 @dataclass(frozen=True)
@@ -113,14 +125,14 @@ def _derive(kb: AtomSpace, rule: Rule, binding: Binding,
     """The rule applied to the premise traces, unvalued: no formula call and
     no tape record.  The one place term atoms are read: each is looked up
     without interning and becomes a Leaf if asserted, else a Constant
-    holding its default.  Interns the conclusion."""
+    holding its default.  Interns the conclusion; keeps ``binding`` itself."""
     terms = []
     for pattern, default in rule.terms:
         atom = lookup(kb, pattern, binding)
-        terms.append(Leaf(atom) if atom is not None and kb.has_asserted_tv(atom)
+        terms.append(Leaf(atom) if atom is not None and atom in kb.tvs
                      else Constant(default))
-    conclusion = instantiate(kb, rule.conclusion, binding)
-    return Derivation(rule, dict(binding), conclusion, premises, terms)
+    conclusion = substitute(kb, rule.conclusion, binding)
+    return Derivation(rule, binding, conclusion, premises, terms)
 
 
 def commit(kb: AtomSpace, trace: Derivation, strength: VarRef) -> None:
@@ -152,7 +164,7 @@ def apply_rule(kb: AtomSpace, rule: Rule,
             raise ChainError("binding does not ground premise variable(s): %s"
                              % ", ".join(names))
         leaves.append(Leaf(substitute(kb, premise, binding)))
-    trace = _derive(kb, rule, binding, leaves)
+    trace = _derive(kb, rule, dict(binding), leaves)
     strength = trace.replay(kb, {})
     commit(kb, trace, strength)
     return trace.conclusion, strength, trace
@@ -217,8 +229,8 @@ def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
     variable to the conclusion subtree it must equal once the rule binding
     is complete.
     """
-    ca = kb.atom(c)
-    ta = kb.atom(t)
+    ca = kb.atoms[c]
+    ta = kb.atoms[t]
     if ta.type.name == "VariableNode":
         if t in aliases and aliases[t] != c:
             return False  # duplicate target variable over different subtrees
@@ -261,7 +273,7 @@ class _Search:
         results: list[tuple[Binding, InferenceTrace]] = []
         # depth 0: asserted KB facts matching the pattern
         for cand in candidates(kb, pattern, {}):
-            if kb.has_asserted_tv(cand):
+            if cand in kb.tvs:
                 b = unify(kb, pattern, cand)
                 if b is not None:
                     results.append((b, Leaf(cand)))
@@ -274,17 +286,13 @@ class _Search:
                 rule_constraints = {v: t for v, t in rule.variables if t is not None}
                 for full_rb, child_traces in self.solve_premises(kb, rule, rb,
                                                                  depth - 1):
-                    if any(kb.type_of(full_rb[v]) != t
+                    if any(kb.atoms[full_rb[v]].type.name != t
                            for v, t in rule_constraints.items() if v in full_rb):
                         continue
-                    tbind: Binding = {}
-                    for tvar, subtree in aliases.items():
-                        tbind[tvar] = substitute(kb, subtree, full_rb)
-                        if not kb.atom(tbind[tvar]).is_ground:
-                            break
-                    else:
-                        results.append((tbind, _derive(kb, rule, full_rb,
-                                                       child_traces)))
+                    # ground: Rule makes the premises bind every conclusion variable
+                    tbind = {tvar: substitute(kb, subtree, full_rb)
+                             for tvar, subtree in aliases.items()}
+                    results.append((tbind, _derive(kb, rule, full_rb, child_traces)))
         memo[pattern, depth] = results
         return results
 
@@ -320,6 +328,8 @@ def prove(kb: AtomSpace, rules: list[Rule], targets: list[int],
         raise ChainError("max_depth must be >= 1")
     if config.max_depth > MAX_SEARCH_DEPTH:
         raise ChainError("max_depth must be <= %d" % MAX_SEARCH_DEPTH)
+    for target in targets:
+        kb.atom(target)  # the one id check: the search reads ids unchecked
     search = kb.subgoal_table
     if search is None or search.valid_for != (kb.asserted_count, tuple(rules)):
         search = kb.subgoal_table = _Search(kb, rules)

@@ -6,7 +6,7 @@ for ``match`` and for the backward chainer's depth-0 facts: a ground clause
 is its own candidate, a typed bare variable draws from its type's index, and
 a link takes the shorter of its type's index and the incoming set of its
 first ground (or bound) argument.  Both lists are in id order, so the choice
-never changes the order of results.
+never changes the order of results.  Of these, only ``match`` checks atom ids.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class Query:
 
 def variables_in(kb: AtomSpace, atom_id: int) -> set[int]:
     """All VariableNode ids occurring in the atom."""
-    atom = kb.atom(atom_id)
+    atom = kb.atoms[atom_id]
     if atom.is_ground:
         return set()
     if atom.type.name == "VariableNode":
@@ -59,7 +59,7 @@ def unify(kb: AtomSpace, pattern: int, ground: int,
     mutated.  A variable with a type constraint only binds atoms of exactly
     that type.
     """
-    if not kb.atom(ground).is_ground:
+    if not kb.atoms[ground].is_ground:
         return None
     result = dict(binding) if binding else {}
     if _unify_into(kb, pattern, ground, result, constraints or {}):
@@ -70,17 +70,17 @@ def unify(kb: AtomSpace, pattern: int, ground: int,
 def _unify_into(kb, pattern, ground, binding, constraints) -> bool:
     if pattern == ground:  # interned: equal ids are equal subtrees
         return True
-    p = kb.atom(pattern)
+    p = kb.atoms[pattern]
     if p.type.name == "VariableNode":
         bound = binding.get(pattern)
         if bound is not None:
             return bound == ground
         want = constraints.get(pattern)
-        if want is not None and kb.type_of(ground) != want:
+        if want is not None and kb.atoms[ground].type.name != want:
             return False
         binding[pattern] = ground
         return True
-    g = kb.atom(ground)
+    g = kb.atoms[ground]
     if p.type.name != g.type.name:
         return False
     if p.type.is_node:
@@ -97,7 +97,8 @@ def candidates(kb: AtomSpace, clause: int, binding: Binding,
                constraints: dict[int, str] | None = None) -> list[int]:
     """Ground atoms that may unify with one clause under a partial binding,
     in id order: the one index both ``match`` and ``backward_chain`` use."""
-    c = kb.atom(clause)
+    atoms = kb.atoms
+    c = atoms[clause]
     if c.is_ground:
         return [clause]
     if c.type.name == "VariableNode":
@@ -111,17 +112,17 @@ def candidates(kb: AtomSpace, clause: int, binding: Binding,
             pool = kb.atoms_of_type(want)
         else:
             return []
-        return [a.id for a in map(kb.atom, pool) if a.is_ground]
+        return [i for i in pool if atoms[i].is_ground]
     pool = kb.atoms_of_type(c.type.name)
     for oid in c.outgoing:
         anchor = binding.get(oid, oid)
-        if kb.atom(anchor).is_ground:
-            incoming = kb.incoming(anchor)
+        if atoms[anchor].is_ground:
+            incoming = kb.incoming_of[anchor]
             if len(incoming) < len(pool):
                 pool = incoming
             break
-    return [a.id for a in map(kb.atom, pool)
-            if a.is_ground and a.type.name == c.type.name]
+    return [i for i in pool
+            if atoms[i].is_ground and atoms[i].type.name == c.type.name]
 
 
 def match(kb: AtomSpace, query: Query, since: int = 0) -> list[Binding]:
@@ -139,6 +140,7 @@ def match(kb: AtomSpace, query: Query, since: int = 0) -> list[Binding]:
         raise MatchError("query has no clauses")
     declared = query.declared()
     for clause in query.clauses:
+        kb.atom(clause)  # the id check; everything below reads unchecked
         undeclared = variables_in(kb, clause) - declared
         if undeclared:
             names = sorted(kb.atom(v).name for v in undeclared)
@@ -177,7 +179,7 @@ def _extend(kb: AtomSpace, plan: list[tuple[int, int, int]],
 
 def substitute(kb: AtomSpace, template: int, binding: Binding) -> int:
     """Replaces bound variables in the template; unbound ones stay in place."""
-    atom = kb.atom(template)
+    atom = kb.atoms[template]
     if atom.type.name == "VariableNode":
         return binding.get(template, template)
     if atom.type.is_node or atom.is_ground:
@@ -191,7 +193,7 @@ def substitute(kb: AtomSpace, template: int, binding: Binding) -> int:
 def lookup(kb: AtomSpace, template: int, binding: Binding) -> int | None:
     """The atom ``substitute`` would give, found without interning anything;
     None if it is not in the KB."""
-    atom = kb.atom(template)
+    atom = kb.atoms[template]
     if atom.type.name == "VariableNode":
         return binding.get(template, template)
     if atom.type.is_node or atom.is_ground:

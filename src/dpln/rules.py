@@ -136,7 +136,7 @@ def make_modus_ponens_rule(kb: AtomSpace,
         formula = lambda inputs: modus_ponens_strength(inputs[1], inputs[0], inputs[2])
 
     return Rule(
-        name=name,
+        kb, name=name,
         variables=[(var_p, "PredicateNode"), (var_q, "PredicateNode"),
                    (var_x, "ConceptNode")],
         premises=[impl, eval_pa],
@@ -160,7 +160,7 @@ def make_deduction_rule(kb: AtomSpace) -> Rule:
     inh_xz = kb.link("InheritanceLink", var_x, var_z)
 
     return Rule(
-        name="deduction",
+        kb, name="deduction",
         variables=[(var_x, None), (var_y, None), (var_z, None)],
         premises=[inh_xy, inh_yz],
         conclusion=inh_xz,
@@ -182,13 +182,13 @@ def make_connective_rules(kb: AtomSpace) -> list[Rule]:
     not_a = kb.link("NotLink", var_a)
     binary_vars = [(var_a, "EvaluationLink"), (var_b, "EvaluationLink")]
     return [
-        Rule(name="fuzzy-conjunction", variables=list(binary_vars),
+        Rule(kb, name="fuzzy-conjunction", variables=list(binary_vars),
              premises=[var_a, var_b], conclusion=and_ab,
              formula=lambda inputs: fuzzy_and(inputs[0], inputs[1])),
-        Rule(name="fuzzy-disjunction", variables=list(binary_vars),
+        Rule(kb, name="fuzzy-disjunction", variables=list(binary_vars),
              premises=[var_a, var_b], conclusion=or_ab,
              formula=lambda inputs: fuzzy_or(inputs[0], inputs[1])),
-        Rule(name="fuzzy-negation", variables=[(var_a, "EvaluationLink")],
+        Rule(kb, name="fuzzy-negation", variables=[(var_a, "EvaluationLink")],
              premises=[var_a], conclusion=not_a,
              formula=lambda inputs: fuzzy_not(inputs[0])),
     ]

@@ -7,12 +7,14 @@ loss once and replays that trace as compiled code, with range checks and
 branches as guards, and traces it again only after a branch flips.
 ``train`` runs the proof search once, for all its targets
 through the KB's subgoal table, and each step's loss replays the traces;
-it drops the table when its commits will assert a new conclusion.
+it drops the table when its commits will assert a new conclusion.  Targets
+differing only in their last argument make one lifted query (``_find_traces``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -176,15 +178,25 @@ def _find_traces(kb: AtomSpace, rules: list[Rule],
                  dataset: list[LabeledExample], depth: int):
     """The trace ``train`` replays for each example: the target's first rule
     derivation, so the prediction depends on the premises, else its first KB
-    lookup.  All targets are searched through the KB's subgoal table
-    (``prove``); the traces stay unvalued here, as ``train`` replays them."""
-    targets = [ex.target for ex in dataset]
-    traces = []
-    for i, proofs in enumerate(prove(kb, rules, targets, ChainConfig(max_depth=depth))):
-        if not proofs:
-            raise UnderivableTargetError(i)
-        traces.append(next((t for _, t in proofs if isinstance(t, Derivation)),
-                           proofs[0][1]))
+    lookup; unvalued, as ``train`` replays them.  Distinct targets of one link
+    type differing only in their last argument, like ``Eval(color, instance)``,
+    make one query with ``$lifted`` there, whose proofs binding it to a
+    target's argument are the ground query's, in order, for ``Rule``'s shape."""
+    var = kb.node("VariableNode", "$lifted")
+    keys = {t: (kb.atoms[t].type.name, kb.atoms[t].outgoing[:-1])
+            if kb.atoms[t].outgoing else t for t in (ex.target for ex in dataset)}
+    size = Counter(keys.values())
+    query = {t: (kb.intern_link(k[0], [*k[1], var]), kb.atoms[t].outgoing[-1])
+             if size[k] > 1 else (t, None) for t, k in keys.items()}
+    asked = list(dict.fromkeys(q for q, _ in query.values()))
+    found = {}  # (query, binding of var) -> first derivation, else lookup
+    for q, proofs in zip(asked, prove(kb, rules, asked, ChainConfig(max_depth=depth))):
+        for binding, trace in proofs:
+            if not isinstance(found.get((q, binding.get(var))), Derivation):
+                found[q, binding.get(var)] = trace
+    traces = [found.get(query[ex.target]) for ex in dataset]
+    if None in traces:
+        raise UnderivableTargetError(traces.index(None))
     return traces
 
 

@@ -607,6 +607,46 @@ def test_rules_sharing_a_name_replay_apart():
     assert [s.value for _, s, _ in both] == [0.5, alone.value]
 
 
+def test_rule_rejects_a_shape_lifting_would_change():
+    """A rule is rejected when made if its conclusion is a variable, has a
+    variable no premise has, or a premise has a non-ground link or a
+    repeated variable as argument.  Without that last check, a rule with
+    the premise Eval($p, Not($x)) would let a lifted query Eval(p, $T) miss
+    the proof of Eval(p, g) that the ground query finds: the search matches
+    no rule variable against the partial pattern Eval(p, Not($x))."""
+    tape, kb = fresh_kb()
+    p, x, y = (kb.node("VariableNode", n) for n in ("$p", "$x", "$y"))
+    ev = functools.partial(kb.link, "EvaluationLink")
+    nested = ev(p, kb.link("NotLink", x))
+    shapes = {"variable conclusion": ([ev(p, x)], x),
+              "unbound conclusion variable": ([ev(p, x)], ev(p, y)),
+              "non-ground link argument": ([nested], ev(p, x)),
+              "repeated variable": ([kb.link("InheritanceLink", x, x), ev(p, y)],
+                                    ev(p, x))}
+    for name, (premises, conclusion) in shapes.items():
+        with pytest.raises(ChainError, match="rule %s: not of the shape" % name):
+            chainer.Rule(kb, name=name, variables=[], premises=premises,
+                         conclusion=conclusion, formula=lambda inputs: inputs[0])
+    ok = chainer.Rule(kb, name="ok", variables=[], conclusion=ev(p, y),
+                      premises=[ev(p, x), kb.link("InheritanceLink", x, y), x],
+                      formula=lambda inputs: inputs[0])
+    assert ok.conclusion == ev(p, y)
+
+    class Unchecked(chainer.Rule):
+        def __post_init__(self, kb):
+            pass
+    rule = Unchecked(kb, name="not", variables=[], premises=[nested],
+                     conclusion=ev(p, x), formula=lambda inputs: inputs[0])
+    pred, g = kb.node("PredicateNode", "p"), kb.node("ConceptNode", "g")
+    set_strength(kb, ev(pred, kb.link("NotLink", kb.link("NotLink", g))), 0.5)
+    config = ChainConfig(max_depth=2)
+    (ground,) = chainer.prove(kb, [rule], [ev(pred, g)], config)
+    lifted_var = kb.node("VariableNode", "$T")
+    (lifted,) = chainer.prove(kb, [rule], [ev(pred, lifted_var)], config)
+    assert len(ground) == 1
+    assert [t for b, t in lifted if b[lifted_var] == g] == []
+
+
 def test_chain_config_validation():
     """Each mode checks only the bound it reads."""
     _, kb = fresh_kb()

@@ -3,16 +3,19 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpln import (AtomSpaceError, AutodiffError, ChainConfig, Derivation,
                   FormulaWeights, LabeledExample, LearnableStrength, Leaf,
                   Tape, TrainConfig, TrainError, TruthValue,
-                  UnderivableTargetError, backward_chain, cross_entropy,
-                  empirical_frequency, fit, fuzzy_not, make_deduction_rule,
-                  make_modus_ponens_rule, sgd_step, train,
+                  UnderivableTargetError, UnknownAtomError, backward_chain,
+                  cross_entropy, empirical_frequency, fit, fuzzy_not,
+                  load_kb, make_deduction_rule, make_modus_ponens_rule,
+                  make_rule_set, parse_atom, sgd_step, train,
                   trainable_mp_strength)
 from dpln import cli, training
-from dpln.chainer import MAX_SEARCH_DEPTH
+from dpln.chainer import MAX_SEARCH_DEPTH, prove
 from dpln.rules import DEDUCTION_EPS, FormulaError, deduction_strength
 
 from conftest import fresh_kb
@@ -731,6 +734,21 @@ def test_train_drops_the_table_its_commits_would_end(monkeypatch):
     assert tables[1] is not None and tables[2] is tables[1]
 
 
+@pytest.mark.parametrize("bad", [-1, "len", "x"], ids=["minus-one", "len", "str"])
+def test_search_entry_points_reject_an_unknown_target_id(bad):
+    """backward_chain and train raise UnknownAtomError for a target id the
+    KB does not hold, as the AtomSpace methods do: -1 must not read the
+    last atom."""
+    tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 3, seed=1)
+    target = len(kb) if bad == "len" else bad
+    with pytest.raises(UnknownAtomError):
+        backward_chain(kb, [rule], target, ChainConfig(max_depth=2))
+    dataset.insert(1, LabeledExample(target, 1))
+    with pytest.raises(UnknownAtomError):
+        train(kb, [rule], dataset, [learnable.theta], TrainConfig(steps=3),
+              learnables=[learnable])
+
+
 def _trace_shape(trace):
     """Rule, binding, conclusion and leaf atoms of a trace, recursively,
     with each term as its atom or default."""
@@ -806,3 +824,145 @@ def test_shared_table_traces_match_per_target_search(monkeypatch):
     assert picked == Counter({("Derivation", False): 4 * 12 + 2 * 24,
                               ("Derivation", True): 2 * 24,
                               ("Leaf", False): 2 * 5})
+
+
+def test_train_call_adds_a_bounded_number_of_atoms():
+    """A fruit-colors-shaped train call interns a few query atoms, however
+    many examples it has: the search asks no premise pattern per target,
+    also in the fits where the other fruit's implication is asserted."""
+    growth = {}
+    for n in (20, 200):
+        tape, kb = fresh_kb()
+        pred = {f: kb.node("PredicateNode", f)
+                for f in ("apple", "banana", "red", "green")}
+        instances = {f: [kb.node("ConceptNode", "%s-%03d" % (f, i)) for i in range(n)]
+                     for f in ("apple", "banana")}
+        for f, insts in instances.items():
+            for inst in insts:
+                kb.set_tv(kb.link("EvaluationLink", pred[f], inst),
+                          TruthValue(tape.constant(1.0), 1.0))
+        rule = make_modus_ponens_rule(kb)
+        growth[n] = []
+        for fruit in ("apple", "banana"):
+            for color in ("red", "green"):
+                learnable = LearnableStrength(tape, init=0.5)
+                learnable.attach(kb, kb.link("ImplicationLink", pred[fruit],
+                                             pred[color]))
+                dataset = [LabeledExample(kb.link("EvaluationLink", pred[color], i),
+                                          i % 2) for i in instances[fruit]]
+                before = len(kb)
+                train(kb, [rule], dataset, [learnable.theta], TrainConfig(steps=2),
+                      learnables=[learnable])
+                growth[n].append(len(kb) - before)
+    assert growth[20] == growth[200]
+    assert max(growth[200]) <= 5
+
+
+def _per_target_find_traces(kb, rules, dataset, depth):
+    """The reference for ``training._find_traces``: its per-target search
+    before lifting, one ground query per example."""
+    targets = [ex.target for ex in dataset]
+    traces = []
+    for i, proofs in enumerate(prove(kb, rules, targets, ChainConfig(max_depth=depth))):
+        if not proofs:
+            raise UnderivableTargetError(i)
+        traces.append(next((t for _, t in proofs if isinstance(t, Derivation)),
+                           proofs[0][1]))
+    return traces
+
+
+def _traces_or_index(find, kb, rules, dataset, depth):
+    """find's traces through a fresh table, or the index it raised."""
+    kb.subgoal_table = None
+    try:
+        return find(kb, rules, dataset, depth)
+    except UnderivableTargetError as e:
+        return e.index
+
+
+_concept = st.integers(0, 3).map(lambda i: '(ConceptNode "c%d")' % i)
+_pred = st.integers(0, 2).map(lambda i: '(PredicateNode "p%d")' % i)
+_entity = st.integers(0, 3).map(lambda i: '(ConceptNode "x%d")' % i)
+_inh = st.builds(lambda a, b: "(InheritanceLink %s %s)" % (a, b), _concept, _concept)
+_eval = st.builds(lambda p, x: "(EvaluationLink %s %s)" % (p, x), _pred, _entity)
+_impl = st.builds(lambda p, q: "(ImplicationLink %s %s)" % (p, q), _pred, _pred)
+_fact = st.tuples(st.one_of(_inh, _eval, _impl, _concept),
+                  st.sampled_from([0.2, 0.5, 0.9]))
+
+
+# chains for modus ponens and deduction to derive along, random facts aside
+LIFTING_BASE = "\n".join(
+    ['(ImplicationLink (stv 0.7 0.9) (PredicateNode "p%d") (PredicateNode "p%d"))'
+     % (i, i + 1) for i in range(2)]
+    + ['(EvaluationLink (stv 0.8 0.9) (PredicateNode "p0") (ConceptNode "x%d"))'
+       % i for i in range(3)]
+    + ['(InheritanceLink (stv 0.6 0.9) (ConceptNode "c%d") (ConceptNode "c%d"))'
+       % (i, i + 1) for i in range(3)]) + "\n"
+
+
+def _with_stv(text, s):
+    head, rest = text.split(" ", 1)
+    return "%s (stv %s 0.9) %s" % (head, s, rest)
+
+
+# one group: targets that differ only in their last argument
+_group = st.one_of(
+    st.builds(lambda p, xs: ["(EvaluationLink %s %s)" % (p, x) for x in xs],
+              _pred, st.lists(_entity, min_size=1, max_size=4)),
+    st.builds(lambda a, bs: ["(InheritanceLink %s %s)" % (a, b) for b in bs],
+              _concept, st.lists(_concept, min_size=1, max_size=4)),
+    st.builds(lambda p, qs: ["(ImplicationLink %s %s)" % (p, q) for q in qs],
+              _pred, st.lists(_pred, min_size=1, max_size=3)),
+    st.lists(_concept, min_size=1, max_size=2))
+_targets = st.lists(_group, min_size=1, max_size=4).flatmap(
+    lambda groups: st.permutations([t for g in groups for t in g]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(facts=st.lists(_fact, max_size=16), targets=_targets,
+       rule_picks=st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True),
+       depth=st.integers(1, 3), lifted_first=st.booleans())
+def test_lifted_traces_match_the_per_target_search(facts, targets, rule_picks,
+                                                    depth, lifted_first):
+    """On random Eval/Impl/Inh KBs, with rules drawn from make_rule_set
+    (in drawn order) and depths 1-3, the lifted _find_traces raises
+    UnderivableTargetError at the per-target reference's index, or picks
+    its traces, with the same shapes and replayed strengths; so it does on
+    the derivable examples alone.  Datasets repeat targets and mix groups
+    of one and of many.  Each lifted query's proofs binding its variable
+    to a target's last argument are that target's ground proofs, in order."""
+    tape, kb = fresh_kb()
+    load_kb(kb, LIFTING_BASE + "\n".join(_with_stv(f, s) for f, s in facts))
+    all_rules = make_rule_set(kb)
+    rules = [all_rules[i] for i in rule_picks]
+    dataset = [LabeledExample(parse_atom(kb, t), 1) for t in targets]
+
+    def both(dataset):
+        order = [training._find_traces, _per_target_find_traces]
+        got = {find: _traces_or_index(find, kb, rules, dataset, depth)
+               for find in (order if lifted_first else order[::-1])}
+        lifted, reference = got[order[0]], got[order[1]]
+        if isinstance(reference, int):
+            assert lifted == reference
+        else:
+            assert ([_trace_shape(t) for t in lifted]
+                    == [_trace_shape(t) for t in reference])
+            assert ([t.replay(kb, {}).value for t in lifted]
+                    == [t.replay(kb, {}).value for t in reference])
+
+    both(dataset)
+    config = ChainConfig(max_depth=depth)
+    var = kb.node("VariableNode", "$T")
+    derivable = []
+    for ex in dataset:
+        (ground,) = prove(kb, rules, [ex.target], config)
+        derivable += [ex] if ground else []
+        atom = kb.atom(ex.target)
+        if atom.outgoing:
+            pattern = kb.link(atom.type.name, *atom.outgoing[:-1], var)
+            (lifted,) = prove(kb, rules, [pattern], config)
+            assert ([_trace_shape(t) for b, t in lifted if b[var] == atom.outgoing[-1]]
+                    == [_trace_shape(t) for _, t in ground])
+    if derivable:
+        both(derivable)

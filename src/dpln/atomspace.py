@@ -94,7 +94,8 @@ class AtomSpace:
     Fresh atoms carry the default truth value (1.0, 0.0): asserted but
     unevidenced.  ``set_tv`` marks an atom as explicitly asserted, which the
     backward chainer uses to distinguish stated facts from atoms interned as
-    query patterns or templates.  ``pattern`` and ``chainer`` read tables unchecked.
+    query patterns or templates.  ``pattern`` and ``chainer`` read the tables
+    ``atoms``, ``tvs`` and ``incoming_of`` directly, unchecked.
     """
 
     def __init__(self, tape: Tape):
@@ -165,17 +166,8 @@ class AtomSpace:
             return self.atoms[atom_id]
         raise UnknownAtomError("unknown atom id %r" % (atom_id,))
 
-    def type_of(self, atom_id: int) -> str:
-        return self.atom(atom_id).type.name
-
-    # The two index readers return the index lists themselves, in id order,
-    # without copying: callers must treat them as read-only.
-
-    def incoming(self, atom_id: int) -> list[int]:
-        self.atom(atom_id)
-        return self.incoming_of[atom_id]
-
     def atoms_of_type(self, type_name: str) -> list[int]:
+        """The index list itself, in id order, not a copy: read-only."""
         _atom_type(type_name)
         return self._by_type.get(type_name, [])
 

@@ -71,6 +71,10 @@ class Leaf:
 
     atom: int
 
+    @property
+    def conclusion(self) -> int:
+        return self.atom
+
     def leaves(self):
         yield self
 
@@ -179,8 +183,8 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     premise matches an atom it interned are added.  That suffices because
     ``match`` tests atom presence, not truth values, and the KB only grows.
     Each step draws one entry with the seeded RNG and moves the last entry
-    into its place.  A pair, keyed by rule index and binding, fires at most
-    once: a drawn entry whose key has fired is dropped and another drawn.
+    into its place.  A (rule, binding) pair enters the pool, so fires, at
+    most once: each binding's newest premise atom lies in one match delta.
     Returns the atoms that did not exist before chaining, with traces.
     """
     if not rules:
@@ -190,7 +194,6 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     rng = random.Random(config.seed)
     queries = [Query(variables=list(rule.variables), clauses=list(rule.premises))
                for rule in rules]
-    applied: set[tuple] = set()
     pending: list[tuple[int, Binding]] = []  # (rule index, binding)
     new_atoms: list[int] = []
     traces: list[Derivation] = []
@@ -200,16 +203,11 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
         if since < len(kb):
             for ri, query in enumerate(queries):
                 pending.extend((ri, binding) for binding in match(kb, query, since))
-        while pending:
-            i = rng.randrange(len(pending))
-            pending[i], pending[-1] = pending[-1], pending[i]
-            ri, binding = pending.pop()
-            key = (ri, tuple(sorted(binding.items())))
-            if key not in applied:
-                break
-        else:  # the pool ran empty without an unfired entry
+        if not pending:
             break
-        applied.add(key)
+        i = rng.randrange(len(pending))
+        pending[i], pending[-1] = pending[-1], pending[i]
+        ri, binding = pending.pop()
         since = len(kb)
         conclusion, _, trace = apply_rule(kb, rules[ri], binding)
         if conclusion >= since:
@@ -220,21 +218,12 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
 
 # -- backward chaining -----------------------------------------------------
 
-def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
-                      aliases: dict[int, int]) -> bool:
-    """Unifies a rule conclusion pattern ``c`` against a (possibly
-    variable-bearing) target pattern ``t``.
-
-    Fills the rule binding ``rb`` and ``aliases``, which maps each target
-    variable to the conclusion subtree it must equal once the rule binding
-    is complete.
-    """
+def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding) -> bool:
+    """Unifies a rule conclusion ``c`` with a target pattern ``t`` into the
+    rule binding ``rb``.  A target variable matches any subtree, binding nothing."""
     ca = kb.atoms[c]
     ta = kb.atoms[t]
     if ta.type.name == "VariableNode":
-        if t in aliases and aliases[t] != c:
-            return False  # duplicate target variable over different subtrees
-        aliases[t] = c
         return True
     if ca.type.name == "VariableNode":
         if not ta.is_ground:
@@ -250,7 +239,7 @@ def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
         return ca.name == ta.name
     if len(ca.outgoing) != len(ta.outgoing):
         return False
-    return all(_match_conclusion(kb, co, to, rb, aliases)
+    return all(_match_conclusion(kb, co, to, rb)
                for co, to in zip(ca.outgoing, ta.outgoing))
 
 
@@ -267,12 +256,14 @@ class _Search:
 
     def solve(self, kb: AtomSpace, pattern: int,
               depth: int) -> list[tuple[Binding, InferenceTrace]]:
+        """Facts, then rule derivations, proving ``pattern`` within ``depth``;
+        a proof's binding unifies the pattern with its conclusion, and a proof
+        whose conclusion does not (a repeated variable met two atoms) is dropped."""
         memo = self.memo
         if (pattern, depth) in memo:
             return memo[pattern, depth]
         results: list[tuple[Binding, InferenceTrace]] = []
-        # depth 0: asserted KB facts matching the pattern
-        for cand in candidates(kb, pattern, {}):
+        for cand in candidates(kb, pattern, {}):  # depth 0: asserted facts
             if cand in kb.tvs:
                 b = unify(kb, pattern, cand)
                 if b is not None:
@@ -280,8 +271,7 @@ class _Search:
         if depth >= 1:
             for rule in self.rules:
                 rb: Binding = {}
-                aliases: dict[int, int] = {}
-                if not _match_conclusion(kb, rule.conclusion, pattern, rb, aliases):
+                if not _match_conclusion(kb, rule.conclusion, pattern, rb):
                     continue
                 rule_constraints = {v: t for v, t in rule.variables if t is not None}
                 for full_rb, child_traces in self.solve_premises(kb, rule, rb,
@@ -290,9 +280,10 @@ class _Search:
                            for v, t in rule_constraints.items() if v in full_rb):
                         continue
                     # ground: Rule makes the premises bind every conclusion variable
-                    tbind = {tvar: substitute(kb, subtree, full_rb)
-                             for tvar, subtree in aliases.items()}
-                    results.append((tbind, _derive(kb, rule, full_rb, child_traces)))
+                    trace = _derive(kb, rule, full_rb, child_traces)
+                    b = unify(kb, pattern, trace.conclusion)
+                    if b is not None:
+                        results.append((b, trace))
         memo[pattern, depth] = results
         return results
 

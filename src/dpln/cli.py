@@ -26,7 +26,6 @@ from pathlib import Path
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import Tape
 from .chainer import ChainConfig, ChainError, backward_chain, forward_chain
-from .pattern import instantiate, variables_in
 from .rules import (DEFAULT_NEG_CONDITIONAL, FormulaWeights,
                     make_modus_ponens_rule, make_rule_set,
                     trainable_mp_strength)
@@ -383,11 +382,9 @@ def run_chain(kb_path: str, target: str | None, forward: bool,
     if target is None:
         raise ConfigError("chain needs --target or --forward")
     target_id = parse_atom(kb, target)
-    for binding, strength, _ in backward_chain(kb, rules, target_id, config):
-        conclusion = target_id
-        if variables_in(kb, target_id):
-            conclusion = instantiate(kb, target_id, binding)
-        print("%s ; strength %.9g" % (format_atom(kb, conclusion), strength.value))
+    for _, strength, trace in backward_chain(kb, rules, target_id, config):
+        print("%s ; strength %.9g" % (format_atom(kb, trace.conclusion),
+                                      strength.value))
     return 0
 
 

@@ -206,12 +206,3 @@ def lookup(kb: AtomSpace, template: int, binding: Binding) -> int | None:
         out.append(found)
     return kb.find_link(atom.type.name, out)
 
-
-def instantiate(kb: AtomSpace, template: int, binding: Binding) -> int:
-    """Interns the template with every variable substituted; errors if any
-    variable is left unbound."""
-    unbound = variables_in(kb, template) - set(binding)
-    if unbound:
-        names = sorted(kb.atom(v).name for v in unbound)
-        raise MatchError("unbound variable(s): %s" % ", ".join(names))
-    return substitute(kb, template, binding)

@@ -194,14 +194,13 @@ def make_connective_rules(kb: AtomSpace) -> list[Rule]:
     ]
 
 
-def make_rule_set(kb: AtomSpace,
-                  neg_conditional: float = DEFAULT_NEG_CONDITIONAL) -> list[Rule]:
+def make_rule_set(kb: AtomSpace) -> list[Rule]:
     """The standard rule set: modus ponens, deduction, connectives, and a
     trainable modus ponens variant (weights created on the KB tape)."""
     return [
-        make_modus_ponens_rule(kb, neg_conditional),
+        make_modus_ponens_rule(kb),
         make_deduction_rule(kb),
         *make_connective_rules(kb),
-        make_modus_ponens_rule(kb, neg_conditional, name="trainable-modus-ponens",
+        make_modus_ponens_rule(kb, name="trainable-modus-ponens",
                                weights=FormulaWeights.create(kb.tape)),
     ]

@@ -180,21 +180,21 @@ def _find_traces(kb: AtomSpace, rules: list[Rule],
     derivation, so the prediction depends on the premises, else its first KB
     lookup; unvalued, as ``train`` replays them.  Distinct targets of one link
     type differing only in their last argument, like ``Eval(color, instance)``,
-    make one query with ``$lifted`` there, whose proofs binding it to a
-    target's argument are the ground query's, in order, for ``Rule``'s shape."""
+    make one query with ``$lifted`` there.  Proofs are indexed by conclusion,
+    which no two queries share; for ``Rule``'s shape, a lifted query's proofs
+    of a target are the ground query's, in order."""
     var = kb.node("VariableNode", "$lifted")
     keys = {t: (kb.atoms[t].type.name, kb.atoms[t].outgoing[:-1])
             if kb.atoms[t].outgoing else t for t in (ex.target for ex in dataset)}
     size = Counter(keys.values())
-    query = {t: (kb.intern_link(k[0], [*k[1], var]), kb.atoms[t].outgoing[-1])
-             if size[k] > 1 else (t, None) for t, k in keys.items()}
-    asked = list(dict.fromkeys(q for q, _ in query.values()))
-    found = {}  # (query, binding of var) -> first derivation, else lookup
-    for q, proofs in zip(asked, prove(kb, rules, asked, ChainConfig(max_depth=depth))):
-        for binding, trace in proofs:
-            if not isinstance(found.get((q, binding.get(var))), Derivation):
-                found[q, binding.get(var)] = trace
-    traces = [found.get(query[ex.target]) for ex in dataset]
+    asked = list(dict.fromkeys(kb.intern_link(k[0], [*k[1], var])
+                               if size[k] > 1 else t for t, k in keys.items()))
+    found = {}  # conclusion -> its first derivation, else its lookup
+    for proofs in prove(kb, rules, asked, ChainConfig(max_depth=depth)):
+        for _, trace in proofs:
+            if not isinstance(found.get(trace.conclusion), Derivation):
+                found[trace.conclusion] = trace
+    traces = [found.get(ex.target) for ex in dataset]
     if None in traces:
         raise UnderivableTargetError(traces.index(None))
     return traces
@@ -225,8 +225,7 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
     for ls in learnables:
         ls.refresh()
     traces = _find_traces(kb, rules, dataset, config.chain_depth)
-    if any(not kb.has_asserted_tv(t.conclusion) for t in traces
-           if isinstance(t, Derivation)):
+    if any(not kb.has_asserted_tv(t.conclusion) for t in traces):
         kb.subgoal_table = None  # the commits end it: free it for the fit
     labels = [ex.label for ex in dataset]
 

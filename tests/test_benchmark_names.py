@@ -1,0 +1,59 @@
+"""The dpln names the benchmark under ``perfbench/`` reads or wraps.
+
+The benchmark's own suite is not part of this one, so a deletion that
+removed one of these names could break every benchmark run while these
+tests stayed green.  This file imports nothing from ``perfbench/``.
+"""
+
+import dataclasses
+import importlib
+
+from dpln.atomspace import AtomSpace
+from dpln.autodiff import Tape
+from dpln.chainer import Derivation
+from dpln.cli import ExperimentConfig
+
+MODULE_FUNCTIONS = [
+    ("chainer", "unify"), ("chainer", "backward_chain"),
+    ("chainer", "forward_chain"), ("chainer", "apply_rule"),
+    ("pattern", "unify"), ("pattern", "substitute"), ("pattern", "match"),
+    ("training", "sgd_step"), ("training", "train"),
+    ("training", "cross_entropy"),
+    ("cli", "run_fruit_colors"), ("cli", "run_learn_formula"),
+    ("cli", "write_report"),
+]
+
+# the tracer wraps these through the class dict, so they must be defined
+# on the class itself
+CLASS_METHODS = [
+    (AtomSpace, "has_asserted_tv"), (AtomSpace, "set_tv"),
+    (AtomSpace, "intern_node"), (AtomSpace, "intern_link"),
+    (AtomSpace, "atoms_of_type"), (Tape, "reset_to"), (Tape, "backward"),
+    (Derivation, "replay"),
+]
+
+# what the fruit-colors and learn-formula workloads pass ExperimentConfig
+EXPERIMENT_FIELDS = {
+    "experiment", "fruits", "colors", "true_probabilities", "n_samples",
+    "lr", "steps", "seed", "out_dir", "grid_size", "heldout_size",
+    "neg_conditional",
+}
+
+
+def test_module_functions_exist():
+    missing = [
+        "%s.%s" % (module, name) for module, name in MODULE_FUNCTIONS
+        if not callable(getattr(importlib.import_module("dpln." + module),
+                                name, None))]
+    assert missing == []
+
+
+def test_class_methods_exist():
+    missing = ["%s.%s" % (cls.__name__, name) for cls, name in CLASS_METHODS
+               if not callable(cls.__dict__.get(name))]
+    assert missing == []
+
+
+def test_experiment_config_fields_exist():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert EXPERIMENT_FIELDS - fields == set()

@@ -4,11 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpln import (ChainConfig, ChainError, Derivation, FormulaWeights, Leaf,
                   Query, TruthValue, apply_rule, backward_chain, format_atom,
                   forward_chain, load_kb, make_deduction_rule,
-                  make_modus_ponens_rule, make_rule_set, match, parse_atom)
+                  make_modus_ponens_rule, make_rule_set, match, parse_atom,
+                  substitute, variables_in)
 from dpln import chainer, deduction_strength
 from dpln.chainer import MAX_SEARCH_DEPTH, Constant
 from dpln.pattern import candidates
@@ -43,7 +46,7 @@ def test_apply_rule_modus_ponens():
     load_kb(kb, APPLE_KB)
     rule = make_modus_ponens_rule(kb)
     conclusion, out, trace = apply_rule(kb, rule, _mp_binding(kb, rule))
-    assert kb.type_of(conclusion) == "EvaluationLink"
+    assert kb.atom(conclusion).type.name == "EvaluationLink"
     # P(A)=1 leaves only the P(B|A) term
     assert out.value == pytest.approx(0.6)
     assert kb.get_tv(conclusion).strength is out
@@ -241,11 +244,70 @@ def test_forward_chain_equals_full_rematch(monkeypatch, duplicated):
         # the KB exercises what the kept pool must get right
         assert firings > len(new_atoms)  # some firings re-derived an atom
         assert '(InheritanceLink (ConceptNode "a") (ConceptNode "d"))' in shapes
-        derived_evals = {a for a in new_atoms if kb.type_of(a) == "EvaluationLink"}
+        derived_evals = {a for a in new_atoms
+                         if kb.atom(a).type.name == "EvaluationLink"}
         assert len(derived_evals) == 3
-        assert any(kb.type_of(a) == "AndLink"
+        assert any(kb.atom(a).type.name == "AndLink"
                    and set(kb.atom(a).outgoing) <= derived_evals
                    for a in new_atoms)
+
+
+_ARGUMENTS = {  # link type -> the ground atoms each argument place draws from
+    "InheritanceLink": (['(ConceptNode "c%d")' % i for i in range(3)],) * 2,
+    "EvaluationLink": (['(PredicateNode "p%d")' % i for i in range(3)],
+                       ['(ConceptNode "x%d")' % i for i in range(2)]),
+    "ImplicationLink": (['(PredicateNode "p%d")' % i for i in range(3)],) * 2,
+}
+# $X is also a deduction and modus ponens variable
+_VARIABLES = ['(VariableNode "$T")', '(VariableNode "$X")']
+_VALUED_CONCEPTS = "".join('(ConceptNode (stv %s 0.9) "c%d")\n' % (s, i)
+                           for i, s in enumerate([0.3, 0.5, 0.8]))
+
+
+@st.composite
+def _link_text(draw, variables=False):
+    kind = draw(st.sampled_from(sorted(_ARGUMENTS)))
+    args = [draw(st.sampled_from(pool + (_VARIABLES if variables else [])))
+            for pool in _ARGUMENTS[kind]]
+    return "(%s %s)" % (kind, " ".join(args))
+
+
+def _kb_text(facts):
+    """Valued c0-c2, then each (link text, strength) fact at confidence 0.9."""
+    lines = []
+    for text, s in facts:
+        head, rest = text.split(" ", 1)
+        lines.append("%s (stv %s 0.9) %s\n" % (head, s, rest))
+    return _VALUED_CONCEPTS + "".join(lines)
+
+
+_facts = st.lists(st.tuples(_link_text(), st.sampled_from([0.2, 0.5, 0.9])),
+                  min_size=1, max_size=10)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(facts=_facts,
+       picks=st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True),
+       seed=st.integers(0, 2 ** 16))
+def test_forward_chain_fires_each_pair_once(facts, picks, seed):
+    """On random KBs, with a sublist of make_rule_set and a random seed, one
+    forward_chain call never hands apply_rule the same (rule, binding)
+    twice: each match delta brings only bindings no earlier one brought."""
+    _, kb = fresh_kb()
+    load_kb(kb, _kb_text(facts))
+    all_rules = make_rule_set(kb)
+    fired = []
+    apply = chainer.apply_rule
+
+    def recording(kb, rule, binding):
+        fired.append((rule, tuple(sorted(binding.items()))))
+        return apply(kb, rule, binding)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(chainer, "apply_rule", recording)
+        forward_chain(kb, [all_rules[i] for i in picks],
+                      ChainConfig(max_steps=60, seed=seed))
+    assert len(fired) == len(set(fired))
 
 
 def test_backward_chain_modus_ponens():
@@ -309,6 +371,72 @@ def test_backward_chain_variable_target():
     binding, strength, _ = results[0]
     var_w = kb.node("VariableNode", "$W")
     assert kb.atom(binding[var_w]).name == "apple-001"
+
+
+# Inh(a, b) and Inh(b, a): deduction derives Inh(a, a) and Inh(b, b), which a
+# target with one variable in both argument places must find.
+TWO_FACT_KB = """
+(ConceptNode (stv 0.4 0.9) "a")
+(ConceptNode (stv 0.7 0.9) "b")
+(InheritanceLink (stv 0.9 0.8) (ConceptNode "a") (ConceptNode "b"))
+(InheritanceLink (stv 0.6 0.9) (ConceptNode "b") (ConceptNode "a"))
+"""
+
+
+def _rows(results):
+    return [(_serialize(t), s.value) for _, s, t in results]
+
+
+def test_repeated_target_variable_gets_the_ground_proofs():
+    """Inh($T, $T) at depth 2: the proofs binding $T to a are those of the
+    ground Inh(a, a), with the same rule names, leaf atoms, replayed
+    strengths and order; likewise for b."""
+    _, kb = fresh_kb()
+    load_kb(kb, TWO_FACT_KB)
+    rules = make_rule_set(kb)
+    config = ChainConfig(max_depth=2)
+    var = kb.node("VariableNode", "$T")
+    got = backward_chain(kb, rules, kb.link("InheritanceLink", var, var), config)
+    assert len(got) == 4
+    for name in ("a", "b"):
+        c = kb.node("ConceptNode", name)
+        ground = kb.link("InheritanceLink", c, c)
+        expected = backward_chain(kb, rules, ground, config)
+        assert len(expected) == 2
+        mine = [r for r in got if r[0] == {var: c}]
+        assert all(t.conclusion == ground for _, _, t in mine)
+        assert _rows(mine) == _rows(expected)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(facts=_facts, target=_link_text(variables=True),
+       depth=st.integers(1, 3))
+def test_variable_target_proofs_are_their_instances_proofs(facts, target,
+                                                           depth):
+    """On random Inh/Eval/Impl KBs under the full rule set, at depths 1-3,
+    for a target with 0-2 variables (repeats allowed): the proofs with
+    binding b are the proofs of substitute(target, b), in order, with the
+    same replayed strengths, and every instance with a proof is among them."""
+    _, kb = fresh_kb()
+    load_kb(kb, _kb_text(facts))
+    rules = make_rule_set(kb)
+    target = parse_atom(kb, target)
+    config = ChainConfig(max_depth=depth)
+    variables = sorted(variables_in(kb, target))
+    got = {}
+    for b, s, t in backward_chain(kb, rules, target, config):
+        instance = substitute(kb, target, b)
+        assert sorted(b) == variables and t.conclusion == instance
+        got.setdefault(instance, []).append((_serialize(t), s.value))
+    kb.subgoal_table = None  # the instances are searched in a fresh table
+    nodes = [a for a in range(len(kb))
+             if kb.atom(a).type.is_node and kb.atom(a).is_ground]
+    for values in itertools.product(nodes, repeat=len(variables)):
+        instance = substitute(kb, target, dict(zip(variables, values)))
+        assert got.pop(instance, []) == _rows(
+            backward_chain(kb, rules, instance, config))
+    assert got == {}
 
 
 def _closed_form_deduction(s_ab, s_bc, s_b, s_c):
@@ -565,7 +693,7 @@ def test_derivation_terms_are_trace_inputs():
                                 '(ConceptNode "x"))')
     (neg,) = green.terms
     assert isinstance(neg, Leaf) and neg.replay(kb, {}).value == 0.45
-    assert kb.type_of(kb.atom(neg.atom).outgoing[0]) == "NotLink"
+    assert kb.atom(kb.atom(neg.atom).outgoing[0]).type.name == "NotLink"
     assert green_s.value == pytest.approx(0.6 * 0.5 + 0.45 * 0.5)
     red_s, red = derive(mp, '(EvaluationLink (PredicateNode "red") (ConceptNode "x"))')
     (default,) = red.terms
@@ -752,7 +880,7 @@ def test_backward_chain_short_type_index_long_incoming(monkeypatch):
     subgoal = kb.link("ImplicationLink", kb.node("VariableNode", "$P"), red)
     impls = [a for a in kb.atoms_of_type("ImplicationLink")
              if kb.atom(a).is_ground]
-    assert len(impls) < len(kb.incoming(red))
+    assert len(impls) < len(kb.incoming_of[red])
     assert candidates(kb, subgoal, {}) == impls
     for target in ['(EvaluationLink (PredicateNode "red") (ConceptNode "x"))',
                    '(EvaluationLink (PredicateNode "red") '
@@ -776,8 +904,8 @@ def test_backward_chain_long_type_index_short_incoming(monkeypatch):
     rules = [make_deduction_rule(kb)]
     a0 = kb.node("ConceptNode", "a0")
     subgoal = kb.link("InheritanceLink", a0, kb.node("VariableNode", "$Y"))
-    from_a0 = [a for a in kb.incoming(a0) if kb.atom(a).is_ground]
-    assert len(kb.incoming(a0)) < len(kb.atoms_of_type("InheritanceLink"))
+    from_a0 = [a for a in kb.incoming_of[a0] if kb.atom(a).is_ground]
+    assert len(kb.incoming_of[a0]) < len(kb.atoms_of_type("InheritanceLink"))
     assert candidates(kb, subgoal, {}) == from_a0
     for target in ['(InheritanceLink (ConceptNode "a0") (ConceptNode "a5"))',
                    '(InheritanceLink (ConceptNode "a0") (VariableNode "$Z"))']:

@@ -251,6 +251,32 @@ def test_chain_backward_command(tmp_path, capsys):
     assert '(PredicateNode "green")' in out
 
 
+def test_chain_repeated_target_variable(tmp_path, capsys):
+    """Over Inh(a, b) and Inh(b, a) at depth 2, --target Inh($T, $T) prints
+    the lines the ground Inh(a, a) and Inh(b, b) print, in their order."""
+    kb_path = tmp_path / "kb.scm"
+    kb_path.write_text('(ConceptNode (stv 0.4 0.9) "a")\n'
+                       '(ConceptNode (stv 0.7 0.9) "b")\n'
+                       '(InheritanceLink (stv 0.9 0.8) (ConceptNode "a") '
+                       '(ConceptNode "b"))\n'
+                       '(InheritanceLink (stv 0.6 0.9) (ConceptNode "b") '
+                       '(ConceptNode "a"))\n')
+
+    def chain(target):
+        assert main(["chain", "--kb", str(kb_path), "--target", target,
+                     "--depth", "2"]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    got = chain('(InheritanceLink (VariableNode "$T") (VariableNode "$T"))')
+    assert len(got) == 4
+    for name in "ab":
+        ground = '(InheritanceLink (ConceptNode "%s") (ConceptNode "%s"))' % (
+            name, name)
+        expected = chain(ground)
+        assert len(expected) == 2
+        assert [line for line in got if line.startswith(ground + " ;")] == expected
+
+
 def test_chain_depth_bound(tmp_path, capsys):
     """--depth up to MAX_SEARCH_DEPTH runs; above it exits 1, never with
     a RecursionError's exit 2."""

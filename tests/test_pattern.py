@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from dpln import (MatchError, Query, instantiate, load_kb, match, substitute,
-                  unify, variables_in)
+from dpln import (MatchError, Query, load_kb, match, substitute, unify,
+                  variables_in)
 from dpln.pattern import candidates, lookup
 
 from conftest import fresh_kb
@@ -164,7 +164,8 @@ def _brute_force_match(kb, query, present):
     found = []
     for combo in itertools.product(ground_atoms, repeat=len(var_ids)):
         binding = dict(zip(var_ids, combo))
-        if any(kb.type_of(binding[v]) != t for v, t in constraints.items()):
+        if any(kb.atom(binding[v]).type.name != t
+               for v, t in constraints.items()):
             continue
         if all(substitute(kb, clause, binding) in present
                for clause in query.clauses):
@@ -233,22 +234,13 @@ def test_instantiate():
     inst = kb.link("InheritanceLink",
                    kb.node("ConceptNode", "sparrow"),
                    kb.node("ConceptNode", "animal"))
-    assert instantiate(kb, template, binding) == inst
+    assert substitute(kb, template, binding) == inst
 
 
 def test_instantiate_ground_template_idempotent():
     kb = _chain_kb()
     ground = kb.atoms_of_type("InheritanceLink")[0]
-    assert instantiate(kb, ground, {}) == ground
-
-
-def test_instantiate_missing_binding():
-    kb = _chain_kb()
-    x = kb.node("VariableNode", "$X")
-    z = kb.node("VariableNode", "$Z")
-    template = kb.link("InheritanceLink", x, z)
-    with pytest.raises(MatchError):
-        instantiate(kb, template, {x: kb.node("ConceptNode", "sparrow")})
+    assert substitute(kb, ground, {}) == ground
 
 
 def test_variables_in():
@@ -320,7 +312,8 @@ def test_candidates_typed_variable_takes_its_type_index():
     kb.link("EvaluationLink", kb.node("PredicateNode", "r"),
             kb.node("ConceptNode", "c"))
     evals = [a for a in range(len(kb))
-             if kb.type_of(a) == "EvaluationLink" and kb.atom(a).is_ground]
+             if kb.atom(a).type.name == "EvaluationLink"
+             and kb.atom(a).is_ground]
     assert len(evals) == 3
     assert candidates(kb, x, {}, {x: "EvaluationLink"}) == evals
     assert candidates(kb, x, {}, {x: "NoSuchLink"}) == []

@@ -29,7 +29,7 @@ def test_load_kb_interns_and_asserts():
     top = load_kb(kb, SPARROW_KB)
     assert len(top) == 2
     for atom_id in top:
-        assert kb.type_of(atom_id) == "InheritanceLink"
+        assert kb.atom(atom_id).type.name == "InheritanceLink"
         assert kb.has_asserted_tv(atom_id)
     tv = kb.get_tv(top[0])
     assert tv.strength.value == pytest.approx(0.9)
@@ -66,7 +66,7 @@ def test_parse_atom_no_tv_attached():
     _, kb = fresh_kb()
     atom = parse_atom(kb, '(EvaluationLink (PredicateNode "green") '
                           '(ConceptNode "apple-001"))')
-    assert kb.type_of(atom) == "EvaluationLink"
+    assert kb.atom(atom).type.name == "EvaluationLink"
     assert not kb.has_asserted_tv(atom)
 
 
@@ -213,7 +213,7 @@ def test_lambda_implication_normalized():
     top = load_kb(kb, src)[0]
     atom = kb.atom(top)
     assert atom.type.name == "ImplicationLink"
-    kinds = [kb.type_of(o) for o in atom.outgoing]
+    kinds = [kb.atom(o).type.name for o in atom.outgoing]
     assert kinds == ["PredicateNode", "PredicateNode"]
     assert kb.get_tv(top).strength.value == pytest.approx(0.7)
 
@@ -223,7 +223,7 @@ def test_abbreviated_implication_untouched():
     top = load_kb(kb, '(ImplicationLink (PredicateNode "a") '
                       '(PredicateNode "b"))')[0]
     atom = kb.atom(top)
-    assert [kb.type_of(o) for o in atom.outgoing] == \
+    assert [kb.atom(o).type.name for o in atom.outgoing] == \
         ["PredicateNode", "PredicateNode"]
 
 

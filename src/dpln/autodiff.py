@@ -6,12 +6,13 @@ time; ``backward`` is a single reverse sweep over the record list.
 
 ``OPS`` is the one definition of every operation: its value and its partial
 derivatives as Python expressions.  The ``Tape`` methods (``add``, ``log``,
-...) and the compiled replay are both rendered from it at import.
+...) are rendered from it at import, and the compiled replay from it too.
 
 The tape supports checkpoint/rollback (``mark`` / ``reset_to``) so a training
 loop can keep leaf parameters alive while it re-traces the formula graph.
-``trace_loss`` compiles a traced graph once into straight-line Python that
-recomputes it in place; ``check_unit`` range checks and ``at_least``
+``trace_loss`` compiles a traced graph once (``dpln.replay``) into Python
+that recomputes it a lane of isomorphic records at a time and writes only
+the loss value and the grads; ``check_unit`` range checks and ``at_least``
 branches become guards in that code.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import accumulate
 from typing import Callable
 
 LOG_EPS = 1e-7
@@ -92,7 +94,9 @@ OPS = {
               ("1.0 / {y}", "-{x} / ({y} * {y})")),
     "neg": Op("-{x}", ("-1.0",)),
     "one_minus": Op("1.0 - {x}", ("-1.0",)),
-    "log": Op("log(min(max({x}, LOG_EPS), 1.0))",
+    # the clamps are min(max(x, lo), 1.0) written out: the same value for
+    # every float, nan and -0.0 included, without two builtin calls
+    "log": Op("log(LOG_EPS if {x} < LOG_EPS else 1.0 if {x} > 1.0 else {x})",
               ("1.0 / {x} if LOG_EPS <= {x} <= 1.0 else 0.0",),
               """Natural log of the input clamped into [LOG_EPS, 1].
 
@@ -101,7 +105,7 @@ OPS = {
         """),
     "sigmoid": Op("1.0 / (1.0 + exp(-{x})) if {x} >= 0 "
                   "else (e := exp({x})) / (1.0 + e)", ("{z} * (1.0 - {z})",)),
-    "clamp01": Op("min(max({x}, 0.0), 1.0)",
+    "clamp01": Op("0.0 if {x} < 0.0 else 1.0 if {x} > 1.0 else {x}",
                   ("1.0 if 0.0 <= {x} <= 1.0 else 0.0",),
                   "Clamp into [0, 1]; identity gradient inside, zero outside."),
 }
@@ -162,12 +166,6 @@ class Tape:
         ref = self._record(x, ())
         self._param_indices.add(ref.index)
         return ref
-
-    def _pair(self, a: VarRef, b: VarRef) -> None:
-        if a.tape is not self or b.tape is not self:
-            raise AutodiffError("VarRefs belong to a different tape")
-        a._check_live()
-        b._check_live()
 
     def _one(self, a: VarRef) -> None:
         if a.tape is not self:
@@ -269,10 +267,11 @@ def _fail(message: str):
 # all that generated code may name besides its arguments and ``guards``
 _NAMESPACE = {"__builtins__": {}, "__name__": __name__, "fail": _fail,
               "LOG_EPS": LOG_EPS, "UNIT_TOL": UNIT_TOL, "exp": math.exp,
-              "log": math.log, "max": max, "min": min,
-              "unit_error": _unit_error}
-# records per generated function: small sources keep compile memory flat
-_CHUNK = 64
+              "accumulate": accumulate, "len": len, "list": list,
+              "log": math.log, "range": range, "reversed": reversed,
+              "unit_error": _unit_error, "zip": zip}
+# blocks per generated function: small sources keep compile memory flat
+_CHUNK = 24
 
 
 def _functions(blocks: list[str], args: str,
@@ -283,26 +282,27 @@ def _functions(blocks: list[str], args: str,
     namespace = dict(_NAMESPACE, guards=guards)
     functions = []
     for start in range(0, len(blocks), _CHUNK):
-        body = "\n".join(blocks[start:start + _CHUNK])
-        exec("def f(%s):\n%s" % (args, body), namespace)
+        body = "\n".join(blocks[start:start + _CHUNK]).replace("\n", "\n    ")
+        exec("def f(%s):\n    %s" % (args, body), namespace)
         functions.append(namespace.pop("f"))
     return functions
 
 
 def _method(name: str, op: Op) -> Callable:
-    """The Tape method of ``op``: checks its VarRefs a and b, reads their
-    values x and y, and records the value z with each input's partial."""
+    """The Tape method of ``op``: checks its VarRefs a and b, ``_one``'s
+    checks inlined, reads their values x and y, and records the value z
+    with each input's partial."""
     refs = "ab"[:len(op.partials)]
-    args = ", ".join(refs)
     deps = "".join(", %s.index, %s" % (r, p.format(x="x", y="y", z="z"))
                    for r, p in zip(refs, op.partials))
-    body = ["self.%s(%s)" % ("_pair" if refs == "ab" else "_one", args),
+    body = ["values = self._values"] + [
+        "if %s.tape is not self or %s.index >= len(values): self._one(%s)"
+        % (r, r, r) for r in refs] + [
             "%s = %s" % (", ".join("xy"[:len(refs)]), ", ".join(
-                "self._values[%s.index]" % r for r in refs)),
+                "values[%s.index]" % r for r in refs)),
             "z = " + op.value.format(x="x", y="y"),
             "return self._record(z, (%r%s))" % (name, deps)]
-    method, = _functions(["\n".join("    " + line for line in body)],
-                         "self, " + args)
+    method, = _functions(["\n".join(body)], "self, " + ", ".join(refs))
     method.__name__, method.__qualname__ = name, "Tape." + name
     method.__doc__ = op.doc
     return method
@@ -312,51 +312,44 @@ for _name, _op in OPS.items():
     setattr(Tape, _name, _method(_name, _op))
 
 # the logistic function on a float, as ``Tape.sigmoid`` computes it
-sigmoid, = _functions(["    return " + OPS["sigmoid"].value.format(x="x")], "x")
-
-
-def _adjoint(partial: str) -> str:
-    # a partial of 1 or -1 multiplies exactly, so it is folded in
-    return {"1.0": "d", "-1.0": "-d"}.get(partial) or "d * (%s)" % (
-        partial.format(x="v[{1}]", y="v[{2}]", z="v[{0}]"))
-
-
-# Per opcode, the replay's statement that recomputes a record {0} from its
-# inputs {1} and {2} in the value list ``v``, and per input the term added
-# to the input's adjoint, for the record's adjoint ``d``.
-_REPLAY = {name: ("v[{0}] = " + op.value.format(x="v[{1}]", y="v[{2}]"),
-                  tuple(map(_adjoint, op.partials)))
-           for name, op in OPS.items()}
+sigmoid, = _functions(["return " + OPS["sigmoid"].value.format(x="x")], "x")
 
 
 # -- compiled replay ----------------------------------------------------------
 
-# the replayed guards on value {0}, given guard {1}'s payload in ``guards``:
-# the (error class, label) of a check_unit, or the bound of an at_least
-_UNIT_GUARD = ("if not -UNIT_TOL <= v[{0}] <= 1.0 + UNIT_TOL: "
-               "raise unit_error(*guards[{1}], v[{0}])")
-_BRANCH_GUARD = {True: "if not v[{0}] >= guards[{1}]: return False",
-                 False: "if v[{0}] >= guards[{1}]: return False"}
+# the replayed guards on the value {0}, given guard {1}'s payload in
+# ``guards``: the (error class, label) of a check_unit, or the bound of an
+# at_least
+_UNIT_GUARD = ("if not -UNIT_TOL <= {0} <= 1.0 + UNIT_TOL: "
+               "raise unit_error(*guards[{1}], {0})")
+_BRANCH_GUARD = {True: "if not {0} >= guards[{1}]: return False",
+                 False: "if {0} >= guards[{1}]: return False"}
 
 
 def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
                ) -> tuple[VarRef, Callable[[], bool]]:
     """Calls ``loss_fn()`` once and compiles the graph it traced.
 
-    Returns ``(loss, replay)``.  ``replay()`` recomputes in place every
-    record traced here that one of ``params`` reaches, then adds
-    d(loss)/d(parameter) into their grads: values and grads are
-    bit-identical to re-tracing ``loss_fn``.  Other records keep their
-    traced values.  Each ``check_unit`` and ``at_least`` on a value that a
-    parameter reaches is a guard, re-tested at its place in the trace: a
-    failing range check raises what a re-trace would, and an ``at_least``
-    whose outcome flips stops the replay there, before any later record or
-    grad, and makes it return False, a miss.  Otherwise it returns True.
+    Returns ``(loss, replay)``.  ``replay()`` recomputes every record traced
+    here that one of ``params`` reaches and adds d(loss)/d(parameter) into
+    their grads, bit-identical to re-tracing ``loss_fn``; it writes only the
+    loss value and those grads.  The records of one opcode, input kinds and
+    depth between the same two guards form a lane, recomputed by one list
+    operation, and so does a left fold.  Each ``check_unit`` and
+    ``at_least`` on a value that a parameter reaches is a guard, re-tested
+    at its place in the trace: a failing range check raises what a re-trace
+    would, and an ``at_least`` whose outcome flips makes the replay return
+    False, a miss, having written nothing.  Otherwise it returns True.
 
-    Raises AutodiffError when ``loss_fn`` reads or sets the ``value`` of a
-    record that a parameter reaches, or uses one from before the call.
+    Raises AutodiffError for no ``params``, a stale one or one of another
+    tape, and when ``loss_fn`` reads or sets the ``value`` of a record that
+    a parameter reaches or uses one from before the call.
     """
+    if not params:
+        raise AutodiffError("trace_loss needs at least one parameter")
     tape = params[0].tape
+    for p in params:
+        tape._one(p)
     mark = len(tape)
     tape._reads, tape._guards = reads, guards = [], []
     try:
@@ -364,77 +357,7 @@ def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
     finally:
         tape._reads = tape._guards = None
     tape._one(loss)
-    return loss, _compile(tape, params, mark, loss.index, set(reads), guards)
-
-
-def _compile(tape: Tape, params: list[VarRef], mark: int, loss: int,
-             reads: set[int], guards: list[tuple]) -> Callable[[], bool]:
-    deps = tape._deps
-    indices = sorted({p.index for p in params})
-    # adjoint slot of every parameter and every record that depends on one;
-    # the walk starts at the first parameter to find such records from
-    # before the call as well
-    slot = {i: n for n, i in enumerate(indices)}
-    for i in range(indices[0], len(deps)):
-        if any(j in slot for j in deps[i][1::2]):
-            slot[i] = len(slot)
-    read = reads & slot.keys()
-    if read:
-        raise AutodiffError("the loss read or set the value of record %d, "
-                            "which a parameter reaches: branch with "
-                            "Tape.at_least" % min(read))
-    before = {i for i in slot if i < mark and deps[i]}
-    stale = before and before & {loss, *(g[1] for g in guards),
-                                 *(j for rec in deps[mark:] for j in rec[1::2])}
-    if stale:
-        raise AutodiffError("the loss uses record %d, computed from a "
-                            "parameter before the loss was traced; compute "
-                            "it inside the loss" % min(stale))
-
-    # a guard on a value that no parameter reaches cannot fail later; the
-    # others go before the first record traced after them
-    guards = [g for g in guards if g[1] in slot]
-    forward, n = [], 0
-    for i in [i for i in slot if i >= mark]:
-        while n < len(guards) and guards[n][0] <= i:
-            forward.append("    " + guards[n][2].format(guards[n][1], n))
-            n += 1
-        forward.append("    " + _REPLAY[deps[i][0]][0].format(i, *deps[i][1::2]))
-    forward += ["    " + g[2].format(g[1], k)
-                for k, g in enumerate(guards[n:], n)]
-    backward = []
-    needed = {loss} & slot.keys()  # records with a path to the loss
-    for i in range(loss, mark - 1, -1):
-        if i not in needed:
-            continue
-        rec = deps[i]
-        inputs = rec[1::2]
-        lines = ["    d = g[%d]" % slot[i], "    if d:"]
-        for j, term in zip(inputs, _REPLAY[rec[0]][1]):
-            if j in slot:
-                needed.add(j)
-                lines.append("        g[%d] += %s" % (slot[j],
-                                                     term.format(i, *inputs)))
-        backward.append("\n".join(lines))
-    run_forward = _functions(forward, "v", [g[3] for g in guards])
-    run_backward = _functions(backward, "v, g")
-    grad_slots = [(p, slot[p]) for p in indices if p in needed]
-    # a loss that no parameter reaches gets a spare slot
-    size, out = len(slot) + 1, slot.get(loss, len(slot))
-
-    def replay() -> bool:
-        values = tape._values
-        for f in run_forward:
-            if f(values) is False:
-                return False
-        adjoint = [0.0] * size
-        adjoint[out] = 1.0
-        for f in run_backward:
-            f(values, adjoint)
-        grads = tape._grads
-        for i, s in grad_slots:
-            if adjoint[s] != 0.0:
-                grads[i] += adjoint[s]
-        return True
-    return replay
-
+    # imported here: at module level it slows `import dpln`
+    from .replay import compile_replay
+    return loss, compile_replay(tape, params, mark, loss.index, set(reads),
+                                guards)

@@ -218,29 +218,52 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
 
 # -- backward chaining -----------------------------------------------------
 
-def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding) -> bool:
+def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
+                      seen: dict) -> bool:
     """Unifies a rule conclusion ``c`` with a target pattern ``t`` into the
-    rule binding ``rb``.  A target variable matches any subtree, binding nothing."""
+    rule binding ``rb``.  A target variable matches any subtree; ``seen``
+    maps it to the first, which its later subtrees must equal: a rule
+    variable among them is bound to a ground one, or else to the variable
+    of another, its alias until the premises bind that one."""
     ca = kb.atoms[c]
     ta = kb.atoms[t]
     if ta.type.name == "VariableNode":
+        first = seen.setdefault(t, c)
+        if first == c:
+            return True
+        a, b = _root(rb, first), _root(rb, c)
+        if kb.atoms[b].type.name != "VariableNode":
+            a, b = b, a
+        if a == b or kb.atoms[b].type.name != "VariableNode":  # no variable
+            return a == b or not (kb.atoms[a].is_ground and kb.atoms[b].is_ground)
+        if kb.atoms[a].is_ground or kb.atoms[a].type.name == "VariableNode":
+            rb[b] = a
+            seen[None] = True  # solve_premises resolves the aliases
         return True
     if ca.type.name == "VariableNode":
         if not ta.is_ground:
             return False  # rule variable against a partial pattern
         bound = rb.get(c)
-        if bound is not None:
-            return bound == t
-        rb[c] = t
-        return True
+        if bound is None:
+            rb[c] = t
+            return True
+        return bound == t if kb.atoms[bound].is_ground else _match_conclusion(
+            kb, bound, t, rb, seen)  # an alias: match the variable it stands for
     if ca.type.name != ta.type.name:
         return False
     if ca.type.is_node:
         return ca.name == ta.name
     if len(ca.outgoing) != len(ta.outgoing):
         return False
-    return all(_match_conclusion(kb, co, to, rb)
+    return all(_match_conclusion(kb, co, to, rb, seen)
                for co, to in zip(ca.outgoing, ta.outgoing))
+
+
+def _root(rb: Binding, v: int) -> int:
+    """What ``rb`` binds the rule variable ``v`` to, through its aliases."""
+    while v in rb:
+        v = rb[v]
+    return v
 
 
 class _Search:
@@ -270,12 +293,12 @@ class _Search:
                     results.append((b, Leaf(cand)))
         if depth >= 1:
             for rule in self.rules:
-                rb: Binding = {}
-                if not _match_conclusion(kb, rule.conclusion, pattern, rb):
+                rb, seen = {}, {}
+                if not _match_conclusion(kb, rule.conclusion, pattern, rb, seen):
                     continue
                 rule_constraints = {v: t for v, t in rule.variables if t is not None}
-                for full_rb, child_traces in self.solve_premises(kb, rule, rb,
-                                                                 depth - 1):
+                for full_rb, child_traces in self.solve_premises(
+                        kb, rule, rb, depth - 1, None in seen):
                     if any(kb.atoms[full_rb[v]].type.name != t
                            for v, t in rule_constraints.items() if v in full_rb):
                         continue
@@ -287,13 +310,22 @@ class _Search:
         memo[pattern, depth] = results
         return results
 
-    def solve_premises(self, kb: AtomSpace, rule: Rule, rb: Binding, depth: int):
+    def solve_premises(self, kb: AtomSpace, rule: Rule, rb: Binding, depth: int,
+                       aliased: bool):
         """Grounds all premises recursively; returns (binding, traces) pairs.
 
         A subgoal's solutions bind only its own variables, which the
-        substitution left unbound, so merging them never conflicts."""
+        substitution left unbound, so merging them never conflicts.  With
+        ``aliased``, ``rb`` binds a rule variable to another, which the
+        premises then take in its place."""
+        premises, same = rule.premises, {}
+        if aliased:
+            rb = {v: _root(rb, v) for v in rb}
+            same = {v: a for v, a in rb.items() if not kb.atoms[a].is_ground}
+            rb = {v: a for v, a in rb.items() if v not in same}
+            premises = [substitute(kb, p, same) for p in premises]
         solutions = [(dict(rb), [])]
-        for premise in rule.premises:
+        for premise in premises:
             next_solutions = []
             for binding, traces in solutions:
                 p = substitute(kb, premise, binding)
@@ -303,6 +335,8 @@ class _Search:
             solutions = next_solutions
             if not solutions:
                 break
+        for binding, _ in solutions if same else ():
+            binding.update((v, binding[a]) for v, a in same.items())
         return solutions
 
 

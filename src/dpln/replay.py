@@ -1,0 +1,189 @@
+"""The compiled replay that ``autodiff.trace_loss`` returns.
+
+The replayed records of one opcode, input kinds and depth between the same
+two guards form a lane: one list comprehension recomputes it, and one per
+input its adjoint terms.  A left fold of adds is a lane too, computed by one
+``accumulate``.  Sums keep the eager order, so the loss and the grads are
+bit-identical to a re-trace.  Imported by the first ``trace_loss`` call.
+"""
+
+from __future__ import annotations
+
+from itertools import zip_longest
+from typing import Callable
+
+from .autodiff import OPS, AutodiffError, Tape, VarRef, _functions
+
+# the lane keys' (opcode, kinds) of an add that may extend a left fold
+_FOLDS = {("add", "r", "r"), ("add", "r", "c")}
+
+
+def _code(elements: list, w: list) -> str:
+    """Replay code for one element or a list of them: ``(s, p)`` is item p of
+    the list at s of the scratch list ``w``, the float at s if p is None, or
+    the literal s.  A run of one list's items is a slice of it."""
+    runs = []  # [s, first, end] for the slice w[s][first:end], or [None, codes]
+    for s, p in elements:
+        if p is None:
+            code = s if isinstance(s, str) else "w[%d]" % s
+            if runs and runs[-1][0] is None:
+                runs[-1][1].append(code)
+            else:
+                runs.append([None, [code]])
+        elif runs and runs[-1][0] == s and runs[-1][2] == p:
+            runs[-1][2] += 1
+        else:
+            runs.append([s, p, p + 1])
+    if len(elements) == 1:
+        return runs[0][1][0] if runs[0][0] is None else "w[%d][%d]" % elements[0]
+    return " + ".join("[%s]" % ", ".join(r[1]) if r[0] is None else "w[%d]" % r[0]
+                      if r[2] - r[1] == len(w[r[0]]) else "w[%d][%d:%d]" % tuple(r)
+                      for r in runs)
+
+
+def _each(target: str, template: str, sources: dict, size: int) -> str:
+    """Code that sets ``target`` to ``template`` over ``sources``
+    (placeholder -> code): a statement for a lone record, else a list
+    comprehension over a lane's ``size`` members, which binds a parameter's
+    scalar, ``v[i]``, once."""
+    if size == 1:
+        return "%s = %s" % (target, template.format(**sources))
+    used = [(k, s) for k, s in sources.items() if "{%s}" % k in template]
+    lists = [(k, s) for k, s in used if s[0] != "v"] or [("_", "range(%d)" % size)]
+    return "%s = [%s %sfor %s in %s]" % (
+        target, template.format(**{k: k for k in sources}),
+        "".join("for %s in (%s,) " % (k, s) for k, s in used if s[0] == "v"),
+        ", ".join(k for k, _ in lists), lists[0][1] if len(lists) == 1
+        else "zip(%s)" % ", ".join(s for _, s in lists))
+
+
+def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
+                   reads: set[int], guards: list[tuple]) -> Callable[[], bool]:
+    """``trace_loss``'s replay of the loss record ``loss``, traced from
+    ``mark`` on, given the records it read and its guards."""
+    deps, values = tape._deps, tape._values
+    indices = sorted({p.index for p in params})
+    # every parameter and every record that depends on one; the walk starts
+    # at the first parameter to find such records from before the call too
+    reached = set(indices)
+    for i in range(indices[0], len(deps)):
+        rec = deps[i]
+        if rec and (rec[1] in reached or len(rec) > 3 and rec[3] in reached):
+            reached.add(i)
+    read = reads & reached
+    if read:
+        raise AutodiffError("the loss read or set the value of record %d, "
+                            "which a parameter reaches: branch with "
+                            "Tape.at_least" % min(read))
+    before = {i for i in reached if i < mark and deps[i]}
+    stale = before and before & {loss, *(g[1] for g in guards),
+                                 *(j for rec in deps[mark:] for j in rec[1::2])}
+    if stale:
+        raise AutodiffError("the loss uses record %d, computed from a "
+                            "parameter before the loss was traced; compute "
+                            "it inside the loss" % min(stale))
+
+    # a guard on a value that no parameter reaches cannot fail later.  A
+    # lane's key: the guards before it, its depth, opcode and per input "r"
+    # for a replayed record, "c" for a constant, captured now, or the index
+    # of a parameter, read once
+    guards = [g for g in guards if g[1] in reached]
+    lanes, n, depth, kind = {}, 0, {}, {p: p for p in tape._param_indices}
+    replayed = [i for i in range(mark, len(deps)) if i in reached]
+    for i in replayed:
+        while n < len(guards) and guards[n][0] <= i:
+            n += 1
+        rec = deps[i]
+        depth[i] = 1 + max(depth.get(rec[1], 0), depth.get(rec[-2], 0))
+        lanes.setdefault((n, depth[i], rec[0], kind.get(rec[1], "c"),
+                          kind.get(rec[-2], "c")), []).append(i)
+        kind[i] = "r"
+    # a record's adjoint adds its consumers' terms in reverse record order,
+    # the loss's a seed of 1; a term's key is 2 * consumer + input
+    terms, term = ({loss: [-1]} if loss in reached else {}), {-1: ("1.0", None)}
+    for i in range(loss, mark - 1, -1):
+        for q, j in enumerate(deps[i][1::2] if i in terms else ()):
+            if j in reached:
+                terms.setdefault(j, []).append(2 * i + q)
+    # a left fold of adds is a lane too: a lone add that alone uses its
+    # input 0 extends the chain of its guards and kinds that ends there; the
+    # chain is computed where its last record is
+    dead = {j for i in replayed if i not in terms for j in deps[i][1::2]}
+    chains, ends = set(), {}
+    for key, members in list(lanes.items()):
+        i, j = members[0], deps[members[0]][1]
+        prev = ends.pop(j, None)
+        if prev and len(members) == 1 and prev[:1] + prev[2:] == key[:1] + key[2:] \
+                and key[2:] in _FOLDS and terms.get(j) == [2 * i] and j not in dead:
+            lanes[key] = lanes.pop(prev) + members
+            chains.add(key)
+        if len(lanes[key]) == 1 or key in chains:
+            ends[lanes[key][-1]] = key
+
+    # the scratch list w holds each lane's values, a float or a list, its
+    # captured constants and its inputs' adjoint terms
+    w, at, sources, blocks, n = [], {}, {}, [], 0  # at: record -> element
+    order = sorted(lanes, key=lambda key: key[:2])
+
+    def place(items):  # the items in w, as elements
+        w.append(items if len(items) > 1 else items[0])
+        return [(len(w) - 1, p if len(items) > 1 else None)
+                for p in range(len(items))]
+
+    def value(i):
+        return _code([at[i]], w) if i in at else "v[%d]" % i
+    for key in order + [(len(guards),)]:
+        blocks += [guards[k][2].format(value(guards[k][1]), k)
+                   for k in range(n, key[0])]
+        if key not in lanes:
+            break
+        n, members = key[0], lanes[key]
+        at.update(zip(members, place([None] * len(members))))
+        src = sources[key] = {"z": "w[%d]" % at[members[0]][0]}
+        for q, k in enumerate(key[3:3 + len(OPS[key[2]].partials)]):
+            ins = [deps[i][1 + 2 * q] for i in members]
+            src["xy"[q]] = "v[%d]" % k if k not in ("r", "c") else _code(
+                place([values[j] for j in ins]) if k == "c" else
+                [at[j] for j in ins], w)
+        blocks.append(_each(src["z"], OPS[key[2]].value, src, len(members))
+                      if key not in chains else  # accumulate adds
+                      "%s = list(accumulate(%s, initial=%s))[1:]" % (
+                          src["z"], src["y"], value(deps[members[0]][1])))
+    if loss in at:
+        blocks.append("v[%d] = %s" % (loss, value(loss)))
+
+    for key in reversed(order):
+        members, size = lanes[key], len(lanes[key])
+        if terms.keys().isdisjoint(members):
+            continue
+        # a member with fewer terms adds 0.0, which changes no sum; a chain's
+        # members all take the adjoint of its last
+        cols = list(zip_longest(*[[term[c] for c in terms.get(i, ())] for i in (
+            members[-1:] if key in chains else members)], fillvalue=("0.0", None)))
+        d = "D" if len(cols[0]) > 1 else "d"
+        block = ["%s = %s" % (d, _code(cols[0], w))] + [
+            "D = [a + b for a, b in zip(D, %s)]" % _code(c, w) if d == "D"
+            else "d += " + _code(c, w) for c in cols[1:]]
+        block += ["D = [d] * %d" % size] if key in chains else []
+        src = dict(sources[key], d="d" if size == 1 else "D")
+        for q, partial in enumerate(OPS[key[2]].partials):
+            if deps[members[0]][1 + 2 * q] in reached:
+                t = place([None] * size)
+                block.append(_each(_code(t, w), {"1.0": "{d}", "-1.0": "-{d}"}.get(
+                    partial, "{d} * (%s) if {d} else 0.0" % partial), src,
+                    1 if partial == "1.0" else size))
+                term.update((2 * i + q, e) for i, e in zip(members, t))
+        blocks.append("\n".join(block))
+    # a parameter's grad adds its terms in reverse record order
+    for p in indices:
+        ts = [term[c] for c in terms.get(p, ())]
+        if ts:
+            blocks.append(("a = %s" % _code(ts, w) if len(ts) == 1 else
+                           "a = 0.0\nfor t in reversed(%s): a += t"
+                           % _code(ts[::-1], w)) + "\nif a: g[%d] += a" % p)
+    run = _functions(blocks, "v, g, w", [g[3] for g in guards])
+
+    def replay() -> bool:
+        v, g = tape._values, tape._grads
+        return all(f(v, g, w) is not False for f in run)
+    return replay

@@ -138,9 +138,11 @@ def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
     """The training loop: gradient descent on ``loss_fn()`` over ``params``.
 
     Step 0 traces and compiles the loss (``trace_loss``) from the tape
-    length on entry; later steps replay it.  Every step backpropagates,
-    applies SGD and zeroes the grads; the tape is rolled back to its length
-    on entry before returning.  Returns the loss of every step.
+    length on entry; later steps replay it, one list operation per lane of
+    isomorphic records, writing only the loss value and the grads.  Every
+    step backpropagates, calls ``sgd_step`` once and zeroes the grads; the
+    tape is rolled back to its length on entry before returning.  Returns
+    the loss of every step.
 
     ``loss_fn`` may branch on a record with ``Tape.at_least``, never on a
     ``value`` computed from ``params``: when a branch flips, the replay

@@ -4,8 +4,10 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpln import AtomSpace, AutodiffError, Tape, fit, make_rule_set
+from dpln import AtomSpace, AutodiffError, Tape, TrainError, fit, make_rule_set
 from dpln.autodiff import LOG_EPS, OPS, UNIT_TOL, sigmoid, trace_loss
 
 from conftest import (analytic_grads, assert_grads_close, finite_diff_grads,
@@ -530,3 +532,192 @@ def test_repr_of_records_in_a_traced_loss_is_not_a_read():
     fresh = Tape()
     s = fresh.sigmoid(fresh.parameter(-1.0))
     assert loss.value == fresh.mul(s, s).value
+
+
+def _stale_parameter(t):
+    mark = t.mark()
+    p = t.parameter(0.5)
+    t.reset_to(mark)
+    return p
+
+
+# trace_loss's parameter lists it rejects before tracing, and the message
+BAD_PARAMS = {
+    "empty": (lambda t: [], "at least one parameter"),
+    "stale": (lambda t: [t.parameter(0.5), _stale_parameter(t)], "stale VarRef"),
+    "another tape": (lambda t: [t.parameter(0.5), Tape().parameter(0.25)],
+                     "different tape"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+def test_trace_loss_rejects_bad_params_before_tracing(case):
+    t = Tape()
+    make, message = BAD_PARAMS[case]
+    params = make(t)
+    calls = []
+    with pytest.raises(AutodiffError, match=message):
+        trace_loss(params, lambda: calls.append(1) or t.constant(1.0))
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+def test_fit_rejects_bad_params_before_tracing(case):
+    """fit refuses an empty list itself; a stale parameter or one of another
+    tape reaches trace_loss, which raises before the loss is traced, so no
+    parameter moves."""
+    t = Tape()
+    make, message = BAD_PARAMS[case]
+    params = make(t)
+    values = [p.tape._values[p.index] for p in params if p.tape is not t]
+    calls = []
+
+    def loss_fn():
+        calls.append(1)
+        return t.mul(params[-1], params[-1])
+    with pytest.raises(TrainError if case == "empty" else AutodiffError,
+                       match="nonempty" if case == "empty" else message):
+        fit(params, loss_fn, 0.1, 3)
+    assert calls == []
+    assert values == [p.tape._values[p.index] for p in params if p.tape is not t]
+
+
+# -- lanes: random graphs of isomorphic copies --------------------------------
+
+_CONSTANTS = [0.25, 0.5, 2.0, -1.0, 1e-3, 0.0]
+_STEP_OPS = ["add", "sub", "mul", "div", "neg", "one_minus", "log",
+             "sigmoid", "clamp01"]
+
+
+def _step(t, op, a, b):
+    if op == "div":  # a denominator bounded away from 0
+        return t.div(a, t.add(t.sigmoid(b), t.constant(0.5)))
+    if op == "log":
+        return t.log(t.sigmoid(a))
+    return getattr(t, op)(a, b) if len(OPS[op].partials) == 2 else getattr(t, op)(a)
+
+
+def _tiny_division(t, params, c):
+    """An infinite partial meets a zero adjoint: d(c / y)/dy overflows for
+    y = p * 1e-160, and the quotient's adjoint is 0."""
+    y = t.mul(params[0], t.constant(1e-160))
+    return t.mul(t.div(t.constant(c), y), t.constant(0.0))
+
+
+def _guarded(t, params, c):
+    """A range check and a branch; params[0] and params[-1] each feed
+    other lanes too."""
+    s = t.sigmoid(t.add(params[0], t.constant(c)))
+    t.check_unit(s, ValueError, "s")
+    return t.mul(s, params[-1]) if t.at_least(s, 0.5) else t.add(s, params[-1])
+
+
+def _fan_out(t, params, c):
+    """A record with four terms in its adjoint, which adds them in reverse
+    record order."""
+    s = t.sigmoid(t.mul(params[0], t.constant(c)))
+    return t.add(t.mul(s, params[-1]), t.sub(t.log(s), t.mul(s, s)))
+
+
+@st.composite
+def _lane_graphs(draw):
+    """k copies each of a few shapes over shared parameters, interleaved,
+    each with its own constant from a small pool, summed by a left fold."""
+    n_params = draw(st.integers(1, 3))
+    steps = st.tuples(st.sampled_from(_STEP_OPS), st.integers(0, 9),
+                      st.integers(0, 9))
+    shapes = draw(st.lists(st.lists(steps, min_size=1, max_size=5),
+                           min_size=1, max_size=3))
+    specials = draw(st.lists(st.sampled_from([_tiny_division, _guarded, _fan_out]),
+                             max_size=3, unique=True))
+    copies = draw(st.lists(st.tuples(
+        st.integers(0, len(shapes) + len(specials) - 1),
+        st.sampled_from(_CONSTANTS)), min_size=1, max_size=14))
+    values = st.lists(st.floats(-3.0, 3.0), min_size=n_params,
+                      max_size=n_params)
+    # partial sums of the fold that the loss also uses, or that only a
+    # branch reads, if any
+    reuse, probe = (draw(st.none() | st.integers(0, len(copies) - 1))
+                    for _ in range(2))
+    return (shapes, specials, copies, reuse, probe), draw(values), draw(
+        st.lists(values, min_size=1, max_size=3))
+
+
+def _lane_loss(t, params, graph):
+    shapes, specials, copies, reuse, probe = graph
+    terms = []
+    for which, c in copies:
+        if which < len(shapes):
+            pool = [*params, t.constant(c)]
+            for op, i, j in shapes[which]:
+                pool.append(_step(t, op, pool[i % len(pool)], pool[j % len(pool)]))
+            terms.append(pool[-1])
+        else:
+            terms.append(specials[which - len(shapes)](t, params, c))
+    total = terms[0]
+    sums = [total]
+    for term in terms[1:]:
+        total = t.add(total, term)
+        sums.append(total)
+    if reuse is not None:
+        total = t.sub(total, t.mul(sums[reuse], params[0]))
+    scale = 1.0 / len(terms)
+    if probe is not None and t.at_least(t.mul(sums[probe], t.constant(0.5)), 0.0):
+        scale *= 2.0
+    return t.mul(t.constant(scale), t.neg(total))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=_lane_graphs())
+def test_lane_replay_matches_a_fresh_trace_bit_for_bit(graph):
+    """After the parameters move, a replay gives the loss and every grad of
+    a fresh eager trace and backward, bit for bit; it raises what that trace
+    raises, and a miss writes nothing."""
+    graph, start, moves = graph
+    t = Tape()
+    params = [t.parameter(x) for x in start]
+
+    def loss_fn():
+        return _lane_loss(t, params, graph)
+    try:
+        loss, replay = trace_loss(params, loss_fn)
+    except (AutodiffError, ValueError):
+        return  # the traced point itself fails
+    for values in moves:
+        for p, x in zip(params, values):
+            p.value = x
+        t.zero_grads()
+        written = _bits([loss.value] + [p.grad for p in params])
+        fresh = Tape()
+        fresh_params = [fresh.parameter(x) for x in values]
+        try:
+            outcome = replay()
+        except (AutodiffError, ValueError) as error:
+            with pytest.raises(type(error)) as again:
+                _lane_loss(fresh, fresh_params, graph)
+            assert str(again.value) == str(error)
+            continue
+        if not outcome:
+            assert _bits([loss.value] + [p.grad for p in params]) == written
+            continue
+        fresh_loss = _lane_loss(fresh, fresh_params, graph)
+        fresh.backward(fresh_loss)
+        assert _bits([loss.value]) == _bits([fresh_loss.value])
+        assert _bits(p.grad for p in params) == _bits(p.grad for p in fresh_params)
+
+
+@pytest.mark.parametrize("op, lo", [("log", LOG_EPS), ("clamp01", 0.0)])
+def test_clamps_are_min_max_for_every_float(op, lo):
+    """The clamps of log and clamp01, written as comparisons, give what
+    min(max(x, lo), 1.0) gives at every edge, -0.0, infinities and nan
+    included."""
+    t = Tape()
+    p = t.parameter(0.5)
+    for x in (-math.inf, -1.0, -0.0, 0.0, 5e-324, lo / 2, lo, 0.3, 1.0,
+              1.0 + 1e-12, 2.0, math.inf, math.nan):
+        p.value = x
+        clamped = min(max(x, lo), 1.0)
+        want = math.log(clamped) if op == "log" else clamped
+        got = getattr(t, op)(p).value
+        assert _bits([got]) == _bits([want]) and (
+            math.copysign(1.0, got) == math.copysign(1.0, want)), x

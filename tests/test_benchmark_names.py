@@ -57,3 +57,21 @@ def test_class_methods_exist():
 def test_experiment_config_fields_exist():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert EXPERIMENT_FIELDS - fields == set()
+
+
+def test_fit_calls_sgd_step_once_per_step_through_the_module(monkeypatch):
+    """perfbench times fruit-colors and learn-formula steps by wrapping
+    ``training.sgd_step``, so ``fit`` must look it up on the module, once a
+    step."""
+    from dpln import training
+    calls = []
+    step = training.sgd_step
+
+    def counting(params, learning_rate):
+        calls.append(learning_rate)
+        step(params, learning_rate)
+    monkeypatch.setattr(training, "sgd_step", counting)
+    tape = Tape()
+    p = tape.parameter(0.5)
+    training.fit([p], lambda: tape.mul(p, p), 0.25, 7)
+    assert calls == [0.25] * 7

@@ -408,6 +408,42 @@ def test_repeated_target_variable_gets_the_ground_proofs():
         assert _rows(mine) == _rows(expected)
 
 
+# four valued concepts and nine Inh links among them, with cycles
+CYCLE_KB = "".join('(ConceptNode (stv %s 0.9) "%s")\n' % (s, c)
+                   for c, s in zip("abcd", [0.4, 0.7, 0.5, 0.6])) + "".join(
+    '(InheritanceLink (stv 0.8 0.9) (ConceptNode "%s") (ConceptNode "%s"))\n'
+    % tuple(pair) for pair in ["ab", "bc", "cd", "da", "ba", "cb", "dc", "ac", "bd"])
+
+
+def test_repeated_target_variable_prunes_from_its_first_occurrence(monkeypatch):
+    """Inh($T, $T) at depth 3 derives no more than the four ground Inh(x, x)
+    queries together, each on a fresh table: the deduction premises see $T's
+    second place as its first.  Its proofs binding $T to x are Inh(x, x)'s,
+    in order."""
+    calls = []
+    derive = chainer._derive
+
+    def counting(*args):
+        calls.append(1)
+        return derive(*args)
+    monkeypatch.setattr(chainer, "_derive", counting)
+    _, kb = fresh_kb()
+    load_kb(kb, CYCLE_KB)
+    rules, config = make_rule_set(kb), ChainConfig(max_depth=3)
+    var = kb.node("VariableNode", "$T")
+    got = backward_chain(kb, rules, kb.link("InheritanceLink", var, var), config)
+    lifted, calls[:] = len(calls), []
+    expected = 0
+    for name in "abcd":
+        kb.subgoal_table = None
+        c = kb.node("ConceptNode", name)
+        ground = backward_chain(kb, rules, kb.link("InheritanceLink", c, c), config)
+        assert _rows([r for r in got if r[0] == {var: c}]) == _rows(ground)
+        expected += len(ground)
+    assert len(got) == expected > 0
+    assert lifted <= len(calls)
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(facts=_facts, target=_link_text(variables=True),

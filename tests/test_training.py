@@ -508,6 +508,25 @@ def test_run_joint_compiles(monkeypatch, tmp_path):
     assert results[0] == results[1]
 
 
+def test_learn_formula_loss_compiles_to_lanes(monkeypatch, tmp_path):
+    """learn-formula's 11x11 loss, 1,932 records, compiles to at most 400
+    generated lines: its 121 isomorphic grid points share lanes and its sum
+    is one left-fold lane; code per record took 7,346 lines."""
+    from dpln import replay
+    sources = []
+    compile_blocks = replay._functions
+
+    def recording(blocks, *args):
+        sources.extend(blocks)
+        return compile_blocks(blocks, *args)
+    monkeypatch.setattr(replay, "_functions", recording)
+    cli.run_learn_formula(cli.ExperimentConfig(
+        experiment="learn-formula", lr=2.0, steps=2, grid_size=11,
+        heldout_size=2, out_dir=str(tmp_path)))
+    statements = sum(block.count("\n") + 1 for block in sources)
+    assert 0 < statements <= 400
+
+
 def test_train_retraces_deduction_on_a_learnable_middle_term(monkeypatch):
     """Deduction branches on its middle term's strength (the saturation
     test) with at_least, a replay guard: with that strength learnable, the

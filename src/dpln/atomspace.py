@@ -62,7 +62,7 @@ def _atom_type(name: str) -> AtomType:
         raise UnknownTypeError("unknown atom type %r" % name) from None
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     id: int
     type: AtomType

@@ -27,11 +27,10 @@ from .atomspace import AtomSpace, TruthValue
 from .autodiff import Tape
 from .chainer import ChainConfig, ChainError, backward_chain, forward_chain
 from .rules import (DEFAULT_NEG_CONDITIONAL, FormulaWeights,
-                    make_modus_ponens_rule, make_rule_set,
-                    trainable_mp_strength)
+                    make_modus_ponens_rule, make_rule_set)
 from .sexpr import SexprError, format_atom, load_kb, parse_atom
 from .training import (LabeledExample, LearnableStrength, TrainConfig,
-                       cross_entropy, empirical_frequency, fit, train)
+                       empirical_frequency, train)
 
 
 class ConfigError(Exception):
@@ -256,40 +255,79 @@ def _eq1(p_a: float, p_bga: float, p_bgna: float) -> float:
     return p_bga * p_a + p_bgna * (1.0 - p_a)
 
 
+def facts(kb: AtomSpace, neg_conditional: float, name: str, p_bga: float,
+          p_as, learnable: LearnableStrength | None = None) -> list:
+    """Asserts Impl(A, B), at p_bga or else as ``learnable``, and Eval(A, x)
+    at each P(A); returns each target Eval(B, x), labeled with its exact
+    strength at P(B|A) = p_bga."""
+    a, b = (kb.node("PredicateNode", name + end) for end in ("-A", "-B"))
+    impl = kb.link("ImplicationLink", a, b)
+    if learnable is None:
+        kb.set_tv(impl, TruthValue(kb.tape.constant(p_bga), 1.0))
+    else:
+        learnable.attach(kb, impl)
+        learnable.refresh()
+    examples = []
+    for p_a in p_as:
+        x = kb.node("ConceptNode", "x-%g" % p_a)
+        kb.set_tv(kb.link("EvaluationLink", a, x),
+                  TruthValue(kb.tape.constant(p_a), 1.0))
+        examples.append(LabeledExample(kb.link("EvaluationLink", b, x),
+                                       _eq1(p_a, p_bga, neg_conditional)))
+    return examples
+
+
+def known(kb: AtomSpace, neg_conditional: float, p_as, p_bgas) -> list:
+    """One ``facts`` call per (P(A), P(B|A)) pair, P(A)-major."""
+    return [ex for p_a in p_as for p_bga in p_bgas
+            for ex in facts(kb, neg_conditional, "%g-%g" % (p_a, p_bga),
+                            p_bga, [p_a])]
+
+
 def run_learn_formula(cfg: ExperimentConfig) -> dict:
-    """Fits the trainable sigmoid-linear formula to exact modus ponens targets
-    on a training grid; reports held-out error against direct evaluation."""
+    """Fits the trainable sigmoid-linear formula to exact modus ponens
+    targets by one ``train`` call through the KB, as joint does; reports
+    the error on a held-out grid asserted after training under names of its
+    own, each column read from one ``backward_chain`` of Eval(B, $x)."""
     if cfg.grid_size < 1 or cfg.heldout_size < 2:
         raise ConfigError("grid sizes must be sensible (>=1 / >=2)")
-    tape = Tape()
-    weights = FormulaWeights.create(tape)
-    grid = [i / (cfg.grid_size - 1) if cfg.grid_size > 1 else 0.5
-            for i in range(cfg.grid_size)]
-    points = [(x, y) for x in grid for y in grid]
-    targets = [_eq1(x, y, cfg.neg_conditional) for x, y in points]
+    kb = AtomSpace(Tape())
+    weights = FormulaWeights.create(kb.tape)
+    rule = make_modus_ponens_rule(kb, weights=weights)
 
-    def loss():
-        preds = [trainable_mp_strength(tape.constant(x), tape.constant(y), weights)
-                 for x, y in points]
-        return cross_entropy(preds, targets)
+    def rows(prefix: str, size: int) -> list[tuple]:
+        """Asserts a size x size grid over [0, 1], or the point 0.5, as one
+        ``facts`` column per P(B|A); returns its rows, one per P(A)."""
+        grid = [i / (size - 1) if size > 1 else 0.5 for i in range(size)]
+        return list(zip(*[facts(kb, cfg.neg_conditional, "%s-%d" % (prefix, j),
+                                p_bga, grid) for j, p_bga in enumerate(grid)]))
 
-    losses = fit(weights.refs(), loss, cfg.lr, cfg.steps) if cfg.steps else []
+    dataset = [ex for row in rows("train", cfg.grid_size) for ex in row]
+    losses = (train(kb, [rule], dataset, weights.refs(),
+                    TrainConfig(cfg.lr, cfg.steps, chain_depth=1))
+              if cfg.steps else [])
 
-    held = [i / (cfg.heldout_size - 1) for i in range(cfg.heldout_size)]
+    heldout = rows("heldout", cfg.heldout_size)
+    var = kb.node("VariableNode", "$x")
+    proofs = {}  # held-out target -> the strengths of its proofs
+    for ex in heldout[0]:  # one query Eval(B, $x) per column
+        query = kb.link("EvaluationLink", kb.atoms[ex.target].outgoing[0], var)
+        for _, strength, trace in backward_chain(kb, [rule], query,
+                                                 ChainConfig(max_depth=1)):
+            proofs.setdefault(trace.conclusion, []).append(strength)
     errors = []
-    for x in held:
-        for y in held:
-            pred = trainable_mp_strength(tape.constant(x), tape.constant(y),
-                                         weights)
-            errors.append(abs(pred.value - _eq1(x, y, cfg.neg_conditional)))
+    for row in heldout:  # P(A)-major
+        for ex in row:
+            [strength] = proofs[ex.target]  # exactly one proof, or it raises
+            errors.append(abs(strength.value - ex.label))
     result = {
         "experiment": "learn-formula",
         "seed": cfg.seed, "lr": cfg.lr, "steps": cfg.steps,
         "grid_size": cfg.grid_size, "heldout_size": cfg.heldout_size,
         "neg_conditional": cfg.neg_conditional,
         "weights": weights.values(),
-        "max_abs_error": max(errors) if errors else 0.0,
-        "mean_abs_error": sum(errors) / len(errors) if errors else 0.0,
+        "max_abs_error": max(errors),
+        "mean_abs_error": sum(errors) / len(errors),
     }
     write_report(cfg.out_dir, result, list(enumerate(losses)))
     return result
@@ -306,42 +344,20 @@ def run_joint(cfg: ExperimentConfig) -> dict:
     weights = FormulaWeights.create(tape)
     rule = make_modus_ponens_rule(kb, weights=weights)
     rng = random.Random(cfg.seed)
+    neg = cfg.neg_conditional
 
-    def facts(name: str, p_bga: float, p_as,
-              learnable: LearnableStrength | None = None) -> list:
-        """Asserts Impl(A, B), at p_bga or else as ``learnable``, and Eval(A, x)
-        at each P(A); returns each target Eval(B, x), labeled with its exact
-        strength at P(B|A) = p_bga."""
-        a, b = (kb.node("PredicateNode", name + end) for end in ("-A", "-B"))
-        impl = kb.link("ImplicationLink", a, b)
-        if learnable is None:
-            kb.set_tv(impl, TruthValue(tape.constant(p_bga), 1.0))
-        else:
-            learnable.attach(kb, impl)
-            learnable.refresh()
-        examples = []
-        for p_a in p_as:
-            x = kb.node("ConceptNode", "x-%g" % p_a)
-            kb.set_tv(kb.link("EvaluationLink", a, x),
-                      TruthValue(tape.constant(p_a), 1.0))
-            examples.append(LabeledExample(kb.link("EvaluationLink", b, x),
-                                           _eq1(p_a, p_bga, cfg.neg_conditional)))
-        return examples
-
-    def known(p_as, p_bgas) -> list:
-        return [ex for p_a in p_as for p_bga in p_bgas
-                for ex in facts("%g-%g" % (p_a, p_bga), p_bga, [p_a])]
-
-    dataset = known((0.25, 0.5, 0.75, 1.0), (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8))
+    dataset = known(kb, neg, (0.25, 0.5, 0.75, 1.0),
+                    (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8))
     learnables = [LearnableStrength(tape, init=0.5) for _ in range(6)]
     true_strengths = [0.15 + 0.7 * rng.random() for _ in learnables]
     heldout = []
     for k, (ls, s_true) in enumerate(zip(learnables, true_strengths)):
         # P(A) 0.6, 0.8 and 1.0 train; 0.7 and 0.9 are held out
-        examples = facts("hidden-%d" % k, s_true, (0.6, 0.8, 1.0, 0.7, 0.9), ls)
+        examples = facts(kb, neg, "hidden-%d" % k, s_true,
+                         (0.6, 0.8, 1.0, 0.7, 0.9), ls)
         dataset += examples[:3]
         heldout += examples[3:]
-    heldout += known((0.3, 0.6, 0.9), (0.25, 0.45, 0.65))  # grid midpoints
+    heldout += known(kb, neg, (0.3, 0.6, 0.9), (0.25, 0.45, 0.65))  # midpoints
 
     params = weights.refs() + [ls.theta for ls in learnables]
     losses = (train(kb, [rule], dataset, params,

@@ -138,11 +138,11 @@ def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
     """The training loop: gradient descent on ``loss_fn()`` over ``params``.
 
     Step 0 traces and compiles the loss (``trace_loss``) from the tape
-    length on entry; later steps replay it, one list operation per lane of
-    isomorphic records, writing only the loss value and the grads.  Every
-    step backpropagates, calls ``sgd_step`` once and zeroes the grads; the
-    tape is rolled back to its length on entry before returning.  Returns
-    the loss of every step.
+    length on entry.  Every step runs the compiled replay, one list
+    operation per lane of isomorphic records, which writes only the loss
+    value and the grads of ``params``, calls ``sgd_step`` once and zeroes
+    those grads.  The tape is rolled back to its length on entry before
+    returning.  Returns the loss of every step.
 
     ``loss_fn`` may branch on a record with ``Tape.at_least``, never on a
     ``value`` computed from ``params``: when a branch flips, the replay
@@ -161,10 +161,11 @@ def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
         if replay is None or not replay():
             tape.reset_to(mark)
             loss, replay = trace_loss(params, loss_fn)
-            tape.backward(loss)
+            replay()
         sgd_step(params, learning_rate)
         losses.append(loss.value)
-        tape.zero_grads()
+        for p in params:
+            tape._grads[p.index] = 0.0
     tape.reset_to(mark)
     return losses
 

@@ -14,6 +14,7 @@ from dpln.cli import (ConfigError, ExperimentConfig, main, parse_config_text,
 from dpln.chainer import MAX_SEARCH_DEPTH
 from dpln.sexpr import MAX_DEPTH
 
+import learn_formula_reference as reference
 from conftest import tall_implication_kb
 
 SPARROW_KB = """
@@ -205,6 +206,29 @@ def test_learn_formula_zero_steps(tmp_path):
     assert all(v == 0.0 for v in result["weights"].values())
     # untrained sigmoid outputs 0.5 everywhere; worst target is 0.2 or 1.0
     assert result["max_abs_error"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("neg_conditional", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("steps", [0, 30])
+@pytest.mark.parametrize("grid_size,heldout_size",
+                         [(g, h) for g in (1, 3, 5) for h in (2, 3, 7)])
+def test_learn_formula_matches_the_direct_path(tmp_path, grid_size,
+                                               heldout_size, steps,
+                                               neg_conditional):
+    """learn-formula through the KB, the chainer and train reports exactly
+    what the direct loss closure did (tests/learn_formula_reference.py),
+    also where every held-out point is a training point (grid 3, held-out
+    3)."""
+    def run(runner, name):
+        cfg = ExperimentConfig(
+            experiment="learn-formula", lr=2.0, steps=steps,
+            grid_size=grid_size, heldout_size=heldout_size,
+            neg_conditional=neg_conditional, out_dir=str(tmp_path / name))
+        return runner(cfg), [(tmp_path / name / f).read_bytes()
+                             for f in ("report.json", "loss.csv")]
+
+    assert run(run_learn_formula, "kb") == run(reference.run_learn_formula,
+                                               "reference")
 
 
 def test_joint_zero_steps(tmp_path):

@@ -20,6 +20,6 @@ from .rules import (FormulaWeights, deduction_strength, fuzzy_and, fuzzy_not,
 from .sexpr import SexprError, format_atom, load_kb, parse_atom
 from .training import (LabeledExample, LearnableStrength, TrainConfig,
                        TrainError, UnderivableTargetError, cross_entropy,
-                       empirical_frequency, fit, sgd_step, train)
+                       empirical_frequency, fit, predict, sgd_step, train)
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .rules import (DEFAULT_NEG_CONDITIONAL, FormulaWeights,
                     make_modus_ponens_rule, make_rule_set)
 from .sexpr import SexprError, format_atom, load_kb, parse_atom
 from .training import (LabeledExample, LearnableStrength, TrainConfig,
-                       empirical_frequency, train)
+                       empirical_frequency, predict, train)
 
 
 class ConfigError(Exception):
@@ -277,49 +277,43 @@ def facts(kb: AtomSpace, neg_conditional: float, name: str, p_bga: float,
     return examples
 
 
-def known(kb: AtomSpace, neg_conditional: float, p_as, p_bgas) -> list:
-    """One ``facts`` call per (P(A), P(B|A)) pair, P(A)-major."""
-    return [ex for p_a in p_as for p_bga in p_bgas
-            for ex in facts(kb, neg_conditional, "%g-%g" % (p_a, p_bga),
-                            p_bga, [p_a])]
+def grid(kb: AtomSpace, neg_conditional: float, prefix: str, p_as,
+         p_bgas) -> list:
+    """Asserts one ``facts`` column per P(B|A), named ``prefix-j``; returns
+    the examples P(A)-major."""
+    columns = [facts(kb, neg_conditional, "%s-%d" % (prefix, j), p_bga, p_as)
+               for j, p_bga in enumerate(p_bgas)]
+    return [ex for row in zip(*columns) for ex in row]
+
+
+def _train_and_score(kb: AtomSpace, weights: FormulaWeights, learnables: list,
+                     dataset: list, heldout: list, cfg: ExperimentConfig):
+    """Trains ``weights`` and ``learnables`` on ``dataset`` through trainable
+    modus ponens at depth 1, no call at 0 steps; returns the losses and each
+    held-out error, read through ``predict`` as ``train`` reads its own."""
+    rules = [make_modus_ponens_rule(kb, weights=weights)]
+    params = weights.refs() + [ls.theta for ls in learnables]
+    losses = (train(kb, rules, dataset, params,
+                    TrainConfig(cfg.lr, cfg.steps, chain_depth=1), learnables)
+              if cfg.steps else [])
+    return losses, [abs(s.value - ex.label)
+                    for s, ex in zip(predict(kb, rules, heldout, 1), heldout)]
 
 
 def run_learn_formula(cfg: ExperimentConfig) -> dict:
     """Fits the trainable sigmoid-linear formula to exact modus ponens
     targets by one ``train`` call through the KB, as joint does; reports
-    the error on a held-out grid asserted after training under names of its
-    own, each column read from one ``backward_chain`` of Eval(B, $x)."""
+    the error on a held-out grid asserted under names of its own, read
+    through ``predict`` over the same traces that ``train`` fits."""
     if cfg.grid_size < 1 or cfg.heldout_size < 2:
         raise ConfigError("grid sizes must be sensible (>=1 / >=2)")
     kb = AtomSpace(Tape())
     weights = FormulaWeights.create(kb.tape)
-    rule = make_modus_ponens_rule(kb, weights=weights)
-
-    def rows(prefix: str, size: int) -> list[tuple]:
-        """Asserts a size x size grid over [0, 1], or the point 0.5, as one
-        ``facts`` column per P(B|A); returns its rows, one per P(A)."""
-        grid = [i / (size - 1) if size > 1 else 0.5 for i in range(size)]
-        return list(zip(*[facts(kb, cfg.neg_conditional, "%s-%d" % (prefix, j),
-                                p_bga, grid) for j, p_bga in enumerate(grid)]))
-
-    dataset = [ex for row in rows("train", cfg.grid_size) for ex in row]
-    losses = (train(kb, [rule], dataset, weights.refs(),
-                    TrainConfig(cfg.lr, cfg.steps, chain_depth=1))
-              if cfg.steps else [])
-
-    heldout = rows("heldout", cfg.heldout_size)
-    var = kb.node("VariableNode", "$x")
-    proofs = {}  # held-out target -> the strengths of its proofs
-    for ex in heldout[0]:  # one query Eval(B, $x) per column
-        query = kb.link("EvaluationLink", kb.atoms[ex.target].outgoing[0], var)
-        for _, strength, trace in backward_chain(kb, [rule], query,
-                                                 ChainConfig(max_depth=1)):
-            proofs.setdefault(trace.conclusion, []).append(strength)
-    errors = []
-    for row in heldout:  # P(A)-major
-        for ex in row:
-            [strength] = proofs[ex.target]  # exactly one proof, or it raises
-            errors.append(abs(strength.value - ex.label))
+    train_axis, held_axis = ([i / (n - 1) if n > 1 else 0.5 for i in range(n)]
+                             for n in (cfg.grid_size, cfg.heldout_size))
+    dataset = grid(kb, cfg.neg_conditional, "train", train_axis, train_axis)
+    heldout = grid(kb, cfg.neg_conditional, "heldout", held_axis, held_axis)
+    losses, errors = _train_and_score(kb, weights, [], dataset, heldout, cfg)
     result = {
         "experiment": "learn-formula",
         "seed": cfg.seed, "lr": cfg.lr, "steps": cfg.steps,
@@ -336,18 +330,17 @@ def run_learn_formula(cfg: ExperimentConfig) -> dict:
 def run_joint(cfg: ExperimentConfig) -> dict:
     """Learns the formula weights and hidden implication strengths together,
     in one ``train`` call through the KB and the trainable modus ponens
-    rule; gates held-out prediction error, read from one ``backward_chain``
-    proof per target, and reports (but does not gate) how far the learned
-    strengths drift from their generating values."""
+    rule; gates held-out prediction error, read through ``predict`` over the
+    same traces that ``train`` fits, and reports (but does not gate) how far
+    the learned strengths drift from their generating values."""
     tape = Tape()
     kb = AtomSpace(tape)
     weights = FormulaWeights.create(tape)
-    rule = make_modus_ponens_rule(kb, weights=weights)
     rng = random.Random(cfg.seed)
     neg = cfg.neg_conditional
 
-    dataset = known(kb, neg, (0.25, 0.5, 0.75, 1.0),
-                    (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8))
+    dataset = grid(kb, neg, "known", (0.25, 0.5, 0.75, 1.0),
+                   (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8))
     learnables = [LearnableStrength(tape, init=0.5) for _ in range(6)]
     true_strengths = [0.15 + 0.7 * rng.random() for _ in learnables]
     heldout = []
@@ -357,17 +350,9 @@ def run_joint(cfg: ExperimentConfig) -> dict:
                          (0.6, 0.8, 1.0, 0.7, 0.9), ls)
         dataset += examples[:3]
         heldout += examples[3:]
-    heldout += known(kb, neg, (0.3, 0.6, 0.9), (0.25, 0.45, 0.65))  # midpoints
-
-    params = weights.refs() + [ls.theta for ls in learnables]
-    losses = (train(kb, [rule], dataset, params,
-                    TrainConfig(cfg.lr, cfg.steps, chain_depth=1), learnables)
-              if cfg.steps else [])
-    held_errors = []
-    for ex in heldout:
-        [(_, strength, _)] = backward_chain(kb, [rule], ex.target,
-                                            ChainConfig(max_depth=1))
-        held_errors.append(abs(strength.value - ex.label))
+    heldout += grid(kb, neg, "midpoint", (0.3, 0.6, 0.9), (0.25, 0.45, 0.65))
+    losses, held_errors = _train_and_score(kb, weights, learnables, dataset,
+                                           heldout, cfg)
     result = {
         "experiment": "joint",
         "seed": cfg.seed, "lr": cfg.lr, "steps": cfg.steps,

@@ -9,12 +9,12 @@ branches as guards, and traces it again only after a branch flips.
 through the KB's subgoal table, and each step's loss replays the traces;
 it drops the table when its commits will assert a new conclusion.  Targets
 differing only in their last argument make one lifted query (``_find_traces``).
+``predict`` reads, through the same traces, the strengths ``train`` fits.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -186,12 +186,14 @@ def _find_traces(kb: AtomSpace, rules: list[Rule],
     make one query with ``$lifted`` there.  Proofs are indexed by conclusion,
     which no two queries share; for ``Rule``'s shape, a lifted query's proofs
     of a target are the ground query's, in order."""
+    groups: dict = {}  # (link type, all outgoing but the last) -> its targets
+    for t in dict.fromkeys(ex.target for ex in dataset):
+        atom = kb.atom(t)  # before interning $lifted, which could take id t
+        key = (atom.type.name, atom.outgoing[:-1]) if atom.outgoing else t
+        groups.setdefault(key, []).append(t)
     var = kb.node("VariableNode", "$lifted")
-    keys = {t: (kb.atoms[t].type.name, kb.atoms[t].outgoing[:-1])
-            if kb.atoms[t].outgoing else t for t in (ex.target for ex in dataset)}
-    size = Counter(keys.values())
-    asked = list(dict.fromkeys(kb.intern_link(k[0], [*k[1], var])
-                               if size[k] > 1 else t for t, k in keys.items()))
+    asked = [kb.intern_link(k[0], [*k[1], var]) if len(ts) > 1 else ts[0]
+             for k, ts in groups.items()]
     found = {}  # conclusion -> its first derivation, else its lookup
     for proofs in prove(kb, rules, asked, ChainConfig(max_depth=depth)):
         for _, trace in proofs:
@@ -201,6 +203,21 @@ def _find_traces(kb: AtomSpace, rules: list[Rule],
     if None in traces:
         raise UnderivableTargetError(traces.index(None))
     return traces
+
+
+def _replay(kb: AtomSpace, traces: list) -> list[VarRef]:
+    """Each trace's strength from current KB strengths, with one memo."""
+    memo: dict = {}
+    return [trace.replay(kb, memo) for trace in traces]
+
+
+def predict(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
+            depth: int) -> list[VarRef]:
+    """The strength ``train`` replays for each example, from the trace
+    ``_find_traces`` picks: its first derivation, else its KB lookup.  Reads
+    no label and writes no truth value; raises UnderivableTargetError at
+    the first example with neither."""
+    return _replay(kb, _find_traces(kb, rules, dataset, depth))
 
 
 def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
@@ -235,17 +252,14 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
     def loss() -> VarRef:
         for ls in learnables:
             ls.refresh()
-        memo: dict = {}
-        return cross_entropy([trace.replay(kb, memo) for trace in traces], labels)
+        return cross_entropy(_replay(kb, traces), labels)
 
     losses = fit(params, loss, config.learning_rate, config.steps)
 
     # leave the KB holding conclusion strengths for the final parameter values
     for ls in learnables:
         ls.refresh()
-    memo = {}
-    for trace in traces:
-        strength = trace.replay(kb, memo)
+    for trace, strength in zip(traces, _replay(kb, traces)):
         if isinstance(trace, Derivation):
             commit(kb, trace, strength)
     return losses

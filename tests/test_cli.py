@@ -9,9 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dpln
+from dpln import cli
 from dpln.cli import (ConfigError, ExperimentConfig, main, parse_config_text,
                       run_fruit_colors, run_joint, run_learn_formula)
-from dpln.chainer import MAX_SEARCH_DEPTH
+from dpln.chainer import MAX_SEARCH_DEPTH, ChainConfig, backward_chain
 from dpln.sexpr import MAX_DEPTH
 
 import learn_formula_reference as reference
@@ -234,7 +235,7 @@ def test_learn_formula_matches_the_direct_path(tmp_path, grid_size,
 def test_joint_zero_steps(tmp_path):
     """joint with no steps trains nothing: the strengths stay at 0.5, and
     the zero-weight formula predicts sigmoid(0) = 0.5 for every held-out
-    target, each read from its backward_chain proof."""
+    target, each read through predict."""
     cfg = ExperimentConfig(experiment="joint", steps=0, lr=2.0,
                            out_dir=str(tmp_path / "out"))
     result = run_joint(cfg)
@@ -250,6 +251,33 @@ def test_joint_zero_steps(tmp_path):
                 for p_bga in (0.25, 0.45, 0.65)]
     assert result["max_heldout_abs_error"] == max(abs(0.5 - t) for t in targets)
     assert result["max_heldout_abs_error"] == pytest.approx(0.285)
+
+
+@pytest.mark.parametrize("runner,steps,count", [
+    (run_learn_formula, 30, 9), (run_joint, 0, 21), (run_joint, 30, 21)],
+    ids=["learn-formula", "joint-0-steps", "joint-30-steps"])
+def test_heldout_targets_have_one_proof_that_predict_reads(
+        tmp_path, monkeypatch, runner, steps, count):
+    """Every held-out target that learn-formula (grid 3, held-out 3: each
+    held-out point is also a training point) and joint read through
+    predict has exactly one backward_chain proof at depth 1, and its
+    replayed strength is predict's."""
+    calls = []
+    predict = cli.predict
+
+    def checking(kb, rules, dataset, depth):
+        strengths = predict(kb, rules, dataset, depth)
+        for ex, strength in zip(dataset, strengths):
+            proofs = backward_chain(kb, rules, ex.target,
+                                    ChainConfig(max_depth=1))
+            assert len(proofs) == 1
+            assert proofs[0][1].value == strength.value
+        calls.append(len(dataset))
+        return strengths
+    monkeypatch.setattr(cli, "predict", checking)
+    runner(ExperimentConfig(lr=2.0, steps=steps, grid_size=3, heldout_size=3,
+                            out_dir=str(tmp_path)))
+    assert calls == [count]
 
 
 def test_chain_forward_command(tmp_path, capsys):

@@ -12,7 +12,7 @@ from dpln import (AtomSpaceError, AutodiffError, ChainConfig, Derivation,
                   UnderivableTargetError, UnknownAtomError, backward_chain,
                   cross_entropy, empirical_frequency, fit, fuzzy_not,
                   load_kb, make_deduction_rule, make_modus_ponens_rule,
-                  make_rule_set, parse_atom, sgd_step, train,
+                  make_rule_set, parse_atom, predict, sgd_step, train,
                   trainable_mp_strength)
 from dpln import cli, training
 from dpln.chainer import MAX_SEARCH_DEPTH, prove
@@ -697,16 +697,48 @@ def test_train_learns_term_strength():
 
 
 def test_train_underivable_target_reports_index():
+    """train and predict both name the first example with no trace."""
     tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 5, seed=2)
     orphan = kb.link("EvaluationLink",
                      kb.node("PredicateNode", "ripe"),
                      kb.node("ConceptNode", "nowhere"))
     dataset.insert(3, LabeledExample(orphan, 1))
+    dataset.insert(5, LabeledExample(orphan, 0))
+    with pytest.raises(UnderivableTargetError) as err:
+        predict(kb, [rule], dataset, 3)
+    assert err.value.index == 3
     cfg = TrainConfig(learning_rate=0.1, steps=10)
     with pytest.raises(UnderivableTargetError) as err:
         train(kb, [rule], dataset, [learnable.theta], cfg,
               learnables=[learnable])
     assert err.value.index == 3
+
+
+def test_predict_reads_the_strengths_train_replays():
+    """predict gives each example the strength of the trace train replays:
+    the first derivation's, also for a target that is asserted too, else
+    the lookup's for a target that is only a fact; after train, the
+    strengths train committed.  It writes no truth value: the asserted set
+    and every TV stay as they were."""
+    tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 6, seed=8)
+    kb.set_tv(dataset[2].target, TruthValue(tape.constant(0.9), 0.8))
+    inst = kb.atoms[dataset[3].target].outgoing[1]
+    fact = kb.link("EvaluationLink", kb.node("PredicateNode", "apple"), inst)
+    dataset.insert(4, LabeledExample(fact, 1))  # at 1.0, not derivable
+    tvs = dict(kb.tvs)
+
+    strengths = [s.value for s in predict(kb, [rule], dataset, 3)]
+    assert kb.tvs.keys() == tvs.keys()
+    assert all(kb.tvs[a] is tv for a, tv in tvs.items())
+    derived = 0.5 * 1.0 + 0.2 * 0.0  # modus ponens at s = 0.5, P(A) = 1
+    assert strengths == pytest.approx([derived] * 4 + [1.0] + [derived] * 2)
+
+    train(kb, [rule], dataset, [learnable.theta], TrainConfig(steps=20),
+          learnables=[learnable])
+    # train commits what its traces replay at the final strength
+    after = [s.value for s in predict(kb, [rule], dataset, 3)]
+    assert after == [kb.get_tv(ex.target).strength.value for ex in dataset]
+    assert after != strengths
 
 
 def test_train_requires_params_and_data():
@@ -755,14 +787,16 @@ def test_train_drops_the_table_its_commits_would_end(monkeypatch):
 
 @pytest.mark.parametrize("bad", [-1, "len", "x"], ids=["minus-one", "len", "str"])
 def test_search_entry_points_reject_an_unknown_target_id(bad):
-    """backward_chain and train raise UnknownAtomError for a target id the
-    KB does not hold, as the AtomSpace methods do: -1 must not read the
-    last atom."""
+    """backward_chain, predict and train raise UnknownAtomError for a
+    target id the KB does not hold, as the AtomSpace methods do: -1 must
+    not read the last atom."""
     tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 3, seed=1)
     target = len(kb) if bad == "len" else bad
     with pytest.raises(UnknownAtomError):
         backward_chain(kb, [rule], target, ChainConfig(max_depth=2))
     dataset.insert(1, LabeledExample(target, 1))
+    with pytest.raises(UnknownAtomError):
+        predict(kb, [rule], dataset, 2)
     with pytest.raises(UnknownAtomError):
         train(kb, [rule], dataset, [learnable.theta], TrainConfig(steps=3),
               learnables=[learnable])

@@ -94,8 +94,9 @@ class AtomSpace:
     Fresh atoms carry the default truth value (1.0, 0.0): asserted but
     unevidenced.  ``set_tv`` marks an atom as explicitly asserted, which the
     backward chainer uses to distinguish stated facts from atoms interned as
-    query patterns or templates.  ``pattern`` and ``chainer`` read the tables
-    ``atoms``, ``tvs`` and ``incoming_of`` directly, unchecked.
+    query patterns or templates, and ends the chainer's subgoal table, built
+    from the asserted set, when that set grows.  ``pattern`` and ``chainer``
+    read the tables ``atoms``, ``tvs`` and ``incoming_of`` directly, unchecked.
     """
 
     def __init__(self, tape: Tape):
@@ -106,7 +107,7 @@ class AtomSpace:
         self.incoming_of: dict[int, list[int]] = {}  # read-only
         self._by_type: dict[str, list[int]] = {}
         self.tvs: dict[int, TruthValue] = {}  # the asserted atoms; read-only
-        self.subgoal_table = None  # chainer's, kept while asserted_count holds
+        self.subgoal_table = None  # chainer's; set_tv ends it
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -174,7 +175,10 @@ class AtomSpace:
     # -- truth values -----------------------------------------------------
 
     def set_tv(self, atom_id: int, tv: TruthValue) -> None:
+        """Asserts the atom; asserting a new one ends the subgoal table."""
         self.atom(atom_id)
+        if atom_id not in self.tvs:
+            self.subgoal_table = None
         self.tvs[atom_id] = tv
 
     def get_tv(self, atom_id: int) -> TruthValue:
@@ -188,11 +192,6 @@ class AtomSpace:
     def has_asserted_tv(self, atom_id: int) -> bool:
         self.atom(atom_id)
         return atom_id in self.tvs
-
-    @property
-    def asserted_count(self) -> int:
-        """No truth value is ever removed: this moves iff the asserted set does."""
-        return len(self.tvs)
 
     # -- convenience constructors -----------------------------------------
 

@@ -6,8 +6,9 @@ the replayed strengths of its premise and term traces, so a chain of
 applications builds one computation graph from KB leaf strengths to the
 conclusion.  Traces are immutable values: a search result depends only on
 the rules and on which atoms are asserted, so each KB keeps one subgoal
-table across calls until either changes.  Backward chaining only reads the
-KB; ``apply_rule`` writes.  The search reads atom ids unchecked.
+table across calls; ``AtomSpace.set_tv`` ends it on a new assertion and
+``prove`` on another rule list.  Backward chaining only reads the KB;
+``apply_rule`` writes.  The search reads atom ids unchecked.
 """
 
 from __future__ import annotations
@@ -267,14 +268,13 @@ def _root(rb: Binding, v: int) -> int:
 
 
 class _Search:
-    """A KB's table of solved subgoals, keyed by (pattern, depth), valid for
-    one rule list and one asserted set (``prove`` checks ``valid_for``).  It
+    """A KB's table of solved subgoals, keyed by (pattern, depth), for one
+    rule list (``prove`` checks ``rules``) until ``set_tv`` ends it.  It
     holds no reference to the KB, and its methods are not nested closures:
     no reference cycle keeps a dropped KB alive until a garbage collection."""
 
     def __init__(self, kb: AtomSpace, rules: list[Rule]):
         self.rules = tuple(rules)
-        self.valid_for = (kb.asserted_count, self.rules)
         self.memo: dict[tuple[int, int], list] = {}
 
     def solve(self, kb: AtomSpace, pattern: int,
@@ -344,11 +344,11 @@ def prove(kb: AtomSpace, rules: list[Rule], targets: list[int],
           config: ChainConfig) -> list[list[tuple[Binding, InferenceTrace]]]:
     """Unvalued proofs of each target (no formula runs), in
     ``backward_chain``'s order, from the KB's one subgoal table.  The search
-    reads which atoms are asserted, but no strength, and asserts nothing; so
-    the table is reused while no atom has become asserted since it was built
-    and ``rules`` holds the same Rule objects in the same order, and a fresh
-    one replaces it otherwise.  The returned lists and bindings belong to
-    the table: callers must treat them as read-only."""
+    reads which atoms are asserted, but no strength, and asserts nothing; a
+    new assertion ends the table, and a fresh one replaces it unless
+    ``rules`` holds the same Rule objects in the same order.  The returned
+    lists and bindings belong to the table: callers must treat them as
+    read-only."""
     if config.max_depth < 1:
         raise ChainError("max_depth must be >= 1")
     if config.max_depth > MAX_SEARCH_DEPTH:
@@ -356,7 +356,7 @@ def prove(kb: AtomSpace, rules: list[Rule], targets: list[int],
     for target in targets:
         kb.atom(target)  # the one id check: the search reads ids unchecked
     search = kb.subgoal_table
-    if search is None or search.valid_for != (kb.asserted_count, tuple(rules)):
+    if search is None or search.rules != tuple(rules):
         search = kb.subgoal_table = _Search(kb, rules)
     return [search.solve(kb, target, config.max_depth) for target in targets]
 

@@ -257,16 +257,15 @@ def _eq1(p_a: float, p_bga: float, p_bgna: float) -> float:
 
 def facts(kb: AtomSpace, neg_conditional: float, name: str, p_bga: float,
           p_as, learnable: LearnableStrength | None = None) -> list:
-    """Asserts Impl(A, B), at p_bga or else as ``learnable``, and Eval(A, x)
-    at each P(A); returns each target Eval(B, x), labeled with its exact
-    strength at P(B|A) = p_bga."""
+    """Asserts Impl(A, B), at p_bga or else by attaching ``learnable``, and
+    Eval(A, x) at each P(A); returns each target Eval(B, x), labeled with its
+    exact strength at P(B|A) = p_bga."""
     a, b = (kb.node("PredicateNode", name + end) for end in ("-A", "-B"))
     impl = kb.link("ImplicationLink", a, b)
     if learnable is None:
         kb.set_tv(impl, TruthValue(kb.tape.constant(p_bga), 1.0))
     else:
         learnable.attach(kb, impl)
-        learnable.refresh()
     examples = []
     for p_a in p_as:
         x = kb.node("ConceptNode", "x-%g" % p_a)

@@ -75,8 +75,10 @@ class LearnableStrength:
         self.atom: int | None = None
 
     def attach(self, kb: AtomSpace, atom: int) -> None:
+        """Asserts ``atom`` at the current strength (one ``refresh``)."""
         self.kb = kb
         self.atom = atom
+        self.refresh()
 
     def refresh(self) -> VarRef:
         """Traces sigmoid(theta) on the tape and pushes it into the attached
@@ -185,14 +187,17 @@ def _find_traces(kb: AtomSpace, rules: list[Rule],
     type differing only in their last argument, like ``Eval(color, instance)``,
     make one query with ``$lifted`` there.  Proofs are indexed by conclusion,
     which no two queries share; for ``Rule``'s shape, a lifted query's proofs
-    of a target are the ground query's, in order."""
+    of a target are the ground query's, in order.  Raises TrainError at the
+    first target that is not ground, before writing to the KB."""
     groups: dict = {}  # (link type, all outgoing but the last) -> its targets
-    for t in dict.fromkeys(ex.target for ex in dataset):
-        atom = kb.atom(t)  # before interning $lifted, which could take id t
-        key = (atom.type.name, atom.outgoing[:-1]) if atom.outgoing else t
-        groups.setdefault(key, []).append(t)
+    for i, ex in enumerate(dataset):
+        atom = kb.atom(ex.target)  # before interning $lifted: it could take this id
+        if not atom.is_ground:
+            raise TrainError("example %d: target is not ground" % i)
+        key = (atom.type.name, atom.outgoing[:-1]) if atom.outgoing else ex.target
+        groups.setdefault(key, {})[ex.target] = None
     var = kb.node("VariableNode", "$lifted")
-    asked = [kb.intern_link(k[0], [*k[1], var]) if len(ts) > 1 else ts[0]
+    asked = [kb.intern_link(k[0], [*k[1], var]) if len(ts) > 1 else [*ts][0]
              for k, ts in groups.items()]
     found = {}  # conclusion -> its first derivation, else its lookup
     for proofs in prove(kb, rules, asked, ChainConfig(max_depth=depth)):
@@ -215,8 +220,8 @@ def predict(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
             depth: int) -> list[VarRef]:
     """The strength ``train`` replays for each example, from the trace
     ``_find_traces`` picks: its first derivation, else its KB lookup.  Reads
-    no label and writes no truth value; raises UnderivableTargetError at
-    the first example with neither."""
+    no label and writes no truth value; raises TrainError at the first example
+    whose target has a variable or neither (UnderivableTargetError)."""
     return _replay(kb, _find_traces(kb, rules, dataset, depth))
 
 
@@ -229,21 +234,14 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
     The proof search runs once up front and only builds traces; replaying
     them against the current truth values in each step's loss builds the
     formula graph as a fresh search would on a structurally unchanged KB.
-    Each step refreshes the learnable strengths and takes the mean
-    cross-entropy over the examples against their labels, 0, 1 or soft.
-    Every target must be ground.
+    Each step refreshes the learnable strengths, asserted since ``attach``,
+    and takes the mean cross-entropy over the examples against their
+    labels, 0, 1 or soft.  Every target must be ground (``_find_traces``).
     """
     if not params:
         raise TrainError("params must be nonempty")
     if not dataset:
         raise TrainError("dataset must be nonempty")
-    for i, ex in enumerate(dataset):
-        if not kb.atom(ex.target).is_ground:
-            raise TrainError("example %d: target is not ground" % i)
-    # the search resolves rule terms once, so it must see the atoms that
-    # replay will read: the learnables are asserted before it runs
-    for ls in learnables:
-        ls.refresh()
     traces = _find_traces(kb, rules, dataset, config.chain_depth)
     if any(not kb.has_asserted_tv(t.conclusion) for t in traces):
         kb.subgoal_table = None  # the commits end it: free it for the fit

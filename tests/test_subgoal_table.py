@@ -67,7 +67,7 @@ TOP = '(InheritanceLink (ConceptNode "c0") (ConceptNode "c4"))'
 
 def test_repeated_query_computes_no_new_subgoal(monkeypatch):
     """A repeated query on an unchanged KB is answered from the table; a
-    new unasserted atom keeps it, and one new assertion starts a fresh one."""
+    new unasserted atom keeps it, and one new assertion ends it at once."""
     _, kb = fresh_kb()
     load_kb(kb, LADDER)
     rules = make_rule_set(kb)
@@ -80,6 +80,7 @@ def test_repeated_query_computes_no_new_subgoal(monkeypatch):
     assert _results(kb, rules, target, 4) == first
     assert computed == []
     set_strength(kb, kb.node("ConceptNode", "c5"), 0.5)
+    assert kb.subgoal_table is None
     assert _results(kb, rules, target, 4) == first
     assert computed
 
@@ -104,8 +105,8 @@ def test_other_rule_list_starts_a_fresh_table(monkeypatch):
 
 
 def test_strength_change_keeps_the_table(monkeypatch):
-    """Setting a new strength on an asserted atom keeps the table, and the
-    next replay reads the new value."""
+    """Setting a new strength on an asserted atom keeps the table object,
+    and the next replay reads the new value."""
     _, kb = fresh_kb()
     load_kb(kb, LADDER)
     rules = make_rule_set(kb)
@@ -113,7 +114,9 @@ def test_strength_change_keeps_the_table(monkeypatch):
     target = parse_atom(kb, '(InheritanceLink (ConceptNode "c0") (ConceptNode "c2"))')
     ((_, before, _),) = _results(kb, rules, target, 2)
     computed.clear()
+    table = kb.subgoal_table
     set_strength(kb, parse_atom(kb, '(ConceptNode "c1")'), 0.25, 0.9)
+    assert kb.subgoal_table is table
     ((_, after, shape),) = _results(kb, rules, target, 2)
     assert computed == []
     assert after != before
@@ -207,9 +210,9 @@ def test_shared_table_equals_fresh_search(facts, ops):
         elif kind == "restrength":
             asserted = [a for a in range(len(kb)) if kb.has_asserted_tv(a)]
             atom = asserted[op[1] % len(asserted)]
-            count = kb.asserted_count
+            count = len(kb.tvs)
             kb.set_tv(atom, TruthValue(tape.constant(op[2]), 0.9))
-            assert kb.asserted_count == count
+            assert len(kb.tvs) == count
         elif kind == "assert":
             set_strength(kb, parse_atom(kb, op[1]), op[2], 0.9)
         elif kind == "load":

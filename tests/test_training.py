@@ -680,8 +680,8 @@ def test_train_deduction_reads_default_term_strengths():
 
 def test_train_learns_term_strength():
     """A learnable on a rule term (modus ponens' Impl(Not(A), B)) that is
-    attached but not yet refreshed still trains: train asserts the
-    learnables before its proof search resolves the terms."""
+    attached but not yet refreshed still trains: attach asserts it, so the
+    proof search resolves the term to it."""
     tape, kb = fresh_kb()
     a, b = kb.node("PredicateNode", "a"), kb.node("PredicateNode", "b")
     x = kb.node("ConceptNode", "x")
@@ -694,6 +694,26 @@ def test_train_learns_term_strength():
           [learnable.theta], TrainConfig(learning_rate=0.5, steps=50),
           learnables=[learnable])
     assert learnable.value() == pytest.approx(0.92863, abs=1e-5)
+
+
+def test_attach_makes_a_learnable_a_fact_the_search_reads():
+    """attach alone asserts the learnable: predict derives a target through
+    a learnable premise, and reads a learnable term, not its default."""
+    tape, kb = fresh_kb()
+    a, b = kb.node("PredicateNode", "A"), kb.node("PredicateNode", "B")
+    x = kb.node("ConceptNode", "x")
+    kb.set_tv(kb.link("EvaluationLink", a, x), TruthValue(tape.constant(0.5), 1.0))
+    rules = [make_modus_ponens_rule(kb)]
+    examples = [LabeledExample(kb.link("EvaluationLink", b, x), 1)]
+    ab = kb.link("ImplicationLink", a, b)
+    LearnableStrength(tape, init=0.7).attach(kb, ab)
+    (s,) = predict(kb, rules, examples, 1)
+    assert s.value == pytest.approx(0.7 * 0.5 + 0.2 * 0.5)  # 0.45
+    kb.set_tv(ab, TruthValue(tape.constant(0.9), 1.0))
+    LearnableStrength(tape, init=0.6).attach(
+        kb, kb.link("ImplicationLink", kb.link("NotLink", a), b))
+    (s,) = predict(kb, rules, examples, 1)
+    assert s.value == pytest.approx(0.9 * 0.5 + 0.6 * 0.5)  # 0.75
 
 
 def test_train_underivable_target_reports_index():
@@ -751,17 +771,20 @@ def test_train_requires_params_and_data():
 
 
 def test_train_rejects_non_ground_target(monkeypatch):
-    """A target with a variable is rejected, naming its example, before
-    the search runs and before anything is written to the KB."""
+    """A target with a variable is rejected by train and predict alike,
+    naming its example, before the search runs and before anything is
+    written to the KB."""
     tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 4, seed=3)
     green = kb.node("PredicateNode", "green")
     dataset.insert(2, LabeledExample(
         kb.link("EvaluationLink", green, kb.node("VariableNode", "$V")), 1))
     monkeypatch.setattr(training, "prove", None)  # any search call fails
     tvs = {a: kb.get_tv(a) for a in range(len(kb)) if kb.has_asserted_tv(a)}
-    with pytest.raises(TrainError, match="example 2: target is not ground"):
-        train(kb, [rule], dataset, [learnable.theta], TrainConfig(steps=3),
-              learnables=[learnable])
+    for call in (lambda: train(kb, [rule], dataset, [learnable.theta],
+                               TrainConfig(steps=3), learnables=[learnable]),
+                 lambda: predict(kb, [rule], dataset, 1)):
+        with pytest.raises(TrainError, match="example 2: target is not ground"):
+            call()
     assert {a: kb.get_tv(a) for a in range(len(kb))
             if kb.has_asserted_tv(a)} == tvs
 

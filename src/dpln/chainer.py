@@ -7,8 +7,8 @@ applications builds one computation graph from KB leaf strengths to the
 conclusion.  Traces are immutable values: a search result depends only on
 the rules and on which atoms are asserted, so each KB keeps one subgoal
 table across calls; ``AtomSpace.set_tv`` ends it on a new assertion and
-``prove`` on another rule list.  Backward chaining only reads the KB;
-``apply_rule`` writes.  The search reads atom ids unchecked.
+``prove`` on another rule list.  The search interns only new atoms and
+reads atom ids unchecked; only ``apply_rule`` writes truth values.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ class Rule:
     that atom is absent or unasserted.  ``formula`` takes the premise
     strengths, then the term strengths.  No rule concludes a term atom.  The
     conclusion is not a variable, its variables occur in premises, and each
-    premise is a variable or a link of ground atoms and distinct variables:
-    ``training`` lifts its queries on that shape, which construction checks."""
+    of one or more premises is a variable or a link of ground atoms and
+    distinct variables: ``training`` lifts its queries on that shape, which
+    construction checks."""
 
     kb: InitVar[AtomSpace]
     name: str
@@ -54,15 +55,26 @@ class Rule:
     conclusion: int
     formula: Callable[[list[VarRef]], VarRef]
     terms: list[tuple[int, float]] = field(default_factory=list)
+    # for the search: typed variables in a premise but the last, the other
+    # typed ones, and whether those premises bind every term variable
+    early: list[tuple[int, str]] = field(init=False, default_factory=list)
+    late: list[tuple[int, str]] = field(init=False, default_factory=list)
+    hoist: bool = field(init=False, default=False)
 
     def __post_init__(self, kb: AtomSpace):
         atoms, free = kb.atoms, variables_in(kb, self.conclusion)
         args = [[o for o in atoms[p].outgoing or [p] if not atoms[o].is_ground]
                 for p in self.premises]
-        if self.conclusion in free or not free <= set().union(*args) or any(
+        bound = set().union(*args)
+        if self.conclusion in free or not free <= bound or not args or any(
                 sorted(a) != sorted(variables_in(kb, p))
                 for a, p in zip(args, self.premises)):
             raise ChainError("rule %s: not of the shape Rule states" % self.name)
+        before = set().union(*args[:-1])
+        for v, t in self.variables:
+            if t is not None and v in bound:
+                (self.early if v in before else self.late).append((v, t))
+        self.hoist = all(variables_in(kb, p) <= before for p, _ in self.terms)
 
 
 @dataclass(frozen=True)
@@ -125,19 +137,22 @@ class Derivation:
 InferenceTrace = Leaf | Derivation
 
 
-def _derive(kb: AtomSpace, rule: Rule, binding: Binding,
-            premises: list) -> Derivation:
+def _derive(kb: AtomSpace, rule: Rule, binding: Binding, premises: list,
+            terms: list | None = None) -> Derivation:
     """The rule applied to the premise traces, unvalued: no formula call and
-    no tape record.  The one place term atoms are read: each is looked up
-    without interning and becomes a Leaf if asserted, else a Constant
-    holding its default.  Interns the conclusion; keeps ``binding`` itself."""
-    terms = []
-    for pattern, default in rule.terms:
-        atom = lookup(kb, pattern, binding)
-        terms.append(Leaf(atom) if atom is not None and atom in kb.tvs
-                     else Constant(default))
+    no tape record, and the one place a Derivation is built.  Reads the
+    terms unless given them; interns the conclusion only if it is new;
+    keeps ``binding`` itself."""
+    if terms is None:
+        terms = [_term(kb, pattern, default, binding) for pattern, default in rule.terms]
     conclusion = substitute(kb, rule.conclusion, binding)
     return Derivation(rule, binding, conclusion, premises, terms)
+
+
+def _term(kb: AtomSpace, pattern: int, default: float, binding: Binding):
+    """The term's Leaf if its atom exists and is asserted, else its default."""
+    atom = lookup(kb, pattern, binding)
+    return Leaf(atom) if atom is not None and atom in kb.tvs else Constant(default)
 
 
 def commit(kb: AtomSpace, trace: Derivation, strength: VarRef) -> None:
@@ -225,13 +240,15 @@ def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
     rule binding ``rb``.  A target variable matches any subtree; ``seen``
     maps it to the first, which its later subtrees must equal: a rule
     variable among them is bound to a ground one, or else to the variable
-    of another, its alias until the premises bind that one."""
+    of another, its alias until the premises bind that one.  Such a repeat
+    sets ``seen[None]``, True if it aliases."""
     ca = kb.atoms[c]
     ta = kb.atoms[t]
     if ta.type.name == "VariableNode":
         first = seen.setdefault(t, c)
         if first == c:
             return True
+        seen.setdefault(None, False)
         a, b = _root(rb, first), _root(rb, c)
         if kb.atoms[b].type.name != "VariableNode":
             a, b = b, a
@@ -269,19 +286,21 @@ def _root(rb: Binding, v: int) -> int:
 
 class _Search:
     """A KB's table of solved subgoals, keyed by (pattern, depth), for one
-    rule list (``prove`` checks ``rules``) until ``set_tv`` ends it.  It
-    holds no reference to the KB, and its methods are not nested closures:
-    no reference cycle keeps a dropped KB alive until a garbage collection."""
+    rule list (``prove`` checks ``rules``) until ``set_tv`` ends it; each
+    column is walked once per prefix (``solve_premises``).  It holds no
+    reference to the KB, and its methods are not nested closures: no
+    reference cycle keeps a dropped KB alive until a garbage collection."""
 
-    def __init__(self, kb: AtomSpace, rules: list[Rule]):
+    def __init__(self, rules: list[Rule]):
         self.rules = tuple(rules)
         self.memo: dict[tuple[int, int], list] = {}
 
     def solve(self, kb: AtomSpace, pattern: int,
               depth: int) -> list[tuple[Binding, InferenceTrace]]:
-        """Facts, then rule derivations, proving ``pattern`` within ``depth``;
-        a proof's binding unifies the pattern with its conclusion, and a proof
-        whose conclusion does not (a repeated variable met two atoms) is dropped."""
+        """Facts, then rule derivations, proving ``pattern`` within ``depth``,
+        in (rule, premise solutions) order; a prefix's checks and terms run
+        once per column.  A binding is read off the conclusion match, but a
+        target repeating a variable is unified with it, dropping failures."""
         memo = self.memo
         if (pattern, depth) in memo:
             return memo[pattern, depth]
@@ -291,41 +310,53 @@ class _Search:
                 b = unify(kb, pattern, cand)
                 if b is not None:
                     results.append((b, Leaf(cand)))
-        if depth >= 1:
-            for rule in self.rules:
-                rb, seen = {}, {}
-                if not _match_conclusion(kb, rule.conclusion, pattern, rb, seen):
+        for rule in self.rules if depth >= 1 else ():
+            rb, seen = {}, {}
+            if not _match_conclusion(kb, rule.conclusion, pattern, rb, seen):
+                continue
+            repeated, aliased = None in seen, seen.pop(None, False)
+            same, prefixes = self.solve_premises(kb, rule, rb, depth - 1, aliased)
+            # an alias is left out of the prefixes: check and read it per proof
+            early, late, hoist = (rule.early, rule.late, rule.hoist) if not same else (
+                (), rule.early + rule.late, False)
+            for binding, traces, column in prefixes:
+                if any(kb.atoms[binding[v]].type.name != t for v, t in early):
                     continue
-                rule_constraints = {v: t for v, t in rule.variables if t is not None}
-                for full_rb, child_traces in self.solve_premises(
-                        kb, rule, rb, depth - 1, None in seen):
-                    if any(kb.atoms[full_rb[v]].type.name != t
-                           for v, t in rule_constraints.items() if v in full_rb):
+                terms = [_term(kb, p, d, binding)
+                         for p, d in rule.terms] if hoist else None
+                for sub_binding, trace in column:
+                    full = {**binding, **sub_binding}
+                    if same:
+                        full.update((v, full[a]) for v, a in same.items())
+                    if late and any(kb.atoms[full[v]].type.name != t for v, t in late):
                         continue
                     # ground: Rule makes the premises bind every conclusion variable
-                    trace = _derive(kb, rule, full_rb, child_traces)
-                    b = unify(kb, pattern, trace.conclusion)
+                    proof = _derive(kb, rule, full, traces + [trace], terms)
+                    b = unify(kb, pattern, proof.conclusion) if repeated else {
+                        t: full[c] if c in full else substitute(kb, c, full)
+                        for t, c in seen.items()}
                     if b is not None:
-                        results.append((b, trace))
+                        results.append((b, proof))
         memo[pattern, depth] = results
         return results
 
     def solve_premises(self, kb: AtomSpace, rule: Rule, rb: Binding, depth: int,
                        aliased: bool):
-        """Grounds all premises recursively; returns (binding, traces) pairs.
+        """Solves the premises but the last; returns the aliases and, per
+        solution (a prefix), its binding, traces and last-premise column.
 
         A subgoal's solutions bind only its own variables, which the
         substitution left unbound, so merging them never conflicts.  With
         ``aliased``, ``rb`` binds a rule variable to another, which the
-        premises then take in its place."""
+        premises then take in its place; the aliases map it to that one."""
         premises, same = rule.premises, {}
         if aliased:
             rb = {v: _root(rb, v) for v in rb}
             same = {v: a for v, a in rb.items() if not kb.atoms[a].is_ground}
             rb = {v: a for v, a in rb.items() if v not in same}
             premises = [substitute(kb, p, same) for p in premises]
-        solutions = [(dict(rb), [])]
-        for premise in premises:
+        solutions = [(rb, [])]
+        for premise in premises[:-1]:
             next_solutions = []
             for binding, traces in solutions:
                 p = substitute(kb, premise, binding)
@@ -333,11 +364,8 @@ class _Search:
                     next_solutions.append(({**binding, **sub_binding},
                                            traces + [trace]))
             solutions = next_solutions
-            if not solutions:
-                break
-        for binding, _ in solutions if same else ():
-            binding.update((v, binding[a]) for v, a in same.items())
-        return solutions
+        return same, [(b, ts, self.solve(kb, substitute(kb, premises[-1], b), depth))
+                      for b, ts in solutions]
 
 
 def prove(kb: AtomSpace, rules: list[Rule], targets: list[int],
@@ -357,7 +385,7 @@ def prove(kb: AtomSpace, rules: list[Rule], targets: list[int],
         kb.atom(target)  # the one id check: the search reads ids unchecked
     search = kb.subgoal_table
     if search is None or search.rules != tuple(rules):
-        search = kb.subgoal_table = _Search(kb, rules)
+        search = kb.subgoal_table = _Search(rules)
     return [search.solve(kb, target, config.max_depth) for target in targets]
 
 
@@ -372,8 +400,8 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
 
     ``prove`` finds the traces through the KB's subgoal table, then one memo
     replays them all, so a shared application calls its formula once.
-    Read-only: it may intern atoms, but values no conclusion, so every leaf
-    is an asserted fact.
+    Read-only: it interns only new atoms and values no conclusion, so every
+    leaf is an asserted fact.
     """
     (proofs,) = prove(kb, rules, [target], config)
     memo: dict = {}

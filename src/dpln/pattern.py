@@ -178,26 +178,27 @@ def _extend(kb: AtomSpace, plan: list[tuple[int, int, int]],
 
 
 def substitute(kb: AtomSpace, template: int, binding: Binding) -> int:
-    """Replaces bound variables in the template; unbound ones stay in place."""
+    """Replaces bound variables, keeps unbound ones, interns only new atoms."""
     atom = kb.atoms[template]
+    if atom.is_ground:  # every node but a variable
+        return template
     if atom.type.name == "VariableNode":
         return binding.get(template, template)
-    if atom.type.is_node or atom.is_ground:
-        return template
     new_out = [substitute(kb, oid, binding) for oid in atom.outgoing]
     if list(atom.outgoing) == new_out:
         return template
-    return kb.intern_link(atom.type.name, new_out)
+    found = kb.find_link(atom.type.name, new_out)
+    return kb.intern_link(atom.type.name, new_out) if found is None else found
 
 
 def lookup(kb: AtomSpace, template: int, binding: Binding) -> int | None:
     """The atom ``substitute`` would give, found without interning anything;
     None if it is not in the KB."""
     atom = kb.atoms[template]
+    if atom.is_ground:  # every node but a variable
+        return template
     if atom.type.name == "VariableNode":
         return binding.get(template, template)
-    if atom.type.is_node or atom.is_ground:
-        return template
     out = []
     for oid in atom.outgoing:
         found = lookup(kb, oid, binding)

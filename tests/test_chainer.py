@@ -12,7 +12,7 @@ from dpln import (ChainConfig, ChainError, Derivation, FormulaWeights, Leaf,
                   forward_chain, load_kb, make_deduction_rule,
                   make_modus_ponens_rule, make_rule_set, match, parse_atom,
                   substitute, variables_in)
-from dpln import chainer, deduction_strength
+from dpln import AtomSpace, chainer, deduction_strength
 from dpln.chainer import MAX_SEARCH_DEPTH, Constant
 from dpln.pattern import candidates
 
@@ -444,6 +444,62 @@ def test_repeated_target_variable_prunes_from_its_first_occurrence(monkeypatch):
     assert lifted <= len(calls)
 
 
+def test_repeated_target_variable_over_two_subtrees_is_unified():
+    """A repeated target variable that meets two different non-variable
+    subtrees of a conclusion, as ListLink($T, $T) meets ListLink(Not($a),
+    Not($b)), is not settled by the match: the proofs of ListLink($T, $T)
+    are those whose conclusions unify with it, each that of its instance."""
+    _, kb = fresh_kb()
+    a, b, t = (kb.node("VariableNode", n) for n in ("$a", "$b", "$T"))
+    evals = [kb.link("EvaluationLink", kb.node("PredicateNode", p),
+                     kb.node("ConceptNode", "x")) for p in "pq"]
+    for e, s in zip(evals, (0.3, 0.6)):
+        set_strength(kb, e, s)
+    rule = chainer.Rule(
+        kb, name="pair", variables=[(a, "EvaluationLink"), (b, "EvaluationLink")],
+        premises=[a, b], conclusion=kb.link("ListLink", kb.link("NotLink", a),
+                                            kb.link("NotLink", b)),
+        formula=lambda inputs: inputs[0])
+    config = ChainConfig(max_depth=1)
+    got = backward_chain(kb, [rule], kb.link("ListLink", t, t), config)
+    negations = [kb.link("NotLink", e) for e in evals]
+    assert [binding for binding, _, _ in got] == [{t: n} for n in negations]
+    kb.subgoal_table = None
+    for proof, n in zip(got, negations):
+        instance = kb.link("ListLink", n, n)
+        assert proof[2].conclusion == instance
+        assert _rows([proof]) == _rows(backward_chain(kb, [rule], instance, config))
+
+
+def test_repeated_target_variable_aliasing_an_earlier_premise_variable():
+    """ListLink($T, $T) against a rule concluding ListLink($b, $a) from
+    premises [$a, $b] aliases $a, a typed variable of the first premise
+    that its term Not($a) also reads, to $b: each proof binds both to one
+    EvaluationLink, reads Not(e) as its term, and is its instance's."""
+    _, kb = fresh_kb()
+    a, b, t = (kb.node("VariableNode", n) for n in ("$a", "$b", "$T"))
+    evals = [kb.link("EvaluationLink", kb.node("PredicateNode", p),
+                     kb.node("ConceptNode", "x")) for p in "pq"]
+    for e, s in zip(evals, (0.3, 0.6)):
+        set_strength(kb, e, s)
+    set_strength(kb, kb.link("InheritanceLink", *(kb.node("ConceptNode", c)
+                                                  for c in "xy")), 0.5)
+    set_strength(kb, kb.link("NotLink", evals[0]), 0.4)
+    rule = chainer.Rule(
+        kb, name="swap", variables=[(a, "EvaluationLink"), (b, "EvaluationLink")],
+        premises=[a, b], conclusion=kb.link("ListLink", b, a),
+        formula=lambda inputs: inputs[2], terms=[(kb.link("NotLink", a), 0.1)])
+    config = ChainConfig(max_depth=1)
+    got = backward_chain(kb, [rule], kb.link("ListLink", t, t), config)
+    assert [binding for binding, _, _ in got] == [{t: e} for e in evals]
+    assert [s.value for _, s, _ in got] == [0.4, 0.1]
+    kb.subgoal_table = None
+    for proof, e in zip(got, evals):
+        assert proof[2].binding == {a: e, b: e}
+        instance = kb.link("ListLink", e, e)
+        assert _rows([proof]) == _rows(backward_chain(kb, [rule], instance, config))
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(facts=_facts, target=_link_text(variables=True),
@@ -470,6 +526,46 @@ def test_variable_target_proofs_are_their_instances_proofs(facts, target,
              if kb.atom(a).type.is_node and kb.atom(a).is_ground]
     for values in itertools.product(nodes, repeat=len(variables)):
         instance = substitute(kb, target, dict(zip(variables, values)))
+        assert got.pop(instance, []) == _rows(
+            backward_chain(kb, rules, instance, config))
+    assert got == {}
+
+
+_CONNECTIVE_TARGETS = ['(AndLink %s (VariableNode "$V"))',
+                       '(OrLink (VariableNode "$V") %s)',
+                       '(NotLink (VariableNode "$V"))']
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(facts=_facts, operand=_link_text(), shape=st.sampled_from(
+    _CONNECTIVE_TARGETS), depth=st.integers(1, 2))
+def test_connective_target_proofs_are_their_instances_proofs(facts, operand,
+                                                            shape, depth):
+    """On random Inh/Eval/Impl KBs under the full rule set, at depths 1-2,
+    for And(e, $V), Or($V, e) or Not($V), with e any ground link: the
+    proofs with binding b are the proofs of substitute(target, b), in
+    order, with the same replayed strengths; every operand of a proved
+    instance, $V's binding included, is an EvaluationLink, as the
+    connectives' operand types demand; and every instance with a proof is
+    among them."""
+    _, kb = fresh_kb()
+    load_kb(kb, _kb_text(facts))
+    rules = make_rule_set(kb)
+    target = parse_atom(kb, shape.replace("%s", operand))
+    var = kb.node("VariableNode", "$V")
+    config = ChainConfig(max_depth=depth)
+    got = {}
+    for b, s, t in backward_chain(kb, rules, target, config):
+        assert list(b) == [var]
+        instance = substitute(kb, target, b)
+        assert {kb.atom(o).type.name for o in kb.atom(instance).outgoing} == {
+            "EvaluationLink"}
+        assert t.conclusion == instance
+        got.setdefault(instance, []).append((_serialize(t), s.value))
+    kb.subgoal_table = None  # the instances are searched in a fresh table
+    for atom in [a for a in range(len(kb)) if kb.atom(a).is_ground]:
+        instance = substitute(kb, target, {var: atom})
         assert got.pop(instance, []) == _rows(
             backward_chain(kb, rules, instance, config))
     assert got == {}
@@ -772,7 +868,8 @@ def test_rules_sharing_a_name_replay_apart():
 
 
 def test_rule_rejects_a_shape_lifting_would_change():
-    """A rule is rejected when made if its conclusion is a variable, has a
+    """A rule is rejected when made if it has no premise (the search walks
+    its last premise's column), its conclusion is a variable, has a
     variable no premise has, or a premise has a non-ground link or a
     repeated variable as argument.  Without that last check, a rule with
     the premise Eval($p, Not($x)) would let a lifted query Eval(p, $T) miss
@@ -786,7 +883,9 @@ def test_rule_rejects_a_shape_lifting_would_change():
               "unbound conclusion variable": ([ev(p, x)], ev(p, y)),
               "non-ground link argument": ([nested], ev(p, x)),
               "repeated variable": ([kb.link("InheritanceLink", x, x), ev(p, y)],
-                                    ev(p, x))}
+                                    ev(p, x)),
+              "no premise": ([], ev(kb.node("PredicateNode", "q"),
+                                    kb.node("ConceptNode", "g")))}
     for name, (premises, conclusion) in shapes.items():
         with pytest.raises(ChainError, match="rule %s: not of the shape" % name):
             chainer.Rule(kb, name=name, variables=[], premises=premises,
@@ -850,8 +949,8 @@ def test_backward_chain_memoizes_every_subgoal(monkeypatch):
             solved.append((pattern, depth))
         return solve(self, kb, pattern, depth)
 
-    def forgetful(self, kb, rules):
-        init(self, kb, rules)
+    def forgetful(self, rules):
+        init(self, rules)
         self.memo = _StoreNothing()
     monkeypatch.setattr(chainer._Search, "solve", counting)
 
@@ -978,6 +1077,71 @@ def _nodes(trace):
     yield trace
     for child in getattr(trace, "premises", []) + getattr(trace, "terms", []):
         yield from _nodes(child)
+
+
+def _counting_interns(monkeypatch):
+    """Counts AtomSpace.intern_link calls from here on."""
+    calls = []
+    intern = AtomSpace.intern_link
+
+    def counting(self, *args):
+        calls.append(args)
+        return intern(self, *args)
+    monkeypatch.setattr(AtomSpace, "intern_link", counting)
+    return calls
+
+
+def test_search_interns_only_new_atoms(monkeypatch):
+    """Counts only, no timing.  On a KB shaped like fruit-colors (two
+    fruits, n instances each, both Impl(fruit, color) asserted, every target
+    interned), a lifted Eval(color, $lifted) query derives each instance
+    once, 2n calls to _derive, and interns only atoms it adds: asked again
+    on a fresh table it interns nothing.  A ground deduction query asked
+    again on a fresh table interns nothing and leaves the KB's size alone."""
+    derived = []
+    derive = chainer._derive
+
+    def counting(*args):
+        derived.append(1)
+        return derive(*args)
+    monkeypatch.setattr(chainer, "_derive", counting)
+    n = 20
+    _, kb = fresh_kb()
+    color = kb.node("PredicateNode", "red")
+    for fruit in ("apple", "banana"):
+        pred = kb.node("PredicateNode", fruit)
+        for i in range(n):
+            instance = kb.node("ConceptNode", "%s-%03d" % (fruit, i))
+            set_strength(kb, kb.link("EvaluationLink", pred, instance), 1.0)
+            kb.link("EvaluationLink", color, instance)
+        set_strength(kb, kb.link("ImplicationLink", pred, color), 0.5)
+    rules = [make_modus_ponens_rule(kb)]
+    lifted = kb.link("EvaluationLink", color, kb.node("VariableNode", "$lifted"))
+    config = ChainConfig(max_depth=1)
+    interned = _counting_interns(monkeypatch)
+    size = len(kb)
+    (first,) = chainer.prove(kb, rules, [lifted], config)
+    assert len(interned) == len(kb) - size  # each call added an atom
+    kb.subgoal_table = None
+    derived.clear()
+    interned.clear()
+    size = len(kb)
+    (again,) = chainer.prove(kb, rules, [lifted], config)
+    assert len(derived) == 2 * n == len(again)
+    assert interned == [] and len(kb) == size
+    assert [(b, t.conclusion) for b, t in again] == [
+        (b, t.conclusion) for b, t in first]
+
+    kb = _valued_ladder(5)
+    rules = [make_deduction_rule(kb)]
+    target = parse_atom(kb, '(InheritanceLink (ConceptNode "c0") '
+                            '(ConceptNode "c5"))')
+    first = _proofs(kb, rules, target, 5)
+    kb.subgoal_table = None
+    interned.clear()
+    size = len(kb)
+    assert _proofs(kb, rules, target, 5) == first
+    assert interned == [] and len(kb) == size
 
 
 def test_structural_search_writes_no_tape_record():

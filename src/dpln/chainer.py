@@ -4,11 +4,12 @@ The search builds structure and replay evaluates: backward search only
 builds traces, and ``replay`` calls each rule's differentiable formula on
 the replayed strengths of its premise and term traces, so a chain of
 applications builds one computation graph from KB leaf strengths to the
-conclusion.  Traces are immutable values: a search result depends only on
-the rules and on which atoms are asserted, so each KB keeps one subgoal
-table across calls; ``AtomSpace.set_tv`` ends it on a new assertion and
-``prove`` on another rule list.  The search interns only new atoms and
-reads atom ids unchecked; only ``apply_rule`` writes truth values.
+conclusion.  Traces are not changed once the search builds them: a search
+result depends only on the rules and on which atoms are asserted, so each
+KB keeps one subgoal table across calls; ``AtomSpace.set_tv`` ends it on a
+new assertion and ``prove`` on another rule list.  The search interns only
+new atoms and reads atom ids unchecked; only ``apply_rule`` writes truth
+values.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import VarRef
-from .pattern import (Binding, Query, candidates, lookup, match, substitute,
-                      unify, variables_in)
+from .pattern import (Binding, Query, _substitute, _unify, candidates, lookup,
+                      match, substitute, unify, variables_in)
 
 
 # Deepest max_depth the backward search accepts: the search (and later a
@@ -77,7 +78,7 @@ class Rule:
         self.hoist = all(variables_in(kb, p) <= before for p, _ in self.terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     """Trace leaf: an asserted KB atom contributing its stored strength, as
     a premise fact or as a rule term."""
@@ -106,7 +107,7 @@ class Constant:
         return kb.tape.constant(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Derivation:
     """Trace node: one rule application over child traces."""
 
@@ -134,18 +135,62 @@ class Derivation:
         return out
 
 
+@dataclass(eq=False, slots=True)
+class Schema:
+    """One prefix's derivations over its column: the rule, the prefix's
+    binding and traces, the terms it read, the last premise's own table
+    entry, and ``seen``, which maps each target variable to the rule term
+    that answers it.  Kept whole as a table entry when the column holds
+    only leaf facts, one lane each, and ``seen`` reads lane bindings."""
+
+    rule: Rule
+    binding: Binding  # the prefix's
+    premises: list  # the prefix's traces
+    terms: list | None  # None: read per lane
+    column: list
+    seen: dict
+
+    def expand(self, kb: AtomSpace, same: Binding | None = None, late=(),
+               pattern: int | None = None) -> list:
+        """The (answer, Derivation) pairs it stands for, through ``_derive``,
+        in column order; for ``solve``'s other prefixes, after the aliases
+        ``same`` and the ``late`` type checks, and unifying a ``pattern``
+        that repeats a variable with each conclusion, dropping failures."""
+        pairs = []
+        for sub_binding, trace in self.column:
+            full = {**self.binding, **sub_binding}
+            if same:
+                full.update((v, full[a]) for v, a in same.items())
+            if late and any(kb.atoms[full[v]].type.name != t for v, t in late):
+                continue
+            # ground: Rule makes the premises bind every conclusion variable
+            proof = _derive(kb, self.rule, full, self.premises + [trace], self.terms)
+            b = _unify(kb, pattern, proof.conclusion) if pattern is not None else {
+                t: full[c] if c in full else _substitute(kb, c, full)
+                for t, c in self.seen.items()}
+            if b is not None:
+                pairs.append((b, proof))
+        return pairs
+
+    def lane(self, i: int, conclusion: int) -> Derivation:
+        """Lane ``i``, which concludes ``conclusion``, as a Derivation."""
+        b, leaf = self.column[i]
+        return Derivation(self.rule, {**self.binding, **b}, conclusion,
+                          self.premises + [leaf], self.terms)
+
+
 InferenceTrace = Leaf | Derivation
 
 
 def _derive(kb: AtomSpace, rule: Rule, binding: Binding, premises: list,
             terms: list | None = None) -> Derivation:
     """The rule applied to the premise traces, unvalued: no formula call and
-    no tape record, and the one place a Derivation is built.  Reads the
-    terms unless given them; interns the conclusion only if it is new;
-    keeps ``binding`` itself."""
+    no tape record, and the one place a Derivation is built but a schema's
+    lanes (``Schema.lane``).  Reads the terms unless given them; interns
+    the conclusion only if it is new; keeps ``binding`` itself."""
     if terms is None:
         terms = [_term(kb, pattern, default, binding) for pattern, default in rule.terms]
-    conclusion = substitute(kb, rule.conclusion, binding)
+    conclusion = _substitute(kb, rule.conclusion, binding)
     return Derivation(rule, binding, conclusion, premises, terms)
 
 
@@ -285,31 +330,34 @@ def _root(rb: Binding, v: int) -> int:
 
 
 class _Search:
-    """A KB's table of solved subgoals, keyed by (pattern, depth), for one
-    rule list (``prove`` checks ``rules``) until ``set_tv`` ends it; each
-    column is walked once per prefix (``solve_premises``).  It holds no
-    reference to the KB, and its methods are not nested closures: no
-    reference cycle keeps a dropped KB alive until a garbage collection."""
+    """A KB's table of solved subgoals, keyed by (pattern, depth), and of
+    each pattern's depth-0 facts, for one rule list (``prove`` checks
+    ``rules``) until ``set_tv`` ends it; each column is walked once per
+    prefix (``solve_premises``).  It holds no reference to the KB, and its
+    methods are not nested closures: no reference cycle keeps a dropped KB
+    alive until a garbage collection."""
 
     def __init__(self, rules: list[Rule]):
         self.rules = tuple(rules)
         self.memo: dict[tuple[int, int], list] = {}
+        self.schemas: set[tuple[int, int]] = set()  # keys of entries holding one
+        self.facts: dict[int, list] = {}
 
-    def solve(self, kb: AtomSpace, pattern: int,
-              depth: int) -> list[tuple[Binding, InferenceTrace]]:
+    def solve(self, kb: AtomSpace, pattern: int, depth: int) -> list:
         """Facts, then rule derivations, proving ``pattern`` within ``depth``,
         in (rule, premise solutions) order; a prefix's checks and terms run
         once per column.  A binding is read off the conclusion match, but a
-        target repeating a variable is unified with it, dropping failures."""
+        target repeating a variable is unified with it, dropping failures.
+        Where a rule reads its terms once per prefix and the column holds
+        only leaves, all of the right types, whose bindings answer a target
+        that neither repeats nor aliases a variable, one Schema stands for
+        the prefix's derivations (see ``solutions``)."""
         memo = self.memo
         if (pattern, depth) in memo:
             return memo[pattern, depth]
-        results: list[tuple[Binding, InferenceTrace]] = []
-        for cand in candidates(kb, pattern, {}):  # depth 0: asserted facts
-            if cand in kb.tvs:
-                b = unify(kb, pattern, cand)
-                if b is not None:
-                    results.append((b, Leaf(cand)))
+        if pattern not in self.facts:  # the same at any depth
+            self.facts[pattern] = _facts(kb, pattern)
+        results = list(self.facts[pattern])
         for rule in self.rules if depth >= 1 else ():
             rb, seen = {}, {}
             if not _match_conclusion(kb, rule.conclusion, pattern, rb, seen):
@@ -320,24 +368,33 @@ class _Search:
             early, late, hoist = (rule.early, rule.late, rule.hoist) if not same else (
                 (), rule.early + rule.late, False)
             for binding, traces, column in prefixes:
-                if any(kb.atoms[binding[v]].type.name != t for v, t in early):
+                if not column or any(
+                        kb.atoms[binding[v]].type.name != t for v, t in early):
                     continue
                 terms = [_term(kb, p, d, binding)
                          for p, d in rule.terms] if hoist else None
-                for sub_binding, trace in column:
-                    full = {**binding, **sub_binding}
-                    if same:
-                        full.update((v, full[a]) for v, a in same.items())
-                    if late and any(kb.atoms[full[v]].type.name != t for v, t in late):
-                        continue
-                    # ground: Rule makes the premises bind every conclusion variable
-                    proof = _derive(kb, rule, full, traces + [trace], terms)
-                    b = unify(kb, pattern, proof.conclusion) if repeated else {
-                        t: full[c] if c in full else substitute(kb, c, full)
-                        for t, c in seen.items()}
-                    if b is not None:
-                        results.append((b, proof))
+                schema = Schema(rule, binding, traces, terms, column, seen)
+                if hoist and not repeated and column[0][0].keys() >= set(
+                        seen.values()) and all(type(t) is Leaf for _, t in column) and all(
+                        kb.atoms[b[v] if v in b else binding[v]].type.name == t
+                        for v, t in late for b, _ in column):
+                    results.append(schema)
+                    self.schemas.add((pattern, depth))
+                else:
+                    results += schema.expand(kb, same, late, pattern if repeated else None)
         memo[pattern, depth] = results
+        return results
+
+    def solutions(self, kb: AtomSpace, pattern: int,
+                  depth: int) -> list[tuple[Binding, InferenceTrace]]:
+        """``solve``'s entry with each Schema expanded, in place: once per
+        table."""
+        results = self.solve(kb, pattern, depth)
+        if (pattern, depth) in self.schemas:
+            self.schemas.discard((pattern, depth))
+            results = self.memo[pattern, depth] = [
+                pair for e in results
+                for pair in (e.expand(kb) if type(e) is Schema else [e])]
         return results
 
     def solve_premises(self, kb: AtomSpace, rule: Rule, rb: Binding, depth: int,
@@ -354,18 +411,58 @@ class _Search:
             rb = {v: _root(rb, v) for v in rb}
             same = {v: a for v, a in rb.items() if not kb.atoms[a].is_ground}
             rb = {v: a for v, a in rb.items() if v not in same}
-            premises = [substitute(kb, p, same) for p in premises]
+            premises = [_substitute(kb, p, same) for p in premises]
         solutions = [(rb, [])]
         for premise in premises[:-1]:
             next_solutions = []
             for binding, traces in solutions:
-                p = substitute(kb, premise, binding)
-                for sub_binding, trace in self.solve(kb, p, depth):
+                p = _substitute(kb, premise, binding)
+                for sub_binding, trace in self.solutions(kb, p, depth):
                     next_solutions.append(({**binding, **sub_binding},
                                            traces + [trace]))
             solutions = next_solutions
-        return same, [(b, ts, self.solve(kb, substitute(kb, premises[-1], b), depth))
+        return same, [(b, ts, self.solutions(kb, _substitute(kb, premises[-1], b), depth))
                       for b, ts in solutions]
+
+
+def _facts(kb: AtomSpace, pattern: int) -> list[tuple[Binding, Leaf]]:
+    """Depth 0: the asserted facts unifying with ``pattern``.  A link of
+    ground atoms and distinct variables, as ``Rule``'s premises and lifted
+    queries are, is read by position, one pass per place, with no ``unify``."""
+    atoms, p = kb.atoms, kb.atoms[pattern]
+    if p.is_ground:  # its own one candidate
+        return [({}, Leaf(pattern))] if pattern in kb.tvs else []
+    cands = [c for c in candidates(kb, pattern, {}) if c in kb.tvs]
+    free = [(i, o) for i, o in enumerate(p.outgoing) if not atoms[o].is_ground]
+    if p.type.is_node or len({o for _, o in free}) < len(free) or any(
+            atoms[o].type.name != "VariableNode" for _, o in free):
+        return [(b, Leaf(c)) for c in cands if (b := _unify(kb, pattern, c)) is not None]
+    rows = [(c, atoms[c].outgoing) for c in cands if atoms[c].type is p.type
+            and len(atoms[c].outgoing) == len(p.outgoing)]
+    for i, o in enumerate(p.outgoing):
+        if atoms[o].is_ground:
+            rows = [(c, got) for c, got in rows if got[i] == o]
+    results = [({}, Leaf(c)) for c, _ in rows]
+    for i, v in free:
+        for (b, _), (_, got) in zip(results, rows):
+            b[v] = got[i]
+    return results
+
+
+def prove_schemas(kb: AtomSpace, rules: list[Rule], targets: list[int],
+                  config: ChainConfig) -> list[list]:
+    """``prove``'s table entries, each a (binding, trace) pair or a Schema,
+    which stands for its lanes' pairs and makes each lane's Derivation."""
+    if config.max_depth < 1:
+        raise ChainError("max_depth must be >= 1")
+    if config.max_depth > MAX_SEARCH_DEPTH:
+        raise ChainError("max_depth must be <= %d" % MAX_SEARCH_DEPTH)
+    for target in targets:
+        kb.atom(target)  # the one id check: the search reads ids unchecked
+    search = kb.subgoal_table
+    if search is None or search.rules != tuple(rules):
+        search = kb.subgoal_table = _Search(rules)
+    return [search.solve(kb, target, config.max_depth) for target in targets]
 
 
 def prove(kb: AtomSpace, rules: list[Rule], targets: list[int],
@@ -377,16 +474,8 @@ def prove(kb: AtomSpace, rules: list[Rule], targets: list[int],
     ``rules`` holds the same Rule objects in the same order.  The returned
     lists and bindings belong to the table: callers must treat them as
     read-only."""
-    if config.max_depth < 1:
-        raise ChainError("max_depth must be >= 1")
-    if config.max_depth > MAX_SEARCH_DEPTH:
-        raise ChainError("max_depth must be <= %d" % MAX_SEARCH_DEPTH)
-    for target in targets:
-        kb.atom(target)  # the one id check: the search reads ids unchecked
-    search = kb.subgoal_table
-    if search is None or search.rules != tuple(rules):
-        search = kb.subgoal_table = _Search(rules)
-    return [search.solve(kb, target, config.max_depth) for target in targets]
+    prove_schemas(kb, rules, targets, config)  # checks and solves in the table
+    return [kb.subgoal_table.solutions(kb, t, config.max_depth) for t in targets]
 
 
 def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,

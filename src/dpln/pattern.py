@@ -6,7 +6,9 @@ for ``match`` and for the backward chainer's depth-0 facts: a ground clause
 is its own candidate, a typed bare variable draws from its type's index, and
 a link takes the shorter of its type's index and the incoming set of its
 first ground (or bound) argument.  Both lists are in id order, so the choice
-never changes the order of results.  Of these, only ``match`` checks atom ids.
+never changes the order of results.  ``match``, ``unify``, ``substitute`` and
+``variables_in`` check atom ids; the underscored forms they call, which
+``match`` and the search use inside their loops, do not.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ class Query:
 
 def variables_in(kb: AtomSpace, atom_id: int) -> set[int]:
     """All VariableNode ids occurring in the atom."""
+    kb.atom(atom_id)
+    return _variables_in(kb, atom_id)
+
+
+def _variables_in(kb: AtomSpace, atom_id: int) -> set[int]:
     atom = kb.atoms[atom_id]
     if atom.is_ground:
         return set()
@@ -46,7 +53,7 @@ def variables_in(kb: AtomSpace, atom_id: int) -> set[int]:
         return {atom_id}
     out: set[int] = set()
     for oid in atom.outgoing:
-        out |= variables_in(kb, oid)
+        out |= _variables_in(kb, oid)
     return out
 
 
@@ -59,6 +66,12 @@ def unify(kb: AtomSpace, pattern: int, ground: int,
     mutated.  A variable with a type constraint only binds atoms of exactly
     that type.
     """
+    kb.atom(pattern)
+    kb.atom(ground)
+    return _unify(kb, pattern, ground, binding, constraints)
+
+
+def _unify(kb, pattern, ground, binding=None, constraints=None):
     if not kb.atoms[ground].is_ground:
         return None
     result = dict(binding) if binding else {}
@@ -141,7 +154,7 @@ def match(kb: AtomSpace, query: Query, since: int = 0) -> list[Binding]:
     declared = query.declared()
     for clause in query.clauses:
         kb.atom(clause)  # the id check; everything below reads unchecked
-        undeclared = variables_in(kb, clause) - declared
+        undeclared = _variables_in(kb, clause) - declared
         if undeclared:
             names = sorted(kb.atom(v).name for v in undeclared)
             raise MatchError("undeclared variable(s) in clause: %s" % ", ".join(names))
@@ -172,19 +185,24 @@ def _extend(kb: AtomSpace, plan: list[tuple[int, int, int]],
     clause, lo, hi = plan[ci]
     pool = candidates(kb, clause, binding, constraints)
     for cand in pool[bisect_left(pool, lo):bisect_left(pool, hi)]:
-        nb = unify(kb, clause, cand, binding, constraints)
+        nb = _unify(kb, clause, cand, binding, constraints)
         if nb is not None:
             _extend(kb, plan, constraints, ci + 1, nb, results)
 
 
 def substitute(kb: AtomSpace, template: int, binding: Binding) -> int:
     """Replaces bound variables, keeps unbound ones, interns only new atoms."""
+    kb.atom(template)
+    return _substitute(kb, template, binding)
+
+
+def _substitute(kb: AtomSpace, template: int, binding: Binding) -> int:
     atom = kb.atoms[template]
     if atom.is_ground:  # every node but a variable
         return template
     if atom.type.name == "VariableNode":
         return binding.get(template, template)
-    new_out = [substitute(kb, oid, binding) for oid in atom.outgoing]
+    new_out = [_substitute(kb, oid, binding) for oid in atom.outgoing]
     if list(atom.outgoing) == new_out:
         return template
     found = kb.find_link(atom.type.name, new_out)

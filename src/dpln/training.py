@@ -20,8 +20,8 @@ from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import Tape, VarRef, sigmoid, trace_loss
-from .chainer import (MAX_SEARCH_DEPTH, ChainConfig, Derivation, Rule, commit,
-                      prove)
+from .chainer import (MAX_SEARCH_DEPTH, ChainConfig, Derivation, Rule, Schema,
+                      commit, prove_schemas)
 
 
 class TrainError(Exception):
@@ -187,8 +187,10 @@ def _find_traces(kb: AtomSpace, rules: list[Rule],
     type differing only in their last argument, like ``Eval(color, instance)``,
     make one query with ``$lifted`` there.  Proofs are indexed by conclusion,
     which no two queries share; for ``Rule``'s shape, a lifted query's proofs
-    of a target are the ground query's, in order.  Raises TrainError at the
-    first target that is not ground, before writing to the KB."""
+    of a target are the ground query's, in order; a Schema's lanes are
+    indexed by their answer, and only a target's lane gets a Derivation.
+    Raises TrainError at the first target that is not ground, before writing
+    to the KB."""
     groups: dict = {}  # (link type, all outgoing but the last) -> its targets
     for i, ex in enumerate(dataset):
         atom = kb.atom(ex.target)  # before interning $lifted: it could take this id
@@ -200,10 +202,18 @@ def _find_traces(kb: AtomSpace, rules: list[Rule],
     asked = [kb.intern_link(k[0], [*k[1], var]) if len(ts) > 1 else [*ts][0]
              for k, ts in groups.items()]
     found = {}  # conclusion -> its first derivation, else its lookup
-    for proofs in prove(kb, rules, asked, ChainConfig(max_depth=depth)):
-        for _, trace in proofs:
-            if not isinstance(found.get(trace.conclusion), Derivation):
-                found[trace.conclusion] = trace
+    for query, ts, proofs in zip(asked, groups.values(), prove_schemas(
+            kb, rules, asked, ChainConfig(max_depth=depth))):
+        by_last = {kb.atoms[t].outgoing[-1]: t for t in ts} if len(ts) > 1 else None
+        for entry in proofs:
+            if type(entry) is Schema:  # a lane per target, by its answer
+                c = entry.seen.get(var)
+                for i, (b, _) in enumerate(entry.column if by_last else entry.column[:1]):
+                    t = by_last.get(b[c]) if by_last else query
+                    if t is not None and not isinstance(found.get(t), Derivation):
+                        found[t] = entry.lane(i, t)
+            elif not isinstance(found.get(entry[1].conclusion), Derivation):
+                found[entry[1].conclusion] = entry[1]
     traces = [found.get(ex.target) for ex in dataset]
     if None in traces:
         raise UnderivableTargetError(traces.index(None))

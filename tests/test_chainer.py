@@ -1144,6 +1144,49 @@ def test_search_interns_only_new_atoms(monkeypatch):
     assert interned == [] and len(kb) == size
 
 
+def test_schema_is_expanded_once_per_table(monkeypatch):
+    """Counts only, no timing.  With Impl(p, q), Impl(q, r), Impl(q, s), n
+    facts Eval(p, x) and a fact Eval(q, x0), the column of p facts makes a
+    Schema in Eval(q, $X)'s entry at depth 2, which Eval(r, $V) and
+    Eval(s, $V) at depth 3 both read as a premise's solutions.  The table
+    expands it once: _derive runs once per derivation, 3n + 2 times, as in
+    the per-instance search (terms read per lane, so no schema), and both
+    give the same proofs in the same order."""
+    derived = []
+    derive = chainer._derive
+
+    def counting(*args):
+        derived.append(1)
+        return derive(*args)
+    monkeypatch.setattr(chainer, "_derive", counting)
+    n = 6
+    _, kb = fresh_kb()
+    p, q, r, s = (kb.node("PredicateNode", name) for name in "pqrs")
+    for a, b, strength in [(p, q, 0.7), (q, r, 0.6), (q, s, 0.5)]:
+        set_strength(kb, kb.link("ImplicationLink", a, b), strength, 0.9)
+    xs = [kb.node("ConceptNode", "x%d" % i) for i in range(n)]
+    for i, x in enumerate(xs):
+        set_strength(kb, kb.link("EvaluationLink", p, x), 0.1 + 0.1 * i, 0.8)
+    set_strength(kb, kb.link("EvaluationLink", q, xs[0]), 0.3)
+    rule = make_modus_ponens_rule(kb)
+    x_var = rule.variables[2][0]
+    (entry,) = chainer.prove_schemas(kb, [rule], [kb.link("EvaluationLink", q, x_var)],
+                                     ChainConfig(max_depth=2))
+    assert [type(e) is chainer.Schema for e in entry] == [False, True]
+    assert derived == []
+
+    var = kb.node("VariableNode", "$V")
+    targets = [kb.link("EvaluationLink", c, var) for c in (r, s)]
+    got = [_proofs(kb, [rule], t, 3) for t in targets]  # one table
+    assert [len(g) for g in got] == [n + 1, n + 1]
+    assert len(derived) == 3 * n + 2
+    derived.clear()
+    kb.subgoal_table = None
+    rule.hoist = False
+    assert [_proofs(kb, [rule], t, 3) for t in targets] == got
+    assert len(derived) == 3 * n + 2
+
+
 def test_structural_search_writes_no_tape_record():
     """prove only builds traces: no formula call and no tape record until
     replay, and trace nodes carry no strength field for replay to set."""

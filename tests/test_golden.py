@@ -1,5 +1,6 @@
-"""Short seed-7 runs of the three experiments must write exactly the
-``report.json`` and ``loss.csv`` stored under ``tests/golden/``.
+"""Seed-7 runs of the three experiments, short ones and fruit-colors at the
+benchmark's scale, must write exactly the ``report.json`` and ``loss.csv``
+stored under ``tests/golden/``.
 
 A change that is meant to alter no output keeps these bytes.  When a change
 alters an output on purpose, rewrite the files with
@@ -28,6 +29,15 @@ RUNS = {
             "banana": {"yellow": 0.8, "red": 0.1, "green": 0.1},
         },
         n_samples=50, lr=0.1, steps=100)),
+    # perfbench's fruit-colors config at seed 7: the scale where lifted
+    # queries make columns of hundreds of lanes
+    "fruit-colors-500": (run_fruit_colors, dict(
+        fruits=["apple", "banana"], colors=["yellow", "red", "green"],
+        true_probabilities={
+            "apple": {"yellow": 0.1, "red": 0.2, "green": 0.7},
+            "banana": {"yellow": 0.8, "red": 0.1, "green": 0.1},
+        },
+        n_samples=500, lr=0.1, steps=2000)),
     "learn-formula": (run_learn_formula, dict(lr=2.0, steps=100)),
     "joint": (run_joint, dict(lr=2.0, steps=100)),
 }

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from dpln import (MatchError, Query, load_kb, match, substitute, unify,
-                  variables_in)
+from dpln import (MatchError, Query, UnknownAtomError, load_kb, match,
+                  substitute, unify, variables_in)
 from dpln.pattern import candidates, lookup
 
 from conftest import fresh_kb
@@ -318,3 +318,26 @@ def test_candidates_typed_variable_takes_its_type_index():
     assert candidates(kb, x, {}, {x: "EvaluationLink"}) == evals
     assert candidates(kb, x, {}, {x: "NoSuchLink"}) == []
     assert match(kb, Query(variables=[(x, "NoSuchLink")], clauses=[x])) == []
+
+
+def test_public_helpers_reject_ids_the_kb_does_not_hold():
+    """unify, substitute and variables_in raise UnknownAtomError for an id
+    below 0 or at len(kb), on every id argument, instead of reading some
+    other atom; valid ids still work as before."""
+    kb = _chain_kb()
+    x = kb.node("VariableNode", "$X")
+    pattern = kb.link("InheritanceLink", kb.node("ConceptNode", "sparrow"), x)
+    ground = kb.find_link("InheritanceLink",
+                          [kb.node("ConceptNode", "sparrow"),
+                           kb.node("ConceptNode", "bird")])
+    for bad in (-1, len(kb)):
+        calls = [lambda: unify(kb, bad, ground), lambda: unify(kb, pattern, bad),
+                 lambda: substitute(kb, bad, {}), lambda: variables_in(kb, bad)]
+        for call in calls:
+            with pytest.raises(UnknownAtomError):
+                call()
+    size = len(kb)
+    assert unify(kb, pattern, ground) == {x: kb.node("ConceptNode", "bird")}
+    assert substitute(kb, pattern, {x: kb.node("ConceptNode", "bird")}) == ground
+    assert variables_in(kb, pattern) == {x}
+    assert len(kb) == size

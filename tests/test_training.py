@@ -14,7 +14,7 @@ from dpln import (AtomSpaceError, AutodiffError, ChainConfig, Derivation,
                   load_kb, make_deduction_rule, make_modus_ponens_rule,
                   make_rule_set, parse_atom, predict, sgd_step, train,
                   trainable_mp_strength)
-from dpln import cli, training
+from dpln import chainer, cli, training
 from dpln.chainer import MAX_SEARCH_DEPTH, prove
 from dpln.rules import DEDUCTION_EPS, FormulaError, deduction_strength
 
@@ -778,7 +778,7 @@ def test_train_rejects_non_ground_target(monkeypatch):
     green = kb.node("PredicateNode", "green")
     dataset.insert(2, LabeledExample(
         kb.link("EvaluationLink", green, kb.node("VariableNode", "$V")), 1))
-    monkeypatch.setattr(training, "prove", None)  # any search call fails
+    monkeypatch.setattr(training, "prove_schemas", None)  # any search call fails
     tvs = {a: kb.get_tv(a) for a in range(len(kb)) if kb.has_asserted_tv(a)}
     for call in (lambda: train(kb, [rule], dataset, [learnable.theta],
                                TrainConfig(steps=3), learnables=[learnable]),
@@ -945,6 +945,89 @@ def _per_target_find_traces(kb, rules, dataset, depth):
         traces.append(next((t for _, t in proofs if isinstance(t, Derivation)),
                            proofs[0][1]))
     return traces
+
+
+def _two_fruit_kb(n, rng):
+    """Eval(fruit, x) for two fruits of n instances each, at strengths and
+    confidences drawn from ``rng``, and each instance's Eval(red, x)."""
+    tape, kb = fresh_kb()
+    pred = {f: kb.node("PredicateNode", f) for f in ("apple", "banana", "red")}
+    targets = {}
+    for f in ("apple", "banana"):
+        targets[f] = []
+        for i in range(n):
+            x = kb.node("ConceptNode", "%s-%03d" % (f, i))
+            kb.set_tv(kb.link("EvaluationLink", pred[f], x),
+                      TruthValue(tape.constant(rng.choice([0.2, 0.5, 1.0])),
+                                 rng.choice([0.3, 0.8, 1.0])))
+            targets[f].append(kb.link("EvaluationLink", pred["red"], x))
+    return tape, kb, pred, targets
+
+
+def test_train_call_derives_as_often_at_any_instance_count(monkeypatch):
+    """Counts only, no timing.  On a fruit-colors-shaped KB, two fruits of
+    n instances each and both Impl(fruit, red) asserted, one train call on
+    apple's Eval(red, x) targets makes as many _derive calls at n = 200 as
+    at n = 20: the lifted query's columns of Eval(fruit, x) facts are
+    schemas, and the examples read their lanes."""
+    derived = []
+    derive = chainer._derive
+
+    def counting(*args):
+        derived.append(1)
+        return derive(*args)
+    monkeypatch.setattr(chainer, "_derive", counting)
+    counts = {}
+    for n in (20, 200):
+        rng = random.Random(3)
+        tape, kb, pred, targets = _two_fruit_kb(n, rng)
+        kb.set_tv(kb.link("ImplicationLink", pred["banana"], pred["red"]),
+                  TruthValue(tape.constant(0.4), 1.0))
+        learnable = LearnableStrength(tape, init=0.5)
+        learnable.attach(kb, kb.link("ImplicationLink", pred["apple"], pred["red"]))
+        dataset = [LabeledExample(t, rng.randrange(2)) for t in targets["apple"]]
+        derived.clear()
+        train(kb, [make_modus_ponens_rule(kb)], dataset, [learnable.theta],
+              TrainConfig(steps=2), learnables=[learnable])
+        counts[n] = len(derived)
+    assert counts[20] == counts[200]
+
+
+def test_lane_commits_match_the_per_target_search(monkeypatch):
+    """Lane leaves at differing confidences, below and above their prefix
+    leaf's: each conclusion train commits through a schema's lane gets the
+    strength value and confidence that the per-target reference
+    _per_target_find_traces, followed by commit, gives it.  The lanes are
+    read off schemas: that run makes no _derive call."""
+    derive = chainer._derive
+
+    def run(find):
+        rng = random.Random(5)
+        tape, kb, pred, targets = _two_fruit_kb(8, rng)
+        for f, strength, confidence in [("apple", 0.7, 0.6), ("banana", 0.4, 0.9)]:
+            kb.set_tv(kb.link("ImplicationLink", pred[f], pred["red"]),
+                      TruthValue(tape.constant(strength), confidence))
+        weights = FormulaWeights.create(tape)
+        asked = targets["apple"] + targets["banana"]
+        dataset = [LabeledExample(t, rng.randrange(2)) for t in asked]
+        derived = []
+
+        def counting(*args):
+            derived.append(1)
+            return derive(*args)
+        with monkeypatch.context() as m:
+            m.setattr(training, "_find_traces", find)
+            m.setattr(chainer, "_derive", counting)
+            train(kb, [make_modus_ponens_rule(kb, weights=weights)], dataset,
+                  weights.refs(), TrainConfig(steps=3, chain_depth=1))
+        return len(derived), [(kb.get_tv(t).strength.value, kb.get_tv(t).confidence)
+                              for t in asked]
+
+    lane_derives, got = run(training._find_traces)
+    reference_derives, expected = run(_per_target_find_traces)
+    assert lane_derives == 0 < reference_derives
+    assert got == expected
+    assert {c for _, c in got} == {0.3, 0.6, 0.8, 0.9}
 
 
 def _traces_or_index(find, kb, rules, dataset, depth):

@@ -7,9 +7,10 @@ applications builds one computation graph from KB leaf strengths to the
 conclusion.  Traces are not changed once the search builds them: a search
 result depends only on the rules and on which atoms are asserted, so each
 KB keeps one subgoal table across calls; ``AtomSpace.set_tv`` ends it on a
-new assertion and ``prove`` on another rule list.  The search interns only
-new atoms and reads atom ids unchecked; only ``apply_rule`` writes truth
-values.
+new assertion and ``prove`` on another rule list.  The table holds proofs
+only; ``first_proofs``, which ``training`` reads through, derives just the
+lanes its targets read.  The search interns only new atoms and reads atom
+ids unchecked; only ``apply_rule`` writes truth values.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import VarRef
+# unify is not called here: perfbench/tests/test_perfbench.py reads
+# dpln.chainer.unify, and tests/test_benchmark_names.py guards that name
 from .pattern import (Binding, Query, _substitute, _unify, candidates, lookup,
                       match, substitute, unify, variables_in)
 
@@ -46,8 +49,8 @@ class Rule:
     strengths, then the term strengths.  No rule concludes a term atom.  The
     conclusion is not a variable, its variables occur in premises, and each
     of one or more premises is a variable or a link of ground atoms and
-    distinct variables: ``training`` lifts its queries on that shape, which
-    construction checks."""
+    distinct variables: ``first_proofs`` lifts its queries on that shape,
+    which construction checks."""
 
     kb: InitVar[AtomSpace]
     name: str
@@ -137,11 +140,10 @@ class Derivation:
 
 @dataclass(eq=False, slots=True)
 class Schema:
-    """One prefix's derivations over its column: the rule, the prefix's
-    binding and traces, the terms it read, the last premise's own table
-    entry, and ``seen``, which maps each target variable to the rule term
-    that answers it.  Kept whole as a table entry when the column holds
-    only leaf facts, one lane each, and ``seen`` reads lane bindings."""
+    """The search's record of one prefix's derivations over its column: the
+    rule, the prefix's binding and traces, the terms it read, the last
+    premise's table entry, ``seen`` (see ``_match_conclusion``), and the
+    aliases ``same`` and ``late`` type checks, which run per lane."""
 
     rule: Rule
     binding: Binding  # the prefix's
@@ -149,34 +151,8 @@ class Schema:
     terms: list | None  # None: read per lane
     column: list
     seen: dict
-
-    def expand(self, kb: AtomSpace, same: Binding | None = None, late=(),
-               pattern: int | None = None) -> list:
-        """The (answer, Derivation) pairs it stands for, through ``_derive``,
-        in column order; for ``solve``'s other prefixes, after the aliases
-        ``same`` and the ``late`` type checks, and unifying a ``pattern``
-        that repeats a variable with each conclusion, dropping failures."""
-        pairs = []
-        for sub_binding, trace in self.column:
-            full = {**self.binding, **sub_binding}
-            if same:
-                full.update((v, full[a]) for v, a in same.items())
-            if late and any(kb.atoms[full[v]].type.name != t for v, t in late):
-                continue
-            # ground: Rule makes the premises bind every conclusion variable
-            proof = _derive(kb, self.rule, full, self.premises + [trace], self.terms)
-            b = _unify(kb, pattern, proof.conclusion) if pattern is not None else {
-                t: full[c] if c in full else _substitute(kb, c, full)
-                for t, c in self.seen.items()}
-            if b is not None:
-                pairs.append((b, proof))
-        return pairs
-
-    def lane(self, i: int, conclusion: int) -> Derivation:
-        """Lane ``i``, which concludes ``conclusion``, as a Derivation."""
-        b, leaf = self.column[i]
-        return Derivation(self.rule, {**self.binding, **b}, conclusion,
-                          self.premises + [leaf], self.terms)
+    same: Binding
+    late: list
 
 
 InferenceTrace = Leaf | Derivation
@@ -185,9 +161,9 @@ InferenceTrace = Leaf | Derivation
 def _derive(kb: AtomSpace, rule: Rule, binding: Binding, premises: list,
             terms: list | None = None) -> Derivation:
     """The rule applied to the premise traces, unvalued: no formula call and
-    no tape record, and the one place a Derivation is built but a schema's
-    lanes (``Schema.lane``).  Reads the terms unless given them; interns
-    the conclusion only if it is new; keeps ``binding`` itself."""
+    no tape record, and the one place a Derivation is built but the lanes
+    ``first_proofs`` reads.  Reads the terms unless given them; interns the
+    conclusion only if it is new; keeps ``binding`` itself."""
     if terms is None:
         terms = [_term(kb, pattern, default, binding) for pattern, default in rule.terms]
     conclusion = _substitute(kb, rule.conclusion, binding)
@@ -332,38 +308,60 @@ def _root(rb: Binding, v: int) -> int:
 class _Search:
     """A KB's table of solved subgoals, keyed by (pattern, depth), and of
     each pattern's depth-0 facts, for one rule list (``prove`` checks
-    ``rules``) until ``set_tv`` ends it; each column is walked once per
-    prefix (``solve_premises``).  It holds no reference to the KB, and its
-    methods are not nested closures: no reference cycle keeps a dropped KB
-    alive until a garbage collection."""
+    ``rules``) until ``set_tv`` ends it.  An entry holds proofs only,
+    (binding, trace) pairs; each column is walked once per prefix
+    (``schemas``).  It holds no reference to the KB, and its methods are not
+    nested closures: no reference cycle keeps a dropped KB alive until a
+    garbage collection."""
 
     def __init__(self, rules: list[Rule]):
         self.rules = tuple(rules)
-        self.memo: dict[tuple[int, int], list] = {}
-        self.schemas: set[tuple[int, int]] = set()  # keys of entries holding one
+        self.memo: dict[tuple[int, int], list[tuple[Binding, InferenceTrace]]] = {}
         self.facts: dict[int, list] = {}
 
-    def solve(self, kb: AtomSpace, pattern: int, depth: int) -> list:
-        """Facts, then rule derivations, proving ``pattern`` within ``depth``,
-        in (rule, premise solutions) order; a prefix's checks and terms run
-        once per column.  A binding is read off the conclusion match, but a
-        target repeating a variable is unified with it, dropping failures.
-        Where a rule reads its terms once per prefix and the column holds
-        only leaves, all of the right types, whose bindings answer a target
-        that neither repeats nor aliases a variable, one Schema stands for
-        the prefix's derivations (see ``solutions``)."""
+    def solve(self, kb: AtomSpace, pattern: int,
+              depth: int) -> list[tuple[Binding, InferenceTrace]]:
+        """Facts, then rule derivations, proving ``pattern`` within
+        ``depth``, in (rule, premise solutions) order: each schema's lanes
+        in column order, less those failing a ``late`` check, through
+        ``_derive``.  A binding is read off the conclusion match, but a
+        target repeating a variable is unified with it, dropping failures."""
         memo = self.memo
         if (pattern, depth) in memo:
             return memo[pattern, depth]
         if pattern not in self.facts:  # the same at any depth
             self.facts[pattern] = _facts(kb, pattern)
         results = list(self.facts[pattern])
+        for s in self.schemas(kb, pattern, depth):
+            repeated = None in s.seen
+            for sub_binding, trace in s.column:
+                full = {**s.binding, **sub_binding}
+                if s.same:
+                    full.update((v, full[a]) for v, a in s.same.items())
+                if s.late and any(kb.atoms[full[v]].type.name != t for v, t in s.late):
+                    continue
+                # ground: Rule makes the premises bind every conclusion variable
+                proof = _derive(kb, s.rule, full, s.premises + [trace], s.terms)
+                b = _unify(kb, pattern, proof.conclusion) if repeated else {
+                    t: full[c] if c in full else _substitute(kb, c, full)
+                    for t, c in s.seen.items()}
+                if b is not None:
+                    results.append((b, proof))
+        memo[pattern, depth] = results
+        return results
+
+    def schemas(self, kb: AtomSpace, pattern: int, depth: int) -> list[Schema]:
+        """One Schema per rule whose conclusion matches ``pattern`` and per
+        solution of its premises but the last within ``depth - 1`` (a
+        prefix) with a nonempty column, in that order; a prefix's checks and
+        terms run once for its column."""
+        schemas = []
         for rule in self.rules if depth >= 1 else ():
             rb, seen = {}, {}
             if not _match_conclusion(kb, rule.conclusion, pattern, rb, seen):
                 continue
-            repeated, aliased = None in seen, seen.pop(None, False)
-            same, prefixes = self.solve_premises(kb, rule, rb, depth - 1, aliased)
+            same, prefixes = self.solve_premises(kb, rule, rb, depth - 1,
+                                                 seen.get(None, False))
             # an alias is left out of the prefixes: check and read it per proof
             early, late, hoist = (rule.early, rule.late, rule.hoist) if not same else (
                 (), rule.early + rule.late, False)
@@ -373,29 +371,9 @@ class _Search:
                     continue
                 terms = [_term(kb, p, d, binding)
                          for p, d in rule.terms] if hoist else None
-                schema = Schema(rule, binding, traces, terms, column, seen)
-                if hoist and not repeated and column[0][0].keys() >= set(
-                        seen.values()) and all(type(t) is Leaf for _, t in column) and all(
-                        kb.atoms[b[v] if v in b else binding[v]].type.name == t
-                        for v, t in late for b, _ in column):
-                    results.append(schema)
-                    self.schemas.add((pattern, depth))
-                else:
-                    results += schema.expand(kb, same, late, pattern if repeated else None)
-        memo[pattern, depth] = results
-        return results
-
-    def solutions(self, kb: AtomSpace, pattern: int,
-                  depth: int) -> list[tuple[Binding, InferenceTrace]]:
-        """``solve``'s entry with each Schema expanded, in place: once per
-        table."""
-        results = self.solve(kb, pattern, depth)
-        if (pattern, depth) in self.schemas:
-            self.schemas.discard((pattern, depth))
-            results = self.memo[pattern, depth] = [
-                pair for e in results
-                for pair in (e.expand(kb) if type(e) is Schema else [e])]
-        return results
+                schemas.append(Schema(rule, binding, traces, terms, column, seen,
+                                      same, late))
+        return schemas
 
     def solve_premises(self, kb: AtomSpace, rule: Rule, rb: Binding, depth: int,
                        aliased: bool):
@@ -417,11 +395,11 @@ class _Search:
             next_solutions = []
             for binding, traces in solutions:
                 p = _substitute(kb, premise, binding)
-                for sub_binding, trace in self.solutions(kb, p, depth):
+                for sub_binding, trace in self.solve(kb, p, depth):
                     next_solutions.append(({**binding, **sub_binding},
                                            traces + [trace]))
             solutions = next_solutions
-        return same, [(b, ts, self.solutions(kb, _substitute(kb, premises[-1], b), depth))
+        return same, [(b, ts, self.solve(kb, _substitute(kb, premises[-1], b), depth))
                       for b, ts in solutions]
 
 
@@ -449,10 +427,9 @@ def _facts(kb: AtomSpace, pattern: int) -> list[tuple[Binding, Leaf]]:
     return results
 
 
-def prove_schemas(kb: AtomSpace, rules: list[Rule], targets: list[int],
-                  config: ChainConfig) -> list[list]:
-    """``prove``'s table entries, each a (binding, trace) pair or a Schema,
-    which stands for its lanes' pairs and makes each lane's Derivation."""
+def _table(kb: AtomSpace, rules: list[Rule], targets: list[int],
+           config: ChainConfig) -> _Search:
+    """The KB's subgoal table for ``rules``, after the depth and id checks."""
     if config.max_depth < 1:
         raise ChainError("max_depth must be >= 1")
     if config.max_depth > MAX_SEARCH_DEPTH:
@@ -462,7 +439,7 @@ def prove_schemas(kb: AtomSpace, rules: list[Rule], targets: list[int],
     search = kb.subgoal_table
     if search is None or search.rules != tuple(rules):
         search = kb.subgoal_table = _Search(rules)
-    return [search.solve(kb, target, config.max_depth) for target in targets]
+    return search
 
 
 def prove(kb: AtomSpace, rules: list[Rule], targets: list[int],
@@ -474,8 +451,49 @@ def prove(kb: AtomSpace, rules: list[Rule], targets: list[int],
     ``rules`` holds the same Rule objects in the same order.  The returned
     lists and bindings belong to the table: callers must treat them as
     read-only."""
-    prove_schemas(kb, rules, targets, config)  # checks and solves in the table
-    return [kb.subgoal_table.solutions(kb, t, config.max_depth) for t in targets]
+    search = _table(kb, rules, targets, config)
+    return [search.solve(kb, target, config.max_depth) for target in targets]
+
+
+def first_proofs(kb: AtomSpace, rules: list[Rule], targets: list[int],
+                 config: ChainConfig) -> list[InferenceTrace | None]:
+    """Each ground target's first rule derivation within max_depth, else its
+    fact, else None, as ``prove``'s proofs of it give them.  Distinct
+    targets of one link type that differ only in their last argument, like
+    ``Eval(color, instance)``, make one query with ``$lifted`` there; for
+    ``Rule``'s shape, its proofs binding ``$lifted`` to a target's argument
+    are the ground query's, in order.  The query's facts and schemas come
+    from the table, but its derivations are not expanded into it: lanes are
+    indexed by answer, found with ``lookup``, and only a target's first lane
+    that passes the ``late`` checks becomes a Derivation, reading the terms
+    its rule does not hoist.  No query repeats a variable, so no lane has
+    aliases or a pattern to unify."""
+    search = _table(kb, rules, targets, config)  # ids checked before interning $lifted
+    groups: dict = {}  # (link type, all outgoing but the last) -> its targets
+    for t in targets:
+        atom = kb.atoms[t]
+        key = (atom.type.name, atom.outgoing[:-1]) if atom.outgoing else t
+        groups.setdefault(key, {})[t] = None
+    var = kb.node("VariableNode", "$lifted")
+    found: dict = {}  # target -> its first derivation, else its fact
+    for key, ts in groups.items():
+        by_last = {kb.atoms[t].outgoing[-1]: t for t in ts} if len(ts) > 1 else None
+        query = kb.intern_link(key[0], [*key[1], var]) if by_last else [*ts][0]
+        for _, leaf in search.solve(kb, query, 0):
+            if leaf.atom in ts:
+                found.setdefault(leaf.atom, leaf)
+        for s in search.schemas(kb, query, config.max_depth):
+            c = s.seen.get(var)
+            for b, trace in s.column:
+                full = {**s.binding, **b}
+                t = by_last.get(lookup(kb, c, full)) if by_last else query
+                if t is None or type(found.get(t)) is Derivation or any(
+                        kb.atoms[full[v]].type.name != n for v, n in s.late):
+                    continue
+                terms = s.terms if s.terms is not None else [
+                    _term(kb, p, d, full) for p, d in s.rule.terms]
+                found[t] = Derivation(s.rule, full, t, s.premises + [trace], terms)
+    return [found.get(t) for t in targets]
 
 
 def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,

@@ -8,7 +8,7 @@ branches as guards, and traces it again only after a branch flips.
 ``train`` runs the proof search once, for all its targets
 through the KB's subgoal table, and each step's loss replays the traces;
 it drops the table when its commits will assert a new conclusion.  Targets
-differing only in their last argument make one lifted query (``_find_traces``).
+differing only in their last argument make one lifted query (``first_proofs``).
 ``predict`` reads, through the same traces, the strengths ``train`` fits.
 """
 
@@ -20,8 +20,8 @@ from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import Tape, VarRef, sigmoid, trace_loss
-from .chainer import (MAX_SEARCH_DEPTH, ChainConfig, Derivation, Rule, Schema,
-                      commit, prove_schemas)
+from .chainer import (MAX_SEARCH_DEPTH, ChainConfig, Derivation, Rule, commit,
+                      first_proofs)
 
 
 class TrainError(Exception):
@@ -183,38 +183,14 @@ def _find_traces(kb: AtomSpace, rules: list[Rule],
                  dataset: list[LabeledExample], depth: int):
     """The trace ``train`` replays for each example: the target's first rule
     derivation, so the prediction depends on the premises, else its first KB
-    lookup; unvalued, as ``train`` replays them.  Distinct targets of one link
-    type differing only in their last argument, like ``Eval(color, instance)``,
-    make one query with ``$lifted`` there.  Proofs are indexed by conclusion,
-    which no two queries share; for ``Rule``'s shape, a lifted query's proofs
-    of a target are the ground query's, in order; a Schema's lanes are
-    indexed by their answer, and only a target's lane gets a Derivation.
-    Raises TrainError at the first target that is not ground, before writing
-    to the KB."""
-    groups: dict = {}  # (link type, all outgoing but the last) -> its targets
+    lookup (``first_proofs``, which lifts the targets' queries); unvalued, as
+    ``train`` replays them.  Raises TrainError at the first target that is
+    not ground, before the search runs or writes to the KB."""
     for i, ex in enumerate(dataset):
-        atom = kb.atom(ex.target)  # before interning $lifted: it could take this id
-        if not atom.is_ground:
+        if not kb.atom(ex.target).is_ground:
             raise TrainError("example %d: target is not ground" % i)
-        key = (atom.type.name, atom.outgoing[:-1]) if atom.outgoing else ex.target
-        groups.setdefault(key, {})[ex.target] = None
-    var = kb.node("VariableNode", "$lifted")
-    asked = [kb.intern_link(k[0], [*k[1], var]) if len(ts) > 1 else [*ts][0]
-             for k, ts in groups.items()]
-    found = {}  # conclusion -> its first derivation, else its lookup
-    for query, ts, proofs in zip(asked, groups.values(), prove_schemas(
-            kb, rules, asked, ChainConfig(max_depth=depth))):
-        by_last = {kb.atoms[t].outgoing[-1]: t for t in ts} if len(ts) > 1 else None
-        for entry in proofs:
-            if type(entry) is Schema:  # a lane per target, by its answer
-                c = entry.seen.get(var)
-                for i, (b, _) in enumerate(entry.column if by_last else entry.column[:1]):
-                    t = by_last.get(b[c]) if by_last else query
-                    if t is not None and not isinstance(found.get(t), Derivation):
-                        found[t] = entry.lane(i, t)
-            elif not isinstance(found.get(entry[1].conclusion), Derivation):
-                found[entry[1].conclusion] = entry[1]
-    traces = [found.get(ex.target) for ex in dataset]
+    traces = first_proofs(kb, rules, [ex.target for ex in dataset],
+                          ChainConfig(max_depth=depth))
     if None in traces:
         raise UnderivableTargetError(traces.index(None))
     return traces

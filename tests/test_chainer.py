@@ -1146,12 +1146,13 @@ def test_search_interns_only_new_atoms(monkeypatch):
 
 def test_schema_is_expanded_once_per_table(monkeypatch):
     """Counts only, no timing.  With Impl(p, q), Impl(q, r), Impl(q, s), n
-    facts Eval(p, x) and a fact Eval(q, x0), the column of p facts makes a
-    Schema in Eval(q, $X)'s entry at depth 2, which Eval(r, $V) and
-    Eval(s, $V) at depth 3 both read as a premise's solutions.  The table
-    expands it once: _derive runs once per derivation, 3n + 2 times, as in
-    the per-instance search (terms read per lane, so no schema), and both
-    give the same proofs in the same order."""
+    facts Eval(p, x) and a fact Eval(q, x0), the column of p facts makes one
+    schema for Eval(q, $X) at depth 2, which its table entry holds expanded,
+    as (binding, trace) pairs, after n _derive calls; Eval(r, $V) and
+    Eval(s, $V) at depth 3 both read that entry as a premise's solutions.
+    _derive runs once per derivation, 3n + 2 times, as in the per-instance
+    search (terms read per lane), and both give the same proofs in the same
+    order."""
     derived = []
     derive = chainer._derive
 
@@ -1170,10 +1171,10 @@ def test_schema_is_expanded_once_per_table(monkeypatch):
     set_strength(kb, kb.link("EvaluationLink", q, xs[0]), 0.3)
     rule = make_modus_ponens_rule(kb)
     x_var = rule.variables[2][0]
-    (entry,) = chainer.prove_schemas(kb, [rule], [kb.link("EvaluationLink", q, x_var)],
-                                     ChainConfig(max_depth=2))
-    assert [type(e) is chainer.Schema for e in entry] == [False, True]
-    assert derived == []
+    (entry,) = chainer.prove(kb, [rule], [kb.link("EvaluationLink", q, x_var)],
+                             ChainConfig(max_depth=2))
+    assert [type(e) is tuple for e in entry] == [True] * (n + 1)
+    assert len(derived) == n
 
     var = kb.node("VariableNode", "$V")
     targets = [kb.link("EvaluationLink", c, var) for c in (r, s)]

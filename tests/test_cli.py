@@ -452,12 +452,14 @@ def test_config_toml_comments_and_quoted_commas(tmp_path, command, config,
 
 
 def test_import_leaves_tomllib_unloaded():
-    """tomllib is imported when a config is read, not with dpln.cli."""
-    code = "import sys, dpln.cli; print('tomllib' in sys.modules)"
+    """tomllib is imported when a config is read, and dpln.replay when
+    trace_loss first compiles, not with dpln.cli."""
+    code = ("import sys, dpln.cli; "
+            "print('tomllib' in sys.modules, 'dpln.replay' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(dpln.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "False\n"
+    assert out == "False False\n"
 
 
 def test_experiment_config_int_for_float(tmp_path):

@@ -16,7 +16,8 @@ from dpln import (AtomSpaceError, AutodiffError, ChainConfig, Derivation,
                   trainable_mp_strength)
 from dpln import chainer, cli, training
 from dpln.chainer import MAX_SEARCH_DEPTH, prove
-from dpln.rules import DEDUCTION_EPS, FormulaError, deduction_strength
+from dpln.rules import (DEDUCTION_EPS, FormulaError, deduction_strength,
+                        modus_ponens_strength)
 
 from conftest import fresh_kb
 
@@ -778,7 +779,7 @@ def test_train_rejects_non_ground_target(monkeypatch):
     green = kb.node("PredicateNode", "green")
     dataset.insert(2, LabeledExample(
         kb.link("EvaluationLink", green, kb.node("VariableNode", "$V")), 1))
-    monkeypatch.setattr(training, "prove_schemas", None)  # any search call fails
+    monkeypatch.setattr(training, "first_proofs", None)  # any search call fails
     tvs = {a: kb.get_tv(a) for a in range(len(kb)) if kb.has_asserted_tv(a)}
     for call in (lambda: train(kb, [rule], dataset, [learnable.theta],
                                TrainConfig(steps=3), learnables=[learnable]),
@@ -1028,6 +1029,67 @@ def test_lane_commits_match_the_per_target_search(monkeypatch):
     assert lane_derives == 0 < reference_derives
     assert got == expected
     assert {c for _, c in got} == {0.3, 0.6, 0.8, 0.9}
+
+
+
+def test_lifted_answers_that_are_compound_rule_terms():
+    """A rule concluding Eval($Q, Not($X)) answers the lifted query
+    Eval(q, $lifted) with the rule term Not($X): each target still gets the
+    Derivation the per-target reference picks, with the modus ponens
+    strength at P(B|not A) = 0.2."""
+    tape, kb = fresh_kb()
+    p, q, var_p, var_q, var_x = (kb.node(t, n) for t, n in [
+        ("PredicateNode", "p"), ("PredicateNode", "q"), ("VariableNode", "$P"),
+        ("VariableNode", "$Q"), ("VariableNode", "$X")])
+    rule = chainer.Rule(
+        kb, name="negated-modus-ponens",
+        variables=[(var_p, "PredicateNode"), (var_q, "PredicateNode"),
+                   (var_x, "ConceptNode")],
+        premises=[kb.link("ImplicationLink", var_p, var_q),
+                  kb.link("EvaluationLink", var_p, var_x)],
+        conclusion=kb.link("EvaluationLink", var_q, kb.link("NotLink", var_x)),
+        formula=lambda i: modus_ponens_strength(i[1], i[0], i[2]),
+        terms=[(kb.link("ImplicationLink", kb.link("NotLink", var_p), var_q), 0.2)])
+    kb.set_tv(kb.link("ImplicationLink", p, q), TruthValue(tape.constant(0.7), 0.9))
+    dataset = []
+    for i, strength in enumerate([0.2, 0.4, 0.6]):
+        x = kb.node("ConceptNode", "x%d" % i)
+        kb.set_tv(kb.link("EvaluationLink", p, x), TruthValue(tape.constant(strength), 0.9))
+        dataset.append(LabeledExample(
+            kb.link("EvaluationLink", q, kb.link("NotLink", x)), 1))
+    got = _traces_or_index(training._find_traces, kb, [rule], dataset, 1)
+    expected = _traces_or_index(_per_target_find_traces, kb, [rule], dataset, 1)
+    assert [_trace_shape(t) for t in got] == [_trace_shape(t) for t in expected]
+    assert all(isinstance(t, Derivation) for t in got)
+    assert [t.replay(kb, {}).value for t in got] == pytest.approx([0.3, 0.4, 0.5])
+
+
+def test_lifted_column_with_an_instance_of_the_wrong_type():
+    """Modus ponens wants a ConceptNode instance: in a column of Eval(apple, x)
+    facts where one x is a PredicateNode, the other targets derive as the
+    per-target reference derives them, and the odd target raises
+    UnderivableTargetError at its own index, as the reference does."""
+    tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 4, seed=4)
+    apple, green = (kb.node("PredicateNode", n) for n in ("apple", "green"))
+    odd = kb.node("PredicateNode", "apple-odd")
+    kb.set_tv(kb.link("EvaluationLink", apple, odd), TruthValue(tape.constant(1.0), 1.0))
+    dataset.insert(2, LabeledExample(kb.link("EvaluationLink", green, odd), 1))
+    for find in (training._find_traces, _per_target_find_traces):
+        assert _traces_or_index(find, kb, [rule], dataset, 2) == 2
+    others = dataset[:2] + dataset[3:]
+    got, expected = (_traces_or_index(find, kb, [rule], others, 2)
+                     for find in (training._find_traces, _per_target_find_traces))
+    assert all(isinstance(t, Derivation) for t in got)
+    assert [_trace_shape(t) for t in got] == [_trace_shape(t) for t in expected]
+
+
+def test_subgoal_table_holds_proofs_only():
+    """After predict on a five-instance lifted group, every entry of the
+    KB's subgoal table is a list of (binding, trace) pairs."""
+    tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 5, seed=6)
+    predict(kb, [rule], dataset, 3)
+    memo = kb.subgoal_table.memo
+    assert memo and all(type(e) is tuple for entry in memo.values() for e in entry)
 
 
 def _traces_or_index(find, kb, rules, dataset, depth):

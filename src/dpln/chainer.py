@@ -219,6 +219,10 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     (semi-naive evaluation): after a firing, only bindings in which some
     premise matches an atom it interned are added.  That suffices because
     ``match`` tests atom presence, not truth values, and the KB only grows.
+    Such a delta is matched only for a rule with a premise that can take the
+    type of an interned atom: its own type, or a bare variable's declared
+    type, any for an untyped one.  The skip is exact: a premise only ever
+    matches atoms of that type, so the other rules' deltas are empty.
     Each step draws one entry with the seeded RNG and moves the last entry
     into its place.  A (rule, binding) pair enters the pool, so fires, at
     most once: each binding's newest premise atom lies in one match delta.
@@ -231,6 +235,9 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     rng = random.Random(config.seed)
     queries = [Query(variables=list(rule.variables), clauses=list(rule.premises))
                for rule in rules]
+    # the atom types each rule's premises match; None: any type
+    feeds = [{dict(rule.variables).get(p) if kb.atom(p).type.name == "VariableNode"
+              else kb.atom(p).type.name for p in rule.premises} for rule in rules]
     pending: list[tuple[int, Binding]] = []  # (rule index, binding)
     new_atoms: list[int] = []
     traces: list[Derivation] = []
@@ -238,8 +245,10 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     since = 0  # atoms from here on have not been matched yet
     for _ in range(config.max_steps):
         if since < len(kb):
+            new = {kb.atoms[a].type.name for a in range(since, len(kb))} | {None}
             for ri, query in enumerate(queries):
-                pending.extend((ri, binding) for binding in match(kb, query, since))
+                if since == 0 or feeds[ri] & new:
+                    pending.extend((ri, b) for b in match(kb, query, since))
         if not pending:
             break
         i = rng.randrange(len(pending))

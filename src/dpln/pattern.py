@@ -184,7 +184,17 @@ def _extend(kb: AtomSpace, plan: list[tuple[int, int, int]],
         return
     clause, lo, hi = plan[ci]
     pool = candidates(kb, clause, binding, constraints)
-    for cand in pool[bisect_left(pool, lo):bisect_left(pool, hi)]:
+    pool = pool[bisect_left(pool, lo):bisect_left(pool, hi)]
+    if clause not in binding and kb.atoms[clause].type.name == "VariableNode":
+        # candidates are ground atoms of its type: each binds it without unify
+        extended = ({**binding, clause: cand} for cand in pool)
+        if ci + 1 == len(plan):
+            results.extend(extended)
+        else:
+            for nb in extended:
+                _extend(kb, plan, constraints, ci + 1, nb, results)
+        return
+    for cand in pool:
         nb = _unify(kb, clause, cand, binding, constraints)
         if nb is not None:
             _extend(kb, plan, constraints, ci + 1, nb, results)

@@ -75,3 +75,46 @@ def test_fit_calls_sgd_step_once_per_step_through_the_module(monkeypatch):
     p = tape.parameter(0.5)
     training.fit([p], lambda: tape.mul(p, p), 0.25, 7)
     assert calls == [0.25] * 7
+
+
+def test_match_wrapped_at_its_import_sites_sees_every_forward_binding():
+    """perfbench reads ``pattern.bindings`` and ``chainer.firings_per_binding``
+    from a wrapper it puts in every module attribute that holds
+    ``pattern.match``, ``dpln.chainer.match`` among them.  So ``forward_chain``
+    must get the bindings it fires through that name, never through an
+    unchecked helper the wrapper cannot see."""
+    import dpln
+    from dpln import chainer, pattern
+    from dpln.rules import make_rule_set
+    from dpln.sexpr import load_kb
+    original, sizes, fired = pattern.match, [], []
+
+    def wrapped(*args, **kwargs):
+        out = original(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+    modules = [dpln] + [importlib.import_module("dpln." + m) for m in (
+        "autodiff", "atomspace", "sexpr", "pattern", "chainer", "rules",
+        "training", "cli")]
+    undo = [(mod, name) for mod in modules
+            for name, value in list(vars(mod).items()) if value is original]
+    assert (chainer, "match") in undo
+    apply = chainer.apply_rule
+    try:
+        for mod, name in undo:
+            setattr(mod, name, wrapped)
+        chainer.apply_rule = lambda *args: fired.append(args) or apply(*args)
+        kb = AtomSpace(Tape())
+        load_kb(kb, """
+        (ImplicationLink (stv 0.9 0.9) (PredicateNode "p") (PredicateNode "q"))
+        (EvaluationLink (stv 0.8 0.9) (PredicateNode "p") (ConceptNode "x"))
+        (InheritanceLink (stv 0.9 0.8) (ConceptNode "a") (ConceptNode "b"))
+        (InheritanceLink (stv 0.8 0.9) (ConceptNode "b") (ConceptNode "c"))
+        """)
+        chainer.forward_chain(kb, make_rule_set(kb),
+                              chainer.ChainConfig(max_steps=30, seed=1))
+    finally:
+        chainer.apply_rule = apply
+        for mod, name in undo:
+            setattr(mod, name, original)
+    assert fired and sum(sizes) >= len(fired)

@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dpln import (ChainConfig, ChainError, Derivation, FormulaWeights, Leaf,
-                  Query, TruthValue, apply_rule, backward_chain, format_atom,
-                  forward_chain, load_kb, make_deduction_rule,
+                  MatchError, Query, TruthValue, apply_rule, backward_chain,
+                  format_atom, forward_chain, load_kb, make_deduction_rule,
                   make_modus_ponens_rule, make_rule_set, match, parse_atom,
                   substitute, variables_in)
 from dpln import AtomSpace, chainer, deduction_strength
@@ -250,6 +250,68 @@ def test_forward_chain_equals_full_rematch(monkeypatch, duplicated):
         assert any(kb.atom(a).type.name == "AndLink"
                    and set(kb.atom(a).outgoing) <= derived_evals
                    for a in new_atoms)
+
+
+def test_forward_chain_matches_only_rules_a_new_atom_can_feed(monkeypatch):
+    """After the first step matches every rule, a step matches a rule's delta
+    only if an atom at or above ``since`` has a type one of its premises can
+    take: a link's own type, a bare variable's declared one, or any for an
+    untyped bare variable.  Every delta it skips is empty.  Most firings on
+    CLOSURE_KB intern an AndLink, OrLink or NotLink, which only the added
+    rule's untyped premise takes, so most rules are skipped."""
+    calls, firings = [], []
+    real_match, real_apply = chainer.match, chainer.apply_rule
+
+    def matching(kb, query, since=0):
+        calls.append((query, since, len(kb)))
+        return real_match(kb, query, since)
+
+    def applying(kb, rule, binding):
+        step = calls[firings[-1][1] if firings else 0:]
+        if step:  # the rules this step skipped had nothing to add
+            since, called = step[-1][1], {tuple(q.clauses) for q, _, _ in step}
+            assert all(real_match(kb, _premise_query(r), since) == []
+                       for r in rules if tuple(r.premises) not in called)
+        firings.append((rule, len(calls)))
+        return real_apply(kb, rule, binding)
+    monkeypatch.setattr(chainer, "match", matching)
+    monkeypatch.setattr(chainer, "apply_rule", applying)
+    _, kb = fresh_kb()
+    load_kb(kb, CLOSURE_KB)
+    p, q, v = (kb.node("VariableNode", n) for n in ("$P", "$Q", "$V"))
+    rules = make_rule_set(kb) + [chainer.Rule(
+        kb, name="list-any", variables=[(p, "PredicateNode"), (q, None), (v, None)],
+        premises=[kb.link("ImplicationLink", p, q), v],
+        conclusion=kb.link("ListLink", p, v), formula=lambda inputs: inputs[0])]
+    forward_chain(kb, rules, ChainConfig(max_steps=200, seed=3))
+
+    def premise_types(query):
+        typed = dict(query.variables)
+        return {typed.get(c) if kb.atom(c).type.name == "VariableNode"
+                else kb.atom(c).type.name for c in query.clauses}
+    assert [since for _, since, _ in calls[:len(rules)]] == [0] * len(rules)
+    for query, since, end in calls[len(rules):]:
+        new = {kb.atom(a).type.name for a in range(since, end)} | {None}
+        assert since > 0 and premise_types(query) & new
+    assert len(calls) < len(rules) * len(firings) / 2
+    assert rules[-1] in {rule for rule, _ in firings}
+
+
+def test_forward_chain_checks_every_rule_on_its_first_step():
+    """A premise variable missing from the rule's variables still raises
+    MatchError, even where no atom in the KB has the premise's type: the
+    first step matches every rule through the checked ``match``."""
+    _, kb = fresh_kb()
+    load_kb(kb, SPARROW_KB)
+    x, y = kb.node("VariableNode", "$X"), kb.node("VariableNode", "$Y")
+    undeclared = chainer.Rule(
+        kb, name="undeclared", variables=[(x, None)],
+        premises=[kb.link("ListLink", x, y)],
+        conclusion=kb.link("InheritanceLink", y, x),
+        formula=lambda inputs: inputs[0])
+    with pytest.raises(MatchError, match=r"\$Y"):
+        forward_chain(kb, [make_deduction_rule(kb), undeclared],
+                      ChainConfig(max_steps=5))
 
 
 _ARGUMENTS = {  # link type -> the ground atoms each argument place draws from

@@ -210,6 +210,39 @@ def test_match_completeness_brute_force():
             assert set(got) == set(map(key, expected))
 
 
+def test_match_bare_variable_clauses_brute_force():
+    """A bare-variable clause binds each of its candidates directly.  Typed,
+    untyped, or bound by an earlier link clause, match still equals
+    exhaustive enumeration at ``since`` = 0 and at random marks, with
+    distinct bindings."""
+    rng = random.Random(29)
+    key = lambda b: tuple(sorted(b.items()))
+    for _ in range(20):
+        kb, present = _random_kb(rng)
+        x = kb.node("VariableNode", "$X")
+        y = kb.node("VariableNode", "$Y")
+        z = kb.node("VariableNode", "$Z")
+        untyped = [(x, None), (y, None), (z, None)]
+        queries = [
+            Query(variables=untyped[:2],
+                  clauses=[kb.link("InheritanceLink", x, y), y]),
+            Query(variables=[untyped[0], untyped[2]],
+                  clauses=[z, kb.link("InheritanceLink", x, z)]),
+            Query(variables=[(x, "ConceptNode"), (y, None), (z, "InheritanceLink")],
+                  clauses=[x, z, kb.link("InheritanceLink", x, y), y]),
+        ]
+        # all matching before the brute force, which may intern links
+        runs = [(query, since, list(map(key, match(kb, query, since=since))))
+                for query in queries
+                for since in [0] + rng.sample(range(len(kb) + 1), 4)]
+        for query, since, got in runs:
+            expected = [b for b in _brute_force_match(kb, query, present)
+                        if any(substitute(kb, c, b) >= since
+                               for c in query.clauses)]
+            assert len(got) == len(set(got))
+            assert set(got) == set(map(key, expected))
+
+
 def test_match_soundness_and_purity():
     kb = _chain_kb()
     size = len(kb)

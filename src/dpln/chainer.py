@@ -16,7 +16,9 @@ ids unchecked; only ``apply_rule`` writes truth values.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
+from math import prod
 from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
@@ -24,7 +26,7 @@ from .autodiff import VarRef
 # unify is not called here: perfbench/tests/test_perfbench.py reads
 # dpln.chainer.unify, and tests/test_benchmark_names.py guards that name
 from .pattern import (Binding, Query, _substitute, _unify, candidates, lookup,
-                      match, substitute, unify, variables_in)
+                      match, unify, variables_in)
 
 
 # Deepest max_depth the backward search accepts: the search (and later a
@@ -64,11 +66,13 @@ class Rule:
     early: list[tuple[int, str]] = field(init=False, default_factory=list)
     late: list[tuple[int, str]] = field(init=False, default_factory=list)
     hoist: bool = field(init=False, default=False)
+    args: list[set[int]] = field(init=False, default_factory=list)  # premise variables
 
     def __post_init__(self, kb: AtomSpace):
         atoms, free = kb.atoms, variables_in(kb, self.conclusion)
         args = [[o for o in atoms[p].outgoing or [p] if not atoms[o].is_ground]
                 for p in self.premises]
+        self.args = [set(a) for a in args]
         bound = set().union(*args)
         if self.conclusion in free or not free <= bound or not args or any(
                 sorted(a) != sorted(variables_in(kb, p))
@@ -180,9 +184,14 @@ def commit(kb: AtomSpace, trace: Derivation, strength: VarRef) -> None:
     """Writes ``strength``, the derivation's replayed output, into its
     conclusion's TV (latest wins); confidence is the minimum over the
     leaves' confidences."""
-    confidence = min((kb.get_tv(leaf.atom).confidence for leaf in trace.leaves()),
-                     default=0.0)
-    kb.set_tv(trace.conclusion, TruthValue(strength, confidence))
+    confidences, todo = [], [trace]
+    while todo:  # trace.leaves() in order, without a generator per level
+        node = todo.pop()
+        if type(node) is Derivation:
+            todo.extend(reversed(node.premises))
+        else:
+            confidences.append(kb.get_tv(node.atom).confidence)
+    kb.set_tv(trace.conclusion, TruthValue(strength, min(confidences, default=0.0)))
 
 
 @dataclass
@@ -198,13 +207,12 @@ def apply_rule(kb: AtomSpace, rule: Rule,
     commits the conclusion: its strength is the replayed formula output, so
     gradients flow through it; its confidence the minimum over premises."""
     leaves = []
-    for premise in rule.premises:
-        missing = variables_in(kb, premise) - set(binding)
-        if missing:
-            names = sorted(kb.atom(v).name for v in missing)
+    for premise, args in zip(rule.premises, rule.args):
+        if not binding.keys() >= args:
+            names = sorted(kb.atom(v).name for v in args - binding.keys())
             raise ChainError("binding does not ground premise variable(s): %s"
                              % ", ".join(names))
-        leaves.append(Leaf(substitute(kb, premise, binding)))
+        leaves.append(Leaf(_substitute(kb, premise, binding)))
     trace = _derive(kb, rule, dict(binding), leaves)
     strength = trace.replay(kb, {})
     commit(kb, trace, strength)
@@ -216,16 +224,24 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     """Applies rules premises-to-conclusions for up to max_steps steps.
 
     Pending (rule, binding) pairs form an unordered pool kept across steps
-    (semi-naive evaluation): after a firing, only bindings in which some
-    premise matches an atom it interned are added.  That suffices because
-    ``match`` tests atom presence, not truth values, and the KB only grows.
-    Such a delta is matched only for a rule with a premise that can take the
-    type of an interned atom: its own type, or a bare variable's declared
-    type, any for an untyped one.  The skip is exact: a premise only ever
-    matches atoms of that type, so the other rules' deltas are empty.
-    Each step draws one entry with the seeded RNG and moves the last entry
-    into its place.  A (rule, binding) pair enters the pool, so fires, at
-    most once: each binding's newest premise atom lies in one match delta.
+    (semi-naive evaluation).  The first step gives each rule one segment of
+    the pool: the cross product of one ``match`` per premise when no two
+    premises share a variable, else of one ``match`` of the whole query.
+    An entry is decoded only when drawn: its index, read in mixed radix over
+    the factor lengths, picks one binding per factor, merged in clause
+    order, which is the binding, key order included, that ``match``'s
+    nested loop puts at that index.  After a firing, only bindings in which
+    some premise matches an atom it interned are added.  That suffices
+    because ``match`` tests atom presence, not truth values, and the KB only
+    grows.  Such a delta is matched only for a rule with a premise that can
+    take the type of an interned atom: its own type, or a bare variable's
+    declared type, any for an untyped one.  The skip is exact: a premise
+    only ever matches atoms of that type, so the other rules' deltas are
+    empty.  Each step draws one entry with the seeded RNG and moves the last
+    entry into its place; an undecoded one moves as its first-step position,
+    so a draw decodes at most one entry.  A (rule, binding) pair enters the
+    pool, so fires, at most once: each binding's newest premise atom lies in
+    one match delta.
     Returns the atoms that did not exist before chaining, with traces.
     """
     if not rules:
@@ -238,22 +254,41 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     # the atom types each rule's premises match; None: any type
     feeds = [{dict(rule.variables).get(p) if kb.atom(p).type.name == "VariableNode"
               else kb.atom(p).type.name for p in rule.premises} for rule in rules]
-    pending: list[tuple[int, Binding]] = []  # (rule index, binding)
+    segments, starts, n = [], [], 0  # per rule: its factors, its first position
+    for rule, query in zip(rules, queries):
+        segments.append([match(kb, Query(query.variables, [p])) for p in rule.premises]
+                        if sum(map(len, rule.args)) == len(set().union(*rule.args))
+                        else [match(kb, query)])
+        starts.append(n)
+        n += prod(map(len, segments[-1]))
+    pool: dict = {}  # position -> a delta's (rule index, binding), or a position
     new_atoms: list[int] = []
     traces: list[Derivation] = []
 
-    since = 0  # atoms from here on have not been matched yet
+    since = len(kb)  # atoms from here on have not been matched yet
     for _ in range(config.max_steps):
         if since < len(kb):
-            new = {kb.atoms[a].type.name for a in range(since, len(kb))} | {None}
+            new = {None, *(kb.atoms[a].type.name for a in range(since, len(kb)))}
             for ri, query in enumerate(queries):
-                if since == 0 or feeds[ri] & new:
-                    pending.extend((ri, b) for b in match(kb, query, since))
-        if not pending:
+                if not feeds[ri].isdisjoint(new):
+                    for binding in match(kb, query, since):
+                        pool[n] = (ri, binding)
+                        n += 1
+        if not n:
             break
-        i = rng.randrange(len(pending))
-        pending[i], pending[-1] = pending[-1], pending[i]
-        ri, binding = pending.pop()
+        i = rng.randrange(n)
+        n -= 1
+        entry, last = pool.get(i, i), pool.pop(n, n)
+        if i < n:
+            pool[i] = last
+        if type(entry) is int:  # a segment position; an empty segment has none
+            ri = bisect_right(starts, entry) - 1
+            j, binding = entry - starts[ri], {}
+            for factor in reversed(segments[ri]):  # the last varies fastest
+                j, k = divmod(j, len(factor))
+                binding = {**factor[k], **binding}
+        else:
+            ri, binding = entry
         since = len(kb)
         conclusion, _, trace = apply_rule(kb, rules[ri], binding)
         if conclusion >= since:

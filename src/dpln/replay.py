@@ -2,9 +2,10 @@
 
 The replayed records of one opcode, input kinds and depth between the same
 two guards form a lane: one list comprehension recomputes it, and one per
-input its adjoint terms.  A left fold of adds is a lane too, computed by one
-``accumulate``.  Sums keep the eager order, so the loss and the grads are
-bit-identical to a re-trace.  Imported by the first ``trace_loss`` call.
+input its adjoint terms.  A left fold of three or more adds is a lane too,
+computed by one ``accumulate``.  Sums keep the eager order, so the loss and
+the grads are bit-identical to a re-trace.  Imported by the first
+``trace_loss`` call.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
     # input 0 extends the chain of its guards and kinds that ends there; the
     # chain is computed where its last record is
     dead = {j for i in replayed if i not in terms for j in deps[i][1::2]}
-    chains, ends = set(), {}
+    chains, ends, starts = set(), {}, {}
     for key, members in list(lanes.items()):
         i, j = members[0], deps[members[0]][1]
         prev = ends.pop(j, None)
@@ -117,8 +118,13 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
                 and key[2:] in _FOLDS and terms.get(j) == [2 * i] and j not in dead:
             lanes[key] = lanes.pop(prev) + members
             chains.add(key)
+            starts[key] = prev
         if len(lanes[key]) == 1 or key in chains:
             ends[lanes[key][-1]] = key
+    # two adds run faster as two statements than as an accumulate
+    for key in [k for k in lanes if k in chains and len(lanes[k]) == 2]:
+        lanes[starts[key]], lanes[key] = lanes[key][:1], lanes[key][1:]
+        chains.remove(key)
 
     # the scratch list w holds each lane's values, a float or a list, its
     # captured constants and its inputs' adjoint terms

@@ -447,6 +447,42 @@ def test_replay_matches_retrace_bit_for_bit():
             assert [r.grad for r in refs] == [r.grad for r in fresh_refs]
 
 
+@pytest.mark.parametrize("adds, folds", [(2, 0), (3, 1)])
+def test_only_a_fold_of_three_or_more_adds_is_an_accumulate(monkeypatch, adds, folds):
+    """A left fold of two adds compiles to two statements, one of three to
+    one ``accumulate``; either replays bit for bit what a re-trace gives."""
+    from dpln import replay as compiled
+    sources = []
+    compile_blocks = compiled._functions
+
+    def recording(blocks, *args):
+        sources.extend(blocks)
+        return compile_blocks(blocks, *args)
+    monkeypatch.setattr(compiled, "_functions", recording)
+
+    def build(tape, refs):
+        a, b, c = refs
+        total = tape.mul(a, b)
+        for term in [tape.sigmoid(c), tape.mul(b, c), tape.log(tape.clamp01(a))][:adds]:
+            total = tape.add(total, term)
+        return tape.mul(total, total)
+    t = Tape()
+    refs = [t.parameter(x) for x in (0.3, -0.4, 0.7)]
+    loss, replay = trace_loss(refs, lambda: build(t, refs))
+    assert sum(block.count("accumulate(") for block in sources) == folds
+    for values in [(0.5, 0.25, -1.5), (0.9, -2.0, 0.1)]:
+        for r, x in zip(refs, values):
+            r.value = x
+        t.zero_grads()
+        fresh = Tape()
+        fresh_refs = [fresh.parameter(x) for x in values]
+        fresh_loss = build(fresh, fresh_refs)
+        fresh.backward(fresh_loss)
+        assert replay()
+        assert _bits([loss.value]) == _bits([fresh_loss.value])
+        assert _bits(r.grad for r in refs) == _bits(r.grad for r in fresh_refs)
+
+
 def test_every_op_of_the_table_is_a_rendered_tape_method():
     rendered = {name for name, f in vars(Tape).items()
                 if getattr(f, "__code__", None) is not None

@@ -8,10 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dpln import (ChainConfig, ChainError, Derivation, FormulaWeights, Leaf,
-                  MatchError, Query, TruthValue, apply_rule, backward_chain,
-                  format_atom, forward_chain, load_kb, make_deduction_rule,
-                  make_modus_ponens_rule, make_rule_set, match, parse_atom,
-                  substitute, variables_in)
+                  MatchError, Query, TruthValue, UnknownAtomError, apply_rule,
+                  backward_chain, format_atom, forward_chain, load_kb,
+                  make_deduction_rule, make_modus_ponens_rule, make_rule_set,
+                  match, parse_atom, substitute, variables_in)
 from dpln import AtomSpace, chainer, deduction_strength
 from dpln.chainer import MAX_SEARCH_DEPTH, Constant
 from dpln.pattern import candidates
@@ -180,6 +180,35 @@ def _rematch_forward_chain(kb, rules, config):
     return new_atoms, traces
 
 
+def _eager_forward_chain(kb, rules, config):
+    """The oracle for ``forward_chain``'s lazy first step: its loop with an
+    eager pool, a list of every (rule, binding) pair the first step's
+    whole-query matches give, drawn by swapping with the last entry."""
+    rng = random.Random(config.seed)
+    queries = [_premise_query(rule) for rule in rules]
+    feeds = [{dict(rule.variables).get(p) if kb.atom(p).type.name == "VariableNode"
+              else kb.atom(p).type.name for p in rule.premises} for rule in rules]
+    pending, new_atoms, traces = [], [], []
+    since = 0
+    for _ in range(config.max_steps):
+        if since < len(kb):
+            new = {kb.atoms[a].type.name for a in range(since, len(kb))} | {None}
+            for ri, query in enumerate(queries):
+                if since == 0 or feeds[ri] & new:
+                    pending.extend((ri, b) for b in match(kb, query, since))
+        if not pending:
+            break
+        i = rng.randrange(len(pending))
+        pending[i], pending[-1] = pending[-1], pending[i]
+        ri, binding = pending.pop()
+        since = len(kb)
+        conclusion, _, trace = chainer.apply_rule(kb, rules[ri], binding)
+        if conclusion >= since:
+            new_atoms.append(conclusion)
+            traces.append(trace)
+    return new_atoms, traces
+
+
 # Modus ponens derives Eval(q, x), Eval(r, x) and Eval(r, y), which the
 # connective rules then combine, and re-derives the asserted Eval(q, y);
 # deduction closes a -> b -> c -> d and re-derives the asserted Inh(a, c).
@@ -252,6 +281,12 @@ def test_forward_chain_equals_full_rematch(monkeypatch, duplicated):
                    for a in new_atoms)
 
 
+def _independent(kb, rule):
+    """Whether no two of the rule's premises share a variable."""
+    found = [variables_in(kb, p) for p in rule.premises]
+    return sum(map(len, found)) == len(set().union(*found))
+
+
 def test_forward_chain_matches_only_rules_a_new_atom_can_feed(monkeypatch):
     """After the first step matches every rule, a step matches a rule's delta
     only if an atom at or above ``since`` has a type one of its premises can
@@ -271,7 +306,8 @@ def test_forward_chain_matches_only_rules_a_new_atom_can_feed(monkeypatch):
         if step:  # the rules this step skipped had nothing to add
             since, called = step[-1][1], {tuple(q.clauses) for q, _, _ in step}
             assert all(real_match(kb, _premise_query(r), since) == []
-                       for r in rules if tuple(r.premises) not in called)
+                       for r in rules if tuple(r.premises) not in called
+                       and not {(p,) for p in r.premises} <= called)
         firings.append((rule, len(calls)))
         return real_apply(kb, rule, binding)
     monkeypatch.setattr(chainer, "match", matching)
@@ -289,8 +325,13 @@ def test_forward_chain_matches_only_rules_a_new_atom_can_feed(monkeypatch):
         typed = dict(query.variables)
         return {typed.get(c) if kb.atom(c).type.name == "VariableNode"
                 else kb.atom(c).type.name for c in query.clauses}
-    assert [since for _, since, _ in calls[:len(rules)]] == [0] * len(rules)
-    for query, since, end in calls[len(rules):]:
+    # the first step matches each premise of a rule whose premises share no
+    # variable on its own, and any other rule whole
+    first = [c for r in rules for c in (
+        [(p,) for p in r.premises] if _independent(kb, r) else [tuple(r.premises)])]
+    assert [(tuple(q.clauses), since) for q, since, _ in calls[:len(first)]] == [
+        (c, 0) for c in first]
+    for query, since, end in calls[len(first):]:
         new = {kb.atom(a).type.name for a in range(since, end)} | {None}
         assert since > 0 and premise_types(query) & new
     assert len(calls) < len(rules) * len(firings) / 2
@@ -370,6 +411,138 @@ def test_forward_chain_fires_each_pair_once(facts, picks, seed):
         forward_chain(kb, [all_rules[i] for i in picks],
                       ChainConfig(max_steps=60, seed=seed))
     assert len(fired) == len(set(fired))
+
+
+def _segment_rules(kb):
+    """Rules whose first-step segments have shapes make_rule_set lacks: three
+    mutually independent typed premises, a ground premise beside a variable
+    one, a premise type no atom has until negation fires (an empty segment,
+    placed between nonempty ones), and two premises joined on a variable."""
+    e, i, m, n, x, y, z = (kb.node("VariableNode", v) for v in (
+        "$E", "$I", "$M", "$N", "$X", "$Y", "$Z"))
+    c0 = kb.node("ConceptNode", "c0")
+    first = lambda inputs: inputs[0]
+    return [
+        chainer.Rule(kb, name="three", variables=[
+            (e, "EvaluationLink"), (i, "InheritanceLink"), (m, "ImplicationLink")],
+            premises=[e, i, m], conclusion=kb.link("ListLink", e, i, m), formula=first),
+        chainer.Rule(kb, name="empty", variables=[(e, "EvaluationLink"), (n, None)],
+                     premises=[e, kb.link("NotLink", n)],
+                     conclusion=kb.link("ListLink", n, e), formula=first),
+        chainer.Rule(kb, name="ground", variables=[(e, "EvaluationLink")],
+                     premises=[c0, e], conclusion=kb.link("ListLink", c0, e),
+                     formula=first),
+        chainer.Rule(kb, name="joined", variables=[(x, None), (y, None), (z, None)],
+                     premises=[kb.link("InheritanceLink", x, y),
+                               kb.link("InheritanceLink", z, y)],
+                     conclusion=kb.link("ListLink", x, z), formula=first),
+    ]
+
+
+def _firings(chain, text, picks, seed, steps):
+    """What ``chain`` fires on the KB ``text`` with the rules at ``picks`` of
+    make_rule_set + _segment_rules: each (rule index, binding items), the
+    new atoms, the traces' conclusions, and each new atom's strength and
+    confidence."""
+    _, kb = fresh_kb()
+    load_kb(kb, text)
+    all_rules = make_rule_set(kb) + _segment_rules(kb)
+    rules, fired = [all_rules[i] for i in picks], []
+    apply = chainer.apply_rule
+
+    def recording(kb, rule, binding):
+        fired.append((rules.index(rule), list(binding.items())))
+        return apply(kb, rule, binding)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(chainer, "apply_rule", recording)
+        new_atoms, traces = chain(kb, rules, ChainConfig(max_steps=steps, seed=seed))
+    tvs = [(kb.get_tv(a).strength.value, kb.get_tv(a).confidence) for a in new_atoms]
+    return fired, new_atoms, [t.conclusion for t in traces], tvs
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(facts=_facts,
+       picks=st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True),
+       seed=st.integers(0, 2 ** 16))
+def test_lazy_first_step_fires_the_eager_pools_sequence(facts, picks, seed):
+    """On random KBs, with a random sublist of make_rule_set and the
+    segment-shape rules and a random seed, the lazy pool fires the eager
+    pool's (rule, binding) sequence, binding key order included, and
+    derives the same atoms with the same strengths and confidences."""
+    text = _kb_text(facts)
+    assert (_firings(forward_chain, text, picks, seed, 60)
+            == _firings(_eager_forward_chain, text, picks, seed, 60))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lazy_first_step_until_the_pool_runs_empty(seed):
+    """Every segment shape of _segment_rules, the empty one between nonempty
+    ones, with make_rule_set: drawn until the pool is empty, so every entry
+    the swap moved is drawn, the lazy pool fires the eager one's sequence."""
+    picks = [6, 0, 7, 1, 8, 2, 3, 4, 9, 5]
+    fired, *rest = _firings(forward_chain, CLOSURE_KB, picks, seed, 5000)
+    assert 100 < len(fired) < 5000  # the pool ran empty
+    rule_of = [picks[ri] for ri, _ in fired]
+    assert set(rule_of) == set(range(10))
+    # "empty" (7) has no NotLink at the first step: it fires on deltas only
+    assert rule_of.index(7) > rule_of.index(4)  # after fuzzy-negation
+    assert [fired, *rest] == list(_firings(_eager_forward_chain, CLOSURE_KB,
+                                           picks, seed, 5000))
+
+
+def test_forward_chain_first_step_bindings_grow_linearly(monkeypatch):
+    """The first step matches each premise of fuzzy-conjunction and
+    fuzzy-disjunction on its own, so the bindings its ``match`` calls build
+    grow with the number of EvaluationLinks, not with its square."""
+    def first_step_bindings(n):
+        _, kb = fresh_kb()
+        load_kb(kb, "".join(
+            '(EvaluationLink (stv 0.5 0.9) (PredicateNode "p%d") (ConceptNode "x%d"))\n'
+            % (k % 5, k) for k in range(n)))
+        calls = []
+
+        def counting(kb, query, since=0):
+            out = real_match(kb, query, since)
+            calls.append((since, len(out)))
+            return out
+        monkeypatch.setattr(chainer, "match", counting)
+        forward_chain(kb, make_rule_set(kb), ChainConfig(max_steps=1))
+        assert calls and all(since == 0 for since, _ in calls)
+        return sum(size for _, size in calls)
+    real_match = chainer.match
+    assert first_step_bindings(40) == 2 * first_step_bindings(20)
+
+
+def test_commit_confidence_is_the_minimum_over_the_leaves():
+    """commit's confidence is min over trace.leaves(), 0.0 for none, through
+    a nested Derivation; an unasserted leaf reads 0.0, and a leaf id the KB
+    does not hold raises UnknownAtomError."""
+    _, kb = fresh_kb()
+    load_kb(kb, CLOSURE_KB)
+    rule, strength = make_deduction_rule(kb), kb.tape.constant(0.5)
+    ab, bc, cd, ac = (parse_atom(kb, '(InheritanceLink (ConceptNode "%s") '
+                                     '(ConceptNode "%s"))' % tuple(pair))
+                      for pair in ("ab", "bc", "cd", "ac"))
+    target = parse_atom(kb, '(InheritanceLink (ConceptNode "a") (ConceptNode "d"))')
+
+    def committed(premises):
+        trace = Derivation(rule, {}, target, premises, [])
+        want = min((kb.get_tv(leaf.atom).confidence for leaf in trace.leaves()),
+                   default=0.0)
+        chainer.commit(kb, trace, strength)
+        assert kb.get_tv(target).confidence == want
+        return want
+
+    inner = Derivation(rule, {}, ac, [Leaf(ab), Leaf(bc)], [])
+    assert committed([inner, Leaf(cd)]) == 0.7
+    assert committed([Leaf(cd), inner]) == 0.7
+    assert committed([Derivation(rule, {}, ac, [inner], []), Leaf(bc)]) == 0.8
+    assert committed([inner, Leaf(kb.node("ConceptNode", "unvalued"))]) == 0.0
+    assert committed([]) == 0.0
+    with pytest.raises(UnknownAtomError):
+        chainer.commit(kb, Derivation(rule, {}, target, [inner, Leaf(len(kb))], []),
+                       strength)
 
 
 def test_backward_chain_modus_ponens():

@@ -8,9 +8,10 @@ conclusion.  Traces are not changed once the search builds them: a search
 result depends only on the rules and on which atoms are asserted, so each
 KB keeps one subgoal table across calls; ``AtomSpace.set_tv`` ends it on a
 new assertion and ``prove`` on another rule list.  The table holds proofs
-only; ``first_proofs``, which ``training`` reads through, derives just the
-lanes its targets read.  The search interns only new atoms and reads atom
-ids unchecked; only ``apply_rule`` writes truth values.
+only; one walk, ``_Search.lanes``, yields a rule's derivations, which
+``solve`` stores and ``first_proofs``, which ``training`` reads through,
+picks from.  The search interns only new atoms and reads atom ids
+unchecked; only ``apply_rule`` writes truth values.
 """
 
 from __future__ import annotations
@@ -140,23 +141,6 @@ class Derivation:
             out = self.rule.formula(inputs)
             memo[key] = out
         return out
-
-
-@dataclass(eq=False, slots=True)
-class Schema:
-    """The search's record of one prefix's derivations over its column: the
-    rule, the prefix's binding and traces, the terms it read, the last
-    premise's table entry, ``seen`` (see ``_match_conclusion``), and the
-    aliases ``same`` and ``late`` type checks, which run per lane."""
-
-    rule: Rule
-    binding: Binding  # the prefix's
-    premises: list  # the prefix's traces
-    terms: list | None  # None: read per lane
-    column: list
-    seen: dict
-    same: Binding
-    late: list
 
 
 InferenceTrace = Leaf | Derivation
@@ -306,7 +290,8 @@ def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
     maps it to the first, which its later subtrees must equal: a rule
     variable among them is bound to a ground one, or else to the variable
     of another, its alias until the premises bind that one.  Such a repeat
-    sets ``seen[None]``, True if it aliases."""
+    sets ``seen[None]``, True if it aliases; so does a rule variable meeting
+    a subtree that holds a variable, which it leaves unbound."""
     ca = kb.atoms[c]
     ta = kb.atoms[t]
     if ta.type.name == "VariableNode":
@@ -321,11 +306,12 @@ def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
             return a == b or not (kb.atoms[a].is_ground and kb.atoms[b].is_ground)
         if kb.atoms[a].is_ground or kb.atoms[a].type.name == "VariableNode":
             rb[b] = a
-            seen[None] = True  # solve_premises resolves the aliases
+            seen[None] = True  # lanes resolves the aliases
         return True
     if ca.type.name == "VariableNode":
-        if not ta.is_ground:
-            return False  # rule variable against a partial pattern
+        if not ta.is_ground:  # a partial pattern: _unify reads the answer
+            seen.setdefault(None, False)
+            return True
         bound = rb.get(c)
         if bound is None:
             rb[c] = t
@@ -353,10 +339,10 @@ class _Search:
     """A KB's table of solved subgoals, keyed by (pattern, depth), and of
     each pattern's depth-0 facts, for one rule list (``prove`` checks
     ``rules``) until ``set_tv`` ends it.  An entry holds proofs only,
-    (binding, trace) pairs; each column is walked once per prefix
-    (``schemas``).  It holds no reference to the KB, and its methods are not
-    nested closures: no reference cycle keeps a dropped KB alive until a
-    garbage collection."""
+    (binding, trace) pairs; ``lanes`` walks each column once per prefix.
+    It holds no reference to the KB, and its methods are not nested
+    closures: no reference cycle keeps a dropped KB alive until a garbage
+    collection."""
 
     def __init__(self, rules: list[Rule]):
         self.rules = tuple(rules)
@@ -366,47 +352,57 @@ class _Search:
     def solve(self, kb: AtomSpace, pattern: int,
               depth: int) -> list[tuple[Binding, InferenceTrace]]:
         """Facts, then rule derivations, proving ``pattern`` within
-        ``depth``, in (rule, premise solutions) order: each schema's lanes
-        in column order, less those failing a ``late`` check, through
-        ``_derive``.  A binding is read off the conclusion match, but a
-        target repeating a variable is unified with it, dropping failures."""
+        ``depth``: one per lane, through ``_derive``.  A binding is read off
+        the conclusion match, but a target repeating a variable, or holding
+        one where the rule has a variable, is unified with the conclusion,
+        dropping failures."""
         memo = self.memo
         if (pattern, depth) in memo:
             return memo[pattern, depth]
         if pattern not in self.facts:  # the same at any depth
             self.facts[pattern] = _facts(kb, pattern)
         results = list(self.facts[pattern])
-        for s in self.schemas(kb, pattern, depth):
-            repeated = None in s.seen
-            for sub_binding, trace in s.column:
-                full = {**s.binding, **sub_binding}
-                if s.same:
-                    full.update((v, full[a]) for v, a in s.same.items())
-                if s.late and any(kb.atoms[full[v]].type.name != t for v, t in s.late):
-                    continue
-                # ground: Rule makes the premises bind every conclusion variable
-                proof = _derive(kb, s.rule, full, s.premises + [trace], s.terms)
-                b = _unify(kb, pattern, proof.conclusion) if repeated else {
-                    t: full[c] if c in full else _substitute(kb, c, full)
-                    for t, c in s.seen.items()}
-                if b is not None:
-                    results.append((b, proof))
+        for rule, seen, full, traces, trace, terms in self.lanes(kb, pattern, depth):
+            # ground: Rule makes the premises bind every conclusion variable
+            proof = _derive(kb, rule, full, traces + [trace], terms)
+            b = _unify(kb, pattern, proof.conclusion) if None in seen else {
+                t: full[c] if c in full else _substitute(kb, c, full)
+                for t, c in seen.items()}
+            if b is not None:
+                results.append((b, proof))
         memo[pattern, depth] = results
         return results
 
-    def schemas(self, kb: AtomSpace, pattern: int, depth: int) -> list[Schema]:
-        """One Schema per rule whose conclusion matches ``pattern`` and per
-        solution of its premises but the last within ``depth - 1`` (a
-        prefix) with a nonempty column, in that order; a prefix's checks and
-        terms run once for its column."""
-        schemas = []
+    def lanes(self, kb: AtomSpace, pattern: int, depth: int):
+        """Yields (rule, seen, binding, prefix traces, lane trace, terms or
+        None) per rule derivation of ``pattern`` within ``depth``, in (rule,
+        premise solutions) order, once every column is solved.  Per solution
+        of the premises but the last (a prefix), the last premise's table
+        entry (its column) gives the lanes; the type checks and the terms
+        that prefix decides (``Rule.hoist``) run once for all of them.  A
+        subgoal's solutions bind only its own variables, which the
+        substitution left unbound, so merging them never conflicts.  An
+        alias (``seen[None]``) is replaced in the premises by the variable
+        it stands for, so each lane binds it, checks it and reads terms."""
+        matches = []  # per rule matching pattern: seen, aliases and prefixes
         for rule in self.rules if depth >= 1 else ():
             rb, seen = {}, {}
             if not _match_conclusion(kb, rule.conclusion, pattern, rb, seen):
                 continue
-            same, prefixes = self.solve_premises(kb, rule, rb, depth - 1,
-                                                 seen.get(None, False))
-            # an alias is left out of the prefixes: check and read it per proof
+            premises, same = rule.premises, {}
+            if seen.get(None):
+                rb = {v: _root(rb, v) for v in rb}
+                same = {v: a for v, a in rb.items() if not kb.atoms[a].is_ground}
+                rb = {v: a for v, a in rb.items() if v not in same}
+                premises = [_substitute(kb, p, same) for p in premises]
+            prefixes = [(rb, [])]
+            for premise in premises[:-1]:
+                prefixes = [({**b, **sb}, ts + [t]) for b, ts in prefixes for sb, t
+                            in self.solve(kb, _substitute(kb, premise, b), depth - 1)]
+            matches.append((rule, seen, same, [
+                (b, ts, self.solve(kb, _substitute(kb, premises[-1], b), depth - 1))
+                for b, ts in prefixes]))
+        for rule, seen, same, prefixes in matches:
             early, late, hoist = (rule.early, rule.late, rule.hoist) if not same else (
                 (), rule.early + rule.late, False)
             for binding, traces, column in prefixes:
@@ -415,36 +411,13 @@ class _Search:
                     continue
                 terms = [_term(kb, p, d, binding)
                          for p, d in rule.terms] if hoist else None
-                schemas.append(Schema(rule, binding, traces, terms, column, seen,
-                                      same, late))
-        return schemas
-
-    def solve_premises(self, kb: AtomSpace, rule: Rule, rb: Binding, depth: int,
-                       aliased: bool):
-        """Solves the premises but the last; returns the aliases and, per
-        solution (a prefix), its binding, traces and last-premise column.
-
-        A subgoal's solutions bind only its own variables, which the
-        substitution left unbound, so merging them never conflicts.  With
-        ``aliased``, ``rb`` binds a rule variable to another, which the
-        premises then take in its place; the aliases map it to that one."""
-        premises, same = rule.premises, {}
-        if aliased:
-            rb = {v: _root(rb, v) for v in rb}
-            same = {v: a for v, a in rb.items() if not kb.atoms[a].is_ground}
-            rb = {v: a for v, a in rb.items() if v not in same}
-            premises = [_substitute(kb, p, same) for p in premises]
-        solutions = [(rb, [])]
-        for premise in premises[:-1]:
-            next_solutions = []
-            for binding, traces in solutions:
-                p = _substitute(kb, premise, binding)
-                for sub_binding, trace in self.solve(kb, p, depth):
-                    next_solutions.append(({**binding, **sub_binding},
-                                           traces + [trace]))
-            solutions = next_solutions
-        return same, [(b, ts, self.solve(kb, _substitute(kb, premises[-1], b), depth))
-                      for b, ts in solutions]
+                for sub_binding, trace in column:
+                    full = {**binding, **sub_binding}
+                    if same:
+                        full.update((v, full[a]) for v, a in same.items())
+                    if late and any(kb.atoms[full[v]].type.name != t for v, t in late):
+                        continue
+                    yield rule, seen, full, traces, trace, terms
 
 
 def _facts(kb: AtomSpace, pattern: int) -> list[tuple[Binding, Leaf]]:
@@ -506,12 +479,12 @@ def first_proofs(kb: AtomSpace, rules: list[Rule], targets: list[int],
     targets of one link type that differ only in their last argument, like
     ``Eval(color, instance)``, make one query with ``$lifted`` there; for
     ``Rule``'s shape, its proofs binding ``$lifted`` to a target's argument
-    are the ground query's, in order.  The query's facts and schemas come
+    are the ground query's, in order.  The query's facts and lanes come
     from the table, but its derivations are not expanded into it: lanes are
     indexed by answer, found with ``lookup``, and only a target's first lane
-    that passes the ``late`` checks becomes a Derivation, reading the terms
-    its rule does not hoist.  No query repeats a variable, so no lane has
-    aliases or a pattern to unify."""
+    becomes a Derivation, reading the terms its rule does not hoist.  No
+    query repeats a variable or nests one, so no lane has aliases or a
+    pattern to unify."""
     search = _table(kb, rules, targets, config)  # ids checked before interning $lifted
     groups: dict = {}  # (link type, all outgoing but the last) -> its targets
     for t in targets:
@@ -526,17 +499,12 @@ def first_proofs(kb: AtomSpace, rules: list[Rule], targets: list[int],
         for _, leaf in search.solve(kb, query, 0):
             if leaf.atom in ts:
                 found.setdefault(leaf.atom, leaf)
-        for s in search.schemas(kb, query, config.max_depth):
-            c = s.seen.get(var)
-            for b, trace in s.column:
-                full = {**s.binding, **b}
-                t = by_last.get(lookup(kb, c, full)) if by_last else query
-                if t is None or type(found.get(t)) is Derivation or any(
-                        kb.atoms[full[v]].type.name != n for v, n in s.late):
-                    continue
-                terms = s.terms if s.terms is not None else [
-                    _term(kb, p, d, full) for p, d in s.rule.terms]
-                found[t] = Derivation(s.rule, full, t, s.premises + [trace], terms)
+        for rule, seen, full, traces, trace, terms in search.lanes(
+                kb, query, config.max_depth):
+            t = by_last.get(lookup(kb, seen[var], full)) if by_last else query
+            if t is not None and type(found.get(t)) is not Derivation:
+                found[t] = Derivation(rule, full, t, traces + [trace], terms or [
+                    _term(kb, p, d, full) for p, d in rule.terms])
     return [found.get(t) for t in targets]
 
 

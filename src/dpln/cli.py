@@ -441,8 +441,11 @@ def main(argv: list[str] | None = None) -> int:
             UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
-        print("internal error: %s" % exc, file=sys.stderr)
+    except MemoryError:  # the backward search grows with --depth
+        print("error: out of memory; try a smaller --depth", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print("internal error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 2
 
 

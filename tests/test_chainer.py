@@ -766,9 +766,13 @@ def test_variable_target_proofs_are_their_instances_proofs(facts, target,
     assert got == {}
 
 
+_EVAL_V = '(EvaluationLink (PredicateNode "p%d") (VariableNode "$V"))'
 _CONNECTIVE_TARGETS = ['(AndLink %s (VariableNode "$V"))',
                        '(OrLink (VariableNode "$V") %s)',
-                       '(NotLink (VariableNode "$V"))']
+                       '(NotLink (VariableNode "$V"))',
+                       '(NotLink %s)' % (_EVAL_V % 0),
+                       '(AndLink %s %s)' % (_EVAL_V % 0, _EVAL_V % 1),
+                       '(OrLink %%s %s)' % (_EVAL_V % 1)]
 
 
 @settings(max_examples=60, deadline=None,
@@ -778,12 +782,13 @@ _CONNECTIVE_TARGETS = ['(AndLink %s (VariableNode "$V"))',
 def test_connective_target_proofs_are_their_instances_proofs(facts, operand,
                                                             shape, depth):
     """On random Inh/Eval/Impl KBs under the full rule set, at depths 1-2,
-    for And(e, $V), Or($V, e) or Not($V), with e any ground link: the
-    proofs with binding b are the proofs of substitute(target, b), in
-    order, with the same replayed strengths; every operand of a proved
-    instance, $V's binding included, is an EvaluationLink, as the
-    connectives' operand types demand; and every instance with a proof is
-    among them."""
+    for And(e, $V), Or($V, e) or Not($V), with e any ground link, and for
+    $V inside an operand, as in Not(Eval(p0, $V)), And(Eval(p0, $V),
+    Eval(p1, $V)) or Or(e, Eval(p1, $V)): the proofs with binding b are the
+    proofs of substitute(target, b), in order, with the same replayed
+    strengths; every operand of a proved instance is an EvaluationLink, as
+    the connectives' operand types demand; and every instance with a proof
+    is among them."""
     _, kb = fresh_kb()
     load_kb(kb, _kb_text(facts))
     rules = make_rule_set(kb)
@@ -1106,10 +1111,11 @@ def test_rule_rejects_a_shape_lifting_would_change():
     """A rule is rejected when made if it has no premise (the search walks
     its last premise's column), its conclusion is a variable, has a
     variable no premise has, or a premise has a non-ground link or a
-    repeated variable as argument.  Without that last check, a rule with
-    the premise Eval($p, Not($x)) would let a lifted query Eval(p, $T) miss
-    the proof of Eval(p, g) that the ground query finds: the search matches
-    no rule variable against the partial pattern Eval(p, Not($x))."""
+    repeated variable as argument.  Made without that last check, a rule
+    with the premise Eval($p, Not($x)) still gives a lifted query
+    Eval(p, $T) the proofs of Eval(p, g) that the ground query finds: the
+    inner step leaves its rule variable unbound against the partial
+    pattern Eval(p, Not($x)) and unifies its conclusion with it."""
     tape, kb = fresh_kb()
     p, x, y = (kb.node("VariableNode", n) for n in ("$p", "$x", "$y"))
     ev = functools.partial(kb.link, "EvaluationLink")
@@ -1142,7 +1148,7 @@ def test_rule_rejects_a_shape_lifting_would_change():
     lifted_var = kb.node("VariableNode", "$T")
     (lifted,) = chainer.prove(kb, [rule], [ev(pred, lifted_var)], config)
     assert len(ground) == 1
-    assert [t for b, t in lifted if b[lifted_var] == g] == []
+    assert [t for b, t in lifted if b[lifted_var] == g] == [t for _, t in ground]
 
 
 def test_chain_config_validation():
@@ -1381,10 +1387,11 @@ def test_search_interns_only_new_atoms(monkeypatch):
 
 def test_schema_is_expanded_once_per_table(monkeypatch):
     """Counts only, no timing.  With Impl(p, q), Impl(q, r), Impl(q, s), n
-    facts Eval(p, x) and a fact Eval(q, x0), the column of p facts makes one
-    schema for Eval(q, $X) at depth 2, which its table entry holds expanded,
-    as (binding, trace) pairs, after n _derive calls; Eval(r, $V) and
-    Eval(s, $V) at depth 3 both read that entry as a premise's solutions.
+    facts Eval(p, x) and a fact Eval(q, x0), the column of p facts gives
+    Eval(q, $X) at depth 2 one prefix of n lanes, which its table entry
+    holds derived, as (binding, trace) pairs, after n _derive calls;
+    Eval(r, $V) and Eval(s, $V) at depth 3 both read that entry as a
+    premise's solutions.
     _derive runs once per derivation, 3n + 2 times, as in the per-instance
     search (terms read per lane), and both give the same proofs in the same
     order."""

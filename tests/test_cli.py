@@ -345,6 +345,30 @@ def test_chain_depth_bound(tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
+def test_chain_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
+    """A search that runs out of memory, as one on a 3-fact cycle can at
+    --depth 6, exits 1 with a line that names the cause and suggests a
+    smaller --depth; an internal error with an empty message names its
+    type.  The search is stubbed: no real memory is exhausted."""
+    kb_path = tmp_path / "cycle.scm"
+    kb_path.write_text("".join(
+        '(InheritanceLink (stv 0.9 0.9) (ConceptNode "%s") (ConceptNode "%s"))\n'
+        % (a, b) for a, b in ("ab", "bc", "ca")))
+    chain = ["chain", "--kb", str(kb_path), "--target",
+             '(InheritanceLink (ConceptNode "a") (ConceptNode "a"))', "--depth", "6"]
+
+    def raising(error):
+        def backward_chain(*args):
+            raise error
+        return backward_chain
+    monkeypatch.setattr(cli, "backward_chain", raising(MemoryError()))
+    assert main(chain) == 1
+    assert capsys.readouterr().err == "error: out of memory; try a smaller --depth\n"
+    monkeypatch.setattr(cli, "backward_chain", raising(RuntimeError()))
+    assert main(chain) == 2
+    assert capsys.readouterr().err == "internal error: RuntimeError\n"
+
+
 def test_chain_depth_200_on_a_tall_chain(tmp_path, capsys):
     """On a 200-link implication chain, --depth 200 exits 0: the search for
     Eval(p200, y) descends the whole chain to Eval(p0, y) and finds the

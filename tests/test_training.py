@@ -970,7 +970,7 @@ def test_train_call_derives_as_often_at_any_instance_count(monkeypatch):
     n instances each and both Impl(fruit, red) asserted, one train call on
     apple's Eval(red, x) targets makes as many _derive calls at n = 200 as
     at n = 20: the lifted query's columns of Eval(fruit, x) facts are
-    schemas, and the examples read their lanes."""
+    walked lane by lane, and only each example's first lane is built."""
     derived = []
     derive = chainer._derive
 
@@ -996,10 +996,10 @@ def test_train_call_derives_as_often_at_any_instance_count(monkeypatch):
 
 def test_lane_commits_match_the_per_target_search(monkeypatch):
     """Lane leaves at differing confidences, below and above their prefix
-    leaf's: each conclusion train commits through a schema's lane gets the
-    strength value and confidence that the per-target reference
+    leaf's: each conclusion train commits through a lifted query's lane
+    gets the strength value and confidence that the per-target reference
     _per_target_find_traces, followed by commit, gives it.  The lanes are
-    read off schemas: that run makes no _derive call."""
+    read off the walk, not the table: that run makes no _derive call."""
     derive = chainer._derive
 
     def run(find):

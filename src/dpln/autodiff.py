@@ -4,9 +4,9 @@ Every truth-value strength in the engine is a scalar, so the tape records
 scalar operations only.  Local partial derivatives are computed at forward
 time; ``backward`` is a single reverse sweep over the record list.
 
-``OPS`` is the one definition of every operation: its value and its partial
-derivatives as Python expressions.  The ``Tape`` methods (``add``, ``log``,
-...) are rendered from it at import, and the compiled replay from it too.
+``OPS`` is the one definition of every operation but ``Tape.sum``: its value
+and its partial derivatives as Python expressions.  The ``Tape`` methods
+(``add``, ...) are rendered from it at import, and the compiled replay too.
 
 The tape supports checkpoint/rollback (``mark`` / ``reset_to``) so a training
 loop can keep leaf parameters alive while it re-traces the formula graph.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import accumulate
 from typing import Callable
 
 LOG_EPS = 1e-7
@@ -117,8 +116,8 @@ class Tape:
     def __init__(self):
         self._values: list[float] = []
         self._grads: list[float] = []
-        # per record: (opcode, input, partial) or (opcode, input, partial,
-        # input, partial), the opcode being the method name; () for leaves
+        # per record: (opcode, input, partial, input, partial, ...), the
+        # opcode being the method name; () for leaves
         self._deps: list[tuple] = []
         self._param_indices: set[int] = set()
         self._const_cache: dict[float, int] = {}
@@ -172,6 +171,17 @@ class Tape:
             raise AutodiffError("VarRef belongs to a different tape")
         a._check_live()
 
+    def sum(self, refs: list[VarRef]) -> VarRef:
+        """The inputs added left to right, one record: bit for bit what a
+        chain of ``add`` calls gives (builtin ``sum`` may compensate)."""
+        if not refs:
+            raise AutodiffError("sum needs at least one input")
+        values, z = self._values, None
+        for a in refs:
+            self._one(a)
+            z = values[a.index] if z is None else z + values[a.index]
+        return self._record(z, ("sum", *(x for a in refs for x in (a.index, 1.0))))
+
     # -- range checks -----------------------------------------------------
 
     def check_unit(self, a: VarRef, error: type, label: str) -> None:
@@ -220,10 +230,8 @@ class Tape:
             if a == 0.0:
                 continue
             rec = deps[i]
-            if rec:
-                adjoint[rec[1]] += a * rec[2]
-                if len(rec) > 3:
-                    adjoint[rec[3]] += a * rec[4]
+            for j, partial in zip(rec[1::2], rec[2::2]):
+                adjoint[j] += a * partial
         grads = self._grads
         for i in range(n):
             if adjoint[i] != 0.0:
@@ -267,8 +275,7 @@ def _fail(message: str):
 # all that generated code may name besides its arguments and ``guards``
 _NAMESPACE = {"__builtins__": {}, "__name__": __name__, "fail": _fail,
               "LOG_EPS": LOG_EPS, "UNIT_TOL": UNIT_TOL, "exp": math.exp,
-              "accumulate": accumulate, "len": len, "list": list,
-              "log": math.log, "range": range, "reversed": reversed,
+              "len": len, "log": math.log, "range": range, "reversed": reversed,
               "unit_error": _unit_error, "zip": zip}
 # blocks per generated function: small sources keep compile memory flat
 _CHUNK = 24
@@ -335,7 +342,7 @@ def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
     their grads, bit-identical to re-tracing ``loss_fn``; it writes only the
     loss value and those grads.  The records of one opcode, input kinds and
     depth between the same two guards form a lane, recomputed by one list
-    operation, and so does a left fold.  Each ``check_unit`` and
+    operation; a ``sum`` gets its own statements.  Each ``check_unit`` and
     ``at_least`` on a value that a parameter reaches is a guard, re-tested
     at its place in the trace: a failing range check raises what a re-trace
     would, and an ``at_least`` whose outcome flips makes the replay return

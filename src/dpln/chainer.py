@@ -284,14 +284,16 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
 # -- backward chaining -----------------------------------------------------
 
 def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
-                      seen: dict) -> bool:
+                      seen: dict, args: list[set[int]]) -> bool:
     """Unifies a rule conclusion ``c`` with a target pattern ``t`` into the
     rule binding ``rb``.  A target variable matches any subtree; ``seen``
     maps it to the first, which its later subtrees must equal: a rule
     variable among them is bound to a ground one, or else to the variable
     of another, its alias until the premises bind that one.  Such a repeat
-    sets ``seen[None]``, True if it aliases; so does a rule variable meeting
-    a subtree that holds a variable, which it leaves unbound."""
+    sets ``seen[None]``, True if it aliases.  A rule variable meeting a
+    subtree that holds a variable is bound to it, an alias too, unless it is
+    bound already or the subtree holds one of the rule's variables
+    (``args``): then it is left as it is, and ``seen[None]`` set."""
     ca = kb.atoms[c]
     ta = kb.atoms[t]
     if ta.type.name == "VariableNode":
@@ -310,6 +312,8 @@ def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
         return True
     if ca.type.name == "VariableNode":
         if not ta.is_ground:  # a partial pattern: _unify reads the answer
+            if c not in rb and all(map(variables_in(kb, t).isdisjoint, args)):
+                rb[c], seen[None] = t, True
             seen.setdefault(None, False)
             return True
         bound = rb.get(c)
@@ -317,14 +321,14 @@ def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
             rb[c] = t
             return True
         return bound == t if kb.atoms[bound].is_ground else _match_conclusion(
-            kb, bound, t, rb, seen)  # an alias: match the variable it stands for
+            kb, bound, t, rb, seen, args)  # an alias: match what it stands for
     if ca.type.name != ta.type.name:
         return False
     if ca.type.is_node:
         return ca.name == ta.name
     if len(ca.outgoing) != len(ta.outgoing):
         return False
-    return all(_match_conclusion(kb, co, to, rb, seen)
+    return all(_match_conclusion(kb, co, to, rb, seen, args)
                for co, to in zip(ca.outgoing, ta.outgoing))
 
 
@@ -383,11 +387,13 @@ class _Search:
         subgoal's solutions bind only its own variables, which the
         substitution left unbound, so merging them never conflicts.  An
         alias (``seen[None]``) is replaced in the premises by the variable
-        it stands for, so each lane binds it, checks it and reads terms."""
+        or target subtree it stands for, so each lane binds it, fills it in,
+        checks it and reads terms."""
         matches = []  # per rule matching pattern: seen, aliases and prefixes
         for rule in self.rules if depth >= 1 else ():
             rb, seen = {}, {}
-            if not _match_conclusion(kb, rule.conclusion, pattern, rb, seen):
+            if not _match_conclusion(kb, rule.conclusion, pattern, rb, seen,
+                                     rule.args):
                 continue
             premises, same = rule.premises, {}
             if seen.get(None):
@@ -414,7 +420,8 @@ class _Search:
                 for sub_binding, trace in column:
                     full = {**binding, **sub_binding}
                     if same:
-                        full.update((v, full[a]) for v, a in same.items())
+                        full.update((v, _substitute(kb, a, full))
+                                    for v, a in same.items())
                     if late and any(kb.atoms[full[v]].type.name != t for v, t in late):
                         continue
                     yield rule, seen, full, traces, trace, terms

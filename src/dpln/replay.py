@@ -2,10 +2,9 @@
 
 The replayed records of one opcode, input kinds and depth between the same
 two guards form a lane: one list comprehension recomputes it, and one per
-input its adjoint terms.  A left fold of three or more adds is a lane too,
-computed by one ``accumulate``.  Sums keep the eager order, so the loss and
-the grads are bit-identical to a re-trace.  Imported by the first
-``trace_loss`` call.
+input its adjoint terms.  A ``sum`` record adds its inputs in statements of
+its own.  Sums keep the eager order, so the loss and the grads are
+bit-identical to a re-trace.  Imported by the first ``trace_loss`` call.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from typing import Callable
 
 from .autodiff import OPS, AutodiffError, Tape, VarRef, _functions
 
-# the lane keys' (opcode, kinds) of an add that may extend a left fold
-_FOLDS = {("add", "r", "r"), ("add", "r", "c")}
+# inputs per statement of a sum: a long expression costs compile memory
+_ADDS = 16
 
 
 def _code(elements: list, w: list) -> str:
@@ -68,8 +67,7 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
     # at the first parameter to find such records from before the call too
     reached = set(indices)
     for i in range(indices[0], len(deps)):
-        rec = deps[i]
-        if rec and (rec[1] in reached or len(rec) > 3 and rec[3] in reached):
+        if not reached.isdisjoint(deps[i][1::2]):
             reached.add(i)
     read = reads & reached
     if read:
@@ -94,37 +92,18 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
     for i in replayed:
         while n < len(guards) and guards[n][0] <= i:
             n += 1
-        rec = deps[i]
-        depth[i] = 1 + max(depth.get(rec[1], 0), depth.get(rec[-2], 0))
-        lanes.setdefault((n, depth[i], rec[0], kind.get(rec[1], "c"),
-                          kind.get(rec[-2], "c")), []).append(i)
+        ins = deps[i][1::2]
+        depth[i] = 1 + max(depth.get(j, 0) for j in ins)
+        lanes.setdefault((n, depth[i], deps[i][0],
+                          *(kind.get(j, "c") for j in ins)), []).append(i)
         kind[i] = "r"
     # a record's adjoint adds its consumers' terms in reverse record order,
-    # the loss's a seed of 1; a term's key is 2 * consumer + input
+    # the loss's a seed of 1; a term's key is (consumer, input)
     terms, term = ({loss: [-1]} if loss in reached else {}), {-1: ("1.0", None)}
     for i in range(loss, mark - 1, -1):
         for q, j in enumerate(deps[i][1::2] if i in terms else ()):
             if j in reached:
-                terms.setdefault(j, []).append(2 * i + q)
-    # a left fold of adds is a lane too: a lone add that alone uses its
-    # input 0 extends the chain of its guards and kinds that ends there; the
-    # chain is computed where its last record is
-    dead = {j for i in replayed if i not in terms for j in deps[i][1::2]}
-    chains, ends, starts = set(), {}, {}
-    for key, members in list(lanes.items()):
-        i, j = members[0], deps[members[0]][1]
-        prev = ends.pop(j, None)
-        if prev and len(members) == 1 and prev[:1] + prev[2:] == key[:1] + key[2:] \
-                and key[2:] in _FOLDS and terms.get(j) == [2 * i] and j not in dead:
-            lanes[key] = lanes.pop(prev) + members
-            chains.add(key)
-            starts[key] = prev
-        if len(lanes[key]) == 1 or key in chains:
-            ends[lanes[key][-1]] = key
-    # two adds run faster as two statements than as an accumulate
-    for key in [k for k in lanes if k in chains and len(lanes[k]) == 2]:
-        lanes[starts[key]], lanes[key] = lanes[key][:1], lanes[key][1:]
-        chains.remove(key)
+                terms.setdefault(j, []).append((i, q))
 
     # the scratch list w holds each lane's values, a float or a list, its
     # captured constants and its inputs' adjoint terms
@@ -146,15 +125,19 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         n, members = key[0], lanes[key]
         at.update(zip(members, place([None] * len(members))))
         src = sources[key] = {"z": "w[%d]" % at[members[0]][0]}
-        for q, k in enumerate(key[3:3 + len(OPS[key[2]].partials)]):
+        if key[2] == "sum":  # added left to right, _ADDS inputs a statement
+            for i in members:
+                z, ins = value(i), [value(j) for j in deps[i][1::2]]
+                blocks += ["%s = %s" % (z, " + ".join(
+                    ([z] if s else []) + ins[s:s + _ADDS]))
+                    for s in range(0, len(ins), _ADDS)]
+            continue
+        for q, k in enumerate(key[3:]):
             ins = [deps[i][1 + 2 * q] for i in members]
             src["xy"[q]] = "v[%d]" % k if k not in ("r", "c") else _code(
                 place([values[j] for j in ins]) if k == "c" else
                 [at[j] for j in ins], w)
-        blocks.append(_each(src["z"], OPS[key[2]].value, src, len(members))
-                      if key not in chains else  # accumulate adds
-                      "%s = list(accumulate(%s, initial=%s))[1:]" % (
-                          src["z"], src["y"], value(deps[members[0]][1])))
+        blocks.append(_each(src["z"], OPS[key[2]].value, src, len(members)))
     if loss in at:
         blocks.append("v[%d] = %s" % (loss, value(loss)))
 
@@ -162,23 +145,25 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         members, size = lanes[key], len(lanes[key])
         if terms.keys().isdisjoint(members):
             continue
-        # a member with fewer terms adds 0.0, which changes no sum; a chain's
-        # members all take the adjoint of its last
-        cols = list(zip_longest(*[[term[c] for c in terms.get(i, ())] for i in (
-            members[-1:] if key in chains else members)], fillvalue=("0.0", None)))
+        # a member with fewer terms adds 0.0, which changes no sum
+        cols = list(zip_longest(*[[term[c] for c in terms.get(i, ())]
+                                  for i in members], fillvalue=("0.0", None)))
         d = "D" if len(cols[0]) > 1 else "d"
         block = ["%s = %s" % (d, _code(cols[0], w))] + [
             "D = [a + b for a, b in zip(D, %s)]" % _code(c, w) if d == "D"
             else "d += " + _code(c, w) for c in cols[1:]]
-        block += ["D = [d] * %d" % size] if key in chains else []
         src = dict(sources[key], d="d" if size == 1 else "D")
-        for q, partial in enumerate(OPS[key[2]].partials):
-            if deps[members[0]][1 + 2 * q] in reached:
-                t = place([None] * size)
-                block.append(_each(_code(t, w), {"1.0": "{d}", "-1.0": "-{d}"}.get(
-                    partial, "{d} * (%s) if {d} else 0.0" % partial), src,
-                    1 if partial == "1.0" else size))
-                term.update((2 * i + q, e) for i, e in zip(members, t))
+        # inputs with the same partial share their terms: a sum's all do
+        slots, ins = {}, deps[members[0]][1::2]
+        partials = ("1.0",) * len(ins) if key[2] == "sum" else OPS[key[2]].partials
+        for q, partial in enumerate(partials):
+            if ins[q] in reached:
+                if partial not in slots:
+                    slots[partial] = t = place([None] * size)
+                    block.append(_each(_code(t, w), {"1.0": "{d}", "-1.0": "-{d}"}.get(
+                        partial, "{d} * (%s) if {d} else 0.0" % partial), src,
+                        1 if partial == "1.0" else size))
+                term.update(((i, q), e) for i, e in zip(members, slots[partial]))
         blocks.append("\n".join(block))
     # a parameter's grad adds its terms in reverse record order
     for p in indices:

@@ -99,7 +99,7 @@ def cross_entropy(preds: list[VarRef], labels: list[float]) -> VarRef:
 
     Labels lie in [0, 1]; a label of 0 or 1 contributes its single log term.
     Examples that share a prediction record and a label make one term,
-    scaled by their count, in first-seen order.
+    scaled by their count, in first-seen order; one ``Tape.sum`` adds them.
     """
     if len(preds) != len(labels):
         raise TrainError("preds and labels differ in length")
@@ -112,8 +112,7 @@ def cross_entropy(preds: list[VarRef], labels: list[float]) -> VarRef:
         if not 0.0 <= y <= 1.0:
             raise TrainError("labels must lie in [0, 1], got %r" % (y,))
         merged.setdefault((p.tape, p.index, y), [p, 0])[1] += 1
-    tape = preds[0].tape
-    total = None
+    tape, terms = preds[0].tape, []
     for (_, _, y), (p, count) in merged.items():
         if 0.0 < y < 1.0:
             term = tape.add(tape.mul(tape.constant(y), tape.log(p)),
@@ -123,10 +122,9 @@ def cross_entropy(preds: list[VarRef], labels: list[float]) -> VarRef:
             term = tape.log(p)
         else:  # 0
             term = tape.log(tape.one_minus(p))
-        if count != 1:
-            term = tape.mul(tape.constant(float(count)), term)
-        total = term if total is None else tape.add(total, term)
-    return tape.mul(tape.constant(1.0 / len(preds)), tape.neg(total))
+        terms.append(term if count == 1 else
+                     tape.mul(tape.constant(float(count)), term))
+    return tape.mul(tape.constant(1.0 / len(preds)), tape.neg(tape.sum(terms)))
 
 
 def sgd_step(params: list[VarRef], learning_rate: float) -> None:

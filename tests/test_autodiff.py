@@ -447,10 +447,11 @@ def test_replay_matches_retrace_bit_for_bit():
             assert [r.grad for r in refs] == [r.grad for r in fresh_refs]
 
 
-@pytest.mark.parametrize("adds, folds", [(2, 0), (3, 1)])
-def test_only_a_fold_of_three_or_more_adds_is_an_accumulate(monkeypatch, adds, folds):
-    """A left fold of two adds compiles to two statements, one of three to
-    one ``accumulate``; either replays bit for bit what a re-trace gives."""
+@pytest.mark.parametrize("adds", [2, 3])
+def test_a_fold_of_adds_replays_bit_for_bit_with_no_accumulate(monkeypatch, adds):
+    """A left fold of two or three adds compiles to the statements of its
+    lanes, no ``accumulate``, and replays bit for bit what a re-trace
+    gives."""
     from dpln import replay as compiled
     sources = []
     compile_blocks = compiled._functions
@@ -469,7 +470,7 @@ def test_only_a_fold_of_three_or_more_adds_is_an_accumulate(monkeypatch, adds, f
     t = Tape()
     refs = [t.parameter(x) for x in (0.3, -0.4, 0.7)]
     loss, replay = trace_loss(refs, lambda: build(t, refs))
-    assert sum(block.count("accumulate(") for block in sources) == folds
+    assert sources and not any("accumulate(" in block for block in sources)
     for values in [(0.5, 0.25, -1.5), (0.9, -2.0, 0.1)]:
         for r, x in zip(refs, values):
             r.value = x
@@ -481,6 +482,69 @@ def test_only_a_fold_of_three_or_more_adds_is_an_accumulate(monkeypatch, adds, f
         assert replay()
         assert _bits([loss.value]) == _bits([fresh_loss.value])
         assert _bits(r.grad for r in refs) == _bits(r.grad for r in fresh_refs)
+
+
+def _summed(tape, refs, how):
+    """A loss over 21 terms, totalled by ``Tape.sum`` or by a chain of adds:
+    a repeated input, constants, and more terms than one statement adds."""
+    a, b, c = refs
+    terms = [tape.mul(a, b), tape.sigmoid(c), a, tape.constant(1e16),
+             tape.log(tape.clamp01(b)), tape.constant(-1e16), a] * 3
+    total = tape.sum(terms) if how == "sum" else terms[0]
+    for term in terms[1:] if how == "adds" else ():
+        total = tape.add(total, term)
+    return tape.mul(total, tape.mul(c, total))
+
+
+def test_sum_adds_left_to_right_as_a_chain_of_adds_does():
+    """1e16 + 1.0 rounds to 1e16, so the sum is 0.0, as the adds give; a
+    compensated sum (``math.fsum``, or builtin ``sum`` since Python 3.12)
+    gives 1.0."""
+    t = Tape()
+    refs = [t.constant(x) for x in (1e16, 1.0, -1e16)]
+    assert math.fsum(r.value for r in refs) == 1.0
+    assert t.sum(refs).value == t.add(t.add(*refs[:2]), refs[2]).value == 0.0
+    p = t.parameter(0.5)
+    total = t.sum([p])
+    t.backward(total)
+    assert total.value == 0.5 and p.grad == 1.0
+
+
+def test_sum_matches_a_chain_of_adds_bit_for_bit():
+    """``Tape.sum``'s eager value, replayed value and grads, eager and
+    replayed, equal those of a chain of adds bit for bit."""
+    rng = random.Random(5)
+    tapes = {how: Tape() for how in ("sum", "adds")}
+    params = {how: [t.parameter(x) for x in (0.3, -0.4, 0.7)]
+              for how, t in tapes.items()}
+    traced = {how: trace_loss(params[how], lambda how=how: _summed(
+        tapes[how], params[how], how)) for how in tapes}
+    assert _bits([traced["sum"][0].value]) == _bits([traced["adds"][0].value])
+    for _ in range(5):
+        values = [interior(rng, -2.0, 2.0) for _ in range(3)]
+        got = {}
+        for how, (loss, replay) in traced.items():
+            for p, x in zip(params[how], values):
+                p.value = x
+            tapes[how].zero_grads()
+            assert replay()
+            fresh = Tape()
+            fresh_params = [fresh.parameter(x) for x in values]
+            fresh_loss = _summed(fresh, fresh_params, how)
+            fresh.backward(fresh_loss)
+            got[how] = [_bits([loss.value, fresh_loss.value]),
+                        _bits(p.grad for p in params[how]),
+                        _bits(p.grad for p in fresh_params)]
+        assert got["sum"] == got["adds"]
+        assert got["sum"][1] == got["sum"][2]
+
+
+def test_sum_rejects_no_input_and_a_ref_of_another_tape():
+    t = Tape()
+    with pytest.raises(AutodiffError, match="at least one input"):
+        t.sum([])
+    with pytest.raises(AutodiffError, match="different tape"):
+        t.sum([t.constant(1.0), Tape().constant(2.0)])
 
 
 def test_every_op_of_the_table_is_a_rendered_tape_method():
@@ -658,7 +722,8 @@ def _fan_out(t, params, c):
 @st.composite
 def _lane_graphs(draw):
     """k copies each of a few shapes over shared parameters, interleaved,
-    each with its own constant from a small pool, summed by a left fold."""
+    each with its own constant from a small pool, summed by a left fold of
+    adds or, when no partial sum is reused or probed, maybe by Tape.sum."""
     n_params = draw(st.integers(1, 3))
     steps = st.tuples(st.sampled_from(_STEP_OPS), st.integers(0, 9),
                       st.integers(0, 9))
@@ -675,12 +740,13 @@ def _lane_graphs(draw):
     # branch reads, if any
     reuse, probe = (draw(st.none() | st.integers(0, len(copies) - 1))
                     for _ in range(2))
-    return (shapes, specials, copies, reuse, probe), draw(values), draw(
+    summed = draw(st.booleans())
+    return (shapes, specials, copies, reuse, probe, summed), draw(values), draw(
         st.lists(values, min_size=1, max_size=3))
 
 
 def _lane_loss(t, params, graph):
-    shapes, specials, copies, reuse, probe = graph
+    shapes, specials, copies, reuse, probe, summed = graph
     terms = []
     for which, c in copies:
         if which < len(shapes):
@@ -692,9 +758,12 @@ def _lane_loss(t, params, graph):
             terms.append(specials[which - len(shapes)](t, params, c))
     total = terms[0]
     sums = [total]
-    for term in terms[1:]:
-        total = t.add(total, term)
-        sums.append(total)
+    if summed and reuse is None and probe is None:
+        total = t.sum(terms)
+    else:
+        for term in terms[1:]:
+            total = t.add(total, term)
+            sums.append(total)
     if reuse is not None:
         total = t.sub(total, t.mul(sums[reuse], params[0]))
     scale = 1.0 / len(terms)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dpln import (AtomSpaceError, AutodiffError, ChainConfig, Derivation,
-                  FormulaWeights, LabeledExample, LearnableStrength, Leaf,
-                  Tape, TrainConfig, TrainError, TruthValue,
+from dpln import (AtomSpace, AtomSpaceError, AutodiffError, ChainConfig,
+                  Derivation, FormulaWeights, LabeledExample,
+                  LearnableStrength, Leaf, Tape, TrainConfig, TrainError,
+                  TruthValue,
                   UnderivableTargetError, UnknownAtomError, backward_chain,
                   cross_entropy, empirical_frequency, fit, fuzzy_not,
                   load_kb, make_deduction_rule, make_modus_ponens_rule,
@@ -19,7 +20,7 @@ from dpln.chainer import MAX_SEARCH_DEPTH, prove
 from dpln.rules import (DEDUCTION_EPS, FormulaError, deduction_strength,
                         modus_ponens_strength)
 
-from conftest import fresh_kb
+from conftest import finite_diff_grads, fresh_kb
 
 
 def test_cross_entropy_half():
@@ -512,7 +513,7 @@ def test_run_joint_compiles(monkeypatch, tmp_path):
 def test_learn_formula_loss_compiles_to_lanes(monkeypatch, tmp_path):
     """learn-formula's 11x11 loss, 1,932 records, compiles to at most 400
     generated lines: its 121 isomorphic grid points share lanes and its sum
-    is one left-fold lane; code per record took 7,346 lines."""
+    is one sum record; code per record took 7,346 lines."""
     from dpln import replay
     sources = []
     compile_blocks = replay._functions
@@ -526,6 +527,66 @@ def test_learn_formula_loss_compiles_to_lanes(monkeypatch, tmp_path):
         heldout_size=2, out_dir=str(tmp_path)))
     statements = sum(block.count("\n") + 1 for block in sources)
     assert 0 < statements <= 400
+
+
+def _deep_chain(tape, edge):
+    """ConceptNodes c0...c6 at (stv 0.5 0.9), each Inh(ci, ci+1) asserted
+    by ``edge(kb, i, atom)``, the deduction rule, and the 15 targets
+    Inh(ci, cj), j >= i + 2, derived through 2 to 6 edges."""
+    kb = AtomSpace(tape)
+    nodes = [kb.node("ConceptNode", "c%d" % i) for i in range(7)]
+    for node in nodes:
+        kb.set_tv(node, TruthValue(tape.constant(0.5), 0.9))
+    for i in range(6):
+        edge(kb, i, kb.link("InheritanceLink", nodes[i], nodes[i + 1]))
+    targets = [kb.link("InheritanceLink", nodes[i], nodes[j])
+               for i in range(7) for j in range(i + 2, 7)]
+    return kb, [make_deduction_rule(kb)], targets
+
+
+def _deep_chain_predictions(tape, strengths):
+    """The 15 targets' predicted strengths, the edges at ``strengths``."""
+    kb, rules, targets = _deep_chain(tape, lambda kb, i, atom: kb.set_tv(
+        atom, TruthValue(strengths[i], 1.0)))
+    return predict(kb, rules, [LabeledExample(t, 0.5) for t in targets], 6)
+
+
+def test_train_recovers_the_edges_of_a_six_step_chain(monkeypatch):
+    """Training through deep chains: 15 targets labelled at the true edge
+    strengths fit 6 learnable edges, from 0.7, to within 0.02 of them in
+    one train call at chain_depth 6.  The step-0 loss gradient of each edge
+    logit is the finite difference's, and each target's first_proofs trace
+    is the first Derivation prove gives for it."""
+    rng = random.Random(0)
+    true = [rng.uniform(0.6, 0.95) for _ in range(6)]
+    tape = Tape()
+    labels = [p.value for p in _deep_chain_predictions(
+        tape, [tape.constant(s) for s in true])]
+
+    tape = Tape()
+    edges = [LearnableStrength(tape, 0.7) for _ in range(6)]
+    kb, rules, targets = _deep_chain(tape, lambda kb, i, atom: edges[i].attach(kb, atom))
+    config = ChainConfig(max_depth=6)
+    assert chainer.first_proofs(kb, rules, targets, config) == [
+        next(t for _, t in proofs if type(t) is Derivation)
+        for proofs in prove(kb, rules, targets, config)]
+    grads, step = [], training.sgd_step
+
+    def first_grads(params, learning_rate):
+        if not grads:
+            grads.append([p.grad for p in params])
+        step(params, learning_rate)
+    monkeypatch.setattr(training, "sgd_step", first_grads)
+    losses = train(kb, rules, [LabeledExample(t, y) for t, y in zip(targets, labels)],
+                   [e.theta for e in edges],
+                   TrainConfig(learning_rate=0.5, steps=2000, chain_depth=6), edges)
+    assert losses[-1] < losses[0]
+    assert max(abs(e.value() - s) for e, s in zip(edges, true)) <= 0.02
+    numeric = finite_diff_grads(lambda t, logits: cross_entropy(
+        _deep_chain_predictions(t, [t.sigmoid(x) for x in logits]), labels),
+        [math.log(0.7 / 0.3)] * 6)
+    for analytic, n in zip(grads[0], numeric):
+        assert abs(analytic - n) <= 1e-5 + 1e-4 * abs(analytic)
 
 
 def test_train_retraces_deduction_on_a_learnable_middle_term(monkeypatch):

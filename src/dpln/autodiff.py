@@ -340,13 +340,13 @@ def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
     Returns ``(loss, replay)``.  ``replay()`` recomputes every record traced
     here that one of ``params`` reaches and adds d(loss)/d(parameter) into
     their grads, bit-identical to re-tracing ``loss_fn``; it writes only the
-    loss value and those grads.  The records of one opcode, input kinds and
-    depth between the same two guards form a lane, recomputed by one list
-    operation; a ``sum`` gets its own statements.  Each ``check_unit`` and
-    ``at_least`` on a value that a parameter reaches is a guard, re-tested
-    at its place in the trace: a failing range check raises what a re-trace
-    would, and an ``at_least`` whose outcome flips makes the replay return
-    False, a miss, having written nothing.  Otherwise it returns True.
+    loss value and those grads.  Isomorphic records form lanes, and one list
+    comprehension recomputes a chain of lanes, each read by the next alone
+    (``dpln.replay``).  Each ``check_unit`` and ``at_least`` on a value that
+    a parameter reaches is a guard, re-tested at its place in the trace: a
+    failing range check raises what a re-trace would, and an ``at_least``
+    whose outcome flips makes the replay return False, a miss, having
+    written nothing.  Otherwise it returns True.
 
     Raises AutodiffError for no ``params``, a stale one or one of another
     tape, and when ``loss_fn`` reads or sets the ``value`` of a record that

@@ -2,14 +2,17 @@
 
 The replayed records of one opcode, input kinds and depth between the same
 two guards form a lane: one list comprehension recomputes it, and one per
-input its adjoint terms.  A ``sum`` record adds its inputs in statements of
-its own.  Sums keep the eager order, so the loss and the grads are
-bit-identical to a re-trace.  Imported by the first ``trace_loss`` call.
+input its adjoint terms.  A lane that one other lane alone reads, whole and
+in order, is inlined into its comprehension, and a parameter whose terms one
+lane makes adds them in that lane's loop.  A ``sum`` record adds its inputs
+in statements of its own.  Sums keep the eager order, so the loss and the
+grads are bit-identical to a re-trace.  Imported by the first
+``trace_loss`` call.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import count, zip_longest
 from typing import Callable
 
 from .autodiff import OPS, AutodiffError, Tape, VarRef, _functions
@@ -21,7 +24,8 @@ _ADDS = 16
 def _code(elements: list, w: list) -> str:
     """Replay code for one element or a list of them: ``(s, p)`` is item p of
     the list at s of the scratch list ``w``, the float at s if p is None, or
-    the literal s.  A run of one list's items is a slice of it."""
+    the literal s.  A run of one list's items is a slice of it, and a run
+    of one repeated float a repeat."""
     runs = []  # [s, first, end] for the slice w[s][first:end], or [None, codes]
     for s, p in elements:
         if p is None:
@@ -36,25 +40,45 @@ def _code(elements: list, w: list) -> str:
             runs.append([s, p, p + 1])
     if len(elements) == 1:
         return runs[0][1][0] if runs[0][0] is None else "w[%d][%d]" % elements[0]
-    return " + ".join("[%s]" % ", ".join(r[1]) if r[0] is None else "w[%d]" % r[0]
-                      if r[2] - r[1] == len(w[r[0]]) else "w[%d][%d:%d]" % tuple(r)
-                      for r in runs)
+    return " + ".join(
+        ("[%s] * %d" % (r[1][0], len(r[1])) if len(set(r[1])) == 1 < len(r[1])
+         else "[%s]" % ", ".join(r[1])) if r[0] is None else "w[%d]" % r[0]
+        if r[2] - r[1] == len(w[r[0]]) else "w[%d][%d:%d]" % tuple(r) for r in runs)
 
 
 def _each(target: str, template: str, sources: dict, size: int) -> str:
     """Code that sets ``target`` to ``template`` over ``sources``
-    (placeholder -> code): a statement for a lone record, else a list
-    comprehension over a lane's ``size`` members, which binds a parameter's
-    scalar, ``v[i]``, once."""
+    (placeholder -> code, or an inlined lane's template and sources): a
+    statement for a lone record, else a list comprehension over a lane's
+    ``size`` members.  It binds a parameter's scalar, ``v[i]``, once, and
+    per member an inlined value read more than once.  A parameter's grad,
+    ``g[p]``, gets the values added in reverse order instead."""
     if size == 1:
         return "%s = %s" % (target, template.format(**sources))
-    used = [(k, s) for k, s in sources.items() if "{%s}" % k in template]
-    lists = [(k, s) for k, s in used if s[0] != "v"] or [("_", "range(%d)" % size)]
-    return "%s = [%s %sfor %s in %s]" % (
-        target, template.format(**{k: k for k in sources}),
-        "".join("for %s in (%s,) " % (k, s) for k, s in used if s[0] == "v"),
-        ", ".join(k for k, _ in lists), lists[0][1] if len(lists) == 1
-        else "zip(%s)" % ", ".join(s for _, s in lists))
+    names, binds, tags, grad = {}, [], count(1), target[0] == "g"
+
+    def inline(template, sources, tag):  # an inlined lane's names are fresh
+        subs = {}
+        for k, s in sources.items():
+            uses = template.count("{%s}" % k)
+            if uses and isinstance(s, tuple):
+                e = inline(*s, "_%d" % next(tags))
+                if uses > 1:  # computed once per member
+                    binds.append("for %s in (%s,)" % (k + tag, e))
+                subs[k] = k + tag if uses > 1 else "(%s)" % e
+            elif uses:
+                subs[k] = names.setdefault(s, k + tag)
+        return template.format(**subs)
+    value = inline(template, sources, "")
+    lists = [(n, "reversed(%s)" % s if grad else s) for s, n in names.items()
+             if s[0] != "v"] or [("_", "range(%d)" % size)]
+    clauses = ["for %s in (%s,)" % (n, s) for s, n in names.items() if s[0] == "v"]
+    clauses += ["for %s in %s" % (", ".join(n for n, _ in lists), lists[0][1] if len(
+        lists) == 1 else "zip(%s)" % ", ".join(s for _, s in lists))] + binds
+    if grad:  # in reverse order, as nested loops
+        return "a = 0.0%s a += %s\nif a: %s += a" % ("".join(
+            "\n%s%s:" % (" " * k, c) for k, c in enumerate(clauses)), value, target)
+    return "%s = [%s %s]" % (target, value, " ".join(clauses))
 
 
 def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
@@ -87,15 +111,15 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
     # for a replayed record, "c" for a constant, captured now, or the index
     # of a parameter, read once
     guards = [g for g in guards if g[1] in reached]
-    lanes, n, depth, kind = {}, 0, {}, {p: p for p in tape._param_indices}
+    lanes, n, lane, kind = {}, 0, {}, {p: p for p in tape._param_indices}
     replayed = [i for i in range(mark, len(deps)) if i in reached]
     for i in replayed:
         while n < len(guards) and guards[n][0] <= i:
             n += 1
         ins = deps[i][1::2]
-        depth[i] = 1 + max(depth.get(j, 0) for j in ins)
-        lanes.setdefault((n, depth[i], deps[i][0],
-                          *(kind.get(j, "c") for j in ins)), []).append(i)
+        lane[i] = key = (n, 1 + max(lane[j][1] if j in lane else 0 for j in ins),
+                         deps[i][0], *(kind.get(j, "c") for j in ins))
+        lanes.setdefault(key, []).append(i)
         kind[i] = "r"
     # a record's adjoint adds its consumers' terms in reverse record order,
     # the loss's a seed of 1; a term's key is (consumer, input)
@@ -103,7 +127,26 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
     for i in range(loss, mark - 1, -1):
         for q, j in enumerate(deps[i][1::2] if i in terms else ()):
             if j in reached:
-                terms.setdefault(j, []).append((i, q))
+                terms.setdefault(j, []).append(c := (i, q))
+                term[c] = None  # the key that term.update keeps
+
+    # into[key, q]: the lane that lane key alone reads, whole and in order,
+    # at input q, under the same guards, unless its op raises or binds a name,
+    # or a guard, the loss, a sum, a record outside the loss or a partial reads it
+    pinned = {loss, *(g[1] for g in guards),
+              *(j for i in replayed if i not in terms for j in deps[i][1::2])}
+    into = {}
+    for key, members in lanes.items():
+        for q in range(len(key) - 3 if key[2] != "sum" and len(members) > 1 else 0):
+            ins = [deps[i][1 + 2 * q] for i in members]
+            src = lane.get(ins[0])
+            op = src and OPS.get(src[2])
+            if op and src[0] == key[0] and lanes[src] == ins and not any(
+                    s in op.value + "".join(op.partials) for s in ("fail(", ":=", "{z}")
+            ) and "{%s}" % "xy"[q] not in "".join(p for p, k in zip(
+                    OPS[key[2]].partials, key[3:]) if k != "c") and all(
+                    len(terms.get(j, ())) == 1 and j not in pinned for j in ins):
+                into[key, q] = src
 
     # the scratch list w holds each lane's values, a float or a list, its
     # captured constants and its inputs' adjoint terms
@@ -123,8 +166,10 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         if key not in lanes:
             break
         n, members = key[0], lanes[key]
-        at.update(zip(members, place([None] * len(members))))
-        src = sources[key] = {"z": "w[%d]" % at[members[0]][0]}
+        src = sources[key] = {}
+        if key not in into.values():
+            at.update(zip(members, place([None] * len(members))))
+            src["z"] = "w[%d]" % at[members[0]][0]
         if key[2] == "sum":  # added left to right, _ADDS inputs a statement
             for i in members:
                 z, ins = value(i), [value(j) for j in deps[i][1::2]]
@@ -134,10 +179,12 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
             continue
         for q, k in enumerate(key[3:]):
             ins = [deps[i][1 + 2 * q] for i in members]
-            src["xy"[q]] = "v[%d]" % k if k not in ("r", "c") else _code(
-                place([values[j] for j in ins]) if k == "c" else
-                [at[j] for j in ins], w)
-        blocks.append(_each(src["z"], OPS[key[2]].value, src, len(members)))
+            inner = into.get((key, q))
+            src["xy"[q]] = (OPS[inner[2]].value, sources[inner]) if inner else (
+                "v[%d]" % k if k not in ("r", "c") else _code(place(
+                    [values[j] for j in ins]) if k == "c" else [at[j] for j in ins], w))
+        if key not in into.values():
+            blocks.append(_each(src["z"], OPS[key[2]].value, src, len(members)))
     if loss in at:
         blocks.append("v[%d] = %s" % (loss, value(loss)))
 
@@ -145,24 +192,31 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         members, size = lanes[key], len(lanes[key])
         if terms.keys().isdisjoint(members):
             continue
-        # a member with fewer terms adds 0.0, which changes no sum
-        cols = list(zip_longest(*[[term[c] for c in terms.get(i, ())]
-                                  for i in members], fillvalue=("0.0", None)))
-        d = "D" if len(cols[0]) > 1 else "d"
-        block = ["%s = %s" % (d, _code(cols[0], w))] + [
-            "D = [a + b for a, b in zip(D, %s)]" % _code(c, w) if d == "D"
-            else "d += " + _code(c, w) for c in cols[1:]]
-        src = dict(sources[key], d="d" if size == 1 else "D")
+        # a member with fewer terms adds 0.0, which changes no sum; a lane
+        # adds its columns per member, in the loops of its partials
+        cols = {"d%d" % c: _code(col, w) for c, col in enumerate(zip_longest(*[
+            [term[c] for c in terms.get(i, ())] for i in members],
+            fillvalue=("0.0", None)))}
+        d = "d" if size == 1 else "D" if len(cols) == 1 else (
+            " + ".join("{%s}" % c for c in cols), cols)
+        block = ["%s = %s" % (d, cols.pop("d0"))] + [
+            "d += " + c for c in cols.values()] if isinstance(d, str) else []
+        src = dict(sources[key], d=d)
         # inputs with the same partial share their terms: a sum's all do
         slots, ins = {}, deps[members[0]][1::2]
         partials = ("1.0",) * len(ins) if key[2] == "sum" else OPS[key[2]].partials
         for q, partial in enumerate(partials):
-            if ins[q] in reached:
+            template = {"1.0": "{d}", "-1.0": "-{d}"}.get(
+                partial, "{d} * (%s) if {d} else 0.0" % partial)
+            p = key[3 + q]  # a parameter's index, "r" or "c"
+            if size > 1 and terms.get(p) == [(i, q) for i in reversed(members)]:
+                block.append(_each("g[%d]" % p, template, src, size))
+                del terms[p]  # this lane made all of p's terms
+            elif ins[q] in reached:
                 if partial not in slots:
                     slots[partial] = t = place([None] * size)
-                    block.append(_each(_code(t, w), {"1.0": "{d}", "-1.0": "-{d}"}.get(
-                        partial, "{d} * (%s) if {d} else 0.0" % partial), src,
-                        1 if partial == "1.0" else size))
+                    block.append(_each(_code(t, w), template, src, 1 if partial
+                                       == "1.0" and isinstance(d, str) else size))
                 term.update(((i, q), e) for i, e in zip(members, slots[partial]))
         blocks.append("\n".join(block))
     # a parameter's grad adds its terms in reverse record order

@@ -139,10 +139,10 @@ def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
 
     Step 0 traces and compiles the loss (``trace_loss``) from the tape
     length on entry.  Every step runs the compiled replay, one list
-    operation per lane of isomorphic records, which writes only the loss
-    value and the grads of ``params``, calls ``sgd_step`` once and zeroes
-    those grads.  The tape is rolled back to its length on entry before
-    returning.  Returns the loss of every step.
+    comprehension per chain of lanes of isomorphic records, which writes
+    only the loss value and the grads of ``params``, calls ``sgd_step``
+    once and zeroes those grads.  The tape is rolled back to its length on
+    entry before returning.  Returns the loss of every step.
 
     ``loss_fn`` may branch on a record with ``Tape.at_least``, never on a
     ``value`` computed from ``params``: when a branch flips, the replay

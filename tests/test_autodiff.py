@@ -719,6 +719,16 @@ def _fan_out(t, params, c):
     return t.add(t.mul(s, params[-1]), t.sub(t.log(s), t.mul(s, s)))
 
 
+def _fusible_chain(t, params, c):
+    """Two copies of a chain whose every intermediate feeds one consumer, so
+    their lanes can be inlined into one comprehension up to the sigmoid."""
+    def chain(c):
+        x = t.add(t.mul(params[0], t.constant(c)), t.neg(params[-1]))
+        x = t.mul(t.one_minus(x), t.constant(0.5))
+        return t.sigmoid(t.sub(x, t.clamp01(params[0])))
+    return t.add(chain(c), chain(c + 1.0))
+
+
 @st.composite
 def _lane_graphs(draw):
     """k copies each of a few shapes over shared parameters, interleaved,
@@ -729,7 +739,8 @@ def _lane_graphs(draw):
                       st.integers(0, 9))
     shapes = draw(st.lists(st.lists(steps, min_size=1, max_size=5),
                            min_size=1, max_size=3))
-    specials = draw(st.lists(st.sampled_from([_tiny_division, _guarded, _fan_out]),
+    specials = draw(st.lists(st.sampled_from([_tiny_division, _guarded, _fan_out,
+                                              _fusible_chain]),
                              max_size=3, unique=True))
     copies = draw(st.lists(st.tuples(
         st.integers(0, len(shapes) + len(specials) - 1),
@@ -809,6 +820,158 @@ def test_lane_replay_matches_a_fresh_trace_bit_for_bit(graph):
         fresh.backward(fresh_loss)
         assert _bits([loss.value]) == _bits([fresh_loss.value])
         assert _bits(p.grad for p in params) == _bits(p.grad for p in fresh_params)
+
+
+# -- lane fusion: a lane inlined into the one lane that reads it -------------
+
+def _generated(monkeypatch):
+    """The list that receives every block of code the replay compiles."""
+    from dpln import replay as compiled
+    sources, compile_blocks = [], compiled._functions
+
+    def recording(blocks, *args):
+        sources.extend(blocks)
+        return compile_blocks(blocks, *args)
+    monkeypatch.setattr(compiled, "_functions", recording)
+    return sources
+
+
+def _two_readers(t, p, cs):
+    """Each product is read by a neg and by a one_minus."""
+    products = [t.mul(p, c) for c in cs]
+    return [t.add(t.neg(m), t.one_minus(m)) for m in products]
+
+
+def _squared(t, p, cs):
+    """mul(s, s): one record reads each sum twice, and its partials read it."""
+    sums = [t.add(p, c) for c in cs]
+    return [t.mul(s, s) for s in sums]
+
+
+def _times_a_reached_value(t, p, cs):
+    """mul(s, 1 - p): the partial of the reached 1 - p reads s."""
+    sums = [t.add(p, c) for c in cs]
+    return [t.mul(s, t.one_minus(p)) for s in sums]
+
+
+def _divided(t, p, cs):
+    """A div, which can raise, between p and a neg."""
+    quotients = [t.div(p, c) for c in cs]
+    return [t.neg(q) for q in quotients]
+
+
+def _logged_sigmoid(t, p, cs):
+    """A sigmoid, whose code binds a name and whose partial reads its own
+    value, feeding a log."""
+    squashed = [t.sigmoid(t.mul(p, c)) for c in cs]
+    return [t.log(s) for s in squashed]
+
+
+def _guard_between(t, p, cs):
+    """A range check between the products and the negs that read them."""
+    products = [t.mul(p, c) for c in cs]
+    t.check_unit(t.sigmoid(p), ValueError, "s")
+    return [t.neg(m) for m in products]
+
+
+# the case and the op of its middle lane, which keeps its own comprehension
+_UNFUSED = {"two readers": (_two_readers, "mul"), "mul(s, s)": (_squared, "add"),
+            "partial of another input": (_times_a_reached_value, "add"),
+            "div": (_divided, "div"), "sigmoid into log": (_logged_sigmoid, "sigmoid"),
+            "guard between": (_guard_between, "mul")}
+
+
+def _three_copies(build):
+    """A loss over three copies of ``build`` with the constants 0.5, 0.25
+    and 2.0, summed."""
+    return lambda t, p: t.sum(build(t, p, [t.constant(c) for c in (0.5, 0.25, 2.0)]))
+
+
+def _comprehension(op):
+    """The start of a list comprehension that computes ``op`` alone."""
+    return "[%s for " % OPS[op].value.format(x="x", y="y")
+
+
+def _assert_replay_matches_a_fresh_trace(loss_fn, values):
+    t = Tape()
+    p = t.parameter(values[0])
+    loss, replay = trace_loss([p], lambda: loss_fn(t, p))
+    for x in values:
+        p.value = x
+        t.zero_grads()
+        fresh = Tape()
+        q = fresh.parameter(x)
+        fresh_loss = loss_fn(fresh, q)
+        fresh.backward(fresh_loss)
+        assert replay()
+        assert _bits([loss.value, p.grad]) == _bits([fresh_loss.value, q.grad])
+
+
+@pytest.mark.parametrize("case", sorted(_UNFUSED))
+def test_a_lane_that_cannot_be_inlined_keeps_its_comprehension(monkeypatch, case):
+    """A lane read by more than one lane or by a partial, one that can raise
+    or binds a name, and one that a guard parts from its reader each keep
+    their own comprehension, and the replay matches a re-trace bit for bit."""
+    build, op = _UNFUSED[case]
+    sources = _generated(monkeypatch)
+    _assert_replay_matches_a_fresh_trace(_three_copies(build), [0.3, 0.7, -1.2])
+    assert any(_comprehension(op) in block for block in sources), sources
+
+
+def test_a_lane_read_by_one_lane_alone_is_inlined(monkeypatch):
+    """Products that only a neg lane reads are computed inside its
+    comprehension, and the replay matches a re-trace bit for bit."""
+    sources = _generated(monkeypatch)
+    _assert_replay_matches_a_fresh_trace(_three_copies(
+        lambda t, p, cs: [t.neg(t.mul(p, c)) for c in cs]), [0.3, 0.7, -1.2])
+    assert not any(_comprehension("mul") in block for block in sources), sources
+    assert any("[-(" in block for block in sources), sources
+
+
+def test_a_lane_adds_a_grad_only_when_it_makes_all_its_terms():
+    """p's terms come from a lane of two products, one of which no loss
+    reads, and from a sigmoid: as many as the lane has members, yet its
+    grad adds both, as a re-trace does."""
+    def loss_fn(t, p):
+        live, _ = t.mul(p, t.constant(0.5)), t.mul(p, t.constant(2.0))
+        return t.add(t.neg(live), t.sigmoid(p))
+    _assert_replay_matches_a_fresh_trace(loss_fn, [0.3, 0.7, -1.2])
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_an_inlined_op_matches_the_eager_op_bit_for_bit_at_edge_inputs(
+        monkeypatch, op):
+    """Two copies of each op, read by a lane of negs: every op but the two
+    that raise or bind a name is inlined there, and the replay gives the
+    values and grads of the eager ops at every edge input, bit for bit, or
+    raises their error."""
+    def build(tape, refs):
+        return tape.sum([tape.mul(tape.neg(getattr(tape, op)(*refs)),
+                                  tape.constant(c)) for c in (3.0, 0.5)])
+    sources = _generated(monkeypatch)
+    t = Tape()
+    refs = [t.parameter(0.5) for _ in OPS[op].partials]
+    loss, replay = trace_loss(refs, lambda: build(t, refs))
+    assert any(_comprehension(op) in block for block in sources) == (
+        op in ("div", "sigmoid"))
+    for inputs in EDGE_INPUTS[op]:
+        for r, x in zip(refs, inputs):
+            r.value = x
+        t.zero_grads()
+        fresh = Tape()
+        fresh_refs = [fresh.parameter(x) for x in inputs]
+        try:
+            fresh_loss = build(fresh, fresh_refs)
+        except AutodiffError as error:
+            with pytest.raises(AutodiffError) as replayed:
+                replay()
+            assert str(replayed.value) == str(error), inputs
+            continue
+        fresh.backward(fresh_loss)
+        assert replay(), inputs
+        assert _bits([loss.value]) == _bits([fresh_loss.value]), inputs
+        assert (_bits(r.grad for r in refs)
+                == _bits(r.grad for r in fresh_refs)), inputs
 
 
 @pytest.mark.parametrize("op, lo", [("log", LOG_EPS), ("clamp01", 0.0)])

@@ -510,10 +510,8 @@ def test_run_joint_compiles(monkeypatch, tmp_path):
     assert results[0] == results[1]
 
 
-def test_learn_formula_loss_compiles_to_lanes(monkeypatch, tmp_path):
-    """learn-formula's 11x11 loss, 1,932 records, compiles to at most 400
-    generated lines: its 121 isomorphic grid points share lanes and its sum
-    is one sum record; code per record took 7,346 lines."""
+def _learn_formula_blocks(monkeypatch, tmp_path):
+    """The code blocks of learn-formula's compiled loss on the 11x11 grid."""
     from dpln import replay
     sources = []
     compile_blocks = replay._functions
@@ -525,8 +523,33 @@ def test_learn_formula_loss_compiles_to_lanes(monkeypatch, tmp_path):
     cli.run_learn_formula(cli.ExperimentConfig(
         experiment="learn-formula", lr=2.0, steps=2, grid_size=11,
         heldout_size=2, out_dir=str(tmp_path)))
+    return sources
+
+
+def test_learn_formula_loss_compiles_to_lanes(monkeypatch, tmp_path):
+    """learn-formula's 11x11 loss, 1,802 records, compiles to at most 400
+    generated lines (56): its 121 isomorphic grid points share lanes, a
+    chain of lanes is one comprehension and its sum is one sum record; code
+    per record took 7,346 lines."""
+    sources = _learn_formula_blocks(monkeypatch, tmp_path)
     statements = sum(block.count("\n") + 1 for block in sources)
     assert 0 < statements <= 400
+
+
+def test_learn_formula_chains_fuse_into_one_comprehension(monkeypatch, tmp_path):
+    """The chain from the four weights to the sigmoid is one comprehension,
+    each weight's grad is added in the loop of its lane's adjoint, with no
+    list of its terms, and there are fewer blocks than the 44 of one
+    comprehension per lane."""
+    sources = _learn_formula_blocks(monkeypatch, tmp_path)
+    assert any("exp(" in block and "\n" not in block
+               and all("(v[%d],)" % p in block for p in range(4)) for block in sources)
+    grads = [block for block in sources if "g[" in block]
+    assert len(grads) == 4
+    for block in grads:
+        assert block.startswith("D = ") and "reversed(D)" in block, block
+        assert "for t in reversed(w[" not in block, block
+    assert len(sources) < 44
 
 
 def _deep_chain(tape, edge):

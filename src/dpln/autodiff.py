@@ -277,8 +277,9 @@ _NAMESPACE = {"__builtins__": {}, "__name__": __name__, "fail": _fail,
               "LOG_EPS": LOG_EPS, "UNIT_TOL": UNIT_TOL, "exp": math.exp,
               "len": len, "log": math.log, "range": range, "reversed": reversed,
               "unit_error": _unit_error, "zip": zip}
-# blocks per generated function: small sources keep compile memory flat
-_CHUNK = 24
+# blocks per generated function: small sources keep compile memory flat,
+# and a short loss is one function
+_CHUNK = 32
 
 
 def _functions(blocks: list[str], args: str,
@@ -341,12 +342,13 @@ def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
     here that one of ``params`` reaches and adds d(loss)/d(parameter) into
     their grads, bit-identical to re-tracing ``loss_fn``; it writes only the
     loss value and those grads.  Isomorphic records form lanes, and one list
-    comprehension recomputes a chain of lanes, each read by the next alone
-    (``dpln.replay``).  Each ``check_unit`` and ``at_least`` on a value that
-    a parameter reaches is a guard, re-tested at its place in the trace: a
-    failing range check raises what a re-trace would, and an ``at_least``
-    whose outcome flips makes the replay return False, a miss, having
-    written nothing.  Otherwise it returns True.
+    comprehension recomputes a chain of lanes, each read by the next alone;
+    a lone record's value is a local of the generated function, one
+    function for a short loss (``dpln.replay``).  Each ``check_unit`` and
+    ``at_least`` on a value that a parameter reaches is a guard, re-tested
+    at its place in the trace: a failing range check raises what a re-trace
+    would, and an ``at_least`` whose outcome flips makes the replay return
+    False, a miss, having written nothing.  Otherwise it returns True.
 
     Raises AutodiffError for no ``params``, a stale one or one of another
     tape, and when ``loss_fn`` reads or sets the ``value`` of a record that

@@ -6,16 +6,19 @@ input its adjoint terms.  A lane that one other lane alone reads, whole and
 in order, is inlined into its comprehension, and a parameter whose terms one
 lane makes adds them in that lane's loop.  A ``sum`` record adds its inputs
 in statements of its own.  Sums keep the eager order, so the loss and the
-grads are bit-identical to a re-trace.  Imported by the first
-``trace_loss`` call.
+grads are bit-identical to a re-trace.  Lists live in a scratch list ``w``;
+a lone value or term is a local, and a short loss is one function, which
+the replay calls directly.  Imported by the first ``trace_loss`` call.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from itertools import count, zip_longest
 from typing import Callable
 
-from .autodiff import OPS, AutodiffError, Tape, VarRef, _functions
+from .autodiff import _CHUNK, OPS, AutodiffError, Tape, VarRef, _functions
 
 # inputs per statement of a sum: a long expression costs compile memory
 _ADDS = 16
@@ -24,8 +27,8 @@ _ADDS = 16
 def _code(elements: list, w: list) -> str:
     """Replay code for one element or a list of them: ``(s, p)`` is item p of
     the list at s of the scratch list ``w``, the float at s if p is None, or
-    the literal s.  A run of one list's items is a slice of it, and a run
-    of one repeated float a repeat."""
+    the code s, a local or a literal.  A run of one list's items is a slice
+    of it, and a run of one repeated scalar a repeat."""
     runs = []  # [s, first, end] for the slice w[s][first:end], or [None, codes]
     for s, p in elements:
         if p is None:
@@ -148,15 +151,17 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
                     len(terms.get(j, ())) == 1 and j not in pinned for j in ins):
                 into[key, q] = src
 
-    # the scratch list w holds each lane's values, a float or a list, its
-    # captured constants and its inputs' adjoint terms
+    # the scratch list w holds the lists: lane values, captured constants
+    # and adjoint terms.  A lone value or term is the local s<k>, k its
+    # slot, and a lone finite constant a literal
     w, at, sources, blocks, n = [], {}, {}, [], 0  # at: record -> element
     order = sorted(lanes, key=lambda key: key[:2])
 
-    def place(items):  # the items in w, as elements
-        w.append(items if len(items) > 1 else items[0])
-        return [(len(w) - 1, p if len(items) > 1 else None)
-                for p in range(len(items))]
+    def place(items):  # the items as elements
+        k, x = len(w), items[0]
+        w.append(items if len(items) > 1 else x)
+        return [(k, p) for p in range(len(items))] if len(items) > 1 else [(
+            "s%d" % k if x is None else repr(x) if math.isfinite(x) else k, None)]
 
     def value(i):
         return _code([at[i]], w) if i in at else "v[%d]" % i
@@ -168,8 +173,8 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         n, members = key[0], lanes[key]
         src = sources[key] = {}
         if key not in into.values():
-            at.update(zip(members, place([None] * len(members))))
-            src["z"] = "w[%d]" % at[members[0]][0]
+            at.update(zip(members, z := place([None] * len(members))))
+            src["z"] = _code(z, w)
         if key[2] == "sum":  # added left to right, _ADDS inputs a statement
             for i in members:
                 z, ins = value(i), [value(j) for j in deps[i][1::2]]
@@ -226,7 +231,17 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
             blocks.append(("a = %s" % _code(ts, w) if len(ts) == 1 else
                            "a = 0.0\nfor t in reversed(%s): a += t"
                            % _code(ts[::-1], w)) + "\nif a: g[%d] += a" % p)
-    run = _functions(blocks, "v, g, w", [g[3] for g in guards])
+    # a local that two functions of _CHUNK blocks use is read from its slot
+    chunks = {}
+    for b, block in enumerate(blocks):
+        for name in re.findall(r"\bs\d+\b", block):
+            chunks.setdefault(name, set()).add(b // _CHUNK)
+    run = _functions([re.sub(r"\bs(\d+)\b", lambda m: "w[%s]" % m[1] if len(
+        chunks[m[0]]) > 1 else m[0], block) for block in blocks],
+        "v, g, w", [g[3] for g in guards])
+    if len(run) == 1:
+        f, = run
+        return lambda: f(tape._values, tape._grads, w) is not False
 
     def replay() -> bool:
         v, g = tape._values, tape._grads

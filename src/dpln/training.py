@@ -128,9 +128,12 @@ def cross_entropy(preds: list[VarRef], labels: list[float]) -> VarRef:
 
 
 def sgd_step(params: list[VarRef], learning_rate: float) -> None:
-    """Plain SGD: value -= lr * grad for every parameter."""
+    """Plain SGD: value -= lr * grad for every parameter, written through
+    the tape's lists.  Raises AutodiffError for a stale parameter."""
     for p in params:
-        p.value = p.value - learning_rate * p.grad
+        p._check_live()
+        tape = p.tape
+        tape._values[p.index] -= learning_rate * tape._grads[p.index]
 
 
 def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
@@ -138,34 +141,42 @@ def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
     """The training loop: gradient descent on ``loss_fn()`` over ``params``.
 
     Step 0 traces and compiles the loss (``trace_loss``) from the tape
-    length on entry.  Every step runs the compiled replay, one list
-    comprehension per chain of lanes of isomorphic records, which writes
-    only the loss value and the grads of ``params``, calls ``sgd_step``
-    once and zeroes those grads.  The tape is rolled back to its length on
-    entry before returning.  Returns the loss of every step.
+    length on entry.  Every step runs the compiled replay, one generated
+    function for a short loss, which writes only the loss value and the
+    grads of ``params``; it records the loss, calls ``sgd_step`` once and
+    zeroes those grads by index.  The grads are zeroed on entry too.  The
+    tape is rolled back to its length on entry before returning.  Returns
+    the loss of every step, before its update.
 
     ``loss_fn`` may branch on a record with ``Tape.at_least``, never on a
     ``value`` computed from ``params``: when a branch flips, the replay
     misses and that step traces ``loss_fn`` again.  A range check
     (``Tape.check_unit``) that fails on step k raises on step k.  Raises
-    TrainError unless the rate is positive and finite and steps >= 1.
+    TrainError, before tracing, unless ``params`` are distinct parameters,
+    the rate is positive and finite and steps >= 1; AutodiffError for a
+    stale parameter or one of another tape.
     """
     if not params:
         raise TrainError("params must be nonempty")
     _check_schedule(learning_rate, steps)
     tape = params[0].tape
-    mark = tape.mark()
-    losses = []
-    replay = None
+    for p in params:
+        tape._one(p)
+    indices = [p.index for p in params]
+    if len(set(indices)) < len(indices) or not tape._param_indices.issuperset(indices):
+        raise TrainError("params must be distinct parameters")
+    mark, values, losses, replay = tape.mark(), tape._values, [], None
+    for i in indices:  # a grad an earlier backward left
+        tape._grads[i] = 0.0
     for _ in range(steps):
         if replay is None or not replay():
             tape.reset_to(mark)
             loss, replay = trace_loss(params, loss_fn)
             replay()
+        losses.append(values[loss.index])
         sgd_step(params, learning_rate)
-        losses.append(loss.value)
-        for p in params:
-            tape._grads[p.index] = 0.0
+        for i in indices:
+            tape._grads[i] = 0.0
     tape.reset_to(mark)
     return losses
 

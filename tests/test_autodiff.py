@@ -974,6 +974,48 @@ def test_an_inlined_op_matches_the_eager_op_bit_for_bit_at_edge_inputs(
                 == _bits(r.grad for r in fresh_refs)), inputs
 
 
+# -- scalars in locals: lone values and terms across function boundaries -----
+
+def _long_chain(t, p):
+    """A sigmoid s, 40 products of one member each, every one reading the
+    last and a constant, and a final product with s: s's value is read at
+    the start of the forward pass and again by the last functions'
+    partials."""
+    s = x = t.sigmoid(p)
+    for k in range(40):
+        x = t.mul(x, t.constant(1.0 + k / 64))
+    return t.mul(x, s)
+
+
+def test_a_local_read_across_a_function_boundary_replays_bit_for_bit(monkeypatch):
+    """A replay of more blocks than one function holds keeps a lone value
+    that two functions use in a slot of w, and one that a single function
+    uses in a local, and replays bit for bit what a re-trace gives."""
+    from dpln import replay as compiled
+    sources, runs, compile_blocks = [], [], compiled._functions
+
+    def recording(blocks, *args):
+        sources.extend(blocks)
+        runs.append(compile_blocks(blocks, *args))
+        return runs[-1]
+    monkeypatch.setattr(compiled, "_functions", recording)
+    _assert_replay_matches_a_fresh_trace(_long_chain, [0.3, 0.7, -1.2, 30.0])
+    assert len(runs[0]) > 2
+    target = sources[0].split(" = ")[0]  # the sigmoid's value
+    assert target.startswith("w[") and any(
+        target in block for block in sources[compiled._CHUNK:]), sources
+    assert any(block.startswith("s") for block in sources), sources
+
+
+def test_a_lone_constant_that_is_not_finite_replays_bit_for_bit():
+    """A captured inf, the product of two constants, has no literal: the
+    replay reads it from w and matches a re-trace bit for bit."""
+    def loss_fn(t, p):
+        inf = t.mul(t.constant(1e200), t.constant(1e200))
+        return t.add(t.mul(p, p), t.clamp01(t.mul(p, inf)))
+    _assert_replay_matches_a_fresh_trace(loss_fn, [0.3, -0.7, 0.0])
+
+
 @pytest.mark.parametrize("op, lo", [("log", LOG_EPS), ("clamp01", 0.0)])
 def test_clamps_are_min_max_for_every_float(op, lo):
     """The clamps of log and clamp01, written as comparisons, give what

@@ -238,6 +238,62 @@ def test_fit_rejects_a_bad_rate_or_step_count(learning_rate, steps):
     assert len(t) == 1
 
 
+def test_fit_rejects_a_constant_or_a_repeated_parameter():
+    """A constant is no parameter: fit raises before it traces, so the
+    cached constant keeps its value.  A parameter listed twice would step
+    twice a step; fit raises and it does not move."""
+    t = Tape()
+    c, r = t.constant(2.0), t.parameter(1.0)
+    calls = []
+    for params in ([c], [r, r], [r, c]):
+        with pytest.raises(TrainError, match="distinct parameters"):
+            fit(params, lambda: calls.append(1) or t.mul(c, r), 0.1, 2)
+    assert calls == []
+    assert t.constant(2.0).value == 2.0 and r.value == 1.0
+
+
+def test_fit_reports_each_loss_before_its_update():
+    """A loss that is the parameter itself reads the value before the step
+    moves it: 0.5, then 0.5 - 0.1, then that minus 0.1."""
+    t = Tape()
+    q = t.parameter(0.5)
+    assert fit([q], lambda: q, 0.1, 3) == [0.5, 0.5 - 0.1, 0.5 - 0.1 - 0.1]
+
+
+def test_fit_zeroes_a_grad_left_by_an_earlier_backward():
+    """A grad of 5.0 that Tape.backward left does not leak into step 0:
+    u * u from u = 1 at rate 0.1 steps to 0.8, then 0.64."""
+    t = Tape()
+    u = t.parameter(1.0)
+    t.backward(t.mul(t.constant(5.0), u))
+    assert u.grad == 5.0
+    fit([u], lambda: t.mul(u, u), 0.1, 2)
+    assert u.value == (1.0 - 0.1 * 2.0) - 0.1 * (2.0 * (1.0 - 0.1 * 2.0))
+    assert u.grad == 0.0
+
+
+def test_fruit_colors_loss_compiles_to_one_function_of_locals(monkeypatch, tmp_path):
+    """Each of fruit-colors' six fits compiles its loss to one function, in
+    which every value and term is a local or a literal: no line reads or
+    writes the scratch list w."""
+    from dpln import replay
+    compiled, compile_blocks = [], replay._functions
+
+    def recording(blocks, *args):
+        compiled.append((blocks, compile_blocks(blocks, *args)))
+        return compiled[-1][1]
+    monkeypatch.setattr(replay, "_functions", recording)
+    cli.run_fruit_colors(cli.ExperimentConfig(
+        experiment="fruit-colors", true_probabilities={
+            "apple": {"yellow": 0.1, "red": 0.2, "green": 0.7},
+            "banana": {"yellow": 0.8, "red": 0.1, "green": 0.1}},
+        n_samples=50, steps=2, seed=1, out_dir=str(tmp_path)))
+    assert len(compiled) == 6
+    for blocks, run in compiled:
+        assert len(run) == 1
+        assert blocks and not any("w[" in block for block in blocks), blocks
+
+
 def _retrace_fit(params, loss_fn, learning_rate, steps):
     """fit's loop with a fresh trace of the loss every step: the reference
     that fit's compiled replay must match bit for bit."""

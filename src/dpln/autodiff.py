@@ -343,12 +343,12 @@ def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
     their grads, bit-identical to re-tracing ``loss_fn``; it writes only the
     loss value and those grads.  Isomorphic records form lanes, and one list
     comprehension recomputes a chain of lanes, each read by the next alone;
-    a lone record's value is a local of the generated function, one
-    function for a short loss (``dpln.replay``).  Each ``check_unit`` and
-    ``at_least`` on a value that a parameter reaches is a guard, re-tested
-    at its place in the trace: a failing range check raises what a re-trace
-    would, and an ``at_least`` whose outcome flips makes the replay return
-    False, a miss, having written nothing.  Otherwise it returns True.
+    adjoint terms that no parameter changes are computed here, once, and a
+    lone value is a local, one function for a short loss (``dpln.replay``).
+    Each ``check_unit`` and ``at_least`` on a value that a parameter reaches
+    is a guard, re-tested once at its place in the trace: a failing range
+    check raises what a re-trace would, and an ``at_least`` whose outcome
+    flips makes the replay return False, a miss, writing nothing, else True.
 
     Raises AutodiffError for no ``params``, a stale one or one of another
     tape, and when ``loss_fn`` reads or sets the ``value`` of a record that

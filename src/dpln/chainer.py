@@ -352,6 +352,7 @@ class _Search:
         self.rules = tuple(rules)
         self.memo: dict[tuple[int, int], list[tuple[Binding, InferenceTrace]]] = {}
         self.facts: dict[int, list] = {}
+        self.typed: dict[str, tuple[Rule, ...]] = {}  # pattern type -> rules
 
     def solve(self, kb: AtomSpace, pattern: int,
               depth: int) -> list[tuple[Binding, InferenceTrace]]:
@@ -390,7 +391,11 @@ class _Search:
         or target subtree it stands for, so each lane binds it, fills it in,
         checks it and reads terms."""
         matches = []  # per rule matching pattern: seen, aliases and prefixes
-        for rule in self.rules if depth >= 1 else ():
+        name = kb.atoms[pattern].type.name  # no rule of another type matches
+        if name not in self.typed:
+            self.typed[name] = tuple(r for r in self.rules if name in (
+                "VariableNode", kb.atoms[r.conclusion].type.name))
+        for rule in self.typed[name] if depth >= 1 else ():
             rb, seen = {}, {}
             if not _match_conclusion(kb, rule.conclusion, pattern, rb, seen,
                                      rule.args):

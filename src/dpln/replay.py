@@ -3,22 +3,23 @@
 The replayed records of one opcode, input kinds and depth between the same
 two guards form a lane: one list comprehension recomputes it, and one per
 input its adjoint terms.  A lane that one other lane alone reads, whole and
-in order, is inlined into its comprehension, and a parameter whose terms one
-lane makes adds them in that lane's loop.  A ``sum`` record adds its inputs
-in statements of its own.  Sums keep the eager order, so the loss and the
-grads are bit-identical to a re-trace.  Lists live in a scratch list ``w``;
-a lone value or term is a local, and a short loss is one function, which
-the replay calls directly.  Imported by the first ``trace_loss`` call.
+in order, is inlined into its comprehension; the grads one adjoint column
+feeds add in one loop.  Adjoint terms that no parameter changes, from the
+loss's seed through constant partials, are computed at compile time.  Sums
+keep the eager order, so the loss and the grads are bit-identical to a
+re-trace.  Lists live in a scratch list ``w``; a lone value or term is a
+local, and a short loss is one function.  Imported by ``trace_loss``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import reduce
 from itertools import count, zip_longest
 from typing import Callable
 
-from .autodiff import _CHUNK, OPS, AutodiffError, Tape, VarRef, _functions
+from .autodiff import _CHUNK, _UNIT_GUARD, OPS, AutodiffError, Tape, VarRef, _functions
 
 # inputs per statement of a sum: a long expression costs compile memory
 _ADDS = 16
@@ -49,13 +50,14 @@ def _code(elements: list, w: list) -> str:
         if r[2] - r[1] == len(w[r[0]]) else "w[%d][%d:%d]" % tuple(r) for r in runs)
 
 
-def _each(target: str, template: str, sources: dict, size: int) -> str:
-    """Code that sets ``target`` to ``template`` over ``sources``
-    (placeholder -> code, or an inlined lane's template and sources): a
-    statement for a lone record, else a list comprehension over a lane's
-    ``size`` members.  It binds a parameter's scalar, ``v[i]``, once, and
-    per member an inlined value read more than once.  A parameter's grad,
-    ``g[p]``, gets the values added in reverse order instead."""
+def _each(size: int, *parts: tuple) -> str:
+    """Code that sets each (target, template, sources) part's target to its
+    template over its sources (placeholder -> code, or an inlined lane's
+    template and sources): a statement for a lone record, else a list
+    comprehension over a lane's ``size`` members.  It binds a parameter's
+    scalar, ``v[i]``, once, and per member an inlined value read more than
+    once.  Grads ``g[p]`` add their values in reverse, in one loop, a sum each."""
+    target, template, sources = parts[0]
     if size == 1:
         return "%s = %s" % (target, template.format(**sources))
     names, binds, tags, grad = {}, [], count(1), target[0] == "g"
@@ -72,16 +74,19 @@ def _each(target: str, template: str, sources: dict, size: int) -> str:
             elif uses:
                 subs[k] = names.setdefault(s, k + tag)
         return template.format(**subs)
-    value = inline(template, sources, "")
+    values = [inline(t, s, "_%d" % next(tags) if k else "")
+              for k, (_, t, s) in enumerate(parts)]
     lists = [(n, "reversed(%s)" % s if grad else s) for s, n in names.items()
              if s[0] != "v"] or [("_", "range(%d)" % size)]
     clauses = ["for %s in (%s,)" % (n, s) for s, n in names.items() if s[0] == "v"]
     clauses += ["for %s in %s" % (", ".join(n for n, _ in lists), lists[0][1] if len(
         lists) == 1 else "zip(%s)" % ", ".join(s for _, s in lists))] + binds
-    if grad:  # in reverse order, as nested loops
-        return "a = 0.0%s a += %s\nif a: %s += a" % ("".join(
-            "\n%s%s:" % (" " * k, c) for k, c in enumerate(clauses)), value, target)
-    return "%s = [%s %s]" % (target, value, " ".join(clauses))
+    if grad:  # in reverse order, as nested loops, the sum of part k in a<k>
+        return "".join("a%d = " % k for k in range(len(parts))) + "0.0%s %s%s" % ("".join(
+            "\n%s%s:" % (" " * k, c) for k, c in enumerate(clauses)), "; ".join(
+            "a%d += %s" % kv for kv in enumerate(values)), "".join(
+            "\nif a%d: %s += a%d" % (k, part[0], k) for k, part in enumerate(parts)))
+    return "%s = [%s %s]" % (target, values[0], " ".join(clauses))
 
 
 def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
@@ -109,11 +114,14 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
                             "parameter before the loss was traced; compute "
                             "it inside the loss" % min(stale))
 
-    # a guard on a value that no parameter reaches cannot fail later.  A
-    # lane's key: the guards before it, its depth, opcode and per input "r"
-    # for a replayed record, "c" for a constant, captured now, or the index
-    # of a parameter, read once
-    guards = [g for g in guards if g[1] in reached]
+    # a guard on a value that no parameter reaches cannot fail later, nor one
+    # that repeats a test (a range check's ignores its payload).  A lane's key:
+    # the guards before it, its depth, opcode and per input "r" for a replayed
+    # record, "c" for a constant, captured now, or a parameter's index, read once
+    tests = {}
+    for g in guards:
+        tests.setdefault((g[1], g[2], None if g[2] == _UNIT_GUARD else g[3]), g)
+    guards = [g for g in tests.values() if g[1] in reached]
     lanes, n, lane, kind = {}, 0, {}, {p: p for p in tape._param_indices}
     replayed = [i for i in range(mark, len(deps)) if i in reached]
     for i in replayed:
@@ -126,7 +134,7 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         kind[i] = "r"
     # a record's adjoint adds its consumers' terms in reverse record order,
     # the loss's a seed of 1; a term's key is (consumer, input)
-    terms, term = ({loss: [-1]} if loss in reached else {}), {-1: ("1.0", None)}
+    terms, term = ({loss: [-1]} if loss in reached else {}), {-1: 1.0}
     for i in range(loss, mark - 1, -1):
         for q, j in enumerate(deps[i][1::2] if i in terms else ()):
             if j in reached:
@@ -188,49 +196,65 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
             src["xy"[q]] = (OPS[inner[2]].value, sources[inner]) if inner else (
                 "v[%d]" % k if k not in ("r", "c") else _code(place(
                     [values[j] for j in ins]) if k == "c" else [at[j] for j in ins], w))
-        if key not in into.values():
-            blocks.append(_each(src["z"], OPS[key[2]].value, src, len(members)))
+        if "1.0" in (src.get("x"), src.get("y")) and key[2] == "mul":  # x * 1.0 is x
+            at[members[0]] = (src["x" if src["y"] == "1.0" else "y"], None)
+        elif key not in into.values():
+            blocks.append(_each(len(members), (src["z"], OPS[key[2]].value, src)))
     if loss in at:
         blocks.append("v[%d] = %s" % (loss, value(loss)))
 
+    def elements(ts):  # terms as elements, a column of constants one list
+        return place(ts) if all(type(t) is float for t in ts) else [
+            t if type(t) is tuple else place([t])[0] for t in ts]
+    grads = {}  # (adjoint code, size) -> the (grad, template, sources) it feeds
     for key in reversed(order):
         members, size = lanes[key], len(lanes[key])
         if terms.keys().isdisjoint(members):
             continue
-        # a member with fewer terms adds 0.0, which changes no sum; a lane
-        # adds its columns per member, in the loops of its partials
-        cols = {"d%d" % c: _code(col, w) for c, col in enumerate(zip_longest(*[
-            [term[c] for c in terms.get(i, ())] for i in members],
-            fillvalue=("0.0", None)))}
-        d = "d" if size == 1 else "D" if len(cols) == 1 else (
+        # a member with fewer terms adds 0.0; a lane adds its columns per
+        # member, in the loops of its partials, and constants are added here
+        columns = list(zip_longest(*[[term[c] for c in terms.get(i, ())]
+                                     for i in members], fillvalue=0.0))
+        if known := all(type(t) is float for col in columns for t in col):
+            columns = [[reduce(float.__add__, ts) for ts in zip(*columns)]]
+        cols = {"d%d" % c: _code(elements(col), w) for c, col in enumerate(columns)}
+        d = cols["d0"] if len(cols) == 1 else "d" if size == 1 else (
             " + ".join("{%s}" % c for c in cols), cols)
-        block = ["%s = %s" % (d, cols.pop("d0"))] + [
-            "d += " + c for c in cols.values()] if isinstance(d, str) else []
+        block = ["d = " + " + ".join(cols.values())] if d == "d" else []
         src = dict(sources[key], d=d)
-        # inputs with the same partial share their terms: a sum's all do
-        slots, ins = {}, deps[members[0]][1::2]
+        # inputs with the same partial share their terms, a sum's all; a term
+        # is a constant where the adjoint is, if it is 0 or the partial reads constants
+        slots, ins, adjoint = {}, deps[members[0]][1::2], columns[0]
         partials = ("1.0",) * len(ins) if key[2] == "sum" else OPS[key[2]].partials
+        fixed = {"{%s}" % n for n, k in zip("xy", key[3:]) if k == "c"}
         for q, partial in enumerate(partials):
-            template = {"1.0": "{d}", "-1.0": "-{d}"}.get(
-                partial, "{d} * (%s) if {d} else 0.0" % partial)
-            p = key[3 + q]  # a parameter's index, "r" or "c"
-            if size > 1 and terms.get(p) == [(i, q) for i in reversed(members)]:
-                block.append(_each("g[%d]" % p, template, src, size))
+            p, cs = key[3 + q], [(i, q) for i in members]  # p: a parameter, "r" or "c"
+            template = {"1.0": "{d}", "-1.0": "-{d}"}.get(partial, "{d} * (%s)%s" % (
+                partial, "" if known and all(adjoint) else " if {d} else 0.0"))
+            if known and (not any(adjoint) or set(re.findall(r"{\w}", partial)) <= fixed):
+                term.update((c, a if partial == "1.0" else -a if partial == "-1.0"
+                             else a * deps[i][2 + 2 * q] if a else 0.0)
+                            for c, i, a in zip(cs, members, adjoint))
+            elif size > 1 and terms.get(p) == cs[::-1]:
+                grads.setdefault((str(d), size), []).append(("g[%d]" % p, template, src))
                 del terms[p]  # this lane made all of p's terms
+            elif partial == "1.0" and len(columns) == 1:
+                term.update(zip(cs, adjoint))  # the adjoint itself
             elif ins[q] in reached:
                 if partial not in slots:
                     slots[partial] = t = place([None] * size)
-                    block.append(_each(_code(t, w), template, src, 1 if partial
-                                       == "1.0" and isinstance(d, str) else size))
-                term.update(((i, q), e) for i, e in zip(members, slots[partial]))
-        blocks.append("\n".join(block))
-    # a parameter's grad adds its terms in reverse record order
-    for p in indices:
+                    block.append(_each(size, (_code(t, w), template, src)))
+                term.update(zip(cs, slots[partial]))
+        blocks += ["\n".join(block)] if block else []
+    blocks += [_each(size, *parts) for (_, size), parts in grads.items()]
+    for p in indices:  # a parameter's grad adds its terms in reverse record order
         ts = [term[c] for c in terms.get(p, ())]
-        if ts:
-            blocks.append(("a = %s" % _code(ts, w) if len(ts) == 1 else
+        if any(type(t) is tuple for t in ts):
+            blocks.append(("a = %s" % _code(elements(ts), w) if len(ts) == 1 else
                            "a = 0.0\nfor t in reversed(%s): a += t"
-                           % _code(ts[::-1], w)) + "\nif a: g[%d] += a" % p)
+                           % _code(elements(ts[::-1]), w)) + "\nif a: g[%d] += a" % p)
+        elif a := reduce(float.__add__, ts, 0.0):
+            blocks.append("g[%d] += %s" % (p, _code(place([a]), w)))
     # a local that two functions of _CHUNK blocks use is read from its slot
     chunks = {}
     for b, block in enumerate(blocks):

@@ -47,6 +47,18 @@ def assert_grads_close(build, values, atol=1e-5, rtol=1e-4):
             "gradient mismatch: analytic %.10g vs central-diff %.10g" % (a, n))
 
 
+def generated_code(monkeypatch):
+    """The list that receives every block of code the replay compiles."""
+    from dpln import replay
+    sources, compile_blocks = [], replay._functions
+
+    def recording(blocks, *args):
+        sources.extend(blocks)
+        return compile_blocks(blocks, *args)
+    monkeypatch.setattr(replay, "_functions", recording)
+    return sources
+
+
 def fresh_kb():
     tape = Tape()
     return tape, AtomSpace(tape)

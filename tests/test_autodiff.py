@@ -11,7 +11,7 @@ from dpln import AtomSpace, AutodiffError, Tape, TrainError, fit, make_rule_set
 from dpln.autodiff import LOG_EPS, OPS, UNIT_TOL, sigmoid, trace_loss
 
 from conftest import (analytic_grads, assert_grads_close, finite_diff_grads,
-                      interior)
+                      generated_code, interior)
 
 
 def test_constant_value_and_flag():
@@ -571,6 +571,8 @@ EDGE_INPUTS = {
             (1.0 + 1e-12,), (1.5,)],
     "sigmoid": [(-800.0,), (-2.0,), (-1e-300,), (0.0,), (2.0,), (800.0,)],
     "clamp01": [(-0.5,), (-0.0,), (0.0,), (0.5,), (1.0,), (1.5,)],
+    # x * 1.0 for a captured 1.0, which the replay compiles to x itself
+    "times_one": [(0.25,), (-0.0,), (0.0,), (-3.0,), (5e-324,), (1e308,)],
 }
 
 
@@ -578,15 +580,18 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
-@pytest.mark.parametrize("op", sorted(OPS))
+@pytest.mark.parametrize("op", sorted(EDGE_INPUTS))
 def test_replay_matches_the_eager_op_bit_for_bit_at_edge_inputs(op):
-    """For each op, a replay traced at an interior point gives the values and
-    grads of the eager op at every edge input, bit for bit, and raises the
-    eager op's error where that raises."""
+    """For each op, and a product with the constant 1.0, a replay traced at
+    an interior point gives the values and grads of the eager op at every
+    edge input, bit for bit, and raises the eager op's error where that
+    raises."""
     def build(tape, refs):
-        return tape.mul(getattr(tape, op)(*refs), tape.constant(3.0))
+        z = tape.mul(refs[0], tape.constant(1.0)) if op == "times_one" else (
+            getattr(tape, op)(*refs))
+        return tape.mul(z, tape.constant(3.0))
     t = Tape()
-    refs = [t.parameter(0.5) for _ in OPS[op].partials]
+    refs = [t.parameter(0.5) for _ in EDGE_INPUTS[op][0]]
     loss, replay = trace_loss(refs, lambda: build(t, refs))
     for inputs in EDGE_INPUTS[op]:
         for r, x in zip(refs, inputs):
@@ -824,18 +829,6 @@ def test_lane_replay_matches_a_fresh_trace_bit_for_bit(graph):
 
 # -- lane fusion: a lane inlined into the one lane that reads it -------------
 
-def _generated(monkeypatch):
-    """The list that receives every block of code the replay compiles."""
-    from dpln import replay as compiled
-    sources, compile_blocks = [], compiled._functions
-
-    def recording(blocks, *args):
-        sources.extend(blocks)
-        return compile_blocks(blocks, *args)
-    monkeypatch.setattr(compiled, "_functions", recording)
-    return sources
-
-
 def _two_readers(t, p, cs):
     """Each product is read by a neg and by a one_minus."""
     products = [t.mul(p, c) for c in cs]
@@ -913,7 +906,7 @@ def test_a_lane_that_cannot_be_inlined_keeps_its_comprehension(monkeypatch, case
     or binds a name, and one that a guard parts from its reader each keep
     their own comprehension, and the replay matches a re-trace bit for bit."""
     build, op = _UNFUSED[case]
-    sources = _generated(monkeypatch)
+    sources = generated_code(monkeypatch)
     _assert_replay_matches_a_fresh_trace(_three_copies(build), [0.3, 0.7, -1.2])
     assert any(_comprehension(op) in block for block in sources), sources
 
@@ -921,7 +914,7 @@ def test_a_lane_that_cannot_be_inlined_keeps_its_comprehension(monkeypatch, case
 def test_a_lane_read_by_one_lane_alone_is_inlined(monkeypatch):
     """Products that only a neg lane reads are computed inside its
     comprehension, and the replay matches a re-trace bit for bit."""
-    sources = _generated(monkeypatch)
+    sources = generated_code(monkeypatch)
     _assert_replay_matches_a_fresh_trace(_three_copies(
         lambda t, p, cs: [t.neg(t.mul(p, c)) for c in cs]), [0.3, 0.7, -1.2])
     assert not any(_comprehension("mul") in block for block in sources), sources
@@ -948,7 +941,7 @@ def test_an_inlined_op_matches_the_eager_op_bit_for_bit_at_edge_inputs(
     def build(tape, refs):
         return tape.sum([tape.mul(tape.neg(getattr(tape, op)(*refs)),
                                   tape.constant(c)) for c in (3.0, 0.5)])
-    sources = _generated(monkeypatch)
+    sources = generated_code(monkeypatch)
     t = Tape()
     refs = [t.parameter(0.5) for _ in OPS[op].partials]
     loss, replay = trace_loss(refs, lambda: build(t, refs))
@@ -1014,6 +1007,21 @@ def test_a_lone_constant_that_is_not_finite_replays_bit_for_bit():
         inf = t.mul(t.constant(1e200), t.constant(1e200))
         return t.add(t.mul(p, p), t.clamp01(t.mul(p, inf)))
     _assert_replay_matches_a_fresh_trace(loss_fn, [0.3, -0.7, 0.0])
+
+
+def test_a_product_with_one_compiles_to_its_factor(monkeypatch):
+    """x * 1.0 and 1.0 * x are x for every float, so the replay computes
+    neither product, and it matches a re-trace bit for bit; x + 0.0 keeps
+    its add, since -0.0 + 0.0 is 0.0."""
+    sources = generated_code(monkeypatch)
+
+    def loss_fn(t, p):
+        s = t.mul(t.mul(t.constant(1.0), t.sigmoid(p)), t.constant(1.0))
+        return t.mul(t.add(s, t.constant(0.0)), p)
+    _assert_replay_matches_a_fresh_trace(loss_fn, [0.3, -0.7, 0.0])
+    forward = sources[:[b.startswith("v[") for b in sources].index(True)]
+    assert not any("* 1.0" in b or "1.0 *" in b for b in forward), forward
+    assert any("+ 0.0" in b for b in forward), forward
 
 
 @pytest.mark.parametrize("op, lo", [("log", LOG_EPS), ("clamp01", 0.0)])

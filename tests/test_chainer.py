@@ -13,6 +13,7 @@ from dpln import (ChainConfig, ChainError, Derivation, FormulaWeights, Leaf,
                   make_deduction_rule, make_modus_ponens_rule, make_rule_set,
                   match, parse_atom, substitute, variables_in)
 from dpln import AtomSpace, chainer, deduction_strength
+from dpln.atomspace import TYPES
 from dpln.chainer import MAX_SEARCH_DEPTH, Constant
 from dpln.pattern import candidates
 
@@ -677,6 +678,56 @@ def test_repeated_target_variable_prunes_from_its_first_occurrence(monkeypatch):
         expected += len(ground)
     assert len(got) == expected > 0
     assert lifted <= len(calls)
+
+
+def _dispatch_run(monkeypatch, dispatch):
+    """backward_chain with all six rules, at depth 2, on CYCLE_KB and
+    APPLE_KB's facts, of ground, lifted and bare-variable targets.  Returns
+    each target's (binding, strength, proof shape) rows, and the top-level
+    ``_match_conclusion`` calls per ``lanes`` call on an Inheritance
+    pattern."""
+    match, nested, tops, lanes = chainer._match_conclusion, [0], [], []
+
+    def counting(kb, c, t, *args):
+        tops.extend([kb.atom(t).type.name] * (not nested[0]))
+        nested[0] += 1
+        try:
+            return match(kb, c, t, *args)
+        finally:
+            nested[0] -= 1
+    search_lanes = chainer._Search.lanes
+
+    def counted(self, kb, pattern, depth):
+        lanes.extend([kb.atom(pattern).type.name] * (depth >= 1))
+        return search_lanes(self, kb, pattern, depth)
+    monkeypatch.setattr(chainer, "_match_conclusion", counting)
+    monkeypatch.setattr(chainer._Search, "lanes", counted)
+    _, kb = fresh_kb()
+    load_kb(kb, CYCLE_KB + APPLE_KB)
+    rules, config = make_rule_set(kb), ChainConfig(max_depth=2)
+    if not dispatch:  # a table that tries every rule on every pattern type
+        kb.subgoal_table = chainer._Search(rules)
+        kb.subgoal_table.typed = dict.fromkeys(TYPES, tuple(rules))
+    var = kb.node("VariableNode", "$T")
+    targets = [kb.link("InheritanceLink", *(kb.node("ConceptNode", n) for n in "ac")),
+               kb.link("InheritanceLink", var, var),
+               parse_atom(kb, '(EvaluationLink (PredicateNode "green") '
+                              '(VariableNode "$W"))'), var]
+    rows = [[(b, s.value, _serialize(t)) for b, s, t in
+             backward_chain(kb, rules, target, config)] for target in targets]
+    return rows, tops.count("InheritanceLink") / lanes.count("InheritanceLink")
+
+
+def test_rule_dispatch_by_conclusion_type_keeps_every_proof(monkeypatch):
+    """The subgoal table tries only the rules whose conclusion has the
+    pattern's type: the proofs, their bindings, strengths, shapes and order
+    are those of a search that tries every rule, and an Inheritance subgoal
+    makes one top-level ``_match_conclusion`` call, not six."""
+    with monkeypatch.context() as patched:
+        everything, tried = _dispatch_run(patched, dispatch=False)
+    rows, dispatched = _dispatch_run(monkeypatch, dispatch=True)
+    assert rows == everything and all(rows)
+    assert (tried, dispatched) == (6, 1)
 
 
 def test_repeated_target_variable_over_two_subtrees_is_unified():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -20,7 +21,7 @@ from dpln.chainer import MAX_SEARCH_DEPTH, prove
 from dpln.rules import (DEDUCTION_EPS, FormulaError, deduction_strength,
                         modus_ponens_strength)
 
-from conftest import finite_diff_grads, fresh_kb
+from conftest import finite_diff_grads, fresh_kb, generated_code
 
 
 def test_cross_entropy_half():
@@ -470,11 +471,14 @@ def _fail_both(build, values, learning_rate, steps):
     return runs
 
 
-def test_fit_replay_raises_a_failing_range_check_at_its_step():
+def test_fit_replay_raises_a_failing_range_check_at_its_step(monkeypatch):
     """x = p/2 rises by 1/8 per step and leaves [0, 1] on step 5.  The
     compiled replay re-tests the range check of fuzzy_not (FormulaError) or
     of a TruthValue (AtomSpaceError) and raises what a re-trace raises, on
-    the same step, with the same parameter values."""
+    the same step, with the same parameter values.  Both losses have the
+    constant grad -1/2, which the replay adds as a literal."""
+    sources = generated_code(monkeypatch)
+
     def negated(t, params):
         return fuzzy_not(t.mul(t.constant(0.5), params[0]))
 
@@ -489,6 +493,7 @@ def test_fit_replay_raises_a_failing_range_check_at_its_step():
         assert compiled[:2] == retraced[:2] == (
             error, "%s 1.125 outside [0, 1]" % label)
         assert compiled[3] == 1 and retraced[3] == 6
+    assert sources.count("g[0] += -0.5") == 2, sources
 
 
 def test_fit_replay_raises_the_first_failure_in_trace_order():
@@ -511,6 +516,96 @@ def test_fit_replay_raises_the_first_failure_in_trace_order():
         assert compiled[1:3] == retraced[1:3]
         assert compiled[2] == [1.75]
         assert compiled[3] == 1 and retraced[3] == 6
+
+
+# -- constant adjoints: terms that no parameter changes, computed once ---------
+
+def test_a_zero_constant_factor_folds_the_adjoints_behind_it(monkeypatch):
+    """0 * sigmoid(2p): every adjoint behind the zero factor is 0, so the
+    replay computes no sigmoid partial, and fit matches a re-trace bit for
+    bit."""
+    sources = generated_code(monkeypatch)
+
+    def build(t, params):
+        p, = params
+        squashed = t.sigmoid(t.mul(p, t.constant(2.0)))
+        return t.add(t.mul(p, p), t.mul(t.constant(0.0), squashed))
+    compiled, retraced = _fit_both(build, [0.7], 0.3, 20)
+    assert compiled[2] == 1 and compiled[:2] == retraced[:2]
+    assert any("exp(" in block for block in sources), sources
+    assert not any("(1.0 - " in block for block in sources), sources
+
+
+def test_a_constant_adjoint_reaches_a_parameter_directly(monkeypatch):
+    """c * p for three constants, one lane, and 0.25 * q: p's grad is a
+    constant, added as one literal, and q's adds its constant term to the
+    term of q * q; fit matches a re-trace bit for bit."""
+    sources = generated_code(monkeypatch)
+
+    def build(t, params):
+        p, q = params
+        return t.sum([t.mul(t.constant(c), p) for c in (0.5, -2.0, 3.0)]
+                     + [t.mul(t.constant(0.25), q), t.mul(q, q)])
+    compiled, retraced = _fit_both(build, [0.7, -0.4], 0.3, 20)
+    assert compiled[2] == 1 and compiled[:2] == retraced[:2]
+    assert "g[0] += 1.5" in sources, sources
+    assert any("0.25" in block and "g[1]" in block for block in sources), sources
+
+
+def test_a_constant_adjoint_that_is_not_finite_stays_a_slot(monkeypatch):
+    """1e300 * (1e10 * (sigmoid(p) * 1e-300)) has a finite value, but the
+    adjoint of the inner product, 1e300 * 1e10, is inf, which no literal
+    writes: the replay reads it from w, and fit matches a re-trace bit for
+    bit, the inf grad and the nan that follows included."""
+    sources = generated_code(monkeypatch)
+
+    def build(t, params):
+        tiny = t.mul(t.sigmoid(params[0]), t.constant(1e-300))
+        return t.mul(t.constant(1e300), t.mul(t.constant(1e10), tiny))
+    compiled, retraced = _fit_both(build, [0.3], 0.1, 3)
+    assert compiled[2] == 1
+    assert [[x.hex() for x in xs] for xs in compiled[:2]] == [
+        [x.hex() for x in xs] for xs in retraced[:2]]
+    assert math.isnan(compiled[0][-1])
+    assert any(block.split(" = ")[-1].startswith("w[") and "(1.0 - " in block
+               for block in sources), sources
+
+
+def test_a_folded_loss_retraces_when_its_branch_flips(monkeypatch):
+    """3 * s or -s for s = sigmoid(p), chosen by s >= 0.5: the constant
+    adjoint of s needs no zero test, each flip makes the replay miss and fit
+    trace again, and the results equal a re-trace's."""
+    sources = generated_code(monkeypatch)
+    outcomes = []
+
+    def build(t, params):
+        s = t.sigmoid(params[0])
+        outcomes.append(t.at_least(s, 0.5))
+        return t.mul(t.constant(3.0 if outcomes[-1] else -1.0), s)
+    compiled, retraced = _fit_both(build, [0.3], 0.5, 12)
+    assert compiled[:2] == retraced[:2]
+    steps = outcomes[compiled[2]:]
+    flips = sum(a != b for a, b in zip(steps, steps[1:]))
+    assert set(steps) == {True, False}
+    assert compiled[2] == 1 + flips < retraced[2] == 12
+    assert any(block.startswith("s") and " = 3.0 * (" in block
+               and " if " not in block for block in sources), sources
+
+
+def test_a_repeated_range_check_is_one_test_that_raises_the_first(monkeypatch):
+    """A TruthValue and then fuzzy_not check the same x = p / 2: the replay
+    tests x once, and when x leaves [0, 1] fit raises the first check's
+    class and label, on the step and with the values of a re-trace."""
+    sources = generated_code(monkeypatch)
+
+    def build(t, params):
+        x = TruthValue(t.mul(t.constant(0.5), params[0]), 1.0).strength
+        return t.neg(fuzzy_not(x))
+    compiled, retraced = _fail_both(build, [1.0], 0.5, 20)
+    assert compiled[:3] == retraced[:3] == (
+        AtomSpaceError, "strength -0.125 outside [0, 1]", [-0.25])
+    assert sum(block.count("raise unit_error") for block in sources) == 1
+
 
 def _counting(train_loop, calls):
     """``train_loop`` with every call of its loss closure counted."""
@@ -568,14 +663,7 @@ def test_run_joint_compiles(monkeypatch, tmp_path):
 
 def _learn_formula_blocks(monkeypatch, tmp_path):
     """The code blocks of learn-formula's compiled loss on the 11x11 grid."""
-    from dpln import replay
-    sources = []
-    compile_blocks = replay._functions
-
-    def recording(blocks, *args):
-        sources.extend(blocks)
-        return compile_blocks(blocks, *args)
-    monkeypatch.setattr(replay, "_functions", recording)
+    sources = generated_code(monkeypatch)
     cli.run_learn_formula(cli.ExperimentConfig(
         experiment="learn-formula", lr=2.0, steps=2, grid_size=11,
         heldout_size=2, out_dir=str(tmp_path)))
@@ -594,18 +682,21 @@ def test_learn_formula_loss_compiles_to_lanes(monkeypatch, tmp_path):
 
 def test_learn_formula_chains_fuse_into_one_comprehension(monkeypatch, tmp_path):
     """The chain from the four weights to the sigmoid is one comprehension,
-    each weight's grad is added in the loop of its lane's adjoint, with no
-    list of its terms, and there are fewer blocks than the 44 of one
-    comprehension per lane."""
+    and the four weights' grads are added in one loop over the sigmoid's
+    adjoint column, an accumulator each, with no list of their terms.  The
+    constant adjoints between the loss and the logs are computed at compile
+    time, so no adjoint list repeats one value, and there are fewer blocks
+    than the 32 that computed them on every step."""
     sources = _learn_formula_blocks(monkeypatch, tmp_path)
     assert any("exp(" in block and "\n" not in block
                and all("(v[%d],)" % p in block for p in range(4)) for block in sources)
     grads = [block for block in sources if "g[" in block]
-    assert len(grads) == 4
-    for block in grads:
-        assert block.startswith("D = ") and "reversed(D)" in block, block
-        assert "for t in reversed(w[" not in block, block
-    assert len(sources) < 44
+    assert len(grads) == 1 and grads[0].count("for ") == 1, grads
+    assert sorted(p for _, p in re.findall(
+        r"if (a\d): g\[(\d)\] \+= \1", grads[0])) == ["0", "1", "2", "3"], grads
+    assert "for t in reversed(w[" not in grads[0], grads
+    assert not any(re.search(r"\[\w+\] \* \d", block) for block in sources), sources
+    assert len(sources) < 32
 
 
 def _deep_chain(tape, edge):

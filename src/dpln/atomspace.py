@@ -96,7 +96,7 @@ class AtomSpace:
     backward chainer uses to distinguish stated facts from atoms interned as
     query patterns or templates, and ends the chainer's subgoal table, built
     from the asserted set, when that set grows.  ``pattern`` and ``chainer``
-    read the tables ``atoms``, ``tvs`` and ``incoming_of`` directly, unchecked.
+    read ``atoms``, ``tvs`` and ``incoming_of`` and intern by ``_link``, unchecked.
     """
 
     def __init__(self, tape: Tape):
@@ -138,18 +138,22 @@ class AtomSpace:
         for oid in out:
             if not (isinstance(oid, int) and 0 <= oid < len(self.atoms)):
                 raise UnknownAtomError("unknown atom id %r" % (oid,))
+        return self._link(t, out)
+
+    def _link(self, t: AtomType, out: tuple[int, ...]) -> int:
+        """``intern_link`` unchecked: a link type of TYPES, ids this KB gave."""
         # Acyclicity holds by construction: outgoing ids must already exist,
         # and ids are assigned in insertion order, so a link's id is strictly
         # greater than everything it (transitively) contains.
-        key = (type_name, out)
+        key = (t.name, out)
         existing = self._link_index.get(key)
         if existing is not None:
             return existing
         ground = all(self.atoms[oid].is_ground for oid in out)
-        atom = Atom(len(self.atoms), t, outgoing=out, is_ground=ground)
+        atom = Atom(len(self.atoms), t, None, out, ground)  # positional: half the cost
         self.atoms.append(atom)
         self._link_index[key] = atom.id
-        self._by_type.setdefault(type_name, []).append(atom.id)
+        self._by_type.setdefault(t.name, []).append(atom.id)
         self.incoming_of[atom.id] = []
         for oid in set(out):
             self.incoming_of[oid].append(atom.id)

@@ -10,8 +10,8 @@ KB keeps one subgoal table across calls; ``AtomSpace.set_tv`` ends it on a
 new assertion and ``prove`` on another rule list.  The table holds proofs
 only; one walk, ``_Search.lanes``, yields a rule's derivations, which
 ``solve`` stores and ``first_proofs``, which ``training`` reads through,
-picks from.  The search interns only new atoms and reads atom ids
-unchecked; only ``apply_rule`` writes truth values.
+picks from.  The search interns only new atoms; it, replay and ``commit``
+read the KB's tables unchecked, and only ``apply_rule`` writes truth values.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class Leaf:
         yield self
 
     def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
-        return kb.get_tv(self.atom).strength
+        return _tv(kb, self.atom).strength
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,8 @@ class Constant:
     value: float
 
     def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
-        return kb.tape.constant(self.value)
+        i = kb.tape._const_cache.get(self.value)
+        return kb.tape.constant(self.value) if i is None else VarRef(kb.tape, i)
 
 
 @dataclass(slots=True)
@@ -134,8 +135,8 @@ class Derivation:
         place a formula runs, and returns the conclusion's strength; writes
         nothing.  ``memo`` collapses repeated applications with identical
         inputs within one pass (keyed by rule and input record indices)."""
-        inputs = [child.replay(kb, memo) for child in self.premises + self.terms]
-        key = (self.rule, tuple(v.index for v in inputs))
+        inputs = [c.replay(kb, memo) for cs in (self.premises, self.terms) for c in cs]
+        key = (self.rule, *[v.index for v in inputs])
         out = memo.get(key)
         if out is None:
             out = self.rule.formula(inputs)
@@ -144,6 +145,11 @@ class Derivation:
 
 
 InferenceTrace = Leaf | Derivation
+
+
+def _tv(kb: AtomSpace, atom) -> TruthValue:
+    """``kb.get_tv(atom)``, read from the table if the atom is asserted."""
+    return type(atom) is int and kb.tvs.get(atom) or kb.get_tv(atom)
 
 
 def _derive(kb: AtomSpace, rule: Rule, binding: Binding, premises: list,
@@ -174,7 +180,7 @@ def commit(kb: AtomSpace, trace: Derivation, strength: VarRef) -> None:
         if type(node) is Derivation:
             todo.extend(reversed(node.premises))
         else:
-            confidences.append(kb.get_tv(node.atom).confidence)
+            confidences.append(_tv(kb, node.atom).confidence)
     kb.set_tv(trace.conclusion, TruthValue(strength, min(confidences, default=0.0)))
 
 
@@ -196,6 +202,8 @@ def apply_rule(kb: AtomSpace, rule: Rule,
             names = sorted(kb.atom(v).name for v in args - binding.keys())
             raise ChainError("binding does not ground premise variable(s): %s"
                              % ", ".join(names))
+        for v in args:  # _substitute interns links of them unchecked
+            kb.atom(binding[v])
         leaves.append(Leaf(_substitute(kb, premise, binding)))
     trace = _derive(kb, rule, dict(binding), leaves)
     strength = trace.replay(kb, {})
@@ -378,7 +386,7 @@ class _Search:
         memo[pattern, depth] = results
         return results
 
-    def lanes(self, kb: AtomSpace, pattern: int, depth: int):
+    def lanes(self, kb: AtomSpace, pattern: int, depth: int, lifted=None, wanted=None):
         """Yields (rule, seen, binding, prefix traces, lane trace, terms or
         None) per rule derivation of ``pattern`` within ``depth``, in (rule,
         premise solutions) order, once every column is solved.  Per solution
@@ -389,7 +397,9 @@ class _Search:
         substitution left unbound, so merging them never conflicts.  An
         alias (``seen[None]``) is replaced in the premises by the variable
         or target subtree it stands for, so each lane binds it, fills it in,
-        checks it and reads terms."""
+        checks it and reads terms.  With ``wanted``, a lane binding the rule
+        variable at ``lifted`` to an answer outside it is skipped before the
+        merge, and the whole column of a prefix that binds it so."""
         matches = []  # per rule matching pattern: seen, aliases and prefixes
         name = kb.atoms[pattern].type.name  # no rule of another type matches
         if name not in self.typed:
@@ -416,7 +426,14 @@ class _Search:
         for rule, seen, same, prefixes in matches:
             early, late, hoist = (rule.early, rule.late, rule.hoist) if not same else (
                 (), rule.early + rule.late, False)
+            x = seen.get(lifted) if wanted and not same else None
+            if x is not None and kb.atoms[x].type.name != "VariableNode":
+                x = None  # a compound answer: the caller looks it up
             for binding, traces, column in prefixes:
+                if x in binding:
+                    column = column if binding[x] in wanted else ()
+                elif x is not None:
+                    column = [(b, t) for b, t in column if b[x] in wanted]
                 if not column or any(
                         kb.atoms[binding[v]].type.name != t for v, t in early):
                     continue
@@ -491,12 +508,12 @@ def first_proofs(kb: AtomSpace, rules: list[Rule], targets: list[int],
     targets of one link type that differ only in their last argument, like
     ``Eval(color, instance)``, make one query with ``$lifted`` there; for
     ``Rule``'s shape, its proofs binding ``$lifted`` to a target's argument
-    are the ground query's, in order.  The query's facts and lanes come
-    from the table, but its derivations are not expanded into it: lanes are
-    indexed by answer, found with ``lookup``, and only a target's first lane
-    becomes a Derivation, reading the terms its rule does not hoist.  No
-    query repeats a variable or nests one, so no lane has aliases or a
-    pattern to unify."""
+    are the ground query's, in order.  Its facts are the targets asserted
+    and its lanes come from the table, its derivations not expanded into
+    it: only the lanes of the group's answers are walked, by answer (``lookup``),
+    and only a target's first lane becomes a Derivation, reading the terms
+    its rule does not hoist.  No query repeats a variable or nests one, so
+    no lane has aliases or a pattern to unify."""
     search = _table(kb, rules, targets, config)  # ids checked before interning $lifted
     groups: dict = {}  # (link type, all outgoing but the last) -> its targets
     for t in targets:
@@ -508,11 +525,9 @@ def first_proofs(kb: AtomSpace, rules: list[Rule], targets: list[int],
     for key, ts in groups.items():
         by_last = {kb.atoms[t].outgoing[-1]: t for t in ts} if len(ts) > 1 else None
         query = kb.intern_link(key[0], [*key[1], var]) if by_last else [*ts][0]
-        for _, leaf in search.solve(kb, query, 0):
-            if leaf.atom in ts:
-                found.setdefault(leaf.atom, leaf)
+        found.update({t: Leaf(t) for t in ts if t in kb.tvs and kb.atoms[t].is_ground})
         for rule, seen, full, traces, trace, terms in search.lanes(
-                kb, query, config.max_depth):
+                kb, query, config.max_depth, var, by_last):
             t = by_last.get(lookup(kb, seen[var], full)) if by_last else query
             if t is not None and type(found.get(t)) is not Derivation:
                 found[t] = Derivation(rule, full, t, traces + [trace], terms or [

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 validation/parse error, 2 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import random
@@ -23,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .atomspace import AtomSpace, TruthValue
+from .atomspace import TYPES, AtomSpace, TruthValue
 from .autodiff import Tape
 from .chainer import ChainConfig, ChainError, backward_chain, forward_chain
 from .rules import (DEFAULT_NEG_CONDITIONAL, FormulaWeights,
@@ -183,11 +182,8 @@ def write_report(out_dir: str, report: dict, loss_rows: list[tuple[int, float]])
     with open(out / "report.json", "w") as fh:
         json.dump(_round9(report), fh, indent=2)
         fh.write("\n")
-    with open(out / "loss.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        for step, loss in loss_rows:
-            writer.writerow([step, "%.9g" % loss])
+    with open(out / "loss.csv", "w", newline="") as fh:  # csv.writer's bytes
+        fh.write("step,loss\r\n" + "".join("%d,%.9g\r\n" % row for row in loss_rows))
 
 
 # -- experiments -----------------------------------------------------------
@@ -199,17 +195,18 @@ def run_fruit_colors(cfg: ExperimentConfig) -> dict:
     tape = Tape()
     kb = AtomSpace(tape)
     rng = random.Random(cfg.seed)
+    evaluation = TYPES["EvaluationLink"]  # for kb._link, over ids kb just gave
 
     instances: dict[str, list[tuple[int, str]]] = {}
     for fruit in cfg.fruits:
         pred = kb.node("PredicateNode", fruit)
         instances[fruit] = []
         probs = [float(cfg.true_probabilities[fruit][c]) for c in cfg.colors]
-        for i in range(cfg.n_samples):
+        colors = rng.choices(cfg.colors, weights=probs, k=cfg.n_samples)
+        for i, color in enumerate(colors):
             concept = kb.node("ConceptNode", "%s-%03d" % (fruit, i + 1))
-            ev = kb.link("EvaluationLink", pred, concept)
-            kb.set_tv(ev, TruthValue(tape.constant(1.0), 1.0))
-            color = rng.choices(cfg.colors, weights=probs)[0]
+            kb.set_tv(kb._link(evaluation, (pred, concept)),
+                      TruthValue(tape.constant(1.0), 1.0))
             instances[fruit].append((concept, color))
 
     mp_rule = make_modus_ponens_rule(kb, cfg.neg_conditional)
@@ -225,13 +222,12 @@ def run_fruit_colors(cfg: ExperimentConfig) -> dict:
             dataset = []
             color_pred = kb.node("PredicateNode", color)
             for concept, sampled in instances[fruit]:
-                target = kb.link("EvaluationLink", color_pred, concept)
+                target = kb._link(evaluation, (color_pred, concept))
                 dataset.append(LabeledExample(target, 1 if sampled == color else 0))
             tc = TrainConfig(learning_rate=cfg.lr, steps=cfg.steps)
             losses = train(kb, [mp_rule], dataset, [learnable.theta], tc,
                            learnables=[learnable])
-            for i, loss in enumerate(losses):
-                loss_totals[i] += loss
+            loss_totals = [a + b for a, b in zip(loss_totals, losses)]
             learned = learnable.value()
             empirical = empirical_frequency(dataset)
             pairs.append({

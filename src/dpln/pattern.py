@@ -201,8 +201,10 @@ def _extend(kb: AtomSpace, plan: list[tuple[int, int, int]],
 
 
 def substitute(kb: AtomSpace, template: int, binding: Binding) -> int:
-    """Replaces bound variables, keeps unbound ones, interns only new atoms."""
-    kb.atom(template)
+    """Replaces bound variables, keeps unbound ones, interns only new atoms;
+    checks the template's id and the binding's."""
+    for atom in (template, *binding.values()):
+        kb.atom(atom)
     return _substitute(kb, template, binding)
 
 
@@ -212,11 +214,11 @@ def _substitute(kb: AtomSpace, template: int, binding: Binding) -> int:
         return template
     if atom.type.name == "VariableNode":
         return binding.get(template, template)
-    new_out = [_substitute(kb, oid, binding) for oid in atom.outgoing]
-    if list(atom.outgoing) == new_out:
+    out = tuple([_substitute(kb, oid, binding) for oid in atom.outgoing])
+    if out == atom.outgoing:
         return template
-    found = kb.find_link(atom.type.name, new_out)
-    return kb.intern_link(atom.type.name, new_out) if found is None else found
+    found = kb.find_link(atom.type.name, out)
+    return kb._link(atom.type, out) if found is None else found
 
 
 def lookup(kb: AtomSpace, template: int, binding: Binding) -> int | None:

@@ -218,9 +218,12 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         if known := all(type(t) is float for col in columns for t in col):
             columns = [[reduce(float.__add__, ts) for ts in zip(*columns)]]
         cols = {"d%d" % c: _code(elements(col), w) for c, col in enumerate(columns)}
-        d = cols["d0"] if len(cols) == 1 else "d" if size == 1 else (
-            " + ".join("{%s}" % c for c in cols), cols)
-        block = ["d = " + " + ".join(cols.values())] if d == "d" else []
+        block = []
+        if size == 1 < len(cols):  # a lone adjoint: the sum, in its own slot
+            columns = [place([None])]
+            block.append("%s = %s" % (columns[0][0][0], " + ".join(cols.values())))
+            cols = {"d0": columns[0][0][0]}
+        d = cols["d0"] if len(cols) == 1 else (" + ".join("{%s}" % c for c in cols), cols)
         src = dict(sources[key], d=d)
         # inputs with the same partial share their terms, a sum's all; a term
         # is a constant where the adjoint is, if it is 0 or the partial reads constants
@@ -229,8 +232,13 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         fixed = {"{%s}" % n for n, k in zip("xy", key[3:]) if k == "c"}
         for q, partial in enumerate(partials):
             p, cs = key[3 + q], [(i, q) for i in members]  # p: a parameter, "r" or "c"
-            template = {"1.0": "{d}", "-1.0": "-{d}"}.get(partial, "{d} * (%s)%s" % (
-                partial, "" if known and all(adjoint) else " if {d} else 0.0"))
+            # a product by the literal 1.0 passes d on: "d * 1.0 if d else 0.0" is d
+            # but for a zero's sign, and consumers test "if d", or "if a:" for a grad
+            if partial in ("{x}", "{y}") and src.get(partial[1]) == "1.0":
+                partial = "1.0"
+            template = {"1.0": "{d}", "-1.0": "-{d}"}.get(partial, "(%s)" % partial
+                if d == "1.0" else "{d} * (%s)%s" % (  # 1.0 * x is x
+                    partial, "" if known and all(adjoint) else " if {d} else 0.0"))
             if known and (not any(adjoint) or set(re.findall(r"{\w}", partial)) <= fixed):
                 term.update((c, a if partial == "1.0" else -a if partial == "-1.0"
                              else a * deps[i][2 + 2 * q] if a else 0.0)
@@ -240,6 +248,8 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
                 del terms[p]  # this lane made all of p's terms
             elif partial == "1.0" and len(columns) == 1:
                 term.update(zip(cs, adjoint))  # the adjoint itself
+            elif d == "1.0" and partial in ("{x}", "{y}"):
+                term[cs[0]] = (src[partial[1]], None)  # the factor itself
             elif ins[q] in reached:
                 if partial not in slots:
                     slots[partial] = t = place([None] * size)
@@ -249,10 +259,10 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
     blocks += [_each(size, *parts) for (_, size), parts in grads.items()]
     for p in indices:  # a parameter's grad adds its terms in reverse record order
         ts = [term[c] for c in terms.get(p, ())]
-        if any(type(t) is tuple for t in ts):
-            blocks.append(("a = %s" % _code(elements(ts), w) if len(ts) == 1 else
-                           "a = 0.0\nfor t in reversed(%s): a += t"
-                           % _code(elements(ts[::-1]), w)) + "\nif a: g[%d] += a" % p)
+        if any(type(t) is tuple for t in ts):  # a lone term is added as it is
+            blocks.append("if {0}: g[{1}] += {0}".format(_code(ts, w), p) if len(ts) == 1
+                          else "a = 0.0\nfor t in reversed(%s): a += t\nif a: g[%d] += a"
+                          % (_code(elements(ts[::-1]), w), p))
         elif a := reduce(float.__add__, ts, 0.0):
             blocks.append("g[%d] += %s" % (p, _code(place([a]), w)))
     # a local that two functions of _CHUNK blocks use is read from its slot

@@ -238,7 +238,7 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
     if not dataset:
         raise TrainError("dataset must be nonempty")
     traces = _find_traces(kb, rules, dataset, config.chain_depth)
-    if any(not kb.has_asserted_tv(t.conclusion) for t in traces):
+    if not kb.tvs.keys() >= {t.conclusion for t in traces}:
         kb.subgoal_table = None  # the commits end it: free it for the fit
     labels = [ex.label for ex in dataset]
 

@@ -573,6 +573,10 @@ EDGE_INPUTS = {
     "clamp01": [(-0.5,), (-0.0,), (0.0,), (0.5,), (1.0,), (1.5,)],
     # x * 1.0 for a captured 1.0, which the replay compiles to x itself
     "times_one": [(0.25,), (-0.0,), (0.0,), (-3.0,), (5e-324,), (1e308,)],
+    # (x * 1.0) * y + (x * 1.0) * z: the adjoint 3y + 3z passes x * 1.0
+    # as itself, -0.0 for y = z = -0.0, nan for 3y = inf and 3z = -inf
+    "adjoint_times_one": [(0.25, 0.5, -2.0), (0.25, -0.0, -0.0), (0.25, -0.0, 0.0),
+                          (0.25, 1e308, -1e308), (-0.0, 1e308, -1e308)],
 }
 
 
@@ -587,8 +591,12 @@ def test_replay_matches_the_eager_op_bit_for_bit_at_edge_inputs(op):
     edge input, bit for bit, and raises the eager op's error where that
     raises."""
     def build(tape, refs):
-        z = tape.mul(refs[0], tape.constant(1.0)) if op == "times_one" else (
-            getattr(tape, op)(*refs))
+        if op == "adjoint_times_one":
+            x = tape.mul(refs[0], tape.constant(1.0))
+            z = tape.add(tape.mul(x, refs[1]), tape.mul(x, refs[2]))
+        else:
+            z = tape.mul(refs[0], tape.constant(1.0)) if op == "times_one" else (
+                getattr(tape, op)(*refs))
         return tape.mul(z, tape.constant(3.0))
     t = Tape()
     refs = [t.parameter(0.5) for _ in EDGE_INPUTS[op][0]]

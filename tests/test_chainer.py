@@ -13,7 +13,7 @@ from dpln import (ChainConfig, ChainError, Derivation, FormulaWeights, Leaf,
                   make_deduction_rule, make_modus_ponens_rule, make_rule_set,
                   match, parse_atom, substitute, variables_in)
 from dpln import AtomSpace, chainer, deduction_strength
-from dpln.atomspace import TYPES
+from dpln.atomspace import DEFAULT_CONFIDENCE, DEFAULT_STRENGTH, TYPES
 from dpln.chainer import MAX_SEARCH_DEPTH, Constant
 from dpln.pattern import candidates
 
@@ -85,6 +85,24 @@ def test_apply_rule_missing_binding():
     del binding[rule.variables[2][0]]  # drop $X
     with pytest.raises(ChainError):
         apply_rule(kb, rule, binding)
+
+
+def test_apply_rule_and_substitute_check_the_binding_ids():
+    """Both intern through the unchecked AtomSpace._link, yet a binding
+    value the KB does not hold still raises UnknownAtomError, and the KB
+    does not grow."""
+    _, kb = fresh_kb()
+    load_kb(kb, APPLE_KB)
+    rule = make_modus_ponens_rule(kb)
+    for bad in (len(kb), -1, 2.0, None):
+        binding = _mp_binding(kb, rule)
+        binding[rule.variables[2][0]] = bad  # $X
+        size = len(kb)
+        with pytest.raises(UnknownAtomError):
+            apply_rule(kb, rule, binding)
+        with pytest.raises(UnknownAtomError):
+            substitute(kb, rule.premises[1], binding)
+        assert len(kb) == size
 
 
 def test_forward_chain_sparrow():
@@ -1465,14 +1483,15 @@ def _nodes(trace):
 
 
 def _counting_interns(monkeypatch):
-    """Counts AtomSpace.intern_link calls from here on."""
+    """Counts AtomSpace._link calls from here on: every link is interned
+    there, through intern_link or unchecked."""
     calls = []
-    intern = AtomSpace.intern_link
+    intern = AtomSpace._link
 
     def counting(self, *args):
         calls.append(args)
         return intern(self, *args)
-    monkeypatch.setattr(AtomSpace, "intern_link", counting)
+    monkeypatch.setattr(AtomSpace, "_link", counting)
     return calls
 
 
@@ -1527,6 +1546,75 @@ def test_search_interns_only_new_atoms(monkeypatch):
     size = len(kb)
     assert _proofs(kb, rules, target, 5) == first
     assert interned == [] and len(kb) == size
+
+
+def test_lifted_lanes_walk_only_the_group_targets(monkeypatch):
+    """Counts only, no timing.  On a KB of fruit-colors' shape (two fruits,
+    n instances each, both Impl(fruit, red) asserted), first_proofs over the
+    second fruit's targets walks one lane of Eval(red, $lifted) per target
+    and builds one Derivation per target, none for the first fruit's
+    instances; each trace is prove's first derivation of its target."""
+    n = 6
+    _, kb = fresh_kb()
+    color = kb.node("PredicateNode", "red")
+    targets = {}
+    for fruit in ("apple", "banana"):
+        pred = kb.node("PredicateNode", fruit)
+        for i in range(n):
+            instance = kb.node("ConceptNode", "%s-%03d" % (fruit, i))
+            set_strength(kb, kb.link("EvaluationLink", pred, instance), 1.0)
+            targets.setdefault(fruit, []).append(
+                kb.link("EvaluationLink", color, instance))
+        set_strength(kb, kb.link("ImplicationLink", pred, color), 0.5)
+    rules, config = [make_modus_ponens_rule(kb)], ChainConfig(max_depth=3)
+    walked, built = [], []
+    lanes = chainer._Search.lanes
+
+    def counting(self, kb, pattern, depth, *args):
+        for lane in lanes(self, kb, pattern, depth, *args):
+            walked.append(lane[2])
+            yield lane
+
+    class Counted(Derivation):
+        def __init__(self, *args):
+            built.append(args[2])
+            super().__init__(*args)
+    monkeypatch.setattr(chainer._Search, "lanes", counting)
+    monkeypatch.setattr(chainer, "Derivation", Counted)
+    traces = chainer.first_proofs(kb, rules, targets["banana"], config)
+    monkeypatch.undo()
+    var_x = rules[0].variables[2][0]
+    instances = [kb.atoms[t].outgoing[1] for t in targets["banana"]]
+    assert [full[var_x] for full in walked] == instances
+    assert built == targets["banana"]
+    kb.subgoal_table = None
+    first = [next(t for _, t in proofs if isinstance(t, Derivation))
+             for proofs in chainer.prove(kb, rules, targets["banana"], config)]
+    assert [(t.rule, t.binding, t.conclusion, t.premises, t.terms) for t in traces] == [
+        (t.rule, t.binding, t.conclusion, t.premises, t.terms) for t in first]
+
+
+def test_unasserted_leaf_reads_the_default_truth_value():
+    """A Leaf over an atom with no truth value replays to the default
+    strength, and commit reads its default confidence; a Leaf over an id
+    the KB does not hold, or one that is not an int, raises
+    UnknownAtomError in both, as get_tv does."""
+    _, kb = fresh_kb()
+    load_kb(kb, APPLE_KB)
+    rule = make_modus_ponens_rule(kb)
+    asserted = next(iter(kb.tvs))
+    unvalued = kb.node("ConceptNode", "unvalued")
+    target = kb.link("EvaluationLink", kb.node("PredicateNode", "green"), unvalued)
+    assert Leaf(unvalued).replay(kb, {}).value == DEFAULT_STRENGTH
+    chainer.commit(kb, Derivation(rule, {}, target, [Leaf(unvalued)], []),
+                   kb.tape.constant(0.5))
+    assert kb.get_tv(target).confidence == DEFAULT_CONFIDENCE
+    for bad in (len(kb), -1, float(asserted), [asserted]):
+        with pytest.raises(UnknownAtomError):
+            Leaf(bad).replay(kb, {})
+        with pytest.raises(UnknownAtomError):
+            chainer.commit(kb, Derivation(rule, {}, target, [Leaf(bad)], []),
+                           kb.tape.constant(0.5))
 
 
 def test_schema_is_expanded_once_per_table(monkeypatch):

@@ -295,6 +295,27 @@ def test_fruit_colors_loss_compiles_to_one_function_of_locals(monkeypatch, tmp_p
         assert blocks and not any("w[" in block for block in blocks), blocks
 
 
+def test_fruit_colors_walks_one_lane_per_target(monkeypatch, tmp_path):
+    """Counts only, no timing.  Each of fruit-colors' six fits walks one
+    lane of the search per target: its lifted query walks no instance of
+    the other fruit, whose Impl(fruit, color) the banana fits also hold."""
+    walked = []
+    lanes = chainer._Search.lanes
+
+    def counting(*args):
+        for lane in lanes(*args):
+            walked.append(lane)
+            yield lane
+    monkeypatch.setattr(chainer._Search, "lanes", counting)
+    cfg = cli.ExperimentConfig(
+        experiment="fruit-colors", true_probabilities={
+            "apple": {"yellow": 0.1, "red": 0.2, "green": 0.7},
+            "banana": {"yellow": 0.8, "red": 0.1, "green": 0.1}},
+        n_samples=50, steps=2, seed=1, out_dir=str(tmp_path))
+    cli.run_fruit_colors(cfg)
+    assert len(walked) == len(cfg.fruits) * len(cfg.colors) * cfg.n_samples
+
+
 def _retrace_fit(params, loss_fn, learning_rate, steps):
     """fit's loop with a fresh trace of the loss every step: the reference
     that fit's compiled replay must match bit for bit."""

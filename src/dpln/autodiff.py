@@ -50,6 +50,8 @@ class VarRef:
     @value.setter
     def value(self, x: float) -> None:
         self._check_live()
+        if self.index not in self.tape._param_indices:  # a constant is shared
+            raise AutodiffError("record %d is not a parameter" % self.index)
         if self.tape._reads is not None:
             self.tape._reads.append(self.index)
         self.tape._values[self.index] = x

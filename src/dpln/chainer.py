@@ -127,8 +127,14 @@ class Derivation:
     terms: list  # one Leaf or Constant per rule term
 
     def leaves(self):
-        for child in self.premises:
-            yield from child.leaves()
+        """The premise leaves in order, from one stack however deep the trace."""
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            if type(node) is Derivation:
+                todo.extend(reversed(node.premises))
+            else:
+                yield node
 
     def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
         """Evaluates the trace bottom-up from current KB strengths, the only
@@ -174,14 +180,9 @@ def commit(kb: AtomSpace, trace: Derivation, strength: VarRef) -> None:
     """Writes ``strength``, the derivation's replayed output, into its
     conclusion's TV (latest wins); confidence is the minimum over the
     leaves' confidences."""
-    confidences, todo = [], [trace]
-    while todo:  # trace.leaves() in order, without a generator per level
-        node = todo.pop()
-        if type(node) is Derivation:
-            todo.extend(reversed(node.premises))
-        else:
-            confidences.append(_tv(kb, node.atom).confidence)
-    kb.set_tv(trace.conclusion, TruthValue(strength, min(confidences, default=0.0)))
+    confidence = min((_tv(kb, leaf.atom).confidence for leaf in trace.leaves()),
+                     default=0.0)
+    kb.set_tv(trace.conclusion, TruthValue(strength, confidence))
 
 
 @dataclass

@@ -37,7 +37,7 @@ class UnderivableTargetError(TrainError):
 @dataclass
 class LabeledExample:
     target: int    # ground conclusion atom to infer
-    label: float   # its target strength in [0, 1]; 0 or 1 for a hard label
+    label: float   # its target strength in [0, 1], hard (0 or 1) or soft
 
     def __post_init__(self):
         if not 0.0 <= self.label <= 1.0:  # also rejects nan
@@ -97,34 +97,30 @@ def cross_entropy(preds: list[VarRef], labels: list[float]) -> VarRef:
     """Mean cross-entropy -(1/n) sum_i [y_i log p_i + (1 - y_i) log(1 - p_i)]
     as a VarRef.
 
-    Labels lie in [0, 1]; a label of 0 or 1 contributes its single log term.
-    Examples that share a prediction record and a label make one term,
-    scaled by their count, in first-seen order; one ``Tape.sum`` adds them.
+    Labels lie in [0, 1], hard or soft alike.  Examples merge by prediction
+    record: each record makes one term a log p + b log(1 - p), with a the sum
+    of its labels y and b of their 1 - y, added in example order; a zero
+    weight adds a signed zero and its adjoint is skipped.  One ``Tape.sum``
+    adds the terms in first-seen order, and one product scales it by -1/n.
     """
     if len(preds) != len(labels):
         raise TrainError("preds and labels differ in length")
     if not preds:
         raise TrainError("cross_entropy needs at least one example")
-    # (tape, record, label) -> [pred, count]; with the tape in the key, a
-    # pred from another tape keeps its own term and the tape rejects it
+    # (tape, record) -> [pred, a, b]; with the tape in the key, a pred from
+    # another tape keeps its own term and the tape rejects it
     merged: dict = {}
     for p, y in zip(preds, labels):
         if not 0.0 <= y <= 1.0:
             raise TrainError("labels must lie in [0, 1], got %r" % (y,))
-        merged.setdefault((p.tape, p.index, y), [p, 0])[1] += 1
-    tape, terms = preds[0].tape, []
-    for (_, _, y), (p, count) in merged.items():
-        if 0.0 < y < 1.0:
-            term = tape.add(tape.mul(tape.constant(y), tape.log(p)),
-                            tape.mul(tape.constant(1.0 - y),
-                                     tape.log(tape.one_minus(p))))
-        elif y:  # 1
-            term = tape.log(p)
-        else:  # 0
-            term = tape.log(tape.one_minus(p))
-        terms.append(term if count == 1 else
-                     tape.mul(tape.constant(float(count)), term))
-    return tape.mul(tape.constant(1.0 / len(preds)), tape.neg(tape.sum(terms)))
+        weights = merged.setdefault((p.tape, p.index), [p, 0.0, 0.0])
+        weights[1] += y
+        weights[2] += 1.0 - y
+    tape = preds[0].tape
+    terms = [tape.add(tape.mul(tape.constant(a), tape.log(p)),
+                      tape.mul(tape.constant(b), tape.log(tape.one_minus(p))))
+             for p, a, b in merged.values()]
+    return tape.mul(tape.constant(-1.0 / len(preds)), tape.sum(terms))
 
 
 def sgd_step(params: list[VarRef], learning_rate: float) -> None:

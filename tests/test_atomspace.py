@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dpln import (AtomSpaceError, TruthValue, UnknownAtomError,
+from dpln import (AtomSpaceError, AutodiffError, TruthValue, UnknownAtomError,
                   UnknownTypeError)
 
 from conftest import fresh_kb
@@ -119,6 +119,18 @@ def test_tv_strength_stored_by_reference():
     kb.set_tv(a, TruthValue(p, 1.0))
     p.value = 0.25
     assert kb.get_tv(a).strength.value == 0.25
+
+
+def test_the_default_strength_cannot_be_set():
+    """An unasserted atom's default strength is the tape's shared constant
+    1.0, the strength of every fact asserted at 1.0: setting it raises
+    rather than rewrite them."""
+    tape, kb = fresh_kb()
+    a, b = kb.intern_node("ConceptNode", "a"), kb.intern_node("ConceptNode", "b")
+    kb.set_tv(b, TruthValue(tape.constant(1.0), 0.9))
+    with pytest.raises(AutodiffError, match="not a parameter"):
+        kb.get_tv(a).strength.value = 0.0
+    assert kb.get_tv(b).strength.value == 1.0
 
 
 def test_tv_range_validation():

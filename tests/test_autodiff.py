@@ -47,6 +47,35 @@ def test_parameter_distinct_refs():
     assert len(t.parameters) == 2
 
 
+def test_setting_a_value_that_is_not_a_parameter_raises():
+    """Constants are cached per value, so setting one would rewrite every
+    reader of that value; a computed record is recomputed from its inputs.
+    Either raises and leaves the value as it was."""
+    t = Tape()
+    c = t.constant(2.0)
+    computed = t.mul(c, t.parameter(0.5))
+    for ref in (c, computed):
+        before = ref.value
+        with pytest.raises(AutodiffError, match="not a parameter"):
+            ref.value = 3.0
+        assert ref.value == before
+    assert t.constant(2.0).value == 2.0
+
+
+def test_trace_loss_declines_a_loss_that_sets_a_parameter():
+    """A traced loss that sets a parameter's value gets the error of one
+    that reads it: the replay could not repeat the write."""
+    t = Tape()
+    p = t.parameter(0.5)
+
+    def loss():
+        p.value = 0.25
+        return t.mul(p, p)
+    with pytest.raises(AutodiffError, match="read or set the value of record %d"
+                       % p.index):
+        trace_loss([p], loss)
+
+
 def test_parameter_sgd_updates_value():
     t = Tape()
     p = t.parameter(0.0)

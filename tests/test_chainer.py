@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +15,7 @@ from dpln import (ChainConfig, ChainError, Derivation, FormulaWeights, Leaf,
                   match, parse_atom, substitute, variables_in)
 from dpln import AtomSpace, chainer, deduction_strength
 from dpln.atomspace import DEFAULT_CONFIDENCE, DEFAULT_STRENGTH, TYPES
-from dpln.chainer import MAX_SEARCH_DEPTH, Constant
+from dpln.chainer import MAX_SEARCH_DEPTH, Constant, Rule
 from dpln.pattern import candidates
 
 from conftest import (finite_diff_grads, fresh_kb, set_strength,
@@ -562,6 +563,29 @@ def test_commit_confidence_is_the_minimum_over_the_leaves():
     with pytest.raises(UnknownAtomError):
         chainer.commit(kb, Derivation(rule, {}, target, [inner, Leaf(len(kb))], []),
                        strength)
+
+
+def test_leaves_walks_a_trace_deeper_than_the_recursion_limit():
+    """leaves() yields the premise leaves in order from one generator, so a
+    trace nested deeper than Python's recursion limit walks, and commit
+    reads its confidences through it."""
+    _, kb = fresh_kb()
+    load_kb(kb, CLOSURE_KB)
+    rule = make_deduction_rule(kb)
+    ab, bc, cd = (parse_atom(kb, '(InheritanceLink (ConceptNode "%s") '
+                                 '(ConceptNode "%s"))' % tuple(pair))
+                  for pair in ("ab", "bc", "cd"))
+    trace, depth = Derivation(rule, {}, ab, [Leaf(bc)], []), sys.getrecursionlimit() + 100
+    for i in range(depth):
+        trace = Derivation(rule, {}, ab, [Leaf(ab), trace, Leaf(cd)] if i % 2
+                           else [trace], [])
+    atoms = [leaf.atom for leaf in trace.leaves()]
+    assert atoms == [ab] * (depth // 2) + [bc] + [cd] * (depth // 2)
+    target = kb.node("ConceptNode", "deep")
+    chainer.commit(kb, Derivation(rule, {}, target, [trace], []),
+                   kb.tape.constant(0.5))
+    assert kb.get_tv(target).confidence == min(
+        kb.get_tv(atom).confidence for atom in (ab, bc, cd))
 
 
 def test_backward_chain_modus_ponens():
@@ -1548,25 +1572,26 @@ def test_search_interns_only_new_atoms(monkeypatch):
     assert interned == [] and len(kb) == size
 
 
-def test_lifted_lanes_walk_only_the_group_targets(monkeypatch):
-    """Counts only, no timing.  On a KB of fruit-colors' shape (two fruits,
-    n instances each, both Impl(fruit, red) asserted), first_proofs over the
-    second fruit's targets walks one lane of Eval(red, $lifted) per target
-    and builds one Derivation per target, none for the first fruit's
-    instances; each trace is prove's first derivation of its target."""
-    n = 6
+def _check_lifted_walk(monkeypatch, make_rule, depth=3):
+    """On a KB of fruit-colors' shape (two fruits, 6 instances each, both
+    Impl(fruit, red) asserted), first_proofs over the second fruit's
+    targets, Eval(red, instance), with the rule ``make_rule(kb)`` and
+    max_depth ``depth``: the search walks one lane per target, binding $X
+    to its instance, and builds one Derivation per target, none for the
+    first fruit's instances; each trace is prove's first derivation of its
+    target."""
     _, kb = fresh_kb()
     color = kb.node("PredicateNode", "red")
     targets = {}
     for fruit in ("apple", "banana"):
         pred = kb.node("PredicateNode", fruit)
-        for i in range(n):
+        for i in range(6):
             instance = kb.node("ConceptNode", "%s-%03d" % (fruit, i))
             set_strength(kb, kb.link("EvaluationLink", pred, instance), 1.0)
             targets.setdefault(fruit, []).append(
                 kb.link("EvaluationLink", color, instance))
         set_strength(kb, kb.link("ImplicationLink", pred, color), 0.5)
-    rules, config = [make_modus_ponens_rule(kb)], ChainConfig(max_depth=3)
+    rules, config = [make_rule(kb)], ChainConfig(max_depth=depth)
     walked, built = [], []
     lanes = chainer._Search.lanes
 
@@ -1583,15 +1608,57 @@ def test_lifted_lanes_walk_only_the_group_targets(monkeypatch):
     monkeypatch.setattr(chainer, "Derivation", Counted)
     traces = chainer.first_proofs(kb, rules, targets["banana"], config)
     monkeypatch.undo()
-    var_x = rules[0].variables[2][0]
-    instances = [kb.atoms[t].outgoing[1] for t in targets["banana"]]
-    assert [full[var_x] for full in walked] == instances
-    assert built == targets["banana"]
     kb.subgoal_table = None
     first = [next(t for _, t in proofs if isinstance(t, Derivation))
              for proofs in chainer.prove(kb, rules, targets["banana"], config)]
     assert [(t.rule, t.binding, t.conclusion, t.premises, t.terms) for t in traces] == [
         (t.rule, t.binding, t.conclusion, t.premises, t.terms) for t in first]
+    var_x = kb.node("VariableNode", "$X")
+    instances = [kb.atoms[t].outgoing[1] for t in targets["banana"]]
+    assert [full[var_x] for full in walked] == instances
+    assert built == targets["banana"]
+
+
+def test_lifted_lanes_walk_only_the_group_targets(monkeypatch):
+    """Counts only, no timing, of fruit-colors' modus ponens: its prefix,
+    Impl(fruit, red), leaves $lifted to the Eval column, which is filtered
+    member by member."""
+    _check_lifted_walk(monkeypatch, make_modus_ponens_rule)
+
+
+def test_a_prefix_binding_the_lifted_variable_elsewhere_skips_its_column(monkeypatch):
+    """Modus ponens with its premises swapped, Eval($P, $X) first: each
+    prefix binds $X, the lifted variable, and a prefix binding it to the
+    first fruit's instance skips its whole Impl column, so no lane and no
+    Derivation is built outside the group; each trace is still prove's
+    first derivation of its target.  At depth 1 the prefixes are facts, so
+    every lane walked and every Derivation built is the lifted query's."""
+    def eval_first(kb):
+        mp = make_modus_ponens_rule(kb)
+        return Rule(kb, name="mp-eval-first", variables=mp.variables,
+                    premises=mp.premises[::-1], conclusion=mp.conclusion,
+                    formula=lambda inputs: mp.formula([inputs[1], inputs[0],
+                                                       *inputs[2:]]),
+                    terms=mp.terms)
+    _check_lifted_walk(monkeypatch, eval_first, 1)
+
+
+def test_a_ground_node_in_a_conclusion_meets_only_itself():
+    """Eval(apple, $X) |- Eval(green, $X): a target naming another
+    predicate, or of another arity, matches no conclusion and has no
+    proof; Eval(green, x) has one."""
+    _, kb = fresh_kb()
+    load_kb(kb, APPLE_KB)
+    var_x = kb.node("VariableNode", "$X")
+    ev = lambda *args: kb.link("EvaluationLink", *args)
+    apple, green, red = (kb.node("PredicateNode", n) for n in ("apple", "green", "red"))
+    rule = Rule(kb, name="apple-is-green", variables=[(var_x, "ConceptNode")],
+                premises=[ev(apple, var_x)], conclusion=ev(green, var_x),
+                formula=lambda inputs: inputs[0])
+    x = kb.node("ConceptNode", "apple-001")
+    proofs = chainer.prove(kb, [rule], [ev(red, x), ev(green, x, x), ev(green, x)],
+                           ChainConfig(max_depth=2))
+    assert [len(p) for p in proofs] == [0, 0, 1]
 
 
 def test_unasserted_leaf_reads_the_default_truth_value():

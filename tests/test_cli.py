@@ -556,6 +556,16 @@ BAD_INPUTS = {
     "KB form with two truth values": (
         ["chain", "--kb", "{double_stv}", "--forward"],
         "line 3: multiple truth values in one form"),
+    "n_samples = 0": (["fruit-colors", "--config", "{no_samples}"],
+                      "n_samples must be >= 1"),
+    "fruits = []": (["fruit-colors", "--config", "{no_fruits}"],
+                    "fruits must be nonempty"),
+    "colors = []": (["fruit-colors", "--config", "{no_colors}"],
+                    "colors must be nonempty"),
+    "grid_size = 0": (["learn-formula", "--config", "{no_grid}"],
+                      "grid sizes must be sensible"),
+    "chain with neither --target nor --forward": (
+        ["chain", "--kb", "{kb}"], "chain needs --target or --forward"),
 }
 
 
@@ -567,7 +577,11 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, case):
              "bindlink": tmp_path / "bindlink.scm",
              "bad_prob": tmp_path / "bad_prob.txt",
              "deep": tmp_path / "deep.txt", "deep3": tmp_path / "deep3.txt",
-             "double_stv": tmp_path / "double_stv.scm"}
+             "double_stv": tmp_path / "double_stv.scm",
+             "no_samples": tmp_path / "no_samples.txt",
+             "no_fruits": tmp_path / "no_fruits.txt",
+             "no_colors": tmp_path / "no_colors.txt",
+             "no_grid": tmp_path / "no_grid.txt"}
     paths["kb"].write_text(SPARROW_KB)
     paths["cfg"].write_text(FRUIT_CONFIG)
     paths["raw"].write_bytes(b'(ConceptNode "caf\xe9")\n')
@@ -583,6 +597,11 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, case):
                               % (nest, nest, "[" * 600, "]" * 600))
     paths["double_stv"].write_text('(ConceptNode "a")\n(ConceptNode (stv 0.5 0.5)'
                                    '\n(stv 0.7 0.7) "b")\n')
+    paths["no_samples"].write_text(FRUIT_CONFIG.replace("n_samples = 40",
+                                                        "n_samples = 0"))
+    paths["no_fruits"].write_text(FRUIT_CONFIG.replace('["apple"]', "[]"))
+    paths["no_colors"].write_text(FRUIT_CONFIG.replace('["green", "red"]', "[]"))
+    paths["no_grid"].write_text("grid_size = 0\n")
     paths["dir"].mkdir()
     template, message = BAD_INPUTS[case]
     args = [a.format(**{k: str(v) for k, v in paths.items()})

@@ -94,6 +94,13 @@ def test_unify_ground_side_with_variables_fails():
     assert unify(kb, x, partial) is None
 
 
+def test_unify_links_of_different_arity_fails():
+    _, kb = fresh_kb()
+    x, a = kb.node("VariableNode", "$X"), kb.node("ConceptNode", "a")
+    assert unify(kb, kb.link("ListLink", x), kb.link("ListLink", a, a)) is None
+    assert unify(kb, kb.link("ListLink", x, x), kb.link("ListLink", a)) is None
+
+
 def test_match_chain():
     kb = _chain_kb()
     x = kb.node("VariableNode", "$X")

@@ -227,6 +227,33 @@ def test_abbreviated_implication_untouched():
         ["PredicateNode", "PredicateNode"]
 
 
+def test_a_paren_where_the_type_symbol_belongs():
+    _, kb = fresh_kb()
+    with pytest.raises(SexprError,
+                       match=r"^line 1: expected a type symbol after '\('$"):
+        load_kb(kb, "((")
+
+
+@pytest.mark.parametrize("body", [
+    '(InheritanceLink (VariableNode "$X") (ConceptNode "fruit"))',
+    '(EvaluationLink (PredicateNode "green"))',
+    '(EvaluationLink (ConceptNode "green") (VariableNode "$X"))',
+])
+def test_lambda_implication_of_another_body_loads_unchanged(body):
+    """An implication of lambdas is abbreviated only when each body is a
+    binary EvaluationLink of a PredicateNode; one of another body is
+    asserted as written."""
+    _, kb = fresh_kb()
+    src = ('(ImplicationLink (LambdaLink (VariableNode "$X") (EvaluationLink '
+           '(PredicateNode "apple") (VariableNode "$X"))) (LambdaLink '
+           '(VariableNode "$X") %s))' % body)
+    top = load_kb(kb, src.replace("(ImplicationLink",
+                                  "(ImplicationLink (stv 0.7 0.9)", 1))[0]
+    assert top == parse_atom(kb, src)
+    assert format_atom(kb, top) == format_atom(kb, parse_atom(kb, src))
+    assert kb.get_tv(top).confidence == 0.9
+
+
 # -- property: load, format, load -------------------------------------------
 
 _NODE_TYPES = [name for name, t in TYPES.items() if t.is_node]

@@ -17,11 +17,13 @@ from dpln import (AtomSpace, AtomSpaceError, AutodiffError, ChainConfig,
                   make_rule_set, parse_atom, predict, sgd_step, train,
                   trainable_mp_strength)
 from dpln import chainer, cli, training
+from dpln.autodiff import trace_loss
 from dpln.chainer import MAX_SEARCH_DEPTH, prove
 from dpln.rules import (DEDUCTION_EPS, FormulaError, deduction_strength,
                         modus_ponens_strength)
 
 from conftest import finite_diff_grads, fresh_kb, generated_code
+from cross_entropy_reference import cross_entropy as reference_cross_entropy
 
 
 def test_cross_entropy_half():
@@ -72,8 +74,8 @@ def test_cross_entropy_grouping_matches_ungrouped():
 
 def test_cross_entropy_merges_repeated_predictions():
     """500 examples on one prediction record with both labels make one term
-    per (record, label) pair: the tape grows exactly as for 4 such
-    examples, and the loss is the per-example mean."""
+    for the record: the tape grows exactly as for 4 such examples, and the
+    loss is the per-example mean."""
     grown = []
     for n in (4, 500):
         t = Tape()
@@ -97,6 +99,67 @@ def test_cross_entropy_fractional_labels():
                 - math.log(0.6)) / 2
     assert loss.value == pytest.approx(expected, abs=1e-12)
     assert cross_entropy([p], [1.0]).value == cross_entropy([p], [1]).value
+
+
+_SATURATED = (-800.0, -40.0, 40.0, 800.0)  # p = 0.0, 4e-18, 1.0 and 1.0
+
+
+def _cross_entropy_runs(loss_fn, logits, examples, moved):
+    """The loss and the grads of the logits, as ``Tape.backward`` gives them
+    and as ``trace_loss``'s replay gives them after the logits move to
+    ``moved``.  Each prediction is the sigmoid of its example's logit."""
+    t = Tape()
+    params = [t.parameter(x) for x in logits]
+
+    def loss():
+        preds = [t.sigmoid(p) for p in params]
+        return loss_fn([preds[j] for j, _ in examples], [y for _, y in examples])
+    eager = loss()
+    t.backward(eager)
+    runs = [[eager.value] + [p.grad for p in params]]
+    t.reset_to(len(params))
+    t.zero_grads()
+    replayed, replay = trace_loss(params, loss)
+    for p, x in zip(params, moved):
+        p.value = x
+    assert replay()
+    return runs + [[replayed.value] + [p.grad for p in params]]
+
+
+def _cross_entropy_case(rng, labels_of):
+    """Random logits, saturated ones among them, for 1 to 5 records, each
+    with the examples ``labels_of(rng)`` gives it, shuffled."""
+    n = rng.randint(1, 5)
+    logit = lambda: rng.choice(_SATURATED) if rng.random() < 0.3 else rng.uniform(-6, 6)
+    examples = [(j, y) for j in range(n) for y in labels_of(rng)]
+    rng.shuffle(examples)
+    return [logit() for _ in range(n)], examples, [logit() for _ in range(n)]
+
+
+def test_cross_entropy_matches_the_per_label_reference_bit_for_bit():
+    """One term per record gives the value and grads of the former loss, one
+    term per (record, label) pair, bit for bit, eagerly and replayed, when
+    each record carries one label value: a hard label at any count or one
+    fractional label, with p at 0.0 and 1.0 among them.  A record that
+    carries both labels sums its terms in another order: within 1e-12."""
+    rng = random.Random(39)
+    same = (lambda r: [float(r.randrange(2))] * r.randint(1, 4),
+            lambda r: [r.random()],
+            lambda r: [float(r.randrange(2))] * r.randint(1, 4)
+            if r.random() < 0.5 else [r.random()])
+    for _ in range(60):
+        for labels_of in same:
+            case = _cross_entropy_case(rng, labels_of)
+            ours, ref = (_cross_entropy_runs(f, *case)
+                         for f in (cross_entropy, reference_cross_entropy))
+            assert [[x.hex() for x in run] for run in ours] == \
+                [[x.hex() for x in run] for run in ref], case
+        case = _cross_entropy_case(rng, lambda r: [float(r.randrange(2)) for _ in
+                                                  range(r.randint(2, 4))])
+        ours, ref = (_cross_entropy_runs(f, *case)
+                     for f in (cross_entropy, reference_cross_entropy))
+        for a, b in zip(ours, ref):
+            assert a == pytest.approx(b, rel=0, abs=1e-12), case
 
 
 def test_cross_entropy_errors():
@@ -718,6 +781,17 @@ def test_learn_formula_chains_fuse_into_one_comprehension(monkeypatch, tmp_path)
     assert "for t in reversed(w[" not in grads[0], grads
     assert not any(re.search(r"\[\w+\] \* \d", block) for block in sources), sources
     assert len(sources) < 32
+
+
+def test_learn_formula_loss_reads_whole_lanes(monkeypatch, tmp_path):
+    """Each grid point's cross-entropy term has one shape whatever its label,
+    so the 121 points' records form whole lanes: no block slices a column
+    (``w[k][i:j]``) or pads one (``[0.0]``), and the loss is 18 blocks.  A
+    term shape per label split the lanes into 120 and 119 members."""
+    sources = _learn_formula_blocks(monkeypatch, tmp_path)
+    assert not any(re.search(r"w\[\d+\]\[\d*:\d*\]", block) or "[0.0]" in block
+                   for block in sources), sources
+    assert len(sources) <= 18, sources
 
 
 def _deep_chain(tape, edge):

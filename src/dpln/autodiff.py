@@ -122,7 +122,7 @@ class Tape:
         # opcode being the method name; () for leaves
         self._deps: list[tuple] = []
         self._param_indices: set[int] = set()
-        self._const_cache: dict[float, int] = {}
+        self._const_cache: dict[float | str, int] = {}
         # indices whose value was read or set while trace_loss traces
         self._reads: list[int] | None = None
         # check_unit and at_least calls made while trace_loss traces, in
@@ -148,15 +148,16 @@ class Tape:
         return VarRef(self, i)
 
     def constant(self, x: float) -> VarRef:
-        """Leaf with requires_grad=False.  Cached per value."""
+        """Leaf with requires_grad=False.  Cached per value, a zero by its
+        repr, since -0.0 == 0.0."""
         x = float(x)
         if not math.isfinite(x):
             raise AutodiffError("constant must be finite, got %r" % x)
-        idx = self._const_cache.get(x)
+        idx = self._const_cache.get(x or repr(x))
         if idx is not None:
             return VarRef(self, idx)
         ref = self._record(x, ())
-        self._const_cache[x] = ref.index
+        self._const_cache[x or repr(x)] = ref.index
         return ref
 
     def parameter(self, x: float) -> VarRef:
@@ -344,9 +345,11 @@ def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
     here that one of ``params`` reaches and adds d(loss)/d(parameter) into
     their grads, bit-identical to re-tracing ``loss_fn``; it writes only the
     loss value and those grads.  Isomorphic records form lanes, and one list
-    comprehension recomputes a chain of lanes, each read by the next alone;
-    adjoint terms that no parameter changes are computed here, once, and a
-    lone value is a local, one function for a short loss (``dpln.replay``).
+    comprehension recomputes a chain of lanes, each read by the next alone,
+    or a lane's adjoint terms with the term columns that only its adjoint
+    reads; adjoint terms that no parameter changes are computed here, once,
+    and a lone value is a local, one function for a short loss
+    (``dpln.replay``).
     Each ``check_unit`` and ``at_least`` on a value that a parameter reaches
     is a guard, re-tested once at its place in the trace: a failing range
     check raises what a re-trace would, and an ``at_least`` whose outcome

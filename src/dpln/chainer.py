@@ -112,7 +112,7 @@ class Constant:
     value: float
 
     def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
-        i = kb.tape._const_cache.get(self.value)
+        i = kb.tape._const_cache.get(self.value or repr(self.value))
         return kb.tape.constant(self.value) if i is None else VarRef(kb.tape, i)
 
 

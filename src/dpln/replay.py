@@ -3,7 +3,9 @@
 The replayed records of one opcode, input kinds and depth between the same
 two guards form a lane: one list comprehension recomputes it, and one per
 input its adjoint terms.  A lane that one other lane alone reads, whole and
-in order, is inlined into its comprehension; the grads one adjoint column
+in order, is inlined into its comprehension, and so is a column of terms
+into the loop of the one lane whose adjoint it is part of, whole and in
+order, if that lane reads its adjoint once; the grads one adjoint column
 feeds add in one loop.  Adjoint terms that no parameter changes, from the
 loss's seed through constant partials, are computed at compile time.  Sums
 keep the eager order, so the loss and the grads are bit-identical to a
@@ -52,11 +54,12 @@ def _code(elements: list, w: list) -> str:
 
 def _each(size: int, *parts: tuple) -> str:
     """Code that sets each (target, template, sources) part's target to its
-    template over its sources (placeholder -> code, or an inlined lane's
-    template and sources): a statement for a lone record, else a list
-    comprehension over a lane's ``size`` members.  It binds a parameter's
-    scalar, ``v[i]``, once, and per member an inlined value read more than
-    once.  Grads ``g[p]`` add their values in reverse, in one loop, a sum each."""
+    template over its sources (placeholder -> code, or the template and
+    sources of an inlined lane or term column, nested to any depth): a
+    statement for a lone record, else a list comprehension over a lane's
+    ``size`` members.  It binds a parameter's scalar, ``v[i]``, once, and
+    per member an inlined value read more than once.  Grads ``g[p]`` add
+    their values in reverse, in one loop, a sum each."""
     target, template, sources = parts[0]
     if size == 1:
         return "%s = %s" % (target, template.format(**sources))
@@ -139,7 +142,7 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         for q, j in enumerate(deps[i][1::2] if i in terms else ()):
             if j in reached:
                 terms.setdefault(j, []).append(c := (i, q))
-                term[c] = None  # the key that term.update keeps
+                term[c] = len(terms[j])  # its place in j's terms, till swept
 
     # into[key, q]: the lane that lane key alone reads, whole and in order,
     # at input q, under the same guards, unless its op raises or binds a name,
@@ -158,6 +161,11 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
                     OPS[key[2]].partials, key[3:]) if k != "c") and all(
                     len(terms.get(j, ())) == 1 and j not in pinned for j in ins):
                 into[key, q] = src
+    # once: the lanes of more than one member that read their adjoint in one
+    # term, of the one input a parameter reaches, whose partial is not 1.0
+    once = {key for key, members in lanes.items() if len(members) > 1 and key[2] != "sum"
+            and sum(k != "c" for k in key[3:]) == 1 and "1.0" not in (
+                p for p, k in zip(OPS[key[2]].partials, key[3:]) if k != "c")}
 
     # the scratch list w holds the lists: lane values, captured constants
     # and adjoint terms.  A lone value or term is the local s<k>, k its
@@ -217,7 +225,9 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
                                      for i in members], fillvalue=0.0))
         if known := all(type(t) is float for col in columns for t in col):
             columns = [[reduce(float.__add__, ts) for ts in zip(*columns)]]
-        cols = {"d%d" % c: _code(elements(col), w) for c, col in enumerate(columns)}
+        # a column computed in this lane's loop is its (template, sources)
+        cols = {"d%d" % c: col[0] if type(col[0]) is tuple and type(col[0][1]) is dict
+                else _code(elements(col), w) for c, col in enumerate(columns)}
         block = []
         if size == 1 < len(cols):  # a lone adjoint: the sum, in its own slot
             columns = [place([None])]
@@ -251,7 +261,13 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
             elif d == "1.0" and partial in ("{x}", "{y}"):
                 term[cs[0]] = (src[partial[1]], None)  # the factor itself
             elif ins[q] in reached:
-                if partial not in slots:
+                # a column that is a whole column of a lane in once, at one
+                # place in each member's terms, is computed in that lane's loop
+                if partial not in slots and (k := lane.get(ins[q])) in once and lanes[k] == [
+                        deps[i][1 + 2 * q] for i in members] and partials.count(
+                        partial) == 1 and len({term.get(c) for c in cs}) == 1:
+                    slots[partial] = [(template, src)] * size
+                elif partial not in slots:
                     slots[partial] = t = place([None] * size)
                     block.append(_each(size, (_code(t, w), template, src)))
                 term.update(zip(cs, slots[partial]))

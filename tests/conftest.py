@@ -47,14 +47,24 @@ def assert_grads_close(build, values, atol=1e-5, rtol=1e-4):
             "gradient mismatch: analytic %.10g vs central-diff %.10g" % (a, n))
 
 
+class GeneratedCode(list):
+    """Every block of code the replay compiles, in order; ``calls`` keeps
+    each compile call apart, as its blocks and the functions made of them."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+
 def generated_code(monkeypatch):
-    """The list that receives every block of code the replay compiles."""
+    """The GeneratedCode that receives what the replay compiles."""
     from dpln import replay
-    sources, compile_blocks = [], replay._functions
+    sources, compile_blocks = GeneratedCode(), replay._functions
 
     def recording(blocks, *args):
         sources.extend(blocks)
-        return compile_blocks(blocks, *args)
+        sources.calls.append((blocks, compile_blocks(blocks, *args)))
+        return sources.calls[-1][1]
     monkeypatch.setattr(replay, "_functions", recording)
     return sources
 

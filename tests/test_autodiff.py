@@ -38,6 +38,19 @@ def test_constant_rejects_non_finite():
         t.parameter(float("inf"))
 
 
+@pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
+def test_constant_keeps_the_two_signed_zeros_apart(zeros):
+    """-0.0 == 0.0, yet each zero is its own constant record, in either
+    order, and a second call with either returns that zero's record."""
+    t = Tape()
+    first, second = (t.constant(z) for z in zeros)
+    assert first.index != second.index
+    assert [math.copysign(1.0, r.value) for r in (first, second)] == [
+        math.copysign(1.0, z) for z in zeros]
+    assert [t.constant(z).index for z in zeros] == [first.index, second.index]
+    assert t.constant(0.5).index == t.constant(0.5).index
+
+
 def test_parameter_distinct_refs():
     t = Tape()
     a = t.parameter(0.3)
@@ -481,14 +494,7 @@ def test_a_fold_of_adds_replays_bit_for_bit_with_no_accumulate(monkeypatch, adds
     """A left fold of two or three adds compiles to the statements of its
     lanes, no ``accumulate``, and replays bit for bit what a re-trace
     gives."""
-    from dpln import replay as compiled
-    sources = []
-    compile_blocks = compiled._functions
-
-    def recording(blocks, *args):
-        sources.extend(blocks)
-        return compile_blocks(blocks, *args)
-    monkeypatch.setattr(compiled, "_functions", recording)
+    sources = generated_code(monkeypatch)
 
     def build(tape, refs):
         a, b, c = refs
@@ -606,6 +612,12 @@ EDGE_INPUTS = {
     # as itself, -0.0 for y = z = -0.0, nan for 3y = inf and 3z = -inf
     "adjoint_times_one": [(0.25, 0.5, -2.0), (0.25, -0.0, -0.0), (0.25, -0.0, 0.0),
                           (0.25, 1e308, -1e308), (-0.0, 1e308, -1e308)],
+    # log(1 - x c) (y + z) for c = 0.5 and 2.0: the term columns of the logs
+    # and the one_minus are computed in x's grad loop, where the logs'
+    # adjoint 3y + 3z is 0.0, -0.0 or nan, and 1 - x c leaves [LOG_EPS, 1]
+    "fused_log": [(0.25, 0.5, -2.0), (0.25, 0.0, 0.0), (0.25, -0.0, -0.0),
+                  (0.25, 1e308, -1e308), (1.0, 0.5, -2.0), (-1.0, 0.5, -2.0),
+                  (1.0, -0.0, -0.0), (-1.0, 1e308, -1e308)],
 }
 
 
@@ -615,14 +627,19 @@ def _bits(values):
 
 @pytest.mark.parametrize("op", sorted(EDGE_INPUTS))
 def test_replay_matches_the_eager_op_bit_for_bit_at_edge_inputs(op):
-    """For each op, and a product with the constant 1.0, a replay traced at
-    an interior point gives the values and grads of the eager op at every
-    edge input, bit for bit, and raises the eager op's error where that
-    raises."""
+    """For each op, a product with the constant 1.0 and term columns
+    computed in a grad loop, a replay traced at an interior point gives the
+    values and grads of the eager op at every edge input, bit for bit, and
+    raises the eager op's error where that raises."""
     def build(tape, refs):
         if op == "adjoint_times_one":
             x = tape.mul(refs[0], tape.constant(1.0))
             z = tape.add(tape.mul(x, refs[1]), tape.mul(x, refs[2]))
+        elif op == "fused_log":
+            logs = [tape.log(tape.one_minus(tape.mul(refs[0], tape.constant(c))))
+                    for c in (0.5, 2.0)]
+            z = tape.sum([tape.add(tape.mul(u, refs[1]), tape.mul(u, refs[2]))
+                          for u in logs])
         else:
             z = tape.mul(refs[0], tape.constant(1.0)) if op == "times_one" else (
                 getattr(tape, op)(*refs))
@@ -771,6 +788,15 @@ def _fusible_chain(t, params, c):
     return t.add(chain(c), chain(c + 1.0))
 
 
+def _cross_entropy(t, params, c):
+    """c log(s) + (1 - c) log(1 - s) for s = sigmoid(p0 c + p-1): copies
+    make lanes whose log term columns are computed, through the one_minus
+    two levels deep, in the loop of the sigmoid's adjoint."""
+    s = t.sigmoid(t.add(t.mul(params[0], t.constant(c)), params[-1]))
+    return t.add(t.mul(t.constant(c), t.log(s)),
+                 t.mul(t.constant(1.0 - c), t.log(t.one_minus(s))))
+
+
 @st.composite
 def _lane_graphs(draw):
     """k copies each of a few shapes over shared parameters, interleaved,
@@ -782,7 +808,7 @@ def _lane_graphs(draw):
     shapes = draw(st.lists(st.lists(steps, min_size=1, max_size=5),
                            min_size=1, max_size=3))
     specials = draw(st.lists(st.sampled_from([_tiny_division, _guarded, _fan_out,
-                                              _fusible_chain]),
+                                              _fusible_chain, _cross_entropy]),
                              max_size=3, unique=True))
     copies = draw(st.lists(st.tuples(
         st.integers(0, len(shapes) + len(specials) - 1),
@@ -958,6 +984,49 @@ def test_a_lane_read_by_one_lane_alone_is_inlined(monkeypatch):
     assert any("[-(" in block for block in sources), sources
 
 
+def test_term_columns_at_other_places_in_each_adjoint_stay_lists(monkeypatch):
+    """Two sigmoids, each read by a log, a one_minus and a product, the
+    second in another order: each adds its three terms in its own reverse
+    record order, so no term column is a column of the sigmoids' adjoint
+    and none is computed in their loop, and the replay matches a re-trace
+    bit for bit."""
+    def loss_fn(t, p):
+        reads = {"log": t.log, "one_minus": t.one_minus, "mul": lambda s: t.mul(s, p)}
+        terms = []
+        for c, order in ((0.5, ("log", "one_minus", "mul")),
+                         (2.0, ("mul", "log", "one_minus"))):
+            s = t.sigmoid(t.mul(p, t.constant(c)))
+            terms += [reads[r](s) for r in order]
+        return t.sum(terms)
+    sources = generated_code(monkeypatch)
+    _assert_replay_matches_a_fresh_trace(loss_fn, [0.3, 0.7, -1.2, 2.9])
+    sigmoid = [block for block in sources if " * (1.0 - z" in block]
+    assert sigmoid and not any("1.0 / " in block for block in sigmoid), sources
+
+
+def _adjoint_read_twice(t, p, cs):
+    """log(a b) for a = p c and b = p + c: the product's adjoint feeds both
+    its partials."""
+    return [t.log(t.mul(t.mul(p, c), t.add(p, c))) for c in cs]
+
+
+def _partial_shared(t, p, cs):
+    """m m for m = (1 - p c) + p: the add's two inputs share the term
+    column of its partial 1.0, and p has other terms."""
+    return [t.mul(m, m) for m in [t.add(t.one_minus(t.mul(p, c)), p) for c in cs]]
+
+
+@pytest.mark.parametrize("build", [_adjoint_read_twice, _partial_shared])
+def test_a_term_column_read_twice_stays_one_list(monkeypatch, build):
+    """A term column that a lane would compute in both its partials, or
+    that two inputs share, is computed once, in a list, and the replay
+    matches a re-trace bit for bit."""
+    sources = generated_code(monkeypatch)
+    _assert_replay_matches_a_fresh_trace(_three_copies(build), [0.3, 0.7, -1.2])
+    assert sum(block.count("1.0 / ") for block in sources) == (
+        build is _adjoint_read_twice), sources
+
+
 def test_a_lane_adds_a_grad_only_when_it_makes_all_its_terms():
     """p's terms come from a lane of two products, one of which no loss
     reads, and from a sigmoid: as many as the lane has members, yet its
@@ -1022,15 +1091,9 @@ def test_a_local_read_across_a_function_boundary_replays_bit_for_bit(monkeypatch
     that two functions use in a slot of w, and one that a single function
     uses in a local, and replays bit for bit what a re-trace gives."""
     from dpln import replay as compiled
-    sources, runs, compile_blocks = [], [], compiled._functions
-
-    def recording(blocks, *args):
-        sources.extend(blocks)
-        runs.append(compile_blocks(blocks, *args))
-        return runs[-1]
-    monkeypatch.setattr(compiled, "_functions", recording)
+    sources = generated_code(monkeypatch)
     _assert_replay_matches_a_fresh_trace(_long_chain, [0.3, 0.7, -1.2, 30.0])
-    assert len(runs[0]) > 2
+    assert len(sources.calls[0][1]) > 2
     target = sources[0].split(" = ")[0]  # the sigmoid's value
     assert target.startswith("w[") and any(
         target in block for block in sources[compiled._CHUNK:]), sources

@@ -1272,6 +1272,19 @@ def test_derivation_terms_are_trace_inputs():
     assert [t.replay(kb, {}).grad for t in inputs] == pytest.approx(expected, abs=1e-6)
 
 
+@pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
+def test_constant_replay_keeps_the_two_signed_zeros_apart(zeros):
+    """A term default of -0.0 and one of 0.0, replayed in either order,
+    each replay their own zero, and again from the tape's cache."""
+    tape, kb = fresh_kb()
+    defaults = [Constant(z) for z in zeros]
+    for _ in range(2):
+        replayed = [c.replay(kb, {}) for c in defaults]
+        assert replayed[0].index != replayed[1].index
+        assert [math.copysign(1.0, r.value) for r in replayed] == [
+            math.copysign(1.0, z) for z in zeros]
+
+
 def test_rules_sharing_a_name_replay_apart():
     """Two trainable modus ponens rules, both named "modus-ponens", with
     different weights: the replay memo keys an application by its rule

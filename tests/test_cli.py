@@ -303,6 +303,21 @@ def test_chain_backward_command(tmp_path, capsys):
     assert '(PredicateNode "green")' in out
 
 
+@pytest.mark.parametrize("first", ["a", "b"])
+def test_chain_prints_each_signed_zero_strength_as_loaded(tmp_path, capsys, first):
+    """a at -0.0 and b at 0.0, loaded in either order: each query prints
+    its own zero's sign, not that of the zero loaded first."""
+    lines = {"a": '(ConceptNode (stv -0.0 0.9) "a")',
+             "b": '(ConceptNode (stv 0.0 0.9) "b")'}
+    kb_path = tmp_path / "kb.scm"
+    kb_path.write_text("\n".join(sorted(lines.values(), reverse=first == "b")) + "\n")
+    for name, strength in (("a", "-0"), ("b", "0")):
+        assert main(["chain", "--kb", str(kb_path), "--target",
+                     '(ConceptNode "%s")' % name]) == 0
+        assert capsys.readouterr().out == '(ConceptNode "%s") ; strength %s\n' % (
+            name, strength)
+
+
 def test_chain_repeated_target_variable(tmp_path, capsys):
     """Over Inh(a, b) and Inh(b, a) at depth 2, --target Inh($T, $T) prints
     the lines the ground Inh(a, a) and Inh(b, b) print, in their order."""

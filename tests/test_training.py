@@ -340,13 +340,7 @@ def test_fruit_colors_loss_compiles_to_one_function_of_locals(monkeypatch, tmp_p
     """Each of fruit-colors' six fits compiles its loss to one function, in
     which every value and term is a local or a literal: no line reads or
     writes the scratch list w."""
-    from dpln import replay
-    compiled, compile_blocks = [], replay._functions
-
-    def recording(blocks, *args):
-        compiled.append((blocks, compile_blocks(blocks, *args)))
-        return compiled[-1][1]
-    monkeypatch.setattr(replay, "_functions", recording)
+    compiled = generated_code(monkeypatch).calls
     cli.run_fruit_colors(cli.ExperimentConfig(
         experiment="fruit-colors", true_probabilities={
             "apple": {"yellow": 0.1, "red": 0.2, "green": 0.7},
@@ -792,6 +786,22 @@ def test_learn_formula_loss_reads_whole_lanes(monkeypatch, tmp_path):
     assert not any(re.search(r"w\[\d+\]\[\d*:\d*\]", block) or "[0.0]" in block
                    for block in sources), sources
     assert len(sources) <= 18, sources
+
+
+def test_learn_formula_adjoint_columns_fuse_into_the_sigmoid_loop(monkeypatch, tmp_path):
+    """Counts only, no timing.  The term columns of the two logs and of the
+    one_minus are each read by one lane alone, so they are computed in the
+    loop of the sigmoid's adjoint: no block only negates a list, and the
+    loss is at most 15 blocks, where a list per column took 18.  joint's
+    loss has the same two chains, and fewer blocks than the 54 they took."""
+    sources = _learn_formula_blocks(monkeypatch, tmp_path)
+    assert len(sources.calls) == 1 and len(sources) <= 15, sources
+    assert not any("[-d for d in w[" in block for block in sources), sources
+    cli.run_joint(cli.ExperimentConfig(experiment="joint", lr=2.0, steps=2,
+                                       out_dir=str(tmp_path / "joint")))
+    (joint, _), = sources.calls[1:]
+    assert len(joint) < 54, joint
+    assert not any("[-d for d in w[" in block for block in joint), joint
 
 
 def _deep_chain(tape, edge):

@@ -11,9 +11,9 @@ and its partial derivatives as Python expressions.  The ``Tape`` methods
 The tape supports checkpoint/rollback (``mark`` / ``reset_to``) so a training
 loop can keep leaf parameters alive while it re-traces the formula graph.
 ``trace_loss`` compiles a traced graph once (``dpln.replay``) into Python
-that recomputes it a lane of isomorphic records at a time and writes only
-the loss value and the grads; ``check_unit`` range checks and ``at_least``
-branches become guards in that code.
+that runs a fit's steps in one loop, recomputing it a lane of isomorphic
+records at a time and writing only the loss value and the grads;
+``check_unit`` range checks and ``at_least`` branches become its guards.
 """
 
 from __future__ import annotations
@@ -285,18 +285,24 @@ _NAMESPACE = {"__builtins__": {}, "__name__": __name__, "fail": _fail,
 _CHUNK = 32
 
 
-def _functions(blocks: list[str], args: str,
-               guards: list = ()) -> list[Callable]:
-    """Compiles the code blocks into functions of ``_CHUNK`` blocks each,
-    with ``guards`` holding each guard's payload.  The functions are taken
-    out of their namespace, so none of them is in a reference cycle."""
-    namespace = dict(_NAMESPACE, guards=guards)
-    functions = []
-    for start in range(0, len(blocks), _CHUNK):
+def _functions(blocks: list[str], frame: str, guards: list = ()) -> list[Callable]:
+    """Compiles ``frame``, the source of ``def f(<args>):`` with a line
+    ``{}`` where the code blocks go, with ``guards`` holding each guard's
+    payload.  Past ``_CHUNK`` blocks, each ``_CHUNK`` blocks are a function
+    of f's arguments, which f calls in their place, returning what one
+    returns unless None.  Returns f and then those functions, taken out of
+    their namespace, so none of them is in a reference cycle."""
+    namespace, chunks, at = dict(_NAMESPACE, guards=guards), {}, frame.index("{}")
+    for start in range(0, len(blocks), _CHUNK) if len(blocks) > _CHUNK else ():
         body = "\n".join(blocks[start:start + _CHUNK]).replace("\n", "\n    ")
-        exec("def f(%s):\n    %s" % (args, body), namespace)
-        functions.append(namespace.pop("f"))
-    return functions
+        exec("%s\n    %s" % (frame[:frame.index(":") + 1], body), namespace)
+        chunks["c%d" % len(chunks)] = namespace.pop("f")
+    calls = ["if (r := %s%s) is not None: return r" % (c, frame[5:frame.index(")") + 1])
+             for c in chunks]
+    scope = dict(namespace, **chunks)  # f's globals, which no chunk reads
+    exec(frame.replace("{}", "\n".join(calls or blocks).replace(
+        "\n", "\n" + frame[frame.rindex("\n", 0, at) + 1:at])), scope)
+    return [scope.pop("f"), *chunks.values()]
 
 
 def _method(name: str, op: Op) -> Callable:
@@ -313,7 +319,7 @@ def _method(name: str, op: Op) -> Callable:
                 "values[%s.index]" % r for r in refs)),
             "z = " + op.value.format(x="x", y="y"),
             "return self._record(z, (%r%s))" % (name, deps)]
-    method, = _functions(["\n".join(body)], "self, " + ", ".join(refs))
+    method, = _functions(["\n".join(body)], "def f(self, %s):\n    {}" % ", ".join(refs))
     method.__name__, method.__qualname__ = name, "Tape." + name
     method.__doc__ = op.doc
     return method
@@ -323,18 +329,18 @@ for _name, _op in OPS.items():
     setattr(Tape, _name, _method(_name, _op))
 
 # the logistic function on a float, as ``Tape.sigmoid`` computes it
-sigmoid, = _functions(["return " + OPS["sigmoid"].value.format(x="x")], "x")
+sigmoid, = _functions(["return " + OPS["sigmoid"].value.format(x="x")], "def f(x):\n    {}")
 
 
 # -- compiled replay ----------------------------------------------------------
 
 # the replayed guards on the value {0}, given guard {1}'s payload in
 # ``guards``: the (error class, label) of a check_unit, or the bound of an
-# at_least
+# at_least, which returns the step k of the replay's loop when it flips
 _UNIT_GUARD = ("if not -UNIT_TOL <= {0} <= 1.0 + UNIT_TOL: "
                "raise unit_error(*guards[{1}], {0})")
-_BRANCH_GUARD = {True: "if not {0} >= guards[{1}]: return False",
-                 False: "if {0} >= guards[{1}]: return False"}
+_BRANCH_GUARD = {True: "if not {0} >= guards[{1}]: return k",
+                 False: "if {0} >= guards[{1}]: return k"}
 
 
 def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
@@ -354,6 +360,11 @@ def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
     is a guard, re-tested once at its place in the trace: a failing range
     check raises what a re-trace would, and an ``at_least`` whose outcome
     flips makes the replay return False, a miss, writing nothing, else True.
+
+    ``replay(k, n, step, rate, losses)`` runs steps k to n - 1 in that code,
+    the step loop: each replays, appends the loss to ``losses``, calls
+    ``step(params, rate)`` and zeroes the grads of ``params``; it returns n,
+    or the step where a branch flipped, having written no grad there.
 
     Raises AutodiffError for no ``params``, a stale one or one of another
     tape, and when ``loss_fn`` reads or sets the ``value`` of a record that

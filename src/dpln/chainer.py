@@ -514,8 +514,9 @@ def first_proofs(kb: AtomSpace, rules: list[Rule], targets: list[int],
     it: only the lanes of the group's answers are walked, by answer (``lookup``),
     and only a target's first lane becomes a Derivation, reading the terms
     its rule does not hoist.  No query repeats a variable or nests one, so
-    no lane has aliases or a pattern to unify."""
-    search = _table(kb, rules, targets, config)  # ids checked before interning $lifted
+    no lane has aliases or a pattern to unify.  The caller checks the
+    target ids, as ``training`` does with each target's groundness."""
+    search = _table(kb, rules, (), config)
     groups: dict = {}  # (link type, all outgoing but the last) -> its targets
     for t in targets:
         atom = kb.atoms[t]

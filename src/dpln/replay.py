@@ -5,12 +5,14 @@ two guards form a lane: one list comprehension recomputes it, and one per
 input its adjoint terms.  A lane that one other lane alone reads, whole and
 in order, is inlined into its comprehension, and so is a column of terms
 into the loop of the one lane whose adjoint it is part of, whole and in
-order, if that lane reads its adjoint once; the grads one adjoint column
-feeds add in one loop.  Adjoint terms that no parameter changes, from the
-loss's seed through constant partials, are computed at compile time.  Sums
-keep the eager order, so the loss and the grads are bit-identical to a
-re-trace.  Lists live in a scratch list ``w``; a lone value or term is a
-local, and a short loss is one function.  Imported by ``trace_loss``.
+order, if that lane reads its adjoint once, or into the one grad loop that
+reads it; the grads one adjoint column feeds add in one loop.  Adjoint
+terms that no parameter changes, from the loss's seed through constant
+partials, are computed at compile time.  Sums keep the eager order, so the
+loss and the grads are bit-identical to a re-trace.  Lists live in a
+scratch list ``w``; a lone value or term is a local, and a short loss is
+one function, the step loop, which runs a fit's steps: each replays, calls
+the step function and zeroes the grads.  Imported by ``trace_loss``.
 """
 
 from __future__ import annotations
@@ -58,22 +60,24 @@ def _each(size: int, *parts: tuple) -> str:
     sources of an inlined lane or term column, nested to any depth): a
     statement for a lone record, else a list comprehension over a lane's
     ``size`` members.  It binds a parameter's scalar, ``v[i]``, once, and
-    per member an inlined value read more than once.  Grads ``g[p]`` add
-    their values in reverse, in one loop, a sum each."""
+    per member an inlined value read more than once or by several parts.
+    Grads ``g[p]`` add their values in reverse, in one loop, a sum each."""
     target, template, sources = parts[0]
     if size == 1:
         return "%s = %s" % (target, template.format(**sources))
-    names, binds, tags, grad = {}, [], count(1), target[0] == "g"
+    names, binds, bound, tags, grad = {}, [], {}, count(1), target[0] == "g"
+    shared = {id(s) for *_, src in parts[1:] for s in src.values()}  # read by two parts
 
     def inline(template, sources, tag):  # an inlined lane's names are fresh
         subs = {}
         for k, s in sources.items():
             uses = template.count("{%s}" % k)
             if uses and isinstance(s, tuple):
-                e = inline(*s, "_%d" % next(tags))
-                if uses > 1:  # computed once per member
-                    binds.append("for %s in (%s,)" % (k + tag, e))
-                subs[k] = k + tag if uses > 1 else "(%s)" % e
+                if id(s) not in bound:  # computed once per member
+                    e = inline(*s, "_%d" % next(tags))
+                    if uses > 1 or id(s) in shared:
+                        binds.append((bound.setdefault(id(s), k + tag), e))
+                subs[k] = bound.get(id(s)) or "(%s)" % e
             elif uses:
                 subs[k] = names.setdefault(s, k + tag)
         return template.format(**subs)
@@ -83,13 +87,14 @@ def _each(size: int, *parts: tuple) -> str:
              if s[0] != "v"] or [("_", "range(%d)" % size)]
     clauses = ["for %s in (%s,)" % (n, s) for s, n in names.items() if s[0] == "v"]
     clauses += ["for %s in %s" % (", ".join(n for n, _ in lists), lists[0][1] if len(
-        lists) == 1 else "zip(%s)" % ", ".join(s for _, s in lists))] + binds
+        lists) == 1 else "zip(%s)" % ", ".join(s for _, s in lists))]
     if grad:  # in reverse order, as nested loops, the sum of part k in a<k>
         return "".join("a%d = " % k for k in range(len(parts))) + "0.0%s %s%s" % ("".join(
             "\n%s%s:" % (" " * k, c) for k, c in enumerate(clauses)), "; ".join(
-            "a%d += %s" % kv for kv in enumerate(values)), "".join(
-            "\nif a%d: %s += a%d" % (k, part[0], k) for k, part in enumerate(parts)))
-    return "%s = [%s %s]" % (target, values[0], " ".join(clauses))
+            ["%s = %s" % b for b in binds] + ["a%d += %s" % a for a in enumerate(values)]),
+            "".join("\nif a%d: %s += a%d" % (k, p[0], k) for k, p in enumerate(parts)))
+    return "%s = [%s %s]" % (target, values[0], " ".join(
+        clauses + ["for %s in (%s,)" % b for b in binds]))
 
 
 def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
@@ -215,6 +220,7 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         return place(ts) if all(type(t) is float for t in ts) else [
             t if type(t) is tuple else place([t])[0] for t in ts]
     grads = {}  # (adjoint code, size) -> the (grad, template, sources) it feeds
+    made = {}  # a term column's list -> the line that makes it and (template, sources)
     for key in reversed(order):
         members, size = lanes[key], len(lanes[key])
         if terms.keys().isdisjoint(members):
@@ -270,8 +276,10 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
                 elif partial not in slots:
                     slots[partial] = t = place([None] * size)
                     block.append(_each(size, (_code(t, w), template, src)))
+                    made[_code(t, w)] = block[-1], (template, src)
                 term.update(zip(cs, slots[partial]))
         blocks += ["\n".join(block)] if block else []
+    at = len(blocks)
     blocks += [_each(size, *parts) for (_, size), parts in grads.items()]
     for p in indices:  # a parameter's grad adds its terms in reverse record order
         ts = [term[c] for c in terms.get(p, ())]
@@ -281,19 +289,28 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
                           % (_code(elements(ts[::-1]), w), p))
         elif a := reduce(float.__add__, ts, 0.0):
             blocks.append("g[%d] += %s" % (p, _code(place([a]), w)))
+    # a term column that one grad loop alone reads is computed in that loop
+    for b, ((d, size), parts) in enumerate(grads.items(), at):
+        if d in made and sum(block.count(d) for block in blocks) == 2:
+            line, column = made[d]
+            blocks[b] = _each(size, *[(g, t, dict(s, d=column)) for g, t, s in parts])
+            blocks = ["\n".join(y for y in x.split("\n") if y != line) for x in blocks]
+    blocks = [block for block in blocks if block]
     # a local that two functions of _CHUNK blocks use is read from its slot
     chunks = {}
     for b, block in enumerate(blocks):
         for name in re.findall(r"\bs\d+\b", block):
             chunks.setdefault(name, set()).add(b // _CHUNK)
-    run = _functions([re.sub(r"\bs(\d+)\b", lambda m: "w[%s]" % m[1] if len(
+    # the step loop: steps k ... n - 1, each the blocks, its loss, a call of
+    # step and the grads zeroed; a flipped branch returns its step
+    f, *_ = _functions([re.sub(r"\bs(\d+)\b", lambda m: "w[%s]" % m[1] if len(
         chunks[m[0]]) > 1 else m[0], block) for block in blocks],
-        "v, g, w", [g[3] for g in guards])
-    if len(run) == 1:
-        f, = run
-        return lambda: f(tape._values, tape._grads, w) is not False
+        "def f(v, g, w, k, n, step, params, rate, losses):\n    for k in range(k, n):"
+        "\n        {}\n        if step is None: return n\n        losses.append(v[%d])"
+        "\n        step(params, rate)\n        %s = 0.0\n    return n" % (
+            loss, " = ".join("g[%d]" % p for p in indices)), [g[3] for g in guards])
 
-    def replay() -> bool:
-        v, g = tape._values, tape._grads
-        return all(f(v, g, w) is not False for f in run)
+    def replay(k=0, n=1, step=None, rate=None, losses=None) -> bool | int:
+        stop = f(tape._values, tape._grads, w, k, n, step, params, rate, losses)
+        return stop if step else stop == n
     return replay

@@ -3,7 +3,7 @@
 Learnable truth-value strengths are parametrized as the sigmoid of an
 unconstrained logit, so they stay strictly inside (0, 1) no matter how large
 the optimizer steps are.  ``fit`` is the one training loop: it traces the
-loss once and replays that trace as compiled code, with range checks and
+loss once and runs its steps as compiled code, with range checks and
 branches as guards, and traces it again only after a branch flips.
 ``train`` runs the proof search once, for all its targets
 through the KB's subgoal table, and each step's loss replays the traces;
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
-from .autodiff import Tape, VarRef, sigmoid, trace_loss
+from .autodiff import AutodiffError, Tape, VarRef, sigmoid, trace_loss
 from .chainer import (MAX_SEARCH_DEPTH, ChainConfig, Derivation, Rule, commit,
                       first_proofs)
 
@@ -125,11 +125,14 @@ def cross_entropy(preds: list[VarRef], labels: list[float]) -> VarRef:
 
 def sgd_step(params: list[VarRef], learning_rate: float) -> None:
     """Plain SGD: value -= lr * grad for every parameter, written through
-    the tape's lists.  Raises AutodiffError for a stale parameter."""
+    the tape's lists.  Raises AutodiffError for a stale parameter or a record
+    that is not one, such as a constant, which its cache shares."""
     for p in params:
-        p._check_live()
-        tape = p.tape
-        tape._values[p.index] -= learning_rate * tape._grads[p.index]
+        tape, i = p.tape, p.index
+        if i not in tape._param_indices:
+            p._check_live()
+            raise AutodiffError("record %d is not a parameter" % i)
+        tape._values[i] -= learning_rate * tape._grads[i]
 
 
 def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
@@ -137,16 +140,18 @@ def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
     """The training loop: gradient descent on ``loss_fn()`` over ``params``.
 
     Step 0 traces and compiles the loss (``trace_loss``) from the tape
-    length on entry.  Every step runs the compiled replay, one generated
-    function for a short loss, which writes only the loss value and the
-    grads of ``params``; it records the loss, calls ``sgd_step`` once and
-    zeroes those grads by index.  The grads are zeroed on entry too.  The
-    tape is rolled back to its length on entry before returning.  Returns
-    the loss of every step, before its update.
+    length on entry, and the replay's step loop, one generated function for
+    a short loss, runs the steps: each writes only the loss value and the
+    grads of ``params``, records the loss, calls ``sgd_step``, which this
+    module's name holds, so a wrapper put there sees every step, and zeroes
+    those grads by index.  The grads are zeroed on entry too.  The tape is
+    rolled back to its length on entry before returning.  Returns the loss
+    of every step, before its update.
 
     ``loss_fn`` may branch on a record with ``Tape.at_least``, never on a
-    ``value`` computed from ``params``: when a branch flips, the replay
-    misses and that step traces ``loss_fn`` again.  A range check
+    ``value`` computed from ``params``: when a branch flips, the loop stops
+    at that step, having written no grad, and ``fit`` traces ``loss_fn``
+    again and resumes there.  A range check
     (``Tape.check_unit``) that fails on step k raises on step k.  Raises
     TrainError, before tracing, unless ``params`` are distinct parameters,
     the rate is positive and finite and steps >= 1; AutodiffError for a
@@ -161,18 +166,12 @@ def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
     indices = [p.index for p in params]
     if len(set(indices)) < len(indices) or not tape._param_indices.issuperset(indices):
         raise TrainError("params must be distinct parameters")
-    mark, values, losses, replay = tape.mark(), tape._values, [], None
+    mark, losses, k = tape.mark(), [], 0
     for i in indices:  # a grad an earlier backward left
         tape._grads[i] = 0.0
-    for _ in range(steps):
-        if replay is None or not replay():
-            tape.reset_to(mark)
-            loss, replay = trace_loss(params, loss_fn)
-            replay()
-        losses.append(values[loss.index])
-        sgd_step(params, learning_rate)
-        for i in indices:
-            tape._grads[i] = 0.0
+    while k < steps:  # a flipped branch: trace again and resume at its step
+        tape.reset_to(mark)
+        k = trace_loss(params, loss_fn)[1](k, steps, sgd_step, learning_rate, losses)
     tape.reset_to(mark)
     return losses
 
@@ -189,8 +188,9 @@ def _find_traces(kb: AtomSpace, rules: list[Rule],
     """The trace ``train`` replays for each example: the target's first rule
     derivation, so the prediction depends on the premises, else its first KB
     lookup (``first_proofs``, which lifts the targets' queries); unvalued, as
-    ``train`` replays them.  Raises TrainError at the first target that is
-    not ground, before the search runs or writes to the KB."""
+    ``train`` replays them.  Checks each target's id and groundness once,
+    here, before the search runs or writes to the KB: UnknownAtomError or
+    TrainError at the first that fails."""
     for i, ex in enumerate(dataset):
         if not kb.atom(ex.target).is_ground:
             raise TrainError("example %d: target is not ground" % i)

@@ -49,23 +49,38 @@ def assert_grads_close(build, values, atol=1e-5, rtol=1e-4):
 
 class GeneratedCode(list):
     """Every block of code the replay compiles, in order; ``calls`` keeps
-    each compile call apart, as its blocks and the functions made of them."""
+    each compile call apart, as its blocks and the functions made of them.
+    ``compiles`` holds every source that ``autodiff`` compiles, and
+    ``fits`` how many of them each ``training.fit`` call made."""
 
     def __init__(self):
         super().__init__()
-        self.calls = []
+        self.calls, self.compiles, self.fits = [], [], []
 
 
 def generated_code(monkeypatch):
     """The GeneratedCode that receives what the replay compiles."""
-    from dpln import replay
-    sources, compile_blocks = GeneratedCode(), replay._functions
+    from dpln import autodiff, replay, training
+    sources, compile_blocks, fit = GeneratedCode(), replay._functions, training.fit
 
     def recording(blocks, *args):
         sources.extend(blocks)
         sources.calls.append((blocks, compile_blocks(blocks, *args)))
         return sources.calls[-1][1]
+
+    def compiling(source, namespace):
+        sources.compiles.append(source)
+        exec(source, namespace)
+
+    def fitting(*args):
+        before = len(sources.compiles)
+        try:
+            return fit(*args)
+        finally:
+            sources.fits.append(len(sources.compiles) - before)
     monkeypatch.setattr(replay, "_functions", recording)
+    monkeypatch.setattr(autodiff, "exec", compiling, raising=False)
+    monkeypatch.setattr(training, "fit", fitting)
     return sources
 
 

@@ -206,6 +206,23 @@ def test_sgd_accumulation_hazard():
     assert p.value == pytest.approx(1.0 - 0.1 * 4.0)
 
 
+def test_sgd_step_rejects_a_constant_and_leaves_its_cache():
+    """A constant is cached per value and shared by every reader: sgd_step
+    raises for it, naming the record, and the cached 0.5 stays 0.5.  A
+    stale parameter still raises its own error."""
+    t = Tape()
+    c, p = t.constant(0.5), t.parameter(1.0)
+    t.backward(t.mul(c, p))
+    with pytest.raises(AutodiffError, match="record %d is not a parameter" % c.index):
+        sgd_step([c], 0.1)
+    assert t.constant(0.5).value == 0.5 and p.value == 1.0
+    mark = t.mark()
+    q = t.parameter(2.0)
+    t.reset_to(mark)
+    with pytest.raises(AutodiffError, match="stale"):
+        sgd_step([q], 0.1)
+
+
 def test_empirical_frequency():
     mk = lambda labels: [LabeledExample(0, y) for y in labels]
     assert empirical_frequency(mk([1] * 75 + [0] * 25)) == pytest.approx(0.75)
@@ -596,6 +613,130 @@ def test_fit_replay_raises_the_first_failure_in_trace_order():
         assert compiled[3] == 1 and retraced[3] == 6
 
 
+def _replay_fit(params, loss_fn, learning_rate, steps):
+    """fit's steps as a Python loop over trace_loss's replay(): a miss
+    traces the loss again, then each step records the loss, calls
+    training.sgd_step and zeroes the grads.  The reference that fit's
+    generated step loop must match bit for bit."""
+    tape = params[0].tape
+    mark, losses, replay = tape.mark(), [], None
+    tape.zero_grads()
+    for _ in range(steps):
+        if replay is None or not replay():
+            tape.reset_to(mark)
+            loss, replay = trace_loss(params, loss_fn)
+            assert replay()
+        losses.append(loss.value)
+        training.sgd_step(params, learning_rate)
+        tape.zero_grads()
+    tape.reset_to(mark)
+    return losses
+
+
+def _loop_both(monkeypatch, build, values, learning_rate, steps):
+    """Runs fit and _replay_fit on ``build(tape, params)`` from fresh tapes.
+    Returns for each one its losses in hex, or the class and message of what
+    it raised, its final parameter values in hex and grads, and its calls of
+    the loss closure and of ``training.sgd_step``."""
+    runs, sgd = [], training.sgd_step
+    for train_loop in (fit, _replay_fit):
+        t = Tape()
+        params = [t.parameter(v) for v in values]
+        calls, stepped = [], []
+        monkeypatch.setattr(training, "sgd_step", lambda ps, lr: stepped.append(
+            sgd(ps, lr)))
+
+        def loss():
+            calls.append(1)
+            return build(t, params)
+        try:
+            out = [x.hex() for x in train_loop(params, loss, learning_rate, steps)]
+        except Exception as error:
+            out = (type(error), str(error))
+        runs.append((out, [p.value.hex() for p in params], [p.grad for p in params],
+                     len(calls), len(stepped)))
+    return runs
+
+
+def _branching(t, params):
+    """(p + 1)^2 while p >= 0, else (p - 1)^2: from 0.9 at rate 0.05, p
+    falls below 0 on step 7 and then crosses 0 on every step."""
+    p, = params
+    d = t.sub(p, t.constant(-1.0 if t.at_least(p, 0.0) else 1.0))
+    return t.mul(d, d)
+
+
+def test_fit_loop_resumes_at_the_step_its_branch_flipped(monkeypatch):
+    """The generated loop stops at the step where the branch flips, having
+    written no grad; fit traces the loss again and resumes there.  Losses,
+    parameters and grads match the Python loop bit for bit, and each calls
+    training.sgd_step exactly once a step."""
+    looped, reference = _loop_both(monkeypatch, _branching, [0.9], 0.05, 12)
+    assert looped == reference and looped[4] == 12
+    assert looped[2] == [0.0] and 1 < looped[3] < 12
+
+
+def test_fit_loop_raises_a_range_check_after_as_many_updates(monkeypatch):
+    """x = p / 2 rises by 1/8 a step and leaves [0, 1] on step 5: the loop
+    raises fuzzy_not's error there, after exactly 5 updates, as the Python
+    loop does."""
+    looped, reference = _loop_both(monkeypatch, lambda t, params: fuzzy_not(
+        t.mul(t.constant(0.5), params[0])), [1.0], 0.5, 20)
+    assert looped == reference
+    assert looped[0] == (FormulaError, "fuzzy_not input 1.125 outside [0, 1]")
+    assert looped[1] == [(2.25).hex()] and looped[4] == 5
+
+
+def test_fit_loop_calls_the_chunks_of_a_long_loss(monkeypatch):
+    """A loss of more than _CHUNK blocks compiles to chunk functions that
+    the loop calls in turn; its branch guard lies in the second chunk, whose
+    flip the loop returns.  The results match the Python loop bit for bit."""
+    from dpln import replay as compiled
+    sources = generated_code(monkeypatch)
+
+    def build(t, params):
+        x = t.sigmoid(params[0])
+        for k in range(40):
+            x = t.mul(x, t.constant(1.0 + k / 640))
+        return t.add(_branching(t, params), t.mul(t.constant(1e-3), x))
+    looped, reference = _loop_both(monkeypatch, build, [0.9], 0.05, 12)
+    assert looped == reference and looped[4] == 12 and 1 < looped[3] < 12
+    blocks, functions = sources.calls[0]
+    assert len(blocks) > compiled._CHUNK and len(functions) == 3
+    assert [b for b, block in enumerate(blocks) if "guards[" in block][0] >= compiled._CHUNK
+
+
+def test_fit_loop_of_one_step(monkeypatch):
+    """One step: the loop replays once, records the loss, steps once and
+    zeroes the grad, as the Python loop does."""
+    looped, reference = _loop_both(monkeypatch, lambda t, params: t.mul(
+        t.sigmoid(params[0]), params[1]), [0.3, -0.7], 0.5, 1)
+    assert looped == reference and looped[3:] == (1, 1)
+    assert looped[2] == [0.0, 0.0]
+
+
+def test_each_fit_compiles_its_step_loop_once(monkeypatch, tmp_path):
+    """Counts only, no timing.  Each fit compiles one source, its step loop
+    with the replay inside: one a fit for fruit-colors' six fits and for
+    learn-formula's one, so set-up compiles no second function.  The loop
+    gets the step function as an argument and names no sgd_step itself."""
+    sources = generated_code(monkeypatch)
+    cli.run_fruit_colors(cli.ExperimentConfig(
+        experiment="fruit-colors", true_probabilities={
+            "apple": {"yellow": 0.1, "red": 0.2, "green": 0.7},
+            "banana": {"yellow": 0.8, "red": 0.1, "green": 0.1}},
+        n_samples=50, steps=2, seed=1, out_dir=str(tmp_path)))
+    assert sources.fits == [1] * 6 and len(sources.compiles) == 6
+    cli.run_learn_formula(cli.ExperimentConfig(
+        experiment="learn-formula", lr=2.0, steps=2, grid_size=11,
+        heldout_size=2, out_dir=str(tmp_path / "learn-formula")))
+    assert sources.fits == [1] * 7 and len(sources.compiles) == 7
+    assert all("for k in range(k, n):" in source and "sgd_step" not in source
+               for source in sources.compiles)
+    for _, (loop,) in sources.calls:
+        assert training.sgd_step not in loop.__globals__.values()
+
+
 # -- constant adjoints: terms that no parameter changes, computed once ---------
 
 def test_a_zero_constant_factor_folds_the_adjoints_behind_it(monkeypatch):
@@ -802,6 +943,19 @@ def test_learn_formula_adjoint_columns_fuse_into_the_sigmoid_loop(monkeypatch, t
     (joint, _), = sources.calls[1:]
     assert len(joint) < 54, joint
     assert not any("[-d for d in w[" in block for block in joint), joint
+
+
+def test_learn_formula_sigmoid_terms_fuse_into_the_grad_loop(monkeypatch, tmp_path):
+    """Counts only, no timing.  The sigmoid's term column reaches the four
+    weights' grads through add lanes, which pass it on unchanged, so the one
+    grad loop that reads it computes it: no list is written that only a
+    grad loop reads, and the loss is at most 14 blocks, where that list took
+    15."""
+    sources = _learn_formula_blocks(monkeypatch, tmp_path)
+    assert len(sources) <= 14, sources
+    for made in set(re.findall(r"^(w\[\d+\]) = \[", "\n".join(sources), re.M)):
+        readers = [b for b in sources if b.count(made) > b.count(made + " = [")]
+        assert any("g[" not in b for b in readers), (made, readers)
 
 
 def _deep_chain(tape, edge):
@@ -1160,6 +1314,27 @@ def test_search_entry_points_reject_an_unknown_target_id(bad):
     with pytest.raises(UnknownAtomError):
         train(kb, [rule], dataset, [learnable.theta], TrainConfig(steps=3),
               learnables=[learnable])
+
+
+def test_train_checks_each_target_id_once(monkeypatch):
+    """Counts only, no timing.  A train call checks each target's id once,
+    with its groundness, before the search: up to its fit, AtomSpace.atom
+    sees each example's target once, not again at the search's entry.  The
+    commits after the fit assert through set_tv, which checks what it
+    writes."""
+    tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 6, seed=5)
+    seen, searched, atom, fit = Counter(), [], AtomSpace.atom, training.fit
+
+    def counting(self, atom_id):
+        seen[atom_id] += 1
+        return atom(self, atom_id)
+    monkeypatch.setattr(AtomSpace, "atom", counting)
+    monkeypatch.setattr(training, "fit", lambda *args: searched.append(
+        Counter(seen)) or fit(*args))
+    train(kb, [rule], dataset, [learnable.theta], TrainConfig(steps=2),
+          learnables=[learnable])
+    targets = Counter(ex.target for ex in dataset)
+    assert all(searched[0][t] == n for t, n in targets.items()), searched
 
 
 def _trace_shape(trace):

@@ -350,12 +350,12 @@ def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
     Returns ``(loss, replay)``.  ``replay()`` recomputes every record traced
     here that one of ``params`` reaches and adds d(loss)/d(parameter) into
     their grads, bit-identical to re-tracing ``loss_fn``; it writes only the
-    loss value and those grads.  Isomorphic records form lanes, and one list
-    comprehension recomputes a chain of lanes, each read by the next alone,
-    or a lane's adjoint terms with the term columns that only its adjoint
-    reads; adjoint terms that no parameter changes are computed here, once,
-    and a lone value is a local, one function for a short loss
-    (``dpln.replay``).
+    loss value and those grads.  Isomorphic records form lanes, one list
+    comprehension each; a list of values or terms that one loop alone reads,
+    whole and in order, is computed in it, a lane's values only if their op
+    neither raises nor binds a name and the loop is under the same guards.
+    Adjoint terms that no parameter changes are computed here, once, and a
+    lone value is a local, one function for a short loss (``dpln.replay``).
     Each ``check_unit`` and ``at_least`` on a value that a parameter reaches
     is a guard, re-tested once at its place in the trace: a failing range
     check raises what a re-trace would, and an ``at_least`` whose outcome

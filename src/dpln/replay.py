@@ -2,17 +2,18 @@
 
 The replayed records of one opcode, input kinds and depth between the same
 two guards form a lane: one list comprehension recomputes it, and one per
-input its adjoint terms.  A lane that one other lane alone reads, whole and
-in order, is inlined into its comprehension, and so is a column of terms
-into the loop of the one lane whose adjoint it is part of, whole and in
-order, if that lane reads its adjoint once, or into the one grad loop that
-reads it; the grads one adjoint column feeds add in one loop.  Adjoint
-terms that no parameter changes, from the loss's seed through constant
-partials, are computed at compile time.  Sums keep the eager order, so the
-loss and the grads are bit-identical to a re-trace.  Lists live in a
-scratch list ``w``; a lone value or term is a local, and a short loss is
-one function, the step loop, which runs a fit's steps: each replays, calls
-the step function and zeroes the grads.  Imported by ``trace_loss``.
+input its adjoint terms; the grads that one adjoint feeds add in one loop.
+One rule fuses loops: a list, a lane's values or a column of adjoint
+terms, that exactly one loop reads, whole and in member order, and nothing
+reads member by member (a guard, the loss, a sum, a lone record, a slice,
+a parameter's leftover grad loop) is computed inside that loop; a lane's
+values only if its op neither raises nor binds a name and the loop is a
+lane under the same guards, so a partial that reads them keeps them.
+Adjoint terms that no parameter changes are computed at compile time.
+Sums keep the eager order, so the loss and the grads are bit-identical to
+a re-trace.  Lists live in a scratch list ``w``, a lone value or term in
+a local.  A short loss is one function, the step loop, which runs a fit's
+steps: each replays, calls the step function and zeroes the grads.
 """
 
 from __future__ import annotations
@@ -109,11 +110,10 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
     for i in range(indices[0], len(deps)):
         if not reached.isdisjoint(deps[i][1::2]):
             reached.add(i)
-    read = reads & reached
-    if read:
+    if reads & reached:
         raise AutodiffError("the loss read or set the value of record %d, "
                             "which a parameter reaches: branch with "
-                            "Tape.at_least" % min(read))
+                            "Tape.at_least" % min(reads & reached))
     before = {i for i in reached if i < mark and deps[i]}
     stale = before and before & {loss, *(g[1] for g in guards),
                                  *(j for rec in deps[mark:] for j in rec[1::2])}
@@ -130,14 +130,13 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
     for g in guards:
         tests.setdefault((g[1], g[2], None if g[2] == _UNIT_GUARD else g[3]), g)
     guards = [g for g in tests.values() if g[1] in reached]
-    lanes, n, lane, kind = {}, 0, {}, {p: p for p in tape._param_indices}
-    replayed = [i for i in range(mark, len(deps)) if i in reached]
-    for i in replayed:
+    lanes, n, depth, kind = {}, 0, {}, {p: p for p in tape._param_indices}
+    for i in (i for i in range(mark, len(deps)) if i in reached):
         while n < len(guards) and guards[n][0] <= i:
             n += 1
         ins = deps[i][1::2]
-        lane[i] = key = (n, 1 + max(lane[j][1] if j in lane else 0 for j in ins),
-                         deps[i][0], *(kind.get(j, "c") for j in ins))
+        depth[i] = 1 + max(depth.get(j, 0) for j in ins)
+        key = (n, depth[i], deps[i][0], *(kind.get(j, "c") for j in ins))
         lanes.setdefault(key, []).append(i)
         kind[i] = "r"
     # a record's adjoint adds its consumers' terms in reverse record order,
@@ -149,33 +148,14 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
                 terms.setdefault(j, []).append(c := (i, q))
                 term[c] = len(terms[j])  # its place in j's terms, till swept
 
-    # into[key, q]: the lane that lane key alone reads, whole and in order,
-    # at input q, under the same guards, unless its op raises or binds a name,
-    # or a guard, the loss, a sum, a record outside the loss or a partial reads it
-    pinned = {loss, *(g[1] for g in guards),
-              *(j for i in replayed if i not in terms for j in deps[i][1::2])}
-    into = {}
-    for key, members in lanes.items():
-        for q in range(len(key) - 3 if key[2] != "sum" and len(members) > 1 else 0):
-            ins = [deps[i][1 + 2 * q] for i in members]
-            src = lane.get(ins[0])
-            op = src and OPS.get(src[2])
-            if op and src[0] == key[0] and lanes[src] == ins and not any(
-                    s in op.value + "".join(op.partials) for s in ("fail(", ":=", "{z}")
-            ) and "{%s}" % "xy"[q] not in "".join(p for p, k in zip(
-                    OPS[key[2]].partials, key[3:]) if k != "c") and all(
-                    len(terms.get(j, ())) == 1 and j not in pinned for j in ins):
-                into[key, q] = src
-    # once: the lanes of more than one member that read their adjoint in one
-    # term, of the one input a parameter reaches, whose partial is not 1.0
-    once = {key for key, members in lanes.items() if len(members) > 1 and key[2] != "sum"
-            and sum(k != "c" for k in key[3:]) == 1 and "1.0" not in (
-                p for p, k in zip(OPS[key[2]].partials, key[3:]) if k != "c")}
-
     # the scratch list w holds the lists: lane values, captured constants
     # and adjoint terms.  A lone value or term is the local s<k>, k its
-    # slot, and a lone finite constant a literal
+    # slot, and a lone finite constant a literal.  A block is a list of
+    # lines, each code or, till the read counts are known, (size, parts, k)
+    # for _each, k the list it makes; a source is code, a whole list's slot
+    # or a (template, sources) sum of columns
     w, at, sources, blocks, n = [], {}, {}, [], 0  # at: record -> element
+    lines, count = {}, {}  # fusible list -> its (template, sources), segment; reads
     order = sorted(lanes, key=lambda key: key[:2])
 
     def place(items):  # the items as elements
@@ -184,43 +164,59 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         return [(k, p) for p in range(len(items))] if len(items) > 1 else [(
             "s%d" % k if x is None else repr(x) if math.isfinite(x) else k, None)]
 
+    def read(elements, whole=True):  # one whole list as its slot, else code
+        k = elements[0][0]
+        if whole and elements[0][1] == 0 and elements == [(k, p) for p in range(len(w[k]))]:
+            return k  # its loops count their reads
+        count.update((s, 2) for s, p in elements if p is not None)  # read by element
+        return _code(elements, w)
+
     def value(i):
-        return _code([at[i]], w) if i in at else "v[%d]" % i
+        return read([at[i]]) if i in at else "v[%d]" % i
+
+    def line(size, parts, k=None, n=None):
+        """A line of parts, in guard segment n (None: the backward pass),
+        that makes list k if k is fusible.  A placeholder that names a list
+        is one read of it, however many parts use it, two from another segment."""
+        def named(template, src):
+            for name, s in src.items():
+                if "{%s}" % name in template:
+                    yield from named(*s) if type(s) is tuple else [(name, s)] * (type(s) is int)
+        for _, s in {r for _, t, src in parts for r in named(t, src)}:
+            count[s] = count.get(s, 0) + (2 if s in lines and lines[s][1] != n else 1)
+        if k is not None and size > 1:
+            lines[k] = parts[0][1:], n
+        return size, parts, k
     for key in order + [(len(guards),)]:
-        blocks += [guards[k][2].format(value(guards[k][1]), k)
-                   for k in range(n, key[0])]
+        blocks += [[guards[k][2].format(value(guards[k][1]), k)] for k in range(n, key[0])]
         if key not in lanes:
             break
         n, members = key[0], lanes[key]
-        src = sources[key] = {}
-        if key not in into.values():
-            at.update(zip(members, z := place([None] * len(members))))
-            src["z"] = _code(z, w)
+        at.update(zip(members, z := place([None] * len(members))))
+        src = sources[key] = {"z": read(z)}
         if key[2] == "sum":  # added left to right, _ADDS inputs a statement
             for i in members:
                 z, ins = value(i), [value(j) for j in deps[i][1::2]]
-                blocks += ["%s = %s" % (z, " + ".join(
-                    ([z] if s else []) + ins[s:s + _ADDS]))
-                    for s in range(0, len(ins), _ADDS)]
+                blocks += [["%s = %s" % (z, " + ".join(([z] if s else []) + ins[s:s + _ADDS]))]
+                           for s in range(0, len(ins), _ADDS)]
             continue
         for q, k in enumerate(key[3:]):
             ins = [deps[i][1 + 2 * q] for i in members]
-            inner = into.get((key, q))
-            src["xy"[q]] = (OPS[inner[2]].value, sources[inner]) if inner else (
-                "v[%d]" % k if k not in ("r", "c") else _code(place(
-                    [values[j] for j in ins]) if k == "c" else [at[j] for j in ins], w))
+            src["xy"[q]] = "v[%d]" % k if k not in ("r", "c") else read(
+                place([values[j] for j in ins]) if k == "c" else [at[j] for j in ins])
         if "1.0" in (src.get("x"), src.get("y")) and key[2] == "mul":  # x * 1.0 is x
             at[members[0]] = (src["x" if src["y"] == "1.0" else "y"], None)
-        elif key not in into.values():
-            blocks.append(_each(len(members), (src["z"], OPS[key[2]].value, src)))
+        else:  # the values of an op that raises or binds a name stay a list
+            op = OPS[key[2]].value
+            blocks.append([line(len(members), [(_code(z, w), op, src)],
+                                None if "fail(" in op or ":=" in op else z[0][0], n)])
     if loss in at:
-        blocks.append("v[%d] = %s" % (loss, value(loss)))
+        blocks.append(["v[%d] = %s" % (loss, value(loss))])
 
     def elements(ts):  # terms as elements, a column of constants one list
         return place(ts) if all(type(t) is float for t in ts) else [
             t if type(t) is tuple else place([t])[0] for t in ts]
-    grads = {}  # (adjoint code, size) -> the (grad, template, sources) it feeds
-    made = {}  # a term column's list -> the line that makes it and (template, sources)
+    grads = {}  # an adjoint's code -> the size and the (grad, template, sources) it feeds
     for key in reversed(order):
         members, size = lanes[key], len(lanes[key])
         if terms.keys().isdisjoint(members):
@@ -231,9 +227,7 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
                                      for i in members], fillvalue=0.0))
         if known := all(type(t) is float for col in columns for t in col):
             columns = [[reduce(float.__add__, ts) for ts in zip(*columns)]]
-        # a column computed in this lane's loop is its (template, sources)
-        cols = {"d%d" % c: col[0] if type(col[0]) is tuple and type(col[0][1]) is dict
-                else _code(elements(col), w) for c, col in enumerate(columns)}
+        cols = {"d%d" % c: read(elements(col)) for c, col in enumerate(columns)}
         block = []
         if size == 1 < len(cols):  # a lone adjoint: the sum, in its own slot
             columns = [place([None])]
@@ -260,42 +254,43 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
                              else a * deps[i][2 + 2 * q] if a else 0.0)
                             for c, i, a in zip(cs, members, adjoint))
             elif size > 1 and terms.get(p) == cs[::-1]:
-                grads.setdefault((str(d), size), []).append(("g[%d]" % p, template, src))
+                grads.setdefault(str(d), (size, []))[1].append(("g[%d]" % p, template, src))
                 del terms[p]  # this lane made all of p's terms
             elif partial == "1.0" and len(columns) == 1:
                 term.update(zip(cs, adjoint))  # the adjoint itself
             elif d == "1.0" and partial in ("{x}", "{y}"):
                 term[cs[0]] = (src[partial[1]], None)  # the factor itself
             elif ins[q] in reached:
-                # a column that is a whole column of a lane in once, at one
-                # place in each member's terms, is computed in that lane's loop
-                if partial not in slots and (k := lane.get(ins[q])) in once and lanes[k] == [
-                        deps[i][1 + 2 * q] for i in members] and partials.count(
-                        partial) == 1 and len({term.get(c) for c in cs}) == 1:
-                    slots[partial] = [(template, src)] * size
-                elif partial not in slots:
+                if partial not in slots:
                     slots[partial] = t = place([None] * size)
-                    block.append(_each(size, (_code(t, w), template, src)))
-                    made[_code(t, w)] = block[-1], (template, src)
+                    block.append(line(size, [(_code(t, w), template, src)], t[0][0]))
                 term.update(zip(cs, slots[partial]))
-        blocks += ["\n".join(block)] if block else []
-    at = len(blocks)
-    blocks += [_each(size, *parts) for (_, size), parts in grads.items()]
+        blocks.append(block)
+    blocks += [[line(size, parts)] for size, parts in grads.values()]
     for p in indices:  # a parameter's grad adds its terms in reverse record order
         ts = [term[c] for c in terms.get(p, ())]
         if any(type(t) is tuple for t in ts):  # a lone term is added as it is
-            blocks.append("if {0}: g[{1}] += {0}".format(_code(ts, w), p) if len(ts) == 1
-                          else "a = 0.0\nfor t in reversed(%s): a += t\nif a: g[%d] += a"
-                          % (_code(elements(ts[::-1]), w), p))
+            blocks.append(["if {0}: g[{1}] += {0}".format(read(ts, False), p) if len(ts) == 1
+                           else "a = 0.0\nfor t in reversed(%s): a += t\nif a: g[%d] += a"
+                           % (read(elements(ts[::-1]), False), p)])
         elif a := reduce(float.__add__, ts, 0.0):
-            blocks.append("g[%d] += %s" % (p, _code(place([a]), w)))
-    # a term column that one grad loop alone reads is computed in that loop
-    for b, ((d, size), parts) in enumerate(grads.items(), at):
-        if d in made and sum(block.count(d) for block in blocks) == 2:
-            line, column = made[d]
-            blocks[b] = _each(size, *[(g, t, dict(s, d=column)) for g, t, s in parts])
-            blocks = ["\n".join(y for y in x.split("\n") if y != line) for x in blocks]
-    blocks = [block for block in blocks if block]
+            blocks.append(["g[%d] += %s" % (p, _code(place([a]), w))])
+
+    # a list that one loop alone reads is computed in that loop
+    fused, inlined = {k for k in lines if count.get(k) == 1}, {}
+    w[:] = [None if k in fused else x for k, x in enumerate(w)]  # never written
+
+    def resolve(template, src):  # the sources template reads, a fused list inlined
+        subs = {name: s for name, s in src.items() if "{%s}" % name in template}
+        for name, s in subs.items():
+            if type(s) is int:
+                s = subs[name] = lines[s][0] if s in fused else "w[%d]" % s
+            if type(s) is tuple:
+                subs[name] = inlined.get(id(s)) or inlined.setdefault(id(s), (s[0], resolve(*s)))
+        return subs
+    blocks = [b for b in ("\n".join(x if type(x) is str else _each(x[0], *[
+        (t, tp, resolve(tp, src)) for t, tp, src in x[1]]) for x in block
+        if type(x) is str or x[2] not in fused) for block in blocks) if b]
     # a local that two functions of _CHUNK blocks use is read from its slot
     chunks = {}
     for b, block in enumerate(blocks):

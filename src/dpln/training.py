@@ -47,8 +47,8 @@ class LabeledExample:
 def _check_schedule(learning_rate: float, steps: int) -> None:
     if not 0.0 < learning_rate < math.inf:  # also rejects nan
         raise TrainError("learning_rate must be positive and finite")
-    if steps < 1:
-        raise TrainError("steps must be >= 1")
+    if not isinstance(steps, int) or steps < 1:  # a float would fail mid-fit
+        raise TrainError("steps must be an int >= 1")
 
 
 @dataclass
@@ -59,8 +59,8 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_schedule(self.learning_rate, self.steps)
-        if not 1 <= self.chain_depth <= MAX_SEARCH_DEPTH:
-            raise TrainError("chain_depth must lie in [1, %d]" % MAX_SEARCH_DEPTH)
+        if not isinstance(self.chain_depth, int) or not 1 <= self.chain_depth <= MAX_SEARCH_DEPTH:
+            raise TrainError("chain_depth must lie in [1, %d] and be an int" % MAX_SEARCH_DEPTH)
 
 
 class LearnableStrength:
@@ -154,7 +154,7 @@ def fit(params: list[VarRef], loss_fn: Callable[[], VarRef],
     again and resumes there.  A range check
     (``Tape.check_unit``) that fails on step k raises on step k.  Raises
     TrainError, before tracing, unless ``params`` are distinct parameters,
-    the rate is positive and finite and steps >= 1; AutodiffError for a
+    the rate is positive and finite and steps an int >= 1; AutodiffError for a
     stale parameter or one of another tape.
     """
     if not params:

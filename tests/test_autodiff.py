@@ -930,11 +930,28 @@ def _guard_between(t, p, cs):
     return [t.neg(m) for m in products]
 
 
+def _checked_after_its_reader(t, p, cs):
+    """Products that a neg lane reads whole, and a range check then reads
+    one of, in the same guard segment."""
+    products = [t.mul(t.sigmoid(p), c) for c in cs]
+    negs = [t.neg(m) for m in products]
+    t.check_unit(products[0], ValueError, "product")
+    return negs
+
+
+def _summed_too(t, p, cs):
+    """Products that a neg lane reads whole, and the loss's sum reads one of."""
+    products = [t.mul(p, c) for c in cs]
+    return [t.neg(m) for m in products] + products[:1]
+
+
 # the case and the op of its middle lane, which keeps its own comprehension
 _UNFUSED = {"two readers": (_two_readers, "mul"), "mul(s, s)": (_squared, "add"),
             "partial of another input": (_times_a_reached_value, "add"),
             "div": (_divided, "div"), "sigmoid into log": (_logged_sigmoid, "sigmoid"),
-            "guard between": (_guard_between, "mul")}
+            "guard between": (_guard_between, "mul"),
+            "checked after its reader": (_checked_after_its_reader, "mul"),
+            "summed too": (_summed_too, "mul")}
 
 
 def _three_copies(build):
@@ -966,8 +983,9 @@ def _assert_replay_matches_a_fresh_trace(loss_fn, values):
 @pytest.mark.parametrize("case", sorted(_UNFUSED))
 def test_a_lane_that_cannot_be_inlined_keeps_its_comprehension(monkeypatch, case):
     """A lane read by more than one lane or by a partial, one that can raise
-    or binds a name, and one that a guard parts from its reader each keep
-    their own comprehension, and the replay matches a re-trace bit for bit."""
+    or binds a name, one that a guard parts from its reader, and one that a
+    guard or a sum reads a member of each keep their own comprehension, and
+    the replay matches a re-trace bit for bit."""
     build, op = _UNFUSED[case]
     sources = generated_code(monkeypatch)
     _assert_replay_matches_a_fresh_trace(_three_copies(build), [0.3, 0.7, -1.2])
@@ -1025,6 +1043,17 @@ def test_a_term_column_read_twice_stays_one_list(monkeypatch, build):
     _assert_replay_matches_a_fresh_trace(_three_copies(build), [0.3, 0.7, -1.2])
     assert sum(block.count("1.0 / ") for block in sources) == (
         build is _adjoint_read_twice), sources
+
+
+def test_a_term_column_that_a_grad_loop_reads_by_member_stays_a_list(monkeypatch):
+    """log(p c + p): the add passes the log's term column on to the
+    products, whose adjoint loop reads it whole, and to p, whose grad loop
+    reads it member by member, so it stays a list, and the replay matches a
+    re-trace bit for bit."""
+    sources = generated_code(monkeypatch)
+    _assert_replay_matches_a_fresh_trace(_three_copies(
+        lambda t, p, cs: [t.log(t.add(t.mul(p, c), p)) for c in cs]), [0.3, 0.7, -1.2])
+    assert any("[d * (1.0 / x if " in block for block in sources), sources
 
 
 def test_a_lane_adds_a_grad_only_when_it_makes_all_its_terms():

@@ -251,7 +251,7 @@ def test_train_config_validation():
 def test_train_config_rejects_chain_depth_out_of_range():
     """A chain depth the search would reject fails when the config is made,
     before train writes any learnable into the KB."""
-    for depth in (0, -1, MAX_SEARCH_DEPTH + 1):
+    for depth in (0, -1, MAX_SEARCH_DEPTH + 1, 2.5):
         with pytest.raises(TrainError, match="chain_depth must lie in"):
             TrainConfig(chain_depth=depth)
     for depth in (1, MAX_SEARCH_DEPTH):
@@ -305,7 +305,7 @@ def test_fit_minimizes_and_rolls_back():
 
 
 @pytest.mark.parametrize("learning_rate, steps", [
-    (math.nan, 2), (math.inf, 2), (0.0, 2), (-0.1, 2), (0.1, -3)])
+    (math.nan, 2), (math.inf, 2), (0.0, 2), (-0.1, 2), (0.1, -3), (0.1, 2.5)])
 def test_fit_rejects_a_bad_rate_or_step_count(learning_rate, steps):
     """The rate and step count TrainConfig rejects, fit rejects too, before
     it traces or steps: the parameter keeps its value."""
@@ -1016,6 +1016,19 @@ def test_train_recovers_the_edges_of_a_six_step_chain(monkeypatch):
         [math.log(0.7 / 0.3)] * 6)
     for analytic, n in zip(grads[0], numeric):
         assert abs(analytic - n) <= 1e-5 + 1e-4 * abs(analytic)
+
+
+def test_a_six_step_chain_loss_compiles_to_at_most_286_blocks(monkeypatch):
+    """One step on the 15 targets of six learnable edges compiles the loss
+    once, to at most 286 blocks of replay code."""
+    sources = generated_code(monkeypatch)
+    tape = Tape()
+    edges = [LearnableStrength(tape, 0.7) for _ in range(6)]
+    kb, rules, targets = _deep_chain(tape, lambda kb, i, atom: edges[i].attach(kb, atom))
+    train(kb, rules, [LabeledExample(t, 0.5) for t in targets], [e.theta for e in edges],
+          TrainConfig(learning_rate=0.5, steps=1, chain_depth=6), edges)
+    assert len(sources.calls) == 1
+    assert len(sources) <= 286
 
 
 def test_train_retraces_deduction_on_a_learnable_middle_term(monkeypatch):

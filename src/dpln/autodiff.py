@@ -353,7 +353,7 @@ def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
     loss value and those grads.  Isomorphic records form lanes, one list
     comprehension each; a list of values or terms that one loop alone reads,
     whole and in order, is computed in it, a lane's values only if their op
-    neither raises nor binds a name and the loop is under the same guards.
+    neither raises nor binds a name.
     Adjoint terms that no parameter changes are computed here, once, and a
     lone value is a local, one function for a short loss (``dpln.replay``).
     Each ``check_unit`` and ``at_least`` on a value that a parameter reaches

@@ -437,8 +437,9 @@ def main(argv: list[str] | None = None) -> int:
             UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except MemoryError:  # the backward search grows with --depth
-        print("error: out of memory; try a smaller --depth", file=sys.stderr)
+    except MemoryError:  # a chain's backward search grows with --depth
+        print("error: out of memory" + "; try a smaller --depth" * (
+            args.command == "chain"), file=sys.stderr)
         return 1
     except Exception as exc:
         print("internal error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)

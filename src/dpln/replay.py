@@ -7,8 +7,7 @@ One rule fuses loops: a list, a lane's values or a column of adjoint
 terms, that exactly one loop reads, whole and in member order, and nothing
 reads member by member (a guard, the loss, a sum, a lone record, a slice,
 a parameter's leftover grad loop) is computed inside that loop; a lane's
-values only if its op neither raises nor binds a name and the loop is a
-lane under the same guards, so a partial that reads them keeps them.
+values only if its op neither raises nor binds a name.
 Adjoint terms that no parameter changes are computed at compile time.
 Sums keep the eager order, so the loss and the grads are bit-identical to
 a re-trace.  Lists live in a scratch list ``w``, a lone value or term in
@@ -34,7 +33,7 @@ def _code(elements: list, w: list) -> str:
     """Replay code for one element or a list of them: ``(s, p)`` is item p of
     the list at s of the scratch list ``w``, the float at s if p is None, or
     the code s, a local or a literal.  A run of one list's items is a slice
-    of it, and a run of one repeated scalar a repeat."""
+    of it."""
     runs = []  # [s, first, end] for the slice w[s][first:end], or [None, codes]
     for s, p in elements:
         if p is None:
@@ -49,10 +48,9 @@ def _code(elements: list, w: list) -> str:
             runs.append([s, p, p + 1])
     if len(elements) == 1:
         return runs[0][1][0] if runs[0][0] is None else "w[%d][%d]" % elements[0]
-    return " + ".join(
-        ("[%s] * %d" % (r[1][0], len(r[1])) if len(set(r[1])) == 1 < len(r[1])
-         else "[%s]" % ", ".join(r[1])) if r[0] is None else "w[%d]" % r[0]
-        if r[2] - r[1] == len(w[r[0]]) else "w[%d][%d:%d]" % tuple(r) for r in runs)
+    return " + ".join("[%s]" % ", ".join(r[1]) if r[0] is None else "w[%d]" % r[0]
+                      if r[2] - r[1] == len(w[r[0]]) else "w[%d][%d:%d]" % tuple(r)
+                      for r in runs)
 
 
 def _each(size: int, *parts: tuple) -> str:
@@ -155,7 +153,7 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
     # for _each, k the list it makes; a source is code, a whole list's slot
     # or a (template, sources) sum of columns
     w, at, sources, blocks, n = [], {}, {}, [], 0  # at: record -> element
-    lines, count = {}, {}  # fusible list -> its (template, sources), segment; reads
+    lines, count = {}, {}  # fusible list -> its (template, sources); reads
     order = sorted(lanes, key=lambda key: key[:2])
 
     def place(items):  # the items as elements
@@ -174,18 +172,17 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
     def value(i):
         return read([at[i]]) if i in at else "v[%d]" % i
 
-    def line(size, parts, k=None, n=None):
-        """A line of parts, in guard segment n (None: the backward pass),
-        that makes list k if k is fusible.  A placeholder that names a list
-        is one read of it, however many parts use it, two from another segment."""
+    def line(size, parts, k=None):
+        """A line of parts that makes list k if k is fusible.  A placeholder
+        that names a list is one read of it, however many parts use it."""
         def named(template, src):
             for name, s in src.items():
                 if "{%s}" % name in template:
                     yield from named(*s) if type(s) is tuple else [(name, s)] * (type(s) is int)
         for _, s in {r for _, t, src in parts for r in named(t, src)}:
-            count[s] = count.get(s, 0) + (2 if s in lines and lines[s][1] != n else 1)
+            count[s] = count.get(s, 0) + 1
         if k is not None and size > 1:
-            lines[k] = parts[0][1:], n
+            lines[k] = parts[0][1:]
         return size, parts, k
     for key in order + [(len(guards),)]:
         blocks += [[guards[k][2].format(value(guards[k][1]), k)] for k in range(n, key[0])]
@@ -209,7 +206,7 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         else:  # the values of an op that raises or binds a name stay a list
             op = OPS[key[2]].value
             blocks.append([line(len(members), [(_code(z, w), op, src)],
-                                None if "fail(" in op or ":=" in op else z[0][0], n)])
+                                None if "fail(" in op or ":=" in op else z[0][0])])
     if loss in at:
         blocks.append(["v[%d] = %s" % (loss, value(loss))])
 
@@ -246,9 +243,8 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
             # but for a zero's sign, and consumers test "if d", or "if a:" for a grad
             if partial in ("{x}", "{y}") and src.get(partial[1]) == "1.0":
                 partial = "1.0"
-            template = {"1.0": "{d}", "-1.0": "-{d}"}.get(partial, "(%s)" % partial
-                if d == "1.0" else "{d} * (%s)%s" % (  # 1.0 * x is x
-                    partial, "" if known and all(adjoint) else " if {d} else 0.0"))
+            template = {"1.0": "{d}", "-1.0": "-{d}"}.get(partial, "{d} * (%s)%s" % (
+                partial, "" if known and all(adjoint) else " if {d} else 0.0"))
             if known and (not any(adjoint) or set(re.findall(r"{\w}", partial)) <= fixed):
                 term.update((c, a if partial == "1.0" else -a if partial == "-1.0"
                              else a * deps[i][2 + 2 * q] if a else 0.0)
@@ -258,8 +254,6 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
                 del terms[p]  # this lane made all of p's terms
             elif partial == "1.0" and len(columns) == 1:
                 term.update(zip(cs, adjoint))  # the adjoint itself
-            elif d == "1.0" and partial in ("{x}", "{y}"):
-                term[cs[0]] = (src[partial[1]], None)  # the factor itself
             elif ins[q] in reached:
                 if partial not in slots:
                     slots[partial] = t = place([None] * size)
@@ -284,7 +278,7 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         subs = {name: s for name, s in src.items() if "{%s}" % name in template}
         for name, s in subs.items():
             if type(s) is int:
-                s = subs[name] = lines[s][0] if s in fused else "w[%d]" % s
+                s = subs[name] = lines[s] if s in fused else "w[%d]" % s
             if type(s) is tuple:
                 subs[name] = inlined.get(id(s)) or inlined.setdefault(id(s), (s[0], resolve(*s)))
         return subs

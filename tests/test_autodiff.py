@@ -923,13 +923,6 @@ def _logged_sigmoid(t, p, cs):
     return [t.log(s) for s in squashed]
 
 
-def _guard_between(t, p, cs):
-    """A range check between the products and the negs that read them."""
-    products = [t.mul(p, c) for c in cs]
-    t.check_unit(t.sigmoid(p), ValueError, "s")
-    return [t.neg(m) for m in products]
-
-
 def _checked_after_its_reader(t, p, cs):
     """Products that a neg lane reads whole, and a range check then reads
     one of, in the same guard segment."""
@@ -949,7 +942,6 @@ def _summed_too(t, p, cs):
 _UNFUSED = {"two readers": (_two_readers, "mul"), "mul(s, s)": (_squared, "add"),
             "partial of another input": (_times_a_reached_value, "add"),
             "div": (_divided, "div"), "sigmoid into log": (_logged_sigmoid, "sigmoid"),
-            "guard between": (_guard_between, "mul"),
             "checked after its reader": (_checked_after_its_reader, "mul"),
             "summed too": (_summed_too, "mul")}
 
@@ -983,21 +975,93 @@ def _assert_replay_matches_a_fresh_trace(loss_fn, values):
 @pytest.mark.parametrize("case", sorted(_UNFUSED))
 def test_a_lane_that_cannot_be_inlined_keeps_its_comprehension(monkeypatch, case):
     """A lane read by more than one lane or by a partial, one that can raise
-    or binds a name, one that a guard parts from its reader, and one that a
-    guard or a sum reads a member of each keep their own comprehension, and
-    the replay matches a re-trace bit for bit."""
+    or binds a name, and one that a guard or a sum reads a member of each
+    keep their own comprehension, and the replay matches a re-trace bit for
+    bit."""
     build, op = _UNFUSED[case]
     sources = generated_code(monkeypatch)
     _assert_replay_matches_a_fresh_trace(_three_copies(build), [0.3, 0.7, -1.2])
     assert any(_comprehension(op) in block for block in sources), sources
 
 
-def test_a_lane_read_by_one_lane_alone_is_inlined(monkeypatch):
+def _negated_products(t, p, cs):
+    """Products that only a neg lane reads."""
+    return [t.neg(t.mul(p, c)) for c in cs]
+
+
+def _guard_between(t, p, cs):
+    """A range check that holds between the products and the negs that
+    read them."""
+    products = [t.mul(p, c) for c in cs]
+    t.check_unit(t.sigmoid(p), ValueError, "s")
+    return [t.neg(m) for m in products]
+
+
+def _failing_check_between(t, p, cs):
+    """A range check on p, which fails once p leaves [0, 1], between the
+    products and the negs that read them."""
+    products = [t.mul(p, c) for c in cs]
+    t.check_unit(p, ValueError, "p")
+    return [t.neg(m) for m in products]
+
+
+def _branch_between(t, p, cs):
+    """A branch on p >= 0.5, which adds 1 - p to the loss, between the
+    products and the negs that read them."""
+    products = [t.mul(p, c) for c in cs]
+    above = t.at_least(p, 0.5)
+    return [t.neg(m) for m in products] + ([t.one_minus(p)] if above else [])
+
+
+def _replay_outcomes(loss_fn, values):
+    """The replay's outcome at each of ``values`` of its parameter, traced at
+    the first: True when the loss and the grad match a fresh trace's bit for
+    bit, False for a miss that wrote nothing, or the class of the error it
+    raised, which the fresh trace raised with the same message."""
+    t = Tape()
+    p = t.parameter(values[0])
+    loss, replay = trace_loss([p], lambda: loss_fn(t, p))
+    outcomes = []
+    for x in values:
+        p.value = x
+        t.zero_grads()
+        written = _bits([loss.value, p.grad])
+        fresh = Tape()
+        q = fresh.parameter(x)
+        try:
+            outcome = replay()
+        except (AutodiffError, ValueError) as error:
+            with pytest.raises(type(error)) as again:
+                loss_fn(fresh, q)
+            assert str(again.value) == str(error)
+            outcomes.append(type(error))
+            continue
+        if outcome:
+            fresh_loss = loss_fn(fresh, q)
+            fresh.backward(fresh_loss)
+            assert _bits([loss.value, p.grad]) == _bits([fresh_loss.value, q.grad])
+        else:
+            assert _bits([loss.value, p.grad]) == written
+        outcomes.append(outcome)
+    return outcomes
+
+
+# the case and the replay's outcomes at p = 0.3, where it is traced, 0.7 and -1.2
+_FUSED = {"no guard": (_negated_products, [True, True, True]),
+          "guard between": (_guard_between, [True, True, True]),
+          "failing check between": (_failing_check_between, [True, True, ValueError]),
+          "flipped branch between": (_branch_between, [True, False, True])}
+
+
+@pytest.mark.parametrize("case", sorted(_FUSED))
+def test_a_lane_read_by_one_lane_alone_is_inlined(monkeypatch, case):
     """Products that only a neg lane reads are computed inside its
-    comprehension, and the replay matches a re-trace bit for bit."""
+    comprehension, across a guard too.  A range check that fails raises
+    what a re-trace raises, a branch that flips reports a miss and writes
+    nothing, and otherwise the replay matches a re-trace bit for bit."""
+    build, outcomes = _FUSED[case]
     sources = generated_code(monkeypatch)
-    _assert_replay_matches_a_fresh_trace(_three_copies(
-        lambda t, p, cs: [t.neg(t.mul(p, c)) for c in cs]), [0.3, 0.7, -1.2])
+    assert _replay_outcomes(_three_copies(build), [0.3, 0.7, -1.2]) == outcomes
     assert not any(_comprehension("mul") in block for block in sources), sources
     assert any("[-(" in block for block in sources), sources
 

@@ -944,6 +944,7 @@ def _instance_proofs(kb, rules, target, config):
 
 
 _EVAL = '(EvaluationLink (PredicateNode "p%d") (VariableNode "%s"))'
+_GROUND = '(EvaluationLink (PredicateNode "p0") (ConceptNode "x%d"))'
 
 
 @pytest.mark.parametrize("shape", ['(NotLink %s)' % (_EVAL % (1, "$V")),
@@ -983,14 +984,17 @@ def test_nested_target_subtree_is_searched_as_a_premise(monkeypatch, shape):
     ('(ListLink %s %s)' % (_EVAL % (0, "$V"), _EVAL % (1, "$V")), [0, 0]),
     ('(ListLink %s %s)' % (_EVAL % (0, "$V"), _EVAL % (0, "$W")), [3, 3]),
     ('(ListLink %s (VariableNode "$W"))' % (_EVAL % (0, "$V")), [3, 3]),
-    ('(ListLink (VariableNode "$W") %s)' % (_EVAL % (1, "$V")), [4, 10])])
+    ('(ListLink (VariableNode "$W") %s)' % (_EVAL % (1, "$V")), [4, 10]),
+    # a partial, then the ground atom that its alias must match
+    *[('(ListLink %s %s)' % (_EVAL % (0, "$V"), _GROUND % x), proofs)
+      for x, proofs in ((0, [1, 1]), (2, [1, 1]), (1, [0, 0]))]])
 def test_nested_target_clash_and_repeat_shapes_get_their_instances_proofs(
         shape, proofs, depth):
     """A subtree holding one of the rule's own variables is not bound to the
     rule variable (a target's $P is not modus ponens' $P), nor is a rule
     variable already bound: the premise is solved as before.  Either way,
-    and for a subtree bound and then met again, the proofs are those of
-    each instance."""
+    and for a subtree bound and then met again, or bound as an alias and
+    then met by a ground atom, the proofs are those of each instance."""
     kb, rules = _nested_kb(6)
     results = _instance_proofs(kb, rules, parse_atom(kb, shape),
                                ChainConfig(max_depth=depth))

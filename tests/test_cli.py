@@ -384,6 +384,18 @@ def test_chain_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError\n"
 
 
+@pytest.mark.parametrize("experiment", ["fruit-colors", "learn-formula", "joint"])
+def test_experiment_out_of_memory_exits_1(tmp_path, monkeypatch, capsys, experiment):
+    """An experiment that runs out of memory exits 1 with a line that names
+    the cause and no --depth, an option the experiments do not have.  The
+    runner is stubbed: no real memory is exhausted."""
+    def runner(cfg):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "run_" + experiment.replace("-", "_"), runner)
+    assert main([experiment, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_chain_depth_200_on_a_tall_chain(tmp_path, capsys):
     """On a 200-link implication chain, --depth 200 exits 0: the search for
     Eval(p200, y) descends the whole chain to Eval(p0, y) and finds the

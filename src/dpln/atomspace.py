@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 from .autodiff import Tape, VarRef
 
-NODE = "node"
-LINK = "link"
-
 
 class AtomSpaceError(Exception):
     pass
@@ -31,27 +28,23 @@ class UnknownAtomError(AtomSpaceError):
 @dataclass(frozen=True)
 class AtomType:
     name: str
-    kind: str  # NODE or LINK
-
-    @property
-    def is_node(self) -> bool:
-        return self.kind == NODE
+    is_node: bool  # OpenCog's naming rule: a node type's name ends in "Node"
 
 
-TYPES: dict[str, AtomType] = {name: AtomType(name, kind) for name, kind in [
-    ("ConceptNode", NODE),
-    ("PredicateNode", NODE),
-    ("NumberNode", NODE),
-    ("VariableNode", NODE),
-    ("TypeNode", NODE),
-    ("InheritanceLink", LINK),
-    ("ImplicationLink", LINK),
-    ("EvaluationLink", LINK),
-    ("AndLink", LINK),
-    ("OrLink", LINK),
-    ("NotLink", LINK),
-    ("ListLink", LINK),
-    ("LambdaLink", LINK),
+TYPES: dict[str, AtomType] = {name: AtomType(name, name.endswith("Node")) for name in [
+    "ConceptNode",
+    "PredicateNode",
+    "NumberNode",
+    "VariableNode",
+    "TypeNode",
+    "InheritanceLink",
+    "ImplicationLink",
+    "EvaluationLink",
+    "AndLink",
+    "OrLink",
+    "NotLink",
+    "ListLink",
+    "LambdaLink",
 ]}
 
 
@@ -64,7 +57,6 @@ def _atom_type(name: str) -> AtomType:
 
 @dataclass(slots=True)
 class Atom:
-    id: int
     type: AtomType
     name: str | None = None          # node kinds only
     outgoing: tuple[int, ...] = ()   # link kinds only
@@ -89,7 +81,7 @@ DEFAULT_CONFIDENCE = 0.0
 
 
 class AtomSpace:
-    """The interned store with incoming-set and by-type indexes.
+    """The interned store; an atom's id is its index in ``atoms``.
 
     Fresh atoms carry the default truth value (1.0, 0.0): asserted but
     unevidenced.  ``set_tv`` marks an atom as explicitly asserted, which the
@@ -102,9 +94,8 @@ class AtomSpace:
     def __init__(self, tape: Tape):
         self.tape = tape
         self.atoms: list[Atom] = []  # by id; read-only outside this class
-        self._node_index: dict[tuple[str, str], int] = {}
-        self._link_index: dict[tuple[str, tuple[int, ...]], int] = {}
-        self.incoming_of: dict[int, list[int]] = {}  # read-only
+        self._index: dict[tuple, int] = {}  # (type name, node name or outgoing) -> id
+        self.incoming_of: list[list[int]] = []  # by id, like atoms; read-only
         self._by_type: dict[str, list[int]] = {}
         self.tvs: dict[int, TruthValue] = {}  # the asserted atoms; read-only
         self.subgoal_table = None  # chainer's; set_tv ends it
@@ -118,17 +109,15 @@ class AtomSpace:
         t = _atom_type(type_name)
         if not t.is_node:
             raise AtomSpaceError("%s is a link kind, not a node kind" % type_name)
-        key = (type_name, name)
-        existing = self._node_index.get(key)
+        existing = self._index.get((type_name, name))
         if existing is not None:
             return existing
-        atom = Atom(len(self.atoms), t, name=name,
-                    is_ground=(type_name != "VariableNode"))
-        self.atoms.append(atom)
-        self._node_index[key] = atom.id
-        self._by_type.setdefault(type_name, []).append(atom.id)
-        self.incoming_of[atom.id] = []
-        return atom.id
+        i = len(self.atoms)
+        self.atoms.append(Atom(t, name=name, is_ground=(type_name != "VariableNode")))
+        self.incoming_of.append([])
+        self._index[type_name, name] = i
+        self._by_type.setdefault(type_name, []).append(i)
+        return i
 
     def intern_link(self, type_name: str, outgoing: list[int]) -> int:
         t = _atom_type(type_name)
@@ -136,8 +125,7 @@ class AtomSpace:
             raise AtomSpaceError("%s is a node kind, not a link kind" % type_name)
         out = tuple(outgoing)
         for oid in out:
-            if not (isinstance(oid, int) and 0 <= oid < len(self.atoms)):
-                raise UnknownAtomError("unknown atom id %r" % (oid,))
+            self.atom(oid)  # raises UnknownAtomError
         return self._link(t, out)
 
     def _link(self, t: AtomType, out: tuple[int, ...]) -> int:
@@ -146,21 +134,21 @@ class AtomSpace:
         # and ids are assigned in insertion order, so a link's id is strictly
         # greater than everything it (transitively) contains.
         key = (t.name, out)
-        existing = self._link_index.get(key)
+        existing = self._index.get(key)
         if existing is not None:
             return existing
+        i = len(self.atoms)
         ground = all(self.atoms[oid].is_ground for oid in out)
-        atom = Atom(len(self.atoms), t, None, out, ground)  # positional: half the cost
-        self.atoms.append(atom)
-        self._link_index[key] = atom.id
-        self._by_type.setdefault(t.name, []).append(atom.id)
-        self.incoming_of[atom.id] = []
+        self.atoms.append(Atom(t, None, out, ground))  # positional: half the cost
+        self.incoming_of.append([])
+        self._index[key] = i
+        self._by_type.setdefault(t.name, []).append(i)
         for oid in set(out):
-            self.incoming_of[oid].append(atom.id)
-        return atom.id
+            self.incoming_of[oid].append(i)
+        return i
 
     def find_link(self, type_name: str, outgoing: list[int]) -> int | None:
-        return self._link_index.get((type_name, tuple(outgoing)))
+        return self._index.get((type_name, tuple(outgoing)))
 
     # -- access -----------------------------------------------------------
 

@@ -26,8 +26,8 @@ from .atomspace import AtomSpace, TruthValue
 from .autodiff import VarRef
 # unify is not called here: perfbench/tests/test_perfbench.py reads
 # dpln.chainer.unify, and tests/test_benchmark_names.py guards that name
-from .pattern import (Binding, Query, _substitute, _unify, candidates, lookup,
-                      match, unify, variables_in)
+from .pattern import (Binding, Query, _substitute, _unify, _variables_in,
+                      candidates, lookup, match, unify, variables_in)
 
 
 # Deepest max_depth the backward search accepts: the search (and later a
@@ -321,7 +321,7 @@ def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
         return True
     if ca.type.name == "VariableNode":
         if not ta.is_ground:  # a partial pattern: _unify reads the answer
-            if c not in rb and all(map(variables_in(kb, t).isdisjoint, args)):
+            if c not in rb and all(map(_variables_in(kb, t).isdisjoint, args)):
                 rb[c], seen[None] = t, True
             seen.setdefault(None, False)
             return True

@@ -87,8 +87,8 @@ def _load(kb: AtomSpace, text: str, query: bool) -> list[int]:
                         kb.set_tv(atom_id, _make_tv(kb, stv))
                     stack[-1][3].append(atom_id)
                     continue
+                atom_id = _normalize_lambda_implication(kb, atom_id)
                 if not query:
-                    atom_id = _normalize_lambda_implication(kb, atom_id)
                     kb.set_tv(atom_id, kb.get_tv(atom_id) if stv is None
                               else _make_tv(kb, stv))
                 top_ids.append(atom_id)
@@ -158,8 +158,9 @@ def _make_tv(kb: AtomSpace, stv: tuple[float, float]) -> TruthValue:
 
 
 def _normalize_lambda_implication(kb: AtomSpace, atom_id: int) -> int:
-    """Rewrites Impl(Lambda(vars, Eval(P, $X)), Lambda(vars, Eval(Q, $X)))
-    to the abbreviated Impl(P, Q) form; the two renderings are equivalent."""
+    """Rewrites Impl(Lambda($X, Eval(P, $X)), Lambda($Y, Eval(Q, $Y))) to the
+    abbreviated Impl(P, Q) form; the two renderings are equivalent.  Each
+    lambda must bind a VariableNode that is its PredicateNode's argument."""
     atom = kb.atom(atom_id)
     if atom.type.name != "ImplicationLink" or len(atom.outgoing) != 2:
         return atom_id
@@ -168,21 +169,21 @@ def _normalize_lambda_implication(kb: AtomSpace, atom_id: int) -> int:
         child = kb.atom(child_id)
         if child.type.name != "LambdaLink" or len(child.outgoing) != 2:
             return atom_id
-        body = kb.atom(child.outgoing[1])
-        if body.type.name != "EvaluationLink" or len(body.outgoing) != 2:
+        var, body = child.outgoing[0], kb.atom(child.outgoing[1])
+        if body.type.name != "EvaluationLink" or body.outgoing[1:] != (var,) \
+                or kb.atom(var).type.name != "VariableNode" \
+                or kb.atom(body.outgoing[0]).type.name != "PredicateNode":
             return atom_id
-        pred = kb.atom(body.outgoing[0])
-        if pred.type.name != "PredicateNode":
-            return atom_id
-        preds.append(pred.id)
+        preds.append(body.outgoing[0])
     return kb.intern_link("ImplicationLink", preds)
 
 
 # -- public API ------------------------------------------------------------
 
 def parse_atom(kb: AtomSpace, text: str) -> int:
-    """Parses a single s-expression into an interned atom.  It writes no
-    truth value: an (stv ...) at any level is a SexprError."""
+    """Parses a single s-expression into an interned atom, abbreviating a
+    Lambda-wrapped implication as ``load_kb`` does.  It writes no truth
+    value: an (stv ...) at any level is a SexprError."""
     return _load(kb, text, query=True)[0]
 
 

@@ -10,7 +10,7 @@ import importlib
 
 from dpln.atomspace import AtomSpace
 from dpln.autodiff import Tape
-from dpln.chainer import Derivation
+from dpln.chainer import ChainConfig, Derivation, Leaf, backward_chain
 from dpln.cli import ExperimentConfig
 
 MODULE_FUNCTIONS = [
@@ -29,7 +29,7 @@ CLASS_METHODS = [
     (AtomSpace, "has_asserted_tv"), (AtomSpace, "set_tv"),
     (AtomSpace, "intern_node"), (AtomSpace, "intern_link"),
     (AtomSpace, "atoms_of_type"), (Tape, "reset_to"), (Tape, "backward"),
-    (Derivation, "replay"),
+    (Derivation, "replay"), (Derivation, "leaves"),
 ]
 
 # what the fruit-colors and learn-formula workloads pass ExperimentConfig
@@ -57,6 +57,29 @@ def test_class_methods_exist():
 def test_experiment_config_fields_exist():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert EXPERIMENT_FIELDS - fields == set()
+
+
+def test_atom_and_trace_attributes_exist():
+    """perfbench's checks read ``type.is_node``, ``type.name``, ``name`` and
+    ``outgoing`` off atoms, and ``rule.name``, ``premises``, ``leaves()`` and a
+    leaf's ``atom`` off the traces ``backward_chain`` returns."""
+    from dpln.rules import make_rule_set
+    from dpln.sexpr import load_kb, parse_atom
+    kb = AtomSpace(Tape())
+    ab, bc = load_kb(kb, """
+    (InheritanceLink (stv 0.9 0.8) (ConceptNode "a") (ConceptNode "b"))
+    (InheritanceLink (stv 0.8 0.9) (ConceptNode "b") (ConceptNode "c"))
+    """)
+    target = parse_atom(kb, '(InheritanceLink (ConceptNode "a") (ConceptNode "c"))')
+    atom = kb.atom(target)
+    node = kb.atom(atom.outgoing[0])
+    assert (atom.type.name, atom.type.is_node) == ("InheritanceLink", False)
+    assert (node.type.name, node.type.is_node, node.name) == ("ConceptNode", True, "a")
+    (_, _, trace), = backward_chain(kb, make_rule_set(kb), target,
+                                    ChainConfig(max_depth=1))
+    assert isinstance(trace, Derivation) and trace.rule.name == "deduction"
+    assert [(type(p), p.atom) for p in trace.premises] == [(Leaf, ab), (Leaf, bc)]
+    assert [leaf.atom for leaf in trace.leaves()] == [ab, bc]
 
 
 def test_fit_calls_sgd_step_once_per_step_through_the_module(monkeypatch):

@@ -226,17 +226,19 @@ def test_rule_set_composition():
         concl_vars = set()
         stack = [rule.conclusion]
         while stack:
-            a = kb.atom(stack.pop())
+            i = stack.pop()
+            a = kb.atom(i)
             if a.type.name == "VariableNode":
-                concl_vars.add(a.id)
+                concl_vars.add(i)
             stack.extend(a.outgoing)
         premise_vars = set()
         for p in rule.premises:
             stack = [p]
             while stack:
-                a = kb.atom(stack.pop())
+                i = stack.pop()
+                a = kb.atom(i)
                 if a.type.name == "VariableNode":
-                    premise_vars.add(a.id)
+                    premise_vars.add(i)
                 stack.extend(a.outgoing)
         assert concl_vars <= premise_vars
 

@@ -238,11 +238,13 @@ def test_a_paren_where_the_type_symbol_belongs():
     '(InheritanceLink (VariableNode "$X") (ConceptNode "fruit"))',
     '(EvaluationLink (PredicateNode "green"))',
     '(EvaluationLink (ConceptNode "green") (VariableNode "$X"))',
+    '(EvaluationLink (PredicateNode "green") (ConceptNode "c"))',
+    '(EvaluationLink (PredicateNode "green") (VariableNode "$Y"))',
 ])
 def test_lambda_implication_of_another_body_loads_unchanged(body):
     """An implication of lambdas is abbreviated only when each body is a
-    binary EvaluationLink of a PredicateNode; one of another body is
-    asserted as written."""
+    binary EvaluationLink of a PredicateNode applied to its lambda's
+    variable; one of another body is asserted as written."""
     _, kb = fresh_kb()
     src = ('(ImplicationLink (LambdaLink (VariableNode "$X") (EvaluationLink '
            '(PredicateNode "apple") (VariableNode "$X"))) (LambdaLink '
@@ -252,6 +254,30 @@ def test_lambda_implication_of_another_body_loads_unchanged(body):
     assert top == parse_atom(kb, src)
     assert format_atom(kb, top) == format_atom(kb, parse_atom(kb, src))
     assert kb.get_tv(top).confidence == 0.9
+
+
+def test_lambda_implication_of_a_non_variable_loads_unchanged():
+    """A lambda that binds a ConceptNode abbreviates nothing."""
+    _, kb = fresh_kb()
+    src = ('(ImplicationLink (LambdaLink (ConceptNode "k") (EvaluationLink '
+           '(PredicateNode "apple") (VariableNode "$X"))) (LambdaLink '
+           '(VariableNode "$X") (EvaluationLink (PredicateNode "green") '
+           '(VariableNode "$X"))))')
+    top = load_kb(kb, src)[0]
+    assert format_atom(kb, top) == src
+
+
+def test_query_abbreviates_a_lambda_implication_as_load_kb_does():
+    """A query in the long form is the fact in the short form, so
+    ``chain --target`` finds it either way."""
+    _, kb = fresh_kb()
+    short = '(ImplicationLink (PredicateNode "apple") (PredicateNode "green"))'
+    long = ('(ImplicationLink (LambdaLink (VariableNode "$X") (EvaluationLink '
+            '(PredicateNode "apple") (VariableNode "$X"))) (LambdaLink '
+            '(VariableNode "$Y") (EvaluationLink (PredicateNode "green") '
+            '(VariableNode "$Y"))))')
+    fact = load_kb(kb, short)[0]
+    assert parse_atom(kb, long) == parse_atom(kb, short) == fact
 
 
 # -- property: load, format, load -------------------------------------------

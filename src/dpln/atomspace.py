@@ -87,8 +87,9 @@ class AtomSpace:
     unevidenced.  ``set_tv`` marks an atom as explicitly asserted, which the
     backward chainer uses to distinguish stated facts from atoms interned as
     query patterns or templates, and ends the chainer's subgoal table, built
-    from the asserted set, when that set grows.  ``pattern`` and ``chainer``
-    read ``atoms``, ``tvs`` and ``incoming_of`` and intern by ``_link``, unchecked.
+    from the asserted set, when that set grows.  Unchecked, ``pattern`` and
+    ``chainer`` read ``atoms``, ``tvs``, ``incoming_of`` and ``_index``, and
+    intern by ``_link``.
     """
 
     def __init__(self, tape: Tape):
@@ -119,14 +120,17 @@ class AtomSpace:
         self._by_type.setdefault(type_name, []).append(i)
         return i
 
-    def intern_link(self, type_name: str, outgoing: list[int]) -> int:
+    def _checked_link(self, type_name: str, outgoing: list[int]) -> tuple[AtomType, tuple]:
         t = _atom_type(type_name)
         if t.is_node:
             raise AtomSpaceError("%s is a node kind, not a link kind" % type_name)
         out = tuple(outgoing)
         for oid in out:
             self.atom(oid)  # raises UnknownAtomError
-        return self._link(t, out)
+        return t, out
+
+    def intern_link(self, type_name: str, outgoing: list[int]) -> int:
+        return self._link(*self._checked_link(type_name, outgoing))
 
     def _link(self, t: AtomType, out: tuple[int, ...]) -> int:
         """``intern_link`` unchecked: a link type of TYPES, ids this KB gave."""
@@ -148,7 +152,9 @@ class AtomSpace:
         return i
 
     def find_link(self, type_name: str, outgoing: list[int]) -> int | None:
-        return self._index.get((type_name, tuple(outgoing)))
+        """The link's id, or None; checks its input as ``intern_link`` does."""
+        t, out = self._checked_link(type_name, outgoing)
+        return self._index.get((t.name, out))
 
     # -- access -----------------------------------------------------------
 

@@ -217,7 +217,7 @@ def _substitute(kb: AtomSpace, template: int, binding: Binding) -> int:
     out = tuple([_substitute(kb, oid, binding) for oid in atom.outgoing])
     if out == atom.outgoing:
         return template
-    found = kb.find_link(atom.type.name, out)
+    found = kb._index.get((atom.type.name, out))
     return kb._link(atom.type, out) if found is None else found
 
 
@@ -235,5 +235,5 @@ def lookup(kb: AtomSpace, template: int, binding: Binding) -> int | None:
         if found is None:
             return None
         out.append(found)
-    return kb.find_link(atom.type.name, out)
+    return kb._index.get((atom.type.name, tuple(out)))
 

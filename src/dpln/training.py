@@ -7,7 +7,7 @@ loss once and runs its steps as compiled code, with range checks and
 branches as guards, and traces it again only after a branch flips.
 ``train`` runs the proof search once, for all its targets
 through the KB's subgoal table, and each step's loss replays the traces;
-it drops the table when its commits will assert a new conclusion.  Targets
+it writes no conclusion, only its learnables' strengths.  Targets
 differing only in their last argument make one lifted query (``first_proofs``).
 ``predict`` reads, through the same traces, the strengths ``train`` fits.
 """
@@ -20,8 +20,7 @@ from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import AutodiffError, Tape, VarRef, sigmoid, trace_loss
-from .chainer import (MAX_SEARCH_DEPTH, ChainConfig, Derivation, Rule, commit,
-                      first_proofs)
+from .chainer import MAX_SEARCH_DEPTH, ChainConfig, Rule, first_proofs
 
 
 class TrainError(Exception):
@@ -228,14 +227,13 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
     Each step refreshes the learnable strengths, asserted since ``attach``,
     and takes the mean cross-entropy over the examples against their
     labels, 0, 1 or soft.  Every target must be ground (``_find_traces``).
+    Writes no truth value but its learnables', at their final strengths.
     """
     if not params:
         raise TrainError("params must be nonempty")
     if not dataset:
         raise TrainError("dataset must be nonempty")
     traces = _find_traces(kb, rules, dataset, config.chain_depth)
-    if not kb.tvs.keys() >= {t.conclusion for t in traces}:
-        kb.subgoal_table = None  # the commits end it: free it for the fit
     labels = [ex.label for ex in dataset]
 
     def loss() -> VarRef:
@@ -244,11 +242,6 @@ def train(kb: AtomSpace, rules: list[Rule], dataset: list[LabeledExample],
         return cross_entropy(_replay(kb, traces), labels)
 
     losses = fit(params, loss, config.learning_rate, config.steps)
-
-    # leave the KB holding conclusion strengths for the final parameter values
-    for ls in learnables:
+    for ls in learnables:  # fit rolled the tape back: record the final strengths
         ls.refresh()
-    for trace, strength in zip(traces, _replay(kb, traces)):
-        if isinstance(trace, Derivation):
-            commit(kb, trace, strength)
     return losses

@@ -54,6 +54,24 @@ def test_intern_link_rejects_node_kind_and_dangling():
         kb.intern_link("ListLink", [s, 999])
 
 
+def test_find_link_checks_its_input_as_intern_link_does():
+    """A bad type name, a node kind or an unknown id raises, as it does in
+    intern_link, rather than reading as "no such link"; a good query that
+    misses returns None and interns nothing."""
+    _, kb = fresh_kb()
+    a = kb.intern_node("ConceptNode", "a")
+    with pytest.raises(UnknownTypeError):
+        kb.find_link("Bogus", [a])
+    with pytest.raises(AtomSpaceError) as err:
+        kb.find_link("ConceptNode", [a])
+    assert type(err.value) is AtomSpaceError
+    with pytest.raises(UnknownAtomError):
+        kb.find_link("InheritanceLink", [99, "x"])
+    assert kb.find_link("InheritanceLink", [a, a]) is None and len(kb) == 1
+    link = kb.intern_link("InheritanceLink", [a, a])
+    assert kb.find_link("InheritanceLink", (a, a)) == link
+
+
 def test_evaluation_link_shape():
     _, kb = fresh_kb()
     pred = kb.intern_node("PredicateNode", "apple")

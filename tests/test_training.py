@@ -1129,10 +1129,11 @@ def test_train_final_kb_state_matches_report():
                         [kb.node("PredicateNode", "apple"),
                          kb.node("PredicateNode", "green")])
     assert kb.get_tv(impl).strength.value == pytest.approx(learnable.value())
-    # predictions left in the KB reflect the final strength
+    # a conclusion stays an output: predict reads it at the final strength
     pred = dataset[0].target
-    assert kb.get_tv(pred).strength.value == pytest.approx(
-        learnable.value() * 1.0 + 0.2 * 0.0)
+    assert pred not in kb.tvs
+    (s,) = predict(kb, [rule], dataset[:1], cfg.chain_depth)
+    assert s.value == pytest.approx(learnable.value() * 1.0 + 0.2 * 0.0)
 
 
 def test_train_two_groups_mixed_labels_loss_is_example_mean():
@@ -1241,9 +1242,9 @@ def test_train_underivable_target_reports_index():
 def test_predict_reads_the_strengths_train_replays():
     """predict gives each example the strength of the trace train replays:
     the first derivation's, also for a target that is asserted too, else
-    the lookup's for a target that is only a fact; after train, the
-    strengths train committed.  It writes no truth value: the asserted set
-    and every TV stay as they were."""
+    the lookup's for a target that is only a fact; after train, the same
+    traces at the fitted strength.  It writes no truth value: the asserted
+    set and every TV stay as they were."""
     tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 6, seed=8)
     kb.set_tv(dataset[2].target, TruthValue(tape.constant(0.9), 0.8))
     inst = kb.atoms[dataset[3].target].outgoing[1]
@@ -1259,9 +1260,10 @@ def test_predict_reads_the_strengths_train_replays():
 
     train(kb, [rule], dataset, [learnable.theta], TrainConfig(steps=20),
           learnables=[learnable])
-    # train commits what its traces replay at the final strength
+    assert kb.tvs.keys() == tvs.keys()
     after = [s.value for s in predict(kb, [rule], dataset, 3)]
-    assert after == [kb.get_tv(ex.target).strength.value for ex in dataset]
+    derived = learnable.value() * 1.0 + 0.2 * 0.0
+    assert after == pytest.approx([derived] * 4 + [1.0] + [derived] * 2)
     assert after != strengths
 
 
@@ -1293,10 +1295,10 @@ def test_train_rejects_non_ground_target(monkeypatch):
             if kb.has_asserted_tv(a)} == tvs
 
 
-def test_train_drops_the_table_its_commits_would_end(monkeypatch):
-    """A train call whose commits assert new conclusions drops the KB's
-    subgoal table before fitting; once every conclusion is asserted, the
-    table outlives the call and the next train call reuses it."""
+def test_train_keeps_the_kbs_subgoal_table(monkeypatch):
+    """A train call asserts no conclusion, so the subgoal table its search
+    builds outlives the call: three train calls fit, and a later predict
+    searches, through one table."""
     tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 6, seed=5)
     tables = []
     fit = training.fit
@@ -1308,8 +1310,10 @@ def test_train_drops_the_table_its_commits_would_end(monkeypatch):
     for _ in range(3):
         train(kb, [rule], dataset, [learnable.theta], TrainConfig(steps=3),
               learnables=[learnable])
-    assert tables[0] is None
-    assert tables[1] is not None and tables[2] is tables[1]
+    predict(kb, [rule], dataset, 3)
+    tables.append(kb.subgoal_table)
+    assert tables[0] is not None
+    assert all(table is tables[0] for table in tables)
 
 
 @pytest.mark.parametrize("bad", [-1, "len", "x"], ids=["minus-one", "len", "str"])
@@ -1331,10 +1335,9 @@ def test_search_entry_points_reject_an_unknown_target_id(bad):
 
 def test_train_checks_each_target_id_once(monkeypatch):
     """Counts only, no timing.  A train call checks each target's id once,
-    with its groundness, before the search: up to its fit, AtomSpace.atom
-    sees each example's target once, not again at the search's entry.  The
-    commits after the fit assert through set_tv, which checks what it
-    writes."""
+    with its groundness, before the search: AtomSpace.atom sees each
+    example's target once, not again at the search's entry nor after the
+    fit, which writes only the learnable's truth value."""
     tape, kb, rule, learnable, dataset = _fruit_setup(0.5, 6, seed=5)
     seen, searched, atom, fit = Counter(), [], AtomSpace.atom, training.fit
 
@@ -1348,6 +1351,7 @@ def test_train_checks_each_target_id_once(monkeypatch):
           learnables=[learnable])
     targets = Counter(ex.target for ex in dataset)
     assert all(searched[0][t] == n for t, n in targets.items()), searched
+    assert all(seen[t] == n for t, n in targets.items()), seen
 
 
 def _trace_shape(trace):
@@ -1365,8 +1369,9 @@ def test_shared_table_traces_match_per_target_search(monkeypatch):
     """Every train call's one-table search picks, for every example, the
     trace a backward_chain per target through a fresh table would pick: same rule, binding,
     conclusion, terms and leaf atoms, and the same replayed strength.  The
-    KB is fruit-colors-shaped, and the later calls reach conclusions that
-    earlier calls committed, as depth-0 facts."""
+    KB is fruit-colors-shaped, and the later calls reach the conclusions of
+    earlier calls as depth-0 facts: after each fit the test commits what
+    its traces replay, as a caller that wants conclusions in the KB does."""
     tape, kb = fresh_kb()
     rng = random.Random(11)
     pred = {n: kb.node("PredicateNode", n)
@@ -1406,8 +1411,11 @@ def test_shared_table_traces_match_per_target_search(monkeypatch):
         derived = [t for t in targets if not kb.has_asserted_tv(t)]
         train(kb, rules, dataset, [learnable.theta],
               TrainConfig(steps=5, chain_depth=depth), learnables=[learnable])
+        traces = find(kb, rules, dataset, depth)
+        for trace, strength in zip(traces, training._replay(kb, traces)):
+            if isinstance(trace, Derivation):
+                chainer.commit(kb, trace, strength)
         committed.update(derived)
-        assert all(kb.has_asserted_tv(t) for t in derived)
 
     # fruit-colors: one fit per fruit x color pair
     for fruit in ("apple", "banana"):
@@ -1520,10 +1528,11 @@ def test_train_call_derives_as_often_at_any_instance_count(monkeypatch):
 
 def test_lane_commits_match_the_per_target_search(monkeypatch):
     """Lane leaves at differing confidences, below and above their prefix
-    leaf's: each conclusion train commits through a lifted query's lane
-    gets the strength value and confidence that the per-target reference
-    _per_target_find_traces, followed by commit, gives it.  The lanes are
-    read off the walk, not the table: that run makes no _derive call."""
+    leaf's: each trace train fits through a lifted query's lane replays,
+    after the fit, to the strength that the per-target reference
+    _per_target_find_traces gives, and its leaves' minimum confidence,
+    which commit would write, is the reference's.  The lanes are read off
+    the walk, not the table: that run makes no _derive call."""
     derive = chainer._derive
 
     def run(find):
@@ -1535,24 +1544,72 @@ def test_lane_commits_match_the_per_target_search(monkeypatch):
         weights = FormulaWeights.create(tape)
         asked = targets["apple"] + targets["banana"]
         dataset = [LabeledExample(t, rng.randrange(2)) for t in asked]
-        derived = []
+        derived, found = [], []
 
         def counting(*args):
             derived.append(1)
             return derive(*args)
         with monkeypatch.context() as m:
-            m.setattr(training, "_find_traces", find)
+            m.setattr(training, "_find_traces",
+                      lambda *args: found.extend(find(*args)) or found)
             m.setattr(chainer, "_derive", counting)
             train(kb, [make_modus_ponens_rule(kb, weights=weights)], dataset,
                   weights.refs(), TrainConfig(steps=3, chain_depth=1))
-        return len(derived), [(kb.get_tv(t).strength.value, kb.get_tv(t).confidence)
-                              for t in asked]
+        return len(derived), [
+            (s.value, min(kb.get_tv(leaf.atom).confidence for leaf in t.leaves()))
+            for t, s in zip(found, training._replay(kb, found))]
 
     lane_derives, got = run(training._find_traces)
     reference_derives, expected = run(_per_target_find_traces)
     assert lane_derives == 0 < reference_derives
     assert got == expected
     assert {c for _, c in got} == {0.3, 0.6, 0.8, 0.9}
+
+
+def _fruit_colors_case():
+    """Two fruits, Impl(apple, red) learnable and Impl(banana, red) a
+    fact, every Eval(red, x) a target, one of them also asserted."""
+    rng = random.Random(4)
+    tape, kb, pred, targets = _two_fruit_kb(10, rng)
+    kb.set_tv(kb.link("ImplicationLink", pred["banana"], pred["red"]),
+              TruthValue(tape.constant(0.4), 1.0))
+    kb.set_tv(targets["apple"][0], TruthValue(tape.constant(0.9), 0.8))
+    learnable = LearnableStrength(tape, init=0.5)
+    learnable.attach(kb, kb.link("ImplicationLink", pred["apple"], pred["red"]))
+    dataset = [LabeledExample(t, rng.randrange(2))
+               for t in targets["apple"] + targets["banana"]]
+    return kb, [make_modus_ponens_rule(kb)], dataset, [learnable.theta], [learnable], 3
+
+
+def _trainable_mp_case():
+    """Trainable modus ponens weights over two asserted implications."""
+    rng = random.Random(6)
+    tape, kb, pred, targets = _two_fruit_kb(6, rng)
+    for f, strength in [("apple", 0.7), ("banana", 0.4)]:
+        kb.set_tv(kb.link("ImplicationLink", pred[f], pred["red"]),
+                  TruthValue(tape.constant(strength), 1.0))
+    weights = FormulaWeights.create(tape)
+    dataset = [LabeledExample(t, rng.randrange(2))
+               for t in targets["apple"] + targets["banana"]]
+    rules = [make_modus_ponens_rule(kb, weights=weights)]
+    return kb, rules, dataset, weights.refs(), [], 1
+
+
+@pytest.mark.parametrize("case", [_fruit_colors_case, _trainable_mp_case],
+                         ids=["fruit-colors", "trainable-mp"])
+def test_train_writes_no_truth_value_but_its_learnables(case):
+    """A train call leaves the asserted set, and every truth value object
+    but its learnables', as it found them: conclusions are outputs of the
+    fit, not facts it writes."""
+    kb, rules, dataset, params, learnables, depth = case()
+    tvs = dict(kb.tvs)
+    train(kb, rules, dataset, params, TrainConfig(steps=5, chain_depth=depth),
+          learnables=learnables)
+    own = {ls.atom for ls in learnables}
+    assert kb.tvs.keys() == tvs.keys()
+    assert all(kb.tvs[a] is tv for a, tv in tvs.items() if a not in own)
+    for ls in learnables:
+        assert kb.tvs[ls.atom].strength.value == pytest.approx(ls.value())
 
 
 

@@ -11,8 +11,7 @@ from .atomspace import (Atom, AtomSpace, AtomSpaceError, AtomType, TruthValue,
 from .autodiff import AutodiffError, Tape, VarRef
 from .chainer import (ChainConfig, ChainError, Derivation, InferenceTrace,
                       Leaf, Rule, apply_rule, backward_chain, forward_chain)
-from .pattern import (Binding, MatchError, Query, match, substitute, unify,
-                      variables_in)
+from .pattern import Binding, MatchError, match, substitute, unify, variables_in
 from .rules import (FormulaWeights, deduction_strength, fuzzy_and, fuzzy_not,
                     fuzzy_or, make_deduction_rule, make_modus_ponens_rule,
                     make_rule_set, modus_ponens_strength,

@@ -344,7 +344,7 @@ _BRANCH_GUARD = {True: "if not {0} >= guards[{1}]: return k",
 
 
 def trace_loss(params: list[VarRef], loss_fn: Callable[[], VarRef]
-               ) -> tuple[VarRef, Callable[[], bool]]:
+               ) -> tuple[VarRef, Callable[..., bool | int]]:
     """Calls ``loss_fn()`` once and compiles the graph it traced.
 
     Returns ``(loss, replay)``.  ``replay()`` recomputes every record traced

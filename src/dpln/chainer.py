@@ -26,8 +26,8 @@ from .atomspace import AtomSpace, TruthValue
 from .autodiff import VarRef
 # unify is not called here: perfbench/tests/test_perfbench.py reads
 # dpln.chainer.unify, and tests/test_benchmark_names.py guards that name
-from .pattern import (Binding, Query, _substitute, _unify, _variables_in,
-                      candidates, lookup, match, unify, variables_in)
+from .pattern import (Binding, _substitute, _unify, _variables_in, candidates,
+                      lookup, match, unify, variables_in)
 
 
 # Deepest max_depth the backward search accepts: the search (and later a
@@ -224,11 +224,13 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     the factor lengths, picks one binding per factor, merged in clause
     order, which is the binding, key order included, that ``match``'s
     nested loop puts at that index.  After a firing, only bindings in which
-    some premise matches an atom it interned are added.  That suffices
-    because ``match`` tests atom presence, not truth values, and the KB only
-    grows.  Such a delta is matched only for a rule with a premise that can
-    take the type of an interned atom: its own type, or a bare variable's
-    declared type, any for an untyped one.  The skip is exact: a premise
+    some premise matches an atom it interned are added.  No binding is
+    missed: ``match`` tests atom presence, not truth values, and the KB only
+    grows.  But an atom present and unasserted, as one a backward search
+    interned, matches at its default truth value, and is not returned as
+    new when a firing concludes it.  Such a delta is matched only for a
+    rule with a premise that can take the type of an interned atom: its own
+    type, or a bare variable's declared type, any for an untyped one.  The skip is exact: a premise
     only ever matches atoms of that type, so the other rules' deltas are
     empty.  Each step draws one entry with the seeded RNG and moves the last
     entry into its place; an undecoded one moves as its first-step position,
@@ -239,19 +241,19 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     """
     if not rules:
         raise ChainError("forward_chain needs a nonempty rule list")
+    if not isinstance(config.max_steps, int):
+        raise ChainError("max_steps must be an int")
     if config.max_steps < 1:
         raise ChainError("max_steps must be >= 1")
     rng = random.Random(config.seed)
-    queries = [Query(variables=list(rule.variables), clauses=list(rule.premises))
-               for rule in rules]
     # the atom types each rule's premises match; None: any type
     feeds = [{dict(rule.variables).get(p) if kb.atom(p).type.name == "VariableNode"
               else kb.atom(p).type.name for p in rule.premises} for rule in rules]
     segments, starts, n = [], [], 0  # per rule: its factors, its first position
-    for rule, query in zip(rules, queries):
-        segments.append([match(kb, Query(query.variables, [p])) for p in rule.premises]
+    for rule in rules:
+        segments.append([match(kb, rule.variables, [p]) for p in rule.premises]
                         if sum(map(len, rule.args)) == len(set().union(*rule.args))
-                        else [match(kb, query)])
+                        else [match(kb, rule.variables, rule.premises)])
         starts.append(n)
         n += prod(map(len, segments[-1]))
     pool: dict = {}  # position -> a delta's (rule index, binding), or a position
@@ -262,9 +264,9 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     for _ in range(config.max_steps):
         if since < len(kb):
             new = {None, *(kb.atoms[a].type.name for a in range(since, len(kb)))}
-            for ri, query in enumerate(queries):
+            for ri, rule in enumerate(rules):
                 if not feeds[ri].isdisjoint(new):
-                    for binding in match(kb, query, since):
+                    for binding in match(kb, rule.variables, rule.premises, since):
                         pool[n] = (ri, binding)
                         n += 1
         if not n:
@@ -477,6 +479,8 @@ def _facts(kb: AtomSpace, pattern: int) -> list[tuple[Binding, Leaf]]:
 def _table(kb: AtomSpace, rules: list[Rule], targets: list[int],
            config: ChainConfig) -> _Search:
     """The KB's subgoal table for ``rules``, after the depth and id checks."""
+    if not isinstance(config.max_depth, int):
+        raise ChainError("max_depth must be an int")
     if config.max_depth < 1:
         raise ChainError("max_depth must be >= 1")
     if config.max_depth > MAX_SEARCH_DEPTH:
@@ -547,9 +551,10 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
     rules in the given order.
 
     ``prove`` finds the traces through the KB's subgoal table, then one memo
-    replays them all, so a shared application calls its formula once.
-    Read-only: it interns only new atoms and values no conclusion, so every
-    leaf is an asserted fact.
+    replays them all, so a shared application calls its formula once.  It
+    values no conclusion, so every leaf is an asserted fact, but it interns
+    the new subgoal patterns and conclusions it meets, ground ones included,
+    proved or not; ``forward_chain`` then finds them present.
     """
     (proofs,) = prove(kb, rules, [target], config)
     memo: dict = {}

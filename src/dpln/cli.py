@@ -8,7 +8,8 @@ Commands:
 
 Configs are TOML files of flat keys (dotted keys or tables for
 ``probabilities``); command-line flags win over the file.
-Exit codes: 0 success, 1 validation/parse error, 2 internal error.
+Exit codes: 0 success or ``--help``, 1 validation/parse error (a malformed
+command line too), 2 internal error.
 """
 
 from __future__ import annotations
@@ -394,9 +395,14 @@ def _add_common(sub):
     sub.add_argument("--out", dest="out_dir", default=None)
 
 
+class _Parser(argparse.ArgumentParser):  # its subparsers are _Parsers too
+    def error(self, message):  # a usage error is an input error: exit 1
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dpln",
-                                     description="Differentiable PLN runner")
+    parser = _Parser(prog="dpln", description="Differentiable PLN runner")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ("fruit-colors", "learn-formula", "joint"):
         _add_common(subs.add_parser(name))

@@ -14,7 +14,6 @@ never changes the order of results.  ``match``, ``unify``, ``substitute`` and
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .atomspace import TYPES, AtomSpace
 
@@ -23,20 +22,6 @@ Binding = dict  # variable atom id -> ground atom id
 
 class MatchError(Exception):
     pass
-
-
-@dataclass
-class Query:
-    """Declared variables (with optional type constraints) plus clauses."""
-
-    variables: list[tuple[int, str | None]]  # (VariableNode id, type name or None)
-    clauses: list[int]
-
-    def constraint_map(self) -> dict[int, str]:
-        return {v: t for v, t in self.variables if t is not None}
-
-    def declared(self) -> set[int]:
-        return {v for v, _ in self.variables}
 
 
 def variables_in(kb: AtomSpace, atom_id: int) -> set[int]:
@@ -138,9 +123,13 @@ def candidates(kb: AtomSpace, clause: int, binding: Binding,
             if atoms[i].is_ground and atoms[i].type.name == c.type.name]
 
 
-def match(kb: AtomSpace, query: Query, since: int = 0) -> list[Binding]:
+def match(kb: AtomSpace, variables: list[tuple[int, str | None]],
+          clauses: list[int], since: int = 0) -> list[Binding]:
     """All bindings under which every clause is an atom present in the KB
-    and some clause is an atom with id >= ``since``, each once.
+    and some clause is an atom with id >= ``since``, each once.  Each
+    variable pair is (VariableNode id, type name or None): the clauses may
+    use only those variables, and one with a type binds only atoms of
+    exactly that type.
 
     With ``since`` = 0 that is every binding, in candidate id order.  A
     later ``since`` gives the delta of a grown KB: for each clause d, the
@@ -149,19 +138,18 @@ def match(kb: AtomSpace, query: Query, since: int = 0) -> list[Binding]:
     atoms, so the delta is a join against the old atoms, not a re-match.
     Bindings are distinct: a full binding fixes the atom each clause matched.
     """
-    if not query.clauses:
+    if not clauses:
         raise MatchError("query has no clauses")
-    declared = query.declared()
-    for clause in query.clauses:
+    constraints = dict(variables)
+    for clause in clauses:
         kb.atom(clause)  # the id check; everything below reads unchecked
-        undeclared = _variables_in(kb, clause) - declared
+        undeclared = _variables_in(kb, clause) - constraints.keys()
         if undeclared:
             names = sorted(kb.atom(v).name for v in undeclared)
             raise MatchError("undeclared variable(s) in clause: %s" % ", ".join(names))
-    constraints = query.constraint_map()
 
     results: list[Binding] = []
-    clauses, end = query.clauses, len(kb)
+    end = len(kb)
     # with since = 0 no atom lies below it, so only d = 0 can match
     for d in range(len(clauses) if since > 0 else 1):
         # (clause, lowest id, id bound) in the order they are enumerated

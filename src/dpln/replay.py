@@ -97,7 +97,7 @@ def _each(size: int, *parts: tuple) -> str:
 
 
 def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
-                   reads: set[int], guards: list[tuple]) -> Callable[[], bool]:
+                   reads: set[int], guards: list[tuple]) -> Callable[..., bool | int]:
     """``trace_loss``'s replay of the loss record ``loss``, traced from
     ``mark`` on, given the records it read and its guards."""
     deps, values = tape._deps, tape._values

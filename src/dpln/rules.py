@@ -111,13 +111,13 @@ def trainable_mp_strength(p_a: VarRef, p_b_given_a: VarRef,
 
 def make_modus_ponens_rule(kb: AtomSpace,
                            neg_conditional: float = DEFAULT_NEG_CONDITIONAL,
-                           name: str = "modus-ponens",
                            weights: FormulaWeights | None = None) -> Rule:
     """Impl($P, $Q), Eval($P, $X)  |-  Eval($Q, $X).
 
-    The exact formula reads P(B|not A) from the term Impl(Not($P), $Q),
-    or ``neg_conditional`` when that atom is not asserted.  With ``weights``
-    the conclusion strength comes from the trainable sigmoid-linear formula
+    The exact formula, rule "modus-ponens", reads P(B|not A) from the term
+    Impl(Not($P), $Q), or ``neg_conditional`` when that atom is not
+    asserted.  With ``weights``, rule "trainable-modus-ponens", the
+    conclusion strength comes from the trainable sigmoid-linear formula
     instead, which has no terms.
     """
     var_p = kb.node("VariableNode", "$P")
@@ -136,7 +136,7 @@ def make_modus_ponens_rule(kb: AtomSpace,
         formula = lambda inputs: modus_ponens_strength(inputs[1], inputs[0], inputs[2])
 
     return Rule(
-        kb, name=name,
+        kb, name="modus-ponens" if weights is None else "trainable-modus-ponens",
         variables=[(var_p, "PredicateNode"), (var_q, "PredicateNode"),
                    (var_x, "ConceptNode")],
         premises=[impl, eval_pa],
@@ -195,12 +195,9 @@ def make_connective_rules(kb: AtomSpace) -> list[Rule]:
 
 
 def make_rule_set(kb: AtomSpace) -> list[Rule]:
-    """The standard rule set: modus ponens, deduction, connectives, and a
-    trainable modus ponens variant (weights created on the KB tape)."""
-    return [
-        make_modus_ponens_rule(kb),
-        make_deduction_rule(kb),
-        *make_connective_rules(kb),
-        make_modus_ponens_rule(kb, name="trainable-modus-ponens",
-                               weights=FormulaWeights.create(kb.tape)),
-    ]
+    """The standard rule set, all exact formulas: modus ponens, deduction
+    and the three connectives; it adds no tape record.  A caller that trains
+    a rule builds it with weights it trains, as
+    ``make_modus_ponens_rule(kb, weights=FormulaWeights.create(kb.tape))``."""
+    return [make_modus_ponens_rule(kb), make_deduction_rule(kb),
+            *make_connective_rules(kb)]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpln import AtomSpace, AutodiffError, Tape, TrainError, fit, make_rule_set
+from dpln import (AtomSpace, AutodiffError, FormulaWeights, Tape, TrainError,
+                  fit, make_modus_ponens_rule)
 from dpln.autodiff import LOG_EPS, OPS, UNIT_TOL, sigmoid, trace_loss
 
 from conftest import (analytic_grads, assert_grads_close, finite_diff_grads,
@@ -244,9 +245,9 @@ def test_dropped_tape_with_parameters_is_freed_without_gc():
     gc.disable()
     try:
         kb = AtomSpace(Tape())
-        rules = make_rule_set(kb)
+        rule = make_modus_ponens_rule(kb, weights=FormulaWeights.create(kb.tape))
         params = kb.tape.parameters
-        assert params
+        assert len(params) == 4
         calls = []
 
         def loss():
@@ -255,7 +256,7 @@ def test_dropped_tape_with_parameters_is_freed_without_gc():
         fit(params, loss, 0.1, 3)
         assert len(calls) == 1  # steps 1 and 2 ran the compiled replay
         tape = weakref.ref(kb.tape)
-        del kb, rules, params, loss
+        del kb, rule, params, loss
         assert tape() is None
     finally:
         gc.enable()

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dpln import (ChainConfig, ChainError, Derivation, FormulaWeights, Leaf,
-                  MatchError, Query, TruthValue, UnknownAtomError, apply_rule,
+                  MatchError, TruthValue, UnknownAtomError, apply_rule,
                   backward_chain, format_atom, forward_chain, load_kb,
                   make_deduction_rule, make_modus_ponens_rule, make_rule_set,
                   match, parse_atom, substitute, variables_in)
@@ -169,10 +169,6 @@ def test_forward_chain_determinism():
     assert run(11) == run(11)
 
 
-def _premise_query(rule):
-    return Query(variables=list(rule.variables), clauses=list(rule.premises))
-
-
 def _rematch_forward_chain(kb, rules, config):
     """The oracle for ``forward_chain``: the loop it had before it kept its
     pending list, re-matching every rule over the whole KB on every step."""
@@ -182,7 +178,7 @@ def _rematch_forward_chain(kb, rules, config):
     for _ in range(config.max_steps):
         pending = []
         for ri, rule in enumerate(rules):
-            for binding in match(kb, _premise_query(rule)):
+            for binding in match(kb, rule.variables, rule.premises):
                 key = (ri, tuple(sorted(binding.items())))
                 if key in applied:
                     continue
@@ -205,7 +201,6 @@ def _eager_forward_chain(kb, rules, config):
     eager pool, a list of every (rule, binding) pair the first step's
     whole-query matches give, drawn by swapping with the last entry."""
     rng = random.Random(config.seed)
-    queries = [_premise_query(rule) for rule in rules]
     feeds = [{dict(rule.variables).get(p) if kb.atom(p).type.name == "VariableNode"
               else kb.atom(p).type.name for p in rule.premises} for rule in rules]
     pending, new_atoms, traces = [], [], []
@@ -213,9 +208,10 @@ def _eager_forward_chain(kb, rules, config):
     for _ in range(config.max_steps):
         if since < len(kb):
             new = {kb.atoms[a].type.name for a in range(since, len(kb))} | {None}
-            for ri, query in enumerate(queries):
+            for ri, rule in enumerate(rules):
                 if since == 0 or feeds[ri] & new:
-                    pending.extend((ri, b) for b in match(kb, query, since))
+                    pending.extend((ri, b) for b in match(
+                        kb, rule.variables, rule.premises, since))
         if not pending:
             break
         i = rng.randrange(len(pending))
@@ -253,13 +249,13 @@ def test_forward_chain_equals_full_rematch(monkeypatch, duplicated):
     that step, each (rule, binding) pair once; when it runs empty a full
     re-match offers no unfired pair, and the fired keys and new atoms are
     those of re-matching everything on every step.  ``duplicated`` adds a
-    second deduction rule and a trainable modus ponens named
-    "modus-ponens": rules that share a name still fire apart."""
+    second deduction rule and two trainable modus ponens rules, both named
+    "trainable-modus-ponens": rules that share a name still fire apart."""
     fired = []
     apply = chainer.apply_rule
 
     def recording(kb, rule, binding):
-        assert binding in list(match(kb, _premise_query(rule)))
+        assert binding in list(match(kb, rule.variables, rule.premises))
         key = (rule, tuple(sorted(binding.items())))
         assert key not in fired
         fired.append(key)
@@ -271,15 +267,15 @@ def test_forward_chain_equals_full_rematch(monkeypatch, duplicated):
         load_kb(kb, CLOSURE_KB)
         rules = make_rule_set(kb)
         if duplicated:
-            rules += [make_deduction_rule(kb),
-                      make_modus_ponens_rule(kb, name="modus-ponens",
-                                             weights=FormulaWeights.create(kb.tape))]
+            rules += [make_deduction_rule(kb)] + [
+                make_modus_ponens_rule(kb, weights=FormulaWeights.create(kb.tape))
+                for _ in range(2)]
         fired.clear()
         new_atoms, traces = chain(kb, rules, ChainConfig(max_steps=200, seed=seed))
         assert len(fired) < 200  # the list ran empty
         offered = {(rule, tuple(sorted(binding.items())))
                    for rule in rules
-                   for binding in match(kb, _premise_query(rule))}
+                   for binding in match(kb, rule.variables, rule.premises)}
         assert offered == set(fired)
         assert [t.conclusion for t in traces] == new_atoms
         text = functools.partial(format_atom, kb)
@@ -317,15 +313,15 @@ def test_forward_chain_matches_only_rules_a_new_atom_can_feed(monkeypatch):
     calls, firings = [], []
     real_match, real_apply = chainer.match, chainer.apply_rule
 
-    def matching(kb, query, since=0):
-        calls.append((query, since, len(kb)))
-        return real_match(kb, query, since)
+    def matching(kb, variables, clauses, since=0):
+        calls.append((variables, clauses, since, len(kb)))
+        return real_match(kb, variables, clauses, since)
 
     def applying(kb, rule, binding):
         step = calls[firings[-1][1] if firings else 0:]
         if step:  # the rules this step skipped had nothing to add
-            since, called = step[-1][1], {tuple(q.clauses) for q, _, _ in step}
-            assert all(real_match(kb, _premise_query(r), since) == []
+            since, called = step[-1][2], {tuple(c) for _, c, _, _ in step}
+            assert all(real_match(kb, r.variables, r.premises, since) == []
                        for r in rules if tuple(r.premises) not in called
                        and not {(p,) for p in r.premises} <= called)
         firings.append((rule, len(calls)))
@@ -341,19 +337,19 @@ def test_forward_chain_matches_only_rules_a_new_atom_can_feed(monkeypatch):
         conclusion=kb.link("ListLink", p, v), formula=lambda inputs: inputs[0])]
     forward_chain(kb, rules, ChainConfig(max_steps=200, seed=3))
 
-    def premise_types(query):
-        typed = dict(query.variables)
+    def premise_types(variables, clauses):
+        typed = dict(variables)
         return {typed.get(c) if kb.atom(c).type.name == "VariableNode"
-                else kb.atom(c).type.name for c in query.clauses}
+                else kb.atom(c).type.name for c in clauses}
     # the first step matches each premise of a rule whose premises share no
     # variable on its own, and any other rule whole
     first = [c for r in rules for c in (
         [(p,) for p in r.premises] if _independent(kb, r) else [tuple(r.premises)])]
-    assert [(tuple(q.clauses), since) for q, since, _ in calls[:len(first)]] == [
+    assert [(tuple(c), since) for _, c, since, _ in calls[:len(first)]] == [
         (c, 0) for c in first]
-    for query, since, end in calls[len(first):]:
+    for variables, clauses, since, end in calls[len(first):]:
         new = {kb.atom(a).type.name for a in range(since, end)} | {None}
-        assert since > 0 and premise_types(query) & new
+        assert since > 0 and premise_types(variables, clauses) & new
     assert len(calls) < len(rules) * len(firings) / 2
     assert rules[-1] in {rule for rule, _ in firings}
 
@@ -411,7 +407,7 @@ _facts = st.lists(st.tuples(_link_text(), st.sampled_from([0.2, 0.5, 0.9])),
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(facts=_facts,
-       picks=st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True),
+       picks=st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True),
        seed=st.integers(0, 2 ** 16))
 def test_forward_chain_fires_each_pair_once(facts, picks, seed):
     """On random KBs, with a sublist of make_rule_set and a random seed, one
@@ -483,7 +479,7 @@ def _firings(chain, text, picks, seed, steps):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(facts=_facts,
-       picks=st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True),
+       picks=st.lists(st.integers(0, 8), min_size=1, max_size=9, unique=True),
        seed=st.integers(0, 2 ** 16))
 def test_lazy_first_step_fires_the_eager_pools_sequence(facts, picks, seed):
     """On random KBs, with a random sublist of make_rule_set and the
@@ -500,13 +496,13 @@ def test_lazy_first_step_until_the_pool_runs_empty(seed):
     """Every segment shape of _segment_rules, the empty one between nonempty
     ones, with make_rule_set: drawn until the pool is empty, so every entry
     the swap moved is drawn, the lazy pool fires the eager one's sequence."""
-    picks = [6, 0, 7, 1, 8, 2, 3, 4, 9, 5]
+    picks = [5, 0, 6, 1, 7, 2, 3, 4, 8]
     fired, *rest = _firings(forward_chain, CLOSURE_KB, picks, seed, 5000)
     assert 100 < len(fired) < 5000  # the pool ran empty
     rule_of = [picks[ri] for ri, _ in fired]
-    assert set(rule_of) == set(range(10))
-    # "empty" (7) has no NotLink at the first step: it fires on deltas only
-    assert rule_of.index(7) > rule_of.index(4)  # after fuzzy-negation
+    assert set(rule_of) == set(range(9))
+    # "empty" (6) has no NotLink at the first step: it fires on deltas only
+    assert rule_of.index(6) > rule_of.index(4)  # after fuzzy-negation
     assert [fired, *rest] == list(_firings(_eager_forward_chain, CLOSURE_KB,
                                            picks, seed, 5000))
 
@@ -522,8 +518,8 @@ def test_forward_chain_first_step_bindings_grow_linearly(monkeypatch):
             % (k % 5, k) for k in range(n)))
         calls = []
 
-        def counting(kb, query, since=0):
-            out = real_match(kb, query, since)
+        def counting(kb, variables, clauses, since=0):
+            out = real_match(kb, variables, clauses, since)
             calls.append((since, len(out)))
             return out
         monkeypatch.setattr(chainer, "match", counting)
@@ -723,7 +719,7 @@ def test_repeated_target_variable_prunes_from_its_first_occurrence(monkeypatch):
 
 
 def _dispatch_run(monkeypatch, dispatch):
-    """backward_chain with all six rules, at depth 2, on CYCLE_KB and
+    """backward_chain with all five rules, at depth 2, on CYCLE_KB and
     APPLE_KB's facts, of ground, lifted and bare-variable targets.  Returns
     each target's (binding, strength, proof shape) rows, and the top-level
     ``_match_conclusion`` calls per ``lanes`` call on an Inheritance
@@ -764,12 +760,12 @@ def test_rule_dispatch_by_conclusion_type_keeps_every_proof(monkeypatch):
     """The subgoal table tries only the rules whose conclusion has the
     pattern's type: the proofs, their bindings, strengths, shapes and order
     are those of a search that tries every rule, and an Inheritance subgoal
-    makes one top-level ``_match_conclusion`` call, not six."""
+    makes one top-level ``_match_conclusion`` call, not five."""
     with monkeypatch.context() as patched:
         everything, tried = _dispatch_run(patched, dispatch=False)
     rows, dispatched = _dispatch_run(monkeypatch, dispatch=True)
     assert rows == everything and all(rows)
-    assert (tried, dispatched) == (6, 1)
+    assert (tried, dispatched) == (5, 1)
 
 
 def test_repeated_target_variable_over_two_subtrees_is_unified():
@@ -975,8 +971,8 @@ def test_nested_target_subtree_is_searched_as_a_premise(monkeypatch, shape):
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("shape, proofs", [
     # the subtree holds the rule's own variable: $CA, $CB, modus ponens' $P
-    ('(NotLink %s)' % (_EVAL % (1, "$CA")), [4, 10]),
-    ('(AndLink %s %s)' % (_EVAL % (0, "$CB"), _EVAL % (1, "$CB")), [0, 6]),
+    ('(NotLink %s)' % (_EVAL % (1, "$CA")), [4, 7]),
+    ('(AndLink %s %s)' % (_EVAL % (0, "$CB"), _EVAL % (1, "$CB")), [0, 3]),
     ('(EvaluationLink (PredicateNode "p1") (NotLink (VariableNode "$P")))', [1, 1]),
     # ListLink($A, $A) meets the same partial twice, two partials, or a
     # partial and a variable
@@ -984,7 +980,7 @@ def test_nested_target_subtree_is_searched_as_a_premise(monkeypatch, shape):
     ('(ListLink %s %s)' % (_EVAL % (0, "$V"), _EVAL % (1, "$V")), [0, 0]),
     ('(ListLink %s %s)' % (_EVAL % (0, "$V"), _EVAL % (0, "$W")), [3, 3]),
     ('(ListLink %s (VariableNode "$W"))' % (_EVAL % (0, "$V")), [3, 3]),
-    ('(ListLink (VariableNode "$W") %s)' % (_EVAL % (1, "$V")), [4, 10]),
+    ('(ListLink (VariableNode "$W") %s)' % (_EVAL % (1, "$V")), [4, 7]),
     # a partial, then the ground atom that its alias must match
     *[('(ListLink %s %s)' % (_EVAL % (0, "$V"), _GROUND % x), proofs)
       for x, proofs in ((0, [1, 1]), (2, [1, 1]), (1, [0, 0]))]])
@@ -1290,9 +1286,10 @@ def test_constant_replay_keeps_the_two_signed_zeros_apart(zeros):
 
 
 def test_rules_sharing_a_name_replay_apart():
-    """Two trainable modus ponens rules, both named "modus-ponens", with
-    different weights: the replay memo keys an application by its rule
-    object, so the second rule's proof has that rule's own value."""
+    """Two trainable modus ponens rules, both named
+    "trainable-modus-ponens", with different weights: the replay memo keys
+    an application by its rule object, so the second rule's proof has that
+    rule's own value."""
     tape, kb = fresh_kb()
     load_kb(kb, """
     (ImplicationLink (stv 0.8 1.0) (PredicateNode "p") (PredicateNode "q"))
@@ -1355,18 +1352,29 @@ def test_rule_rejects_a_shape_lifting_would_change():
 
 
 def test_chain_config_validation():
-    """Each mode checks only the bound it reads."""
+    """Each mode checks only the bound it reads, and rejects a bound that
+    is not an int with ChainError: a depth of 1.5 would key the subgoal
+    table at 1.5 and 0.5."""
     _, kb = fresh_kb()
     load_kb(kb, SPARROW_KB)
     rule = make_deduction_rule(kb)
     with pytest.raises(ChainError, match="max_steps must be >= 1"):
         forward_chain(kb, [rule], ChainConfig(max_steps=0))
+    with pytest.raises(ChainError, match="max_steps must be an int"):
+        forward_chain(kb, [rule], ChainConfig(max_steps=2.5))
     assert forward_chain(kb, [rule], ChainConfig(max_depth=0))[0]
     target = parse_atom(kb, '(InheritanceLink (ConceptNode "sparrow") '
                             '(ConceptNode "animal"))')
     with pytest.raises(ChainError, match="max_depth must be >= 1"):
         backward_chain(kb, [rule], target, ChainConfig(max_depth=0))
+    for depth in (1.5, "3"):
+        with pytest.raises(ChainError, match="max_depth must be an int"):
+            backward_chain(kb, [rule], target, ChainConfig(max_depth=depth))
+        with pytest.raises(ChainError, match="max_depth must be an int"):
+            chainer.first_proofs(kb, [rule], [target], ChainConfig(max_depth=depth))
+    assert kb.subgoal_table is None or not kb.subgoal_table.memo
     assert backward_chain(kb, [rule], target, ChainConfig(max_steps=0))
+    assert backward_chain(kb, [rule], target, ChainConfig(max_steps=2.5))
 
 
 class _StoreNothing(dict):
@@ -1763,7 +1771,7 @@ def test_structural_search_writes_no_tape_record():
     records = len(kb.tape)
     proofs = chainer.prove(kb, rules, targets, ChainConfig(max_depth=6))
     assert len(kb.tape) == records and calls == []
-    assert [len(p) for p in proofs] == [42, 1 + 1 + 2 + 5 + 14, 2, 2]
+    assert [len(p) for p in proofs] == [42, 1 + 1 + 2 + 5 + 14, 1, 1]
     nodes = [n for p in proofs for _, trace in p for n in _nodes(trace)]
     assert {type(n) for n in nodes} == {Leaf, Constant, Derivation}
     assert not any(hasattr(n, "strength") for n in nodes)

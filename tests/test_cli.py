@@ -398,18 +398,54 @@ def test_experiment_out_of_memory_exits_1(tmp_path, monkeypatch, capsys, experim
 
 def test_chain_depth_200_on_a_tall_chain(tmp_path, capsys):
     """On a 200-link implication chain, --depth 200 exits 0: the search for
-    Eval(p200, y) descends the whole chain to Eval(p0, y) and finds the
-    proofs from the Eval(p199, y) fact, one per modus ponens rule of the
-    standard set.  (The chain's end for x is not asked here: with two modus
-    ponens rules its proofs double at every link.)"""
+    Eval(p200, y) descends the whole chain to Eval(p0, y) and finds the one
+    proof, modus ponens from the Eval(p199, y) fact."""
     kb_path = tmp_path / "tall.scm"
     kb_path.write_text(tall_implication_kb(200))
     assert main(["chain", "--kb", str(kb_path), "--target",
                  '(EvaluationLink (PredicateNode "p200") (ConceptNode "y"))',
                  "--depth", "200"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 1
     assert lines[0].endswith("; strength 0.9")
+
+
+TWO_FACTS_KB = """
+(ImplicationLink (stv 0.9 0.9) (PredicateNode "p") (PredicateNode "q"))
+(EvaluationLink (stv 0.8 0.9) (PredicateNode "p") (ConceptNode "x"))
+"""
+
+
+def test_chain_concludes_modus_ponens_exactly_on_every_seed(tmp_path, capsys):
+    """The standard rule set's one modus ponens is the exact formula:
+    0.9*0.8 + 0.2*(1 - 0.8) = 0.76 for Eval(q, x), whatever the seed, and
+    its negation is 1 - 0.76; the backward query finds that one proof."""
+    kb_path = tmp_path / "kb.scm"
+    kb_path.write_text(TWO_FACTS_KB)
+    q_x = '(EvaluationLink (PredicateNode "q") (ConceptNode "x"))'
+    for seed in range(6):
+        assert main(["chain", "--kb", str(kb_path), "--forward",
+                     "--seed", str(seed)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert '(EvaluationLink (stv 0.76 0.9) (PredicateNode "q") (ConceptNode "x"))' in lines
+        assert "(NotLink (stv 0.24 0.9) %s)" % q_x in lines
+    assert main(["chain", "--kb", str(kb_path), "--target", q_x]) == 0
+    assert capsys.readouterr().out == "%s ; strength 0.76\n" % q_x
+
+
+@pytest.mark.parametrize("args", [["fruit-colors", "--steps", "abc"], ["chain"],
+                                  ["bogus"]])
+def test_usage_error_exits_1(capsys, args):
+    """A malformed command line is an input error, exit 1, as the module
+    docstring says; 2 is kept for internal errors, and --help exits 0."""
+    with pytest.raises(SystemExit) as exit:
+        main(args)
+    assert exit.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    for help_args in (["--help"], ["chain", "--help"]):
+        with pytest.raises(SystemExit) as exit:
+            main(help_args)
+        assert exit.value.code == 0
 
 
 def test_chain_backward_underivable_is_empty_success(tmp_path, capsys):

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from dpln import (MatchError, Query, UnknownAtomError, load_kb, match,
-                  substitute, unify, variables_in)
+from dpln import (MatchError, UnknownAtomError, load_kb, match, substitute,
+                  unify, variables_in)
 from dpln.pattern import candidates, lookup
 
 from conftest import fresh_kb
@@ -106,10 +106,9 @@ def test_match_chain():
     x = kb.node("VariableNode", "$X")
     y = kb.node("VariableNode", "$Y")
     z = kb.node("VariableNode", "$Z")
-    query = Query(variables=[(x, None), (y, None), (z, None)],
-                  clauses=[kb.link("InheritanceLink", x, y),
-                           kb.link("InheritanceLink", y, z)])
-    bindings = match(kb, query)
+    bindings = match(kb, [(x, None), (y, None), (z, None)],
+                     [kb.link("InheritanceLink", x, y),
+                      kb.link("InheritanceLink", y, z)])
     assert bindings == [{x: kb.node("ConceptNode", "sparrow"),
                          y: kb.node("ConceptNode", "bird"),
                          z: kb.node("ConceptNode", "animal")}]
@@ -119,9 +118,8 @@ def test_match_empty_kb():
     _, kb = fresh_kb()
     x = kb.node("VariableNode", "$X")
     y = kb.node("VariableNode", "$Y")
-    query = Query(variables=[(x, None), (y, None)],
-                  clauses=[kb.link("InheritanceLink", x, y)])
-    assert match(kb, query) == []
+    assert match(kb, [(x, None), (y, None)],
+                 [kb.link("InheritanceLink", x, y)]) == []
 
 
 def test_match_two_chains():
@@ -135,10 +133,9 @@ def test_match_two_chains():
     x = kb.node("VariableNode", "$X")
     y = kb.node("VariableNode", "$Y")
     z = kb.node("VariableNode", "$Z")
-    query = Query(variables=[(x, None), (y, None), (z, None)],
-                  clauses=[kb.link("InheritanceLink", x, y),
-                           kb.link("InheritanceLink", y, z)])
-    bindings = match(kb, query)
+    bindings = match(kb, [(x, None), (y, None), (z, None)],
+                     [kb.link("InheritanceLink", x, y),
+                      kb.link("InheritanceLink", y, z)])
     assert len(bindings) == 2
     names = sorted(kb.atom(b[x]).name for b in bindings)
     assert names == ["sparrow", "trout"]
@@ -148,26 +145,24 @@ def test_match_undeclared_variable():
     kb = _chain_kb()
     x = kb.node("VariableNode", "$X")
     y = kb.node("VariableNode", "$Y")
-    query = Query(variables=[(x, None)],
-                  clauses=[kb.link("InheritanceLink", x, y)])
     with pytest.raises(MatchError):
-        match(kb, query)
+        match(kb, [(x, None)], [kb.link("InheritanceLink", x, y)])
 
 
 def test_match_empty_clause_list():
     _, kb = fresh_kb()
     with pytest.raises(MatchError):
-        match(kb, Query(variables=[], clauses=[]))
+        match(kb, [], [])
 
 
-def _brute_force_match(kb, query, present):
+def _brute_force_match(kb, variables, clauses, present):
     """All |ground atoms|^|vars| assignments, checked clause by clause.
 
     ``present`` is the set of atom ids that existed as KB facts; substitute
     may intern fresh links during enumeration, and those never count."""
     ground_atoms = [a for a in sorted(present) if kb.atom(a).is_ground]
-    constraints = query.constraint_map()
-    var_ids = [v for v, _ in query.variables]
+    constraints = {v: t for v, t in variables if t is not None}
+    var_ids = [v for v, _ in variables]
     found = []
     for combo in itertools.product(ground_atoms, repeat=len(var_ids)):
         binding = dict(zip(var_ids, combo))
@@ -175,7 +170,7 @@ def _brute_force_match(kb, query, present):
                for v, t in constraints.items()):
             continue
         if all(substitute(kb, clause, binding) in present
-               for clause in query.clauses):
+               for clause in clauses):
             found.append(binding)
     return found
 
@@ -200,19 +195,19 @@ def test_match_completeness_brute_force():
         x = kb.node("VariableNode", "$X")
         y = kb.node("VariableNode", "$Y")
         z = kb.node("VariableNode", "$Z")
-        chain = Query(variables=[(x, None), (y, None), (z, None)],
-                      clauses=[kb.link("InheritanceLink", x, y),
-                               kb.link("InheritanceLink", y, z)])
-        pair = Query(variables=[(x, "InheritanceLink"), (y, "InheritanceLink")],
-                     clauses=[x, y])
+        # each query a (variables, clauses) pair
+        chain = ([(x, None), (y, None), (z, None)],
+                 [kb.link("InheritanceLink", x, y),
+                  kb.link("InheritanceLink", y, z)])
+        pair = ([(x, "InheritanceLink"), (y, "InheritanceLink")], [x, y])
         # all matching before the brute force, which may intern links
-        runs = [(query, since, list(map(key, match(kb, query, since=since))))
+        runs = [(query, since, list(map(key, match(kb, *query, since=since))))
                 for query in (chain, pair)
                 for since in [0] + rng.sample(range(len(kb) + 1), 4)]
         for query, since, got in runs:
-            expected = [b for b in _brute_force_match(kb, query, present)
+            expected = [b for b in _brute_force_match(kb, *query, present)
                         if any(substitute(kb, c, b) >= since
-                               for c in query.clauses)]
+                               for c in query[1])]
             assert len(got) == len(set(got))
             assert set(got) == set(map(key, expected))
 
@@ -230,22 +225,20 @@ def test_match_bare_variable_clauses_brute_force():
         y = kb.node("VariableNode", "$Y")
         z = kb.node("VariableNode", "$Z")
         untyped = [(x, None), (y, None), (z, None)]
-        queries = [
-            Query(variables=untyped[:2],
-                  clauses=[kb.link("InheritanceLink", x, y), y]),
-            Query(variables=[untyped[0], untyped[2]],
-                  clauses=[z, kb.link("InheritanceLink", x, z)]),
-            Query(variables=[(x, "ConceptNode"), (y, None), (z, "InheritanceLink")],
-                  clauses=[x, z, kb.link("InheritanceLink", x, y), y]),
+        queries = [  # (variables, clauses) pairs
+            (untyped[:2], [kb.link("InheritanceLink", x, y), y]),
+            ([untyped[0], untyped[2]], [z, kb.link("InheritanceLink", x, z)]),
+            ([(x, "ConceptNode"), (y, None), (z, "InheritanceLink")],
+             [x, z, kb.link("InheritanceLink", x, y), y]),
         ]
         # all matching before the brute force, which may intern links
-        runs = [(query, since, list(map(key, match(kb, query, since=since))))
+        runs = [(query, since, list(map(key, match(kb, *query, since=since))))
                 for query in queries
                 for since in [0] + rng.sample(range(len(kb) + 1), 4)]
         for query, since, got in runs:
-            expected = [b for b in _brute_force_match(kb, query, present)
+            expected = [b for b in _brute_force_match(kb, *query, present)
                         if any(substitute(kb, c, b) >= since
-                               for c in query.clauses)]
+                               for c in query[1])]
             assert len(got) == len(set(got))
             assert set(got) == set(map(key, expected))
 
@@ -257,8 +250,7 @@ def test_match_soundness_and_purity():
     y = kb.node("VariableNode", "$Y")
     clause = kb.link("InheritanceLink", x, y)
     size_with_query = len(kb)
-    query = Query(variables=[(x, None), (y, None)], clauses=[clause])
-    for binding in match(kb, query):
+    for binding in match(kb, [(x, None), (y, None)], [clause]):
         inst = substitute(kb, clause, binding)
         assert inst < size  # already present before the query was built
     assert len(kb) == size_with_query  # match interned nothing
@@ -324,16 +316,12 @@ def test_match_bindings_distinct_in_candidate_order():
     b = kb.node("ConceptNode", "b")
     x = kb.node("VariableNode", "$X")
     y = kb.node("VariableNode", "$Y")
-    repeated = Query(variables=[(x, None), (y, None)],
-                     clauses=[kb.link("ListLink", x, x),
-                              kb.link("ListLink", x, y)])
-    shared = Query(variables=[(x, None), (y, None)],
-                   clauses=[kb.link("InheritanceLink", a, x),
-                            kb.link("InheritanceLink", a, y)])
-    for query, expected in [
+    repeated = [kb.link("ListLink", x, x), kb.link("ListLink", x, y)]
+    shared = [kb.link("InheritanceLink", a, x), kb.link("InheritanceLink", a, y)]
+    for clauses, expected in [
             (repeated, [(a, a), (a, b), (b, b)]),
             (shared, [(b, b), (b, a), (a, b), (a, a)])]:
-        got = match(kb, query)
+        got = match(kb, [(x, None), (y, None)], clauses)
         assert [(bd[x], bd[y]) for bd in got] == expected
         assert len({tuple(sorted(bd.items())) for bd in got}) == len(got)
 
@@ -357,7 +345,7 @@ def test_candidates_typed_variable_takes_its_type_index():
     assert len(evals) == 3
     assert candidates(kb, x, {}, {x: "EvaluationLink"}) == evals
     assert candidates(kb, x, {}, {x: "NoSuchLink"}) == []
-    assert match(kb, Query(variables=[(x, "NoSuchLink")], clauses=[x])) == []
+    assert match(kb, [(x, "NoSuchLink")], [x]) == []
 
 
 def test_public_helpers_reject_ids_the_kb_does_not_hold():

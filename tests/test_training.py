@@ -1723,7 +1723,7 @@ _targets = st.lists(_group, min_size=1, max_size=4).flatmap(
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(facts=st.lists(_fact, max_size=16), targets=_targets,
-       rule_picks=st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True),
+       rule_picks=st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True),
        depth=st.integers(1, 3), lifted_first=st.booleans())
 def test_lifted_traces_match_the_per_target_search(facts, targets, rule_picks,
                                                     depth, lifted_first):

@@ -12,10 +12,9 @@ from .autodiff import AutodiffError, Tape, VarRef
 from .chainer import (ChainConfig, ChainError, Derivation, InferenceTrace,
                       Leaf, Rule, apply_rule, backward_chain, forward_chain)
 from .pattern import Binding, MatchError, match, substitute, unify, variables_in
-from .rules import (FormulaWeights, deduction_strength, fuzzy_and, fuzzy_not,
-                    fuzzy_or, make_deduction_rule, make_modus_ponens_rule,
-                    make_rule_set, modus_ponens_strength,
-                    trainable_mp_strength)
+from .rules import (deduction_strength, fuzzy_and, fuzzy_not, fuzzy_or,
+                    make_deduction_rule, make_modus_ponens_rule, make_rule_set,
+                    modus_ponens_strength, trainable_mp_strength)
 from .sexpr import SexprError, format_atom, load_kb, parse_atom
 from .training import (LabeledExample, LearnableStrength, TrainConfig,
                        TrainError, UnderivableTargetError, cross_entropy,

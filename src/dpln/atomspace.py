@@ -161,7 +161,7 @@ class AtomSpace:
     def atom(self, atom_id: int) -> Atom:
         """The atom with this id, or UnknownAtomError; the public methods
         and the search's entry points check ids here, not the search."""
-        if isinstance(atom_id, int) and 0 <= atom_id < len(self.atoms):
+        if type(atom_id) is int and 0 <= atom_id < len(self.atoms):
             return self.atoms[atom_id]
         raise UnknownAtomError("unknown atom id %r" % (atom_id,))
 

@@ -241,7 +241,7 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     """
     if not rules:
         raise ChainError("forward_chain needs a nonempty rule list")
-    if not isinstance(config.max_steps, int):
+    if type(config.max_steps) is not int:
         raise ChainError("max_steps must be an int")
     if config.max_steps < 1:
         raise ChainError("max_steps must be >= 1")
@@ -479,7 +479,7 @@ def _facts(kb: AtomSpace, pattern: int) -> list[tuple[Binding, Leaf]]:
 def _table(kb: AtomSpace, rules: list[Rule], targets: list[int],
            config: ChainConfig) -> _Search:
     """The KB's subgoal table for ``rules``, after the depth and id checks."""
-    if not isinstance(config.max_depth, int):
+    if type(config.max_depth) is not int:
         raise ChainError("max_depth must be an int")
     if config.max_depth < 1:
         raise ChainError("max_depth must be >= 1")

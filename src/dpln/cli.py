@@ -4,7 +4,7 @@ Commands:
     dpln fruit-colors  --config F [overrides]   learn implication strengths
     dpln learn-formula --config F [overrides]   fit the sigmoid-linear formula
     dpln joint         --config F [overrides]   learn formula + strengths
-    dpln chain --kb F [--target S | --forward]  run the chainer on a KB file
+    dpln chain --kb F (--target S | --forward)  run the chainer on a KB file
 
 Configs are TOML files of flat keys (dotted keys or tables for
 ``probabilities``); command-line flags win over the file.
@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .atomspace import TYPES, AtomSpace, TruthValue
-from .autodiff import Tape
+from .autodiff import Tape, VarRef
 from .chainer import ChainConfig, ChainError, backward_chain, forward_chain
-from .rules import (DEFAULT_NEG_CONDITIONAL, FormulaWeights,
-                    make_modus_ponens_rule, make_rule_set)
+from .rules import DEFAULT_NEG_CONDITIONAL, make_modus_ponens_rule, make_rule_set
 from .sexpr import SexprError, format_atom, load_kb, parse_atom
 from .training import (LabeledExample, LearnableStrength, TrainConfig,
                        empirical_frequency, predict, train)
@@ -282,18 +281,20 @@ def grid(kb: AtomSpace, neg_conditional: float, prefix: str, p_as,
     return [ex for row in zip(*columns) for ex in row]
 
 
-def _train_and_score(kb: AtomSpace, weights: FormulaWeights, learnables: list,
+def _train_and_score(kb: AtomSpace, weights: list[VarRef], learnables: list,
                      dataset: list, heldout: list, cfg: ExperimentConfig):
-    """Trains ``weights`` and ``learnables`` on ``dataset`` through trainable
-    modus ponens at depth 1, no call at 0 steps; returns the losses and each
-    held-out error, read through ``predict`` as ``train`` reads its own."""
+    """Trains ``weights`` (the formula's four parameters) and ``learnables``
+    on ``dataset`` through trainable modus ponens at depth 1, no call at 0
+    steps; returns the losses, each held-out error, read through ``predict``
+    as ``train`` reads its own, and the report's weights, w0 to w3."""
     rules = [make_modus_ponens_rule(kb, weights=weights)]
-    params = weights.refs() + [ls.theta for ls in learnables]
+    params = weights + [ls.theta for ls in learnables]
     losses = (train(kb, rules, dataset, params,
                     TrainConfig(cfg.lr, cfg.steps, chain_depth=1), learnables)
               if cfg.steps else [])
-    return losses, [abs(s.value - ex.label)
-                    for s, ex in zip(predict(kb, rules, heldout, 1), heldout)]
+    errors = [abs(s.value - ex.label)
+              for s, ex in zip(predict(kb, rules, heldout, 1), heldout)]
+    return losses, errors, {"w%d" % i: w.value for i, w in enumerate(weights)}
 
 
 def run_learn_formula(cfg: ExperimentConfig) -> dict:
@@ -304,18 +305,19 @@ def run_learn_formula(cfg: ExperimentConfig) -> dict:
     if cfg.grid_size < 1 or cfg.heldout_size < 2:
         raise ConfigError("grid sizes must be sensible (>=1 / >=2)")
     kb = AtomSpace(Tape())
-    weights = FormulaWeights.create(kb.tape)
+    weights = [kb.tape.parameter(0.0) for _ in range(4)]
     train_axis, held_axis = ([i / (n - 1) if n > 1 else 0.5 for i in range(n)]
                              for n in (cfg.grid_size, cfg.heldout_size))
     dataset = grid(kb, cfg.neg_conditional, "train", train_axis, train_axis)
     heldout = grid(kb, cfg.neg_conditional, "heldout", held_axis, held_axis)
-    losses, errors = _train_and_score(kb, weights, [], dataset, heldout, cfg)
+    losses, errors, report_weights = _train_and_score(kb, weights, [], dataset,
+                                                      heldout, cfg)
     result = {
         "experiment": "learn-formula",
         "seed": cfg.seed, "lr": cfg.lr, "steps": cfg.steps,
         "grid_size": cfg.grid_size, "heldout_size": cfg.heldout_size,
         "neg_conditional": cfg.neg_conditional,
-        "weights": weights.values(),
+        "weights": report_weights,
         "max_abs_error": max(errors),
         "mean_abs_error": sum(errors) / len(errors),
     }
@@ -331,7 +333,7 @@ def run_joint(cfg: ExperimentConfig) -> dict:
     the learned strengths drift from their generating values."""
     tape = Tape()
     kb = AtomSpace(tape)
-    weights = FormulaWeights.create(tape)
+    weights = [tape.parameter(0.0) for _ in range(4)]
     rng = random.Random(cfg.seed)
     neg = cfg.neg_conditional
 
@@ -347,12 +349,12 @@ def run_joint(cfg: ExperimentConfig) -> dict:
         dataset += examples[:3]
         heldout += examples[3:]
     heldout += grid(kb, neg, "midpoint", (0.3, 0.6, 0.9), (0.25, 0.45, 0.65))
-    losses, held_errors = _train_and_score(kb, weights, learnables, dataset,
-                                           heldout, cfg)
+    losses, held_errors, report_weights = _train_and_score(
+        kb, weights, learnables, dataset, heldout, cfg)
     result = {
         "experiment": "joint",
         "seed": cfg.seed, "lr": cfg.lr, "steps": cfg.steps,
-        "weights": weights.values(),
+        "weights": report_weights,
         "learned_strengths": [ls.value() for ls in learnables],
         "true_strengths": true_strengths,
         "strength_abs_deviation": [abs(ls.value() - s) for ls, s
@@ -376,8 +378,6 @@ def run_chain(kb_path: str, target: str | None, forward: bool,
         for atom in new_atoms:
             print(format_atom(kb, atom, with_tv=True))
         return 0
-    if target is None:
-        raise ConfigError("chain needs --target or --forward")
     target_id = parse_atom(kb, target)
     for _, strength, trace in backward_chain(kb, rules, target_id, config):
         print("%s ; strength %.9g" % (format_atom(kb, trace.conclusion),
@@ -408,8 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(subs.add_parser(name))
     chain = subs.add_parser("chain")
     chain.add_argument("--kb", required=True)
-    chain.add_argument("--target", default=None)
-    chain.add_argument("--forward", action="store_true")
+    mode = chain.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--target", default=None)
+    mode.add_argument("--forward", action="store_true")
     chain.add_argument("--steps", type=int, default=100)
     chain.add_argument("--depth", type=int, default=5)
     chain.add_argument("--seed", type=int, default=0)

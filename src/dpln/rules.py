@@ -7,10 +7,8 @@ deduction clamp boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .atomspace import DEFAULT_STRENGTH, AtomSpace
-from .autodiff import Tape, VarRef
+from .autodiff import VarRef
 from .chainer import Rule
 
 DEDUCTION_EPS = 1e-6
@@ -75,35 +73,15 @@ def fuzzy_not(a: VarRef) -> VarRef:
     return a.tape.one_minus(a)
 
 
-@dataclass
-class FormulaWeights:
-    """Four trainable weights of the sigmoid-linear modus ponens family."""
-
-    w0: VarRef
-    w1: VarRef
-    w2: VarRef
-    w3: VarRef
-
-    @classmethod
-    def create(cls, tape: Tape) -> "FormulaWeights":
-        """Four zero-initialised parameters."""
-        return cls(*(tape.parameter(0.0) for _ in range(4)))
-
-    def refs(self) -> list[VarRef]:
-        return [self.w0, self.w1, self.w2, self.w3]
-
-    def values(self) -> dict[str, float]:
-        return {"w%d" % i: r.value for i, r in enumerate(self.refs())}
-
-
 def trainable_mp_strength(p_a: VarRef, p_b_given_a: VarRef,
-                          weights: FormulaWeights) -> VarRef:
-    """sigmoid(w0*P(A)*P(B|A) + w1*P(A) + w2*P(B|A) + w3); always in (0,1)."""
+                          weights: list[VarRef]) -> VarRef:
+    """sigmoid(w0*P(A)*P(B|A) + w1*P(A) + w2*P(B|A) + w3), where ``weights``
+    is the list [w0, w1, w2, w3] of tape parameters; always in (0,1)."""
     _check_unit("trainable_mp input", p_a, p_b_given_a)
     t = p_a.tape
-    z = t.add(t.add(t.mul(weights.w0, t.mul(p_a, p_b_given_a)),
-                    t.mul(weights.w1, p_a)),
-              t.add(t.mul(weights.w2, p_b_given_a), weights.w3))
+    w0, w1, w2, w3 = weights
+    z = t.add(t.add(t.mul(w0, t.mul(p_a, p_b_given_a)), t.mul(w1, p_a)),
+              t.add(t.mul(w2, p_b_given_a), w3))
     return t.sigmoid(z)
 
 
@@ -111,15 +89,18 @@ def trainable_mp_strength(p_a: VarRef, p_b_given_a: VarRef,
 
 def make_modus_ponens_rule(kb: AtomSpace,
                            neg_conditional: float = DEFAULT_NEG_CONDITIONAL,
-                           weights: FormulaWeights | None = None) -> Rule:
+                           weights: list[VarRef] | None = None) -> Rule:
     """Impl($P, $Q), Eval($P, $X)  |-  Eval($Q, $X).
 
     The exact formula, rule "modus-ponens", reads P(B|not A) from the term
     Impl(Not($P), $Q), or ``neg_conditional`` when that atom is not
-    asserted.  With ``weights``, rule "trainable-modus-ponens", the
-    conclusion strength comes from the trainable sigmoid-linear formula
-    instead, which has no terms.
+    asserted.  With ``weights``, a list of four tape parameters (else
+    FormulaError), rule "trainable-modus-ponens", the conclusion strength
+    comes from the trainable sigmoid-linear formula instead, which has no
+    terms.
     """
+    if weights is not None and len(weights) != 4:
+        raise FormulaError("weights must be 4 tape parameters, not %d" % len(weights))
     var_p = kb.node("VariableNode", "$P")
     var_q = kb.node("VariableNode", "$Q")
     var_x = kb.node("VariableNode", "$X")
@@ -197,7 +178,7 @@ def make_connective_rules(kb: AtomSpace) -> list[Rule]:
 def make_rule_set(kb: AtomSpace) -> list[Rule]:
     """The standard rule set, all exact formulas: modus ponens, deduction
     and the three connectives; it adds no tape record.  A caller that trains
-    a rule builds it with weights it trains, as
-    ``make_modus_ponens_rule(kb, weights=FormulaWeights.create(kb.tape))``."""
+    a rule builds it with weights it trains, as ``make_modus_ponens_rule(kb,
+    weights=[kb.tape.parameter(0.0) for _ in range(4)])``."""
     return [make_modus_ponens_rule(kb), make_deduction_rule(kb),
             *make_connective_rules(kb)]

@@ -46,7 +46,7 @@ class LabeledExample:
 def _check_schedule(learning_rate: float, steps: int) -> None:
     if not 0.0 < learning_rate < math.inf:  # also rejects nan
         raise TrainError("learning_rate must be positive and finite")
-    if not isinstance(steps, int) or steps < 1:  # a float would fail mid-fit
+    if type(steps) is not int or steps < 1:  # a float would fail mid-fit
         raise TrainError("steps must be an int >= 1")
 
 
@@ -58,7 +58,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_schedule(self.learning_rate, self.steps)
-        if not isinstance(self.chain_depth, int) or not 1 <= self.chain_depth <= MAX_SEARCH_DEPTH:
+        if type(self.chain_depth) is not int or not 1 <= self.chain_depth <= MAX_SEARCH_DEPTH:
             raise TrainError("chain_depth must lie in [1, %d] and be an int" % MAX_SEARCH_DEPTH)
 
 

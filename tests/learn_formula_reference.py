@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dpln.autodiff import Tape
 from dpln.cli import ConfigError, ExperimentConfig, _eq1, write_report
-from dpln.rules import FormulaWeights, trainable_mp_strength
+from dpln.rules import trainable_mp_strength
 from dpln.training import cross_entropy, fit
 
 
@@ -17,7 +17,7 @@ def run_learn_formula(cfg: ExperimentConfig) -> dict:
     if cfg.grid_size < 1 or cfg.heldout_size < 2:
         raise ConfigError("grid sizes must be sensible (>=1 / >=2)")
     tape = Tape()
-    weights = FormulaWeights.create(tape)
+    weights = [tape.parameter(0.0) for _ in range(4)]
     grid = [i / (cfg.grid_size - 1) if cfg.grid_size > 1 else 0.5
             for i in range(cfg.grid_size)]
     points = [(x, y) for x in grid for y in grid]
@@ -28,7 +28,7 @@ def run_learn_formula(cfg: ExperimentConfig) -> dict:
                  for x, y in points]
         return cross_entropy(preds, targets)
 
-    losses = fit(weights.refs(), loss, cfg.lr, cfg.steps) if cfg.steps else []
+    losses = fit(weights, loss, cfg.lr, cfg.steps) if cfg.steps else []
 
     held = [i / (cfg.heldout_size - 1) for i in range(cfg.heldout_size)]
     errors = []
@@ -42,7 +42,7 @@ def run_learn_formula(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed, "lr": cfg.lr, "steps": cfg.steps,
         "grid_size": cfg.grid_size, "heldout_size": cfg.heldout_size,
         "neg_conditional": cfg.neg_conditional,
-        "weights": weights.values(),
+        "weights": {"w%d" % i: w.value for i, w in enumerate(weights)},
         "max_abs_error": max(errors) if errors else 0.0,
         "mean_abs_error": sum(errors) / len(errors) if errors else 0.0,
     }

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from dpln import (ChainConfig, FormulaWeights, LabeledExample,
+from dpln import (ChainConfig, LabeledExample,
                   LearnableStrength, Tape, TruthValue, backward_chain,
                   deduction_strength, format_atom, forward_chain, fuzzy_and,
                   fuzzy_not, fuzzy_or, load_kb, make_deduction_rule,
@@ -104,7 +104,7 @@ def test_criterion_4_gradient_check_suite():
         "fuzzy_or": (2, lambda t, r: fuzzy_or(r[0], r[1])),
         "fuzzy_not": (1, lambda t, r: fuzzy_not(r[0])),
         "trainable_mp": (6, lambda t, r: trainable_mp_strength(
-            r[0], r[1], FormulaWeights(r[2], r[3], r[4], r[5]))),
+            r[0], r[1], [r[2], r[3], r[4], r[5]])),
     }
     worst = 0.0
     for name, (arity, build) in builders.items():
@@ -230,8 +230,8 @@ def test_criterion_6_gradient_connectivity():
 def test_criterion_7_range_closure():
     rng = random.Random(70)
     tape = Tape()
-    w = FormulaWeights.create(tape)
-    w.w0.value, w.w1.value, w.w2.value, w.w3.value = 4.0, -2.0, 1.0, -1.5
+    w = [tape.parameter(0.0) for _ in range(4)]
+    w[0].value, w[1].value, w[2].value, w[3].value = 4.0, -2.0, 1.0, -1.5
     violations = 0
     for _ in range(10_000):
         r = [tape.constant(rng.random()) for _ in range(4)]

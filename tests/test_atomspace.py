@@ -48,10 +48,17 @@ def test_intern_link_identity_and_order():
 def test_intern_link_rejects_node_kind_and_dangling():
     _, kb = fresh_kb()
     s = kb.intern_node("ConceptNode", "s")
+    kb.intern_node("ConceptNode", "t")
     with pytest.raises(AtomSpaceError):
         kb.intern_link("ConceptNode", [s])
     with pytest.raises(UnknownAtomError):
         kb.intern_link("ListLink", [s, 999])
+    # a bool is no atom id, though True == 1 and False == 0
+    with pytest.raises(UnknownAtomError, match="unknown atom id False"):
+        kb.atom(False)
+    with pytest.raises(UnknownAtomError, match="unknown atom id True"):
+        kb.intern_link("InheritanceLink", [True, False])
+    assert len(kb) == 2
 
 
 def test_find_link_checks_its_input_as_intern_link_does():

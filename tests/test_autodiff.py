@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpln import (AtomSpace, AutodiffError, FormulaWeights, Tape, TrainError,
+from dpln import (AtomSpace, AutodiffError, Tape, TrainError,
                   fit, make_modus_ponens_rule)
 from dpln.autodiff import LOG_EPS, OPS, UNIT_TOL, sigmoid, trace_loss
 
@@ -245,7 +245,7 @@ def test_dropped_tape_with_parameters_is_freed_without_gc():
     gc.disable()
     try:
         kb = AtomSpace(Tape())
-        rule = make_modus_ponens_rule(kb, weights=FormulaWeights.create(kb.tape))
+        rule = make_modus_ponens_rule(kb, weights=[kb.tape.parameter(0.0) for _ in range(4)])
         params = kb.tape.parameters
         assert len(params) == 4
         calls = []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dpln import (ChainConfig, ChainError, Derivation, FormulaWeights, Leaf,
+from dpln import (ChainConfig, ChainError, Derivation, Leaf,
                   MatchError, TruthValue, UnknownAtomError, apply_rule,
                   backward_chain, format_atom, forward_chain, load_kb,
                   make_deduction_rule, make_modus_ponens_rule, make_rule_set,
@@ -268,7 +268,7 @@ def test_forward_chain_equals_full_rematch(monkeypatch, duplicated):
         rules = make_rule_set(kb)
         if duplicated:
             rules += [make_deduction_rule(kb)] + [
-                make_modus_ponens_rule(kb, weights=FormulaWeights.create(kb.tape))
+                make_modus_ponens_rule(kb, weights=[kb.tape.parameter(0.0) for _ in range(4)])
                 for _ in range(2)]
         fired.clear()
         new_atoms, traces = chain(kb, rules, ChainConfig(max_steps=200, seed=seed))
@@ -1295,8 +1295,8 @@ def test_rules_sharing_a_name_replay_apart():
     (ImplicationLink (stv 0.8 1.0) (PredicateNode "p") (PredicateNode "q"))
     (EvaluationLink (stv 0.9 1.0) (PredicateNode "p") (ConceptNode "a"))
     """)
-    w1, w2 = FormulaWeights.create(tape), FormulaWeights.create(tape)
-    w2.w3.value = 3.0
+    w1, w2 = ([tape.parameter(0.0) for _ in range(4)] for _ in range(2))
+    w2[3].value = 3.0
     rules = [make_modus_ponens_rule(kb, weights=w) for w in (w1, w2)]
     assert rules[0].name == rules[1].name
     target = parse_atom(kb, '(EvaluationLink (PredicateNode "q") (ConceptNode "a"))')
@@ -1360,14 +1360,15 @@ def test_chain_config_validation():
     rule = make_deduction_rule(kb)
     with pytest.raises(ChainError, match="max_steps must be >= 1"):
         forward_chain(kb, [rule], ChainConfig(max_steps=0))
-    with pytest.raises(ChainError, match="max_steps must be an int"):
-        forward_chain(kb, [rule], ChainConfig(max_steps=2.5))
+    for steps in (2.5, True):  # a bool is no int: True would run one step
+        with pytest.raises(ChainError, match="max_steps must be an int"):
+            forward_chain(kb, [rule], ChainConfig(max_steps=steps))
     assert forward_chain(kb, [rule], ChainConfig(max_depth=0))[0]
     target = parse_atom(kb, '(InheritanceLink (ConceptNode "sparrow") '
                             '(ConceptNode "animal"))')
     with pytest.raises(ChainError, match="max_depth must be >= 1"):
         backward_chain(kb, [rule], target, ChainConfig(max_depth=0))
-    for depth in (1.5, "3"):
+    for depth in (1.5, "3", True):
         with pytest.raises(ChainError, match="max_depth must be an int"):
             backward_chain(kb, [rule], target, ChainConfig(max_depth=depth))
         with pytest.raises(ChainError, match="max_depth must be an int"):

@@ -433,8 +433,11 @@ def test_chain_concludes_modus_ponens_exactly_on_every_seed(tmp_path, capsys):
     assert capsys.readouterr().out == "%s ; strength 0.76\n" % q_x
 
 
-@pytest.mark.parametrize("args", [["fruit-colors", "--steps", "abc"], ["chain"],
-                                  ["bogus"]])
+@pytest.mark.parametrize("args", [
+    ["fruit-colors", "--steps", "abc"], ["chain"], ["bogus"],
+    # --target and --forward exclude each other, in either order
+    ["chain", "--kb", "kb.scm", "--forward", "--target", '(ConceptNode "a")'],
+    ["chain", "--kb", "kb.scm", "--target", '(ConceptNode "a")', "--forward"]])
 def test_usage_error_exits_1(capsys, args):
     """A malformed command line is an input error, exit 1, as the module
     docstring says; 2 is kept for internal errors, and --help exits 0."""
@@ -628,7 +631,8 @@ BAD_INPUTS = {
     "grid_size = 0": (["learn-formula", "--config", "{no_grid}"],
                       "grid sizes must be sensible"),
     "chain with neither --target nor --forward": (
-        ["chain", "--kb", "{kb}"], "chain needs --target or --forward"),
+        ["chain", "--kb", "{kb}"],
+        "one of the arguments --target --forward is required"),
 }
 
 
@@ -671,7 +675,11 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, case):
             for a in template]
     if args[0] != "chain":
         args += ["--out", str(tmp_path / "out")]
-    assert main(args) == 1
+    try:
+        code = main(args)
+    except SystemExit as exit:  # argparse exits on a usage error
+        code = exit.code
+    assert code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from dpln import (FormulaWeights, Tape, deduction_strength, fuzzy_and,
-                  fuzzy_not, fuzzy_or, load_kb, make_rule_set,
+from dpln import (Tape, deduction_strength, fuzzy_and, fuzzy_not, fuzzy_or,
+                  load_kb, make_modus_ponens_rule, make_rule_set,
                   modus_ponens_strength, trainable_mp_strength)
 from dpln.rules import FormulaError
 
@@ -115,7 +115,7 @@ def test_connective_out_of_range():
 
 def test_trainable_mp_zero_weights():
     t = Tape()
-    w = FormulaWeights.create(t)
+    w = [t.parameter(0.0) for _ in range(4)]
     rng = random.Random(4)
     for _ in range(20):
         out = trainable_mp_strength(t.constant(interior(rng)),
@@ -125,17 +125,26 @@ def test_trainable_mp_zero_weights():
 
 def test_trainable_mp_saturated_bias():
     t = Tape()
-    w = FormulaWeights.create(t)
-    w.w3.value = 20.0
+    w = [t.parameter(0.0) for _ in range(4)]
+    w[3].value = 20.0
     out = trainable_mp_strength(t.constant(0.5), t.constant(0.5), w)
     assert out.value == pytest.approx(1.0, abs=1e-8)
 
 
 def test_trainable_mp_weights_registered():
     t = Tape()
-    w = FormulaWeights.create(t)
+    w = [t.parameter(0.0) for _ in range(4)]
     assert len(t.parameters) == 4
-    assert all(r.requires_grad for r in w.refs())
+    assert all(r.requires_grad for r in w)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_trainable_mp_rule_needs_four_weights(count):
+    """A weight list of another length fails when the rule is built, not
+    at its first firing."""
+    t, kb = fresh_kb()
+    with pytest.raises(FormulaError, match="weights must be 4 tape parameters"):
+        make_modus_ponens_rule(kb, weights=[t.parameter(0.0) for _ in range(count)])
 
 
 def test_trainable_mp_fit_tracks_exact_formula(learn_formula_fit):
@@ -148,8 +157,8 @@ def test_trainable_mp_fit_tracks_exact_formula(learn_formula_fit):
 
     res = learn_formula_fit
     t = Tape()
-    w = FormulaWeights.create(t)
-    for i, r in enumerate(w.refs()):
+    w = [t.parameter(0.0) for _ in range(4)]
+    for i, r in enumerate(w):
         r.value = res["weights"]["w%d" % i]
     grid = [i / 10 for i in range(11)]
     errors = [abs(trainable_mp_strength(t.constant(x), t.constant(y), w).value
@@ -163,8 +172,8 @@ def test_range_closure_random_inputs():
     """Every formula maps [0,1] inputs into [0,1] on 1000 random points."""
     rng = random.Random(5)
     t = Tape()
-    w = FormulaWeights.create(t)
-    w.w0.value, w.w1.value, w.w2.value, w.w3.value = 3.0, -1.5, 0.5, -2.0
+    w = [t.parameter(0.0) for _ in range(4)]
+    w[0].value, w[1].value, w[2].value, w[3].value = 3.0, -1.5, 0.5, -2.0
     for _ in range(1000):
         u = [rng.random() for _ in range(4)]
         refs = [t.constant(v) for v in u]
@@ -191,7 +200,7 @@ def test_formula_gradient_checks():
         return deduction_strength(r[0], r[1], r[2], r[3])
 
     def tmp_formula(t, r):
-        w = FormulaWeights(r[2], r[3], r[4], r[5])
+        w = [r[2], r[3], r[4], r[5]]
         return trainable_mp_strength(r[0], r[1], w)
 
     for _ in range(100):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dpln import (AtomSpace, AtomSpaceError, AutodiffError, ChainConfig,
-                  Derivation, FormulaWeights, LabeledExample,
+                  Derivation, LabeledExample,
                   LearnableStrength, Leaf, Tape, TrainConfig, TrainError,
                   TruthValue,
                   UnderivableTargetError, UnknownAtomError, backward_chain,
@@ -251,7 +251,7 @@ def test_train_config_validation():
 def test_train_config_rejects_chain_depth_out_of_range():
     """A chain depth the search would reject fails when the config is made,
     before train writes any learnable into the KB."""
-    for depth in (0, -1, MAX_SEARCH_DEPTH + 1, 2.5):
+    for depth in (0, -1, MAX_SEARCH_DEPTH + 1, 2.5, True):
         with pytest.raises(TrainError, match="chain_depth must lie in"):
             TrainConfig(chain_depth=depth)
     for depth in (1, MAX_SEARCH_DEPTH):
@@ -305,7 +305,8 @@ def test_fit_minimizes_and_rolls_back():
 
 
 @pytest.mark.parametrize("learning_rate, steps", [
-    (math.nan, 2), (math.inf, 2), (0.0, 2), (-0.1, 2), (0.1, -3), (0.1, 2.5)])
+    (math.nan, 2), (math.inf, 2), (0.0, 2), (-0.1, 2), (0.1, -3), (0.1, 2.5),
+    (0.1, True)])
 def test_fit_rejects_a_bad_rate_or_step_count(learning_rate, steps):
     """The rate and step count TrainConfig rejects, fit rejects too, before
     it traces or steps: the parameter keeps its value."""
@@ -432,9 +433,8 @@ def test_fit_replay_matches_retrace_on_learn_formula():
     targets = [y * x + 0.2 * (1.0 - x) for x, y in points]
 
     def build(t, params):
-        weights = FormulaWeights(*params)
         return cross_entropy([trainable_mp_strength(t.constant(x),
-                                                    t.constant(y), weights)
+                                                    t.constant(y), params)
                               for x, y in points], targets)
 
     compiled, retraced = _fit_both(build, [0.1, -0.2, 0.3, 0.0], 2.0, 40)
@@ -1541,7 +1541,7 @@ def test_lane_commits_match_the_per_target_search(monkeypatch):
         for f, strength, confidence in [("apple", 0.7, 0.6), ("banana", 0.4, 0.9)]:
             kb.set_tv(kb.link("ImplicationLink", pred[f], pred["red"]),
                       TruthValue(tape.constant(strength), confidence))
-        weights = FormulaWeights.create(tape)
+        weights = [tape.parameter(0.0) for _ in range(4)]
         asked = targets["apple"] + targets["banana"]
         dataset = [LabeledExample(t, rng.randrange(2)) for t in asked]
         derived, found = [], []
@@ -1554,7 +1554,7 @@ def test_lane_commits_match_the_per_target_search(monkeypatch):
                       lambda *args: found.extend(find(*args)) or found)
             m.setattr(chainer, "_derive", counting)
             train(kb, [make_modus_ponens_rule(kb, weights=weights)], dataset,
-                  weights.refs(), TrainConfig(steps=3, chain_depth=1))
+                  weights, TrainConfig(steps=3, chain_depth=1))
         return len(derived), [
             (s.value, min(kb.get_tv(leaf.atom).confidence for leaf in t.leaves()))
             for t, s in zip(found, training._replay(kb, found))]
@@ -1588,11 +1588,11 @@ def _trainable_mp_case():
     for f, strength in [("apple", 0.7), ("banana", 0.4)]:
         kb.set_tv(kb.link("ImplicationLink", pred[f], pred["red"]),
                   TruthValue(tape.constant(strength), 1.0))
-    weights = FormulaWeights.create(tape)
+    weights = [tape.parameter(0.0) for _ in range(4)]
     dataset = [LabeledExample(t, rng.randrange(2))
                for t in targets["apple"] + targets["banana"]]
     rules = [make_modus_ponens_rule(kb, weights=weights)]
-    return kb, rules, dataset, weights.refs(), [], 1
+    return kb, rules, dataset, weights, [], 1
 
 
 @pytest.mark.parametrize("case", [_fruit_colors_case, _trainable_mp_case],

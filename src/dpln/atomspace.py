@@ -83,13 +83,12 @@ DEFAULT_CONFIDENCE = 0.0
 class AtomSpace:
     """The interned store; an atom's id is its index in ``atoms``.
 
-    Fresh atoms carry the default truth value (1.0, 0.0): asserted but
-    unevidenced.  ``set_tv`` marks an atom as explicitly asserted, which the
-    backward chainer uses to distinguish stated facts from atoms interned as
-    query patterns or templates, and ends the chainer's subgoal table, built
-    from the asserted set, when that set grows.  Unchecked, ``pattern`` and
-    ``chainer`` read ``atoms``, ``tvs``, ``incoming_of`` and ``_index``, and
-    intern by ``_link``.
+    A fresh atom is unasserted and reads the default truth value (1.0,
+    0.0).  ``set_tv`` asserts an atom, which both chainers use to tell
+    stated facts from atoms interned as query patterns or templates, and
+    ends the chainer's subgoal table, built from the asserted set, when
+    that set grows.  Unchecked, ``pattern`` and ``chainer`` read ``atoms``,
+    ``tvs``, ``incoming_of`` and ``_index``, and intern by ``_link``.
     """
 
     def __init__(self, tape: Tape):

@@ -223,21 +223,21 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     An entry is decoded only when drawn: its index, read in mixed radix over
     the factor lengths, picks one binding per factor, merged in clause
     order, which is the binding, key order included, that ``match``'s
-    nested loop puts at that index.  After a firing, only bindings in which
-    some premise matches an atom it interned are added.  No binding is
-    missed: ``match`` tests atom presence, not truth values, and the KB only
-    grows.  But an atom present and unasserted, as one a backward search
-    interned, matches at its default truth value, and is not returned as
-    new when a firing concludes it.  Such a delta is matched only for a
-    rule with a premise that can take the type of an interned atom: its own
-    type, or a bare variable's declared type, any for an untyped one.  The skip is exact: a premise
-    only ever matches atoms of that type, so the other rules' deltas are
-    empty.  Each step draws one entry with the seeded RNG and moves the last
-    entry into its place; an undecoded one moves as its first-step position,
-    so a draw decodes at most one entry.  A (rule, binding) pair enters the
-    pool, so fires, at most once: each binding's newest premise atom lies in
-    one match delta.
-    Returns the atoms that did not exist before chaining, with traces.
+    nested loop puts at that index.  A firing asserts only its conclusion,
+    so after one that asserts an atom for the first time, only bindings in
+    which some premise matches that atom are added.  No binding is missed:
+    ``match`` takes asserted atoms, and the asserted set only grows.  An
+    atom a backward query interned is not asserted, so it is no premise.
+    Such a delta is matched only for a rule with a premise that can take
+    the new atom's type: its own type, or a bare variable's declared type,
+    any for an untyped one.  The skip is exact: a premise only ever matches
+    atoms of that type, so the other rules' deltas are empty.  Each step
+    draws one entry with the seeded RNG and moves the last entry into its
+    place; an undecoded one moves as its first-step position, so a draw
+    decodes at most one entry.  A (rule, binding) pair enters the pool, so
+    fires, at most once: in the first step if its premises were facts
+    before chaining, else in the delta of its last asserted premise.
+    Returns the atoms first asserted during chaining, with traces.
     """
     if not rules:
         raise ChainError("forward_chain needs a nonempty rule list")
@@ -260,13 +260,13 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
     new_atoms: list[int] = []
     traces: list[Derivation] = []
 
-    since = len(kb)  # atoms from here on have not been matched yet
+    fresh = None  # the atom the last firing asserted for the first time
     for _ in range(config.max_steps):
-        if since < len(kb):
-            new = {None, *(kb.atoms[a].type.name for a in range(since, len(kb)))}
+        if fresh is not None:
+            kinds = {None, kb.atoms[fresh].type.name}
             for ri, rule in enumerate(rules):
-                if not feeds[ri].isdisjoint(new):
-                    for binding in match(kb, rule.variables, rule.premises, since):
+                if not feeds[ri].isdisjoint(kinds):
+                    for binding in match(kb, rule.variables, rule.premises, fresh):
                         pool[n] = (ri, binding)
                         n += 1
         if not n:
@@ -284,9 +284,10 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
                 binding = {**factor[k], **binding}
         else:
             ri, binding = entry
-        since = len(kb)
+        asserted = len(kb.tvs)
         conclusion, _, trace = apply_rule(kb, rules[ri], binding)
-        if conclusion >= since:
+        fresh = conclusion if len(kb.tvs) > asserted else None
+        if fresh is not None:
             new_atoms.append(conclusion)
             traces.append(trace)
     return new_atoms, traces
@@ -457,9 +458,9 @@ def _facts(kb: AtomSpace, pattern: int) -> list[tuple[Binding, Leaf]]:
     ground atoms and distinct variables, as ``Rule``'s premises and lifted
     queries are, is read by position, one pass per place, with no ``unify``."""
     atoms, p = kb.atoms, kb.atoms[pattern]
-    if p.is_ground:  # its own one candidate
-        return [({}, Leaf(pattern))] if pattern in kb.tvs else []
-    cands = [c for c in candidates(kb, pattern, {}) if c in kb.tvs]
+    cands = candidates(kb, pattern, {})
+    if p.is_ground:  # its one candidate, if asserted; a wider pool stays exact
+        return [({}, Leaf(c)) for c in cands if c == pattern]
     free = [(i, o) for i, o in enumerate(p.outgoing) if not atoms[o].is_ground]
     if p.type.is_node or len({o for _, o in free}) < len(free) or any(
             atoms[o].type.name != "VariableNode" for _, o in free):
@@ -531,7 +532,7 @@ def first_proofs(kb: AtomSpace, rules: list[Rule], targets: list[int],
     for key, ts in groups.items():
         by_last = {kb.atoms[t].outgoing[-1]: t for t in ts} if len(ts) > 1 else None
         query = kb.intern_link(key[0], [*key[1], var]) if by_last else [*ts][0]
-        found.update({t: Leaf(t) for t in ts if t in kb.tvs and kb.atoms[t].is_ground})
+        found.update({t: Leaf(t) for t in ts if candidates(kb, t, {}) == [t]})
         for rule, seen, full, traces, trace, terms in search.lanes(
                 kb, query, config.max_depth, var, by_last):
             t = by_last.get(lookup(kb, seen[var], full)) if by_last else query
@@ -552,9 +553,9 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
 
     ``prove`` finds the traces through the KB's subgoal table, then one memo
     replays them all, so a shared application calls its formula once.  It
-    values no conclusion, so every leaf is an asserted fact, but it interns
-    the new subgoal patterns and conclusions it meets, ground ones included,
-    proved or not; ``forward_chain`` then finds them present.
+    values no conclusion, so every leaf is an asserted fact.  It interns the
+    subgoal patterns and conclusions it meets, ground ones included, proved
+    or not, but asserts none, so no chainer reads them as facts.
     """
     (proofs,) = prove(kb, rules, [target], config)
     memo: dict = {}

@@ -418,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _EXPERIMENT_DEFAULTS = {
-    "fruit-colors": dict(lr=0.1, steps=2000),
     "learn-formula": dict(lr=2.0, steps=5000),
     "joint": dict(lr=2.0, steps=5000),
 }
@@ -433,8 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {"lr": args.lr, "steps": args.steps, "seed": args.seed,
                      "out_dir": args.out_dir}
         cfg = ExperimentConfig.load(args.config, overrides,
-                                    defaults=_EXPERIMENT_DEFAULTS[args.command])
-        cfg.experiment = args.command
+                                    defaults=_EXPERIMENT_DEFAULTS.get(args.command))
         runner = {"fruit-colors": run_fruit_colors,
                   "learn-formula": run_learn_formula,
                   "joint": run_joint}[args.command]

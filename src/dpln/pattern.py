@@ -1,19 +1,18 @@
 """Pattern matching: find all groundings of variable-bearing query graphs.
 
 Variables are VariableNodes identified by name; a Binding maps variable atom
-ids to ground atom ids.  ``candidates`` picks the atoms a clause may match,
-for ``match`` and for the backward chainer's depth-0 facts: a ground clause
-is its own candidate, a typed bare variable draws from its type's index, and
-a link takes the shorter of its type's index and the incoming set of its
-first ground (or bound) argument.  Both lists are in id order, so the choice
-never changes the order of results.  ``match``, ``unify``, ``substitute`` and
-``variables_in`` check atom ids; the underscored forms they call, which
-``match`` and the search use inside their loops, do not.
+ids to ground atom ids.  ``candidates`` picks the facts, asserted atoms, a
+clause may match, for ``match`` and the backward chainer's depth-0 facts: a
+ground clause is its own candidate, a typed bare variable draws from its
+type's index, and a link takes the shorter of its type's index and the
+incoming set of its first ground (or bound) argument.  Both lists are in id
+order, so the choice never changes the order of results.  ``match``,
+``unify``, ``substitute`` and ``variables_in`` check atom ids; the
+underscored forms they call, which ``match`` and the search use inside their
+loops, do not.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .atomspace import TYPES, AtomSpace
 
@@ -93,16 +92,14 @@ def _unify_into(kb, pattern, ground, binding, constraints) -> bool:
 
 def candidates(kb: AtomSpace, clause: int, binding: Binding,
                constraints: dict[int, str] | None = None) -> list[int]:
-    """Ground atoms that may unify with one clause under a partial binding,
-    in id order: the one index both ``match`` and ``backward_chain`` use."""
-    atoms = kb.atoms
+    """The facts, asserted ground atoms, that may unify with one clause under
+    a partial binding, in id order: the one index of ``match`` and the search."""
+    atoms, tvs = kb.atoms, kb.tvs
     c = atoms[clause]
-    if c.is_ground:
-        return [clause]
+    if c.is_ground or clause in binding:  # the clause itself, or its value
+        atom = binding.get(clause, clause)
+        return [atom] if atom in tvs else []
     if c.type.name == "VariableNode":
-        bound = binding.get(clause)
-        if bound is not None:
-            return [bound]
         want = (constraints or {}).get(clause)
         if want is None:
             pool = range(len(kb))
@@ -110,7 +107,7 @@ def candidates(kb: AtomSpace, clause: int, binding: Binding,
             pool = kb.atoms_of_type(want)
         else:
             return []
-        return [i for i in pool if atoms[i].is_ground]
+        return [i for i in pool if atoms[i].is_ground and i in tvs]
     pool = kb.atoms_of_type(c.type.name)
     for oid in c.outgoing:
         anchor = binding.get(oid, oid)
@@ -119,24 +116,23 @@ def candidates(kb: AtomSpace, clause: int, binding: Binding,
             if len(incoming) < len(pool):
                 pool = incoming
             break
-    return [i for i in pool
-            if atoms[i].is_ground and atoms[i].type.name == c.type.name]
+    return [i for i in pool if atoms[i].is_ground
+            and atoms[i].type.name == c.type.name and i in tvs]
 
 
 def match(kb: AtomSpace, variables: list[tuple[int, str | None]],
-          clauses: list[int], since: int = 0) -> list[Binding]:
-    """All bindings under which every clause is an atom present in the KB
-    and some clause is an atom with id >= ``since``, each once.  Each
-    variable pair is (VariableNode id, type name or None): the clauses may
-    use only those variables, and one with a type binds only atoms of
-    exactly that type.
+          clauses: list[int], new: int | None = None) -> list[Binding]:
+    """All bindings under which every clause is an asserted atom, each once,
+    in candidate id order.  Each variable pair is (VariableNode id, type
+    name or None): the clauses may use only those variables, and one with a
+    type binds only atoms of exactly that type.
 
-    With ``since`` = 0 that is every binding, in candidate id order.  A
-    later ``since`` gives the delta of a grown KB: for each clause d, the
-    clauses before d match atoms below ``since``, clause d a newer atom and
-    later clauses any atom.  Clause d is enumerated first, over the new
-    atoms, so the delta is a join against the old atoms, not a re-match.
-    Bindings are distinct: a full binding fixes the atom each clause matched.
+    With ``new``, an atom id, only the bindings under which some clause is
+    ``new``: the delta a newly asserted atom adds.  For each clause d that
+    unifies with it, the clauses before d match other atoms and later
+    clauses any atom, so each binding comes from its first clause that is
+    ``new``.  Clause d binds first, so the delta is a join against the
+    other atoms, not a re-match.
     """
     if not clauses:
         raise MatchError("query has no clauses")
@@ -149,33 +145,34 @@ def match(kb: AtomSpace, variables: list[tuple[int, str | None]],
             raise MatchError("undeclared variable(s) in clause: %s" % ", ".join(names))
 
     results: list[Binding] = []
-    end = len(kb)
-    # with since = 0 no atom lies below it, so only d = 0 can match
-    for d in range(len(clauses) if since > 0 else 1):
-        # (clause, lowest id, id bound) in the order they are enumerated
-        plan = ([(clauses[d], since, end)]
-                + [(c, 0, since) for c in clauses[:d]]
-                + [(c, 0, end) for c in clauses[d + 1:]])
-        _extend(kb, plan, constraints, 0, {}, results)
+    if new is None:
+        _extend(kb, [(c, None) for c in clauses], constraints, 0, {}, results)
+        return results
+    kb.atom(new)
+    for d, clause in enumerate(clauses):
+        seed = _unify(kb, clause, new, None, constraints)
+        if seed is not None:  # the first step: candidates decides if new is a fact
+            plan = ([(new, None)] + [(c, new) for c in clauses[:d]]
+                    + [(c, None) for c in clauses[d + 1:]])
+            _extend(kb, plan, constraints, 0, seed, results)
     return results
 
 
-def _extend(kb: AtomSpace, plan: list[tuple[int, int, int]],
+def _extend(kb: AtomSpace, plan: list[tuple[int, int | None]],
             constraints: dict[int, str], ci: int, binding: Binding,
             results: list[Binding]) -> None:
     """Appends each extension of ``binding`` that matches plan steps ci
-    onward, each clause to an atom id in [lo, hi).  A module function, not
-    a closure: a recursive closure is a reference cycle, which would keep
-    the KB alive until a full garbage collection."""
+    onward, each (clause, skip) step to a candidate other than ``skip``.  A
+    module function, not a closure: a recursive closure is a reference
+    cycle, which would keep the KB alive until a full garbage collection."""
     if ci == len(plan):
         results.append(binding)
         return
-    clause, lo, hi = plan[ci]
+    clause, skip = plan[ci]
     pool = candidates(kb, clause, binding, constraints)
-    pool = pool[bisect_left(pool, lo):bisect_left(pool, hi)]
     if clause not in binding and kb.atoms[clause].type.name == "VariableNode":
         # candidates are ground atoms of its type: each binds it without unify
-        extended = ({**binding, clause: cand} for cand in pool)
+        extended = ({**binding, clause: cand} for cand in pool if cand != skip)
         if ci + 1 == len(plan):
             results.extend(extended)
         else:
@@ -183,7 +180,7 @@ def _extend(kb: AtomSpace, plan: list[tuple[int, int, int]],
                 _extend(kb, plan, constraints, ci + 1, nb, results)
         return
     for cand in pool:
-        nb = _unify(kb, clause, cand, binding, constraints)
+        nb = _unify(kb, clause, cand, binding, constraints) if cand != skip else None
         if nb is not None:
             _extend(kb, plan, constraints, ci + 1, nb, results)
 

@@ -157,6 +157,33 @@ def test_forward_chain_transitive_closure():
     assert derived == {("a", "c"), ("b", "d"), ("a", "d")}
 
 
+def test_backward_query_leaves_forward_chain_as_on_a_fresh_kb():
+    """A backward query interns atoms but asserts none, so no chainer reads
+    them as facts: a depth-3 query for Inh(a, d), which interns Inh(a, c),
+    Inh(b, d) and Inh(c, d) unproved, leaves a later forward_chain returning
+    the atoms, and leaving every asserted truth value, it does on a fresh KB."""
+    def forward(query_first):
+        _, kb = fresh_kb()
+        load_kb(kb, """
+        (InheritanceLink (stv 0.9 0.8) (ConceptNode "a") (ConceptNode "b"))
+        (InheritanceLink (stv 0.8 0.9) (ConceptNode "b") (ConceptNode "c"))
+        (ConceptNode (stv 0.5 0.9) "d")
+        """)
+        rules = [make_deduction_rule(kb)]
+        if query_first:
+            target = parse_atom(kb, '(InheritanceLink (ConceptNode "a") '
+                                    '(ConceptNode "d"))')
+            size = len(kb)
+            assert backward_chain(kb, rules, target, ChainConfig(max_depth=3)) == []
+            assert len(kb) > size  # the query interned its subgoals
+        new_atoms, _ = forward_chain(kb, rules, ChainConfig(max_steps=50, seed=0))
+        return ([format_atom(kb, a) for a in new_atoms],
+                sorted(format_atom(kb, a, with_tv=True) for a in kb.tvs))
+    fresh = forward(False)
+    assert fresh[0] == ['(InheritanceLink (ConceptNode "a") (ConceptNode "c"))']
+    assert forward(True) == fresh
+
+
 def test_forward_chain_determinism():
     def run(seed):
         _, kb = fresh_kb()
@@ -188,9 +215,9 @@ def _rematch_forward_chain(kb, rules, config):
         rng.shuffle(pending)
         ri, binding, key = pending[0]
         applied.add(key)
-        mark = len(kb)
+        asserted = len(kb.tvs)
         conclusion, _, trace = chainer.apply_rule(kb, rules[ri], binding)
-        if conclusion >= mark:
+        if len(kb.tvs) > asserted:
             new_atoms.append(conclusion)
             traces.append(trace)
     return new_atoms, traces
@@ -204,22 +231,22 @@ def _eager_forward_chain(kb, rules, config):
     feeds = [{dict(rule.variables).get(p) if kb.atom(p).type.name == "VariableNode"
               else kb.atom(p).type.name for p in rule.premises} for rule in rules]
     pending, new_atoms, traces = [], [], []
-    since = 0
-    for _ in range(config.max_steps):
-        if since < len(kb):
-            new = {kb.atoms[a].type.name for a in range(since, len(kb))} | {None}
-            for ri, rule in enumerate(rules):
-                if since == 0 or feeds[ri] & new:
-                    pending.extend((ri, b) for b in match(
-                        kb, rule.variables, rule.premises, since))
+    fresh = None  # the atom the last firing asserted for the first time
+    for step in range(config.max_steps):
+        for ri, rule in enumerate(rules):
+            if step == 0 or fresh is not None and feeds[ri] & {
+                    None, kb.atoms[fresh].type.name}:
+                pending.extend((ri, b) for b in match(
+                    kb, rule.variables, rule.premises, fresh))
         if not pending:
             break
         i = rng.randrange(len(pending))
         pending[i], pending[-1] = pending[-1], pending[i]
         ri, binding = pending.pop()
-        since = len(kb)
+        asserted = len(kb.tvs)
         conclusion, _, trace = chainer.apply_rule(kb, rules[ri], binding)
-        if conclusion >= since:
+        fresh = conclusion if len(kb.tvs) > asserted else None
+        if fresh is not None:
             new_atoms.append(conclusion)
             traces.append(trace)
     return new_atoms, traces
@@ -305,23 +332,24 @@ def _independent(kb, rule):
 
 def test_forward_chain_matches_only_rules_a_new_atom_can_feed(monkeypatch):
     """After the first step matches every rule, a step matches a rule's delta
-    only if an atom at or above ``since`` has a type one of its premises can
-    take: a link's own type, a bare variable's declared one, or any for an
-    untyped bare variable.  Every delta it skips is empty.  Most firings on
-    CLOSURE_KB intern an AndLink, OrLink or NotLink, which only the added
-    rule's untyped premise takes, so most rules are skipped."""
+    only if the atom the last firing asserted first, ``new``, has a type one
+    of its premises can take: a link's own type, a bare variable's declared
+    one, or any for an untyped bare variable.  Every delta it skips is
+    empty.  Most firings on CLOSURE_KB assert an AndLink, OrLink or NotLink,
+    which only the added rule's untyped premise takes, so most rules are
+    skipped."""
     calls, firings = [], []
     real_match, real_apply = chainer.match, chainer.apply_rule
 
-    def matching(kb, variables, clauses, since=0):
-        calls.append((variables, clauses, since, len(kb)))
-        return real_match(kb, variables, clauses, since)
+    def matching(kb, variables, clauses, new=None):
+        calls.append((variables, clauses, new))
+        return real_match(kb, variables, clauses, new)
 
     def applying(kb, rule, binding):
         step = calls[firings[-1][1] if firings else 0:]
         if step:  # the rules this step skipped had nothing to add
-            since, called = step[-1][2], {tuple(c) for _, c, _, _ in step}
-            assert all(real_match(kb, r.variables, r.premises, since) == []
+            new, called = step[-1][2], {tuple(c) for _, c, _ in step}
+            assert all(real_match(kb, r.variables, r.premises, new) == []
                        for r in rules if tuple(r.premises) not in called
                        and not {(p,) for p in r.premises} <= called)
         firings.append((rule, len(calls)))
@@ -345,11 +373,11 @@ def test_forward_chain_matches_only_rules_a_new_atom_can_feed(monkeypatch):
     # variable on its own, and any other rule whole
     first = [c for r in rules for c in (
         [(p,) for p in r.premises] if _independent(kb, r) else [tuple(r.premises)])]
-    assert [(tuple(c), since) for _, c, since, _ in calls[:len(first)]] == [
-        (c, 0) for c in first]
-    for variables, clauses, since, end in calls[len(first):]:
-        new = {kb.atom(a).type.name for a in range(since, end)} | {None}
-        assert since > 0 and premise_types(variables, clauses) & new
+    assert [(tuple(c), new) for _, c, new in calls[:len(first)]] == [
+        (c, None) for c in first]
+    for variables, clauses, new in calls[len(first):]:
+        assert new is not None and premise_types(variables, clauses) & {
+            kb.atom(new).type.name, None}
     assert len(calls) < len(rules) * len(firings) / 2
     assert rules[-1] in {rule for rule, _ in firings}
 
@@ -437,6 +465,7 @@ def _segment_rules(kb):
     e, i, m, n, x, y, z = (kb.node("VariableNode", v) for v in (
         "$E", "$I", "$M", "$N", "$X", "$Y", "$Z"))
     c0 = kb.node("ConceptNode", "c0")
+    kb.set_tv(c0, kb.get_tv(c0))  # a fact, for the ground premise to match
     first = lambda inputs: inputs[0]
     return [
         chainer.Rule(kb, name="three", variables=[
@@ -518,13 +547,13 @@ def test_forward_chain_first_step_bindings_grow_linearly(monkeypatch):
             % (k % 5, k) for k in range(n)))
         calls = []
 
-        def counting(kb, variables, clauses, since=0):
-            out = real_match(kb, variables, clauses, since)
-            calls.append((since, len(out)))
+        def counting(kb, variables, clauses, new=None):
+            out = real_match(kb, variables, clauses, new)
+            calls.append((new, len(out)))
             return out
         monkeypatch.setattr(chainer, "match", counting)
         forward_chain(kb, make_rule_set(kb), ChainConfig(max_steps=1))
-        assert calls and all(since == 0 for since, _ in calls)
+        assert calls and all(new is None for new, _ in calls)
         return sum(size for _, size in calls)
     real_match = chainer.match
     assert first_step_bindings(40) == 2 * first_step_bindings(20)
@@ -1428,8 +1457,9 @@ def test_backward_chain_memoizes_every_subgoal(monkeypatch):
 
 
 def _scan_every_atom(kb, pattern, binding):
-    """The reference candidate pool: every ground atom, in id order."""
-    return [a for a in range(len(kb)) if kb.atom(a).is_ground]
+    """The reference candidate pool: every asserted ground atom, in id order."""
+    return [a for a in range(len(kb))
+            if kb.atom(a).is_ground and kb.has_asserted_tv(a)]
 
 
 def _proofs(kb, rules, target, depth):

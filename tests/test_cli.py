@@ -433,6 +433,18 @@ def test_chain_concludes_modus_ponens_exactly_on_every_seed(tmp_path, capsys):
     assert capsys.readouterr().out == "%s ; strength 0.76\n" % q_x
 
 
+def test_chain_forward_takes_no_unasserted_subterm_as_a_premise(tmp_path, capsys):
+    """A premise is an asserted atom: Eval(p, x) occurs only inside the
+    asserted NotLink, so modus ponens has no Eval(p, x) fact to read at the
+    default strength, and no rule of the set fires."""
+    kb_path = tmp_path / "kb.scm"
+    kb_path.write_text(
+        '(ImplicationLink (stv 0.9 0.9) (PredicateNode "p") (PredicateNode "q"))\n'
+        '(NotLink (stv 0.3 0.9) (EvaluationLink (PredicateNode "p") (ConceptNode "x")))\n')
+    assert main(["chain", "--kb", str(kb_path), "--forward", "--steps", "20"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("args", [
     ["fruit-colors", "--steps", "abc"], ["chain"], ["bogus"],
     # --target and --forward exclude each other, in either order

@@ -155,12 +155,14 @@ def test_match_empty_clause_list():
         match(kb, [], [])
 
 
-def _brute_force_match(kb, variables, clauses, present):
+def _brute_force_match(kb, variables, clauses, atoms, present):
     """All |ground atoms|^|vars| assignments, checked clause by clause.
 
-    ``present`` is the set of atom ids that existed as KB facts; substitute
-    may intern fresh links during enumeration, and those never count."""
-    ground_atoms = [a for a in sorted(present) if kb.atom(a).is_ground]
+    ``atoms`` are the atom ids the KB held before the queries, the values a
+    variable may take; ``present`` is the set of those asserted, the KB
+    facts.  substitute may intern fresh links during enumeration, and those
+    never count."""
+    ground_atoms = [a for a in sorted(atoms) if kb.atom(a).is_ground]
     constraints = {v: t for v, t in variables if t is not None}
     var_ids = [v for v, _ in variables]
     found = []
@@ -179,19 +181,23 @@ def _random_kb(rng):
     _, kb = fresh_kb()
     nodes = [kb.node("ConceptNode", "n%d" % i) for i in range(4)]
     for _ in range(rng.randrange(3, 7)):
-        kb.link("InheritanceLink", rng.choice(nodes), rng.choice(nodes))
-    present = set(range(len(kb)))
-    return kb, present
+        link = kb.link("InheritanceLink", rng.choice(nodes), rng.choice(nodes))
+        if rng.random() < 0.6:
+            kb.set_tv(link, kb.get_tv(link))
+    return kb, set(range(len(kb))), set(kb.tvs)
 
 
 def test_match_completeness_brute_force():
-    """match equals exhaustive assignment enumeration on small KBs; with
-    ``since`` = m it gives, each once, the bindings under which some clause
-    is an atom with id >= m."""
+    """match equals exhaustive assignment enumeration over the asserted
+    atoms of small KBs, so it never matches an unasserted one; with ``new``
+    = an atom it gives, each once, the bindings under which some clause is
+    that atom."""
     rng = random.Random(13)
     key = lambda b: tuple(sorted(b.items()))
+    unasserted = 0
     for _ in range(20):
-        kb, present = _random_kb(rng)
+        kb, atoms, present = _random_kb(rng)
+        unasserted += len(kb.atoms_of_type("InheritanceLink")) - len(present)
         x = kb.node("VariableNode", "$X")
         y = kb.node("VariableNode", "$Y")
         z = kb.node("VariableNode", "$Z")
@@ -201,26 +207,29 @@ def test_match_completeness_brute_force():
                   kb.link("InheritanceLink", y, z)])
         pair = ([(x, "InheritanceLink"), (y, "InheritanceLink")], [x, y])
         # all matching before the brute force, which may intern links
-        runs = [(query, since, list(map(key, match(kb, *query, since=since))))
+        runs = [(query, new, list(map(key, match(kb, *query, new=new))))
                 for query in (chain, pair)
-                for since in [0] + rng.sample(range(len(kb) + 1), 4)]
-        for query, since, got in runs:
-            expected = [b for b in _brute_force_match(kb, *query, present)
-                        if any(substitute(kb, c, b) >= since
-                               for c in query[1])]
+                for new in [None] + rng.sample(range(len(kb)), 4)]
+        for query, new, got in runs:
+            expected = [b for b in _brute_force_match(kb, *query, atoms, present)
+                        if new is None or any(substitute(kb, c, b) == new
+                                              for c in query[1])]
             assert len(got) == len(set(got))
             assert set(got) == set(map(key, expected))
+    assert unasserted > 0  # some KB held a link that is no fact
 
 
 def test_match_bare_variable_clauses_brute_force():
     """A bare-variable clause binds each of its candidates directly.  Typed,
     untyped, or bound by an earlier link clause, match still equals
-    exhaustive enumeration at ``since`` = 0 and at random marks, with
-    distinct bindings."""
+    exhaustive enumeration over the asserted atoms, without ``new`` and
+    with random atoms as ``new``, with distinct bindings."""
     rng = random.Random(29)
     key = lambda b: tuple(sorted(b.items()))
+    unasserted = 0
     for _ in range(20):
-        kb, present = _random_kb(rng)
+        kb, atoms, present = _random_kb(rng)
+        unasserted += len(kb.atoms_of_type("InheritanceLink")) - len(present)
         x = kb.node("VariableNode", "$X")
         y = kb.node("VariableNode", "$Y")
         z = kb.node("VariableNode", "$Z")
@@ -232,15 +241,16 @@ def test_match_bare_variable_clauses_brute_force():
              [x, z, kb.link("InheritanceLink", x, y), y]),
         ]
         # all matching before the brute force, which may intern links
-        runs = [(query, since, list(map(key, match(kb, *query, since=since))))
+        runs = [(query, new, list(map(key, match(kb, *query, new=new))))
                 for query in queries
-                for since in [0] + rng.sample(range(len(kb) + 1), 4)]
-        for query, since, got in runs:
-            expected = [b for b in _brute_force_match(kb, *query, present)
-                        if any(substitute(kb, c, b) >= since
-                               for c in query[1])]
+                for new in [None] + rng.sample(range(len(kb)), 4)]
+        for query, new, got in runs:
+            expected = [b for b in _brute_force_match(kb, *query, atoms, present)
+                        if new is None or any(substitute(kb, c, b) == new
+                                              for c in query[1])]
             assert len(got) == len(set(got))
             assert set(got) == set(map(key, expected))
+    assert unasserted > 0  # some KB held a link that is no fact
 
 
 def test_match_soundness_and_purity():
@@ -327,8 +337,9 @@ def test_match_bindings_distinct_in_candidate_order():
 
 
 def test_candidates_typed_variable_takes_its_type_index():
-    """A typed bare variable draws exactly the ground atoms of its type, in
-    id order; an unknown type name has none (and raises nothing)."""
+    """A typed bare variable draws exactly the asserted ground atoms of its
+    type, in id order, not an unasserted one; an unknown type name has none
+    (and raises nothing)."""
     _, kb = fresh_kb()
     load_kb(kb, """
     (EvaluationLink (PredicateNode "p") (ConceptNode "a"))
@@ -337,15 +348,33 @@ def test_candidates_typed_variable_takes_its_type_index():
     """)
     x = kb.node("VariableNode", "$X")
     kb.link("EvaluationLink", kb.node("PredicateNode", "p"), x)
-    kb.link("EvaluationLink", kb.node("PredicateNode", "r"),
-            kb.node("ConceptNode", "c"))
+    unasserted = kb.link("EvaluationLink", kb.node("PredicateNode", "r"),
+                         kb.node("ConceptNode", "c"))
     evals = [a for a in range(len(kb))
              if kb.atom(a).type.name == "EvaluationLink"
-             and kb.atom(a).is_ground]
-    assert len(evals) == 3
+             and kb.atom(a).is_ground and kb.has_asserted_tv(a)]
+    assert len(evals) == 2 and unasserted not in evals
     assert candidates(kb, x, {}, {x: "EvaluationLink"}) == evals
     assert candidates(kb, x, {}, {x: "NoSuchLink"}) == []
     assert match(kb, [(x, "NoSuchLink")], [x]) == []
+
+
+def test_match_new_must_be_an_atom_of_the_kb():
+    """``new`` is checked as the clauses are: an id the KB does not hold, or
+    a bool, raises UnknownAtomError.  An unasserted ``new`` is no fact, so
+    no binding has a clause that is it."""
+    kb = _chain_kb()
+    x = kb.node("VariableNode", "$X")
+    y = kb.node("VariableNode", "$Y")
+    query = ([(x, None), (y, None)], [kb.link("InheritanceLink", x, y)])
+    for bad in (-1, len(kb), True):
+        with pytest.raises(UnknownAtomError):
+            match(kb, *query, new=bad)
+    sparrow, animal = kb.node("ConceptNode", "sparrow"), kb.node("ConceptNode", "animal")
+    unasserted = kb.link("InheritanceLink", sparrow, animal)
+    assert match(kb, *query, new=unasserted) == []
+    kb.set_tv(unasserted, kb.get_tv(unasserted))
+    assert match(kb, *query, new=unasserted) == [{x: sparrow, y: animal}]
 
 
 def test_public_helpers_reject_ids_the_kb_does_not_hold():

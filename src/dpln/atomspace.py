@@ -8,8 +8,6 @@ by a rule formula participates in the computation graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .autodiff import Tape, VarRef
 
 
@@ -25,10 +23,10 @@ class UnknownAtomError(AtomSpaceError):
     pass
 
 
-@dataclass(frozen=True)
 class AtomType:
-    name: str
-    is_node: bool  # OpenCog's naming rule: a node type's name ends in "Node"
+    def __init__(self, name: str, is_node: bool):
+        self.name = name
+        self.is_node = is_node  # OpenCog's naming rule: a node type's name ends in "Node"
 
 
 TYPES: dict[str, AtomType] = {name: AtomType(name, name.endswith("Node")) for name in [
@@ -55,25 +53,26 @@ def _atom_type(name: str) -> AtomType:
         raise UnknownTypeError("unknown atom type %r" % name) from None
 
 
-@dataclass(slots=True)
 class Atom:
-    type: AtomType
-    name: str | None = None          # node kinds only
-    outgoing: tuple[int, ...] = ()   # link kinds only
-    is_ground: bool = True           # False iff a VariableNode occurs below
+    __slots__ = ("type", "name", "outgoing", "is_ground")
+
+    def __init__(self, type: AtomType, name: str | None = None,
+                 outgoing: tuple[int, ...] = (), is_ground: bool = True):
+        self.type = type
+        self.name = name              # node kinds only
+        self.outgoing = outgoing      # link kinds only
+        self.is_ground = is_ground    # False iff a VariableNode occurs below
 
 
-@dataclass
 class TruthValue:
     """Strength is a live VarRef; confidence is a plain static scalar."""
 
-    strength: VarRef
-    confidence: float = 0.0
-
-    def __post_init__(self):
-        self.strength.tape.check_unit(self.strength, AtomSpaceError, "strength")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise AtomSpaceError("confidence %g outside [0, 1]" % self.confidence)
+    def __init__(self, strength: VarRef, confidence: float = 0.0):
+        strength.tape.check_unit(strength, AtomSpaceError, "strength")
+        if not 0.0 <= confidence <= 1.0:
+            raise AtomSpaceError("confidence %g outside [0, 1]" % confidence)
+        self.strength = strength
+        self.confidence = confidence
 
 
 DEFAULT_STRENGTH = 1.0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable
+from collections.abc import Callable
 
 LOG_EPS = 1e-7
 # slack of ``Tape.check_unit``: values within it of [0, 1] pass

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import InitVar, dataclass, field
+from collections.abc import Callable
 from math import prod
-from typing import Callable
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import VarRef
@@ -41,7 +40,6 @@ class ChainError(Exception):
     pass
 
 
-@dataclass(eq=False)
 class Rule:
     """Premise patterns, a conclusion template, terms and a strength formula,
     atoms of ``kb``.  Rules compare and hash by identity.
@@ -55,43 +53,51 @@ class Rule:
     distinct variables: ``first_proofs`` lifts its queries on that shape,
     which construction checks."""
 
-    kb: InitVar[AtomSpace]
-    name: str
-    variables: list[tuple[int, str | None]]
-    premises: list[int]
-    conclusion: int
-    formula: Callable[[list[VarRef]], VarRef]
-    terms: list[tuple[int, float]] = field(default_factory=list)
-    # for the search: typed variables in a premise but the last, the other
-    # typed ones, and whether those premises bind every term variable
-    early: list[tuple[int, str]] = field(init=False, default_factory=list)
-    late: list[tuple[int, str]] = field(init=False, default_factory=list)
-    hoist: bool = field(init=False, default=False)
-    args: list[set[int]] = field(init=False, default_factory=list)  # premise variables
-
-    def __post_init__(self, kb: AtomSpace):
-        atoms, free = kb.atoms, variables_in(kb, self.conclusion)
+    def __init__(self, kb: AtomSpace, name: str, variables: list[tuple[int, str | None]],
+                 premises: list[int], conclusion: int,
+                 formula: Callable[[list[VarRef]], VarRef],
+                 terms: list[tuple[int, float]] | None = None):
+        self.name, self.variables, self.premises = name, variables, premises
+        self.conclusion, self.formula = conclusion, formula
+        self.terms = [] if terms is None else terms
+        atoms = kb.atoms
         args = [[o for o in atoms[p].outgoing or [p] if not atoms[o].is_ground]
-                for p in self.premises]
-        self.args = [set(a) for a in args]
-        bound = set().union(*args)
-        if self.conclusion in free or not free <= bound or not args or any(
-                sorted(a) != sorted(variables_in(kb, p))
-                for a, p in zip(args, self.premises)):
-            raise ChainError("rule %s: not of the shape Rule states" % self.name)
-        before = set().union(*args[:-1])
-        for v, t in self.variables:
+                for p in premises]
+        self.args = [set(a) for a in args]  # premise variables
+        self.check_shape(kb, args)
+        # for the search: typed variables in a premise but the last, the other
+        # typed ones, and whether those premises bind every term variable
+        self.early, self.late = [], []
+        bound, before = set().union(*args), set().union(*args[:-1])
+        for v, t in variables:
             if t is not None and v in bound:
                 (self.early if v in before else self.late).append((v, t))
         self.hoist = all(variables_in(kb, p) <= before for p, _ in self.terms)
 
+    def check_shape(self, kb: AtomSpace, args: list[list[int]]) -> None:
+        """Raises ChainError unless the rule has the shape its docstring
+        states; ``args`` lists each premise's variable arguments."""
+        free = variables_in(kb, self.conclusion)
+        if self.conclusion in free or not free <= set().union(*args) or not args or any(
+                sorted(a) != sorted(variables_in(kb, p))
+                for a, p in zip(args, self.premises)):
+            raise ChainError("rule %s: not of the shape Rule states" % self.name)
 
-@dataclass(frozen=True, slots=True)
+
 class Leaf:
     """Trace leaf: an asserted KB atom contributing its stored strength, as
     a premise fact or as a rule term."""
 
-    atom: int
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: int):
+        self.atom = atom
+
+    def __eq__(self, other):
+        return other.__class__ is Leaf and self.atom == other.atom
+
+    def __hash__(self):
+        return hash(self.atom)
 
     @property
     def conclusion(self) -> int:
@@ -104,27 +110,39 @@ class Leaf:
         return _tv(kb, self.atom).strength
 
 
-@dataclass(frozen=True)
 class Constant:
     """Trace leaf: the default a rule term reads when its atom is absent or
     unasserted."""
 
-    value: float
+    def __init__(self, value: float):
+        self.value = value
+
+    def __eq__(self, other):
+        return other.__class__ is Constant and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
 
     def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
         i = kb.tape._const_cache.get(self.value or repr(self.value))
         return kb.tape.constant(self.value) if i is None else VarRef(kb.tape, i)
 
 
-@dataclass(slots=True)
 class Derivation:
-    """Trace node: one rule application over child traces."""
+    """Trace node: one rule application over child traces.  Compares field
+    by field and is unhashable."""
 
-    rule: Rule
-    binding: Binding
-    conclusion: int
-    premises: list  # child traces (Leaf or Derivation)
-    terms: list  # one Leaf or Constant per rule term
+    __slots__ = ("rule", "binding", "conclusion", "premises", "terms")
+
+    def __init__(self, rule: Rule, binding: Binding, conclusion: int,
+                 premises: list, terms: list):
+        self.rule, self.binding, self.conclusion = rule, binding, conclusion
+        self.premises = premises  # child traces (Leaf or Derivation)
+        self.terms = terms  # one Leaf or Constant per rule term
+
+    def __eq__(self, other):
+        return other.__class__ is Derivation and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def leaves(self):
         """The premise leaves in order, from one stack however deep the trace."""
@@ -185,11 +203,9 @@ def commit(kb: AtomSpace, trace: Derivation, strength: VarRef) -> None:
     kb.set_tv(trace.conclusion, TruthValue(strength, confidence))
 
 
-@dataclass
 class ChainConfig:
-    max_steps: int = 100
-    max_depth: int = 5
-    seed: int = 0
+    def __init__(self, max_steps: int = 100, max_depth: int = 5, seed: int = 0):
+        self.max_steps, self.max_depth, self.seed = max_steps, max_depth, seed
 
 
 def apply_rule(kb: AtomSpace, rule: Rule,

@@ -20,7 +20,6 @@ import math
 import random
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .atomspace import TYPES, AtomSpace, TruthValue
@@ -72,20 +71,19 @@ def parse_config_text(text: str) -> dict:
                           % _deepest_line(text)) from None
 
 
-@dataclass
 class ExperimentConfig:
-    experiment: str = ""
-    fruits: list[str] = field(default_factory=lambda: ["apple", "banana"])
-    colors: list[str] = field(default_factory=lambda: ["yellow", "red", "green"])
-    true_probabilities: dict = field(default_factory=dict)
-    n_samples: int = 500
-    lr: float = 0.1
-    steps: int = 2000
-    seed: int = 0
-    out_dir: str = "out"
-    neg_conditional: float = DEFAULT_NEG_CONDITIONAL
-    grid_size: int = 11
-    heldout_size: int = 21
+    def __init__(self, experiment: str = "", fruits: list[str] | None = None,
+                 colors: list[str] | None = None, true_probabilities: dict | None = None,
+                 n_samples: int = 500, lr: float = 0.1, steps: int = 2000, seed: int = 0,
+                 out_dir: str = "out", neg_conditional: float = DEFAULT_NEG_CONDITIONAL,
+                 grid_size: int = 11, heldout_size: int = 21):
+        self.experiment = experiment
+        self.fruits = ["apple", "banana"] if fruits is None else fruits
+        self.colors = ["yellow", "red", "green"] if colors is None else colors
+        self.true_probabilities = {} if true_probabilities is None else true_probabilities
+        self.n_samples, self.lr, self.steps, self.seed = n_samples, lr, steps, seed
+        self.out_dir, self.neg_conditional = out_dir, neg_conditional
+        self.grid_size, self.heldout_size = grid_size, heldout_size
 
     @classmethod
     def load(cls, path: str | None, overrides: dict,

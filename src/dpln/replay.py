@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from functools import reduce
 from itertools import count, zip_longest
-from typing import Callable
 
 from .autodiff import _CHUNK, _UNIT_GUARD, OPS, AutodiffError, Tape, VarRef, _functions
 
@@ -189,6 +189,10 @@ def compile_replay(tape: Tape, params: list[VarRef], mark: int, loss: int,
         if key not in lanes:
             break
         n, members = key[0], lanes[key]
+        if key[2] == "sum" and len(key) == 4:  # a one-input sum is its input: no copy
+            at.update((i, at.get(j) or (value(j), None)) for i in members for j in deps[i][1::2])
+            sources[key] = {}
+            continue
         at.update(zip(members, z := place([None] * len(members))))
         src = sources[key] = {"z": read(z)}
         if key[2] == "sum":  # added left to right, _ADDS inputs a statement

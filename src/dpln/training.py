@@ -15,8 +15,7 @@ differing only in their last argument make one lifted query (``first_proofs``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .atomspace import AtomSpace, TruthValue
 from .autodiff import AutodiffError, Tape, VarRef, sigmoid, trace_loss
@@ -33,14 +32,12 @@ class UnderivableTargetError(TrainError):
         self.index = index
 
 
-@dataclass
 class LabeledExample:
-    target: int    # ground conclusion atom to infer
-    label: float   # its target strength in [0, 1], hard (0 or 1) or soft
-
-    def __post_init__(self):
-        if not 0.0 <= self.label <= 1.0:  # also rejects nan
-            raise TrainError("label must lie in [0, 1], got %r" % (self.label,))
+    def __init__(self, target: int, label: float):
+        if not 0.0 <= label <= 1.0:  # also rejects nan
+            raise TrainError("label must lie in [0, 1], got %r" % (label,))
+        self.target = target  # ground conclusion atom to infer
+        self.label = label    # its target strength in [0, 1], hard (0 or 1) or soft
 
 
 def _check_schedule(learning_rate: float, steps: int) -> None:
@@ -50,16 +47,12 @@ def _check_schedule(learning_rate: float, steps: int) -> None:
         raise TrainError("steps must be an int >= 1")
 
 
-@dataclass
 class TrainConfig:
-    learning_rate: float = 0.1
-    steps: int = 2000
-    chain_depth: int = 3
-
-    def __post_init__(self):
-        _check_schedule(self.learning_rate, self.steps)
-        if type(self.chain_depth) is not int or not 1 <= self.chain_depth <= MAX_SEARCH_DEPTH:
+    def __init__(self, learning_rate: float = 0.1, steps: int = 2000, chain_depth: int = 3):
+        _check_schedule(learning_rate, steps)
+        if type(chain_depth) is not int or not 1 <= chain_depth <= MAX_SEARCH_DEPTH:
             raise TrainError("chain_depth must lie in [1, %d] and be an int" % MAX_SEARCH_DEPTH)
+        self.learning_rate, self.steps, self.chain_depth = learning_rate, steps, chain_depth
 
 
 class LearnableStrength:

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 import weakref
 
 import pytest
@@ -573,6 +574,40 @@ def test_sum_matches_a_chain_of_adds_bit_for_bit():
                         _bits(p.grad for p in fresh_params)]
         assert got["sum"] == got["adds"]
         assert got["sum"][1] == got["sum"][2]
+
+
+@pytest.mark.parametrize("case", ["parameter", "record", "lane", "loss"])
+def test_a_one_input_sum_replays_as_its_input(monkeypatch, case):
+    """A sum of one input is that input, bit for bit, so the replay reads
+    the input where the sum is read and copies nothing into a local or a
+    slot; values and grads equal a fresh trace's, a zero's sign included."""
+    def build(t, refs):
+        a, b = refs
+        if case == "parameter":
+            return t.mul(t.sum([a]), b)
+        if case == "record":
+            return t.mul(t.sum([t.mul(a, b)]), t.constant(3.0))
+        if case == "lane":
+            return t.sum([t.mul(t.sum([t.mul(a, t.constant(c))]), b) for c in (0.5, 2.0)])
+        return t.sum([t.mul(a, b)])
+    sources = generated_code(monkeypatch)
+    t = Tape()
+    refs = [t.parameter(0.5), t.parameter(0.25)]
+    loss, replay = trace_loss(refs, lambda: build(t, refs))
+    copies = [line for block in sources for line in block.split("\n") if re.fullmatch(
+        r"(s\d+|w\[\d+\](\[\d+\])?) = (s\d+|[vw]\[\d+\](\[\d+\])?)", line)]
+    assert copies == []
+    for inputs in [(0.5, -0.25), (-0.0, 1.0), (0.0, -0.0), (-1.5, 2.0)]:
+        for r, x in zip(refs, inputs):
+            r.value = x
+        t.zero_grads()
+        assert replay()
+        fresh = Tape()
+        fresh_refs = [fresh.parameter(x) for x in inputs]
+        fresh_loss = build(fresh, fresh_refs)
+        fresh.backward(fresh_loss)
+        assert _bits([loss.value]) == _bits([fresh_loss.value]), inputs
+        assert _bits(r.grad for r in refs) == _bits(r.grad for r in fresh_refs), inputs
 
 
 def test_sum_rejects_no_input_and_a_ref_of_another_tape():

@@ -1366,7 +1366,7 @@ def test_rule_rejects_a_shape_lifting_would_change():
     assert ok.conclusion == ev(p, y)
 
     class Unchecked(chainer.Rule):
-        def __post_init__(self, kb):
+        def check_shape(self, kb, args):
             pass
     rule = Unchecked(kb, name="not", variables=[], premises=[nested],
                      conclusion=ev(p, x), formula=lambda inputs: inputs[0])

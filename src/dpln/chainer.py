@@ -25,8 +25,8 @@ from .atomspace import AtomSpace, TruthValue
 from .autodiff import VarRef
 # unify is not called here: perfbench/tests/test_perfbench.py reads
 # dpln.chainer.unify, and tests/test_benchmark_names.py guards that name
-from .pattern import (Binding, _substitute, _unify, _variables_in, candidates,
-                      lookup, match, unify, variables_in)
+from .pattern import (Binding, _substitute, _unify, _unify_into, _variables_in,
+                      candidates, lookup, match, unify, variables_in)
 
 
 # Deepest max_depth the backward search accepts: the search (and later a
@@ -64,13 +64,14 @@ class Rule:
         args = [[o for o in atoms[p].outgoing or [p] if not atoms[o].is_ground]
                 for p in premises]
         self.args = [set(a) for a in args]  # premise variables
+        self.own = set().union(*[variables_in(kb, p) for p in premises])  # all it binds
         self.check_shape(kb, args)
         # for the search: typed variables in a premise but the last, the other
         # typed ones, and whether those premises bind every term variable
         self.early, self.late = [], []
-        bound, before = set().union(*args), set().union(*args[:-1])
+        before = set().union(*args[:-1])
         for v, t in variables:
-            if t is not None and v in bound:
+            if t is not None and v in self.own:
                 (self.early if v in before else self.late).append((v, t))
         self.hoist = all(variables_in(kb, p) <= before for p, _ in self.terms)
 
@@ -124,8 +125,7 @@ class Constant:
         return hash(self.value)
 
     def replay(self, kb: AtomSpace, memo: dict) -> VarRef:
-        i = kb.tape._const_cache.get(self.value or repr(self.value))
-        return kb.tape.constant(self.value) if i is None else VarRef(kb.tape, i)
+        return kb.tape.constant(self.value)
 
 
 class Derivation:
@@ -311,60 +311,37 @@ def forward_chain(kb: AtomSpace, rules: list[Rule],
 
 # -- backward chaining -----------------------------------------------------
 
-def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding,
-                      seen: dict, args: list[set[int]]) -> bool:
-    """Unifies a rule conclusion ``c`` with a target pattern ``t`` into the
-    rule binding ``rb``.  A target variable matches any subtree; ``seen``
-    maps it to the first, which its later subtrees must equal: a rule
-    variable among them is bound to a ground one, or else to the variable
-    of another, its alias until the premises bind that one.  Such a repeat
-    sets ``seen[None]``, True if it aliases.  A rule variable meeting a
-    subtree that holds a variable is bound to it, an alias too, unless it is
-    bound already or the subtree holds one of the rule's variables
-    (``args``): then it is left as it is, and ``seen[None]`` set."""
-    ca = kb.atoms[c]
+def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding, seen: dict,
+                      rule: Rule, pattern: int) -> bool:
+    """Unifies ``rule``'s conclusion subtree ``c`` with the ``pattern``'s
+    subtree ``t`` into ``rb``, their variables kept apart: a target variable
+    maps to the subtree it first meets (``seen``) and is unified with each
+    later one; a rule variable meeting a subtree that holds one is unified
+    with it renamed apart."""
     ta = kb.atoms[t]
+    if ta.is_ground:
+        return _unify_into(kb, c, t, rb, {})
     if ta.type.name == "VariableNode":
-        first = seen.setdefault(t, c)
-        if first == c:
-            return True
-        seen.setdefault(None, False)
-        a, b = _root(rb, first), _root(rb, c)
-        if kb.atoms[b].type.name != "VariableNode":
-            a, b = b, a
-        if a == b or kb.atoms[b].type.name != "VariableNode":  # no variable
-            return a == b or not (kb.atoms[a].is_ground and kb.atoms[b].is_ground)
-        if kb.atoms[a].is_ground or kb.atoms[a].type.name == "VariableNode":
-            rb[b] = a
-            seen[None] = True  # lanes resolves the aliases
+        return (first := seen.setdefault(t, c)) == c or _unify_into(kb, c, first, rb, {})
+    ca = kb.atoms[c]
+    if ca.type.name != "VariableNode":
+        if ca.type is not ta.type or len(ca.outgoing) != len(ta.outgoing):
+            return False
+        for co, to in zip(ca.outgoing, ta.outgoing):
+            if not _match_conclusion(kb, co, to, rb, seen, rule, pattern):
+                return False
         return True
-    if ca.type.name == "VariableNode":
-        if not ta.is_ground:  # a partial pattern: _unify reads the answer
-            if c not in rb and all(map(_variables_in(kb, t).isdisjoint, args)):
-                rb[c], seen[None] = t, True
-            seen.setdefault(None, False)
-            return True
-        bound = rb.get(c)
-        if bound is None:
-            rb[c] = t
-            return True
-        return bound == t if kb.atoms[bound].is_ground else _match_conclusion(
-            kb, bound, t, rb, seen, args)  # an alias: match what it stands for
-    if ca.type.name != ta.type.name:
-        return False
-    if ca.type.is_node:
-        return ca.name == ta.name
-    if len(ca.outgoing) != len(ta.outgoing):
-        return False
-    return all(_match_conclusion(kb, co, to, rb, seen, args)
-               for co, to in zip(ca.outgoing, ta.outgoing))
-
-
-def _root(rb: Binding, v: int) -> int:
-    """What ``rb`` binds the rule variable ``v`` to, through its aliases."""
-    while v in rb:
-        v = rb[v]
-    return v
+    # standardize apart: a pattern variable the rule also uses gets a fresh name
+    taken, apart = {kb.atoms[v].name for v in rule.own | _variables_in(kb, pattern)}, {}
+    for v in sorted(_variables_in(kb, pattern)):
+        name = kb.atoms[v].name
+        while v in rule.own and name in taken:
+            name += "'"
+        taken.add(name)
+        apart[v] = kb.node("VariableNode", name)
+    return all(_match_conclusion(kb, apart[v], v, rb, seen, rule, pattern)
+               for v in _variables_in(kb, t)) and _unify_into(
+        kb, c, _substitute(kb, t, apart), rb, {})
 
 
 class _Search:
@@ -385,10 +362,9 @@ class _Search:
     def solve(self, kb: AtomSpace, pattern: int,
               depth: int) -> list[tuple[Binding, InferenceTrace]]:
         """Facts, then rule derivations, proving ``pattern`` within
-        ``depth``: one per lane, through ``_derive``.  A binding is read off
-        the conclusion match, but a target repeating a variable, or holding
-        one where the rule has a variable, is unified with the conclusion,
-        dropping failures."""
+        ``depth``: one per lane, through ``_derive``.  A derivation's answer
+        binds each target variable to its term (``seen``) under the lane's
+        binding, and its binding keeps the rule's variables only."""
         memo = self.memo
         if (pattern, depth) in memo:
             return memo[pattern, depth]
@@ -397,30 +373,28 @@ class _Search:
         results = list(self.facts[pattern])
         for rule, seen, full, traces, trace, terms in self.lanes(kb, pattern, depth):
             # ground: Rule makes the premises bind every conclusion variable
-            proof = _derive(kb, rule, full, traces + [trace], terms)
-            b = _unify(kb, pattern, proof.conclusion) if None in seen else {
-                t: full[c] if c in full else _substitute(kb, c, full)
-                for t, c in seen.items()}
-            if b is not None:
-                results.append((b, proof))
+            b = {t: full[c] if c in full else _substitute(kb, c, full)
+                 for t, c in seen.items()} if seen else {}
+            if len(full) > len(rule.own):  # the lane bound target variables too
+                full = {v: full[v] for v in rule.own}
+            results.append((b, _derive(kb, rule, full, traces + [trace], terms)))
         memo[pattern, depth] = results
         return results
 
     def lanes(self, kb: AtomSpace, pattern: int, depth: int, lifted=None, wanted=None):
         """Yields (rule, seen, binding, prefix traces, lane trace, terms or
         None) per rule derivation of ``pattern`` within ``depth``, in (rule,
-        premise solutions) order, once every column is solved.  Per solution
-        of the premises but the last (a prefix), the last premise's table
-        entry (its column) gives the lanes; the type checks and the terms
-        that prefix decides (``Rule.hoist``) run once for all of them.  A
-        subgoal's solutions bind only its own variables, which the
-        substitution left unbound, so merging them never conflicts.  An
-        alias (``seen[None]``) is replaced in the premises by the variable
-        or target subtree it stands for, so each lane binds it, fills it in,
-        checks it and reads terms.  With ``wanted``, a lane binding the rule
-        variable at ``lifted`` to an answer outside it is skipped before the
-        merge, and the whole column of a prefix that binds it so."""
-        matches = []  # per rule matching pattern: seen, aliases and prefixes
+        premise solutions) order, once every column is solved.  The premises
+        are solved under the unifier of the conclusion with the pattern: per
+        solution of all but the last (a prefix), the last one's table entry
+        (its column) gives the lanes, which share the type checks and terms
+        the prefix decides (``Rule.hoist``).  Solutions bind only variables
+        the unifier left unbound, so merges never conflict; a lane fills in
+        each variable it bound to a term holding others (``same``).  With
+        ``wanted``, a lane binding the rule variable at ``lifted`` to an
+        answer outside it is skipped before the merge, and the whole column
+        of a prefix that binds it so."""
+        matches = []  # per rule matching pattern: seen, open part and prefixes
         name = kb.atoms[pattern].type.name  # no rule of another type matches
         if name not in self.typed:
             self.typed[name] = tuple(r for r in self.rules if name in (
@@ -428,14 +402,16 @@ class _Search:
         for rule in self.typed[name] if depth >= 1 else ():
             rb, seen = {}, {}
             if not _match_conclusion(kb, rule.conclusion, pattern, rb, seen,
-                                     rule.args):
+                                     rule, pattern):
                 continue
             premises, same = rule.premises, {}
-            if seen.get(None):
-                rb = {v: _root(rb, v) for v in rb}
-                same = {v: a for v, a in rb.items() if not kb.atoms[a].is_ground}
-                rb = {v: a for v, a in rb.items() if v not in same}
-                premises = [_substitute(kb, p, same) for p in premises]
+            for value in rb.values():  # a plain loop: any() costs a frame per match
+                if not kb.atoms[value].is_ground:  # a repeated or nested target variable
+                    for _ in rb:  # resolve the chains, a link a pass
+                        rb = {v: _substitute(kb, a, rb) for v, a in rb.items()}
+                    same = {v: a for v, a in rb.items() if not kb.atoms[a].is_ground}
+                    premises = [_substitute(kb, p, rb) for p in premises]
+                    break
             prefixes = [(rb, [])]
             for premise in premises[:-1]:
                 prefixes = [({**b, **sb}, ts + [t]) for b, ts in prefixes for sb, t
@@ -447,8 +423,7 @@ class _Search:
             early, late, hoist = (rule.early, rule.late, rule.hoist) if not same else (
                 (), rule.early + rule.late, False)
             x = seen.get(lifted) if wanted and not same else None
-            if x is not None and kb.atoms[x].type.name != "VariableNode":
-                x = None  # a compound answer: the caller looks it up
+            x = x if x in rule.own else None  # a compound answer: the caller looks it up
             for binding, traces, column in prefixes:
                 if x in binding:
                     column = column if binding[x] in wanted else ()
@@ -532,11 +507,11 @@ def first_proofs(kb: AtomSpace, rules: list[Rule], targets: list[int],
     ``Rule``'s shape, its proofs binding ``$lifted`` to a target's argument
     are the ground query's, in order.  Its facts are the targets asserted
     and its lanes come from the table, its derivations not expanded into
-    it: only the lanes of the group's answers are walked, by answer (``lookup``),
-    and only a target's first lane becomes a Derivation, reading the terms
-    its rule does not hoist.  No query repeats a variable or nests one, so
-    no lane has aliases or a pattern to unify.  The caller checks the
-    target ids, as ``training`` does with each target's groundness."""
+    it: only the lanes of the group's answers are walked, by answer
+    (``lookup``), and only a target's first lane becomes a Derivation,
+    reading the terms its rule does not hoist; no query repeats or nests a
+    variable, so a lane binds the rule's variables only.  The caller checks
+    the target ids, as ``training`` does with each target's groundness."""
     search = _table(kb, rules, (), config)
     groups: dict = {}  # (link type, all outgoing but the last) -> its targets
     for t in targets:

@@ -1,22 +1,22 @@
 """Pattern matching: find all groundings of variable-bearing query graphs.
 
 Variables are VariableNodes identified by name; a Binding maps variable atom
-ids to ground atom ids.  ``candidates`` picks the facts, asserted atoms, a
-clause may match, for ``match`` and the backward chainer's depth-0 facts: a
-ground clause is its own candidate, a typed bare variable draws from its
-type's index, and a link takes the shorter of its type's index and the
-incoming set of its first ground (or bound) argument.  Both lists are in id
-order, so the choice never changes the order of results.  ``match``,
-``unify``, ``substitute`` and ``variables_in`` check atom ids; the
-underscored forms they call, which ``match`` and the search use inside their
-loops, do not.
+ids to atom ids, ground ones but in ``_unify_into``, the one unifier.
+``candidates`` picks the facts, asserted atoms, a clause may match, for
+``match`` and the backward chainer's depth-0 facts: a ground clause is its
+own candidate, a typed bare variable draws from its type's index, and a
+link takes the shorter of its type's index and the incoming set of its
+first ground (or bound) argument.  Both lists are in id order, so the
+choice never changes the order of results.  ``match``, ``unify``,
+``substitute`` and ``variables_in`` check atom ids; the underscored forms
+they call, which ``match`` and the search use inside their loops, do not.
 """
 
 from __future__ import annotations
 
 from .atomspace import TYPES, AtomSpace
 
-Binding = dict  # variable atom id -> ground atom id
+Binding = dict  # variable atom id -> atom id
 
 
 class MatchError(Exception):
@@ -44,50 +44,55 @@ def _variables_in(kb: AtomSpace, atom_id: int) -> set[int]:
 def unify(kb: AtomSpace, pattern: int, ground: int,
           binding: Binding | None = None,
           constraints: dict[int, str] | None = None) -> Binding | None:
-    """Extends ``binding`` so the pattern matches the ground atom, or None.
-
-    The ground side must not contain variables; the input binding is never
-    mutated.  A variable with a type constraint only binds atoms of exactly
-    that type.
-    """
+    """Extends ``binding`` so the pattern matches the ground atom, which
+    holds no variable, or None; never mutates the input binding.  A variable
+    with a type constraint only binds atoms of exactly that type."""
     kb.atom(pattern)
     kb.atom(ground)
     return _unify(kb, pattern, ground, binding, constraints)
 
 
 def _unify(kb, pattern, ground, binding=None, constraints=None):
-    if not kb.atoms[ground].is_ground:
-        return None
     result = dict(binding) if binding else {}
-    if _unify_into(kb, pattern, ground, result, constraints or {}):
-        return result
-    return None
+    return result if kb.atoms[ground].is_ground and _unify_into(
+        kb, pattern, ground, result, constraints or {}) else None
 
 
-def _unify_into(kb, pattern, ground, binding, constraints) -> bool:
-    if pattern == ground:  # interned: equal ids are equal subtrees
+def _unify_into(kb, a, b, binding, constraints) -> bool:
+    """Unifies ``a`` and ``b`` into ``binding``, a bound variable read through
+    its chain; a variable binds no term it occurs in, nor, if typed in
+    ``constraints``, an atom of another type."""
+    if a == b:  # interned: equal ids are equal subtrees
         return True
-    p = kb.atoms[pattern]
-    if p.type.name == "VariableNode":
-        bound = binding.get(pattern)
-        if bound is not None:
-            return bound == ground
-        want = constraints.get(pattern)
-        if want is not None and kb.atoms[ground].type.name != want:
+    x, y = kb.atoms[a], kb.atoms[b]
+    if x.type.name == "VariableNode":
+        bound = binding.get(a)
+        if bound is not None:  # distinct ground atoms never unify: no call
+            return bound == b or not (y.is_ground and kb.atoms[bound].is_ground) and (
+                _unify_into(kb, bound, b, binding, constraints))
+        if not y.is_ground:
+            if b in binding:
+                return _unify_into(kb, a, binding[b], binding, constraints)
+            if _occurs(kb, a, b, binding):
+                return False
+        want = constraints.get(a)
+        if want is not None and y.type.name != want:
             return False
-        binding[pattern] = ground
+        binding[a] = b
         return True
-    g = kb.atoms[ground]
-    if p.type.name != g.type.name:
-        return False
-    if p.type.is_node:
-        return p.name == g.name
-    if len(p.outgoing) != len(g.outgoing):
-        return False
-    for po, go in zip(p.outgoing, g.outgoing):
-        if not _unify_into(kb, po, go, binding, constraints):
+    if x.type is not y.type or x.is_ground and y.is_ground or len(
+            x.outgoing) != len(y.outgoing):  # a variable b is of another type
+        return y.type.name == "VariableNode" and _unify_into(kb, b, a, binding, constraints)
+    for xo, yo in zip(x.outgoing, y.outgoing):
+        if not _unify_into(kb, xo, yo, binding, constraints):
             return False
     return True
+
+
+def _occurs(kb: AtomSpace, v: int, t: int, binding: Binding) -> bool:
+    """Whether the variable ``v`` occurs in ``t`` under ``binding``."""
+    return t == v or any(_occurs(kb, v, o, binding) for o in (
+        [binding[t]] if t in binding else kb.atoms[t].outgoing))
 
 
 def candidates(kb: AtomSpace, clause: int, binding: Binding,

@@ -824,6 +824,31 @@ def test_repeated_target_variable_over_two_subtrees_is_unified():
         assert _rows([proof]) == _rows(backward_chain(kb, [rule], instance, config))
 
 
+def test_repeated_target_variable_binds_a_rule_variable_to_a_subtree():
+    """ListLink($T, $T) against a rule concluding ListLink(Not($a), $b) from
+    premises [$a, $b] binds $b to Not($a), the rule variable to the other
+    subtree, not to itself: with make_rule_set, it has 1 proof at depth 1
+    (Not(Eval(p, x)) asserted) and 3 at depth 2 (negation derives
+    Not(Eval(p, x)) and Not(Eval(q, x)) too), each its instance's."""
+    _, kb = fresh_kb()
+    a, b, t = (kb.node("VariableNode", n) for n in ("$a", "$b", "$T"))
+    evals = [kb.link("EvaluationLink", kb.node("PredicateNode", p),
+                     kb.node("ConceptNode", "x")) for p in "pq"]
+    for atom, s in zip([*evals, kb.link("NotLink", evals[0])], (0.3, 0.6, 0.4)):
+        set_strength(kb, atom, s)
+    pairnot = chainer.Rule(
+        kb, name="pairnot", variables=[(a, "EvaluationLink"), (b, None)],
+        premises=[a, b], conclusion=kb.link("ListLink", kb.link("NotLink", a), b),
+        formula=lambda inputs: inputs[1])
+    rules, target = [pairnot] + make_rule_set(kb), kb.link("ListLink", t, t)
+    for depth, proofs, negated in ((1, 1, evals[:1]), (2, 3, evals)):
+        kb.subgoal_table = None
+        got = _instance_proofs(kb, rules, target, ChainConfig(max_depth=depth))
+        assert len(got) == proofs
+        assert {binding[t] for binding, _, _ in got} == {
+            kb.link("NotLink", e) for e in negated}
+
+
 def test_repeated_target_variable_aliasing_an_earlier_premise_variable():
     """ListLink($T, $T) against a rule concluding ListLink($b, $a) from
     premises [$a, $b] aliases $a, a typed variable of the first premise
@@ -1010,6 +1035,8 @@ def test_nested_target_subtree_is_searched_as_a_premise(monkeypatch, shape):
     ('(ListLink %s %s)' % (_EVAL % (0, "$V"), _EVAL % (0, "$W")), [3, 3]),
     ('(ListLink %s (VariableNode "$W"))' % (_EVAL % (0, "$V")), [3, 3]),
     ('(ListLink (VariableNode "$W") %s)' % (_EVAL % (1, "$V")), [4, 7]),
+    # the occurs check: $V would stand for Eval(p0, $V)
+    ('(ListLink (VariableNode "$V") %s)' % (_EVAL % (0, "$V")), [0, 0]),
     # a partial, then the ground atom that its alias must match
     *[('(ListLink %s %s)' % (_EVAL % (0, "$V"), _GROUND % x), proofs)
       for x, proofs in ((0, [1, 1]), (2, [1, 1]), (1, [0, 0]))]])

@@ -123,6 +123,7 @@ class Tape:
         self._deps: list[tuple] = []
         self._param_indices: set[int] = set()
         self._const_cache: dict[float | str, int] = {}
+        self.resets = 0  # reset_to calls: an index names one record between two
         # indices whose value was read or set while trace_loss traces
         self._reads: list[int] | None = None
         # check_unit and at_least calls made while trace_loss traces, in
@@ -258,6 +259,7 @@ class Tape:
         if not 0 <= mark <= len(self._values):
             raise AutodiffError("mark %d is outside the tape's [0, %d]"
                                 % (mark, len(self._values)))
+        self.resets += 1
         del self._values[mark:]
         del self._grads[mark:]
         del self._deps[mark:]

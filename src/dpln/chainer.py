@@ -8,10 +8,11 @@ conclusion.  Traces are not changed once the search builds them: a search
 result depends only on the rules and on which atoms are asserted, so each
 KB keeps one subgoal table across calls; ``AtomSpace.set_tv`` ends it on a
 new assertion and ``prove`` on another rule list.  The table holds proofs
-only; one walk, ``_Search.lanes``, yields a rule's derivations, which
-``solve`` stores and ``first_proofs``, which ``training`` reads through,
-picks from.  The search interns only new atoms; it, replay and ``commit``
-read the KB's tables unchecked, and only ``apply_rule`` writes truth values.
+and ``backward_chain``'s replay memo; one walk, ``_Search.lanes``, yields a
+rule's derivations, which ``solve`` stores and ``first_proofs``, which
+``training`` reads through, picks from.  The search interns only new atoms;
+it, replay and ``commit`` read the KB's tables unchecked, and only
+``apply_rule`` writes truth values.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ class Derivation:
         """Evaluates the trace bottom-up from current KB strengths, the only
         place a formula runs, and returns the conclusion's strength; writes
         nothing.  ``memo`` collapses repeated applications with identical
-        inputs within one pass (keyed by rule and input record indices)."""
+        inputs (keyed by rule and input record indices): within one pass,
+        or over the ``backward_chain`` calls a subgoal table serves."""
         inputs = [c.replay(kb, memo) for cs in (self.premises, self.terms) for c in cs]
         key = (self.rule, *[v.index for v in inputs])
         out = memo.get(key)
@@ -349,15 +351,17 @@ class _Search:
     each pattern's depth-0 facts, for one rule list (``prove`` checks
     ``rules``) until ``set_tv`` ends it.  An entry holds proofs only,
     (binding, trace) pairs; ``lanes`` walks each column once per prefix.
-    It holds no reference to the KB, and its methods are not nested
-    closures: no reference cycle keeps a dropped KB alive until a garbage
-    collection."""
+    ``replays`` is ``backward_chain``'s replay memo, valid while the tape's
+    resets and parameter values are ``stamp``.  The table holds no
+    reference to the KB, and its methods are not nested closures: no
+    reference cycle keeps a dropped KB alive until a garbage collection."""
 
     def __init__(self, rules: list[Rule]):
         self.rules = tuple(rules)
         self.memo: dict[tuple[int, int], list[tuple[Binding, InferenceTrace]]] = {}
         self.facts: dict[int, list] = {}
         self.typed: dict[str, tuple[Rule, ...]] = {}  # pattern type -> rules
+        self.replays, self.stamp = {}, None
 
     def solve(self, kb: AtomSpace, pattern: int,
               depth: int) -> list[tuple[Binding, InferenceTrace]]:
@@ -542,13 +546,21 @@ def backward_chain(kb: AtomSpace, rules: list[Rule], target: int,
     recursively derivable.  Results are deterministic: KB facts first, then
     rules in the given order.
 
-    ``prove`` finds the traces through the KB's subgoal table, then one memo
-    replays them all, so a shared application calls its formula once.  It
-    values no conclusion, so every leaf is an asserted fact.  It interns the
-    subgoal patterns and conclusions it meets, ground ones included, proved
-    or not, but asserts none, so no chainer reads them as facts.
+    The KB's subgoal table gives the traces, and its replay memo values
+    them: a distinct rule application calls its formula once per table, so
+    a repeated query returns the same VarRefs and adds no tape record.  A
+    tape reset or a parameter's new value drops the memo, and a new
+    strength is a new record, so a new key; while ``trace_loss`` traces, a
+    fresh memo replays.  It values no conclusion, so every leaf is an
+    asserted fact.  It interns the subgoal patterns and conclusions it
+    meets, ground ones included, proved or not, but asserts none, so no
+    chainer reads them as facts.
     """
-    (proofs,) = prove(kb, rules, [target], config)
-    memo: dict = {}
-    return [(dict(binding), trace.replay(kb, memo), trace)
-            for binding, trace in proofs]
+    search = _table(kb, rules, [target], config)
+    proofs, tape, memo = search.solve(kb, target, config.max_depth), kb.tape, {}
+    if tape._reads is None:  # not while trace_loss traces
+        stamp = (tape.resets, [tape._values[i] for i in tape._param_indices])
+        if stamp != search.stamp:
+            search.replays, search.stamp = {}, stamp
+        memo = search.replays
+    return [(dict(b), trace.replay(kb, memo), trace) for b, trace in proofs]

@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import re
 import sys
-from pathlib import Path
 
 from .atomspace import TYPES, AtomSpace, TruthValue
 from .autodiff import Tape, VarRef
@@ -90,7 +90,8 @@ class ExperimentConfig:
              defaults: dict | None = None) -> "ExperimentConfig":
         data = {}
         if path is not None:
-            data = parse_config_text(Path(path).read_text(encoding="utf-8"))
+            with open(path, encoding="utf-8") as fh:
+                data = parse_config_text(fh.read())
         cfg = cls()
         for key, value in (defaults or {}).items():
             setattr(cfg, key, value)
@@ -175,12 +176,11 @@ def _round9(obj):
 
 
 def write_report(out_dir: str, report: dict, loss_rows: list[tuple[int, float]]):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as fh:
+    os.makedirs(out_dir or ".", exist_ok=True)  # "" is the current directory
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(_round9(report), fh, indent=2)
         fh.write("\n")
-    with open(out / "loss.csv", "w", newline="") as fh:  # csv.writer's bytes
+    with open(os.path.join(out_dir, "loss.csv"), "w", newline="") as fh:  # csv.writer's bytes
         fh.write("step,loss\r\n" + "".join("%d,%.9g\r\n" % row for row in loss_rows))
 
 
@@ -369,7 +369,8 @@ def run_chain(kb_path: str, target: str | None, forward: bool,
     """Loads a KB file and runs the chainer, printing derived atoms."""
     config = ChainConfig(max_steps=steps, max_depth=depth, seed=seed)
     kb = AtomSpace(Tape())
-    load_kb(kb, Path(kb_path).read_text(encoding="utf-8"))
+    with open(kb_path, encoding="utf-8") as fh:
+        load_kb(kb, fh.read())
     rules = make_rule_set(kb)
     if forward:
         new_atoms, _ = forward_chain(kb, rules, config)

@@ -1840,31 +1840,45 @@ def test_structural_search_writes_no_tape_record():
 
 
 def test_backward_chain_replays_each_formula_key_once():
-    """On the valued n = 6 ladder, backward_chain makes one formula call per
-    distinct (rule, input records) key: the per-query replay memo collapses
-    the applications that many proofs share (and, as the ladder's equal
-    strengths are one cached constant record, those with equal inputs)."""
+    """On the valued n = 6 ladder, two queries through one subgoal table
+    make one formula call per distinct (rule, input records) key of their
+    derivations, the union of both queries' keys: the table's replay memo
+    collapses the applications that many proofs and both queries share
+    (and, as the ladder's equal strengths are one cached constant record,
+    those with equal inputs)."""
     kb = _valued_ladder(6)
     rule = make_deduction_rule(kb)
-    calls = _count_formula_calls([rule])
+    calls, outputs = [], {}
+    formula = rule.formula
+
+    def counted(inputs):
+        out = formula(inputs)
+        calls.append((rule.name, tuple(v.index for v in inputs)))
+        outputs[calls[-1]] = out.index
+        return out
+    rule.formula = counted
+
+    def record(trace):  # a trace's output record, read from the calls made
+        if isinstance(trace, Derivation):
+            return outputs[trace.rule.name, tuple(record(c) for c in
+                                                  trace.premises + trace.terms)]
+        if isinstance(trace, Leaf):
+            return kb.get_tv(trace.atom).strength.index
+        return kb.tape.constant(trace.value).index
+    derivations = []
     for text in ['(InheritanceLink (ConceptNode "c0") (ConceptNode "c6"))',
                  '(InheritanceLink (ConceptNode "c0") (VariableNode "$Z"))']:
-        calls.clear()
         results = backward_chain(kb, [rule], parse_atom(kb, text),
                                  ChainConfig(max_depth=6))
-        searched = list(calls)
-        derivations = [n for _, _, t in results for n in _nodes(t)
-                       if isinstance(n, Derivation)]
-        # one more pass as backward_chain replays, to read each node's inputs
-        memo = {}
-        for _, _, t in results:
-            t.replay(kb, memo)
-        keys = {(n.rule.name,
-                 tuple(c.replay(kb, memo).index for c in n.premises + n.terms))
-                for n in derivations}
-        assert len(searched) == len(set(searched)) == len(keys)
-        assert set(calls[len(searched):]) == keys
-        assert len(keys) < len(derivations)
+        derivations += [n for _, _, t in results for n in _nodes(t)
+                        if isinstance(n, Derivation)]
+    size = len(kb.tape)
+    keys = {(n.rule.name, tuple(record(c) for c in n.premises + n.terms))
+            for n in derivations}
+    assert len(kb.tape) == size  # every input was a record already
+    assert len(calls) == len(set(calls)) == len(keys)
+    assert set(calls) == keys
+    assert len(keys) < len(derivations)
 
 
 def test_tall_proof_at_max_search_depth():

@@ -1,16 +1,23 @@
 """The KB's subgoal table, shared by backward-chaining calls: it is reused
 while the asserted set and the rule list are unchanged, and every result
-equals a search through a fresh table."""
+equals a search through a fresh table.  Its replay memo serves a repeated
+query without a formula call, and every value it returns is the one a fresh
+KB gives after parameter writes, tape resets, new strengths and traced
+losses."""
 
 import gc
+import random
 import weakref
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dpln import (AtomSpace, ChainConfig, Leaf, Tape, TruthValue, apply_rule,
-                  backward_chain, load_kb, make_rule_set, parse_atom)
+                  backward_chain, load_kb, make_deduction_rule, make_rule_set,
+                  parse_atom)
 from dpln import chainer
+from dpln.autodiff import trace_loss
+from dpln.training import cross_entropy, fit, sgd_step
 
 from conftest import fresh_kb, set_strength
 
@@ -138,6 +145,162 @@ def test_dropped_kb_is_freed_without_gc():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# -- the table's replay memo: every value is a fresh KB's -----------------
+
+def _param_chain(edges):
+    """Criterion 6's shape: the deduction chain c0 -> ... -> c<n> with
+    constant concept strengths and one tape parameter per edge, valued
+    ``edges``.  Returns the KB, its rules, the parameters and Inh(c0, c<n>)."""
+    tape, kb = fresh_kb()
+    concepts = [kb.node("ConceptNode", "c%d" % i) for i in range(len(edges) + 1)]
+    for i, c in enumerate(concepts):
+        set_strength(kb, c, 0.6 - 0.05 * i)
+    params = [tape.parameter(s) for s in edges]
+    for x, y, p in zip(concepts, concepts[1:], params):
+        kb.set_tv(kb.link("InheritanceLink", x, y), TruthValue(p, 1.0))
+    return kb, [make_deduction_rule(kb)], params, kb.link(
+        "InheritanceLink", concepts[0], concepts[-1])
+
+
+def _query(kb, rules, target):
+    return [s for _, s, _ in backward_chain(kb, rules, target, ChainConfig(max_depth=3))]
+
+
+def _query_loss(kb, rules, target):
+    """A loss that queries: every proof's strength against the label 1."""
+    strengths = _query(kb, rules, target)
+    return cross_entropy(strengths, [1.0] * len(strengths))
+
+
+def _values(kb, rules, target):
+    return [s.value for s in _query(kb, rules, target)]
+
+
+def _fresh(edges):
+    """The query's strengths on a fresh chain valued ``edges``."""
+    kb, rules, _, target = _param_chain(edges)
+    return _values(kb, rules, target)
+
+
+def test_parameter_writes_reach_the_next_query():
+    """After a query, a parameter's value set in place and then an SGD step
+    each give the next query a fresh KB's strengths."""
+    kb, rules, params, target = _param_chain([0.8] * 4)
+    first = _values(kb, rules, target)
+    params[0].value = 0.2
+    assert _values(kb, rules, target) == _fresh([p.value for p in params]) != first
+    kb.tape.backward(_query(kb, rules, target)[-1])
+    before = [p.value for p in params]
+    sgd_step(params, 0.5)
+    assert [p.value for p in params] != before
+    assert _values(kb, rules, target) == _fresh([p.value for p in params])
+
+
+def test_a_tape_reset_below_a_query_leaves_no_stale_strength():
+    """A reset to a mark below a query's records, and new records in their
+    place: the next query returns live VarRefs with a fresh KB's values."""
+    edges = [0.8, 0.7, 0.6, 0.5]
+    kb, rules, _, target = _param_chain(edges)
+    mark = kb.tape.mark()
+    assert _values(kb, rules, target) == _fresh(edges)
+    kb.tape.reset_to(mark)
+    for i in range(60):  # reuse the discarded indices
+        kb.tape.constant(0.001 * i)
+    assert _values(kb, rules, target) == _fresh(edges)
+
+
+def test_a_new_strength_on_an_asserted_leaf_is_read():
+    """``set_tv`` of a new strength on an asserted edge: the next query
+    reads it, as a fresh KB does."""
+    edges = [0.8, 0.7, 0.6, 0.5]
+    kb, rules, _, target = _param_chain(edges)
+    first = _values(kb, rules, target)
+    c1 = kb.node("ConceptNode", "c1")
+    edge = kb.link("InheritanceLink", kb.node("ConceptNode", "c0"), c1)
+    kb.set_tv(edge, TruthValue(kb.tape.constant(0.3), 1.0))
+    assert _values(kb, rules, target) == _fresh([0.3] + edges[1:]) != first
+
+
+def test_a_traced_loss_that_queries_compiles_after_a_warm_up_query():
+    """A query outside the loss first, then ``trace_loss`` of a loss that
+    queries: it compiles, and after the parameters move its replay gives
+    the loss and grads of a re-trace."""
+    kb, rules, params, target = _param_chain([0.8, 0.7, 0.6, 0.5])
+    tape = kb.tape
+    _query(kb, rules, target)
+    mark = tape.mark()
+    loss, replay = trace_loss(params, lambda: _query_loss(kb, rules, target))
+    for p, x in zip(params, [0.6, 0.9, 0.4, 0.7]):
+        p.value = x
+    tape.zero_grads()
+    assert replay()
+    replayed = [loss.value] + [p.grad for p in params]
+    tape.reset_to(mark)
+    tape.zero_grads()
+    fresh = _query_loss(kb, rules, target)
+    tape.backward(fresh)
+    assert replayed == [fresh.value] + [p.grad for p in params]
+
+
+def test_fit_on_a_loss_that_queries_matches_fresh_steps():
+    """``fit`` after a warm-up query: each step's loss and the final
+    parameters are those of plain SGD steps, each on a fresh KB."""
+    edges, rate = [0.8, 0.7, 0.6, 0.5], 0.1
+    kb, rules, params, target = _param_chain(edges)
+    _query(kb, rules, target)
+    losses = fit(params, lambda: _query_loss(kb, rules, target), rate, 4)
+    expected = []
+    for _ in range(4):
+        other, other_rules, other_params, other_target = _param_chain(edges)
+        loss = _query_loss(other, other_rules, other_target)
+        other.tape.backward(loss)
+        expected.append(loss.value)
+        edges = [p.value - rate * p.grad for p in other_params]
+    assert losses == expected
+    assert [p.value for p in params] == edges
+
+
+def _ladders(count, length, seed=0):
+    """KB text of ``count`` deduction ladders of ``length`` edges, with
+    seeded strengths, and every ground query of span 1 to ``length``."""
+    rng = random.Random(seed)
+    lines, queries = [], []
+    stv = lambda: "(stv %.3f 0.9)" % rng.uniform(0.05, 0.95)
+    for k in range(count):
+        names = ["L%d-%d" % (k, i) for i in range(length + 1)]
+        lines += ['(ConceptNode %s "%s")' % (stv(), n) for n in names]
+        lines += ['(InheritanceLink %s (ConceptNode "%s") (ConceptNode "%s"))'
+                  % (stv(), a, b) for a, b in zip(names, names[1:])]
+        queries += ['(InheritanceLink (ConceptNode "%s") (ConceptNode "%s"))'
+                    % (names[i], names[j])
+                    for i in range(length) for j in range(i + 1, length + 1)]
+    return "\n".join(lines), queries
+
+
+def test_repeated_passes_add_no_record_atom_or_formula_call():
+    """Passes 2-5 of the same queries on a ladder KB add no tape record and
+    no atom, make no formula call and return pass 1's strengths, the same
+    records."""
+    _, kb = fresh_kb()
+    text, queries = _ladders(6, 4)
+    load_kb(kb, text)
+    rules = make_rule_set(kb)
+    calls = []
+    for rule in rules:
+        rule.formula = lambda inputs, f=rule.formula: calls.append(1) or f(inputs)
+    targets = [parse_atom(kb, q) for q in queries]
+
+    def run():
+        return [[(s.index, s.value) for _, s, _ in backward_chain(
+            kb, rules, t, ChainConfig(max_depth=3))] for t in targets]
+    first = run()
+    sizes = len(kb.tape), len(kb), len(calls)
+    assert calls and any(len(r) > 1 for r in first)
+    for _ in range(4):
+        assert run() == first
+        assert (len(kb.tape), len(kb), len(calls)) == sizes
 
 
 # -- property: the shared table answers as a fresh one --------------------

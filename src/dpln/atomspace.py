@@ -85,9 +85,10 @@ class AtomSpace:
     A fresh atom is unasserted and reads the default truth value (1.0,
     0.0).  ``set_tv`` asserts an atom, which both chainers use to tell
     stated facts from atoms interned as query patterns or templates, and
-    ends the chainer's subgoal table, built from the asserted set, when
-    that set grows.  Unchecked, ``pattern`` and ``chainer`` read ``atoms``,
-    ``tvs``, ``incoming_of`` and ``_index``, and intern by ``_link``.
+    ends the chainer's subgoal table, built from the asserted set, when that
+    set grows.  Unchecked, ``pattern`` and ``chainer`` read ``atoms``, ``tvs``,
+    ``incoming_of`` and ``_index``; they intern by ``_link``, ``sexpr`` by
+    ``_node`` and ``_link``.
     """
 
     def __init__(self, tape: Tape):
@@ -108,11 +109,15 @@ class AtomSpace:
         t = _atom_type(type_name)
         if not t.is_node:
             raise AtomSpaceError("%s is a link kind, not a node kind" % type_name)
+        return self._node(type_name, name)
+
+    def _node(self, type_name: str, name: str) -> int:
+        """``intern_node`` unchecked: a node type name of TYPES."""
         existing = self._index.get((type_name, name))
         if existing is not None:
             return existing
         i = len(self.atoms)
-        self.atoms.append(Atom(t, name=name, is_ground=(type_name != "VariableNode")))
+        self.atoms.append(Atom(TYPES[type_name], name, (), type_name != "VariableNode"))
         self.incoming_of.append([])
         self._index[type_name, name] = i
         self._by_type.setdefault(type_name, []).append(i)
@@ -140,7 +145,11 @@ class AtomSpace:
         if existing is not None:
             return existing
         i = len(self.atoms)
-        ground = all(self.atoms[oid].is_ground for oid in out)
+        ground = True
+        for oid in out:
+            if not self.atoms[oid].is_ground:
+                ground = False
+                break
         self.atoms.append(Atom(t, None, out, ground))  # positional: half the cost
         self.incoming_of.append([])
         self._index[key] = i

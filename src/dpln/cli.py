@@ -90,7 +90,7 @@ class ExperimentConfig:
              defaults: dict | None = None) -> "ExperimentConfig":
         data = {}
         if path is not None:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 data = parse_config_text(fh.read())
         cfg = cls()
         for key, value in (defaults or {}).items():
@@ -369,7 +369,7 @@ def run_chain(kb_path: str, target: str | None, forward: bool,
     """Loads a KB file and runs the chainer, printing derived atoms."""
     config = ChainConfig(max_steps=steps, max_depth=depth, seed=seed)
     kb = AtomSpace(Tape())
-    with open(kb_path, encoding="utf-8") as fh:
+    with open(kb_path, encoding="utf-8-sig") as fh:
         load_kb(kb, fh.read())
     rules = make_rule_set(kb)
     if forward:

@@ -7,8 +7,9 @@ among a form's arguments.  Strings are double-quoted, whitespace is free-form
 and ``;`` starts a line comment.
 
 The text is read in one pass, without recursion: one regular expression
-tokenizes each line, and each form is interned when its ')' arrives.  The
-first error in text order raises a SexprError with its line.
+tokenizes each line, with a whole one-line node form or (stv s c) as one
+match, and each form is interned when its ')' arrives.  The first error in
+text order raises a SexprError with its line.
 """
 
 from __future__ import annotations
@@ -22,10 +23,14 @@ from .atomspace import TYPES, AtomSpace, TruthValue
 # refused up front.
 MAX_DEPTH = 256
 
-# One token per match: a comment (the rest of the line), a paren, a string,
-# a symbol, or a lone '"' that opens a string no '"' closes on its line.
-_TOKEN = re.compile(r';.*|[()]|"[^"]*"|[^\s();"]+|"')
 _NODE_TYPES = frozenset(name for name, t in TYPES.items() if t.is_node)
+# One match per token: a whole one-line node form, as its type and name
+# groups; a whole (stv s c), as its two number groups; or else, in the last
+# group, a comment (the rest of the line), a paren, a string, a symbol, or a
+# lone '"' that opens a string no '"' closes on its line.
+_TOKEN = re.compile(r'\(\s*(?:(%s)\s*"([^"]*)"|stv\s+([^\s();"]+)\s+'
+                    r'([^\s();"]+))\s*\)|(;.*|[()]|"[^"]*"|[^\s();"]+|")'
+                    % "|".join(sorted(_NODE_TYPES)))
 
 
 class SexprError(Exception):
@@ -45,22 +50,8 @@ def _load(kb: AtomSpace, text: str, query: bool) -> list[int]:
     stack = []
     want_head = False  # the last token was '('
     for line, chars in enumerate(text.split("\n"), 1):
-        for tok in _TOKEN.findall(chars):
-            c = tok[0]
-            if c == "(":
-                if want_head:
-                    raise SexprError("expected a type symbol after '('", line)
-                if stack:
-                    if stack[-1][1] == "stv":
-                        raise SexprError("stv takes two numbers", stack[-1][0])
-                    if len(stack) >= MAX_DEPTH:
-                        raise SexprError("forms nest deeper than %d levels"
-                                         % MAX_DEPTH, line)
-                elif query and top_ids:
-                    raise SexprError("expected exactly one form", line)
-                stack.append([line, None, None, [], None])
-                want_head = True
-            elif c == ")":
+        for node, name, s_text, c_text, tok in _TOKEN.findall(chars):
+            if tok == ")":
                 if want_head:
                     raise SexprError("expected a type symbol after '('", line)
                 if not stack:
@@ -76,23 +67,34 @@ def _load(kb: AtomSpace, text: str, query: bool) -> list[int]:
                     if children:
                         raise SexprError("node %s cannot have children" % head,
                                          form_line)
-                    atom_id = kb.intern_node(head, name)
+                    atom_id = kb._node(head, name)
                 else:
                     if name is not None:
                         raise SexprError("link %s cannot have a name" % head,
                                          form_line)
-                    atom_id = kb.intern_link(head, children)
+                    atom_id = kb._link(TYPES[head], tuple(children))
+            elif not tok or tok == "(":  # or a whole node or (stv s c) form
+                if want_head:
+                    raise SexprError("expected a type symbol after '('", line)
                 if stack:
-                    if stv is not None:
-                        kb.set_tv(atom_id, _make_tv(kb, stv))
-                    stack[-1][3].append(atom_id)
+                    if stack[-1][1] == "stv":
+                        raise SexprError("stv takes two numbers", stack[-1][0])
+                    if len(stack) >= MAX_DEPTH:
+                        raise SexprError("forms nest deeper than %d levels"
+                                         % MAX_DEPTH, line)
+                elif query and top_ids:
+                    raise SexprError("expected exactly one form", line)
+                if tok:
+                    stack.append([line, None, None, [], None])
+                    want_head = True
                     continue
-                atom_id = _normalize_lambda_implication(kb, atom_id)
-                if not query:
-                    kb.set_tv(atom_id, kb.get_tv(atom_id) if stv is None
-                              else _make_tv(kb, stv))
-                top_ids.append(atom_id)
-            elif c == ";":
+                if not node:
+                    _check_stv_place(stack, query, line)
+                    stack[-1][4] = _stv([_number(s_text, line),
+                                         _number(c_text, line)], line)
+                    continue
+                atom_id, stv = kb._node(node, name), None
+            elif tok[0] == ";":
                 break
             elif tok == '"':
                 raise SexprError("unterminated string", line)
@@ -101,45 +103,64 @@ def _load(kb: AtomSpace, text: str, query: bool) -> list[int]:
                 frame = stack[-1]
                 if tok in TYPES:
                     frame[1] = tok
-                elif c == '"':
+                elif tok[0] == '"':
                     raise SexprError("expected a type symbol after '('", line)
                 elif tok != "stv":
                     raise SexprError("unknown atom type %r" % tok, frame[0])
-                elif len(stack) == 1:
-                    raise SexprError("(stv ...) is not an atom", frame[0])
-                elif query:
-                    raise SexprError("a query cannot carry a truth value",
-                                     frame[0])
-                elif stack[-2][4] is not None:
-                    raise SexprError("multiple truth values in one form",
-                                     frame[0])
                 else:
+                    _check_stv_place(stack[:-1], query, frame[0])
                     frame[1] = tok
+                continue
             elif not stack:
                 raise SexprError("expected '(' at top level", line)
             else:
                 frame = stack[-1]
                 if frame[1] == "stv":
-                    if c == '"':
+                    if tok[0] == '"':
                         raise SexprError("stv takes two numbers", frame[0])
-                    try:
-                        frame[3].append((float(tok), tok))
-                    except ValueError:
-                        raise SexprError("bad number %r in stv" % tok,
-                                         frame[0]) from None
-                elif c != '"':
+                    frame[3].append(_number(tok, frame[0]))
+                elif tok[0] != '"':
                     raise SexprError("bare symbol %r (names must be quoted)"
                                      % tok, frame[0])
                 elif frame[2] is not None:
                     raise SexprError("multiple names in one form", frame[0])
                 else:
                     frame[2] = tok[1:-1]
+                continue
+            if stack:
+                if stv is not None:
+                    kb.set_tv(atom_id, _make_tv(kb, stv))
+                stack[-1][3].append(atom_id)
+                continue
+            atom_id = _normalize_lambda_implication(kb, atom_id)
+            if not query:
+                kb.set_tv(atom_id, kb.get_tv(atom_id) if stv is None
+                          else _make_tv(kb, stv))
+            top_ids.append(atom_id)
     if stack:
         raise SexprError("unexpected end of input" if want_head
                          else "missing ')'", stack[-1][0])
     if query and not top_ids:
         raise SexprError("expected exactly one form", 1)
     return top_ids
+
+
+def _check_stv_place(outer: list, query: bool, line: int) -> None:
+    """Raises unless an (stv ...) may open inside the ``outer`` forms."""
+    if not outer:
+        raise SexprError("(stv ...) is not an atom", line)
+    if query:
+        raise SexprError("a query cannot carry a truth value", line)
+    if outer[-1][4] is not None:
+        raise SexprError("multiple truth values in one form", line)
+
+
+def _number(tok: str, line: int) -> tuple[float, str]:
+    """An stv number as its (value, text) pair."""
+    try:
+        return (float(tok), tok)
+    except ValueError:
+        raise SexprError("bad number %r in stv" % tok, line) from None
 
 
 def _stv(numbers: list, line: int) -> tuple[float, float]:

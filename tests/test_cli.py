@@ -83,6 +83,15 @@ def test_experiment_config_load_and_overrides(tmp_path):
     assert cfg.out_dir == "out"  # None overrides are ignored
 
 
+def test_experiment_config_with_a_byte_order_mark(tmp_path):
+    """A UTF-8 byte-order mark before the first line is not part of it."""
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(FRUIT_CONFIG.lstrip(), encoding="utf-8")
+    marked.write_text("\ufeff" + FRUIT_CONFIG.lstrip(), encoding="utf-8")
+    assert vars(ExperimentConfig.load(str(marked), {})) == vars(
+        ExperimentConfig.load(str(plain), {}))
+
+
 def test_experiment_config_unknown_key(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("bogus = 1\n")
@@ -288,6 +297,21 @@ def test_chain_forward_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert '(InheritanceLink (stv 1 ' in out
     assert '(ConceptNode "sparrow") (ConceptNode "animal")' in out
+
+
+@pytest.mark.parametrize("args", [["--forward"],
+                                  ["--target", '(InheritanceLink (ConceptNode '
+                                   '"sparrow") (ConceptNode "animal"))']])
+def test_chain_kb_with_a_byte_order_mark(tmp_path, capsys, args):
+    """A KB file that starts with a UTF-8 byte-order mark prints what the
+    same file without it prints."""
+    outs = []
+    for mark in ("", "\ufeff"):
+        kb_path = tmp_path / "kb.scm"
+        kb_path.write_text(mark + SPARROW_KB.lstrip(), encoding="utf-8")
+        assert main(["chain", "--kb", str(kb_path)] + args) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != ""
 
 
 def test_chain_backward_command(tmp_path, capsys):

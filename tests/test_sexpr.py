@@ -1,5 +1,7 @@
 import gc
+import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,9 @@ def test_second_truth_value_in_a_form_is_rejected():
     with pytest.raises(SexprError, match="^line 2: multiple truth values "
                        "in one form$"):
         load_kb(kb, '(ConceptNode (stv 0.5 0.5)\n(stv 0.7 0.7) "a")')
+    with pytest.raises(SexprError, match="^line 1: multiple truth values "
+                       "in one form$"):
+        load_kb(kb, '(ListLink (ConceptNode "a") (stv 0.5 0.5) (stv 0.5 0.5))')
     # one per form is fine: the child's and the parent's are separate
     top = load_kb(kb, '(ListLink (stv 0.5 0.5) (ConceptNode (stv 0.7 0.7) "b"))')
     assert kb.get_tv(kb.atom(top[0]).outgoing[0]).strength.value == 0.7
@@ -333,14 +338,17 @@ def test_load_format_load_round_trip(forms):
 # KB; on text with one error both must raise the same message at the same line.
 
 def _snapshot(kb, ids):
-    """Everything a load can write: the returned ids, the atom table, the
-    asserted truth values and every tape value, all compared exactly."""
-    atoms = [(a.type.name, a.name, a.outgoing)
-             for a in map(kb.atom, range(len(kb)))]
+    """Everything a load can write: the returned ids, the atom table with
+    each atom's groundness and incoming set, the type index, the asserted
+    truth values and every tape value, all compared exactly."""
+    atoms = [(a.type.name, a.name, a.outgoing, a.is_ground, kb.incoming_of[i])
+             for i, a in enumerate(map(kb.atom, range(len(kb))))]
+    by_type = {name: list(kb.atoms_of_type(name)) for name in TYPES}
     tvs = {i: (kb.get_tv(i).strength.index, kb.get_tv(i).strength.value,
                kb.get_tv(i).confidence)
            for i in range(len(kb)) if kb.has_asserted_tv(i)}
-    return ids, atoms, tvs, [VarRef(kb.tape, i).value for i in range(len(kb.tape))]
+    return (ids, atoms, by_type, tvs,
+            [VarRef(kb.tape, i).value for i in range(len(kb.tape))])
 
 
 def _outcome(loader, text):
@@ -359,7 +367,9 @@ _LAMBDA_IMPL = ('(ImplicationLink (stv 0.7 0.9) (LambdaLink (VariableNode "$X") 
                 '(PredicateNode "q") (VariableNode "$X"))))')
 _VALID_FORM = _ATOM | st.sampled_from([
     _LAMBDA_IMPL, '(ConceptNode "a;b")', '(PredicateNode ";")',
-    '(ConceptNode "x\r\u2028y")', '(ConceptNode (stv 1 0) "\t")'])
+    '(ConceptNode "x\r\u2028y")', '(ConceptNode (stv 1 0) "\t")',
+    '( ConceptNode "a" )', '(ConceptNode"a")',
+    '(ListLink (stv 0.5\t0.9) (ConceptNode "a"))'])
 # whitespace inside forms (it also lands in names, the same for both loaders)
 _SPACE = st.sampled_from([" ", "\t", "\r", "\u2028", " \x0b\x1c"])
 # what may separate top-level forms
@@ -390,6 +400,41 @@ def test_valid_kb_loads_as_the_reference_does(text):
     assert _outcome(load_kb, text) == _outcome(reference.load_kb, text)
 
 
+def _ladder_kb_text():
+    """730 forms shaped like a large KB: 20 ladders of 4 InheritanceLinks
+    over ConceptNodes that carry truth values, then 500 EvaluationLink and
+    50 ImplicationLink facts whose 30 PredicateNodes recur across lines."""
+    rng = random.Random(5)
+
+    def stv():
+        return "(stv %.4f 0.9)" % rng.uniform(0.05, 0.95)
+
+    lines = []
+    for k in range(20):
+        names = ["L%d-%d" % (k, i) for i in range(5)]
+        lines += ['(ConceptNode %s "%s")' % (stv(), n) for n in names]
+        lines += ['(InheritanceLink %s (ConceptNode "%s") (ConceptNode "%s"))'
+                  % (stv(), a, b) for a, b in zip(names, names[1:])]
+    lines += ['(EvaluationLink %s (PredicateNode "p%d") (ConceptNode "E%d"))'
+              % (stv(), rng.randrange(30), j) for j in range(500)]
+    lines += ['(ImplicationLink %s (PredicateNode "p%d") (PredicateNode "p%d"))'
+              % (stv(), rng.randrange(30), rng.randrange(30)) for _ in range(50)]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_large_kb_loads_as_the_reference_does():
+    """The loader's unchecked interning builds what the reference's public
+    interning builds, at a scale where names recur, well inside 1 s (a load
+    takes milliseconds)."""
+    text = _ladder_kb_text()
+    start = time.perf_counter()
+    got = _outcome(load_kb, text)
+    elapsed = time.perf_counter() - start
+    assert got == _outcome(reference.load_kb, text)
+    assert len(got[0]) == 730
+    assert elapsed < 1.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(_VALID_FORM, _SPACE)
 def test_query_parses_as_the_reference_does(form, space):
@@ -414,6 +459,10 @@ _BAD_FORMS = [
     ("any", '(ConceptNode (stv nan 0.5) "a")'),
     ("any", '(ConceptNode (stv "a" 0.5) "a")'),
     ("any", '(ConceptNode (stv (ConceptNode "b") 0.5) "a")'),
+    ("any", '((ConceptNode "a"))'),
+    ("any", '((stv 0.5 0.5))'),
+    ("any", '(ConceptNode (stv 1.5 0.5) "a")'),
+    ("any", '(ConceptNode (stv (stv 0.5 0.5) 0.5) "a")'),
     ("any", '("a")'),
     ("any", '(\n)'),
     ("any", '(ConceptNode "a)\n'),

@@ -26,8 +26,8 @@ from .atomspace import AtomSpace, TruthValue
 from .autodiff import VarRef
 # unify is not called here: perfbench/tests/test_perfbench.py reads
 # dpln.chainer.unify, and tests/test_benchmark_names.py guards that name
-from .pattern import (Binding, _substitute, _unify, _unify_into, _variables_in,
-                      candidates, lookup, match, unify, variables_in)
+from .pattern import (Binding, _substitute, _unify_into, _variables_in, candidates,
+                      lookup, match, unify, variables_in)
 
 
 # Deepest max_depth the backward search accepts: the search (and later a
@@ -67,13 +67,10 @@ class Rule:
         self.args = [set(a) for a in args]  # premise variables
         self.own = set().union(*[variables_in(kb, p) for p in premises])  # all it binds
         self.check_shape(kb, args)
-        # for the search: typed variables in a premise but the last, the other
-        # typed ones, and whether those premises bind every term variable
-        self.early, self.late = [], []
+        # for the search: the typed variables, and whether the premises but
+        # the last bind every term variable
+        self.typed = [(v, t) for v, t in variables if t is not None and v in self.own]
         before = set().union(*args[:-1])
-        for v, t in variables:
-            if t is not None and v in self.own:
-                (self.early if v in before else self.late).append((v, t))
         self.hoist = all(variables_in(kb, p) <= before for p, _ in self.terms)
 
     def check_shape(self, kb: AtomSpace, args: list[list[int]]) -> None:
@@ -372,8 +369,9 @@ class _Search:
         memo = self.memo
         if (pattern, depth) in memo:
             return memo[pattern, depth]
-        if pattern not in self.facts:  # the same at any depth
-            self.facts[pattern] = _facts(kb, pattern)
+        if pattern not in self.facts:  # the same at any depth; match's reading
+            self.facts[pattern] = [(b, Leaf(c)) for c in candidates(kb, pattern, {})
+                                   if _unify_into(kb, pattern, c, b := {}, {})]
         results = list(self.facts[pattern])
         for rule, seen, full, traces, trace, terms in self.lanes(kb, pattern, depth):
             # ground: Rule makes the premises bind every conclusion variable
@@ -391,13 +389,13 @@ class _Search:
         premise solutions) order, once every column is solved.  The premises
         are solved under the unifier of the conclusion with the pattern: per
         solution of all but the last (a prefix), the last one's table entry
-        (its column) gives the lanes, which share the type checks and terms
-        the prefix decides (``Rule.hoist``).  Solutions bind only variables
-        the unifier left unbound, so merges never conflict; a lane fills in
-        each variable it bound to a term holding others (``same``).  With
-        ``wanted``, a lane binding the rule variable at ``lifted`` to an
-        answer outside it is skipped before the merge, and the whole column
-        of a prefix that binds it so."""
+        (its column) gives the lanes, which share the terms the prefix
+        decides (``Rule.hoist``) and check each typed variable (``Rule.typed``).
+        Solutions bind only variables the unifier left unbound, so merges
+        never conflict; a lane fills in each variable it bound to a term
+        holding others (``same``).  With ``wanted``, a lane binding the rule
+        variable at ``lifted`` to an answer outside it is skipped before the
+        merge, and the whole column of a prefix that binds it so."""
         matches = []  # per rule matching pattern: seen, open part and prefixes
         name = kb.atoms[pattern].type.name  # no rule of another type matches
         if name not in self.typed:
@@ -424,8 +422,7 @@ class _Search:
                 (b, ts, self.solve(kb, _substitute(kb, premises[-1], b), depth - 1))
                 for b, ts in prefixes]))
         for rule, seen, same, prefixes in matches:
-            early, late, hoist = (rule.early, rule.late, rule.hoist) if not same else (
-                (), rule.early + rule.late, False)
+            hoist = rule.hoist and not same
             x = seen.get(lifted) if wanted and not same else None
             x = x if x in rule.own else None  # a compound answer: the caller looks it up
             for binding, traces, column in prefixes:
@@ -433,8 +430,7 @@ class _Search:
                     column = column if binding[x] in wanted else ()
                 elif x is not None:
                     column = [(b, t) for b, t in column if b[x] in wanted]
-                if not column or any(
-                        kb.atoms[binding[v]].type.name != t for v, t in early):
+                if not column:
                     continue
                 terms = [_term(kb, p, d, binding)
                          for p, d in rule.terms] if hoist else None
@@ -443,33 +439,10 @@ class _Search:
                     if same:
                         full.update((v, _substitute(kb, a, full))
                                     for v, a in same.items())
-                    if late and any(kb.atoms[full[v]].type.name != t for v, t in late):
+                    if rule.typed and any(
+                            kb.atoms[full[v]].type.name != t for v, t in rule.typed):
                         continue
                     yield rule, seen, full, traces, trace, terms
-
-
-def _facts(kb: AtomSpace, pattern: int) -> list[tuple[Binding, Leaf]]:
-    """Depth 0: the asserted facts unifying with ``pattern``.  A link of
-    ground atoms and distinct variables, as ``Rule``'s premises and lifted
-    queries are, is read by position, one pass per place, with no ``unify``."""
-    atoms, p = kb.atoms, kb.atoms[pattern]
-    cands = candidates(kb, pattern, {})
-    if p.is_ground:  # its one candidate, if asserted; a wider pool stays exact
-        return [({}, Leaf(c)) for c in cands if c == pattern]
-    free = [(i, o) for i, o in enumerate(p.outgoing) if not atoms[o].is_ground]
-    if p.type.is_node or len({o for _, o in free}) < len(free) or any(
-            atoms[o].type.name != "VariableNode" for _, o in free):
-        return [(b, Leaf(c)) for c in cands if (b := _unify(kb, pattern, c)) is not None]
-    rows = [(c, atoms[c].outgoing) for c in cands if atoms[c].type is p.type
-            and len(atoms[c].outgoing) == len(p.outgoing)]
-    for i, o in enumerate(p.outgoing):
-        if atoms[o].is_ground:
-            rows = [(c, got) for c, got in rows if got[i] == o]
-    results = [({}, Leaf(c)) for c, _ in rows]
-    for i, v in free:
-        for (b, _), (_, got) in zip(results, rows):
-            b[v] = got[i]
-    return results
 
 
 def _table(kb: AtomSpace, rules: list[Rule], targets: list[int],

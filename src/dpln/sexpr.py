@@ -133,9 +133,10 @@ def _load(kb: AtomSpace, text: str, query: bool) -> list[int]:
                 stack[-1][3].append(atom_id)
                 continue
             atom_id = _normalize_lambda_implication(kb, atom_id)
-            if not query:
-                kb.set_tv(atom_id, kb.get_tv(atom_id) if stv is None
-                          else _make_tv(kb, stv))
+            if stv is not None:
+                kb.set_tv(atom_id, _make_tv(kb, stv))
+            elif not query and atom_id not in kb.tvs:  # asserted at the default
+                kb.set_tv(atom_id, kb.get_tv(atom_id))
             top_ids.append(atom_id)
     if stack:
         raise SexprError("unexpected end of input" if want_head
@@ -182,21 +183,22 @@ def _normalize_lambda_implication(kb: AtomSpace, atom_id: int) -> int:
     """Rewrites Impl(Lambda($X, Eval(P, $X)), Lambda($Y, Eval(Q, $Y))) to the
     abbreviated Impl(P, Q) form; the two renderings are equivalent.  Each
     lambda must bind a VariableNode that is its PredicateNode's argument."""
-    atom = kb.atom(atom_id)
+    atoms = kb.atoms
+    atom = atoms[atom_id]
     if atom.type.name != "ImplicationLink" or len(atom.outgoing) != 2:
         return atom_id
     preds = []
     for child_id in atom.outgoing:
-        child = kb.atom(child_id)
+        child = atoms[child_id]
         if child.type.name != "LambdaLink" or len(child.outgoing) != 2:
             return atom_id
-        var, body = child.outgoing[0], kb.atom(child.outgoing[1])
+        var, body = child.outgoing[0], atoms[child.outgoing[1]]
         if body.type.name != "EvaluationLink" or body.outgoing[1:] != (var,) \
-                or kb.atom(var).type.name != "VariableNode" \
-                or kb.atom(body.outgoing[0]).type.name != "PredicateNode":
+                or atoms[var].type.name != "VariableNode" \
+                or atoms[body.outgoing[0]].type.name != "PredicateNode":
             return atom_id
         preds.append(body.outgoing[0])
-    return kb.intern_link("ImplicationLink", preds)
+    return kb._link(TYPES["ImplicationLink"], tuple(preds))
 
 
 # -- public API ------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The backward search against ``prover_reference``, the plain recursion
 that specifies its proofs and their order."""
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dpln import ChainConfig, chainer, load_kb, make_rule_set, parse_atom
@@ -98,6 +98,16 @@ def _kb(facts):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_case())
+# a typed variable a rule binds in its first premise: modus ponens' $P to a
+# ConceptNode, and the conjunction's $CA to a fact of another type
+@example(case=([('(ImplicationLink (ConceptNode "c0") (PredicateNode "p1"))', 0.9),
+                ('(EvaluationLink (ConceptNode "c0") (ConceptNode "c1"))', 0.5),
+                ('(ImplicationLink (PredicateNode "p0") (PredicateNode "p1"))', 0.2),
+                ('(EvaluationLink (PredicateNode "p0") (ConceptNode "c1"))', 0.9)],
+               '(EvaluationLink (PredicateNode "p1") (ConceptNode "c1"))', 1))
+@example(case=([('(InheritanceLink (ConceptNode "c0") (ConceptNode "c1"))', 0.9),
+                ('(EvaluationLink (PredicateNode "p0") (ConceptNode "c1"))', 0.5)],
+               '(AndLink (VariableNode "$T") (VariableNode "$V"))', 1))
 def test_prove_equals_the_reference_prover(case):
     """On small random KBs, cycles allowed, at depths 1-3, for targets with
     up to two variables, repeated, nested or named as a rule's own: ``prove``

@@ -344,19 +344,18 @@ def _match_conclusion(kb: AtomSpace, c: int, t: int, rb: Binding, seen: dict,
 
 
 class _Search:
-    """A KB's table of solved subgoals, keyed by (pattern, depth), and of
-    each pattern's depth-0 facts, for one rule list (``prove`` checks
-    ``rules``) until ``set_tv`` ends it.  An entry holds proofs only,
-    (binding, trace) pairs; ``lanes`` walks each column once per prefix.
-    ``replays`` is ``backward_chain``'s replay memo, valid while the tape's
-    resets and parameter values are ``stamp``.  The table holds no
+    """A KB's table of solved subgoals, keyed by (pattern, depth), for one
+    rule list (``prove`` checks ``rules``) until ``set_tv`` ends it.  An
+    entry holds proofs, (binding, trace) pairs: the depth-0 entry a pattern's
+    facts, read as ``match`` reads a clause, and each deeper one starts from
+    them.  ``replays`` is ``backward_chain``'s replay memo, valid while the
+    tape's resets and parameter values are ``stamp``.  The table holds no
     reference to the KB, and its methods are not nested closures: no
     reference cycle keeps a dropped KB alive until a garbage collection."""
 
     def __init__(self, rules: list[Rule]):
         self.rules = tuple(rules)
         self.memo: dict[tuple[int, int], list[tuple[Binding, InferenceTrace]]] = {}
-        self.facts: dict[int, list] = {}
         self.typed: dict[str, tuple[Rule, ...]] = {}  # pattern type -> rules
         self.replays, self.stamp = {}, None
 
@@ -369,14 +368,12 @@ class _Search:
         memo = self.memo
         if (pattern, depth) in memo:
             return memo[pattern, depth]
-        if pattern not in self.facts:  # the same at any depth; match's reading
-            self.facts[pattern] = [(b, Leaf(c)) for c in candidates(kb, pattern, {})
-                                   if _unify_into(kb, pattern, c, b := {}, {})]
-        results = list(self.facts[pattern])
+        results = list(self.solve(kb, pattern, 0)) if depth else [
+            (b, Leaf(c)) for c in candidates(kb, pattern, {})
+            if _unify_into(kb, pattern, c, b := {}, {})]
         for rule, seen, full, traces, trace, terms in self.lanes(kb, pattern, depth):
             # ground: Rule makes the premises bind every conclusion variable
-            b = {t: full[c] if c in full else _substitute(kb, c, full)
-                 for t, c in seen.items()} if seen else {}
+            b = {t: _substitute(kb, c, full) for t, c in seen.items()}
             if len(full) > len(rule.own):  # the lane bound target variables too
                 full = {v: full[v] for v in rule.own}
             results.append((b, _derive(kb, rule, full, traces + [trace], terms)))
@@ -386,17 +383,17 @@ class _Search:
     def lanes(self, kb: AtomSpace, pattern: int, depth: int, lifted=None, wanted=None):
         """Yields (rule, seen, binding, prefix traces, lane trace, terms or
         None) per rule derivation of ``pattern`` within ``depth``, in (rule,
-        premise solutions) order, once every column is solved.  The premises
-        are solved under the unifier of the conclusion with the pattern: per
+        premise solutions) order, as the walk finds it.  The premises are
+        solved under the unifier of the conclusion with the pattern: per
         solution of all but the last (a prefix), the last one's table entry
-        (its column) gives the lanes, which share the terms the prefix
-        decides (``Rule.hoist``) and check each typed variable (``Rule.typed``).
-        Solutions bind only variables the unifier left unbound, so merges
-        never conflict; a lane fills in each variable it bound to a term
-        holding others (``same``).  With ``wanted``, a lane binding the rule
-        variable at ``lifted`` to an answer outside it is skipped before the
-        merge, and the whole column of a prefix that binds it so."""
-        matches = []  # per rule matching pattern: seen, open part and prefixes
+        (its column), solved when the prefix is walked, gives the lanes,
+        which share the terms the prefix decides (``Rule.hoist``) and check
+        each typed variable (``Rule.typed``).  Solutions bind only variables
+        the unifier left unbound, so merges never conflict; a lane fills in
+        each variable it bound to a term holding others (``same``).  With
+        ``wanted``, a prefix binding the rule variable at ``lifted`` to an
+        answer outside it is skipped before its column is solved, and a lane
+        binding it so before the merge."""
         name = kb.atoms[pattern].type.name  # no rule of another type matches
         if name not in self.typed:
             self.typed[name] = tuple(r for r in self.rules if name in (
@@ -418,17 +415,14 @@ class _Search:
             for premise in premises[:-1]:
                 prefixes = [({**b, **sb}, ts + [t]) for b, ts in prefixes for sb, t
                             in self.solve(kb, _substitute(kb, premise, b), depth - 1)]
-            matches.append((rule, seen, same, [
-                (b, ts, self.solve(kb, _substitute(kb, premises[-1], b), depth - 1))
-                for b, ts in prefixes]))
-        for rule, seen, same, prefixes in matches:
             hoist = rule.hoist and not same
             x = seen.get(lifted) if wanted and not same else None
             x = x if x in rule.own else None  # a compound answer: the caller looks it up
-            for binding, traces, column in prefixes:
-                if x in binding:
-                    column = column if binding[x] in wanted else ()
-                elif x is not None:
+            for binding, traces in prefixes:
+                if x in binding and binding[x] not in wanted:
+                    continue
+                column = self.solve(kb, _substitute(kb, premises[-1], binding), depth - 1)
+                if x is not None and x not in binding:
                     column = [(b, t) for b, t in column if b[x] in wanted]
                 if not column:
                     continue

@@ -84,7 +84,7 @@ def _unify_into(kb, a, b, binding, constraints) -> bool:
             x.outgoing) != len(y.outgoing):  # a variable b is of another type
         return y.type.name == "VariableNode" and _unify_into(kb, b, a, binding, constraints)
     for xo, yo in zip(x.outgoing, y.outgoing):
-        if not _unify_into(kb, xo, yo, binding, constraints):
+        if xo != yo and not _unify_into(kb, xo, yo, binding, constraints):
             return False
     return True
 

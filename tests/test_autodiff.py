@@ -618,6 +618,22 @@ def test_sum_rejects_no_input_and_a_ref_of_another_tape():
         t.sum([t.constant(1.0), Tape().constant(2.0)])
 
 
+def test_check_unit_rejects_a_ref_of_another_tape_and_a_stale_ref():
+    """Another tape's ref may index an in-range record of this tape, which
+    check_unit must not read in its place; a discarded record's ref is
+    stale."""
+    t = Tape()
+    t.constant(0.5)
+    with pytest.raises(AutodiffError, match="different tape"):
+        t.check_unit(Tape().constant(0.5), ValueError, "p")
+    mark = t.mark()
+    stale = t.constant(0.25)
+    t.reset_to(mark)
+    with pytest.raises(AutodiffError, match="stale VarRef"):
+        t.check_unit(stale, ValueError, "p")
+    assert repr(stale) == "VarRef(%d, stale)" % stale.index
+
+
 def test_every_op_of_the_table_is_a_rendered_tape_method():
     rendered = {name for name, f in vars(Tape).items()
                 if getattr(f, "__code__", None) is not None

@@ -1726,6 +1726,41 @@ def test_a_prefix_binding_the_lifted_variable_elsewhere_skips_its_column(monkeyp
     _check_lifted_walk(monkeypatch, eval_first, 1)
 
 
+def test_a_skipped_prefix_leaves_its_column_unsolved():
+    """Modus ponens with its premises swapped, Eval($P, $X) first, at depth
+    2: first_proofs of the apple instances' Eval(red, a_i) skips each
+    prefix binding $X to a banana instance before its column is solved, so
+    the table holds no entry for Impl(banana, red); each trace is still
+    prove's first derivation of its target."""
+    _, kb = fresh_kb()
+    red = kb.node("PredicateNode", "red")
+    targets = []
+    for fruit in ("apple", "banana"):
+        pred = kb.node("PredicateNode", fruit)
+        for i in range(3):
+            instance = kb.node("ConceptNode", "%s-%d" % (fruit, i))
+            set_strength(kb, kb.link("EvaluationLink", pred, instance), 1.0)
+            if fruit == "apple":
+                targets.append(kb.link("EvaluationLink", red, instance))
+        set_strength(kb, kb.link("ImplicationLink", pred, red), 0.5)
+    mp = make_modus_ponens_rule(kb)
+    rules = [Rule(kb, name="mp-eval-first", variables=mp.variables,
+                  premises=mp.premises[::-1], conclusion=mp.conclusion,
+                  formula=lambda inputs: mp.formula([inputs[1], inputs[0],
+                                                     *inputs[2:]]),
+                  terms=mp.terms)]
+    config = ChainConfig(max_depth=2)
+    traces = chainer.first_proofs(kb, rules, targets, config)
+    banana_red = kb.find_link("ImplicationLink",
+                              [kb.node("PredicateNode", "banana"), red])
+    assert all(pattern != banana_red for pattern, _ in kb.subgoal_table.memo)
+    kb.subgoal_table = None
+    first = [next(t for _, t in proofs if isinstance(t, Derivation))
+             for proofs in chainer.prove(kb, rules, targets, config)]
+    assert [(t.rule, t.binding, t.conclusion, t.premises, t.terms) for t in traces] == [
+        (t.rule, t.binding, t.conclusion, t.premises, t.terms) for t in first]
+
+
 def test_a_ground_node_in_a_conclusion_meets_only_itself():
     """Eval(apple, $X) |- Eval(green, $X): a target naming another
     predicate, or of another arity, matches no conclusion and has no

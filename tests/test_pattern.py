@@ -6,7 +6,7 @@ import pytest
 
 from dpln import (MatchError, UnknownAtomError, load_kb, match, substitute,
                   unify, variables_in)
-from dpln.pattern import candidates, lookup
+from dpln.pattern import _unify_into, candidates, lookup
 
 from conftest import fresh_kb
 
@@ -65,6 +65,17 @@ def test_unify_stops_at_identical_subtrees():
     pattern = kb.link("InheritanceLink", deep, y)
     ground = kb.link("InheritanceLink", deep, c)
     assert unify(kb, pattern, ground) == {y: c}
+
+def test_unify_a_variable_with_one_bound_to_it():
+    """$X against $Y where $Y is bound to $X: the pair already unifies, so
+    the call succeeds and binds nothing, where an occurs check on $Y would
+    follow it back to $X and fail."""
+    _, kb = fresh_kb()
+    x, y = kb.node("VariableNode", "$X"), kb.node("VariableNode", "$Y")
+    binding = {y: x}
+    assert _unify_into(kb, x, y, binding, {})
+    assert binding == {y: x}
+
 
 def test_unify_type_constraint():
     _, kb = fresh_kb()
